@@ -12,7 +12,7 @@ import os
 import tempfile
 from typing import Optional
 
-from .trace import TraceEngine, TraceResult, trace_poly
+from .trace import TraceEngine, TraceResult, _trace_result, trace_poly
 from .tripoly import TriPoly
 from .words import Word, canonicalize
 
@@ -100,23 +100,18 @@ def cached_trace_poly(
 ) -> TraceResult:
     """trace_poly with a read-through/write-through cache.
 
-    Hits reconstruct the result from the stored polynomial text; a
-    differential test asserts hits never change any output versus cold runs.
+    Hits reconstruct the result from the stored polynomial text and pass
+    trace_poly's checks; an entry that fails them is treated as a miss and
+    overwritten, like an unparsable one.  A differential test asserts hits
+    never change any output versus cold runs.
     """
     if cache is None:
         return trace_poly(w, engine=engine)
     f = cache.lookup(w)
     if f is not None:
-        if w.is_empty:
-            canon = w
-        else:
-            canon, _ = canonicalize(w)
-        return TraceResult(
-            word=canon,
-            f=f,
-            u_degree=max(f.deg("u"), 0),
-            leading=f.u_coefficients()[-1],
-        )
+        result = _trace_result(w, f)
+        if result is not None:
+            return result
     result = trace_poly(w, engine=engine)
     cache.store(w, result.f)
     return result

@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cache import TraceCache, cached_trace_poly
@@ -41,26 +39,6 @@ from .words import (
     stats,
 )
 
-HARD_Q_CEILING = 128
-
-
-@dataclass(frozen=True)
-class Config:
-    p_max: int = 13
-    q_limit: int = MAX_FIBER_Q
-    workers: int = 1
-    seed: int = 0
-    cache_path: Optional[str] = None
-
-    def validate(self) -> None:
-        if self.p_max < 2:
-            raise ValueError("p_max must be >= 2")
-        if not 2 <= self.q_limit <= HARD_Q_CEILING:
-            raise ValueError(f"q_limit must lie in [2, {HARD_Q_CEILING}]")
-        if self.workers < 1:
-            raise ValueError("worker count must be >= 1")
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse already exits 2 on usage errors; keep messages on stderr
     def error(self, message: str):
@@ -70,8 +48,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--workers", type=int, default=1)
     common.add_argument("--cache", type=str, default=None)
     parser = _Parser(prog="tracelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -100,6 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", parents=[common], help="genericity scan CSV")
     p_scan.add_argument("--n-max", type=int, required=True)
     p_scan.add_argument("--samples", type=int, default=None)
+    p_scan.add_argument("--seed", type=int, default=0)
     p_scan.add_argument(
         "--constraint", choices=["any", "prime-complexity"], default="any"
     )
@@ -154,9 +131,9 @@ def _word_exponent_sums(w: Word) -> tuple[int, int]:
     return a, b
 
 
-def cmd_trace(args, config: Config, out) -> int:
+def cmd_trace(args, out) -> int:
     w = parse(args.word)
-    cache = TraceCache(config.cache_path)
+    cache = TraceCache(args.cache)
     result = cached_trace_poly(w, cache=cache)
     cache.save()
     canon = result.word
@@ -179,11 +156,11 @@ def cmd_trace(args, config: Config, out) -> int:
     return 0
 
 
-def cmd_classify(args, config: Config, out) -> int:
+def cmd_classify(args, out) -> int:
     w = parse(args.word)
     if args.p_max < 2:
         raise ValueError("p_max must be >= 2")
-    cache = TraceCache(config.cache_path)
+    cache = TraceCache(args.cache)
     engine = TraceEngine()
     try:
         verdict = classify_global(w, args.p_max, engine=engine)
@@ -210,16 +187,14 @@ def _pretty(payload: dict) -> str:
     return json.dumps(payload, indent=2)
 
 
-def _check_q(q: int, config: Config) -> None:
-    if q > min(config.q_limit, MAX_FIBER_Q):
-        raise ValueError(
-            f"q = {q} exceeds the enumeration guard {min(config.q_limit, MAX_FIBER_Q)}"
-        )
+def _check_q(q: int) -> None:
+    if q > MAX_FIBER_Q:
+        raise ValueError(f"q = {q} exceeds the enumeration guard {MAX_FIBER_Q}")
 
 
-def cmd_fibers(args, config: Config, out) -> int:
+def cmd_fibers(args, out) -> int:
     w = parse(args.word)
-    _check_q(args.q, config)
+    _check_q(args.q)
     report = (
         psl_fiber_distribution(w, args.q) if args.psl else fiber_distribution(w, args.q)
     )
@@ -227,7 +202,7 @@ def cmd_fibers(args, config: Config, out) -> int:
     return 0
 
 
-def cmd_epsilon(args, config: Config, out) -> int:
+def cmd_epsilon(args, out) -> int:
     w = parse(args.word)
     if args.q is None and not args.q_list:
         raise ValueError("epsilon requires --q or --q-list")
@@ -238,7 +213,7 @@ def cmd_epsilon(args, config: Config, out) -> int:
         qs.extend(int(tok) for tok in args.q_list.split(",") if tok)
     reports = []
     for q in qs:
-        _check_q(q, config)
+        _check_q(q)
         base = (
             psl_fiber_distribution(w, q) if args.psl else fiber_distribution(w, q)
         )
@@ -248,12 +223,12 @@ def cmd_epsilon(args, config: Config, out) -> int:
     return 0
 
 
-def cmd_scan(args, config: Config, out) -> int:
+def cmd_scan(args, out) -> int:
     if args.samples is None:
         reports = genericity_scan(args.n_max, mode="exhaustive")
     else:
         reports = genericity_scan(
-            args.n_max, mode="sampled", samples=args.samples, seed=config.seed
+            args.n_max, mode="sampled", samples=args.samples, seed=args.seed
         )
     out.write(genericity_csv(reports))
     return 0
@@ -362,7 +337,7 @@ _SUITES = {
 }
 
 
-def cmd_verify(args, config: Config, out) -> int:
+def cmd_verify(args, out) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     failures = 0
     for name in names:
@@ -392,16 +367,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     out = out if out is not None else sys.stdout
-    config = Config(
-        p_max=getattr(args, "p_max", 13),
-        q_limit=MAX_FIBER_Q,
-        workers=getattr(args, "workers", 1),
-        seed=getattr(args, "seed", 0),
-        cache_path=getattr(args, "cache", None),
-    )
     try:
-        config.validate()
-        return _COMMANDS[args.command](args, config, out)
+        return _COMMANDS[args.command](args, out)
     except WordSyntaxError as exc:
         print(f"tracelab: syntax error: {exc}", file=sys.stderr)
         return 2

@@ -32,7 +32,14 @@ from .gf import primes_in
 from .tripoly import TriPoly, coeff_nth_root, frobenius_strip
 from .trace import TraceEngine, trace_poly
 from .unipoly import UniPoly, dickson, dickson_apply
-from .words import DegenerateWordError, Word, canonicalize, proper_power_root, stats
+from .words import (
+    DegenerateWordError,
+    Word,
+    _divisors,
+    canonicalize,
+    proper_power_root,
+    stats,
+)
 
 NONCOMPOSITE_P = "NoncompositeP"
 SPECIAL_P = "SpecialP"
@@ -90,16 +97,6 @@ class PowerWordReport:
     note: str
 
 
-def _divisors(n: int) -> List[int]:
-    small, large = [], []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
-
-
 def _unit_inverse(c: int, p: Optional[int]):
     if p is None:
         return Fraction(1, c)
@@ -112,15 +109,38 @@ def _roots_of_unity(d: int, p: Optional[int]) -> List:
     return [a for a in range(1, p) if pow(a, d, p) == 1]
 
 
-# -- Dickson-outer decomposition ------------------------------------------------
+# -- top-down u-block matching ---------------------------------------------------
+
+
+def _match_inner(blocks: List[TriPoly], lead: TriPoly, n: int) -> Optional[TriPoly]:
+    """The Q with leading u-block ``lead`` whose Q^n matches the top blocks, or None.
+
+    ``blocks`` are the u-blocks of a target of u-degree r = n*m.  In any
+    h(Q) with monic h of degree n and no z^(n-1) term, the top m+1
+    u-blocks come from Q^n alone, and the u^(r-j) block is linear in Q's
+    u^(m-j) block with coefficient n * lead^(n-1); each lower block of Q
+    is therefore an exact division, and None means one did not divide.
+    """
+    p = lead.p
+    r = len(blocks) - 1
+    m = r // n
+    q = [TriPoly.zero(p)] * m + [lead]
+    denom = (lead ** (n - 1)).scale(n)
+    for j in range(1, m + 1):
+        have = (TriPoly.from_u_coefficients(q, p) ** n).u_coefficients()
+        sol = (blocks[r - j] - have[r - j]).divide_exact(denom)
+        if sol is None:
+            return None
+        q[m - j] = sol
+    return TriPoly.from_u_coefficients(q, p)
 
 
 def dickson_decompose(f: TriPoly, d: int) -> Optional[TriPoly]:
     """The inner Q with f = D_d(Q), or None.
 
-    Solved by top-down u-block matching: the leading u-block of Q is a
+    D_d is monic with no z^(d-1) term, so the leading u-block of Q is a
     d-th root of f's leading block (all root choices are tried), lower
-    blocks follow by linear elimination, and the candidate is verified by
+    blocks follow by top-down matching, and the candidate is verified by
     exact recomposition.  Unique up to sign when d is even; the returned
     representative comes from the canonical root choice.
     """
@@ -129,126 +149,27 @@ def dickson_decompose(f: TriPoly, d: int) -> Optional[TriPoly]:
     r = f.deg("u")
     if r < 1 or r % d:
         raise ValueError(f"index {d} does not divide u-degree {r}")
-    m = r // d
     blocks = f.u_coefficients()
     root0 = blocks[r].nth_root(d)
     if root0 is None:
         return None
     for zeta in _roots_of_unity(d, f.p):
-        lead = root0.scale(zeta)
-        q = [TriPoly.zero(f.p) for _ in range(m)] + [lead]
-        denom = lead ** (d - 1)
-        denom = denom.scale(d)
-        ok = True
-        for j in range(1, m + 1):
-            partial = TriPoly.from_u_coefficients(q, f.p)
-            excess = partial**d
-            have = excess.u_coefficients()
-            cur = have[r - j] if r - j < len(have) else TriPoly.zero(f.p)
-            num = blocks[r - j] - cur
-            sol = num.divide_exact(denom)
-            if sol is None:
-                ok = False
-                break
-            q[m - j] = sol
-        if not ok:
-            continue
-        cand = TriPoly.from_u_coefficients(q, f.p)
-        if dickson_apply(d, cand) == f:
+        cand = _match_inner(blocks, root0.scale(zeta), d)
+        if cand is not None and dickson_apply(d, cand) == f:
             return cand
     return None
-
-
-# -- general tame decomposition in u --------------------------------------------
-#
-# Coefficients live in k[s,t] localized at lam (the monic n-th root of the
-# normalized leading block): a pair (g, e) stands for g / lam^e.
-
-
-class _Loc:
-    def __init__(self, lam: TriPoly, p: Optional[int]):
-        self.lam = lam
-        self.p = p
-        self.zero = (TriPoly.zero(p), 0)
-        self.one = (TriPoly.const(1, p), 0)
-        self._pows = {0: TriPoly.const(1, p), 1: lam}
-
-    def lam_pow(self, e: int) -> TriPoly:
-        if e not in self._pows:
-            self._pows[e] = self.lam_pow(e - 1) * self.lam
-        return self._pows[e]
-
-    def norm(self, x):
-        g, e = x
-        if g.is_zero:
-            return (g, 0)
-        while e > 0:
-            q = g.divide_exact(self.lam)
-            if q is None:
-                break
-            g, e = q, e - 1
-        return (g, e)
-
-    def add(self, x, y):
-        gx, ex = x
-        gy, ey = y
-        e = max(ex, ey)
-        return self.norm((gx * self.lam_pow(e - ex) + gy * self.lam_pow(e - ey), e))
-
-    def sub(self, x, y):
-        return self.add(x, (-y[0], y[1]))
-
-    def mul(self, x, y):
-        return self.norm((x[0] * y[0], x[1] + y[1]))
-
-    def scale(self, x, c):
-        return (x[0].scale(c), x[1])
-
-    def is_zero(self, x) -> bool:
-        return x[0].is_zero
-
-
-def _up_mul(ctx: _Loc, a: List, b: List) -> List:
-    out = [ctx.zero] * (len(a) + len(b) - 1)
-    for i, xa in enumerate(a):
-        if ctx.is_zero(xa):
-            continue
-        for j, xb in enumerate(b):
-            out[i + j] = ctx.add(out[i + j], ctx.mul(xa, xb))
-    return out
-
-
-def _up_pow(ctx: _Loc, a: List, n: int) -> List:
-    out = [ctx.one]
-    for _ in range(n):
-        out = _up_mul(ctx, out, a)
-    return out
-
-
-def _up_divmod_monic(ctx: _Loc, num: List, den: List) -> Tuple[List, List]:
-    # den monic in u (leading coefficient exactly 1)
-    num = list(num)
-    dd = len(den) - 1
-    q = [ctx.zero] * max(len(num) - dd, 1)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if ctx.is_zero(c):
-            continue
-        q[i - dd] = c
-        for j in range(dd + 1):
-            num[i - dd + j] = ctx.sub(num[i - dd + j], ctx.mul(c, den[j]))
-    return q, num[:dd]
 
 
 def decompose_in_u(f: TriPoly, n: int) -> Optional[CompositionWitness]:
     """A witness f = h(Q) with deg h = n and constant coefficients, or None.
 
-    Tame algorithm over the coefficient field k(s, t): normalize by the
-    leading u-block, complete the monic approximate n-th root Q0, expand
-    f in base Q0 and demand u-free digits, then check that the outer
-    coefficients h_i = digit_i / lam^i are constants and the inner
-    Q = lam * Q0 clears all denominators.  Every returned witness
-    recomposes exactly.  Raises in the wild case (characteristic
+    Tame n makes the decomposition unique once Q's leading u-block is lam,
+    the monic n-th root of f's leading block divided by its leading
+    coefficient lc, and h has no z^(n-1) term: lower blocks of Q come from
+    matching f / lc against Q^n from the top, then each h_i, i = n-2 down
+    to 0, is read off the u^(i*m) block of what remains (it must be a
+    constant times lam^i) while h_i * Q^i is peeled away.  Every returned
+    witness recomposes exactly.  Raises in the wild case (characteristic
     divides n).
     """
     if n < 2:
@@ -262,58 +183,33 @@ def decompose_in_u(f: TriPoly, n: int) -> Optional[CompositionWitness]:
     p = f.p
     blocks = f.u_coefficients()
     lc = blocks[r].leading_coeff()
-    lam = blocks[r].scale(_unit_inverse(lc, p)).nth_root(n)
+    inv_lc = _unit_inverse(lc, p)
+    monic = [b.scale(inv_lc) for b in blocks]
+    lam = monic[r].nth_root(n)
     if lam is None:
         return None
-    ctx = _Loc(lam, p)
-    inv_fr = (TriPoly.const(1, p).scale(_unit_inverse(lc, p)), n)  # 1 / F_r
-    ftil = [ctx.norm(ctx.mul((b, 0), inv_fr)) for b in blocks]
-    inv_n = _unit_inverse(n, p)
-
-    # monic approximate n-th root: match the top m+1 u-blocks of ftil
-    q0 = [ctx.zero] * m + [ctx.one]
-    for j in range(1, m + 1):
-        power = _up_pow(ctx, q0, n)
-        cur = power[r - j] if r - j < len(power) else ctx.zero
-        delta = ctx.sub(ftil[r - j], cur)
-        q0[m - j] = ctx.scale(delta, inv_n)
-
-    # base-Q0 digits of f itself; all must be u-free
-    rem = [(b, 0) for b in blocks]
-    hs = []
-    for i in range(n):
-        rem, digit = _up_divmod_monic(ctx, rem, q0)
-        if any(not ctx.is_zero(c) for c in digit[1:]):
-            return None
-        hs.append(digit[0] if digit else ctx.zero)
-    if any(not ctx.is_zero(c) for c in rem[1:]):
-        return None
-    hs.append(rem[0] if rem else ctx.zero)
-
-    # outer coefficients h_i = digit_i / lam^i must be constants
-    coeffs = []
-    for i, hv in enumerate(hs):
-        g, e = ctx.norm((hv[0], hv[1] + i))
-        if e != 0 or not g.is_constant:
-            return None
-        coeffs.append(g.constant_value())
-    outer = UniPoly(coeffs, p)
-    if outer.degree != n:
+    inner = _match_inner(monic, lam, n)
+    if inner is None:
         return None
 
-    # inner Q = lam * Q0 must clear all denominators
-    inner_blocks = []
-    for g, e in q0:
-        if e >= 1:
-            g2, e2 = ctx.norm((g, e - 1))
-        else:
-            g2, e2 = g * lam, 0
-        if e2 != 0:
+    powers = [TriPoly.const(1, p)]
+    for _ in range(n):
+        powers.append(powers[-1] * inner)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = lc
+    rem = f - powers[n].scale(lc)  # u-degree < (n-1)*m after matching
+    for i in range(n - 2, -1, -1):
+        top = rem.deg("u")
+        if top > i * m:
             return None
-        inner_blocks.append(g2)
-    inner = TriPoly.from_u_coefficients(inner_blocks, p)
+        digit = rem.u_coefficients()[i * m] if top == i * m else TriPoly.zero(p)
+        h = digit.divide_exact(lam**i)
+        if h is None or not h.is_constant:
+            return None
+        coeffs[i] = h.constant_value()
+        rem = rem - powers[i].scale(coeffs[i])
 
-    witness = _dickson_normalize(outer, inner, p)
+    witness = _dickson_normalize(UniPoly(coeffs, p), inner, p)
     if witness.recompose() != f:
         return None
     return witness
@@ -384,20 +280,23 @@ def _find_witness(
     return None
 
 
-def _require_canonical(w: Word) -> Word:
+def _word_poly(w: Word, engine: Optional[TraceEngine]) -> Tuple[Word, int, int, TriPoly]:
+    """Canonical form, exponent sums A, B and f_w of a classifiable word."""
     canon, rec = canonicalize(w)
     if rec.degenerate:
         raise DegenerateWordError(f"classification needs complexity >= 1: {w!r}")
-    return canon
+    st = stats(canon)
+    return canon, st.A, st.B, trace_poly(canon, engine=engine).f
 
 
-def classify_p(w: Word, p: int, engine: Optional[TraceEngine] = None) -> PrimeVerdict:
-    """Verdict for one prime: strip Frobenius layers, then test the core."""
-    w = _require_canonical(w)
-    st = stats(w)
-    f = trace_poly(w, engine=engine).f.reduce_mod(p)
-    core, k, _ = frobenius_strip(f)
-    witness = _find_witness(core, st.A, st.B, p)
+def _rational_class(witness: Optional[CompositionWitness]) -> str:
+    return NONCOMPOSITE_Q if witness is None else COMPOSITE_Q
+
+
+def _prime_verdict(f: TriPoly, A: int, B: int, p: int) -> PrimeVerdict:
+    """Verdict for the rational f_w at one prime: strip Frobenius layers, test the core."""
+    core, k, _ = frobenius_strip(f.reduce_mod(p))
+    witness = _find_witness(core, A, B, p)
     if witness is None:
         if k == 0:
             return PrimeVerdict(p=p, verdict=NONCOMPOSITE_P, witness=None, frobenius_k=0)
@@ -416,17 +315,19 @@ def classify_p(w: Word, p: int, engine: Optional[TraceEngine] = None) -> PrimeVe
     )
 
 
+def classify_p(w: Word, p: int, engine: Optional[TraceEngine] = None) -> PrimeVerdict:
+    """Verdict for one prime: strip Frobenius layers, then test the core."""
+    _, A, B, f = _word_poly(w, engine)
+    return _prime_verdict(f, A, B, p)
+
+
 def classify_rational(
     w: Word, engine: Optional[TraceEngine] = None
 ) -> Tuple[str, Optional[CompositionWitness]]:
     """Compositeness of f_w over the rationals."""
-    w = _require_canonical(w)
-    st = stats(w)
-    f = trace_poly(w, engine=engine).f
-    witness = _find_witness(f, st.A, st.B, None)
-    if witness is None:
-        return NONCOMPOSITE_Q, None
-    return COMPOSITE_Q, witness
+    _, A, B, f = _word_poly(w, engine)
+    witness = _find_witness(f, A, B, None)
+    return _rational_class(witness), witness
 
 
 def classify_global(
@@ -438,15 +339,10 @@ def classify_global(
     otherwise the verdict certifies equidistribution only up to p_max,
     since the set of exceptional primes has no effective bound here.
     """
-    w = _require_canonical(w)
-    rational_class, rational_witness = classify_rational(w, engine=engine)
-    per_prime = []
-    bad = None
-    for p in primes_in(2, p_max):
-        v = classify_p(w, p, engine=engine)
-        per_prime.append(v)
-        if bad is None and v.verdict == COMPOSITE_NOT_SPECIAL:
-            bad = p
+    w, A, B, f = _word_poly(w, engine)
+    rational_witness = _find_witness(f, A, B, None)
+    per_prime = tuple(_prime_verdict(f, A, B, p) for p in primes_in(2, p_max))
+    bad = next((v.p for v in per_prime if v.verdict == COMPOSITE_NOT_SPECIAL), None)
     if bad is not None:
         conclusion = "NotEquidistributed"
         certified = None
@@ -455,9 +351,9 @@ def classify_global(
         certified = p_max
     return GlobalVerdict(
         word=w,
-        rational_class=rational_class,
+        rational_class=_rational_class(rational_witness),
         rational_witness=rational_witness,
-        per_prime=tuple(per_prime),
+        per_prime=per_prime,
         conclusion=conclusion,
         certified_to=certified,
         bad_prime=bad,
@@ -473,9 +369,9 @@ def power_word_report(w: Word, engine: Optional[TraceEngine] = None) -> PowerWor
     flagged rather than raised, since it would contradict the classified
     dichotomy in the tested regime.
     """
-    w = _require_canonical(w)
+    w, A, B, f = _word_poly(w, engine)
     root, k = proper_power_root(w)
-    _, witness = classify_rational(w, engine=engine)
+    witness = _find_witness(f, A, B, None)
     d = witness.dickson_index if witness is not None else None
     if k == 1:
         consistent = witness is None
@@ -485,7 +381,6 @@ def power_word_report(w: Word, engine: Optional[TraceEngine] = None) -> PowerWor
             else "aperiodic but composite over the rationals"
         )
         return PowerWordReport(w, root, k, d, consistent, note)
-    f = trace_poly(w, engine=engine).f
     f_root = trace_poly(root, engine=engine).f
     q = dickson_decompose(f, k)
     inner_ok = q is not None and (q == f_root or (k % 2 == 0 and q == -f_root))

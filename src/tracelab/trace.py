@@ -145,21 +145,23 @@ class SyllablePair:
     h: TriPoly
 
 
+def _trace_result(w: Word, f: TriPoly) -> Optional[TraceResult]:
+    """f as the trace of w, or None when w is canonical and deg_u f != complexity."""
+    canon = w if w.is_empty else canonicalize(w)[0]
+    u_degree = max(f.deg("u"), 0)
+    if canon.is_canonical and u_degree != canon.complexity:
+        return None
+    return TraceResult(word=canon, f=f, u_degree=u_degree, leading=f.u_coefficients()[-1])
+
+
 def trace_poly(w: Word, engine: Optional[TraceEngine] = None) -> TraceResult:
     """Exact trace polynomial of any word, including degenerate ones."""
     eng = engine if engine is not None else _DEFAULT_ENGINE
     f = eng.trace_word(w)
-    if w.is_empty:
-        canon = w
-    else:
-        canon, _ = canonicalize(w)
-    u_degree = max(f.deg("u"), 0)
-    if canon.is_canonical and u_degree != canon.complexity:
-        raise RuntimeError(
-            f"u-degree {u_degree} != complexity {canon.complexity} for {canon}"
-        )
-    leading = f.u_coefficients()[-1]
-    return TraceResult(word=canon, f=f, u_degree=u_degree, leading=leading)
+    result = _trace_result(w, f)
+    if result is None:
+        raise RuntimeError(f"u-degree {f.deg('u')} != complexity of {w}")
+    return result
 
 
 def syllable_polys(a: int, b: int, engine: Optional[TraceEngine] = None) -> SyllablePair:

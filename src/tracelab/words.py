@@ -21,6 +21,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
+from .gf import is_prime
+
 X = 0
 Y = 1
 
@@ -338,20 +340,11 @@ def _signed(word_shape: Tuple[int, ...], signbits: int) -> Tuple[Tuple[int, int]
     return tuple(zip(it, it))
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, math.isqrt(n) + 1):
-        if n % d == 0:
-            return False
-    return True
-
-
 def enumerate_words(max_length: int, prime_complexity: bool = False) -> Iterator[Word]:
     """All canonical words with length <= max_length, in a fixed order."""
     for n in range(2, max_length + 1):
         for r in range(1, n // 2 + 1):
-            if prime_complexity and not _is_prime(r):
+            if prime_complexity and not is_prime(r):
                 continue
             for shape in _compositions(n, 2 * r):
                 for bits in range(1 << (2 * r)):
@@ -363,7 +356,7 @@ def _candidate_cells(max_length: int, prime_complexity: bool):
     cells = []
     for n in range(2, max_length + 1):
         for r in range(1, n // 2 + 1):
-            if prime_complexity and not _is_prime(r):
+            if prime_complexity and not is_prime(r):
                 continue
             count = math.comb(n - 1, 2 * r - 1) * 4**r
             cells.append((n, r, count))

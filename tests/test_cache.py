@@ -80,3 +80,11 @@ class TestCachedTracePoly:
         cache = TraceCache(tmp_path / "c.json")
         res = cached_trace_poly(parse("xx"), cache=cache)
         assert res.f == trace_poly(parse("xx")).f
+
+    def test_entry_failing_checks_is_a_miss(self, tmp_path):
+        cache = TraceCache(tmp_path / "c.json")
+        cache.entries["xy"] = "u^2"  # u-degree 2, but xy has complexity 1
+        res = cached_trace_poly(parse("xy"), cache=cache)
+        assert res.f == trace_poly(parse("xy")).f
+        assert res.u_degree == 1
+        assert cache.lookup(parse("xy")) == res.f

@@ -79,6 +79,8 @@ class TestDecomposeInU:
             UniPoly([0, 0, 1], None),  # z^2
             UniPoly([2, -1, 0, 1], None),  # z^3 - z + 2
             UniPoly([0, 3, 1, 0, 2], None),  # 2z^4 + z^2 + 3z
+            UniPoly([5, -1, 2, 3], None),  # 3z^3 + 2z^2 - z + 5
+            UniPoly([1, 3, -2], None),  # -2z^2 + 3z + 1
         ],
     )
     def test_round_trip(self, outer):
@@ -98,6 +100,13 @@ class TestDecomposeInU:
             assert wit is not None
             assert wit.recompose() == target
             assert wit.p == p
+        for p in (2, 5, 7):  # non-monic cubic outer with a z^2 term; tame here
+            q = (U * T + S * T - TriPoly.const(2, None)).reduce_mod(p)
+            target = (q**3).scale(3) + q**2 + TriPoly.const(4, p)
+            wit = decompose_in_u(target, 3)
+            assert wit is not None
+            assert wit.recompose() == target
+            assert wit.outer.degree == 3
 
     def test_none_for_noncomposite(self):
         f = trace_poly(parse("xyXY")).f
