@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .gf import primes_in
-from .tripoly import TriPoly, coeff_nth_root, frobenius_strip
+from .tripoly import TriPoly, _div, _norm_coeff, _nth_roots, frobenius_strip
 from .trace import TraceEngine, trace_poly
 from .unipoly import UniPoly, dickson, dickson_apply
 from .words import (
@@ -97,18 +96,6 @@ class PowerWordReport:
     note: str
 
 
-def _unit_inverse(c: int, p: Optional[int]):
-    if p is None:
-        return Fraction(1, c)
-    return pow(c % p, -1, p)
-
-
-def _roots_of_unity(d: int, p: Optional[int]) -> List:
-    if p is None:
-        return [1, -1] if d % 2 == 0 else [1]
-    return [a for a in range(1, p) if pow(a, d, p) == 1]
-
-
 # -- top-down u-block matching ---------------------------------------------------
 
 
@@ -153,7 +140,7 @@ def dickson_decompose(f: TriPoly, d: int) -> Optional[TriPoly]:
     root0 = blocks[r].nth_root(d)
     if root0 is None:
         return None
-    for zeta in _roots_of_unity(d, f.p):
+    for zeta in _nth_roots(1, d, f.p):
         cand = _match_inner(blocks, root0.scale(zeta), d)
         if cand is not None and dickson_apply(d, cand) == f:
             return cand
@@ -183,7 +170,7 @@ def decompose_in_u(f: TriPoly, n: int) -> Optional[CompositionWitness]:
     p = f.p
     blocks = f.u_coefficients()
     lc = blocks[r].leading_coeff()
-    inv_lc = _unit_inverse(lc, p)
+    inv_lc = _div(1, lc, p)
     monic = [b.scale(inv_lc) for b in blocks]
     lam = monic[r].nth_root(n)
     if lam is None:
@@ -219,28 +206,12 @@ def _dickson_normalize(outer: UniPoly, inner: TriPoly, p: Optional[int]) -> Comp
     """Present the outer as a literal D_n when it is one up to scaling."""
     n = outer.degree
     base = dickson(n, p)
-    cands = []
-    if p is None:
-        c = coeff_nth_root(outer.leading_coeff(), n, None)
-        if c is not None:
-            cands = [c, -c] if n % 2 == 0 else [c]
-    else:
-        cands = [c for c in range(1, p) if pow(c, n, p) == outer.leading_coeff()]
-    for c in cands:
-        if all(outer[i] == _cmul(base[i], c, i, p) for i in range(n + 1)):
+    for c in _nth_roots(outer.leading_coeff(), n, p):
+        if all(outer[i] == _norm_coeff(base[i] * c**i, p) for i in range(n + 1)):
             return CompositionWitness(
                 outer=base, inner=inner.scale(c), p=p, dickson_index=n
             )
     return CompositionWitness(outer=outer, inner=inner, p=p, dickson_index=None)
-
-
-def _cmul(b, c, i: int, p: Optional[int]):
-    v = b * c**i
-    if p is not None:
-        v %= p
-    elif isinstance(v, Fraction) and v.denominator == 1:
-        v = int(v)
-    return v
 
 
 # -- per-prime and global classification ----------------------------------------

@@ -142,17 +142,7 @@ class GF:
             [encode([(-x) % p for x in polys[a]]) for a in range(q)], dtype=np.int64
         )
         inv = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            b = a
-            acc = 1
-            e = q - 2
-            while e:
-                if e & 1:
-                    acc = int(mul[acc, b])
-                e >>= 1
-                if e:
-                    b = int(mul[b, b])
-            inv[a] = acc
+        inv[1:] = np.argmax(mul[1:] == 1, axis=1)  # the column where a * b = 1
         self.inv_table = inv  # inv_table[0] = 0 is a sentinel, never valid
         self.squares = frozenset(int(mul[a, a]) for a in range(q))
 

@@ -132,7 +132,11 @@ class TraceResult:
     word: Word
     f: TriPoly
     u_degree: int
-    leading: TriPoly
+
+    @property
+    def leading(self) -> TriPoly:
+        """The top u-block G_r of f."""
+        return self.f.u_coefficients()[-1]
 
 
 @dataclass(frozen=True)
@@ -151,7 +155,7 @@ def _trace_result(w: Word, f: TriPoly) -> Optional[TraceResult]:
     u_degree = max(f.deg("u"), 0)
     if canon.is_canonical and u_degree != canon.complexity:
         return None
-    return TraceResult(word=canon, f=f, u_degree=u_degree, leading=f.u_coefficients()[-1])
+    return TraceResult(word=canon, f=f, u_degree=u_degree)
 
 
 def trace_poly(w: Word, engine: Optional[TraceEngine] = None) -> TraceResult:
@@ -195,17 +199,20 @@ def eval_trace_direct(w: Word, field, s: int, u: int, t: int) -> int:
     word's trace is a polynomial in s, u, t with integer coefficients, so
     it lands in F_q; the T-component is checked to vanish.
     """
-    F = field
+    # table lookups bound once: this loop is the oracle's whole cost
+    add = field.add_table.item
+    mul = field.mul_table.item
+    neg = field.neg_table.item
 
     def radd(p, q):
-        return (F.add(p[0], q[0]), F.add(p[1], q[1]))
+        return (add(p[0], q[0]), add(p[1], q[1]))
 
     def rmul(p, q):
         a, b = p
         c, d = q
-        bd = F.mul(b, d)
-        re = F.sub(F.mul(a, c), bd)
-        im = F.add(F.add(F.mul(a, d), F.mul(b, c)), F.mul(u, bd))
+        bd = mul(b, d)
+        re = add(mul(a, c), neg(bd))
+        im = add(add(mul(a, d), mul(b, c)), mul(u, bd))
         return (re, im)
 
     zero = (0, 0)
@@ -222,7 +229,7 @@ def eval_trace_direct(w: Word, field, s: int, u: int, t: int) -> int:
         )
 
     def rneg(p):
-        return (F.neg(p[0]), F.neg(p[1]))
+        return (neg(p[0]), neg(p[1]))
 
     def minv(A):
         # determinant is 1 throughout, so the adjugate inverts
@@ -240,8 +247,8 @@ def eval_trace_direct(w: Word, field, s: int, u: int, t: int) -> int:
         return out
 
     xi = (0, 1)
-    mx = ((s, 0), (F.neg(1), 0), one, zero)
-    my = (zero, xi, (F.neg(u), 1), (t, 0))
+    mx = ((s, 0), (neg(1), 0), one, zero)
+    my = (zero, xi, (neg(u), 1), (t, 0))
     acc = (one, zero, zero, one)
     for g, e in w.blocks:
         base = mx if g == X else my

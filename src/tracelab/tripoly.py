@@ -2,10 +2,14 @@
 
 Coefficients are arbitrary-precision integers (Fractions are allowed in
 characteristic 0, where intermediate decompositions need them) or residues
-modulo a prime p.  Monomials are packed into a single integer key,
-16 bits per exponent, ordered (s, u, t) from high to low; packed keys add
-under monomial multiplication and compare lexicographically, which keeps
-the arithmetic loops tight.
+modulo a prime p.  The rules for these scalars (normalizing, reduction
+mod p, division, n-th roots and signed rendering) live here once, in
+private helpers that ``unipoly`` and ``decompose`` share.
+
+Monomials are packed into a single integer key, 16 bits per exponent,
+ordered (s, u, t) from high to low; packed keys add under monomial
+multiplication and compare lexicographically, which keeps the arithmetic
+loops tight.
 
 The text format is fixed: monomials sorted by u-degree, then s-degree,
 then t-degree, all descending; each monomial renders its variables
@@ -35,12 +39,88 @@ def _unpack(key: int) -> Tuple[int, int, int]:
     return key >> _SH_S, (key >> _SH_U) & _MASK, key & _MASK
 
 
+# -- scalar rules for QQ (p is None) and F_p ------------------------------------
+
+
 def _norm_coeff(c, p: Optional[int]):
+    """Canonical scalar: a residue mod p, or over QQ an int when c is integral."""
     if p is not None:
         return c % p
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
+    # exact type test: an ABC isinstance check costs several times more on this hot path
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
     return c
+
+
+def _residue(c, p: int) -> int:
+    """Image of a rational scalar in F_p; ValueError when p divides its denominator."""
+    if type(c) is Fraction:
+        if c.denominator % p == 0:
+            raise ValueError("denominator not invertible mod p")
+        return c.numerator * pow(c.denominator, -1, p) % p
+    return c % p
+
+
+def _div(a, b, p: Optional[int]):
+    """a / b in QQ or F_p, normalized; b must be a unit."""
+    if p is not None:
+        return a * pow(b, -1, p) % p
+    return _norm_coeff(Fraction(a) / Fraction(b), None)
+
+
+def _iroot(m: int, n: int) -> Optional[int]:
+    """Exact n-th root of an integer m >= 0 by integer Newton iteration, or None."""
+    if m < 2:
+        return m
+    x = 1 << ((m.bit_length() + n - 1) // n + 1)
+    while True:
+        y = ((n - 1) * x + m // x ** (n - 1)) // n
+        if y >= x:
+            break
+        x = y
+    return x if x**n == m else None
+
+
+def _nth_roots(c, n: int, p: Optional[int]) -> list:
+    """All n-th roots of the scalar c: ascending in F_p; over QQ the positive root first."""
+    if p is not None:
+        c = c % p
+        return [a for a in range(p) if pow(a, n, p) == c]
+    frac = Fraction(c)
+    if frac == 0:
+        return [0]
+    if frac < 0 and n % 2 == 0:
+        return []
+    num = _iroot(abs(frac.numerator), n)
+    den = _iroot(frac.denominator, n)
+    if num is None or den is None:
+        return []
+    root = _norm_coeff(Fraction(num if frac > 0 else -num, den), None)
+    return [root, -root] if n % 2 == 0 else [root]
+
+
+def _render_terms(terms: Iterable[Tuple[object, str]], p: Optional[int]) -> str:
+    """Join (coefficient, monomial text) pairs, nonzero coefficients in display order.
+
+    The constant monomial has empty text.  Over QQ negative coefficients
+    print as a subtraction; residues mod p print as they are.
+    """
+    pieces = []
+    for c, mono in terms:
+        neg = p is None and c < 0
+        mag = -c if neg else c
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        if pieces:
+            pieces.append(" - " if neg else " + ")
+        elif neg:
+            pieces.append("-")
+        pieces.append(body)
+    return "".join(pieces) or "0"
 
 
 def coeff_nth_root(c, n: int, p: Optional[int]):
@@ -49,37 +129,8 @@ def coeff_nth_root(c, n: int, p: Optional[int]):
     Over F_p the least root is returned; over the rationals the positive
     root when n is even, making the choice reproducible.
     """
-    if p is not None:
-        for a in range(p):
-            if pow(a, n, p) == c % p:
-                return a
-        return None
-    frac = Fraction(c)
-    if frac == 0:
-        return 0
-    sign = 1
-    if frac < 0:
-        if n % 2 == 0:
-            return None
-        sign, frac = -1, -frac
-
-    def iroot(m: int) -> Optional[int]:
-        # floor n-th root by integer Newton iteration, then exactness check
-        if m < 2:
-            return m if m >= 0 else None
-        x = 1 << ((m.bit_length() + n - 1) // n + 1)
-        while True:
-            y = ((n - 1) * x + m // x ** (n - 1)) // n
-            if y >= x:
-                break
-            x = y
-        return x if x**n == m else None
-
-    num = iroot(frac.numerator)
-    den = iroot(frac.denominator)
-    if num is None or den is None:
-        return None
-    return _norm_coeff(Fraction(sign * num, den), None)
+    roots = _nth_roots(c, n, p)
+    return roots[0] if roots else None
 
 
 class TriPoly:
@@ -234,16 +285,7 @@ class TriPoly:
     def reduce_mod(self, p: int) -> "TriPoly":
         if self.p is not None:
             raise ValueError("already over a prime field")
-        for c in self._c.values():
-            if isinstance(c, Fraction):
-                if c.denominator % p == 0:
-                    raise ValueError("denominator not invertible mod p")
-        out = {}
-        for key, c in self._c.items():
-            if isinstance(c, Fraction):
-                c = c.numerator * pow(c.denominator, -1, p)
-            out[key] = c % p
-        return TriPoly(out, p)
+        return TriPoly({key: _residue(c, p) for key, c in self._c.items()}, p)
 
     def content(self) -> int:
         """gcd of integer coefficients (0 for the zero polynomial)."""
@@ -311,8 +353,8 @@ class TriPoly:
             raise ValueError("reduce mod p before evaluating in a field")
         if field.characteristic != self.p:
             raise ValueError("field characteristic does not match")
-        mul = field.mul
-        add = field.add
+        mul = field.mul_table.item
+        add = field.add_table.item
         maxdeg = {"s": self.deg("s"), "u": self.deg("u"), "t": self.deg("t")}
         pows = {}
         for name, base in (("s", s), ("u", u), ("t", t)):
@@ -351,11 +393,7 @@ class TriPoly:
             if i < di or j < dj or k < dk:
                 return None
             qkey = lk - dlk
-            if p is None:
-                qc = Fraction(rem[lk]) / Fraction(dlc)
-            else:
-                qc = rem[lk] * pow(dlc, -1, p)
-            qc = _norm_coeff(qc, p)
+            qc = _div(rem[lk], dlc, p)
             out[qkey] = qc
             for key, c in divisor._c.items():
                 nk = key + qkey
@@ -366,9 +404,6 @@ class TriPoly:
                 elif nk in rem:
                     del rem[nk]
         return TriPoly(out, p)
-
-    def _coeff_nth_root(self, c, n: int):
-        return coeff_nth_root(c, n, self.p)
 
     def nth_root(self, n: int) -> Optional["TriPoly"]:
         """Exact n-th root, or None.  In characteristic p requires p not | n."""
@@ -384,13 +419,15 @@ class TriPoly:
         li, lj, lkk = _unpack(lk)
         if li % n or lj % n or lkk % n:
             return None
-        lc_root = self._coeff_nth_root(self._c[lk], n)
+        lc_root = coeff_nth_root(self._c[lk], n, self.p)
         if lc_root is None:
             return None
-        root = TriPoly({_pack(li // n, lj // n, lkk // n): lc_root}, self.p)
-        lead_pow = root ** (n - 1)
-        lead_key = lead_pow.leading_key()
-        lead_coeff = lead_pow._c[lead_key]
+        root_key = _pack(li // n, lj // n, lkk // n)
+        root = TriPoly({root_key: lc_root}, self.p)
+        # each correction divides err's leading term by the one of n * root^(n-1)
+        lead_key = root_key * (n - 1)
+        bi, bj, bk = _unpack(lead_key)
+        unit = n * lc_root ** (n - 1)
         prev_key = None
         while True:
             err = self - root**n
@@ -401,50 +438,19 @@ class TriPoly:
                 return None
             prev_key = ek
             ei, ej, ekk = _unpack(ek)
-            bi, bj, bk = _unpack(lead_key)
             if ei < bi or ej < bj or ekk < bk:
                 return None
-            if self.p is None:
-                c = Fraction(err._c[ek]) / (n * Fraction(lead_coeff))
-            else:
-                c = err._c[ek] * pow(n * lead_coeff % self.p, -1, self.p)
-            term = TriPoly({ek - lead_key: _norm_coeff(c, self.p)}, self.p)
-            if term.is_zero:
-                return None
-            root = root + term
+            root = root + TriPoly({ek - lead_key: _div(err._c[ek], unit, self.p)}, self.p)
 
     # -- text format -------------------------------------------------------------
 
     def render(self) -> str:
-        if not self._c:
-            return "0"
-        items = sorted(
-            (( -j, -i, -k), (i, j, k), c)
-            for (i, j, k), c in self.terms()
-        )
-        pieces = []
-        for idx, (_, (i, j, k), c) in enumerate(items):
-            if self.p is None:
-                neg = c < 0
-                mag = -c if neg else c
-            else:
-                neg = False
-                mag = c
-            factors = []
-            if mag != 1 or (i == 0 and j == 0 and k == 0):
-                factors.append(str(mag))
-            if i:
-                factors.append("s" if i == 1 else f"s^{i}")
-            if k:
-                factors.append("t" if k == 1 else f"t^{k}")
-            if j:
-                factors.append("u" if j == 1 else f"u^{j}")
-            body = "*".join(factors)
-            if idx == 0:
-                pieces.append(f"-{body}" if neg else body)
-            else:
-                pieces.append(f" - {body}" if neg else f" + {body}")
-        return "".join(pieces)
+        def mono(i: int, j: int, k: int) -> str:
+            names = (("s", i), ("t", k), ("u", j))
+            return "*".join(v if e == 1 else f"{v}^{e}" for v, e in names if e)
+
+        items = sorted(self.terms(), key=lambda t: (-t[0][1], -t[0][0], -t[0][2]))
+        return _render_terms(((c, mono(*m)) for m, c in items), self.p)
 
     def __str__(self) -> str:
         return self.render()

@@ -15,16 +15,9 @@ and a ``ring_const`` hook, without building D_n's coefficients first.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Optional
 
-
-def _norm(c, p: Optional[int]):
-    if p is not None:
-        return c % p
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
+from .tripoly import _norm_coeff, _render_terms, _residue
 
 
 class UniPoly:
@@ -33,7 +26,7 @@ class UniPoly:
     __slots__ = ("coeffs", "p")
 
     def __init__(self, coeffs: List, p: Optional[int] = None):
-        cs = [_norm(c, p) for c in coeffs]
+        cs = [_norm_coeff(c, p) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = cs
@@ -142,42 +135,15 @@ class UniPoly:
     def reduce_mod(self, p: int) -> "UniPoly":
         if self.p is not None:
             raise ValueError("already over a prime field")
-        out = []
-        for c in self.coeffs:
-            if isinstance(c, Fraction):
-                if c.denominator % p == 0:
-                    raise ValueError("denominator not invertible mod p")
-                c = c.numerator * pow(c.denominator, -1, p)
-            out.append(c % p)
-        return UniPoly(out, p)
+        return UniPoly([_residue(c, p) for c in self.coeffs], p)
 
     def render(self, var: str = "z") -> str:
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
-            if not c:
-                continue
-            if self.p is None:
-                neg = c < 0
-                mag = -c if neg else c
-            else:
-                neg = False
-                mag = c
-            factors = []
-            if mag != 1 or e == 0:
-                factors.append(str(mag))
-            if e == 1:
-                factors.append(var)
-            elif e > 1:
-                factors.append(f"{var}^{e}")
-            body = "*".join(factors)
-            if not pieces:
-                pieces.append(f"-{body}" if neg else body)
-            else:
-                pieces.append(f" - {body}" if neg else f" + {body}")
-        return "".join(pieces)
+        terms = (
+            (c, "" if e == 0 else var if e == 1 else f"{var}^{e}")
+            for e, c in reversed(list(enumerate(self.coeffs)))
+            if c
+        )
+        return _render_terms(terms, self.p)
 
     def __repr__(self) -> str:
         ring = "QQ" if self.p is None else f"F{self.p}"

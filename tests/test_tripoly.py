@@ -62,6 +62,18 @@ class TestArithmetic:
         assert f.coeff(1, 0, 0) == Fraction(1, 2)
         assert (f + f).coeff(1, 0, 0) == 1
 
+    def test_integral_rationals_come_back_as_int(self):
+        # an integral QQ coefficient is stored as int, never Fraction(n, 1)
+        results = [
+            S.scale(Fraction(4, 2)),
+            (S.scale(6) + C(Fraction(9, 3))).divide_exact(C(Fraction(3, 1))),
+            ((S.scale(2) + C(3)) ** 2).nth_root(2),
+            (S.scale(Fraction(1, 2)) + U).scale(Fraction(2)),
+        ]
+        for f in results:
+            assert f is not None
+            assert {type(c) for _, c in f.terms()} == {int}
+
 
 class TestModularReduction:
     @given(term_dicts, st.sampled_from([2, 3, 5, 7]))
@@ -132,6 +144,12 @@ class TestRender:
         f = as_tripoly(a)
         assert TriPoly.parse(f.render(), None) == f
 
+    def test_parse_render_round_trip_with_fractions(self):
+        f = S.scale(Fraction(-3, 4)) + (U * T).scale(Fraction(1, 2)) + C(Fraction(5, 3))
+        assert f.render() == "1/2*t*u - 3/4*s + 5/3"
+        assert TriPoly.parse(f.render(), None) == f
+        assert TriPoly.parse((-f).render(), None) == -f
+
     @given(term_dicts, st.sampled_from([3, 5, 7]))
     def test_parse_render_round_trip_mod_p(self, a, p):
         f = as_tripoly(a, p)
@@ -172,6 +190,8 @@ class TestDivisionAndRoots:
         )
         assert coeff_nth_root(2, 2, None) is None
         assert coeff_nth_root(4, 2, 7) in (2, 5)
+        assert coeff_nth_root(-8, 3, None) == -2
+        assert coeff_nth_root(-4, 2, None) is None
 
 
 class TestFrobeniusStrip:

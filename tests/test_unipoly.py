@@ -135,6 +135,19 @@ class TestUniPolyBasics:
         assert dickson(2, None).render("z") == "z^2 - 2"
         assert UniPoly([1, -1], None).render("z") == "-z + 1"
 
+    def test_render_mod_p_and_fractions(self):
+        # residues mod p print unsigned; QQ fractions keep their sign outside
+        assert UniPoly([1, -2, 0, 3], 7).render() == "3*z^3 + 5*z + 1"
+        assert UniPoly([-1], 5).render() == "4"
+        f = UniPoly([Fraction(1, 2), -1, Fraction(-3, 4)], None)
+        assert f.render("w") == "-3/4*w^2 - w + 1/2"
+        assert UniPoly([Fraction(-5, 2)], None).render() == "-5/2"
+
+    def test_integral_fraction_stored_as_int(self):
+        f = UniPoly([Fraction(4, 2), Fraction(3, 2)], None)
+        assert type(f.coeffs[0]) is int and f.coeffs[0] == 2
+        assert type(f.scale(Fraction(2)).coeffs[1]) is int
+
     @given(
         st.lists(st.integers(-5, 5), max_size=5),
         st.lists(st.integers(-5, 5), max_size=5),
