@@ -22,7 +22,6 @@ from .decompose import (
 )
 from .experiments import genericity_csv, genericity_scan
 from .sl2 import (
-    MAX_FIBER_Q,
     equidist_epsilon,
     fiber_distribution,
     psl_fiber_distribution,
@@ -187,14 +186,8 @@ def _pretty(payload: dict) -> str:
     return json.dumps(payload, indent=2)
 
 
-def _check_q(q: int) -> None:
-    if q > MAX_FIBER_Q:
-        raise ValueError(f"q = {q} exceeds the enumeration guard {MAX_FIBER_Q}")
-
-
 def cmd_fibers(args, out) -> int:
     w = parse(args.word)
-    _check_q(args.q)
     report = (
         psl_fiber_distribution(w, args.q) if args.psl else fiber_distribution(w, args.q)
     )
@@ -213,7 +206,6 @@ def cmd_epsilon(args, out) -> int:
         qs.extend(int(tok) for tok in args.q_list.split(",") if tok)
     reports = []
     for q in qs:
-        _check_q(q)
         base = (
             psl_fiber_distribution(w, q) if args.psl else fiber_distribution(w, q)
         )

@@ -227,6 +227,24 @@ def _scan_counts(
         yield w.length, is_power, certified
 
 
+def _genericity_report(
+    n: int, ensemble: str, mode: str, counts: Sequence[int]
+) -> GenericityReport:
+    """The report for length n from (total, proper powers, certified) counts."""
+    total, powers, certified = counts
+    return GenericityReport(
+        n=n,
+        ensemble=ensemble,
+        mode=mode,
+        total=total,
+        proper_powers=powers,
+        certified=certified,
+        mu_power=Fraction(powers, total),
+        mu_certified=Fraction(certified, total),
+        mu_nonpower=1 - Fraction(powers, total),
+    )
+
+
 def genericity_scan(
     n_max: int,
     mode: str = "exhaustive",
@@ -262,45 +280,19 @@ def genericity_scan(
             cell[0] += 1
             cell[1] += int(is_power)
             cell[2] += int(certified)
-        total = powers = certified_n = 0
+        cum = [0, 0, 0]
         for n in sorted(by_len):
-            cell = by_len[n]
-            total += cell[0]
-            powers += cell[1]
-            certified_n += cell[2]
-            reports.append(
-                GenericityReport(
-                    n=n,
-                    ensemble=ensemble,
-                    mode="exhaustive",
-                    total=total,
-                    proper_powers=powers,
-                    certified=certified_n,
-                    mu_power=Fraction(powers, total),
-                    mu_certified=Fraction(certified_n, total),
-                    mu_nonpower=1 - Fraction(powers, total),
-                )
-            )
+            cum = [x + y for x, y in zip(cum, by_len[n])]
+            reports.append(_genericity_report(n, ensemble, "exhaustive", cum))
         return reports
     min_n = 4 if constraint == "prime-complexity" else 2
     for n in range(min_n, n_max + 1):
         stream = sample_words(n, samples, seed=seed + n, constraint=constraint)
-        total = powers = certified_n = 0
+        counts = [0, 0, 0]
         for _length, is_power, certified in _scan_counts(stream, eng, certify):
-            total += 1
-            powers += int(is_power)
-            certified_n += int(certified)
-        reports.append(
-            GenericityReport(
-                n=n,
-                ensemble=ensemble,
-                mode=f"sampled({samples},seed={seed})",
-                total=total,
-                proper_powers=powers,
-                certified=certified_n,
-                mu_power=Fraction(powers, total),
-                mu_certified=Fraction(certified_n, total),
-                mu_nonpower=1 - Fraction(powers, total),
-            )
-        )
+            counts[0] += 1
+            counts[1] += int(is_power)
+            counts[2] += int(certified)
+        label = f"sampled({samples},seed={seed})"
+        reports.append(_genericity_report(n, ensemble, label, counts))
     return reports

@@ -6,10 +6,13 @@ equidistribution reports, image and omitted-value analysis, and point-count
 screens for level-set irreducibility.
 
 Matrices are row-major 4-tuples (a, b, c, d) of field element codes for
-[[a, b], [c, d]].  Fiber counting iterates class representatives on the x
-side against the whole group on the y side; the inner loop is vectorized
-with numpy table lookups and accumulated in a fixed class order, so results
-are deterministic regardless of batch partitioning.
+[[a, b], [c, d]].  A class is looked up by (trace, kind): kind 0 is the
+class of a trace other than +-2 or the central class +-I, kinds 1 and 2
+the unipotent classes of trace +-2 (see ClassTable).  Fiber counting
+iterates class representatives on the x side against the whole group on
+the y side; the inner loop is vectorized with numpy table lookups and
+accumulated in a fixed class order, so results are deterministic
+regardless of batch partitioning.
 """
 
 from __future__ import annotations
@@ -52,16 +55,10 @@ def _mat_mul(F: GF, M, N):
     )
 
 
-def _mat_inv(F: GF, M):
-    # adjugate; valid only for determinant 1
-    a, b, c, d = M
-    nt = F.neg_table
-    return (d, nt[b], nt[c], a)
-
-
 def _mat_pow(F: GF, M, e: int):
     if e < 0:
-        M = _mat_inv(F, M)
+        a, b, c, d = M
+        M = (d, F.neg_table[b], F.neg_table[c], a)  # the adjugate, M^-1 at det 1
         e = -e
     if e == 0:
         return _IDENTITY
@@ -76,41 +73,28 @@ def _mat_pow(F: GF, M, e: int):
     return result
 
 
-def _mat_det(F: GF, M) -> int:
-    a, b, c, d = M
-    return F.sub(F.mul(a, d), F.mul(b, c))
+def _eval_word(F: GF, w: Word, X, Y):
+    """w(X, Y) for matrices of codes or of equal-length code arrays.
+
+    Each distinct block's power is computed once.  Entries keep the shapes
+    of their operands: a block that only touches code matrices stays scalar.
+    """
+    powers: dict = {}
+    acc = None
+    for block in w.blocks:
+        if block not in powers:
+            gen, exp = block
+            powers[block] = _mat_pow(F, X if gen == _GEN_X else Y, exp)
+        acc = powers[block] if acc is None else _mat_mul(F, acc, powers[block])
+    return _IDENTITY if acc is None else acc
 
 
 def word_value(w: Word, X: Matrix, Y: Matrix, F: GF) -> Matrix:
     """Evaluate w at the pair (X, Y); matrix powers use repeated squaring."""
-    for name, M in (("X", X), ("Y", Y)):
-        if _mat_det(F, M) != F.one:
+    for name, (a, b, c, d) in (("X", X), ("Y", Y)):
+        if F.sub(F.mul(a, d), F.mul(b, c)) != F.one:
             raise ValueError(f"{name} does not have determinant 1")
-    acc = _IDENTITY
-    for gen, exp in w.blocks:
-        M = X if gen == _GEN_X else Y
-        acc = _mat_mul(F, acc, _mat_pow(F, M, exp))
-    return tuple(int(v) for v in acc)
-
-
-def _eval_word_batch(F: GF, w: Word, xmat: Matrix, ys):
-    """w(xmat, Y) for a whole batch of Y matrices (tuple of 4 code arrays)."""
-    n = ys[0].shape[0]
-    acc = None
-    xpow: dict[int, Matrix] = {}
-    for gen, exp in w.blocks:
-        if gen == _GEN_X:
-            if exp not in xpow:
-                xpow[exp] = _mat_pow(F, xmat, exp)
-            M = xpow[exp]
-        else:
-            M = _mat_pow(F, ys, exp)
-        acc = M if acc is None else _mat_mul(F, acc, M)
-    if acc is None:
-        one = np.full(n, F.one, dtype=np.int64)
-        zero = np.zeros(n, dtype=np.int64)
-        return (one, zero, zero, one.copy())
-    return tuple(np.broadcast_to(v, (n,)) for v in acc)
+    return tuple(int(v) for v in _eval_word(F, w, X, Y))
 
 
 def enumerate_group(F: GF):
@@ -119,28 +103,19 @@ def enumerate_group(F: GF):
     Deterministic order: ascending a, then b, then the free coordinate.
     """
     q = F.q
-    mt, at, one = F.mul_table, F.add_table, F.one
-    cols = [[], [], [], []]
+    mt, at, nt, inv = F.mul_table, F.add_table, F.neg_table, F.inv_table
     free = np.arange(q, dtype=np.int64)
-    for a in range(q):
-        if a != 0:
-            inv_a = F.inv(a)
-            for b in range(q):
-                # d = a^{-1} (1 + b c), c free
-                d = mt[inv_a, at[one, mt[b, free]]]
-                cols[0].append(np.full(q, a, dtype=np.int64))
-                cols[1].append(np.full(q, b, dtype=np.int64))
-                cols[2].append(free)
-                cols[3].append(d)
-        else:
-            for b in range(1, q):
-                # bc = -1 forces c; d free
-                c = F.neg(F.inv(b))
-                cols[0].append(np.zeros(q, dtype=np.int64))
-                cols[1].append(np.full(q, b, dtype=np.int64))
-                cols[2].append(np.full(q, c, dtype=np.int64))
-                cols[3].append(free)
-    out = tuple(np.concatenate(col) for col in cols)
+    units = free[1:]
+    # a = 0: bc = -1 forces c, d free
+    b0, d0 = np.meshgrid(units, free, indexing="ij")
+    c0 = nt[inv[b0]]
+    # a != 0: d = a^{-1} (1 + b c), c free
+    a1, b1, c1 = np.meshgrid(units, free, free, indexing="ij")
+    d1 = mt[inv[a1], at[F.one, mt[b1, c1]]]
+    out = tuple(
+        np.concatenate((v0.ravel(), v1.ravel()))
+        for v0, v1 in ((np.zeros_like(b0), a1), (b0, b1), (c0, c1), (d0, d1))
+    )
     if out[0].shape[0] != q**3 - q:
         raise RuntimeError("group enumeration does not match |SL(2,q)|")
     return out
@@ -159,12 +134,20 @@ class ClassInfo:
     size: int
 
 
+# ClassTable index column of the unipotent classes; the others use column 0
+_UNIPOTENT_KIND = {"unipotent-split-1": 1, "unipotent-split-2": 2}
+
+
 class ClassTable:
     """Conjugacy classes of SL(2,q) with O(1) vectorized class lookup.
 
-    Noncentral trace +-2 elements are separated by the square class of the
-    invariant beta(g) = b if b != 0 else -c, read off after normalizing the
-    trace sign; this matches conjugation by hand on the standard
+    Classes are indexed by (trace, kind) in one (q, 3) array.  Kind 0 is
+    the class of every element of a trace other than +-2 (semisimple) and,
+    at trace +-2, the central class +-I.  Kinds 1 and 2 are the noncentral
+    (unipotent) classes of trace +-2 whose invariant beta(g) = b if b != 0
+    else -c, read off after normalizing the trace sign to +2, is a square
+    or a non-square; in characteristic 2 every element is a square, so kind
+    2 stays empty.  This matches conjugation by hand on the standard
     representatives and is re-verified against a brute-force orbit oracle
     in the test suite.
     """
@@ -173,123 +156,57 @@ class ClassTable:
         self.field = F
         self.q = F.q
         self.classes = tuple(classes)
-        self.by_id = {c.class_id: i for i, c in enumerate(self.classes)}
         self.sizes = np.array([c.size for c in self.classes], dtype=np.int64)
-        q = F.q
-        self._semis = np.full(q, -1, dtype=np.int64)
-        self._central: dict[int, int] = {}
-        self._unipotent: dict[tuple[int, int], int] = {}
+        self._index = np.full((F.q, 3), -1, dtype=np.int64)
         for i, c in enumerate(self.classes):
-            if c.ctype.startswith("semisimple"):
-                self._semis[c.trace] = i
-            elif c.ctype == "central":
-                self._central[c.trace] = i
-            else:
-                subkey = 1 if c.ctype.endswith("-1") else 2
-                self._unipotent[(c.trace, subkey)] = i
-        self._sq_mask = np.zeros(q, dtype=bool)
-        for v in F.squares:
-            self._sq_mask[v] = True
-        two = F.embed_int(2)
-        # (trace code, negate-before-reading-invariant) per special trace
-        if F.p == 2:
-            self._special = ((two, False),)
-        else:
-            self._special = ((two, False), (F.neg(two), True))
+            self._index[c.trace, _UNIPOTENT_KIND.get(c.ctype, 0)] = i
 
     def classify_array(self, a, b, c, d) -> np.ndarray:
         F = self.field
+        nt = F.neg_table
         tr = F.add_table[a, d]
-        out = self._semis[tr]
-        for code, negate in self._special:
-            mask = tr == code
-            if not mask.any():
-                continue
-            ha, hb, hc, hd = a[mask], b[mask], c[mask], d[mask]
-            if negate:
-                nt = F.neg_table
-                ha, hb, hc, hd = nt[ha], nt[hb], nt[hc], nt[hd]
-            res = np.empty(ha.shape[0], dtype=np.int64)
-            ident = (ha == F.one) & (hb == 0) & (hc == 0) & (hd == F.one)
-            res[ident] = self._central[code]
-            rest = ~ident
-            if rest.any():
-                beta = np.where(hb[rest] != 0, hb[rest], F.neg_table[hc[rest]])
-                if F.p == 2:
-                    res[rest] = self._unipotent[(code, 1)]
-                else:
-                    res[rest] = np.where(
-                        self._sq_mask[beta],
-                        self._unipotent[(code, 1)],
-                        self._unipotent[(code, 2)],
-                    )
-            out[mask] = res
+        out = self._index[tr, 0]
+        sel = np.flatnonzero(self._index[tr, 1] >= 0)  # trace +-2
+        # the central elements there have b = c = 0; the rest are unipotent
+        sel = sel[(b[sel] != 0) | (c[sel] != 0)]
+        if sel.size:
+            t, bs = tr[sel], b[sel]
+            beta = np.where(bs != 0, bs, nt[c[sel]])
+            beta = np.where(t == F.embed_int(2), beta, nt[beta])  # beta(-g) at trace -2
+            square = np.isin(beta, F.mul_table.diagonal())
+            out[sel] = self._index[t, np.where(square, 1, 2)]
         if (out < 0).any():
             raise RuntimeError("class lookup failed to resolve some elements")
         return out
 
     def class_of(self, mat: Matrix) -> int:
-        arrs = tuple(np.array([v], dtype=np.int64) for v in mat)
-        return int(self.classify_array(*arrs)[0])
+        return int(self.classify_array(*np.array(mat, dtype=np.int64)[:, None])[0])
 
 
 def build_class_table(q: int) -> ClassTable:
-    """All conjugacy classes of SL(2,q), validated against |G| = q(q^2-1)."""
+    """All conjugacy classes of SL(2,q), validated against |G| = q(q^2-1).
+
+    Order: the central classes +-I, then the unipotent classes of trace 2
+    and of trace -2 (beta = 1, then the least non-square), then one class
+    per remaining trace.  When p = 2, +-I coincide and beta = 1 is the only
+    square class.
+    """
     F = field(q)
-    classes: list[ClassInfo] = []
-    two = F.embed_int(2)
-    if F.p != 2:
-        mone = F.neg(F.one)
-        mtwo = F.neg(two)
-        nonsq = min(v for v in range(1, q) if v not in F.squares)
-        half = (q * q - 1) // 2
-        classes.append(ClassInfo(f"central_tr{two}", _IDENTITY, two, "central", 1))
-        classes.append(
-            ClassInfo(f"central_tr{mtwo}", (mone, 0, 0, mone), mtwo, "central", 1)
-        )
-        classes.append(
-            ClassInfo(
-                f"unipotent-split-1_tr{two}", (1, 1, 0, 1), two, "unipotent-split-1", half
+    central = {F.add(e, e): e for e in (F.one, F.neg(F.one))}  # trace -> scalar
+    betas = (1, *[v for v in range(q) if v not in F.squares][:1])
+    classes = [
+        ClassInfo(f"central_tr{tr}", (e, 0, 0, e), tr, "central", 1)
+        for tr, e in central.items()
+    ]
+    for tr, e in central.items():
+        for kind, beta in enumerate(betas, 1):
+            ctype = f"unipotent-split-{kind}"
+            rep = (e, F.mul(e, beta), 0, e)
+            classes.append(
+                ClassInfo(f"{ctype}_tr{tr}", rep, tr, ctype, (q * q - 1) // len(betas))
             )
-        )
-        classes.append(
-            ClassInfo(
-                f"unipotent-split-2_tr{two}",
-                (1, nonsq, 0, 1),
-                two,
-                "unipotent-split-2",
-                half,
-            )
-        )
-        classes.append(
-            ClassInfo(
-                f"unipotent-split-1_tr{mtwo}",
-                (mone, mone, 0, mone),
-                mtwo,
-                "unipotent-split-1",
-                half,
-            )
-        )
-        classes.append(
-            ClassInfo(
-                f"unipotent-split-2_tr{mtwo}",
-                (mone, F.neg(nonsq), 0, mone),
-                mtwo,
-                "unipotent-split-2",
-                half,
-            )
-        )
-        special = {two, mtwo}
-    else:
-        classes.append(ClassInfo("central_tr0", _IDENTITY, 0, "central", 1))
-        classes.append(
-            ClassInfo(
-                "unipotent-split-1_tr0", (1, 1, 0, 1), 0, "unipotent-split-1", q * q - 1
-            )
-        )
-        special = {0}
     for z in range(q):
-        if z in special:
+        if z in central:
             continue
         nroots = F.quad_root_count(z)
         if nroots == 2:
@@ -348,8 +265,9 @@ def class_fiber_counts(
     w: Word, table: ClassTable, ys, xmat: Matrix
 ) -> np.ndarray:
     """#{y in batch : w(xmat, y) lands in class C}, per class C."""
-    vals = _eval_word_batch(table.field, w, xmat, ys)
-    idx = table.classify_array(*vals)
+    n = ys[0].shape[0]
+    vals = _eval_word(table.field, w, xmat, ys)
+    idx = table.classify_array(*(np.broadcast_to(v, (n,)) for v in vals))
     return np.bincount(idx, minlength=len(table.classes))
 
 
@@ -401,18 +319,15 @@ def psl_fiber_distribution(
     For the two preimages g, -g of a PSL element, the PSL fiber is
     (fiber(g) + fiber(-g)) / 4; the division is asserted exact.
     """
-    F = field(q)
-    if F.p == 2:
+    # checked before any table is built; fiber_distribution applies MAX_FIBER_Q
+    if q % 2 == 0:
         raise ValueError("PSL(2,q) = SL(2,q) for even q; use fiber_distribution")
     report = sl_report if sl_report is not None else fiber_distribution(w, q)
     if report.q != q or report.group != "SL(2,q)":
         raise ValueError("sl_report does not match the requested group")
     table = build_class_table(q)
-    nt = F.neg_table
-    partner = []
-    for c in table.classes:
-        neg_rep = tuple(int(nt[v]) for v in c.rep)
-        partner.append(table.class_of(neg_rep))
+    reps = np.array([c.rep for c in table.classes], dtype=np.int64)
+    partner = table.classify_array(*table.field.neg_table[reps].T).tolist()
     order = (q**3 - q) // 2
     rows = []
     seen = set()
@@ -478,9 +393,6 @@ class EquidistReport:
     B: int
     beta: Fraction
     cor311_epsilon: float
-
-    def params(self) -> dict:
-        return {"q0": self.q0, "A": self.A, "alpha": self.alpha, "B": self.B, "beta": self.beta}
 
     def to_json_dict(self) -> dict:
         return {

@@ -45,7 +45,7 @@ def _unpack(key: int) -> Tuple[int, int, int]:
 def _norm_coeff(c, p: Optional[int]):
     """Canonical scalar: a residue mod p, or over QQ an int when c is integral."""
     if p is not None:
-        return c % p
+        return c % p if type(c) is int else _residue(c, p)
     # exact type test: an ABC isinstance check costs several times more on this hot path
     if type(c) is Fraction and c.denominator == 1:
         return c.numerator
@@ -355,23 +355,17 @@ class TriPoly:
             raise ValueError("field characteristic does not match")
         mul = field.mul_table.item
         add = field.add_table.item
-        maxdeg = {"s": self.deg("s"), "u": self.deg("u"), "t": self.deg("t")}
-        pows = {}
-        for name, base in (("s", s), ("u", u), ("t", t)):
+        terms = [(_unpack(key), c) for key, c in self._c.items()]
+        rows = []
+        for v, base in enumerate((s, u, t)):
             row = [field.one]
-            for _ in range(max(maxdeg[name], 0)):
+            for _ in range(max((e[v] for e, _ in terms), default=0)):
                 row.append(mul(row[-1], base))
-            pows[name] = row
+            rows.append(row)
+        ps, pu, pt = rows
         acc = field.zero
-        for (i, j, k), c in self.terms():
-            term = field.embed_int(c)
-            if i:
-                term = mul(term, pows["s"][i])
-            if j:
-                term = mul(term, pows["u"][j])
-            if k:
-                term = mul(term, pows["t"][k])
-            acc = add(acc, term)
+        for (i, j, k), c in terms:  # coefficients are residues mod p, codes of F_p
+            acc = add(acc, mul(mul(mul(c, ps[i]), pu[j]), pt[k]))
         return acc
 
     # -- exact division and roots ----------------------------------------------

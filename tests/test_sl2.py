@@ -1,6 +1,7 @@
 from collections import Counter, defaultdict
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tracelab.gf import field
@@ -32,6 +33,7 @@ from _oracles import (
     brute_sl_fibers,
     group_elements,
     mat_neg,
+    word_eval_string,
 )
 
 
@@ -46,6 +48,13 @@ class TestEnumerateGroup:
         for ma, mb, mc, md in list(mats)[:200]:
             det = F.sub(F.mul(ma, md), F.mul(mb, mc))
             assert det == F.one
+
+    @pytest.mark.parametrize("q", [2, 4, 5, 9])
+    def test_order(self, q):
+        # ascending a, then b, then the free coordinate (d when a = 0, else c)
+        a, b, c, d = (v.tolist() for v in enumerate_group(field(q)))
+        keys = [(ai, bi, di if ai == 0 else ci) for ai, bi, ci, di in zip(a, b, c, d)]
+        assert all(k0 < k1 for k0, k1 in zip(keys, keys[1:]))
 
 
 class TestWordValue:
@@ -70,6 +79,15 @@ class TestWordValue:
         Y = (1, 0, 3, 1)
         assert word_value(parse("xX"), X, Y, F) == (1, 0, 0, 1)
         assert word_value(parse("yY"), X, Y, F) == (1, 0, 0, 1)
+
+    @pytest.mark.parametrize("q", [4, 7, 9])
+    def test_negative_and_repeated_blocks_match_oracle(self, q):
+        F, mats = group_elements(q)
+        pairs = [(mats[i], mats[(7 * i + 3) % len(mats)]) for i in range(0, len(mats), 17)]
+        for text in ("XXXyyXXXyy", "xxYXXXyy", "xYxYxY", "yyyXX"):
+            w = parse(text)
+            for X, Y in pairs:
+                assert word_value(w, X, Y, F) == word_eval_string(F, text, X, Y)
 
     def test_rejects_non_unimodular(self):
         F = field(5)
@@ -130,6 +148,12 @@ class TestClassTable:
             assert cid not in seen_ids, "two orbits share a class id"
             seen_ids.add(cid)
             assert table.classes[cid].size == len(orb)
+
+    @pytest.mark.parametrize("q", [16, 25, 27, 32, 49, 64, 81])
+    def test_class_size_census(self, q):
+        table = build_class_table(q)
+        idx = table.classify_array(*enumerate_group(table.field))
+        assert np.bincount(idx, minlength=len(table.classes)).tolist() == table.sizes.tolist()
 
     @pytest.mark.parametrize("q", [5, 7])
     def test_rep_belongs_to_its_class(self, q):

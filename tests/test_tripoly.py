@@ -92,6 +92,13 @@ class TestModularReduction:
         with pytest.raises(ValueError):
             f.reduce_mod(2)
 
+    def test_fraction_scalars_over_fp_are_residues(self):
+        s = TriPoly.var("s", 3)
+        assert s.scale(Fraction(1, 2)) == s.scale(2)
+        assert s.scale(Fraction(1, 2)).render() == "2*s"
+        with pytest.raises(ValueError):
+            TriPoly.const(Fraction(1, 3), 3)
+
     def test_mixed_characteristic_rejected(self):
         with pytest.raises(ValueError):
             S.reduce_mod(3) + S.reduce_mod(5)

@@ -148,6 +148,9 @@ class TestUniPolyBasics:
         assert type(f.coeffs[0]) is int and f.coeffs[0] == 2
         assert type(f.scale(Fraction(2)).coeffs[1]) is int
 
+    def test_fraction_coefficient_over_fp_is_a_residue(self):
+        assert UniPoly([Fraction(1, 2)], 3) == UniPoly([2], 3)
+
     @given(
         st.lists(st.integers(-5, 5), max_size=5),
         st.lists(st.integers(-5, 5), max_size=5),
