@@ -12,7 +12,13 @@ import os
 import tempfile
 from typing import Optional
 
-from .trace import TraceEngine, TraceResult, _trace_result, trace_poly
+from .trace import (
+    TraceEngine,
+    TraceResult,
+    _canonical_cyclic,
+    _trace_result,
+    trace_poly,
+)
 from .tripoly import TriPoly
 from .words import Word, canonicalize
 
@@ -102,8 +108,10 @@ def cached_trace_poly(
 
     Hits reconstruct the result from the stored polynomial text and pass
     trace_poly's checks; an entry that fails them is treated as a miss and
-    overwritten, like an unparsable one.  A differential test asserts hits
-    never change any output versus cold runs.
+    overwritten, like an unparsable one.  A hit is also put into the
+    engine's memo, if one is given, so later work on that engine (such as
+    classify_global) reads f instead of recomputing it.  A differential
+    test asserts hits never change any output versus cold runs.
     """
     if cache is None:
         return trace_poly(w, engine=engine)
@@ -111,6 +119,8 @@ def cached_trace_poly(
     if f is not None:
         result = _trace_result(w, f)
         if result is not None:
+            if engine is not None and len(result.word.blocks) >= 2:
+                engine._remember(_canonical_cyclic(result.word.blocks), f)
             return result
     result = trace_poly(w, engine=engine)
     cache.store(w, result.f)

@@ -46,33 +46,33 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cache", type=str, default=None)
     parser = _Parser(prog="tracelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_trace = sub.add_parser("trace", parents=[common], help="trace polynomial of a word")
+    p_trace = sub.add_parser("trace", help="trace polynomial of a word")
     p_trace.add_argument("word")
+    p_trace.add_argument("--cache", type=str, default=None)
     p_trace.add_argument("--json", action="store_true")
 
-    p_cls = sub.add_parser("classify", parents=[common], help="compositeness verdicts")
+    p_cls = sub.add_parser("classify", help="compositeness verdicts")
     p_cls.add_argument("word")
+    p_cls.add_argument("--cache", type=str, default=None)
     p_cls.add_argument("--p-max", type=int, default=13)
     p_cls.add_argument("--json", action="store_true")
 
-    p_fib = sub.add_parser("fibers", parents=[common], help="fiber distribution CSV")
+    p_fib = sub.add_parser("fibers", help="fiber distribution CSV")
     p_fib.add_argument("word")
     p_fib.add_argument("--q", type=int, required=True)
     p_fib.add_argument("--psl", action="store_true")
 
-    p_eps = sub.add_parser("epsilon", parents=[common], help="minimal epsilon report")
+    p_eps = sub.add_parser("epsilon", help="minimal epsilon report")
     p_eps.add_argument("word")
     p_eps.add_argument("--q", type=int)
     p_eps.add_argument("--q-list", type=str, default=None)
     p_eps.add_argument("--psl", action="store_true")
     p_eps.add_argument("--json", action="store_true")
 
-    p_scan = sub.add_parser("scan", parents=[common], help="genericity scan CSV")
+    p_scan = sub.add_parser("scan", help="genericity scan CSV")
     p_scan.add_argument("--n-max", type=int, required=True)
     p_scan.add_argument("--samples", type=int, default=None)
     p_scan.add_argument("--seed", type=int, default=0)
@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--constraint", choices=["any", "prime-complexity"], default="any"
     )
 
-    p_ver = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument(
         "--suite",
         choices=["identities", "dickson", "fibers", "all"],
@@ -161,11 +161,12 @@ def cmd_classify(args, out) -> int:
         raise ValueError("p_max must be >= 2")
     cache = TraceCache(args.cache)
     engine = TraceEngine()
+    # a cache hit lands in engine's memo, so classify_global does not recompute f
+    result = cached_trace_poly(w, cache=cache, engine=engine)
+    cache.save()
     try:
-        verdict = classify_global(w, args.p_max, engine=engine)
+        payload = _global_dict(classify_global(w, args.p_max, engine=engine))
     except DegenerateWordError:
-        result = cached_trace_poly(w, cache=cache, engine=engine)
-        cache.save()
         payload = {
             "word": str(w),
             "degenerate": True,
@@ -173,11 +174,6 @@ def cmd_classify(args, out) -> int:
             "note": "single-generator word; the trace map is a one-variable "
             "polynomial and equidistribution is decided by its shape",
         }
-        print(json.dumps(payload) if args.json else _pretty(payload), file=out)
-        return 0
-    cached_trace_poly(w, cache=cache, engine=engine)
-    cache.save()
-    payload = _global_dict(verdict)
     print(json.dumps(payload) if args.json else _pretty(payload), file=out)
     return 0
 

@@ -21,6 +21,7 @@ from .decompose import (
     classify_p,
     classify_rational,
 )
+from .gf import field
 from .sl2 import (
     MAX_FIBER_Q,
     equidist_epsilon,
@@ -73,13 +74,10 @@ def verify_theorem_p_equi(
         raise ValueError("q_list must be nonempty")
     qs = tuple(q_list)
     for q in qs:
-        t = q
-        while t % p == 0:
-            t //= p
-        if t != 1 or q < p:
-            raise ValueError(f"{q} is not a power of {p}")
         if q > MAX_FIBER_Q:
             raise ValueError(f"resource guard exceeded: q = {q} > {MAX_FIBER_Q}")
+        if field(q).p != p:  # field raises ValueError on a non-prime power
+            raise ValueError(f"{q} is not a power of {p}")
     verdict = classify_p(w, p, engine=engine)
     epsilons: list[Fraction] = []
     omitted: list[Fraction] = []

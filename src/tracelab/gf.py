@@ -7,10 +7,10 @@ n over F_p, which makes the encoding reproducible across runs.  Under
 this encoding 0 and 1 are the additive and multiplicative identities and
 the prime field sits at 0..p-1.
 
-Addition and multiplication tables are precomputed as numpy arrays so
-that bulk work (enumerating SL(2, q), evaluating polynomials on grids)
-can run as fancy indexing instead of per-element Python calls.  These
-fields are meant for q up to a few hundred; the tables are q-by-q.
+Addition and multiplication tables are q-by-q int64 arrays (2 * 8 * q^2
+bytes), all built at once from the base-p digit vectors of the elements,
+so that bulk work (enumerating SL(2, q), evaluating polynomials on grids)
+can run as fancy indexing instead of per-element Python calls.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def _factor_prime_power(q: int) -> Tuple[int, int]:
 
 
 def _poly_mod(num: List[int], den: List[int], p: int) -> List[int]:
-    # dense, low-to-high; den monic
+    # dense, low-to-high; den monic; the remainder has exactly deg(den) entries
     num = list(num)
     dd = len(den) - 1
     for i in range(len(num) - 1, dd - 1, -1):
@@ -51,18 +51,7 @@ def _poly_mod(num: List[int], den: List[int], p: int) -> List[int]:
         if c:
             for j in range(dd + 1):
                 num[i - dd + j] = (num[i - dd + j] - c * den[j]) % p
-    out = [c % p for c in num[:dd]]
-    return out
-
-
-def _poly_mul(a: List[int], b: List[int], p: int) -> List[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return out
+    return [c % p for c in num[:dd]] + [0] * (dd - len(num))
 
 
 def _divides(den: List[int], num: List[int], p: int) -> bool:
@@ -70,26 +59,20 @@ def _divides(den: List[int], num: List[int], p: int) -> bool:
     return not any(rem)
 
 
+def _digits(count: int, p: int, n: int) -> np.ndarray:
+    """Row e holds the n base-p digits of e, lowest first."""
+    return np.arange(count)[:, None] // p ** np.arange(n) % p
+
+
 def _find_modulus(p: int, n: int) -> List[int]:
     """Smallest monic irreducible of degree n over F_p (low-to-high)."""
-    if n == 1:
-        return [0, 1]
     # trial division by monic polynomials of degree 1..n//2
-    small: List[List[int]] = []
-    for d in range(1, n // 2 + 1):
-        for code in range(p**d):
-            coeffs = []
-            c = code
-            for _ in range(d):
-                coeffs.append(c % p)
-                c //= p
-            small.append(coeffs + [1])
-    for code in range(p**n):
-        coeffs = []
-        c = code
-        for _ in range(n):
-            coeffs.append(c % p)
-            c //= p
+    small = [
+        coeffs + [1]
+        for d in range(1, n // 2 + 1)
+        for coeffs in _digits(p**d, p, d).tolist()
+    ]
+    for coeffs in _digits(p**n, p, n).tolist():
         cand = coeffs + [1]
         if all(not _divides(s, cand, p) for s in small):
             return cand
@@ -110,41 +93,29 @@ class GF:
         self.zero = 0
         self.one = 1
 
-        def decode(e: int) -> List[int]:
-            digits = []
-            for _ in range(n):
-                digits.append(e % p)
-                e //= p
-            return digits
-
-        def encode(digits: List[int]) -> int:
-            e = 0
-            for d in reversed(digits):
-                e = e * p + (d % p)
-            return e
-
-        polys = [decode(e) for e in range(q)]
-        add = np.zeros((q, q), dtype=np.int64)
-        mul = np.zeros((q, q), dtype=np.int64)
-        for a in range(q):
-            pa = polys[a]
-            for b in range(a, q):
-                pb = polys[b]
-                s = encode([(x + y) % p for x, y in zip(pa, pb)])
-                add[a, b] = add[b, a] = s
-                prod = _poly_mod(_poly_mul(pa, pb, p), self.modulus, p)
-                prod += [0] * (n - len(prod))
-                m = encode(prod)
-                mul[a, b] = mul[b, a] = m
-        self.add_table = add
-        self.mul_table = mul
-        self.neg_table = np.array(
-            [encode([(-x) % p for x in polys[a]]) for a in range(q)], dtype=np.int64
-        )
-        inv = np.zeros(q, dtype=np.int64)
-        inv[1:] = np.argmax(mul[1:] == 1, axis=1)  # the column where a * b = 1
-        self.inv_table = inv  # inv_table[0] = 0 is a sentinel, never valid
-        self.squares = frozenset(int(mul[a, a]) for a in range(q))
+        digits = _digits(q, p, n)
+        place = p ** np.arange(n)
+        # reduced[e] holds the digits of X^e mod the modulus, so digit j of
+        # a * b is the bilinear form sum_(i,k) a_i * b_k * reduced[i + k, j]
+        powers = ([0] * e + [1] for e in range(2 * n - 1))
+        reduced = np.array([_poly_mod(x, self.modulus, p) for x in powers])
+        forms = reduced[np.add.outer(np.arange(n), np.arange(n))]
+        self.add_table = add = np.zeros((q, q), dtype=np.int64)
+        self.mul_table = mul = np.zeros((q, q), dtype=np.int64)
+        plane = np.empty((q, q), dtype=np.int64)  # the one q-by-q temporary
+        for j in range(n):
+            for table, op, left, right in (
+                (add, np.add, digits[:, j, None], digits[:, j]),
+                (mul, np.matmul, digits @ forms[:, :, j], digits.T),
+            ):
+                op(left, right, out=plane)  # digit j of a + b or a * b, before mod p
+                plane %= p
+                plane *= place[j]
+                table += plane
+        self.neg_table = (-digits % p) @ place
+        # row 0 of mul holds no 1, which leaves the sentinel inv_table[0] = 0
+        self.inv_table = np.argmax(mul == 1, axis=1)
+        self.squares = frozenset(mul.diagonal().tolist())
 
     # scalar ops -------------------------------------------------------------
 
@@ -199,15 +170,9 @@ class GF:
 
     def quad_root_count(self, z: int) -> int:
         """Number of roots in F_q of lambda^2 - z*lambda + 1."""
-        count = 0
-        for lam in range(self.q):
-            lhs = self.add(
-                self.mul(lam, lam),
-                self.add(self.neg(self.mul(z, lam)), self.one),
-            )
-            if lhs == 0:
-                count += 1
-        return count
+        # 0 is never a root, and a unit lambda is one iff lambda + 1/lambda = z
+        units = np.arange(1, self.q)
+        return int(np.count_nonzero(self.add_table[units, self.inv_table[1:]] == z))
 
     def __repr__(self) -> str:
         return f"GF({self.q})"

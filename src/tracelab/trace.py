@@ -94,9 +94,13 @@ class TraceEngine:
             f = self._memo.get(key)
         if f is None:
             f = self._reduce_step(key)
-            with self._lock:
-                self._memo[key] = f
+            self._remember(key, f)
         return f
+
+    def _remember(self, key: Tuple[Block, ...], f: TriPoly) -> None:
+        """Memoize f under key, a word of 2+ blocks in _canonical_cyclic form."""
+        with self._lock:
+            self._memo[key] = f
 
     def _reduce_step(self, blocks: Tuple[Block, ...]) -> TriPoly:
         # blocks: canonical representative, even length, alternating, x first

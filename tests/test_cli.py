@@ -4,6 +4,7 @@ from io import StringIO
 import pytest
 
 from tracelab.cli import main
+from tracelab.trace import TraceEngine
 
 
 def run(*argv):
@@ -186,6 +187,26 @@ class TestCacheFlag:
         warm = run("trace", "xyXYxy", "--cache", path)
         assert cold == warm
         assert (tmp_path / "cache.json").exists()
+
+    def test_warm_classify_reads_the_cache(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "cache.json")
+        cold = run("classify", "xyXYxY", "--json", "--cache", path)
+        steps = []
+        reduce_step = TraceEngine._reduce_step
+
+        def counted(engine, blocks):
+            steps.append(blocks)
+            return reduce_step(engine, blocks)
+
+        monkeypatch.setattr(TraceEngine, "_reduce_step", counted)
+        warm = run("classify", "xyXYxY", "--json", "--cache", path)
+        assert steps == []
+        assert warm == cold
+
+    def test_commands_that_ignore_the_cache_reject_the_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run("fibers", "xy", "--q", "5", "--cache", str(tmp_path / "cache.json"))
+        assert exc.value.code == 2
 
     def test_env_variable_cache(self, tmp_path, monkeypatch):
         target = tmp_path / "env-cache.json"

@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -92,7 +94,7 @@ class TestSquares:
         F = field(q)
         assert F.squares == frozenset(F.elements())
 
-    @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 13])
+    @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 13, 81, 121, 125, 128])
     def test_quad_root_count(self, q):
         F = field(q)
         for z in F.elements():
@@ -110,6 +112,60 @@ class TestSquares:
             )
             assert F.quad_root_count(z) == roots
             assert brute == roots
+
+
+def _digits_of(e, p, n):
+    return [e // p**i % p for i in range(n)]
+
+
+def _encode(digits, p):
+    return sum(d * p**i for i, d in enumerate(digits))
+
+
+def _schoolbook_mul(a, b, modulus, p):
+    """a * b mod the monic modulus, digit lists low-to-high, one pair at a time."""
+    n = len(modulus) - 1
+    prod = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(2 * n - 2, n - 1, -1):
+        c = prod[k] % p
+        for j, m in enumerate(modulus):
+            prod[k - n + j] -= c * m
+    return [c % p for c in prod[:n]]
+
+
+def _has_root_mod_p(coeffs, p):
+    return any(sum(c * x**i for i, c in enumerate(coeffs)) % p == 0 for x in range(p))
+
+
+class TestTablesAgainstReference:
+    @pytest.mark.parametrize("q", prime_powers(2, 256) + [1024])
+    def test_add_mul_neg_inv(self, q):
+        F = field(q)
+        p, n = F.p, F.n
+        rng = random.Random(q)
+        for _ in range(500):
+            a, b = rng.randrange(q), rng.randrange(q)
+            da, db = _digits_of(a, p, n), _digits_of(b, p, n)
+            assert F.add(a, b) == _encode([(x + y) % p for x, y in zip(da, db)], p)
+            assert F.mul(a, b) == _encode(_schoolbook_mul(da, db, F.modulus, p), p)
+        els = np.arange(q)
+        assert not F.add_table[els, F.neg_table].any()
+        assert (F.mul_table[els[1:], F.inv_table[1:]] == 1).all()
+
+    # a polynomial of degree 2 or 3 is irreducible iff it has no root
+    @pytest.mark.parametrize(
+        "q", [p**n for p in primes_in(2, 16) for n in (2, 3) if p**n <= 256]
+    )
+    def test_modulus_is_the_least_irreducible(self, q):
+        F = field(q)
+        p, n = F.p, F.n
+        assert len(F.modulus) == n + 1 and F.modulus[-1] == 1
+        assert not _has_root_mod_p(F.modulus, p)
+        for code in range(_encode(F.modulus[:n], p)):
+            assert _has_root_mod_p(_digits_of(code, p, n) + [1], p)
 
 
 class TestEmbedding:
