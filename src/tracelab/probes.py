@@ -1,14 +1,21 @@
 """Point counting for trilinear-coordinate level sets over small finite fields.
 
-Counts N_z = #{(s,u,t) in F_q^3 : f(s,u,t) = z} for every z at once by
-evaluating f on the full coordinate grid.  Evaluation is organized as a
-Horner recursion in u over q x q grids of (s,t) values, so the work is
-O(q^3 * deg_u f) table lookups, all vectorized.
+Counts N_z = #{(s,u,t) in F_q^3 : f(s,u,t) = z} for every z at once, with
+the one evaluator of a TriPoly on F_q^3 (`sl2.delta_locus` uses it too).
+Writing f = sum_j u^j G_j(s,t), it evaluates each G_j once on the q x q
+grid of (s,t), then f on that grid for one u at a time by Horner's rule in
+u.  Tables are read flat: with row = q * mul_table[u], a Horner step is
+add_flat.take(row.take(val) + G_j), two 1-D takes on element codes.  Work
+is O(q^3 deg_u f) lookups in O(q^2 deg_u f) memory; the cube is never held.
+The counts of the last four (f, field) pairs, q ints each, are memoized and
+handed out as copies: a screen run after a probe of the same f over the
+same field does not count the cube again.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from functools import lru_cache
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -16,71 +23,60 @@ from .gf import GF, field
 from .tripoly import TriPoly
 
 
-def _as_field(q_or_field: Union[int, GF]) -> GF:
-    if isinstance(q_or_field, GF):
-        return q_or_field
-    return field(q_or_field)
-
-
-def _prepare(f: TriPoly, F: GF) -> TriPoly:
-    if f.p is None:
-        return f.reduce_mod(F.p)
-    if f.p != F.p:
-        raise ValueError(f"polynomial over F_{f.p} cannot be evaluated in F_{F.q}")
-    return f
-
-
-def _grid_powers(F: GF, codes: np.ndarray, max_exp: int) -> list[np.ndarray]:
-    # pows[i] = codes**i elementwise in F
-    pows = [np.full_like(codes, F.one), codes.copy()]
-    for _ in range(2, max_exp + 1):
-        pows.append(F.mul_table[pows[-1], codes])
-    return pows[: max_exp + 1]
-
-
 def _u_blocks_on_grid(f: TriPoly, F: GF) -> list[np.ndarray]:
-    """Evaluate each u-coefficient block G_j(s,t) on the q x q grid.
-
-    Returns arrays indexed [s, t].
-    """
-    q = F.q
+    """Each u-block G_j(s,t) of f over F_p on the q x q grid [s, t]."""
+    q, add, mul = F.q, F.add_table.ravel(), F.mul_table.ravel()
     blocks = f.u_coefficients()
-    max_s = max((blk.deg("s") for blk in blocks), default=0)
-    max_t = max((blk.deg("t") for blk in blocks), default=0)
-    codes = np.arange(q, dtype=np.int64)
-    spows = _grid_powers(F, codes, max(max_s, 1))
-    tpows = _grid_powers(F, codes, max(max_t, 1))
+    pows = [np.full(q, F.one), np.arange(q)]  # pows[i][x] = x^i
+    while len(pows) <= max(max(blk.deg("s"), blk.deg("t")) for blk in blocks):
+        pows.append(mul.take(pows[-1] * q + pows[1]))
     out = []
     for blk in blocks:
-        acc = np.zeros((q, q), dtype=np.int64)
-        for (i, _j, k), coef in sorted(blk.terms()):
-            cval = F.embed_int(coef)
-            mono = F.mul_table[spows[i][:, None], tpows[k][None, :]]
-            acc = F.add_table[acc, F.mul_table[cval, mono]]
-        out.append(acc)
+        rows: dict[int, np.ndarray] = {}  # G_j = sum_i s^i * rows[i](t)
+        for (i, _j, k), coef in blk.terms():
+            term = F.mul_table[F.embed_int(coef)].take(pows[k])
+            rows[i] = add.take(rows[i] * q + term) if i in rows else term
+        grid = np.zeros((q, q), dtype=np.intp)
+        for i, row in rows.items():
+            grid = add.take(grid * q + mul.take(pows[i][:, None] * q + row))
+        out.append(grid)
     return out
 
 
-def level_set_counts(f: TriPoly, q_or_field: Union[int, GF]) -> np.ndarray:
-    """All level-set sizes at once: counts[z] = N_z, an array of length q."""
-    F = _as_field(q_or_field)
-    fq = _prepare(f, F)
-    q = F.q
-    grids = _u_blocks_on_grid(fq, F)
-    counts = np.zeros(q, dtype=np.int64)
-    for u in range(q):
-        val = grids[-1]
-        for j in range(len(grids) - 2, -1, -1):
-            val = F.add_table[F.mul_table[val, u], grids[j]]
-        counts += np.bincount(val.ravel(), minlength=q)
-    if int(counts.sum()) != q**3:
+def _u_slices(f: TriPoly, F: GF) -> Iterator[np.ndarray]:
+    """f over F_p on the q x q grid [s, t], for u = 0, 1, ..., q-1 in turn.
+
+    A slice may be shared with the next one or with the block grids, so
+    callers only read it.
+    """
+    add = F.add_table.ravel()
+    top, *lower = reversed(_u_blocks_on_grid(f, F))
+    for u in range(F.q):
+        row, val = F.mul_table[u] * F.q, top
+        for grid in lower:
+            val = add.take(row.take(val) + grid)
+        yield val
+
+
+@lru_cache(maxsize=4)
+def _cube_counts(f: TriPoly, F: GF) -> np.ndarray:
+    counts = sum(np.bincount(val.ravel(), minlength=F.q) for val in _u_slices(f, F))
+    if int(counts.sum()) != F.q**3:
         raise RuntimeError("level-set counts do not partition the coordinate cube")
     return counts
 
 
+def level_set_counts(f: TriPoly, q_or_field: Union[int, GF]) -> np.ndarray:
+    """All level-set sizes at once: counts[z] = N_z, an array of length q."""
+    F = q_or_field if isinstance(q_or_field, GF) else field(q_or_field)
+    if f.p is not None and f.p != F.p:
+        raise ValueError(f"polynomial over F_{f.p} cannot be evaluated in F_{F.q}")
+    return _cube_counts(f.reduce_mod(F.p) if f.p is None else f, F).copy()
+
+
 def count_level_set(f: TriPoly, q_or_field: Union[int, GF], z: int) -> int:
     """N_z = #{(s,u,t) : f(s,u,t) = z} over F_q."""
-    F = _as_field(q_or_field)
-    if not 0 <= z < F.q:
-        raise ValueError(f"level {z} is not an element code of F_{F.q}")
-    return int(level_set_counts(f, F)[z])
+    counts = level_set_counts(f, q_or_field)
+    if not 0 <= z < len(counts):
+        raise ValueError(f"level {z} is not an element code of F_{len(counts)}")
+    return int(counts[z])

@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .gf import GF, field
-from .probes import level_set_counts
+from .probes import _u_slices, level_set_counts
 from .trace import TraceEngine, trace_poly
 from .tripoly import TriPoly
 from .words import Word, X as _GEN_X
@@ -541,22 +541,20 @@ def pi_fiber_table(q: int) -> np.ndarray:
 
 
 def delta_locus(q: int) -> set[tuple[int, int, int]]:
-    """F_q-points of (t^2-4)(s^2-4)(s^2+t^2+u^2-ust-4) = 0."""
+    """F_q-points (s, u, t) of (t^2-4)(s^2-4)(s^2+t^2+u^2-ust-4) = 0.
+
+    The product is built as a TriPoly over F_p and its zero set read from
+    the level-set evaluator, one (s, t) grid per u.
+    """
     F = field(q)
-    four = F.embed_int(4)
-    pts = set()
-    sq = [F.mul(v, v) for v in range(q)]
-    for s in range(q):
-        f1 = F.sub(sq[s], four)
-        for t in range(q):
-            f2 = F.sub(sq[t], four)
-            st = F.mul(s, t)
-            base = F.sub(F.add(sq[s], sq[t]), four)
-            for u in range(q):
-                f3 = F.sub(F.add(base, sq[u]), F.mul(u, st))
-                if F.mul(F.mul(f1, f2), f3) == 0:
-                    pts.add((s, u, t))
-    return pts
+    s, u, t = (TriPoly.var(v, F.p) for v in "sut")
+    four = TriPoly.const(4, F.p)
+    delta = (t * t - four) * (s * s - four) * (s * s + t * t + u * u - u * s * t - four)
+    return {
+        (sc, uc, tc)
+        for uc, val in enumerate(_u_slices(delta, F))
+        for sc, tc in np.argwhere(val == 0).tolist()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +655,7 @@ def lang_weil_check(
     """
     if f.is_constant:
         raise ValueError("level-set screen requires a nonconstant polynomial")
-    F = field(q)
-    counts = level_set_counts(f, F)
+    counts = level_set_counts(f, q)
     d = f.total_degree()
     excluded = tuple(sorted(set(spectrum_exclusions)))
     c1 = (d - 1) * (d - 2)

@@ -322,7 +322,7 @@ class TestPiFibers:
 
 
 class TestDeltaLocus:
-    @pytest.mark.parametrize("q", [3, 5, 7, 9])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25])
     def test_membership_formula(self, q):
         F = field(q)
         locus = delta_locus(q)
