@@ -522,6 +522,8 @@ def pi_fiber_count(q: int, s: int, u: int, t: int) -> int:
 
 def pi_fiber_table(q: int) -> np.ndarray:
     """All pi-fiber counts at once, indexed [s, u, t]; O(#classes * |G|)."""
+    if q > MAX_FIBER_Q:
+        raise ValueError(f"resource guard exceeded: q = {q} > {MAX_FIBER_Q}")
     table = build_class_table(q)
     F = table.field
     ys = enumerate_group(F)

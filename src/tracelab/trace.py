@@ -7,12 +7,16 @@ classical identities
 
     tr 1 = 2,  tr U^-1 = tr U,  tr UV = tr VU,
     tr UV = tr U * tr V - tr UV^-1,
-    tr g^e R = tr g * tr g^(e-1) R - tr g^(e-2) R  (two-sided in e),
+    tr U^k = D_k(tr U),
+    tr g^e R = V_|e|(tr g) * tr g^(+-1) R - V_(|e|-1)(tr g) * tr R,
 
 with memoization keyed on a normal form invariant under cyclic rotation
-and inversion, both of which preserve the trace.  An independent oracle
-evaluates the word on explicit matrices over a finite field and must
-agree pointwise.
+and inversion, both of which preserve the trace.  D_k and V_k are
+``unipoly``'s Dickson and Chebyshev polynomials, one recurrence f_(k+1) =
+z*f_k - f_(k-1); the last identity is Cayley-Hamilton for g^e, with g^(+-1)
+carrying the sign of e, so a block costs two traces whatever its exponent.
+An independent oracle evaluates the word on explicit matrices over a
+finite field and must agree pointwise.
 
 Writing a canonical word as x^a1 y^b1 ... x^ar y^br, the expansion
 f_w = sum_k u^k G_k(s, t) stops exactly at k = r, and the single-syllable
@@ -27,12 +31,14 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .tripoly import TriPoly
-from .unipoly import dickson_apply
+from .unipoly import _recurrence, dickson_apply
 from .words import Block, Word, X, Y, canonicalize, _reduce
 
 _S = TriPoly.var("s")
 _T = TriPoly.var("t")
 _U = TriPoly.var("u")
+_ZERO = TriPoly.zero()
+_ONE = TriPoly.const(1)
 _TWO = TriPoly.const(2)
 
 
@@ -66,15 +72,12 @@ def _canonical_cyclic(blocks: Tuple[Block, ...]) -> Tuple[Block, ...]:
 class TraceEngine:
     """Fricke-style reduction with a memo table.
 
-    ``use_power_shortcut`` controls whether f_{v^k} is computed as
-    D_k(f_v); tests that verify that identity run with it disabled so the
-    check is not circular.  The memo may be shared between threads: the
-    lock guards the dict, and since every entry is a pure function of its
-    key, racing recomputation is harmless.
+    The memo may be shared between threads: the lock guards the dict, and
+    since every entry is a pure function of its key, racing recomputation
+    is harmless.
     """
 
-    def __init__(self, use_power_shortcut: bool = True):
-        self.use_power_shortcut = use_power_shortcut
+    def __init__(self):
         self._memo: dict = {}
         self._lock = threading.Lock()
 
@@ -105,19 +108,18 @@ class TraceEngine:
     def _reduce_step(self, blocks: Tuple[Block, ...]) -> TriPoly:
         # blocks: canonical representative, even length, alternating, x first
         n = len(blocks)
-        if self.use_power_shortcut and n >= 4:
+        if n >= 4:
             for m in range(2, n // 2 + 1, 2):
                 if n % m == 0 and blocks == blocks[:m] * (n // m):
                     return dickson_apply(n // m, self._trace(blocks[:m]))
         idx = max(range(n), key=lambda i: abs(blocks[i][1]))
         g, e = blocks[idx]
         if abs(e) >= 2:
+            # Cayley-Hamilton: g^e = V_|e|(tr g) * g^(+-1) - V_(|e|-1)(tr g) * 1
             rest = blocks[idx + 1 :] + blocks[:idx]
-            step = 1 if e > 0 else -1
-            var = _S if g == X else _T
-            c1 = self._trace(((g, e - step),) + rest)
-            c2 = self._trace(((g, e - 2 * step),) + rest)
-            return var * c1 - c2
+            v_prev, v_e = _recurrence(abs(e), _S if g == X else _T, _ZERO, _ONE)
+            unit = ((g, 1 if e > 0 else -1),)
+            return v_e * self._trace(unit + rest) - v_prev * self._trace(rest)
         if n == 2:
             a, b = blocks[0][1], blocks[1][1]
             return _U if a * b > 0 else _S * _T - _U
@@ -184,11 +186,6 @@ def syllable_polys(a: int, b: int, engine: Optional[TraceEngine] = None) -> Syll
     if g.deg("s") != abs(a) - 1 or g.deg("t") != abs(b) - 1:
         raise RuntimeError(f"degree contract failed for syllable ({a}, {b})")
     return SyllablePair(a=a, b=b, g=g, h=h)
-
-
-def u_expansion(f: TriPoly) -> list:
-    """Coefficients [G_0, ..., G_r] of f as a polynomial in u."""
-    return f.u_coefficients()
 
 
 # -- matrix-evaluation oracle -------------------------------------------------

@@ -1,10 +1,12 @@
 """Dense univariate polynomials and the classical recurrence families.
 
-Two families built on the recurrence f_{n+1} = z*f_n - f_{n-1}:
+Two families built on one recurrence, f_{n+1} = z*f_n - f_{n-1}, whose
+single loop is ``_recurrence``:
 
 * ``chebyshev_v``: V_0 = 0, V_1 = 1.  These satisfy M^n = V_n(tr M)*M -
   V_{n-1}(tr M)*I for M in SL(2), which is how powers of a generator
-  leave the trace ring.
+  leave the trace ring; the trace engine's exponent step runs the same
+  loop at tr x or tr y.
 * ``dickson``: D_0 = 2, D_1 = z.  These satisfy D_n(tr M) = tr(M^n),
   D_{-n} = D_n, and D_{nm} = D_n(D_m); they are the permutation-like
   outer compositions that do not break equidistribution.
@@ -150,29 +152,25 @@ class UniPoly:
         return f"UniPoly[{ring}]({self.render()})"
 
 
+def _recurrence(n: int, z, a, b):
+    """(f_{n-1}, f_n) for f_0 = a, f_1 = b, f_{k+1} = z*f_k - f_{k-1}; n >= 1."""
+    for _ in range(n - 1):
+        a, b = b, z * b - a
+    return a, b
+
+
 def chebyshev_v(n: int, p: Optional[int] = None) -> UniPoly:
     """V_n with V_0 = 0, V_1 = 1, V_{n+1} = z*V_n - V_{n-1}; V_{-n} = -V_n."""
     if n < 0:
         return -chebyshev_v(-n, p)
-    a, b = UniPoly([], p), UniPoly([1], p)  # V_0 = 0, V_1 = 1
     if n == 0:
-        return a
-    z = UniPoly.var(p)
-    for _ in range(n - 1):
-        a, b = b, z * b - a
-    return b
+        return UniPoly([], p)
+    return _recurrence(n, UniPoly.var(p), UniPoly([], p), UniPoly([1], p))[1]
 
 
 def dickson(n: int, p: Optional[int] = None) -> UniPoly:
     """D_n with D_0 = 2, D_1 = z, D_{n+1} = z*D_n - D_{n-1}; D_{-n} = D_n."""
-    n = abs(n)
-    a, b = UniPoly([2], p), UniPoly([0, 1], p)  # D_0, D_1
-    if n == 0:
-        return a
-    z = UniPoly.var(p)
-    for _ in range(n - 1):
-        a, b = b, z * b - a
-    return b
+    return dickson_apply(n, UniPoly.var(p))
 
 
 def dickson_apply(n: int, g):
@@ -181,10 +179,7 @@ def dickson_apply(n: int, g):
     two = g.ring_const(2)
     if n == 0:
         return two
-    a, b = two, g
-    for _ in range(n - 1):
-        a, b = b, g * b - a
-    return b
+    return _recurrence(n, g, two, g)[1]
 
 
 def is_permutation_all_extensions(h: UniPoly):

@@ -94,6 +94,64 @@ def tri_eval_mod(terms, p, s, u, t):
 
 
 # ---------------------------------------------------------------------------
+# symbolic trace by a left-to-right 2x2 product over Z[s,u,t][xi]/(xi^2 - u*xi + 1)
+#
+# A ring element is a pair (a, b) of trivariate dicts meaning a + b*xi.  With
+# xi*(u - xi) = 1 the matrices X = [[s, -1], [1, 0]] and Y = [[0, xi],
+# [xi - u, t]] lie in SL(2) and have tr X = s, tr XY = u, tr Y = t, the same
+# realization eval_trace_direct uses over F_q.
+
+_XI_U = {(0, 1, 0): 1}
+
+
+def _xi_add(a, b):
+    return (tri_add(a[0], b[0]), tri_add(a[1], b[1]))
+
+
+def _xi_mul(a, b):
+    # (p + q xi)(r + w xi) = (pr - qw) + (pw + qr + u*qw) xi, as xi^2 = u xi - 1
+    qw = tri_mul(a[1], b[1])
+    re = tri_add(tri_mul(a[0], b[0]), tri_mul({(0, 0, 0): -1}, qw))
+    im = tri_add(tri_add(tri_mul(a[0], b[1]), tri_mul(a[1], b[0])), tri_mul(_XI_U, qw))
+    return (re, im)
+
+
+def _xi_mat_mul(A, B):
+    a, b, c, d = A
+    e, f, g, h = B
+    return (
+        _xi_add(_xi_mul(a, e), _xi_mul(b, g)),
+        _xi_add(_xi_mul(a, f), _xi_mul(b, h)),
+        _xi_add(_xi_mul(c, e), _xi_mul(d, g)),
+        _xi_add(_xi_mul(c, f), _xi_mul(d, h)),
+    )
+
+
+def _xi_const(c, mono=(0, 0, 0), xi=0):
+    return ({mono: c} if c else {}, {(0, 0, 0): xi} if xi else {})
+
+
+_XI_ZERO, _XI_ONE, _XI_NEG = _xi_const(0), _xi_const(1), _xi_const(-1)
+_XI_S, _XI_T = _xi_const(1, (1, 0, 0)), _xi_const(1, (0, 0, 1))
+_XI_MATS = {
+    "x": (_XI_S, _XI_NEG, _XI_ONE, _XI_ZERO),
+    "X": (_XI_ZERO, _XI_ONE, _XI_NEG, _XI_S),
+    "y": (_XI_ZERO, _xi_const(0, xi=1), _xi_const(-1, (0, 1, 0), xi=1), _XI_T),
+    "Y": (_XI_T, _xi_const(0, xi=-1), _xi_const(1, (0, 1, 0), xi=-1), _XI_ZERO),
+}
+
+
+def trace_by_product(wtext):
+    """f_w as a {(i, j, k): coeff} dict, from the product of the letters' matrices."""
+    acc = (_XI_ONE, _XI_ZERO, _XI_ZERO, _XI_ONE)
+    for ch in wtext:
+        acc = _xi_mat_mul(acc, _XI_MATS[ch])
+    re, im = _xi_add(acc[0], acc[3])
+    assert not im, "trace left Z[s, u, t]"
+    return re
+
+
+# ---------------------------------------------------------------------------
 # words as letter strings over {x, X, y, Y}
 
 

@@ -15,9 +15,3 @@ settings.load_profile("suite")
 @pytest.fixture(scope="session")
 def engine():
     return TraceEngine()
-
-
-@pytest.fixture(scope="session")
-def plain_engine():
-    """Engine without the power shortcut, for non-circular power-rule checks."""
-    return TraceEngine(use_power_shortcut=False)

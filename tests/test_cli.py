@@ -4,7 +4,8 @@ from io import StringIO
 import pytest
 
 from tracelab.cli import main
-from tracelab.trace import TraceEngine
+from tracelab.trace import TraceEngine, trace_poly
+from tracelab.words import parse
 
 
 def run(*argv):
@@ -28,6 +29,11 @@ class TestTrace:
             "r: 2  A: 0  B: 0  length: 4",
             "f: u^2 - s*t*u + s^2 + t^2 - 2",
         ]
+
+    def test_large_exponent(self):
+        code, out = run("trace", "x^1000y", "--json")
+        assert code == 0
+        assert json.loads(out)["f"] == trace_poly(parse("x^1000y")).f.render()
 
     def test_degenerate_word(self):
         code, out = run("trace", "xxx")

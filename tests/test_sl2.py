@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tracelab import sl2
 from tracelab.gf import field
 from tracelab.sl2 import (
     MAX_FIBER_Q,
@@ -298,6 +299,14 @@ class TestPiFibers:
     def test_table_total(self, q):
         tab = pi_fiber_table(q)
         assert int(tab.sum()) == (q**3 - q) ** 2
+
+    def test_resource_guard(self, monkeypatch):
+        def no_table(q):
+            raise AssertionError("class table built past the guard")
+
+        monkeypatch.setattr(sl2, "build_class_table", no_table)
+        with pytest.raises(ValueError, match="resource guard exceeded"):
+            pi_fiber_table(83)
 
     @pytest.mark.parametrize("q", [3, 5])
     def test_scalar_count_agrees_with_table(self, q):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,11 +10,10 @@ from tracelab.trace import (
     eval_trace_direct,
     syllable_polys,
     trace_poly,
-    u_expansion,
 )
 from tracelab.tripoly import TriPoly
 from tracelab.unipoly import chebyshev_v, dickson, dickson_apply
-from tracelab.words import Word, enumerate_words, parse, sample_words, stats
+from tracelab.words import X, Word, enumerate_words, parse, sample_words, stats
 
 from _oracles import (
     LAU_S,
@@ -24,6 +24,8 @@ from _oracles import (
     lau_mul,
     lau_pow,
     lau_scale,
+    reduced_strings,
+    trace_by_product,
 )
 
 S = TriPoly.var("s", None)
@@ -33,6 +35,11 @@ T = TriPoly.var("t", None)
 
 def C(c):
     return TriPoly.const(c, None)
+
+
+def letters(w):
+    """The letter string of a word, e.g. x^2y^-1 -> 'xxY'."""
+    return "".join(("xX" if g == X else "yY")[e < 0] * abs(e) for g, e in w.blocks)
 
 
 def syllable_words(max_r=4, hi=3):
@@ -154,10 +161,9 @@ class TestUStructure:
             expect = expect * fa * fb
         assert lead == expect
 
-    def test_u_expansion_matches_u_coefficients(self, engine):
+    def test_u_coefficients_round_trip(self, engine):
         f = trace_poly(parse("xyxYXY"), engine=engine).f
-        blocks = u_expansion(f)
-        assert TriPoly.from_u_coefficients(blocks) == f
+        assert TriPoly.from_u_coefficients(f.u_coefficients()) == f
 
     @given(syllable_words(max_r=3))
     def test_constant_block_degree_bound(self, w):
@@ -166,7 +172,7 @@ class TestUStructure:
         syl = w.syllables
         if syl[0] == (1, 1) and all(abs(a) == 1 and abs(b) == 1 for a, b in syl):
             r = stats(w).r
-            g = u_expansion(trace_poly(w).f)[0]
+            g = trace_poly(w).f.u_coefficients()[0]
             assert g.total_degree() < 2 * r
 
 
@@ -204,17 +210,43 @@ class TestSyllablePolys:
 class TestPowerRule:
     @given(v=syllable_words(max_r=2, hi=2), k=st.integers(2, 4))
     @settings(max_examples=30)
-    def test_shortcut_agrees_with_plain_expansion(self, engine, plain_engine, v, k):
+    def test_engine_power_equals_product_oracle(self, engine, v, k):
         w = v**k
-        assert trace_poly(w, engine=engine).f == trace_poly(w, engine=plain_engine).f
+        assert dict(trace_poly(w, engine=engine).f.terms()) == trace_by_product(letters(w))
 
     @given(v=syllable_words(max_r=2, hi=2), k=st.integers(2, 5))
     @settings(max_examples=30)
-    def test_power_is_dickson_of_base(self, plain_engine, v, k):
-        # non-circular: both sides computed without the power shortcut
-        fv = trace_poly(v, engine=plain_engine).f
-        fw = trace_poly(v**k, engine=plain_engine).f
+    def test_power_is_dickson_of_base(self, v, k):
+        # non-circular: both sides come from the matrix-product oracle
+        fv = TriPoly.from_terms(trace_by_product(letters(v)))
+        fw = TriPoly.from_terms(trace_by_product(letters(v**k)))
         assert fw == dickson_apply(k, fv)
+
+
+class TestProductOracle:
+    def test_every_reduced_word_up_to_length_seven(self):
+        eng = TraceEngine()
+        for n in range(8):
+            for text in reduced_strings(n):
+                f = trace_poly(parse(text), engine=eng).f
+                assert dict(f.terms()) == trace_by_product(text), text
+
+
+class TestLargeExponents:
+    @pytest.mark.parametrize("text", ["x^1000y", "x^-1000y", "x^300y^300"])
+    def test_cold_engine_within_budget(self, text):
+        # exponents far past Python's recursion limit, on a cold memo
+        w = parse(text)
+        t0 = time.monotonic()
+        f = trace_poly(w, engine=TraceEngine()).f
+        elapsed = time.monotonic() - t0
+        assert elapsed <= 10, f"budget exceeded: {elapsed:.1f}s > 10s"
+        F = field(101)
+        g = f.reduce_mod(101)
+        rng = random.Random(text)
+        for _ in range(5):
+            s, u, t = (rng.randrange(101) for _ in range(3))
+            assert g.evaluate(F, s, u, t) == eval_trace_direct(w, F, s, u, t)
 
 
 class TestSpecializations:
