@@ -9,10 +9,13 @@ Matrices are row-major 4-tuples (a, b, c, d) of field element codes for
 [[a, b], [c, d]].  A class is looked up by (trace, kind): kind 0 is the
 class of a trace other than +-2 or the central class +-I, kinds 1 and 2
 the unipotent classes of trace +-2 (see ClassTable).  Fiber counting
-iterates class representatives on the x side against the whole group on
-the y side; the inner loop is vectorized with numpy table lookups and
-accumulated in a fixed class order, so results are deterministic
-regardless of batch partitioning.
+iterates class representatives x_c on the x side against the whole group
+on the y side, in one pass per class that reads tr(x_c y) through flat
+table lookups.  The class of w(x_c, y) is looked up from its trace
+f_w(tr x_c, tr x_c y, tr y), with f_w evaluated once on F_q^3; only where
+that trace is +-2, and the class is central or unipotent, is the word
+evaluated on the pair.  Counts accumulate in a fixed class order, so
+results are deterministic.
 """
 
 from __future__ import annotations
@@ -33,6 +36,12 @@ from .words import Word, X as _GEN_X
 # Fiber enumeration is O(#classes * |G|); beyond this q the batches stop
 # fitting comfortably in desk-scale memory/time.
 MAX_FIBER_Q = 81
+
+# fiber_distribution reads classes from f_w for words up to this length
+# after exponent reduction, and evaluates longer words on every pair: the
+# trace engine's cost grows exponentially in the syllables and, through
+# the coefficients of long blocks, faster than quadratically in exponents.
+_MAX_TRACED_LENGTH = 32
 
 Matrix = tuple[int, int, int, int]
 
@@ -261,10 +270,40 @@ class FiberReport:
         raise KeyError(class_id)
 
 
+def _trace_xy(F: GF, xmat: Matrix, ys):
+    """tr(xmat * y) for code arrays ys = (a, b, c, d), read by flat 1-D takes.
+
+    The entries of ys may be arrays of any broadcastable shapes, or codes.
+    """
+    add, mt, q = F.add_table.ravel(), F.mul_table, F.q
+    x0, x1, x2, x3 = xmat
+    a, b, c, d = ys
+    # tr(x y) = x0 a + x1 c + x2 b + x3 d
+    left = add.take(mt[x0].take(a) * q + mt[x1].take(c))
+    right = add.take(mt[x2].take(b) * q + mt[x3].take(d))
+    return add.take(left * q + right)
+
+
+def _exponent_residues(w: Word, q: int) -> Word:
+    """w with each exponent reduced to its symmetric residue modulo E.
+
+    E = lcm(q-1, q+1, 2p) is a multiple of every element order in SL(2,q),
+    so the residue word has the same word map on SL(2,q) as w.
+    """
+    E = math.lcm(q - 1, q + 1, 2 * field(q).p)
+    residues = ((g, e % E) for g, e in w.blocks)
+    return Word.from_blocks([(g, r - E if r > E // 2 else r) for g, r in residues])
+
+
 def class_fiber_counts(
     w: Word, table: ClassTable, ys, xmat: Matrix
 ) -> np.ndarray:
-    """#{y in batch : w(xmat, y) lands in class C}, per class C."""
+    """#{y in batch : w(xmat, y) lands in class C}, per class C.
+
+    Evaluates the word directly; fiber_distribution calls it on the pairs
+    where f_w leaves the class open, those of trace +-2, and on every pair
+    for a word too long to trace.
+    """
     n = ys[0].shape[0]
     vals = _eval_word(table.field, w, xmat, ys)
     idx = table.classify_array(*(np.broadcast_to(v, (n,)) for v in vals))
@@ -276,19 +315,37 @@ def fiber_distribution(w: Word, q: int) -> FiberReport:
 
     Iterates class representatives x_c against all y, accumulating the class
     of w(x_c, y) weighted by |class(x_c)|, then divides per-class totals by
-    the target class size; exactness of that division is asserted.
+    the target class size; exactness of that division is asserted.  The
+    class of w(x_c, y) is read from z = f_w(tr x_c, tr x_c y, tr y), which
+    fixes it unless z = +-2: f_w is evaluated once on F_q^3, and the word
+    itself only on the pairs where z = +-2, to split central from unipotent.
+    Exponents are first reduced modulo a multiple of every element order;
+    a word still longer than 32 letters is evaluated on every pair.
     """
     if q > MAX_FIBER_Q:
         raise ValueError(f"resource guard exceeded: q = {q} > {MAX_FIBER_Q}")
     table = build_class_table(q)
     F = table.field
+    v = _exponent_residues(w, q)
     ys = enumerate_group(F)
     order = q**3 - q
     ncls = len(table.classes)
     totals = np.zeros(ncls, dtype=np.int64)
-    for cls in table.classes:
-        counts = class_fiber_counts(w, table, ys, cls.rep)
-        totals += cls.size * counts
+    if v.length > _MAX_TRACED_LENGTH:
+        for cls in table.classes:
+            totals += cls.size * class_fiber_counts(v, table, ys, cls.rep)
+    else:
+        cube = np.stack(list(_u_slices(trace_poly(v).f.reduce_mod(F.p), F)))  # [u, s, t]
+        tr_y = _trace_xy(F, _IDENTITY, ys)
+        by_trace, open_trace = table._index[:, 0], table._index[:, 1] >= 0
+        for cls in table.classes:
+            z = cube[:, cls.trace].ravel().take(_trace_xy(F, cls.rep, ys) * q + tr_y)
+            pm2 = open_trace.take(z)
+            counts = np.bincount(by_trace.take(z[~pm2]), minlength=ncls)
+            sub = np.flatnonzero(pm2)
+            if sub.size:
+                counts += class_fiber_counts(v, table, tuple(y.take(sub) for y in ys), cls.rep)
+            totals += cls.size * counts
     if (totals % table.sizes != 0).any():
         raise RuntimeError("per-class totals are not divisible by class sizes")
     per_element = totals // table.sizes
@@ -480,7 +537,7 @@ def pi_fiber_count(q: int, s: int, u: int, t: int) -> int:
     """Exact #{(x,y) : tr x = s, tr xy = u, tr y = t} over SL(2,q).
 
     Runs over the <= 4 classes of trace s; for each representative the y
-    side is scanned over its free entries in O(q^2) table operations.
+    of trace t are laid out over their free entries, O(q^2) of them.
     """
     table = build_class_table(q)
     F = table.field
@@ -489,34 +546,24 @@ def pi_fiber_count(q: int, s: int, u: int, t: int) -> int:
         if not 0 <= v < q_:
             raise ValueError("trace coordinates must be element codes")
     mt, at, nt = F.mul_table, F.add_table, F.neg_table
+    free = np.arange(q_, dtype=np.int64)
+    # y = (a, b, c, d) with d = t - a and det ad - bc = 1
+    a = free[:, None]
+    d = at[t, nt[a]]
+    ad = mt[a, d]
+    # b != 0: c = b^{-1} (ad - 1)
+    b = free[None, 1:]
+    c = mt[F.inv_table[b], at[ad, nt[F.one]]]
+    # b == 0: ad = 1, c free
+    a0 = a[ad == F.one][:, None]
+    d0 = at[t, nt[a0]]
     total = 0
-    a_col = np.arange(q_, dtype=np.int64)[:, None]
-    b_row = np.arange(1, q_, dtype=np.int64)[None, :]
     for cls in table.classes:
         if cls.trace != s:
             continue
-        x0, x1, x2, x3 = cls.rep
-        # y = (a, b, c, d) with d = t - a and det ad - bc = 1
-        d_col = at[t, nt[a_col]]
-        # b != 0: c = b^{-1} (ad - 1)
-        ad = mt[a_col, d_col]
-        c_grid = mt[F.inv_table[b_row], at[ad, nt[F.one]]]
-        tr_grid = at[
-            at[mt[x0, a_col], mt[x1, c_grid]],
-            at[mt[x2, b_row], mt[x3, d_col]],
-        ]
-        cnt = int((tr_grid == u).sum())
-        # b == 0: need ad = 1, c free
-        for a in range(1, q_):
-            d = F.sub(t, a)
-            if F.mul(a, d) != F.one:
-                continue
-            base = F.add(F.mul(x0, a), F.mul(x3, d))
-            if x1 == 0:
-                cnt += q_ if base == u else 0
-            else:
-                cnt += 1  # unique c with x1*c = u - base
-        total += cls.size * cnt
+        cnt = (_trace_xy(F, cls.rep, (a, b, c, d)) == u).sum()
+        cnt += (_trace_xy(F, cls.rep, (a0, 0, free, d0)) == u).sum()
+        total += cls.size * int(cnt)
     return total
 
 
@@ -527,16 +574,11 @@ def pi_fiber_table(q: int) -> np.ndarray:
     table = build_class_table(q)
     F = table.field
     ys = enumerate_group(F)
-    a, b, c, d = ys
-    tr_y = F.add_table[a, d]
+    tr_y = _trace_xy(F, _IDENTITY, ys)
     out = np.zeros((q, q, q), dtype=np.int64)
     for cls in table.classes:
-        x0, x1, x2, x3 = cls.rep
-        mt, at = F.mul_table, F.add_table
-        tr_xy = at[at[mt[x0, a], mt[x1, c]], at[mt[x2, b], mt[x3, d]]]
-        grid = np.zeros((q, q), dtype=np.int64)
-        np.add.at(grid, (tr_xy, tr_y), 1)
-        out[cls.trace] += cls.size * grid
+        grid = np.bincount(_trace_xy(F, cls.rep, ys) * q + tr_y, minlength=q * q)
+        out[cls.trace] += cls.size * grid.reshape(q, q)
     if int(out.sum()) != (q**3 - q) ** 2:
         raise RuntimeError("pi-fiber table does not partition |G|^2")
     return out

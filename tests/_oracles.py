@@ -4,14 +4,19 @@ Everything here deliberately avoids the library's own computational paths:
 polynomials are plain dicts, words are letter strings, group elements are
 4-tuples multiplied by hand.  Field arithmetic reuses the GF lookup tables
 (addition/multiplication in a finite field has one correct answer; the
-interesting logic being cross-checked lives above that layer).
+interesting logic being cross-checked lives above that layer).  The one
+exception is `direct_fiber_totals`, which reuses the library's direct word
+evaluator and class lookup (both checked against brute force in the tests)
+as the reference for the fiber counts that `sl2` reads from f_w.
 """
 
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
+
 from tracelab.gf import field
-from tracelab.sl2 import enumerate_group
+from tracelab.sl2 import _eval_word, build_class_table, enumerate_group
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials in one variable x, as {exponent: coefficient} dicts
@@ -270,6 +275,25 @@ def brute_sl_fibers(wtext, q):
         for Y in mats:
             cnt[word_eval_string(F, wtext, X, Y)] += 1
     return F, cnt
+
+
+def direct_fiber_totals(w, q):
+    """#{(x, y) : w(x, y) in C} per class C, evaluating w on every pair.
+
+    Every class representative is run against the whole group through the
+    library's word evaluator and class lookup, never through f_w; each count
+    is weighted by the size of the representative's class.
+    """
+    table = build_class_table(q)
+    F = table.field
+    ys = enumerate_group(F)
+    n = len(ys[0])
+    totals = np.zeros(len(table.classes), dtype=np.int64)
+    for cls in table.classes:
+        vals = _eval_word(F, w, cls.rep, ys)
+        idx = table.classify_array(*(np.broadcast_to(v, (n,)) for v in vals))
+        totals += cls.size * np.bincount(idx, minlength=len(totals))
+    return totals.tolist()
 
 
 def brute_psl_fibers(wtext, q):

@@ -1,4 +1,5 @@
 import json
+import time
 from io import StringIO
 
 import pytest
@@ -103,6 +104,15 @@ class TestFibers:
     def test_oversized_q(self):
         code, _ = run("fibers", "xy", "--q", "101")
         assert code == 2
+
+    def test_large_exponents_within_budget(self):
+        # element orders of SL(2,7) divide lcm(6, 8, 14) = 168; 10^6 = 64 mod 168
+        t0 = time.monotonic()
+        code, out = run("fibers", "x^1000000y^-999999", "--q", "7")
+        elapsed = time.monotonic() - t0
+        assert code == 0
+        assert elapsed <= 2, f"budget exceeded: {elapsed:.1f}s > 2s"
+        assert out == run("fibers", "x^64y^-63", "--q", "7")[1]
 
 
 class TestEpsilon:

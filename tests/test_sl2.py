@@ -1,3 +1,4 @@
+import random
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from _oracles import (
     brute_pi_table,
     brute_psl_fibers,
     brute_sl_fibers,
+    direct_fiber_totals,
     group_elements,
     mat_neg,
     word_eval_string,
@@ -195,6 +197,19 @@ class TestFiberDistribution:
         rep = fiber_distribution(parse("xyXY"), 5)
         assert rep.row_by_id("central_tr2").fiber_per_element == 1080
 
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27])
+    def test_matches_direct_evaluation(self, q):
+        # characteristic 2 included, where the traces +2 and -2 coincide
+        rng = random.Random(20121)
+        texts = ["", "x", "y", "xX", "xy", "xyXY", "xyxy", "x^4yx^-2Yx^2yx^-2Y", "xxxYYY"]
+        texts += ["".join(rng.choice("xXyY") for _ in range(rng.randint(1, 12))) for _ in range(3)]
+        texts.append("x^17y^16")  # past sl2._MAX_TRACED_LENGTH from q = 4 on
+        for wtext in texts:
+            w = parse(wtext)
+            rep = fiber_distribution(w, q)
+            got = [r.class_size * r.fiber_per_element for r in rep.rows]
+            assert got == direct_fiber_totals(w, q), wtext
+
     def test_resource_guard(self):
         with pytest.raises(ValueError):
             fiber_distribution(parse("xy"), 83)
@@ -308,7 +323,7 @@ class TestPiFibers:
         with pytest.raises(ValueError, match="resource guard exceeded"):
             pi_fiber_table(83)
 
-    @pytest.mark.parametrize("q", [3, 5])
+    @pytest.mark.parametrize("q", [3, 4, 5, 8, 9])
     def test_scalar_count_agrees_with_table(self, q):
         tab = pi_fiber_table(q)
         for s in range(q):
