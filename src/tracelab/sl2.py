@@ -37,10 +37,13 @@ from .words import Word, X as _GEN_X
 # fitting comfortably in desk-scale memory/time.
 MAX_FIBER_Q = 81
 
-# fiber_distribution reads classes from f_w for words up to this length
-# after exponent reduction, and evaluates longer words on every pair: the
-# trace engine's cost grows exponentially in the syllables and, through
-# the coefficients of long blocks, faster than quadratically in exponents.
+# fiber_distribution reads classes from f_w for words of at most this many
+# letters after exponent reduction, and evaluates longer words on every
+# pair, which costs time linear in the letters.  The trace engine's cost
+# grows exponentially in the blocks and faster than quadratically in each
+# exponent; the letter count bounds both.  On a cold engine the slowest of
+# 260 random 32-letter words traced in 0.33 s, while at 40 and 48 letters
+# it reaches 1.6 s and 9.7 s (463 MB).
 _MAX_TRACED_LENGTH = 32
 
 Matrix = tuple[int, int, int, int]
@@ -320,7 +323,8 @@ def fiber_distribution(w: Word, q: int) -> FiberReport:
     fixes it unless z = +-2: f_w is evaluated once on F_q^3, and the word
     itself only on the pairs where z = +-2, to split central from unipotent.
     Exponents are first reduced modulo a multiple of every element order;
-    a word still longer than 32 letters is evaluated on every pair.
+    a word still longer than _MAX_TRACED_LENGTH letters is evaluated on
+    every pair, so the cost stays polynomial in the word.
     """
     if q > MAX_FIBER_Q:
         raise ValueError(f"resource guard exceeded: q = {q} > {MAX_FIBER_Q}")

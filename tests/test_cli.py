@@ -8,6 +8,8 @@ from tracelab.cli import main
 from tracelab.trace import TraceEngine, trace_poly
 from tracelab.words import parse
 
+from _oracles import direct_fiber_totals
+
 
 def run(*argv):
     out = StringIO()
@@ -105,14 +107,29 @@ class TestFibers:
         code, _ = run("fibers", "xy", "--q", "101")
         assert code == 2
 
-    def test_large_exponents_within_budget(self):
-        # element orders of SL(2,7) divide lcm(6, 8, 14) = 168; 10^6 = 64 mod 168
+    # Exponents are reduced modulo lcm(6, 8, 14) = 168.  The first residue word
+    # is x^64y^-63, counted directly; the second x^3y^3, traced.  The 32-letter
+    # word was the slowest of 260 random ones to trace on a cold engine; the
+    # 48-letter word is counted directly, and tracing it takes about 10 s.
+    @pytest.mark.parametrize(
+        "wtext",
+        [
+            "x^1000000y^-999999",
+            "x^1000107y^-1000106x^1000104y^5",
+            "x^-1yx^2yx^-2y^-2x^2y^-1x^-1yx^-1y^-2x^-1yx^2yxy^-2xyx^-2y^-2x^-1",
+            "y^-1x^-2y^-1x^2y^2xy^-2x^-1y^-2x^-1yxy^-2xyx^-2y^2x^2y^-2xy^-2x^-2"
+            "y^-1x^-2y^-1x^-2yx^2yx^-1y^-2x^-1",
+        ],
+        ids=["residue-direct", "residue-traced", "at-cap", "past-cap"],
+    )
+    def test_within_budget_and_exact(self, wtext):
         t0 = time.monotonic()
-        code, out = run("fibers", "x^1000000y^-999999", "--q", "7")
+        code, out = run("fibers", wtext, "--q", "7")
         elapsed = time.monotonic() - t0
         assert code == 0
         assert elapsed <= 2, f"budget exceeded: {elapsed:.1f}s > 2s"
-        assert out == run("fibers", "x^64y^-63", "--q", "7")[1]
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [int(r[3]) * int(r[4]) for r in rows] == direct_fiber_totals(parse(wtext), 7)
 
 
 class TestEpsilon:

@@ -204,11 +204,22 @@ class TestFiberDistribution:
         texts = ["", "x", "y", "xX", "xy", "xyXY", "xyxy", "x^4yx^-2Yx^2yx^-2Y", "xxxYYY"]
         texts += ["".join(rng.choice("xXyY") for _ in range(rng.randint(1, 12))) for _ in range(3)]
         texts.append("x^17y^16")  # past sl2._MAX_TRACED_LENGTH from q = 4 on
+        texts.append("x^7yx^12y")  # x^-5y^2 at q = 2, 3: wraps negative, drops x^12
         for wtext in texts:
             w = parse(wtext)
             rep = fiber_distribution(w, q)
             got = [r.class_size * r.fiber_per_element for r in rep.rows]
             assert got == direct_fiber_totals(w, q), wtext
+
+    def test_length_cap_selects_the_path(self, monkeypatch):
+        at_cap = "x^-1yx^2yx^-2y^-2x^2y^-1x^-1yx^-1y^-2x^-1yx^2yxy^-2xyx^-2y^-2x^-1"
+        assert parse(at_cap).length == sl2._MAX_TRACED_LENGTH
+        traced = []
+        monkeypatch.setattr(sl2, "trace_poly", lambda w: traced.append(w.length) or trace_poly(w))
+        # at q = 7 the first word's residue is x^3y^3, and that is what is traced
+        for wtext in ("x^1000107y^-1000106x^1000104y^5", at_cap, at_cap + "y"):
+            fiber_distribution(parse(wtext), 7)
+        assert traced == [6, sl2._MAX_TRACED_LENGTH]
 
     def test_resource_guard(self):
         with pytest.raises(ValueError):
