@@ -101,7 +101,7 @@ class TraceCache:
 
 def cached_trace_poly(
     w: Word,
-    cache: Optional[TraceCache] = None,
+    cache: TraceCache,
     engine: Optional[TraceEngine] = None,
 ) -> TraceResult:
     """trace_poly with a read-through/write-through cache.
@@ -113,8 +113,6 @@ def cached_trace_poly(
     classify_global) reads f instead of recomputing it.  A differential
     test asserts hits never change any output versus cold runs.
     """
-    if cache is None:
-        return trace_poly(w, engine=engine)
     f = cache.lookup(w)
     if f is not None:
         result = _trace_result(w, f)

@@ -213,10 +213,14 @@ def cmd_epsilon(args, out) -> int:
 
 def cmd_scan(args, out) -> int:
     if args.samples is None:
-        reports = genericity_scan(args.n_max, mode="exhaustive")
+        reports = genericity_scan(args.n_max, constraint=args.constraint)
     else:
         reports = genericity_scan(
-            args.n_max, mode="sampled", samples=args.samples, seed=args.seed
+            args.n_max,
+            mode="sampled",
+            samples=args.samples,
+            seed=args.seed,
+            constraint=args.constraint,
         )
     out.write(genericity_csv(reports))
     return 0
@@ -228,10 +232,9 @@ def cmd_scan(args, out) -> int:
 
 def _suite_identities() -> list[tuple[str, bool, str]]:
     checks: list[tuple[str, bool, str]] = []
-    engine = TraceEngine()
 
     def f_of(text: str) -> TriPoly:
-        return trace_poly(parse(text), engine=engine).f
+        return trace_poly(parse(text)).f
 
     s = TriPoly.var("s")
     u = TriPoly.var("u")
@@ -251,7 +254,7 @@ def _suite_identities() -> list[tuple[str, bool, str]]:
     for text in ("xy", "xxyy", "xYxxY", "xyxYY"):
         w = parse(text)
         st = stats(canonicalize(w)[0])
-        f = trace_poly(w, engine=engine).f
+        f = trace_poly(w).f
         cases = [
             ((s, s, two), st.A, s),
             ((two, t, t), st.B, t),
@@ -267,7 +270,7 @@ def _suite_identities() -> list[tuple[str, bool, str]]:
     # single-syllable structure: f = u*g + h with the degree contract
     for a, b in ((1, 1), (2, 3), (-3, 2)):
         try:
-            syllable_polys(a, b, engine=engine)
+            syllable_polys(a, b)
             checks.append((f"syllable ({a},{b}) structure", True, ""))
         except RuntimeError as exc:
             checks.append((f"syllable ({a},{b}) structure", False, str(exc)))

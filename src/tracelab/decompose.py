@@ -251,7 +251,9 @@ def _find_witness(
     return None
 
 
-def _word_poly(w: Word, engine: Optional[TraceEngine]) -> Tuple[Word, int, int, TriPoly]:
+def _word_poly(
+    w: Word, engine: Optional[TraceEngine] = None
+) -> Tuple[Word, int, int, TriPoly]:
     """Canonical form, exponent sums A, B and f_w of a classifiable word."""
     canon, rec = canonicalize(w)
     if rec.degenerate:
@@ -286,9 +288,9 @@ def _prime_verdict(f: TriPoly, A: int, B: int, p: int) -> PrimeVerdict:
     )
 
 
-def classify_p(w: Word, p: int, engine: Optional[TraceEngine] = None) -> PrimeVerdict:
+def classify_p(w: Word, p: int) -> PrimeVerdict:
     """Verdict for one prime: strip Frobenius layers, then test the core."""
-    _, A, B, f = _word_poly(w, engine)
+    _, A, B, f = _word_poly(w)
     return _prime_verdict(f, A, B, p)
 
 
@@ -331,7 +333,7 @@ def classify_global(
     )
 
 
-def power_word_report(w: Word, engine: Optional[TraceEngine] = None) -> PowerWordReport:
+def power_word_report(w: Word) -> PowerWordReport:
     """Cross-check the free-group power structure against the classifier.
 
     A proper power (x^a y^b ... )^k must show a Dickson witness D_d with
@@ -340,7 +342,7 @@ def power_word_report(w: Word, engine: Optional[TraceEngine] = None) -> PowerWor
     flagged rather than raised, since it would contradict the classified
     dichotomy in the tested regime.
     """
-    w, A, B, f = _word_poly(w, engine)
+    w, A, B, f = _word_poly(w)
     root, k = proper_power_root(w)
     witness = _find_witness(f, A, B, None)
     d = witness.dickson_index if witness is not None else None
@@ -352,10 +354,12 @@ def power_word_report(w: Word, engine: Optional[TraceEngine] = None) -> PowerWor
             else "aperiodic but composite over the rationals"
         )
         return PowerWordReport(w, root, k, d, consistent, note)
-    f_root = trace_poly(root, engine=engine).f
-    q = dickson_decompose(f, k)
-    inner_ok = q is not None and (q == f_root or (k % 2 == 0 and q == -f_root))
-    consistent = witness is not None and d is not None and d % k == 0 and inner_ok
+    f_root = trace_poly(root).f
+    consistent = False
+    if d is not None and d % k == 0:
+        # f = D_d(Q) = D_k(D_{d/k}(Q)): the index-k inner, unique up to sign for even k
+        inner = dickson_apply(d // k, witness.inner)
+        consistent = inner == f_root or (k % 2 == 0 and inner == -f_root)
     note = (
         f"power of index {k} with matching Dickson witness"
         if consistent

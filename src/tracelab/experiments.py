@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .decompose import (
-    COMPOSITE_NOT_SPECIAL,
     NONCOMPOSITE_P,
     NONCOMPOSITE_Q,
     SPECIAL_P,
@@ -56,12 +55,7 @@ class TheoremRun:
         return "\n".join(lines) + "\n"
 
 
-def verify_theorem_p_equi(
-    w: Word,
-    p: int,
-    q_list: Sequence[int],
-    engine: Optional[TraceEngine] = None,
-) -> TheoremRun:
+def verify_theorem_p_equi(w: Word, p: int, q_list: Sequence[int]) -> TheoremRun:
     """Classify w at p and check the verdict against fibers along q = p^n.
 
     A noncomposite-or-special verdict must come with a nonincreasing epsilon
@@ -78,12 +72,12 @@ def verify_theorem_p_equi(
             raise ValueError(f"resource guard exceeded: q = {q} > {MAX_FIBER_Q}")
         if field(q).p != p:  # field raises ValueError on a non-prime power
             raise ValueError(f"{q} is not a power of {p}")
-    verdict = classify_p(w, p, engine=engine)
+    verdict = classify_p(w, p)
     epsilons: list[Fraction] = []
     omitted: list[Fraction] = []
     for q in qs:
         report = fiber_distribution(w, q)
-        epsilons.append(equidist_epsilon(report, engine=engine).epsilon)
+        epsilons.append(equidist_epsilon(report).epsilon)
         omitted.append(
             image_analysis(w, q, sl_report=report).omitted_element_fraction
         )
@@ -152,16 +146,14 @@ class MeasureSheet:
         return "\n".join(lines) + "\n"
 
 
-def measure_preserving_report(
-    w: Word, q: int, engine: Optional[TraceEngine] = None
-) -> MeasureSheet:
+def measure_preserving_report(w: Word, q: int) -> MeasureSheet:
     """Theoretical measure-preservation bound next to the observed epsilon.
 
     The theoretical row only binds for q > q0 = 4(50d^4)^2, which no
     enumerable q reaches; it is still printed for reference.  The observed
     row is filled whenever q is within the enumeration guard.
     """
-    d = trace_poly(w, engine=engine).f.total_degree()
+    d = trace_poly(w).f.total_degree()
     q0 = 4 * (50 * d**4) ** 2
     b_const = 100 * d**4 + 1
     theoretical = 3 * b_const / math.sqrt(q)
@@ -169,7 +161,7 @@ def measure_preserving_report(
     observed: Optional[Fraction] = None
     consistent: Optional[bool] = None
     if q <= MAX_FIBER_Q:
-        observed = equidist_epsilon(fiber_distribution(w, q), engine=engine).epsilon
+        observed = equidist_epsilon(fiber_distribution(w, q)).epsilon
         if active:
             consistent = fraction_le_inv_sqrt(observed, b_const, q)
     if active:
@@ -249,14 +241,14 @@ def genericity_scan(
     samples: int = 1000,
     seed: int = 0,
     constraint: str = "any",
-    engine: Optional[TraceEngine] = None,
     certify: bool = True,
 ) -> list[GenericityReport]:
     """Fractions of proper powers and certified-noncomposite words per length.
 
     Exhaustive mode walks every canonical word of length <= n and reports
-    exact cumulative counts; sampled mode draws ``samples`` words uniformly
-    from the length <= n candidate set per n.  ``certify=False`` skips the
+    exact cumulative counts; sampled mode draws ``samples`` >= 1 words
+    uniformly from the length <= n candidate set per n.  Each scan traces
+    its words on a fresh engine.  ``certify=False`` skips the
     classifier column (it stays zero) when only power statistics are needed.
     """
     if n_max < 2:
@@ -267,7 +259,9 @@ def genericity_scan(
         raise ValueError(
             f"exhaustive scan capped at n_max = {EXHAUSTIVE_SCAN_LIMIT}"
         )
-    eng = engine if engine is not None else TraceEngine()
+    if mode == "sampled" and samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    eng = TraceEngine()
     reports: list[GenericityReport] = []
     ensemble = f"canonical words, constraint={constraint}"
     if mode == "exhaustive":

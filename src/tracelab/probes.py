@@ -16,7 +16,7 @@ same field does not count the cube again.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Union
+from typing import Iterator
 
 import numpy as np
 
@@ -67,17 +67,17 @@ def _cube_counts(f: TriPoly, F: GF) -> np.ndarray:
     return counts
 
 
-def level_set_counts(f: TriPoly, q_or_field: Union[int, GF]) -> np.ndarray:
+def level_set_counts(f: TriPoly, q: int) -> np.ndarray:
     """All level-set sizes at once: counts[z] = N_z, an array of length q."""
-    F = q_or_field if isinstance(q_or_field, GF) else field(q_or_field)
+    F = field(q)
     if f.p is not None and f.p != F.p:
         raise ValueError(f"polynomial over F_{f.p} cannot be evaluated in F_{F.q}")
     return _cube_counts(f.reduce_mod(F.p) if f.p is None else f, F).copy()
 
 
-def count_level_set(f: TriPoly, q_or_field: Union[int, GF], z: int) -> int:
+def count_level_set(f: TriPoly, q: int, z: int) -> int:
     """N_z = #{(s,u,t) : f(s,u,t) = z} over F_q."""
-    counts = level_set_counts(f, q_or_field)
+    counts = level_set_counts(f, q)
     if not 0 <= z < len(counts):
         raise ValueError(f"level {z} is not an element code of F_{len(counts)}")
     return int(counts[z])

@@ -29,7 +29,7 @@ import numpy as np
 
 from .gf import GF, field
 from .probes import _u_slices, level_set_counts
-from .trace import TraceEngine, trace_poly
+from .trace import trace_poly
 from .tripoly import TriPoly
 from .words import Word, X as _GEN_X
 
@@ -482,9 +482,7 @@ def epsilon_feasible(report: FiberReport, eps: Fraction) -> bool:
     return Fraction(excluded, report.order) <= eps
 
 
-def equidist_epsilon(
-    report: FiberReport, engine: Optional[TraceEngine] = None
-) -> EquidistReport:
+def equidist_epsilon(report: FiberReport) -> EquidistReport:
     """Minimal epsilon in the exclusion sense, plus the theoretical pack.
 
     Scans per-element deviations in descending order; after excluding the k
@@ -507,7 +505,7 @@ def equidist_epsilon(
             cum += items[cut].class_size
     excluded = tuple(r.class_id for r in items[:best_cut])
     kept = tuple(r.class_id for r in items[best_cut:])
-    d = trace_poly(report.word, engine=engine).f.total_degree()
+    d = trace_poly(report.word).f.total_degree()
     return EquidistReport(
         q=report.q,
         group=report.group,
@@ -617,23 +615,14 @@ class ImageReport:
     semisimple_coverage: bool
     omitted_element_fraction: Fraction
     zero_fiber_classes: tuple[str, ...]
-    outer_degree: Optional[int]
-    omitted_trace_bound: Optional[Fraction]
-    lower_bound_ok: Optional[bool]
 
 
 def image_analysis(
-    w: Word,
-    q: int,
-    outer_degree: Optional[int] = None,
-    sl_report: Optional[FiberReport] = None,
+    w: Word, q: int, sl_report: Optional[FiberReport] = None
 ) -> ImageReport:
     """Omitted traces and coverage of noncentral semisimple classes.
 
-    A trace z is omitted when every class of trace z has fiber zero.  When
-    outer_degree d1 is supplied (composite-not-special words), the count of
-    omitted traces is checked against the floor (q-1)/d1 - 2; the slack 2
-    absorbs the exceptional +-2 traces reachable through the center.
+    A trace z is omitted when every class of trace z has fiber zero.
     """
     report = sl_report if sl_report is not None else fiber_distribution(w, q)
     zero_rows = [r for r in report.rows if r.fiber_per_element == 0]
@@ -645,13 +634,6 @@ def image_analysis(
         if r.ctype.startswith("semisimple")
     )
     omitted_fraction = Fraction(sum(r.class_size for r in zero_rows), report.order)
-    bound = None
-    bound_ok = None
-    if outer_degree is not None:
-        if outer_degree < 2:
-            raise ValueError("outer degree of a composition is at least 2")
-        bound = Fraction(q - 1, outer_degree) - 2
-        bound_ok = len(omitted) >= bound
     return ImageReport(
         word=w,
         q=q,
@@ -659,9 +641,6 @@ def image_analysis(
         semisimple_coverage=coverage,
         omitted_element_fraction=omitted_fraction,
         zero_fiber_classes=tuple(r.class_id for r in zero_rows),
-        outer_degree=outer_degree,
-        omitted_trace_bound=bound,
-        lower_bound_ok=bound_ok,
     )
 
 
@@ -768,7 +747,7 @@ def spectrum_probe(f: TriPoly, p: int, n_list: Sequence[int]) -> SpectrumProbe:
     flagged: Optional[set[int]] = None
     for n in sorted(set(n_list)):
         q = p**n
-        counts = level_set_counts(fq, field(q))
+        counts = level_set_counts(fq, q)
         deviants = tuple(
             z for z in range(p) if 2 * abs(int(counts[z]) - q * q) >= q * q
         )

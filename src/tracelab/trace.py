@@ -174,12 +174,11 @@ def trace_poly(w: Word, engine: Optional[TraceEngine] = None) -> TraceResult:
     return result
 
 
-def syllable_polys(a: int, b: int, engine: Optional[TraceEngine] = None) -> SyllablePair:
+def syllable_polys(a: int, b: int) -> SyllablePair:
     """g_{a,b}, h_{a,b} for the single syllable x^a y^b."""
     if a == 0 or b == 0:
         raise ValueError("syllable exponents must be nonzero")
-    eng = engine if engine is not None else _DEFAULT_ENGINE
-    f = eng._trace(((X, a), (Y, b)))
+    f = _DEFAULT_ENGINE._trace(((X, a), (Y, b)))
     parts = f.u_coefficients()
     h = parts[0]
     g = parts[1] if len(parts) > 1 else TriPoly.zero()

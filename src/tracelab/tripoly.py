@@ -481,9 +481,10 @@ class TriPoly:
                 if not factor:
                     raise ValueError(f"empty factor in {chunk!r}")
                 if factor[0].isdigit():
-                    coeff = (
-                        Fraction(factor) if "/" in factor else int(factor)
-                    )
+                    try:
+                        coeff = Fraction(factor) if "/" in factor else int(factor)
+                    except ZeroDivisionError:
+                        raise ValueError(f"zero denominator in {factor!r}") from None
                 else:
                     name = factor[0]
                     if name not in exps:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from .gf import is_prime
 
@@ -365,7 +365,7 @@ def _candidate_cells(max_length: int, prime_complexity: bool):
 
 def sample_words(
     max_length: int,
-    count: Optional[int],
+    count: int,
     seed: int = 0,
     constraint: str = "any",
 ) -> Iterator[Word]:
@@ -373,8 +373,7 @@ def sample_words(
 
     The candidate set is every canonical word of length <= max_length
     (syllable exponent lists with the stated sign choices), optionally
-    restricted to prime complexity.  ``count=None`` switches to exhaustive
-    enumeration in a fixed order.
+    restricted to prime complexity.
     """
     if max_length < 2:
         raise ValueError("max_length must be >= 2")
@@ -383,9 +382,6 @@ def sample_words(
     prime = constraint == "prime-complexity"
     if prime and max_length < 4:
         raise ValueError("prime complexity needs length >= 4")
-    if count is None:
-        yield from enumerate_words(max_length, prime)
-        return
     cells = _candidate_cells(max_length, prime)
     total = sum(c for _, _, c in cells)
     rng = random.Random(seed)

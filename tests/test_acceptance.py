@@ -141,14 +141,13 @@ def test_criterion_04_dickson_algebra():
 def test_criterion_05_power_detection():
     """Every v of length <= 8 and k in {2,3,4}: composite witness; < 5 min."""
     with _Budget(300):
-        eng = TraceEngine()
         for v in enumerate_words(8):
             for k in (2, 3, 4):
                 w = v**k
-                cls, wit = classify_rational(w, engine=eng)
+                cls, wit = classify_rational(w)
                 assert cls == COMPOSITE_Q, (v, k)
                 assert wit is not None
-                rep = power_word_report(w, engine=eng)
+                rep = power_word_report(w)
                 assert rep.consistent, (v, k)
                 assert rep.multiplicity % k == 0
 

@@ -81,6 +81,17 @@ class TestCachedTracePoly:
         res = cached_trace_poly(parse("xx"), cache=cache)
         assert res.f == trace_poly(parse("xx")).f
 
+    def test_zero_denominator_entry_is_a_miss(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(
+            json.dumps({"version": CACHE_VERSION, "entries": {"xy": "1/0"}})
+        )
+        cache = TraceCache(path)
+        assert cache.lookup(parse("xy")) is None
+        res = cached_trace_poly(parse("xy"), cache=cache)
+        assert res.f == trace_poly(parse("xy")).f
+        assert cache.entries["xy"] == "u"
+
     def test_entry_failing_checks_is_a_miss(self, tmp_path):
         cache = TraceCache(tmp_path / "c.json")
         cache.entries["xy"] = "u^2"  # u-degree 2, but xy has complexity 1

@@ -5,6 +5,7 @@ from io import StringIO
 import pytest
 
 from tracelab.cli import main
+from tracelab.experiments import genericity_csv, genericity_scan
 from tracelab.trace import TraceEngine, trace_poly
 from tracelab.words import parse
 
@@ -175,6 +176,27 @@ class TestScan:
         a = run("scan", "--n-max", "7", "--samples", "100", "--seed", "3")
         b = run("scan", "--n-max", "7", "--samples", "100", "--seed", "3")
         assert a == b
+
+    def test_constraint_reaches_the_scan(self):
+        code, out = run("scan", "--n-max", "6", "--constraint", "prime-complexity")
+        assert code == 0
+        data = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [(r[0], r[1]) for r in data] == [("4", "16"), ("5", "80"), ("6", "304")]
+        sampled = genericity_scan(
+            7, mode="sampled", samples=50, seed=2, constraint="prime-complexity"
+        )
+        assert [r.n for r in sampled] == [4, 5, 6, 7]
+        argv = ["--n-max", "7", "--samples", "50", "--seed", "2"]
+        got = run("scan", *argv, "--constraint", "prime-complexity")
+        assert got == (0, genericity_csv(sampled))
+        assert got != run("scan", *argv)
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_exit_two(self, samples, capsys):
+        code, out = run("scan", "--n-max", "4", "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert "samples must be >= 1" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -124,6 +124,11 @@ class TestGenericity:
             sigma = (mu_true * (1 - mu_true) / rep.total) ** 0.5
             assert abs(mu_obs - mu_true) <= max(3 * sigma, 0.02)
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_sampled_needs_a_sample(self, samples):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            genericity_scan(4, mode="sampled", samples=samples)
+
     def test_exhaustive_cap(self):
         assert EXHAUSTIVE_SCAN_LIMIT == 14
         with pytest.raises(ValueError):

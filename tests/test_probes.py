@@ -1,6 +1,5 @@
 import pytest
 
-from tracelab.gf import field
 from tracelab import probes
 from tracelab.probes import count_level_set, level_set_counts
 from tracelab.sl2 import lang_weil_check, spectrum_probe
@@ -38,11 +37,6 @@ class TestLevelSetCounts:
             f = trace_poly(parse(w)).f
             got = list(level_set_counts(f, q))
             assert got == naive_level_counts(f, q)
-
-    def test_accepts_field_object(self):
-        F = field(5)
-        f = trace_poly(parse("xyXY")).f
-        assert list(level_set_counts(f, F)) == list(level_set_counts(f, 5))
 
     def test_constant_polynomial(self):
         counts = level_set_counts(TriPoly.const(3, None), 5)
