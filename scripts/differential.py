@@ -1,0 +1,178 @@
+"""Print one sha256 per output section of tracelab, for differential runs.
+
+A refactor that claims unchanged outputs runs this script on the parent
+checkout and on the change and compares the two listings line by line:
+
+    python3 scripts/differential.py            # this checkout
+    python3 scripts/differential.py ../parent  # tracelab from ../parent/src
+
+The request streams come from this checkout's ``perfbench/inputs.py``, so
+both runs see the same inputs whatever the other checkout holds.  Only
+functions present since the ``engine=`` cleanup are called, so the script
+also runs against checkouts that predate it.
+
+Sections, each hashed separately:
+
+- classify-<seed>: ``cli._global_dict(classify_global(w, 13))`` and
+  ``trace_poly(w).f`` over the first 500 classify-stream requests, plus
+  ``cached_trace_poly`` read back from a cache on a fresh engine;
+- scan-<constraint>: the exhaustive n = 7 scan under each constraint, and
+  sampled n = 8 scans (200 samples, seed 5);
+- fibers-<seed>: SL and PSL CSVs, epsilon JSON and ``ImageReport`` over
+  the first 35 fibers-stream requests;
+- levelsets-<seed>: ``SpectrumProbe`` and ``LangWeilReport`` reprs over the
+  first 36 levelsets-stream requests;
+- power-words: ``power_word_report`` over every canonical word of length
+  <= 6 and its square and cube;
+- syllables: ``syllable_polys(a, b)`` for 1 <= |a|, |b| <= 4;
+- theorem / measure: ``TheoremRun.to_csv`` and ``MeasureSheet.to_text`` for
+  xyXY and xyxy at p = 3, q in {3, 9} and p = 5, q in {5, 25};
+- verify: ``tracelab verify --suite all``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import itertools
+import json
+import os
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3)
+
+
+def _digest(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(str(line).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _classify(tl, inputs, seed):
+    from tracelab import cli
+
+    engine = tl.TraceEngine()
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = tl.TraceCache(os.path.join(tmp, "cache.json"))
+        for req in itertools.islice(inputs.classify_stream(seed), 500):
+            w = tl.Word.from_syllables(req.syllables)
+            verdict = tl.classify_global(w, 13, engine=engine)
+            yield json.dumps(cli._global_dict(verdict), sort_keys=True)
+            yield tl.trace_poly(w).f.render()
+            cache.store(w, tl.trace_poly(w).f)
+            fresh = tl.TraceEngine()
+            hit = tl.cached_trace_poly(w, cache=cache, engine=fresh)
+            yield hit.word, hit.f.render(), hit.u_degree
+            yield tl.trace_poly(w, engine=fresh).f.render()
+
+
+def _scans(tl):
+    for constraint in ("any", "prime-complexity"):
+        yield f"scan-{constraint}", tl.genericity_csv(
+            tl.genericity_scan(7, constraint=constraint)
+        )
+        sampled = tl.genericity_scan(
+            8, mode="sampled", samples=200, seed=5, constraint=constraint
+        )
+        yield f"scan-sampled-{constraint}", tl.genericity_csv(sampled)
+
+
+def _fibers(tl, inputs, seed):
+    for req in itertools.islice(inputs.fibers_stream(seed), 35):
+        w, q = tl.Word.from_syllables(req.syllables), req.q
+        report = tl.fiber_distribution(w, q)
+        yield report.to_csv()
+        if q % 2:
+            yield tl.psl_fiber_distribution(w, q, sl_report=report).to_csv()
+        yield json.dumps(tl.equidist_epsilon(report).to_json_dict(), sort_keys=True)
+        yield repr(tl.image_analysis(w, q, sl_report=report))
+
+
+def _levelsets(tl, inputs, seed):
+    pool = inputs.level_random_pool(seed)
+    for req in itertools.islice(inputs.levelsets_stream(seed, pool), 36):
+        p, n = inputs.prime_power(req.q)
+        fp = tl.trace_poly(tl.Word.from_syllables(req.syllables)).f.reduce_mod(p)
+        probe = tl.spectrum_probe(fp, p, [n])
+        yield repr(probe)
+        yield repr(tl.lang_weil_check(fp, req.q, spectrum_exclusions=probe.flagged))
+
+
+def _power_words(tl):
+    for w in tl.enumerate_words(6):
+        for k in (1, 2, 3):
+            yield repr(tl.power_word_report(w**k))
+
+
+def _syllables(tl):
+    exps = [e for e in range(-4, 5) if e]
+    for a, b in itertools.product(exps, exps):
+        pair = tl.syllable_polys(a, b)
+        yield a, b, pair.g.render(), pair.h.render()
+
+
+def _theorem_and_measure(tl):
+    runs, sheets = [], []
+    for text in ("xyXY", "xyxy"):
+        w = tl.parse(text)
+        for p, qs in ((3, (3, 9)), (5, (5, 25))):
+            runs.append(tl.verify_theorem_p_equi(w, p, qs).to_csv())
+            sheets.extend(tl.measure_preserving_report(w, q).to_text() for q in qs)
+    return runs, sheets
+
+
+def _verify(tl):
+    from tracelab import cli
+
+    out = io.StringIO()
+    code = cli.main(["verify", "--suite", "all"], out=out)
+    return [out.getvalue(), code]
+
+
+def sections(tl, inputs):
+    """(name, lines) for every section, in a fixed order."""
+    for seed in SEEDS:
+        yield f"classify-{seed}", _classify(tl, inputs, seed)
+    for name, text in _scans(tl):
+        yield name, [text]
+    for seed in SEEDS:
+        yield f"fibers-{seed}", _fibers(tl, inputs, seed)
+    for seed in SEEDS:
+        yield f"levelsets-{seed}", _levelsets(tl, inputs, seed)
+    yield "power-words", _power_words(tl)
+    yield "syllables", _syllables(tl)
+    runs, sheets = _theorem_and_measure(tl)
+    yield "theorem", runs
+    yield "measure", sheets
+    yield "verify", _verify(tl)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "root", nargs="?", default=str(HERE), help="checkout whose src/ is imported"
+    )
+    args = parser.parse_args(argv)
+    src = Path(args.root).resolve() / "src"
+    sys.path[:0] = [str(src), str(HERE / "perfbench")]
+    import inputs
+    import tracelab
+
+    if Path(tracelab.__file__).resolve().parent != src / "tracelab":
+        sys.exit(f"imported tracelab from {tracelab.__file__}, not {src}")
+    start = time.perf_counter()
+    for name, lines in sections(tracelab, inputs):
+        print(f"{_digest(lines)}  {name}", flush=True)
+    print(f"# {time.perf_counter() - start:.1f} s", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

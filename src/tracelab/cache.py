@@ -12,13 +12,7 @@ import os
 import tempfile
 from typing import Optional
 
-from .trace import (
-    TraceEngine,
-    TraceResult,
-    _canonical_cyclic,
-    _trace_result,
-    trace_poly,
-)
+from .trace import TraceEngine, TraceResult, _trace_result, trace_poly
 from .tripoly import TriPoly
 from .words import Word, canonicalize
 
@@ -117,8 +111,8 @@ def cached_trace_poly(
     if f is not None:
         result = _trace_result(w, f)
         if result is not None:
-            if engine is not None and len(result.word.blocks) >= 2:
-                engine._remember(_canonical_cyclic(result.word.blocks), f)
+            if engine is not None:
+                engine.remember(result)
             return result
     result = trace_poly(w, engine=engine)
     cache.store(w, result.f)

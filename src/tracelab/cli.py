@@ -30,6 +30,7 @@ from .trace import TraceEngine, syllable_polys, trace_poly
 from .tripoly import TriPoly
 from .unipoly import UniPoly, chebyshev_v, dickson, dickson_apply
 from .words import (
+    CONSTRAINTS,
     DegenerateWordError,
     Word,
     WordSyntaxError,
@@ -75,10 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="genericity scan CSV")
     p_scan.add_argument("--n-max", type=int, required=True)
     p_scan.add_argument("--samples", type=int, default=None)
-    p_scan.add_argument("--seed", type=int, default=0)
-    p_scan.add_argument(
-        "--constraint", choices=["any", "prime-complexity"], default="any"
-    )
+    p_scan.add_argument("--seed", type=int, default=None)
+    p_scan.add_argument("--constraint", choices=CONSTRAINTS, default="any")
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument(
@@ -212,6 +211,8 @@ def cmd_epsilon(args, out) -> int:
 
 
 def cmd_scan(args, out) -> int:
+    if args.samples is None and args.seed is not None:
+        raise ValueError("--seed applies to sampled scans only; add --samples")
     if args.samples is None:
         reports = genericity_scan(args.n_max, constraint=args.constraint)
     else:
@@ -219,7 +220,7 @@ def cmd_scan(args, out) -> int:
             args.n_max,
             mode="sampled",
             samples=args.samples,
-            seed=args.seed,
+            seed=args.seed or 0,
             constraint=args.constraint,
         )
     out.write(genericity_csv(reports))

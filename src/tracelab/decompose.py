@@ -268,7 +268,7 @@ def _rational_class(witness: Optional[CompositionWitness]) -> str:
 
 def _prime_verdict(f: TriPoly, A: int, B: int, p: int) -> PrimeVerdict:
     """Verdict for the rational f_w at one prime: strip Frobenius layers, test the core."""
-    core, k, _ = frobenius_strip(f.reduce_mod(p))
+    core, k = frobenius_strip(f.reduce_mod(p))
     witness = _find_witness(core, A, B, p)
     if witness is None:
         if k == 0:

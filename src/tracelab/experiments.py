@@ -29,7 +29,7 @@ from .sl2 import (
     image_analysis,
 )
 from .trace import TraceEngine, trace_poly
-from .words import Word, enumerate_words, proper_power_root, sample_words
+from .words import Word, _candidate_cells, enumerate_words, proper_power_root, sample_words
 
 EXHAUSTIVE_SCAN_LIMIT = 14
 
@@ -266,7 +266,7 @@ def genericity_scan(
     ensemble = f"canonical words, constraint={constraint}"
     if mode == "exhaustive":
         by_len: dict[int, list[int]] = {}
-        stream = enumerate_words(n_max, constraint == "prime-complexity")
+        stream = enumerate_words(n_max, constraint)
         for length, is_power, certified in _scan_counts(stream, eng, certify):
             cell = by_len.setdefault(length, [0, 0, 0])
             cell[0] += 1
@@ -277,8 +277,7 @@ def genericity_scan(
             cum = [x + y for x, y in zip(cum, by_len[n])]
             reports.append(_genericity_report(n, ensemble, "exhaustive", cum))
         return reports
-    min_n = 4 if constraint == "prime-complexity" else 2
-    for n in range(min_n, n_max + 1):
+    for n in sorted({n for n, _, _ in _candidate_cells(n_max, constraint)}):
         stream = sample_words(n, samples, seed=seed + n, constraint=constraint)
         counts = [0, 0, 0]
         for _length, is_power, certified in _scan_counts(stream, eng, certify):

@@ -119,10 +119,6 @@ class GF:
 
     # scalar ops -------------------------------------------------------------
 
-    @property
-    def characteristic(self) -> int:
-        return self.p
-
     # ndarray.item returns a Python int and is about twice as fast as
     # int(table[...]) on these hot per-element paths.
 

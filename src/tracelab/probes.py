@@ -73,11 +73,3 @@ def level_set_counts(f: TriPoly, q: int) -> np.ndarray:
     if f.p is not None and f.p != F.p:
         raise ValueError(f"polynomial over F_{f.p} cannot be evaluated in F_{F.q}")
     return _cube_counts(f.reduce_mod(F.p) if f.p is None else f, F).copy()
-
-
-def count_level_set(f: TriPoly, q: int, z: int) -> int:
-    """N_z = #{(s,u,t) : f(s,u,t) = z} over F_q."""
-    counts = level_set_counts(f, q)
-    if not 0 <= z < len(counts):
-        raise ValueError(f"level {z} is not an element code of F_{len(counts)}")
-    return int(counts[z])

@@ -172,13 +172,16 @@ class ClassTable:
         self._index = np.full((F.q, 3), -1, dtype=np.int64)
         for i, c in enumerate(self.classes):
             self._index[c.trace, _UNIPOTENT_KIND.get(c.ctype, 0)] = i
+        # by trace z: the class that z fixes, and whether z (+-2) leaves it open
+        self.trace_class = self._index[:, 0]
+        self.trace_open = self._index[:, 1] >= 0
 
     def classify_array(self, a, b, c, d) -> np.ndarray:
         F = self.field
         nt = F.neg_table
         tr = F.add_table[a, d]
-        out = self._index[tr, 0]
-        sel = np.flatnonzero(self._index[tr, 1] >= 0)  # trace +-2
+        out = self.trace_class[tr]
+        sel = np.flatnonzero(self.trace_open[tr])  # trace +-2
         # the central elements there have b = c = 0; the rest are unipotent
         sel = sel[(b[sel] != 0) | (c[sel] != 0)]
         if sel.size:
@@ -341,11 +344,10 @@ def fiber_distribution(w: Word, q: int) -> FiberReport:
     else:
         cube = np.stack(list(_u_slices(trace_poly(v).f.reduce_mod(F.p), F)))  # [u, s, t]
         tr_y = _trace_xy(F, _IDENTITY, ys)
-        by_trace, open_trace = table._index[:, 0], table._index[:, 1] >= 0
         for cls in table.classes:
             z = cube[:, cls.trace].ravel().take(_trace_xy(F, cls.rep, ys) * q + tr_y)
-            pm2 = open_trace.take(z)
-            counts = np.bincount(by_trace.take(z[~pm2]), minlength=ncls)
+            pm2 = table.trace_open.take(z)
+            counts = np.bincount(table.trace_class.take(z[~pm2]), minlength=ncls)
             sub = np.flatnonzero(pm2)
             if sub.size:
                 counts += class_fiber_counts(v, table, tuple(y.take(sub) for y in ys), cls.rep)
@@ -372,20 +374,28 @@ def fiber_distribution(w: Word, q: int) -> FiberReport:
     )
 
 
+def _sl_report_of(w: Word, q: int, sl_report: Optional[FiberReport]) -> FiberReport:
+    """sl_report if it is the SL(2,q) report of w, a new one if it is None."""
+    if sl_report is None:
+        return fiber_distribution(w, q)
+    if (sl_report.word, sl_report.q, sl_report.group) != (w, q, "SL(2,q)"):
+        raise ValueError(f"sl_report is not the SL(2,q) report of {w} at q = {q}")
+    return sl_report
+
+
 def psl_fiber_distribution(
     w: Word, q: int, sl_report: Optional[FiberReport] = None
 ) -> FiberReport:
     """Per-element fibers over PSL(2,q), odd q.
 
     For the two preimages g, -g of a PSL element, the PSL fiber is
-    (fiber(g) + fiber(-g)) / 4; the division is asserted exact.
+    (fiber(g) + fiber(-g)) / 4; the division is asserted exact.  A given
+    sl_report must be the SL(2,q) report of w at q, else ValueError.
     """
     # checked before any table is built; fiber_distribution applies MAX_FIBER_Q
     if q % 2 == 0:
         raise ValueError("PSL(2,q) = SL(2,q) for even q; use fiber_distribution")
-    report = sl_report if sl_report is not None else fiber_distribution(w, q)
-    if report.q != q or report.group != "SL(2,q)":
-        raise ValueError("sl_report does not match the requested group")
+    report = _sl_report_of(w, q, sl_report)
     table = build_class_table(q)
     reps = np.array([c.rep for c in table.classes], dtype=np.int64)
     partner = table.classify_array(*table.field.neg_table[reps].T).tolist()
@@ -622,9 +632,10 @@ def image_analysis(
 ) -> ImageReport:
     """Omitted traces and coverage of noncentral semisimple classes.
 
-    A trace z is omitted when every class of trace z has fiber zero.
+    A trace z is omitted when every class of trace z has fiber zero.  A
+    given sl_report must be the SL(2,q) report of w at q, else ValueError.
     """
-    report = sl_report if sl_report is not None else fiber_distribution(w, q)
+    report = _sl_report_of(w, q, sl_report)
     zero_rows = [r for r in report.rows if r.fiber_per_element == 0]
     hit_traces = {r.trace for r in report.rows if r.fiber_per_element > 0}
     omitted = tuple(z for z in range(q) if z not in hit_traces)
@@ -665,10 +676,6 @@ class LangWeilReport:
     max_residual: float
     est01_applicable: bool
     est01_ok: Optional[bool]
-
-    def bound(self) -> float:
-        d, q = self.degree, self.q
-        return (d - 1) * (d - 2) * q**1.5 + 12 * (d + 3) ** 4 * q
 
 
 def lang_weil_check(

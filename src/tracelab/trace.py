@@ -32,7 +32,7 @@ from typing import Optional, Tuple
 
 from .tripoly import TriPoly
 from .unipoly import _recurrence, dickson_apply
-from .words import Block, Word, X, Y, canonicalize, _reduce
+from .words import Block, Word, X, canonicalize, _reduce
 
 _S = TriPoly.var("s")
 _T = TriPoly.var("t")
@@ -97,13 +97,15 @@ class TraceEngine:
             f = self._memo.get(key)
         if f is None:
             f = self._reduce_step(key)
-            self._remember(key, f)
+            with self._lock:
+                self._memo[key] = f
         return f
 
-    def _remember(self, key: Tuple[Block, ...], f: TriPoly) -> None:
-        """Memoize f under key, a word of 2+ blocks in _canonical_cyclic form."""
-        with self._lock:
-            self._memo[key] = f
+    def remember(self, result: TraceResult) -> None:
+        """Memoize a result that passed trace_poly's checks; its word is canonical."""
+        if len(result.word.blocks) >= 2:
+            with self._lock:
+                self._memo[_canonical_cyclic(result.word.blocks)] = result.f
 
     def _reduce_step(self, blocks: Tuple[Block, ...]) -> TriPoly:
         # blocks: canonical representative, even length, alternating, x first
@@ -178,7 +180,7 @@ def syllable_polys(a: int, b: int) -> SyllablePair:
     """g_{a,b}, h_{a,b} for the single syllable x^a y^b."""
     if a == 0 or b == 0:
         raise ValueError("syllable exponents must be nonzero")
-    f = _DEFAULT_ENGINE._trace(((X, a), (Y, b)))
+    f = trace_poly(Word.from_syllables([(a, b)])).f
     parts = f.u_coefficients()
     h = parts[0]
     g = parts[1] if len(parts) > 1 else TriPoly.zero()

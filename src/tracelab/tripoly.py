@@ -123,16 +123,6 @@ def _render_terms(terms: Iterable[Tuple[object, str]], p: Optional[int]) -> str:
     return "".join(pieces) or "0"
 
 
-def coeff_nth_root(c, n: int, p: Optional[int]):
-    """An n-th root of the scalar c in F_p or QQ, or None.
-
-    Over F_p the least root is returned; over the rationals the positive
-    root when n is even, making the choice reproducible.
-    """
-    roots = _nth_roots(c, n, p)
-    return roots[0] if roots else None
-
-
 class TriPoly:
     """Immutable-by-convention sparse polynomial in s, u, t."""
 
@@ -351,7 +341,7 @@ class TriPoly:
         """Evaluate at field elements (encoded ints) of ``field``."""
         if self.p is None:
             raise ValueError("reduce mod p before evaluating in a field")
-        if field.characteristic != self.p:
+        if field.p != self.p:
             raise ValueError("field characteristic does not match")
         mul = field.mul_table.item
         add = field.add_table.item
@@ -413,9 +403,10 @@ class TriPoly:
         li, lj, lkk = _unpack(lk)
         if li % n or lj % n or lkk % n:
             return None
-        lc_root = coeff_nth_root(self._c[lk], n, self.p)
-        if lc_root is None:
+        roots = _nth_roots(self._c[lk], n, self.p)
+        if not roots:
             return None
+        lc_root = roots[0]  # the least in F_p, the positive one over QQ
         root_key = _pack(li // n, lj // n, lkk // n)
         root = TriPoly({root_key: lc_root}, self.p)
         # each correction divides err's leading term by the one of n * root^(n-1)
@@ -502,11 +493,11 @@ class TriPoly:
         return TriPoly(out, p)
 
 
-def frobenius_strip(f: TriPoly) -> Tuple[TriPoly, int, int]:
-    """Write f = core^{p^k} + b with k maximal, over a prime field.
+def frobenius_strip(f: TriPoly) -> Tuple[TriPoly, int]:
+    """(core, k) with f = core^{p^k} and k maximal, over a prime field.
 
-    Over F_p the constant can always be absorbed, so b = 0; it is returned
-    for interface completeness.  Constant input is rejected.
+    Over F_p the constant is absorbed into the core.  Constant input is
+    rejected.
     """
     if f.p is None:
         raise ValueError("frobenius_strip needs a prime-field polynomial")
@@ -525,7 +516,7 @@ def frobenius_strip(f: TriPoly) -> Tuple[TriPoly, int, int]:
         g //= p
         k_max += 1
     if k_max == 0:
-        return f, 0, 0
+        return f, 0
     q = p**k_max
     const = f.constant_value()
     core: Dict[int, object] = {}
@@ -534,4 +525,4 @@ def frobenius_strip(f: TriPoly) -> Tuple[TriPoly, int, int]:
             continue
         core[_pack(i // q, j // q, kk // q)] = c
     core[0] = core.get(0, 0) + const  # c^{p^k} = c over F_p
-    return TriPoly(core, p), k_max, 0
+    return TriPoly(core, p), k_max

@@ -340,27 +340,37 @@ def _signed(word_shape: Tuple[int, ...], signbits: int) -> Tuple[Tuple[int, int]
     return tuple(zip(it, it))
 
 
-def enumerate_words(max_length: int, prime_complexity: bool = False) -> Iterator[Word]:
-    """All canonical words with length <= max_length, in a fixed order."""
-    for n in range(2, max_length + 1):
-        for r in range(1, n // 2 + 1):
-            if prime_complexity and not is_prime(r):
-                continue
-            for shape in _compositions(n, 2 * r):
-                for bits in range(1 << (2 * r)):
-                    yield Word.from_syllables(_signed(shape, bits))
+# the candidate sets a scan or sampler may be restricted to
+CONSTRAINTS = ("any", "prime-complexity")
 
 
-def _candidate_cells(max_length: int, prime_complexity: bool):
-    """(n, r, count) cells of the candidate set, with exact counts."""
+def _candidate_cells(max_length: int, constraint: str):
+    """(n, r, count) cells of the candidate set under a constraint, with exact counts.
+
+    The candidate set is every canonical word of length <= max_length
+    (syllable exponent lists with the stated sign choices), under
+    "prime-complexity" only those of prime complexity.
+    """
+    if constraint not in CONSTRAINTS:
+        raise ValueError(f"unknown constraint {constraint!r}")
     cells = []
     for n in range(2, max_length + 1):
         for r in range(1, n // 2 + 1):
-            if prime_complexity and not is_prime(r):
+            if constraint == "prime-complexity" and not is_prime(r):
                 continue
             count = math.comb(n - 1, 2 * r - 1) * 4**r
             cells.append((n, r, count))
     return cells
+
+
+def enumerate_words(max_length: int, constraint: str = "any") -> Iterator[Word]:
+    """All candidate words of length <= max_length, in a fixed order."""
+    return (
+        Word.from_syllables(_signed(shape, bits))
+        for n, r, _ in _candidate_cells(max_length, constraint)
+        for shape in _compositions(n, 2 * r)
+        for bits in range(1 << (2 * r))
+    )
 
 
 def sample_words(
@@ -369,20 +379,10 @@ def sample_words(
     seed: int = 0,
     constraint: str = "any",
 ) -> Iterator[Word]:
-    """Deterministic stream of canonical words, uniform over the candidate set.
-
-    The candidate set is every canonical word of length <= max_length
-    (syllable exponent lists with the stated sign choices), optionally
-    restricted to prime complexity.
-    """
-    if max_length < 2:
-        raise ValueError("max_length must be >= 2")
-    if constraint not in ("any", "prime-complexity"):
-        raise ValueError(f"unknown constraint {constraint!r}")
-    prime = constraint == "prime-complexity"
-    if prime and max_length < 4:
-        raise ValueError("prime complexity needs length >= 4")
-    cells = _candidate_cells(max_length, prime)
+    """Deterministic stream of canonical words, uniform over the candidate set."""
+    cells = _candidate_cells(max_length, constraint)
+    if not cells:
+        raise ValueError(f"no {constraint!r} candidate words of length <= {max_length}")
     total = sum(c for _, _, c in cells)
     rng = random.Random(seed)
     for _ in range(count):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from tracelab.cache import CACHE_VERSION, TraceCache, cached_trace_poly
-from tracelab.trace import trace_poly
+from tracelab.trace import TraceEngine, trace_poly
 from tracelab.words import parse
 
 
@@ -75,6 +75,22 @@ class TestCachedTracePoly:
         assert cold.f == warm.f == direct.f
         assert warm.u_degree == direct.u_degree
         assert warm.leading == direct.leading
+
+    def test_remembered_hit_is_not_traced_again(self, tmp_path, monkeypatch):
+        w = parse("yxxyX")  # not canonical: the key is the engine's to derive
+        cache = TraceCache(tmp_path / "c.json")
+        cache.store(w, trace_poly(w).f)
+        hit = cached_trace_poly(w, cache=cache)
+        stored, seeded = TraceEngine(), TraceEngine()
+        stored.remember(hit)
+        cached_trace_poly(w, cache=cache, engine=seeded)
+
+        def no_reduce(self, blocks):
+            raise AssertionError("a remembered word was traced again")
+
+        monkeypatch.setattr(TraceEngine, "_reduce_step", no_reduce)
+        for eng in (stored, seeded):
+            assert trace_poly(w, engine=eng).f == hit.f
 
     def test_degenerate_words_not_cached(self, tmp_path):
         cache = TraceCache(tmp_path / "c.json")

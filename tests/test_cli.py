@@ -191,6 +191,12 @@ class TestScan:
         assert got == (0, genericity_csv(sampled))
         assert got != run("scan", *argv)
 
+    def test_seed_without_samples_exit_two(self, capsys):
+        code, out = run("scan", "--n-max", "4", "--seed", "3")
+        assert code == 2
+        assert out == ""
+        assert "--samples" in capsys.readouterr().err
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_below_one_exit_two(self, samples, capsys):
         code, out = run("scan", "--n-max", "4", "--samples", samples)

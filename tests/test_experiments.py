@@ -129,6 +129,11 @@ class TestGenericity:
         with pytest.raises(ValueError, match="samples must be >= 1"):
             genericity_scan(4, mode="sampled", samples=samples)
 
+    def test_unknown_constraint_rejected(self):
+        for mode in ("exhaustive", "sampled"):
+            with pytest.raises(ValueError, match="unknown constraint 'bogus'"):
+                genericity_scan(5, mode=mode, constraint="bogus", certify=False)
+
     def test_exhaustive_cap(self):
         assert EXHAUSTIVE_SCAN_LIMIT == 14
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import pytest
 
 from tracelab import probes
-from tracelab.probes import count_level_set, level_set_counts
+from tracelab.probes import level_set_counts
 from tracelab.sl2 import lang_weil_check, spectrum_probe
 from tracelab.trace import trace_poly
 from tracelab.tripoly import TriPoly
@@ -80,16 +80,3 @@ class TestMemo:
         probe = spectrum_probe(fp, 11, [1])
         lang_weil_check(fp, 11, spectrum_exclusions=probe.flagged)
         assert passes == [11]
-
-
-class TestCountLevelSet:
-    @pytest.mark.parametrize("q", [3, 5, 9])
-    def test_single_level(self, q):
-        f = trace_poly(parse("xyxy")).f
-        counts = level_set_counts(f, q)
-        for z in range(q):
-            assert count_level_set(f, q, z) == counts[z]
-
-    def test_out_of_range_level(self):
-        with pytest.raises(ValueError):
-            count_level_set(U, 5, 5)

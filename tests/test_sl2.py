@@ -263,6 +263,12 @@ class TestPSL:
         rep = psl_fiber_distribution(parse("xyXY"), 7)
         assert sum(r.class_size * r.fiber_per_element for r in rep.rows) == rep.order**2
 
+    def test_rejects_the_report_of_another_word_or_q(self):
+        for wtext, q in (("xyxy", 7), ("xy", 5)):
+            other = fiber_distribution(parse(wtext), q)
+            with pytest.raises(ValueError, match="sl_report"):
+                psl_fiber_distribution(parse("xy"), 7, sl_report=other)
+
 
 class TestEquidistEpsilon:
     def test_uniform_word_needs_no_exclusions(self):
@@ -397,6 +403,12 @@ class TestImageAnalysis:
         dead = sum(r.class_size for r in fib.rows if r.fiber_per_element == 0)
         assert rep.omitted_element_fraction == Fraction(dead, q**3 - q)
 
+    def test_rejects_the_report_of_another_word_or_q(self):
+        for wtext, q in (("xyxy", 7), ("xy", 5)):
+            other = fiber_distribution(parse(wtext), q)
+            with pytest.raises(ValueError, match="sl_report"):
+                image_analysis(parse("xy"), 7, sl_report=other)
+
 
 class TestLangWeil:
     def test_uniform_polynomial_passes(self):
@@ -410,12 +422,6 @@ class TestLangWeil:
         rep = lang_weil_check(f, q)
         assert rep.all_pass
         assert rep.degree == 3
-
-    def test_bound_formula(self):
-        f = trace_poly(parse("xyXY")).f
-        rep = lang_weil_check(f, 9)
-        d = 3
-        assert rep.bound() == pytest.approx((d - 1) * (d - 2) * 27 + 12 * (d + 3) ** 4 * 9)
 
     def test_exclusions_respected(self):
         f = trace_poly(parse("xyXY")).f

@@ -161,9 +161,15 @@ class TestEnumerate:
             assert got == expect
 
     def test_prime_complexity_filter(self):
-        for w in enumerate_words(6, prime_complexity=True):
+        for w in enumerate_words(6, constraint="prime-complexity"):
             r = stats(w).r
             assert r in (2, 3)  # primes reachable at length <= 6
+
+    def test_unknown_constraint_rejected(self):
+        with pytest.raises(ValueError, match="unknown constraint"):
+            enumerate_words(5, constraint="bogus")
+        with pytest.raises(ValueError, match="unknown constraint"):
+            next(sample_words(5, 1, constraint="bogus"))
 
     def test_sampler_reproducible(self):
         a = [str(w) for w in sample_words(12, 20, seed=7)]
