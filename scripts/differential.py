@@ -22,6 +22,8 @@ Sections, each hashed separately:
   the first 35 fibers-stream requests;
 - levelsets-<seed>: ``SpectrumProbe`` and ``LangWeilReport`` reprs over the
   first 36 levelsets-stream requests;
+- pi-fibers: ``pi_fiber_table(q)`` and ``sorted(delta_locus(q))`` for q in
+  {2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 81};
 - power-words: ``power_word_report`` over every canonical word of length
   <= 6 and its square and cube;
 - syllables: ``syllable_polys(a, b)`` for 1 <= |a|, |b| <= 4;
@@ -45,6 +47,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
+PI_FIBER_QS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 81)
 
 
 def _digest(lines) -> str:
@@ -105,6 +108,12 @@ def _levelsets(tl, inputs, seed):
         yield repr(tl.lang_weil_check(fp, req.q, spectrum_exclusions=probe.flagged))
 
 
+def _pi_fibers(tl):
+    for q in PI_FIBER_QS:
+        yield q, tl.pi_fiber_table(q).tolist()
+        yield q, sorted(tl.delta_locus(q))
+
+
 def _power_words(tl):
     for w in tl.enumerate_words(6):
         for k in (1, 2, 3):
@@ -146,6 +155,7 @@ def sections(tl, inputs):
         yield f"fibers-{seed}", _fibers(tl, inputs, seed)
     for seed in SEEDS:
         yield f"levelsets-{seed}", _levelsets(tl, inputs, seed)
+    yield "pi-fibers", _pi_fibers(tl)
     yield "power-words", _power_words(tl)
     yield "syllables", _syllables(tl)
     runs, sheets = _theorem_and_measure(tl)

@@ -7,7 +7,6 @@ sheets, and the genericity scan over the canonical-word ensemble.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -23,6 +22,7 @@ from .decompose import (
 from .gf import field
 from .sl2 import (
     MAX_FIBER_Q,
+    _cor311_constants,
     equidist_epsilon,
     fiber_distribution,
     fraction_le_inv_sqrt,
@@ -154,9 +154,7 @@ def measure_preserving_report(w: Word, q: int) -> MeasureSheet:
     row is filled whenever q is within the enumeration guard.
     """
     d = trace_poly(w).f.total_degree()
-    q0 = 4 * (50 * d**4) ** 2
-    b_const = 100 * d**4 + 1
-    theoretical = 3 * b_const / math.sqrt(q)
+    q0, b_const, theoretical = _cor311_constants(d, q)
     active = q > q0
     observed: Optional[Fraction] = None
     consistent: Optional[bool] = None

@@ -15,7 +15,10 @@ table lookups.  The class of w(x_c, y) is looked up from its trace
 f_w(tr x_c, tr x_c y, tr y), with f_w evaluated once on F_q^3; only where
 that trace is +-2, and the class is central or unipotent, is the word
 evaluated on the pair.  Counts accumulate in a fixed class order, so
-results are deterministic.
+results are deterministic.  The pi-fiber counts need no pass over the
+group: they take four values, in closed form, chosen by the zero set of
+kappa = s^2 + t^2 + u^2 - sut - 4 = tr[x, y] - 2 on F_q^3, which is also
+the third factor of the degenerate locus.
 """
 
 from __future__ import annotations
@@ -481,6 +484,12 @@ class EquidistReport:
         }
 
 
+def _cor311_constants(d: int, q: int) -> tuple[int, int, float]:
+    """Cor. 3.11 at degree d: q0 = 4(50d^4)^2, B = 100d^4 + 1, and the bound 3B/sqrt(q)."""
+    b_const = 100 * d**4 + 1
+    return 4 * (50 * d**4) ** 2, b_const, 3 * b_const / math.sqrt(q)
+
+
 def epsilon_feasible(report: FiberReport, eps: Fraction) -> bool:
     """Can a set of at most eps*|G| elements absorb every deviation > eps?
 
@@ -516,6 +525,7 @@ def equidist_epsilon(report: FiberReport) -> EquidistReport:
     excluded = tuple(r.class_id for r in items[:best_cut])
     kept = tuple(r.class_id for r in items[best_cut:])
     d = trace_poly(report.word).f.total_degree()
+    q0, b_const, cor311 = _cor311_constants(d, report.q)
     return EquidistReport(
         q=report.q,
         group=report.group,
@@ -524,12 +534,12 @@ def equidist_epsilon(report: FiberReport) -> EquidistReport:
         epsilon=best_eps,
         excluded_classes=excluded,
         kept_classes=kept,
-        q0=4 * (50 * d**4) ** 2,
+        q0=q0,
         A=2 * (d + 8),
         alpha=1,
-        B=100 * d**4 + 1,
+        B=b_const,
         beta=Fraction(1, 2),
-        cor311_epsilon=3 * (100 * d**4 + 1) / math.sqrt(report.q),
+        cor311_epsilon=cor311,
     )
 
 
@@ -545,52 +555,43 @@ def fraction_le_inv_sqrt(eps: Fraction, c: Union[int, Fraction], q: int) -> bool
 # trace-triple fibers and the degenerate locus
 
 
-def pi_fiber_count(q: int, s: int, u: int, t: int) -> int:
-    """Exact #{(x,y) : tr x = s, tr xy = u, tr y = t} over SL(2,q).
+def _quad_roots(F: GF) -> np.ndarray:
+    """Number of roots in F_q of lambda^2 - z*lambda + 1, by z; it is 1 at z = +-2."""
+    return np.array([F.quad_root_count(z) for z in range(F.q)])
 
-    Runs over the <= 4 classes of trace s; for each representative the y
-    of trace t are laid out over their free entries, O(q^2) of them.
+
+def _kappa_zero(F: GF) -> np.ndarray:
+    """Where kappa = s^2 + t^2 + u^2 - sut - 4 vanishes on F_q^3, indexed [s, u, t].
+
+    kappa(tr x, tr xy, tr y) = tr[x, y] - 2, so this is the locus where the
+    pair (x, y) is not absolutely irreducible.
     """
-    table = build_class_table(q)
-    F = table.field
-    q_ = F.q
-    for v in (s, u, t):
-        if not 0 <= v < q_:
-            raise ValueError("trace coordinates must be element codes")
-    mt, at, nt = F.mul_table, F.add_table, F.neg_table
-    free = np.arange(q_, dtype=np.int64)
-    # y = (a, b, c, d) with d = t - a and det ad - bc = 1
-    a = free[:, None]
-    d = at[t, nt[a]]
-    ad = mt[a, d]
-    # b != 0: c = b^{-1} (ad - 1)
-    b = free[None, 1:]
-    c = mt[F.inv_table[b], at[ad, nt[F.one]]]
-    # b == 0: ad = 1, c free
-    a0 = a[ad == F.one][:, None]
-    d0 = at[t, nt[a0]]
-    total = 0
-    for cls in table.classes:
-        if cls.trace != s:
-            continue
-        cnt = (_trace_xy(F, cls.rep, (a, b, c, d)) == u).sum()
-        cnt += (_trace_xy(F, cls.rep, (a0, 0, free, d0)) == u).sum()
-        total += cls.size * int(cnt)
-    return total
+    s, u, t = (TriPoly.var(v, F.p) for v in "sut")
+    kappa = s * s + t * t + u * u - u * s * t - TriPoly.const(4, F.p)
+    return np.stack([val == 0 for val in _u_slices(kappa, F)], axis=1)
 
 
 def pi_fiber_table(q: int) -> np.ndarray:
-    """All pi-fiber counts at once, indexed [s, u, t]; O(#classes * |G|)."""
+    """All pi-fiber counts N(s, u, t), indexed [s, u, t], in closed form.
+
+    Off the locus kappa = 0 a pair is absolutely irreducible and its traces
+    fix it up to GL(2,q)-conjugacy (Fricke; A. M. Macbeath, "Generators of
+    the linear fractional groups", 1969), so N = q^3 - q.  On the locus, N
+    depends only on the number of roots in F_q of lambda^2 - z*lambda + 1,
+    for z the first of s, u, t other than +-2 (or t, when all three are):
+    q^2 - q with none, q^3 + q^2 - q with one (z = +-2), q(q+1)(2q-1) with
+    two.
+    """
     if q > MAX_FIBER_Q:
         raise ValueError(f"resource guard exceeded: q = {q} > {MAX_FIBER_Q}")
-    table = build_class_table(q)
-    F = table.field
-    ys = enumerate_group(F)
-    tr_y = _trace_xy(F, _IDENTITY, ys)
-    out = np.zeros((q, q, q), dtype=np.int64)
-    for cls in table.classes:
-        grid = np.bincount(_trace_xy(F, cls.rep, ys) * q + tr_y, minlength=q * q)
-        out[cls.trace] += cls.size * grid.reshape(q, q)
+    F = field(q)
+    roots = _quad_roots(F)
+    pm2 = roots == 1
+    codes = np.arange(q)
+    s, u, t = codes[:, None, None], codes[None, :, None], codes[None, None, :]
+    first = np.where(~pm2[s], s, np.where(~pm2[u], u, t))
+    on_locus = np.array([q * q - q, q**3 + q * q - q, q * (q + 1) * (2 * q - 1)])
+    out = np.where(_kappa_zero(F), on_locus[roots[first]], q**3 - q).astype(np.int64)
     if int(out.sum()) != (q**3 - q) ** 2:
         raise RuntimeError("pi-fiber table does not partition |G|^2")
     return out
@@ -599,18 +600,13 @@ def pi_fiber_table(q: int) -> np.ndarray:
 def delta_locus(q: int) -> set[tuple[int, int, int]]:
     """F_q-points (s, u, t) of (t^2-4)(s^2-4)(s^2+t^2+u^2-ust-4) = 0.
 
-    The product is built as a TriPoly over F_p and its zero set read from
-    the level-set evaluator, one (s, t) grid per u.
+    The zero set of the last factor is read from the kappa cube that
+    pi_fiber_table uses; the first two vanish where t or s is +-2.
     """
     F = field(q)
-    s, u, t = (TriPoly.var(v, F.p) for v in "sut")
-    four = TriPoly.const(4, F.p)
-    delta = (t * t - four) * (s * s - four) * (s * s + t * t + u * u - u * s * t - four)
-    return {
-        (sc, uc, tc)
-        for uc, val in enumerate(_u_slices(delta, F))
-        for sc, tc in np.argwhere(val == 0).tolist()
-    }
+    pm2 = _quad_roots(F) == 1
+    zero = _kappa_zero(F) | pm2[:, None, None] | pm2[None, None, :]
+    return {tuple(point) for point in np.argwhere(zero).tolist()}
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ and inversion, both of which preserve the trace.  D_k and V_k are
 ``unipoly``'s Dickson and Chebyshev polynomials, one recurrence f_(k+1) =
 z*f_k - f_(k-1); the last identity is Cayley-Hamilton for g^e, with g^(+-1)
 carrying the sign of e, so a block costs two traces whatever its exponent.
-An independent oracle evaluates the word on explicit matrices over a
-finite field and must agree pointwise.
+The test suite's oracle evaluates the word on explicit matrices over a
+finite field, and f_w must agree with it pointwise.
 
 Writing a canonical word as x^a1 y^b1 ... x^ar y^br, the expansion
 f_w = sum_k u^k G_k(s, t) stops exactly at k = r, and the single-syllable
@@ -188,76 +188,3 @@ def syllable_polys(a: int, b: int) -> SyllablePair:
         raise RuntimeError(f"degree contract failed for syllable ({a}, {b})")
     return SyllablePair(a=a, b=b, g=g, h=h)
 
-
-# -- matrix-evaluation oracle -------------------------------------------------
-
-
-def eval_trace_direct(w: Word, field, s: int, u: int, t: int) -> int:
-    """tr w(X, Y) for explicit matrices with tr X = s, tr XY = u, tr Y = t.
-
-    Works in R = F_q[T]/(T^2 - u*T + 1): with xi the class of T we have
-    xi * (u - xi) = 1, so X = [[s, -1], [1, 0]] and Y = [[0, xi],
-    [-(u - xi), t]] are in SL(2, R) and realize the three traces.  The
-    word's trace is a polynomial in s, u, t with integer coefficients, so
-    it lands in F_q; the T-component is checked to vanish.
-    """
-    # table lookups bound once: this loop is the oracle's whole cost
-    add = field.add_table.item
-    mul = field.mul_table.item
-    neg = field.neg_table.item
-
-    def radd(p, q):
-        return (add(p[0], q[0]), add(p[1], q[1]))
-
-    def rmul(p, q):
-        a, b = p
-        c, d = q
-        bd = mul(b, d)
-        re = add(mul(a, c), neg(bd))
-        im = add(add(mul(a, d), mul(b, c)), mul(u, bd))
-        return (re, im)
-
-    zero = (0, 0)
-    one = (1, 0)
-
-    def mmul(A, B):
-        a00, a01, a10, a11 = A
-        b00, b01, b10, b11 = B
-        return (
-            radd(rmul(a00, b00), rmul(a01, b10)),
-            radd(rmul(a00, b01), rmul(a01, b11)),
-            radd(rmul(a10, b00), rmul(a11, b10)),
-            radd(rmul(a10, b01), rmul(a11, b11)),
-        )
-
-    def rneg(p):
-        return (neg(p[0]), neg(p[1]))
-
-    def minv(A):
-        # determinant is 1 throughout, so the adjugate inverts
-        a00, a01, a10, a11 = A
-        return (a11, rneg(a01), rneg(a10), a00)
-
-    def mpow(A, e):
-        out = (one, zero, zero, one)
-        while e:
-            if e & 1:
-                out = mmul(out, A)
-            e >>= 1
-            if e:
-                A = mmul(A, A)
-        return out
-
-    xi = (0, 1)
-    mx = ((s, 0), (neg(1), 0), one, zero)
-    my = (zero, xi, (neg(u), 1), (t, 0))
-    acc = (one, zero, zero, one)
-    for g, e in w.blocks:
-        base = mx if g == X else my
-        if e < 0:
-            base, e = minv(base), -e
-        acc = mmul(acc, mpow(base, e))
-    tr = radd(acc[0], acc[3])
-    if tr[1] != 0:
-        raise RuntimeError("trace left the base field")
-    return tr[0]

@@ -379,12 +379,18 @@ def sample_words(
     seed: int = 0,
     constraint: str = "any",
 ) -> Iterator[Word]:
-    """Deterministic stream of canonical words, uniform over the candidate set."""
+    """Deterministic stream of canonical words, uniform over the candidate set.
+
+    The arguments are checked at the call, before the first word is drawn.
+    """
     cells = _candidate_cells(max_length, constraint)
     if not cells:
         raise ValueError(f"no {constraint!r} candidate words of length <= {max_length}")
+    return _sampled(cells, count, random.Random(seed))
+
+
+def _sampled(cells, count: int, rng: random.Random) -> Iterator[Word]:
     total = sum(c for _, _, c in cells)
-    rng = random.Random(seed)
     for _ in range(count):
         idx = rng.randrange(total)
         for n, r, c in cells:

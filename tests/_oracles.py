@@ -4,10 +4,11 @@ Everything here deliberately avoids the library's own computational paths:
 polynomials are plain dicts, words are letter strings, group elements are
 4-tuples multiplied by hand.  Field arithmetic reuses the GF lookup tables
 (addition/multiplication in a finite field has one correct answer; the
-interesting logic being cross-checked lives above that layer).  The one
-exception is `direct_fiber_totals`, which reuses the library's direct word
-evaluator and class lookup (both checked against brute force in the tests)
-as the reference for the fiber counts that `sl2` reads from f_w.
+interesting logic being cross-checked lives above that layer).  The
+exceptions are `direct_fiber_totals` and `group_pi_table`, which reuse the
+library's group enumeration, direct word evaluator and class lookup (all
+checked against brute force in the tests) as the references for the fiber
+counts that `sl2` reads from f_w and for its closed-form pi-fiber table.
 """
 
 from collections import Counter
@@ -16,7 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from tracelab.gf import field
-from tracelab.sl2 import _eval_word, build_class_table, enumerate_group
+from tracelab.sl2 import _IDENTITY, _eval_word, _trace_xy, build_class_table, enumerate_group
+from tracelab.words import X as GEN_X
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials in one variable x, as {exponent: coefficient} dicts
@@ -157,6 +159,81 @@ def trace_by_product(wtext):
 
 
 # ---------------------------------------------------------------------------
+# trace of a Word on explicit matrices over F_q[T]/(T^2 - u*T + 1)
+
+
+def eval_trace_direct(w, field, s, u, t):
+    """tr w(X, Y) for explicit matrices with tr X = s, tr XY = u, tr Y = t.
+
+    Works in R = F_q[T]/(T^2 - u*T + 1): with xi the class of T we have
+    xi * (u - xi) = 1, so X = [[s, -1], [1, 0]] and Y = [[0, xi],
+    [-(u - xi), t]] are in SL(2, R) and realize the three traces.  The
+    word's trace is a polynomial in s, u, t with integer coefficients, so
+    it lands in F_q; the T-component is checked to vanish.
+    """
+    # table lookups bound once: this loop is the oracle's whole cost
+    add = field.add_table.item
+    mul = field.mul_table.item
+    neg = field.neg_table.item
+
+    def radd(p, q):
+        return (add(p[0], q[0]), add(p[1], q[1]))
+
+    def rmul(p, q):
+        a, b = p
+        c, d = q
+        bd = mul(b, d)
+        re = add(mul(a, c), neg(bd))
+        im = add(add(mul(a, d), mul(b, c)), mul(u, bd))
+        return (re, im)
+
+    zero = (0, 0)
+    one = (1, 0)
+
+    def mmul(A, B):
+        a00, a01, a10, a11 = A
+        b00, b01, b10, b11 = B
+        return (
+            radd(rmul(a00, b00), rmul(a01, b10)),
+            radd(rmul(a00, b01), rmul(a01, b11)),
+            radd(rmul(a10, b00), rmul(a11, b10)),
+            radd(rmul(a10, b01), rmul(a11, b11)),
+        )
+
+    def rneg(p):
+        return (neg(p[0]), neg(p[1]))
+
+    def minv(A):
+        # determinant is 1 throughout, so the adjugate inverts
+        a00, a01, a10, a11 = A
+        return (a11, rneg(a01), rneg(a10), a00)
+
+    def mpow(A, e):
+        out = (one, zero, zero, one)
+        while e:
+            if e & 1:
+                out = mmul(out, A)
+            e >>= 1
+            if e:
+                A = mmul(A, A)
+        return out
+
+    xi = (0, 1)
+    mx = ((s, 0), (neg(1), 0), one, zero)
+    my = (zero, xi, (neg(u), 1), (t, 0))
+    acc = (one, zero, zero, one)
+    for g, e in w.blocks:
+        base = mx if g == GEN_X else my
+        if e < 0:
+            base, e = minv(base), -e
+        acc = mmul(acc, mpow(base, e))
+    tr = radd(acc[0], acc[3])
+    if tr[1] != 0:
+        raise RuntimeError("trace left the base field")
+    return tr[0]
+
+
+# ---------------------------------------------------------------------------
 # words as letter strings over {x, X, y, Y}
 
 
@@ -294,6 +371,23 @@ def direct_fiber_totals(w, q):
         idx = table.classify_array(*(np.broadcast_to(v, (n,)) for v in vals))
         totals += cls.size * np.bincount(idx, minlength=len(totals))
     return totals.tolist()
+
+
+def group_pi_table(q):
+    """pi-fiber counts indexed [s, u, t], by one pass over the group per class.
+
+    Each class representative x_c is run against every y; the pairs are
+    counted by (tr x_c y, tr y) and weighted by the size of x_c's class.
+    """
+    table = build_class_table(q)
+    F = table.field
+    ys = enumerate_group(F)
+    tr_y = _trace_xy(F, _IDENTITY, ys)
+    out = np.zeros((q, q, q), dtype=np.int64)
+    for cls in table.classes:
+        grid = np.bincount(_trace_xy(F, cls.rep, ys) * q + tr_y, minlength=q * q)
+        out[cls.trace] += cls.size * grid.reshape(q, q)
+    return out
 
 
 def brute_psl_fibers(wtext, q):

@@ -29,7 +29,7 @@ from tracelab.sl2 import (
     psl_fiber_distribution,
     spectrum_probe,
 )
-from tracelab.trace import TraceEngine, eval_trace_direct, trace_poly
+from tracelab.trace import TraceEngine, trace_poly
 from tracelab.tripoly import TriPoly
 from tracelab.unipoly import dickson, dickson_apply
 from tracelab.words import Word, enumerate_words, parse, sample_words, stats
@@ -37,6 +37,7 @@ from tracelab.words import Word, enumerate_words, parse, sample_words, stats
 from _oracles import (
     LAU_S,
     brute_psl_fibers,
+    eval_trace_direct,
     group_elements,
     lau_from_unipoly,
     mat_neg,

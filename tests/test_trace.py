@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracelab.gf import field
-from tracelab.trace import (
-    TraceEngine,
-    eval_trace_direct,
-    syllable_polys,
-    trace_poly,
-)
+from tracelab.trace import TraceEngine, syllable_polys, trace_poly
 from tracelab.tripoly import TriPoly
 from tracelab.unipoly import chebyshev_v, dickson, dickson_apply
 from tracelab.words import X, Word, enumerate_words, parse, sample_words, stats
@@ -19,6 +14,7 @@ from _oracles import (
     LAU_S,
     LAU_X,
     LAU_XINV,
+    eval_trace_direct,
     lau_add,
     lau_from_unipoly,
     lau_mul,

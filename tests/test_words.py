@@ -169,7 +169,12 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="unknown constraint"):
             enumerate_words(5, constraint="bogus")
         with pytest.raises(ValueError, match="unknown constraint"):
-            next(sample_words(5, 1, constraint="bogus"))
+            sample_words(5, 1, constraint="bogus")
+
+    def test_empty_candidate_set_rejected(self):
+        # complexity 1 is the only one up to length 3, and it is not prime
+        with pytest.raises(ValueError, match="no 'prime-complexity' candidate words"):
+            sample_words(3, 1, constraint="prime-complexity")
 
     def test_sampler_reproducible(self):
         a = [str(w) for w in sample_words(12, 20, seed=7)]
