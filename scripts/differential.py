@@ -20,6 +20,8 @@ Sections, each hashed separately:
   sampled n = 8 scans (200 samples, seed 5);
 - fibers-<seed>: SL and PSL CSVs, epsilon JSON and ``ImageReport`` over
   the first 35 fibers-stream requests;
+- fibers-large-q: the same four outputs for xyXY, xyxy, x^4yX^2Yx^2yX^2Y
+  and xxyXYYxyXy at q in {49, 64, 81}, past the fibers stream's q <= 32;
 - levelsets-<seed>: ``SpectrumProbe`` and ``LangWeilReport`` reprs over the
   first 36 levelsets-stream requests;
 - pi-fibers: ``pi_fiber_table(q)`` and ``sorted(delta_locus(q))`` for q in
@@ -48,6 +50,8 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 PI_FIBER_QS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 81)
+LARGE_FIBER_WORDS = ("xyXY", "xyxy", "x^4yX^2Yx^2yX^2Y", "xxyXYYxyXy")
+LARGE_FIBER_QS = (49, 64, 81)
 
 
 def _digest(lines) -> str:
@@ -87,15 +91,23 @@ def _scans(tl):
         yield f"scan-sampled-{constraint}", tl.genericity_csv(sampled)
 
 
+def _fiber_outputs(tl, w, q):
+    report = tl.fiber_distribution(w, q)
+    yield report.to_csv()
+    if q % 2:
+        yield tl.psl_fiber_distribution(w, q, sl_report=report).to_csv()
+    yield json.dumps(tl.equidist_epsilon(report).to_json_dict(), sort_keys=True)
+    yield repr(tl.image_analysis(w, q, sl_report=report))
+
+
 def _fibers(tl, inputs, seed):
     for req in itertools.islice(inputs.fibers_stream(seed), 35):
-        w, q = tl.Word.from_syllables(req.syllables), req.q
-        report = tl.fiber_distribution(w, q)
-        yield report.to_csv()
-        if q % 2:
-            yield tl.psl_fiber_distribution(w, q, sl_report=report).to_csv()
-        yield json.dumps(tl.equidist_epsilon(report).to_json_dict(), sort_keys=True)
-        yield repr(tl.image_analysis(w, q, sl_report=report))
+        yield from _fiber_outputs(tl, tl.Word.from_syllables(req.syllables), req.q)
+
+
+def _fibers_large_q(tl):
+    for text, q in itertools.product(LARGE_FIBER_WORDS, LARGE_FIBER_QS):
+        yield from _fiber_outputs(tl, tl.parse(text), q)
 
 
 def _levelsets(tl, inputs, seed):
@@ -153,6 +165,7 @@ def sections(tl, inputs):
         yield name, [text]
     for seed in SEEDS:
         yield f"fibers-{seed}", _fibers(tl, inputs, seed)
+    yield "fibers-large-q", _fibers_large_q(tl)
     for seed in SEEDS:
         yield f"levelsets-{seed}", _levelsets(tl, inputs, seed)
     yield "pi-fibers", _pi_fibers(tl)

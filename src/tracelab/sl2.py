@@ -8,17 +8,20 @@ screens for level-set irreducibility.
 Matrices are row-major 4-tuples (a, b, c, d) of field element codes for
 [[a, b], [c, d]].  A class is looked up by (trace, kind): kind 0 is the
 class of a trace other than +-2 or the central class +-I, kinds 1 and 2
-the unipotent classes of trace +-2 (see ClassTable).  Fiber counting
-iterates class representatives x_c on the x side against the whole group
-on the y side, in one pass per class that reads tr(x_c y) through flat
-table lookups.  The class of w(x_c, y) is looked up from its trace
-f_w(tr x_c, tr x_c y, tr y), with f_w evaluated once on F_q^3; only where
-that trace is +-2, and the class is central or unipotent, is the word
-evaluated on the pair.  Counts accumulate in a fixed class order, so
-results are deterministic.  The pi-fiber counts need no pass over the
-group: they take four values, in closed form, chosen by the zero set of
+the unipotent classes of trace +-2 (see ClassTable).
+
+The pi-fiber counts N(s, u, t), the pairs (x, y) with tr x = s,
+tr xy = u and tr y = t, need no pass over the group: they take four
+values, in closed form, chosen by the zero set of
 kappa = s^2 + t^2 + u^2 - sut - 4 = tr[x, y] - 2 on F_q^3, which is also
-the third factor of the degenerate locus.
+the third factor of the degenerate locus.  Fiber counting weighs each
+point of F_q^3 by N and reads the class of w on its pairs from
+f_w(s, u, t), evaluated once on F_q^3: a trace other than +-2 fixes the
+class.  Where f_w = +-2 the word is evaluated, to split central from
+unipotent: off the locus kappa = 0 on one representative pair per point,
+since a pi-fiber there is one free PGL(2,q)-orbit; on it, on every pair
+of a class representative x_c and a y with those traces.  Counts
+accumulate in a fixed class order, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -36,8 +39,10 @@ from .trace import trace_poly
 from .tripoly import TriPoly
 from .words import Word, X as _GEN_X
 
-# Fiber enumeration is O(#classes * |G|); beyond this q the batches stop
-# fitting comfortably in desk-scale memory/time.
+# Fiber reports hold f_w and the pi-fiber kinds on F_q^3, and evaluate the
+# word on class representatives against the group at the locus points
+# where f_w is +-2, O(#classes * |G|) at worst (the commutator); beyond this
+# q that stops fitting in desk-scale memory and time.
 MAX_FIBER_Q = 81
 
 # fiber_distribution reads classes from f_w for words of at most this many
@@ -59,15 +64,15 @@ _IDENTITY: Matrix = (1, 0, 0, 1)
 
 
 def _mat_mul(F: GF, M, N):
+    """M N, reading the GF tables through flat 1-D takes."""
     a, b, c, d = M
     e, f, g, h = N
-    mt, at = F.mul_table, F.add_table
-    return (
-        at[mt[a, e], mt[b, g]],
-        at[mt[a, f], mt[b, h]],
-        at[mt[c, e], mt[d, g]],
-        at[mt[c, f], mt[d, h]],
-    )
+    q, add, mul = F.q, F.add_table.ravel(), F.mul_table.ravel()
+
+    def dot(x0, y0, x1, y1):  # x0 y0 + x1 y1
+        return add.take(mul.take(x0 * q + y0) * q + mul.take(x1 * q + y1))
+
+    return dot(a, e, b, g), dot(a, f, b, h), dot(c, e, d, g), dot(c, f, d, h)
 
 
 def _mat_pow(F: GF, M, e: int):
@@ -310,8 +315,8 @@ def class_fiber_counts(
     """#{y in batch : w(xmat, y) lands in class C}, per class C.
 
     Evaluates the word directly; fiber_distribution calls it on the pairs
-    where f_w leaves the class open, those of trace +-2, and on every pair
-    for a word too long to trace.
+    at locus points where f_w is +-2, and on every pair for a word too long
+    to trace.
     """
     n = ys[0].shape[0]
     vals = _eval_word(table.field, w, xmat, ys)
@@ -319,42 +324,141 @@ def class_fiber_counts(
     return np.bincount(idx, minlength=len(table.classes))
 
 
+def _off_locus_pairs(F: GF, s, u, t):
+    """One pair (x, y) in SL(2,q) with traces (s, u, t) per point off the locus.
+
+    x = [[0, -1], [1, s]] and y = [[a, b], [c, d]] with d = t - a and
+    b = u + c - s d, where c is a root of c^2 + (u - s d) c + (1 - a d), so
+    that det y = 1.  The roots are read from one table by the coefficients,
+    which holds in characteristic 2 too, and a = 0, 1, ... is tried at the
+    points still without a root.  Every point off the locus kappa = 0 has
+    such a pair: the first entry of a pair there is not scalar, so it is
+    GL(2,q)-conjugate to this x, and conjugation keeps the three traces.
+    """
+    q, add, mul, neg = F.q, F.add_table, F.mul_table, F.neg_table
+    beta, c = np.arange(q)[:, None], np.arange(q)
+    roots = np.full((q, q), -1)  # [beta, gamma]: a root of c^2 + beta c + gamma, or -1
+    roots[beta, neg[add[mul[c, c], mul[beta, c]]]] = c
+    x = (F.zero, F.neg(F.one), F.one, s)
+    y = tuple(np.zeros(len(s), dtype=np.int64) for _ in range(4))
+    todo = np.arange(len(s))
+    for a in range(q):
+        d = add[t[todo], neg[a]]
+        beta = add[u[todo], neg[mul[s[todo], d]]]
+        c = roots[beta, add[F.one, neg[mul[a, d]]]]
+        ok = c >= 0
+        for entry, val in zip(y, (a, add[beta[ok], c[ok]], c[ok], d[ok])):
+            entry[todo[ok]] = val
+        todo = todo[~ok]
+        if not todo.size:
+            return x, y
+    raise RuntimeError("a point off the locus has no representative pair")
+
+
+def _off_locus_totals(w: Word, table: ClassTable, points, z) -> np.ndarray:
+    """Pairs per class over the flat [s, u, t] points off the locus where f_w = z = +-2.
+
+    The pi-fiber of such a point is one free PGL(2,q)-orbit, and the class
+    of w is conjugation-invariant there, so one pair decides the point: if
+    w is central there, the central class of trace z gets all q^3 - q pairs;
+    if not, they split evenly over the unipotent classes of trace z (two
+    when q is odd, one when q is even), which conjugation by PGL(2,q) swaps.
+    """
+    F, q = table.field, table.q
+    x, y = _off_locus_pairs(F, points // (q * q), points // q % q, points % q)
+    vals = [np.broadcast_to(v, z.shape) for v in _eval_word(F, w, x, y)]
+    if not np.array_equal(F.add_table[vals[0], vals[3]], z):
+        raise RuntimeError("the word's trace differs from f_w at a representative pair")
+    idx = table.classify_array(*vals)
+    central = idx == table.trace_class.take(z)
+    unipotent = table._index[z[~central], 1:]
+    order, ncls = q**3 - q, len(table.classes)
+    central_counts = np.bincount(idx[central], minlength=ncls)
+    unipotent_counts = np.bincount(unipotent[unipotent >= 0], minlength=ncls)
+    return order * central_counts + order // (1 + q % 2) * unipotent_counts
+
+
+def _locus_totals(w: Word, table: ClassTable, points) -> np.ndarray:
+    """Pairs per class over the flat [s, u, t] points on the locus where f_w is +-2.
+
+    Each class representative x_c of trace s is run against the y whose
+    trace t has a point (s, u, t) to count, and the word is evaluated on
+    the pairs with tr x_c y = u there.
+    """
+    F, q = table.field, table.q
+    totals = np.zeros(len(table.classes), dtype=np.int64)
+    if not points.size:
+        return totals
+    target = np.zeros(q**3, dtype=bool)
+    target[points] = True
+    target = target.reshape(q, q * q)  # [s, u * q + t]
+    ys = enumerate_group(F)
+    tr_y = _trace_xy(F, _IDENTITY, ys)
+    for cls in table.classes:
+        at_t = target[cls.trace].reshape(q, q).any(axis=0)
+        if not at_t.any():
+            continue
+        sel = np.flatnonzero(at_t.take(tr_y))
+        sub = tuple(v.take(sel) for v in ys)
+        u = _trace_xy(F, cls.rep, sub)
+        keep = np.flatnonzero(target[cls.trace].take(u * q + tr_y.take(sel)))
+        sub = tuple(v.take(keep) for v in sub)
+        totals += cls.size * class_fiber_counts(w, table, sub, cls.rep)
+    return totals
+
+
+def _traced_totals(w: Word, table: ClassTable) -> np.ndarray:
+    """#{(x, y) : w(x, y) in C} per class C, through f_w and the pi-fiber weights.
+
+    Every point (s, u, t) of F_q^3 carries N(s, u, t) pairs, and the class
+    of w on them is fixed by z = f_w(s, u, t) unless z = +-2.  So a trace
+    z other than +-2 gets the sum of N over the points where f_w = z, one
+    bincount over (f_w, kind of N).  The points where f_w = +-2 are split
+    by the word itself: off the locus through one representative pair
+    each, on it through every pair of a class representative and a y.
+    """
+    F, q = table.field, table.q
+    fw = np.stack(list(_u_slices(trace_poly(w).f.reduce_mod(F.p), F)), axis=1).ravel()
+    kinds = _pi_fiber_kinds(F).ravel()
+    weights = np.bincount(fw * 4 + kinds, minlength=4 * q).reshape(q, 4) @ _pi_fiber_values(q)
+    totals = np.zeros(len(table.classes), dtype=np.int64)
+    fixed = np.flatnonzero(~table.trace_open)
+    totals[table.trace_class.take(fixed)] = weights.take(fixed)
+    pm2 = table.trace_open.take(fw)
+    off_locus = np.flatnonzero(pm2 & (kinds == 0))
+    on_locus = np.flatnonzero(pm2 & (kinds > 0))
+    z = fw.take(off_locus)
+    del fw, kinds, pm2
+    totals += _off_locus_totals(w, table, off_locus, z)
+    return totals + _locus_totals(w, table, on_locus)
+
+
 def fiber_distribution(w: Word, q: int) -> FiberReport:
     """Exact per-element fiber counts of the word map on SL(2,q).
 
-    Iterates class representatives x_c against all y, accumulating the class
-    of w(x_c, y) weighted by |class(x_c)|, then divides per-class totals by
-    the target class size; exactness of that division is asserted.  The
-    class of w(x_c, y) is read from z = f_w(tr x_c, tr x_c y, tr y), which
-    fixes it unless z = +-2: f_w is evaluated once on F_q^3, and the word
-    itself only on the pairs where z = +-2, to split central from unipotent.
-    Exponents are first reduced modulo a multiple of every element order;
-    a word still longer than _MAX_TRACED_LENGTH letters is evaluated on
-    every pair, so the cost stays polynomial in the word.
+    Counts the pairs (x, y) with w(x, y) in each class C, then divides the
+    per-class totals by the class sizes; exactness of that division is
+    asserted.  Exponents are first reduced modulo a multiple of every
+    element order.  The totals are read from f_w on F_q^3, each point
+    (s, u, t) weighted by its pi-fiber count N(s, u, t); the word itself is
+    evaluated only where f_w = +-2, to split central from unipotent: on one
+    representative pair per point off the locus kappa = 0, and on every
+    pair of a class representative and a y on it.  A word still longer
+    than _MAX_TRACED_LENGTH letters is evaluated on every pair of a class
+    representative and a y, so the cost stays polynomial in the word.
     """
     if q > MAX_FIBER_Q:
         raise ValueError(f"resource guard exceeded: q = {q} > {MAX_FIBER_Q}")
     table = build_class_table(q)
-    F = table.field
     v = _exponent_residues(w, q)
-    ys = enumerate_group(F)
     order = q**3 - q
-    ncls = len(table.classes)
-    totals = np.zeros(ncls, dtype=np.int64)
     if v.length > _MAX_TRACED_LENGTH:
+        ys = enumerate_group(table.field)
+        totals = np.zeros(len(table.classes), dtype=np.int64)
         for cls in table.classes:
             totals += cls.size * class_fiber_counts(v, table, ys, cls.rep)
     else:
-        cube = np.stack(list(_u_slices(trace_poly(v).f.reduce_mod(F.p), F)))  # [u, s, t]
-        tr_y = _trace_xy(F, _IDENTITY, ys)
-        for cls in table.classes:
-            z = cube[:, cls.trace].ravel().take(_trace_xy(F, cls.rep, ys) * q + tr_y)
-            pm2 = table.trace_open.take(z)
-            counts = np.bincount(table.trace_class.take(z[~pm2]), minlength=ncls)
-            sub = np.flatnonzero(pm2)
-            if sub.size:
-                counts += class_fiber_counts(v, table, tuple(y.take(sub) for y in ys), cls.rep)
-            totals += cls.size * counts
+        totals = _traced_totals(v, table)
     if (totals % table.sizes != 0).any():
         raise RuntimeError("per-class totals are not divisible by class sizes")
     per_element = totals // table.sizes
@@ -571,6 +675,28 @@ def _kappa_zero(F: GF) -> np.ndarray:
     return np.stack([val == 0 for val in _u_slices(kappa, F)], axis=1)
 
 
+def _pi_fiber_kinds(F: GF) -> np.ndarray:
+    """Which closed-form value N(s, u, t) takes, as int8 codes indexed [s, u, t].
+
+    Kind 0 is off the locus kappa = 0.  On it the kind is 1 plus the number
+    of roots in F_q of lambda^2 - z*lambda + 1, for z the first of s, u, t
+    other than +-2 (or t, when all three are).  _pi_fiber_values gives the
+    count of each kind.
+    """
+    roots = _quad_roots(F).astype(np.int8)
+    pm2 = roots == 1
+    codes = np.arange(F.q)
+    s, u, t = codes[:, None, None], codes[None, :, None], codes[None, None, :]
+    first = np.where(~pm2[s], s, np.where(~pm2[u], u, t))
+    return np.where(_kappa_zero(F), roots[first] + 1, 0).astype(np.int8)
+
+
+def _pi_fiber_values(q: int) -> np.ndarray:
+    """N(s, u, t) by kind: q^3 - q off the locus; on it q^2 - q, q^3 + q^2 - q
+    or q(q+1)(2q-1) when lambda^2 - z*lambda + 1 has 0, 1 or 2 roots."""
+    return np.array([q**3 - q, q * q - q, q**3 + q * q - q, q * (q + 1) * (2 * q - 1)])
+
+
 def pi_fiber_table(q: int) -> np.ndarray:
     """All pi-fiber counts N(s, u, t), indexed [s, u, t], in closed form.
 
@@ -584,14 +710,7 @@ def pi_fiber_table(q: int) -> np.ndarray:
     """
     if q > MAX_FIBER_Q:
         raise ValueError(f"resource guard exceeded: q = {q} > {MAX_FIBER_Q}")
-    F = field(q)
-    roots = _quad_roots(F)
-    pm2 = roots == 1
-    codes = np.arange(q)
-    s, u, t = codes[:, None, None], codes[None, :, None], codes[None, None, :]
-    first = np.where(~pm2[s], s, np.where(~pm2[u], u, t))
-    on_locus = np.array([q * q - q, q**3 + q * q - q, q * (q + 1) * (2 * q - 1)])
-    out = np.where(_kappa_zero(F), on_locus[roots[first]], q**3 - q).astype(np.int64)
+    out = _pi_fiber_values(q).take(_pi_fiber_kinds(field(q)))
     if int(out.sum()) != (q**3 - q) ** 2:
         raise RuntimeError("pi-fiber table does not partition |G|^2")
     return out

@@ -227,6 +227,23 @@ class TestFiberDistribution:
             fiber_distribution(parse("xy"), 83)
         assert MAX_FIBER_Q == 81
 
+    @pytest.mark.parametrize("q", [25, 32])
+    def test_matches_direct_evaluation_on_and_off_the_locus(self, q):
+        # each word has f_w = +-2 both on and off the locus kappa = 0
+        for wtext in ("xyXY", "xyxy", "x^4yX^2Yx^2yX^2Y", "xxyXYYxyXy"):
+            w = parse(wtext)
+            rep = fiber_distribution(w, q)
+            got = [r.class_size * r.fiber_per_element for r in rep.rows]
+            assert got == direct_fiber_totals(w, q), wtext
+
+    def test_traced_report_within_budget(self):
+        w = parse("xxyXYYxyXy")
+        t0 = time.monotonic()
+        rep = fiber_distribution(w, 81)
+        elapsed = time.monotonic() - t0
+        assert elapsed <= 1.2, f"budget exceeded: {elapsed:.2f}s > 1.2s"
+        assert sum(r.class_size * r.fiber_per_element for r in rep.rows) == rep.order**2
+
     def test_csv_shape(self):
         rep = fiber_distribution(parse("xy"), 3)
         lines = rep.to_csv().strip().splitlines()
@@ -334,12 +351,39 @@ class TestPiFibers:
         assert int(tab.sum()) == (q**3 - q) ** 2
 
     def test_resource_guard(self, monkeypatch):
-        def no_table(q):
-            raise AssertionError("class table built past the guard")
+        def no_field(q):
+            raise AssertionError("field built past the guard")
 
-        monkeypatch.setattr(sl2, "build_class_table", no_table)
+        monkeypatch.setattr(sl2, "field", no_field)
         with pytest.raises(ValueError, match="resource guard exceeded"):
             pi_fiber_table(83)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27])
+    def test_off_locus_representatives(self, q):
+        F = field(q)
+        add, mul, neg = F.add_table, F.mul_table, F.neg_table
+
+        def sub(a, b):
+            return add[a, neg[b]]
+
+        s, u, t = (v.ravel() for v in np.indices((q, q, q)))
+        # kappa = s^2 + t^2 + u^2 - s u t - 4
+        kappa = add[add[mul[s, s], mul[t, t]], sub(mul[u, u], mul[mul[s, u], t])]
+        off = sub(kappa, F.embed_int(4)) != 0
+        s, u, t = s[off], u[off], t[off]
+        (x0, x1, x2, x3), (y0, y1, y2, y3) = sl2._off_locus_pairs(F, s, u, t)
+        assert (sub(mul[x0, x3], mul[x1, x2]) == F.one).all()
+        assert (sub(mul[y0, y3], mul[y1, y2]) == F.one).all()
+        assert np.array_equal(add[x0, x3], s)
+        assert np.array_equal(add[y0, y3], t)
+        # tr(x y) = x0 y0 + x1 y2 + x2 y1 + x3 y3
+        tr_xy = add[add[mul[x0, y0], mul[x1, y2]], add[mul[x2, y1], mul[x3, y3]]]
+        assert np.array_equal(tr_xy, u)
+
+    def test_point_without_representative_raises(self):
+        # at q = 3 the locus point (-2, 0, 0) is reached only with x = -I
+        with pytest.raises(RuntimeError, match="no representative pair"):
+            sl2._off_locus_pairs(field(3), np.array([1]), np.array([0]), np.array([0]))
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
     def test_table_equals_group_pass(self, q):
