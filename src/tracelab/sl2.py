@@ -19,9 +19,12 @@ point of F_q^3 by N and reads the class of w on its pairs from
 f_w(s, u, t), evaluated once on F_q^3: a trace other than +-2 fixes the
 class.  Where f_w = +-2 the word is evaluated, to split central from
 unipotent: off the locus kappa = 0 on one representative pair per point,
-since a pi-fiber there is one free PGL(2,q)-orbit; on it, on every pair
-of a class representative x_c and a y with those traces.  Counts
-accumulate in a fixed class order, so results are deterministic.
+since a pi-fiber there is one free PGL(2,q)-orbit; on it, on the pairs of
+each class representative x_c of trace s with the y of tr y = t and
+tr x_c y = u, solved from their conic at about q pairs per point, or one
+y per class when x_c is central.  No pass over the group is made unless a
+word is too long to trace.  Counts accumulate in a fixed class order, so
+results are deterministic.
 """
 
 from __future__ import annotations
@@ -40,10 +43,12 @@ from .tripoly import TriPoly
 from .words import Word, X as _GEN_X
 
 # Fiber reports hold f_w and the pi-fiber kinds on F_q^3, and evaluate the
-# word on class representatives against the group at the locus points
-# where f_w is +-2, O(#classes * |G|) at worst (the commutator); beyond this
-# q that stops fitting in desk-scale memory and time.
-MAX_FIBER_Q = 81
+# word on about q pairs per class representative at each locus point where
+# f_w is +-2, O(q^3) pairs at worst (the commutator), in bounded batches.
+# This is the top of the level-set screens' q list, so epsilon can be
+# tested at the same q; there the commutator's report takes about 0.8 s and
+# 70 MB peak RSS on a 2-vCPU host.
+MAX_FIBER_Q = 128
 
 # fiber_distribution reads classes from f_w for words of at most this many
 # letters after exponent reduction, and evaluates longer words on every
@@ -53,6 +58,11 @@ MAX_FIBER_Q = 81
 # 260 random 32-letter words traced in 0.33 s, while at 40 and 48 letters
 # it reaches 1.6 s and 9.7 s (463 MB).
 _MAX_TRACED_LENGTH = 32
+
+# A longer word is evaluated on every pair of a class representative and a
+# group element, O(q^4) matrix products per letter; fiber_distribution
+# refuses it beyond this q.
+_MAX_ALL_PAIRS_Q = 81
 
 Matrix = tuple[int, int, int, int]
 
@@ -284,20 +294,6 @@ class FiberReport:
         raise KeyError(class_id)
 
 
-def _trace_xy(F: GF, xmat: Matrix, ys):
-    """tr(xmat * y) for code arrays ys = (a, b, c, d), read by flat 1-D takes.
-
-    The entries of ys may be arrays of any broadcastable shapes, or codes.
-    """
-    add, mt, q = F.add_table.ravel(), F.mul_table, F.q
-    x0, x1, x2, x3 = xmat
-    a, b, c, d = ys
-    # tr(x y) = x0 a + x1 c + x2 b + x3 d
-    left = add.take(mt[x0].take(a) * q + mt[x1].take(c))
-    right = add.take(mt[x2].take(b) * q + mt[x3].take(d))
-    return add.take(left * q + right)
-
-
 def _exponent_residues(w: Word, q: int) -> Word:
     """w with each exponent reduced to its symmetric residue modulo E.
 
@@ -314,9 +310,9 @@ def class_fiber_counts(
 ) -> np.ndarray:
     """#{y in batch : w(xmat, y) lands in class C}, per class C.
 
-    Evaluates the word directly; fiber_distribution calls it on the pairs
-    at locus points where f_w is +-2, and on every pair for a word too long
-    to trace.
+    Evaluates the word directly; fiber_distribution calls it on every pair
+    of a class representative and a group element, for a word too long to
+    trace.
     """
     n = ys[0].shape[0]
     vals = _eval_word(table.field, w, xmat, ys)
@@ -324,21 +320,42 @@ def class_fiber_counts(
     return np.bincount(idx, minlength=len(table.classes))
 
 
+def _quadratic_roots(F: GF) -> np.ndarray:
+    """Both roots in F_q of c^2 + beta c + gamma, indexed [beta, gamma, :].
+
+    Every pair of codes r1 <= r2 is written once, at beta = -(r1 + r2) and
+    gamma = r1 r2: a monic quadratic has one multiset of roots, so no entry
+    is written twice.  A double root reads (r, r), and (-1, -1) no root.
+    """
+    q = F.q
+    r1, r2 = np.triu_indices(q)
+    roots = np.full((q, q, 2), -1, dtype=np.int64)
+    roots[F.neg_table[F.add_table[r1, r2]], F.mul_table[r1, r2]] = np.stack((r1, r2), axis=1)
+    return roots
+
+
+def _distinct_roots(roots, beta, gamma):
+    """(i, c) for every distinct root c of the i-th quadratic c^2 + beta[i] c + gamma[i]."""
+    pair = roots[beta, gamma]
+    ok = pair >= 0
+    ok[:, 1] &= pair[:, 1] != pair[:, 0]
+    i, j = np.nonzero(ok)
+    return i, pair[i, j]
+
+
 def _off_locus_pairs(F: GF, s, u, t):
     """One pair (x, y) in SL(2,q) with traces (s, u, t) per point off the locus.
 
     x = [[0, -1], [1, s]] and y = [[a, b], [c, d]] with d = t - a and
     b = u + c - s d, where c is a root of c^2 + (u - s d) c + (1 - a d), so
-    that det y = 1.  The roots are read from one table by the coefficients,
-    which holds in characteristic 2 too, and a = 0, 1, ... is tried at the
-    points still without a root.  Every point off the locus kappa = 0 has
-    such a pair: the first entry of a pair there is not scalar, so it is
-    GL(2,q)-conjugate to this x, and conjugation keeps the three traces.
+    that det y = 1.  The roots are read from _quadratic_roots, and
+    a = 0, 1, ... is tried at the points still without a root.  Every point
+    off the locus kappa = 0 has such a pair: the first entry of a pair
+    there is not scalar, so it is GL(2,q)-conjugate to this x, and
+    conjugation keeps the three traces.
     """
     q, add, mul, neg = F.q, F.add_table, F.mul_table, F.neg_table
-    beta, c = np.arange(q)[:, None], np.arange(q)
-    roots = np.full((q, q), -1)  # [beta, gamma]: a root of c^2 + beta c + gamma, or -1
-    roots[beta, neg[add[mul[c, c], mul[beta, c]]]] = c
+    roots = _quadratic_roots(F)[:, :, 0]
     x = (F.zero, F.neg(F.one), F.one, s)
     y = tuple(np.zeros(len(s), dtype=np.int64) for _ in range(4))
     todo = np.arange(len(s))
@@ -378,32 +395,97 @@ def _off_locus_totals(w: Word, table: ClassTable, points, z) -> np.ndarray:
     return order * central_counts + order // (1 + q % 2) * unipotent_counts
 
 
-def _locus_totals(w: Word, table: ClassTable, points) -> np.ndarray:
-    """Pairs per class over the flat [s, u, t] points on the locus where f_w is +-2.
+def _locus_pairs(table: ClassTable, roots, points):
+    """The pairs (x_c, y) with traces (s, u, t) at the flat [s, u, t] points.
 
-    Each class representative x_c of trace s is run against the y whose
-    trace t has a point (s, u, t) to count, and the word is evaluated on
-    the pairs with tr x_c y = u there.
+    x_c runs over the class representatives of trace s.  Returns
+    (xc, weight, k, y): the class of x_c, the class whose size each pair
+    stands for, the index of its point, and y = (a, b, c, d) as code arrays.
+    With d = t - a:
+    - semisimple x_c = (0, -1, 1, s): b = u + c - s d, and c runs over the
+      roots of c^2 + (u - s d) c + (1 - a d), for every a;
+    - unipotent x_c = (e, e beta, 0, e): c = (e u - t) / beta; if c != 0,
+      b = (a d - 1) / c for every a, and if c = 0, a runs over the roots of
+      a^2 - t a + 1 and b over F_q;
+    - central x_c = e I: only u = e t has pairs, and w(x_c, g y g^-1) is
+      conjugate to w(x_c, y), so one y per class of trace t stands for the
+      whole class.
+    A pair stands for the size of x_c's class, and at a central x_c for the
+    size of y's class.
     """
     F, q = table.field, table.q
-    totals = np.zeros(len(table.classes), dtype=np.int64)
-    if not points.size:
-        return totals
-    target = np.zeros(q**3, dtype=bool)
-    target[points] = True
-    target = target.reshape(q, q * q)  # [s, u * q + t]
-    ys = enumerate_group(F)
-    tr_y = _trace_xy(F, _IDENTITY, ys)
-    for cls in table.classes:
-        at_t = target[cls.trace].reshape(q, q).any(axis=0)
-        if not at_t.any():
-            continue
-        sel = np.flatnonzero(at_t.take(tr_y))
-        sub = tuple(v.take(sel) for v in ys)
-        u = _trace_xy(F, cls.rep, sub)
-        keep = np.flatnonzero(target[cls.trace].take(u * q + tr_y.take(sel)))
-        sub = tuple(v.take(keep) for v in sub)
-        totals += cls.size * class_fiber_counts(w, table, sub, cls.rep)
+    add, mul, neg, inv = F.add_table, F.mul_table, F.neg_table, F.inv_table
+    reps = np.array([c.rep for c in table.classes]).T
+    s, u, t = points // (q * q), points // q % q, points % q
+    codes = np.arange(q)
+
+    def against_codes(k):  # each of k against every code
+        return np.repeat(k, q), np.tile(codes, len(k))
+
+    parts = []  # (xc, weight, k, a, b, c, d)
+    k, a = against_codes(np.flatnonzero(~table.trace_open.take(s)))
+    d = add[t[k], neg[a]]
+    beta = add[u[k], neg[mul[s[k], d]]]
+    i, c = _distinct_roots(roots, beta, add[F.one, neg[mul[a, d]]])
+    xc = table.trace_class.take(s[k[i]])
+    parts.append((xc, xc, k[i], a[i], add[beta[i], c], c, d[i]))
+
+    pm2 = np.flatnonzero(table.trace_open.take(s))
+    cls = table._index[s[pm2], 1:]
+    row, col = np.nonzero(cls >= 0)
+    k, xc = pm2[row], cls[row, col]
+    e = reps[0, xc]
+    c = mul[add[mul[e, u[k]], neg[t[k]]], inv[mul[e, reps[1, xc]]]]
+    j, a = against_codes(np.flatnonzero(c != 0))
+    d = add[t[k[j]], neg[a]]
+    b = mul[add[mul[a, d], neg[F.one]], inv[c[j]]]
+    parts.append((xc[j], xc[j], k[j], a, b, c[j], d))
+    free = np.flatnonzero(c == 0)
+    i, a = _distinct_roots(roots, neg[t[k[free]]], np.full(free.size, F.one))
+    j, b = against_codes(free[i])
+    a = np.repeat(a, q)
+    parts.append((xc[j], xc[j], k[j], a, b, np.zeros_like(b), add[t[k[j]], neg[a]]))
+
+    xc = table.trace_class.take(s[pm2])
+    on = np.flatnonzero(u[pm2] == mul[reps[0, xc], t[pm2]])
+    ycls = table._index[t[pm2[on]]]
+    row, col = np.nonzero(ycls >= 0)
+    yc = ycls[row, col]
+    parts.append((xc[on[row]], yc, pm2[on[row]], *reps[:, yc]))
+
+    xc, weight, k, *y = (np.concatenate(col) for col in zip(*parts))
+    return xc, weight, k, tuple(y)
+
+
+# pairs per word evaluation on the locus; bounds the memory of the batch
+_LOCUS_BATCH = 2**18
+
+
+def _locus_totals(w: Word, table: ClassTable, points, z, expected: int) -> np.ndarray:
+    """Pairs per class over the flat [s, u, t] points on the locus where f_w = z = +-2.
+
+    The word is evaluated on every pair of _locus_pairs, about q per class
+    representative and point, in batches of at most _LOCUS_BATCH pairs: a
+    point carries at most 4q + 3 of them.  The pairs must stand for
+    `expected` pairs of the group, the sum of N over the points, and the
+    trace of each value must be f_w at its point.
+    """
+    F, q = table.field, table.q
+    ncls = len(table.classes)
+    reps = np.array([c.rep for c in table.classes]).T
+    roots = _quadratic_roots(F)
+    counts = np.zeros(ncls * ncls, dtype=np.int64)  # [weight class, class of w]
+    step = max(1, _LOCUS_BATCH // (4 * q + 3))
+    for start in range(0, points.size, step):
+        xc, weight, k, y = _locus_pairs(table, roots, points[start : start + step])
+        x = tuple(col.take(xc) for col in reps)
+        vals = [np.broadcast_to(v, k.shape) for v in _eval_word(F, w, x, y)]
+        if not np.array_equal(F.add_table[vals[0], vals[3]], z[start : start + step].take(k)):
+            raise RuntimeError("the word's trace differs from f_w at a locus pair")
+        counts += np.bincount(weight * ncls + table.classify_array(*vals), minlength=ncls * ncls)
+    totals = table.sizes @ counts.reshape(ncls, ncls)
+    if int(totals.sum()) != expected:
+        raise RuntimeError("the locus pairs do not account for every pi-fiber")
     return totals
 
 
@@ -415,22 +497,25 @@ def _traced_totals(w: Word, table: ClassTable) -> np.ndarray:
     z other than +-2 gets the sum of N over the points where f_w = z, one
     bincount over (f_w, kind of N).  The points where f_w = +-2 are split
     by the word itself: off the locus through one representative pair
-    each, on it through every pair of a class representative and a y.
+    each, on it through the pairs of each class representative with the y
+    of those traces.
     """
     F, q = table.field, table.q
     fw = np.stack(list(_u_slices(trace_poly(w).f.reduce_mod(F.p), F)), axis=1).ravel()
     kinds = _pi_fiber_kinds(F).ravel()
-    weights = np.bincount(fw * 4 + kinds, minlength=4 * q).reshape(q, 4) @ _pi_fiber_values(q)
+    values = _pi_fiber_values(q)
+    weights = np.bincount(fw * 4 + kinds, minlength=4 * q).reshape(q, 4) @ values
     totals = np.zeros(len(table.classes), dtype=np.int64)
     fixed = np.flatnonzero(~table.trace_open)
     totals[table.trace_class.take(fixed)] = weights.take(fixed)
     pm2 = table.trace_open.take(fw)
     off_locus = np.flatnonzero(pm2 & (kinds == 0))
     on_locus = np.flatnonzero(pm2 & (kinds > 0))
-    z = fw.take(off_locus)
+    z_off, z_on = fw.take(off_locus), fw.take(on_locus)
+    expected = int(values.take(kinds.take(on_locus)).sum())
     del fw, kinds, pm2
-    totals += _off_locus_totals(w, table, off_locus, z)
-    return totals + _locus_totals(w, table, on_locus)
+    totals += _off_locus_totals(w, table, off_locus, z_off)
+    return totals + _locus_totals(w, table, on_locus, z_on, expected)
 
 
 def fiber_distribution(w: Word, q: int) -> FiberReport:
@@ -442,15 +527,22 @@ def fiber_distribution(w: Word, q: int) -> FiberReport:
     element order.  The totals are read from f_w on F_q^3, each point
     (s, u, t) weighted by its pi-fiber count N(s, u, t); the word itself is
     evaluated only where f_w = +-2, to split central from unipotent: on one
-    representative pair per point off the locus kappa = 0, and on every
-    pair of a class representative and a y on it.  A word still longer
+    representative pair per point off the locus kappa = 0, and on it on
+    the pairs of each class representative x_c with the y of traces
+    tr y = t and tr x_c y = u, read off their conic.  A word still longer
     than _MAX_TRACED_LENGTH letters is evaluated on every pair of a class
-    representative and a y, so the cost stays polynomial in the word.
+    representative and a group element, so the cost stays polynomial in
+    the word; that is refused beyond q = _MAX_ALL_PAIRS_Q.
     """
     if q > MAX_FIBER_Q:
         raise ValueError(f"resource guard exceeded: q = {q} > {MAX_FIBER_Q}")
-    table = build_class_table(q)
     v = _exponent_residues(w, q)
+    if v.length > _MAX_TRACED_LENGTH and q > _MAX_ALL_PAIRS_Q:
+        raise ValueError(
+            f"resource guard exceeded: a word of {v.length} letters after exponent "
+            f"reduction is evaluated on all pairs, which stops at q = {_MAX_ALL_PAIRS_Q}"
+        )
+    table = build_class_table(q)
     order = q**3 - q
     if v.length > _MAX_TRACED_LENGTH:
         ys = enumerate_group(table.field)

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from tracelab.gf import field
-from tracelab.sl2 import _IDENTITY, _eval_word, _trace_xy, build_class_table, enumerate_group
+from tracelab.sl2 import _IDENTITY, _eval_word, build_class_table, enumerate_group
 from tracelab.words import X as GEN_X
 
 # ---------------------------------------------------------------------------
@@ -373,6 +373,17 @@ def direct_fiber_totals(w, q):
     return totals.tolist()
 
 
+def trace_xy(F, xmat, ys):
+    """tr(xmat * y) for code arrays ys = (a, b, c, d), read by flat 1-D takes."""
+    add, mt, q = F.add_table.ravel(), F.mul_table, F.q
+    x0, x1, x2, x3 = xmat
+    a, b, c, d = ys
+    # tr(x y) = x0 a + x1 c + x2 b + x3 d
+    left = add.take(mt[x0].take(a) * q + mt[x1].take(c))
+    right = add.take(mt[x2].take(b) * q + mt[x3].take(d))
+    return add.take(left * q + right)
+
+
 def group_pi_table(q):
     """pi-fiber counts indexed [s, u, t], by one pass over the group per class.
 
@@ -382,10 +393,10 @@ def group_pi_table(q):
     table = build_class_table(q)
     F = table.field
     ys = enumerate_group(F)
-    tr_y = _trace_xy(F, _IDENTITY, ys)
+    tr_y = trace_xy(F, _IDENTITY, ys)
     out = np.zeros((q, q, q), dtype=np.int64)
     for cls in table.classes:
-        grid = np.bincount(_trace_xy(F, cls.rep, ys) * q + tr_y, minlength=q * q)
+        grid = np.bincount(trace_xy(F, cls.rep, ys) * q + tr_y, minlength=q * q)
         out[cls.trace] += cls.size * grid.reshape(q, q)
     return out
 

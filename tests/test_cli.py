@@ -105,8 +105,13 @@ class TestFibers:
         assert len(rows) == 5
 
     def test_oversized_q(self):
-        code, _ = run("fibers", "xy", "--q", "101")
+        code, _ = run("fibers", "xy", "--q", "131")
         assert code == 2
+
+    def test_untraceable_word_past_all_pairs_q(self, capsys):
+        code, _ = run("fibers", "xy" * 17, "--q", "83")
+        assert code == 2
+        assert "resource guard exceeded" in capsys.readouterr().err
 
     # Exponents are reduced modulo lcm(6, 8, 14) = 168.  The first residue word
     # is x^64y^-63, counted directly; the second x^3y^3, traced.  The 32-letter

@@ -37,6 +37,7 @@ from _oracles import (
     group_elements,
     group_pi_table,
     mat_neg,
+    trace_xy,
     word_eval_string,
 )
 
@@ -224,8 +225,21 @@ class TestFiberDistribution:
 
     def test_resource_guard(self):
         with pytest.raises(ValueError):
-            fiber_distribution(parse("xy"), 83)
-        assert MAX_FIBER_Q == 81
+            fiber_distribution(parse("xy"), 131)
+        assert MAX_FIBER_Q == 128
+
+    @pytest.mark.parametrize("q", [83, 128])
+    def test_untraceable_word_refused_past_all_pairs_q(self, q, monkeypatch):
+        # 34 letters after exponent reduction: only the all-pairs branch counts it
+        w = parse("xy" * 17)
+        assert sl2._exponent_residues(w, q).length > sl2._MAX_TRACED_LENGTH
+
+        def no_table(q):
+            raise AssertionError("class table built past the guard")
+
+        monkeypatch.setattr(sl2, "build_class_table", no_table)
+        with pytest.raises(ValueError, match="resource guard exceeded"):
+            fiber_distribution(w, q)
 
     @pytest.mark.parametrize("q", [25, 32])
     def test_matches_direct_evaluation_on_and_off_the_locus(self, q):
@@ -242,6 +256,15 @@ class TestFiberDistribution:
         rep = fiber_distribution(w, 81)
         elapsed = time.monotonic() - t0
         assert elapsed <= 1.2, f"budget exceeded: {elapsed:.2f}s > 1.2s"
+        assert sum(r.class_size * r.fiber_per_element for r in rep.rows) == rep.order**2
+
+    @pytest.mark.parametrize("q, budget", [(81, 1.2), (128, 3.0)])
+    def test_commutator_report_within_budget(self, q, budget):
+        # f_w = kappa + 2, so every locus point is a +-2 point: the most locus pairs
+        t0 = time.monotonic()
+        rep = fiber_distribution(parse("xyXY"), q)
+        elapsed = time.monotonic() - t0
+        assert elapsed <= budget, f"budget exceeded: {elapsed:.2f}s > {budget}s"
         assert sum(r.class_size * r.fiber_per_element for r in rep.rows) == rep.order**2
 
     def test_csv_shape(self):
@@ -356,7 +379,7 @@ class TestPiFibers:
 
         monkeypatch.setattr(sl2, "field", no_field)
         with pytest.raises(ValueError, match="resource guard exceeded"):
-            pi_fiber_table(83)
+            pi_fiber_table(131)
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27])
     def test_off_locus_representatives(self, q):
@@ -384,6 +407,55 @@ class TestPiFibers:
         # at q = 3 the locus point (-2, 0, 0) is reached only with x = -I
         with pytest.raises(RuntimeError, match="no representative pair"):
             sl2._off_locus_pairs(field(3), np.array([1]), np.array([0]), np.array([0]))
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27])
+    def test_quadratic_roots_match_brute_force(self, q):
+        F = field(q)
+        add, mul = F.add_table, F.mul_table
+        beta, gamma, c = np.ix_(range(q), range(q), range(q))
+        zero = add[add[mul[c, c], mul[beta, c]], gamma] == 0  # [beta, gamma, c]
+        table = sl2._quadratic_roots(F)
+        for b in range(q):
+            for g in range(q):
+                roots = np.flatnonzero(zero[b, g]).tolist()
+                want = [roots[0], roots[-1]] if roots else [-1, -1]
+                assert table[b, g].tolist() == want, (b, g)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27])
+    def test_locus_pairs_equal_the_group_filter(self, q):
+        # every point of F_q^3 handed in, so each x_c meets every (u, t)
+        table = build_class_table(q)
+        F = table.field
+        points = np.arange(q**3)
+        xc, weight, k, y = sl2._locus_pairs(table, sl2._quadratic_roots(F), points)
+        ys = enumerate_group(F)
+        tr_y = trace_xy(F, sl2._IDENTITY, ys)
+        for i, cls in enumerate(table.classes):
+            mine = np.flatnonzero(xc == i)
+            assert (points[k[mine]] // (q * q) == cls.trace).all()
+            got_ut = points[k[mine]] % (q * q)  # u * q + t
+            want_ut = trace_xy(F, cls.rep, ys) * q + tr_y
+            if cls.ctype == "central":
+                got = np.zeros(q * q, dtype=np.int64)
+                np.add.at(got, got_ut, table.sizes[weight[mine]])
+                assert np.array_equal(got, np.bincount(want_ut, minlength=q * q)), cls.class_id
+                continue
+            assert (weight[mine] == i).all()
+            got = np.stack([got_ut, *(v[mine] for v in y)])
+            want = np.stack([want_ut, *ys])
+            got, want = (m[:, np.lexsort(m[::-1])] for m in (got, want))
+            assert np.array_equal(got, want), cls.class_id
+
+    def test_missing_locus_pair_raises(self, monkeypatch):
+        locus_pairs = sl2._locus_pairs
+
+        def one_short(table, roots, points):
+            xc, weight, k, y = locus_pairs(table, roots, points)
+            return xc[1:], weight[1:], k[1:], tuple(v[1:] for v in y)
+
+        monkeypatch.setattr(sl2, "_locus_pairs", one_short)
+        with pytest.raises(RuntimeError, match="do not account for every pi-fiber"):
+            fiber_distribution(parse("xyXY"), 5)
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
     def test_table_equals_group_pass(self, q):
