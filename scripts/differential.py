@@ -29,6 +29,10 @@ Sections, each hashed separately:
 - power-words: ``power_word_report`` over every canonical word of length
   <= 6 and its square and cube;
 - syllables: ``syllable_polys(a, b)`` for 1 <= |a|, |b| <= 4;
+- decompose: ``dickson_decompose`` and ``decompose_in_u`` on D_n(Q), on a
+  general h(Q) and on perturbations of both, for six inners Q, over QQ and
+  F_p for p in {3, 5, 7, 11, 13}, at n in {2, 3, 4, 6} (the classify
+  stream seldom reaches the general path with n >= 3);
 - theorem / measure: ``TheoremRun.to_csv`` and ``MeasureSheet.to_text`` for
   xyXY and xyxy at p = 3, q in {3, 9} and p = 5, q in {5, 25};
 - verify: ``tracelab verify --suite all``.
@@ -52,6 +56,9 @@ SEEDS = (1, 2, 3)
 PI_FIBER_QS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 81)
 LARGE_FIBER_WORDS = ("xyXY", "xyxy", "x^4yX^2Yx^2yX^2Y", "xxyXYYxyXy")
 LARGE_FIBER_QS = (49, 64, 81)
+DECOMPOSE_PRIMES = (None, 3, 5, 7, 11, 13)
+DECOMPOSE_NS = (2, 3, 4, 6)
+DECOMPOSE_INNERS = ("u", "u + s", "s*u - t", "u^2 + s*t*u - t", "s*u^2 + t*u - 2", "u^3 - s*u + t")
 
 
 def _digest(lines) -> str:
@@ -139,6 +146,33 @@ def _syllables(tl):
         yield a, b, pair.g.render(), pair.h.render()
 
 
+def _decompose_outcome(tl, fn, f, n):
+    try:
+        got = fn(f, n)
+    except ValueError as exc:  # a wild n, p | n
+        return type(exc).__name__
+    if got is None:
+        return None
+    if isinstance(got, tl.TriPoly):
+        return got.render()
+    return got.outer.render(), got.inner.render(), got.dickson_index
+
+
+def _decompose(tl):
+    for p, n, text in itertools.product(DECOMPOSE_PRIMES, DECOMPOSE_NS, DECOMPOSE_INNERS):
+        q = tl.TriPoly.parse(text)
+        if p is not None:
+            q = q.reduce_mod(p)
+        s, t, u = (tl.TriPoly.var(name, p) for name in "stu")
+        # h(Q) for h = 2z^n - z^(n-1) + z + 5: non-monic, with a z^(n-1) term
+        general = (q**n).scale(2) - q ** (n - 1) + q + tl.TriPoly.const(5, p)
+        r = n * q.deg("u")
+        for target in (tl.dickson_apply(n, q), general):
+            for f in (target, target + s, target + t * u ** (r - 1)):
+                yield p, n, text, _decompose_outcome(tl, tl.dickson_decompose, f, n)
+                yield p, n, text, _decompose_outcome(tl, tl.decompose_in_u, f, n)
+
+
 def _theorem_and_measure(tl):
     runs, sheets = [], []
     for text in ("xyXY", "xyxy"):
@@ -171,6 +205,7 @@ def sections(tl, inputs):
     yield "pi-fibers", _pi_fibers(tl)
     yield "power-words", _power_words(tl)
     yield "syllables", _syllables(tl)
+    yield "decompose", _decompose(tl)
     runs, sheets = _theorem_and_measure(tl)
     yield "theorem", runs
     yield "measure", sheets

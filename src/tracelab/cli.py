@@ -17,6 +17,7 @@ from .decompose import (
     CompositionWitness,
     GlobalVerdict,
     PrimeVerdict,
+    check_p_max,
     classify_global,
     dickson_decompose,
 )
@@ -156,8 +157,7 @@ def cmd_trace(args, out) -> int:
 
 def cmd_classify(args, out) -> int:
     w = parse(args.word)
-    if args.p_max < 2:
-        raise ValueError("p_max must be >= 2")
+    check_p_max(args.p_max)  # before tracing: a refusal does no work and writes no cache
     cache = TraceCache(args.cache)
     engine = TraceEngine()
     # a cache hit lands in engine's memo, so classify_global does not recompute f

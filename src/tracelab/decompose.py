@@ -27,10 +27,10 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .gf import primes_in
+from .gf import is_prime, primes_in
 from .tripoly import TriPoly, _div, _norm_coeff, _nth_roots, frobenius_strip
 from .trace import TraceEngine, trace_poly
-from .unipoly import UniPoly, dickson, dickson_apply
+from .unipoly import UniPoly, _recurrence, dickson, dickson_apply
 from .words import (
     DegenerateWordError,
     Word,
@@ -104,22 +104,45 @@ def _match_inner(blocks: List[TriPoly], lead: TriPoly, n: int) -> Optional[TriPo
 
     ``blocks`` are the u-blocks of a target of u-degree r = n*m.  In any
     h(Q) with monic h of degree n and no z^(n-1) term, the top m+1
-    u-blocks come from Q^n alone, and the u^(r-j) block is linear in Q's
-    u^(m-j) block with coefficient n * lead^(n-1); each lower block of Q
-    is therefore an exact division, and None means one did not divide.
+    u-blocks come from Q^n alone.  Write Q = u^m * (a_0 + a_1*v + ... +
+    a_m*v^m) with v = 1/u and a_0 = ``lead``, so the u^(r-j) block of Q^k
+    is the v^j coefficient of (a_0 + a_1*v + ...)^k.  That coefficient is
+    k * a_0^(k-1) * a_j plus a polynomial in a_1, ..., a_(j-1).  Step j
+    therefore takes the v^j coefficient of every power k <= n with a_j = 0,
+    solves a_j by exact division of the target's u^(r-j) block minus the
+    n-th one by n * a_0^(n-1), and adds k * a_0^(k-1) * a_j to the others.
+    Only the v^1..v^(m-1) coefficients of the powers k < n are kept:
+    O(n*m^2) block products.  None means a division did not come out.
     """
     p = lead.p
     r = len(blocks) - 1
     m = r // n
-    q = [TriPoly.zero(p)] * m + [lead]
-    denom = (lead ** (n - 1)).scale(n)
+    zero = TriPoly.zero(p)
+    lead_pows = [TriPoly.const(1, p), lead]  # a_0^k for k < n
+    while len(lead_pows) < n:
+        lead_pows.append(lead_pows[-1] * lead)
+    denom = lead_pows[n - 1].scale(n)
+    a = [lead]
+    # tops[k][i]: v^i coefficient of (a_0 + a_1*v + ...)^k for k < n and i < j;
+    # for k = 1 that is a_i, and index 0 is never read
+    tops = [[], a] + [[zero] for _ in range(2, n)]
     for j in range(1, m + 1):
-        have = (TriPoly.from_u_coefficients(q, p) ** n).u_coefficients()
-        sol = (blocks[r - j] - have[r - j]).divide_exact(denom)
+        have = [zero, zero]  # v^j coefficients with a_j = 0, for k = 0 and k = 1
+        for k in range(2, n + 1):
+            acc = lead * have[k - 1] if have[k - 1] else zero
+            row = tops[k - 1]
+            for i in range(1, j):
+                if a[i] and row[j - i]:
+                    acc = acc + a[i] * row[j - i]
+            have.append(acc)
+        sol = (blocks[r - j] - have[n]).divide_exact(denom)
         if sol is None:
             return None
-        q[m - j] = sol
-    return TriPoly.from_u_coefficients(q, p)
+        a.append(sol)
+        if j < m:
+            for k in range(2, n):
+                tops[k].append(have[k] + (lead_pows[k - 1] * sol).scale(k))
+    return TriPoly.from_u_coefficients(a[::-1], p)
 
 
 def dickson_decompose(f: TriPoly, d: int) -> Optional[TriPoly]:
@@ -128,21 +151,32 @@ def dickson_decompose(f: TriPoly, d: int) -> Optional[TriPoly]:
     D_d is monic with no z^(d-1) term, so the leading u-block of Q is a
     d-th root of f's leading block (all root choices are tried), lower
     blocks follow by top-down matching, and the candidate is verified by
-    exact recomposition.  Unique up to sign when d is even; the returned
+    exact recomposition.  A candidate whose D_d differs from f at the
+    point s = u = t = 1 (a coefficient sum) is rejected without
+    recomposing; that is exact, since a mismatch at a point proves
+    D_d(Q) != f.  Unique up to sign when d is even; the returned
     representative comes from the canonical root choice.
     """
     if d < 2:
         raise ValueError("Dickson index must be >= 2")
-    r = f.deg("u")
-    if r < 1 or r % d:
-        raise ValueError(f"index {d} does not divide u-degree {r}")
     blocks = f.u_coefficients()
+    r = len(blocks) - 1
+    if r < 1 or r % d:
+        raise ValueError(f"index {d} does not divide u-degree {f.deg('u')}")
     root0 = blocks[r].nth_root(d)
     if root0 is None:
         return None
+    target = None
     for zeta in _nth_roots(1, d, f.p):
         cand = _match_inner(blocks, root0.scale(zeta), d)
-        if cand is not None and dickson_apply(d, cand) == f:
+        if cand is None:
+            continue
+        if target is None:
+            target = f.coefficient_sum()
+        z = cand.coefficient_sum()
+        if _norm_coeff(_recurrence(d, z, 2, z)[1], f.p) != target:
+            continue
+        if dickson_apply(d, cand) == f:
             return cand
     return None
 
@@ -161,17 +195,17 @@ def decompose_in_u(f: TriPoly, n: int) -> Optional[CompositionWitness]:
     """
     if n < 2:
         raise ValueError("outer degree must be >= 2")
-    r = f.deg("u")
+    blocks = f.u_coefficients()
+    r = len(blocks) - 1
     if r < 1 or r % n:
-        raise ValueError(f"outer degree {n} does not divide u-degree {r}")
+        raise ValueError(f"outer degree {n} does not divide u-degree {f.deg('u')}")
     if f.p is not None and n % f.p == 0:
         raise WildCompositionError(f"outer degree {n} is wild in characteristic {f.p}")
     m = r // n
     p = f.p
-    blocks = f.u_coefficients()
     lc = blocks[r].leading_coeff()
     inv_lc = _div(1, lc, p)
-    monic = [b.scale(inv_lc) for b in blocks]
+    monic = blocks if inv_lc == 1 else [b.scale(inv_lc) for b in blocks]
     lam = monic[r].nth_root(n)
     if lam is None:
         return None
@@ -289,7 +323,12 @@ def _prime_verdict(f: TriPoly, A: int, B: int, p: int) -> PrimeVerdict:
 
 
 def classify_p(w: Word, p: int) -> PrimeVerdict:
-    """Verdict for one prime: strip Frobenius layers, then test the core."""
+    """Verdict for one prime: strip Frobenius layers, then test the core.
+
+    Raises ValueError unless p is prime: Z/pZ is a field only then.
+    """
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     _, A, B, f = _word_poly(w)
     return _prime_verdict(f, A, B, p)
 
@@ -303,6 +342,12 @@ def classify_rational(
     return _rational_class(witness), witness
 
 
+def check_p_max(p_max: int) -> None:
+    """ValueError unless p_max >= 2: below that no prime is classified or certified."""
+    if p_max < 2:
+        raise ValueError("p_max must be >= 2")
+
+
 def classify_global(
     w: Word, p_max: int, engine: Optional[TraceEngine] = None
 ) -> GlobalVerdict:
@@ -311,7 +356,9 @@ def classify_global(
     NotEquidistributed as soon as one prime is CompositeNotSpecial;
     otherwise the verdict certifies equidistribution only up to p_max,
     since the set of exceptional primes has no effective bound here.
+    Raises ValueError when p_max < 2, which leaves no prime to certify.
     """
+    check_p_max(p_max)
     w, A, B, f = _word_poly(w, engine)
     rational_witness = _find_witness(f, A, B, None)
     per_prime = tuple(_prime_verdict(f, A, B, p) for p in primes_in(2, p_max))

@@ -19,6 +19,7 @@ alphabetically (s, t, u) with unit parts omitted; terms join with
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Optional, Tuple
@@ -50,6 +51,25 @@ def _norm_coeff(c, p: Optional[int]):
     if type(c) is Fraction and c.denominator == 1:
         return c.numerator
     return c
+
+
+def _norm_dict(coeffs: Dict[int, object], p: Optional[int]) -> Dict[int, object]:
+    """``_norm_coeff`` applied to every value of a coefficient dict, zeros dropped.
+
+    One pass per ring: ints take the inline path and only Fractions reach
+    the scalar rules.
+    """
+    if p is not None:
+        return {
+            key: r
+            for key, c in coeffs.items()
+            if (r := c % p if type(c) is int else _residue(c, p))
+        }
+    return {
+        key: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+        for key, c in coeffs.items()
+        if c
+    }
 
 
 def _residue(c, p: int) -> int:
@@ -130,13 +150,16 @@ class TriPoly:
 
     def __init__(self, coeffs: Dict[int, object], p: Optional[int] = None):
         # assumes packed keys; normalizes and drops zeros
-        c = {}
-        for key, val in coeffs.items():
-            val = _norm_coeff(val, p)
-            if val:
-                c[key] = val
+        self._c = _norm_dict(coeffs, p)
+        self.p = p
+
+    @classmethod
+    def _normal(cls, c: Dict[int, object], p: Optional[int]) -> "TriPoly":
+        """Wrap a dict that is already normal for ``p``, without another pass."""
+        self = object.__new__(cls)
         self._c = c
         self.p = p
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -188,12 +211,16 @@ class TriPoly:
     def __len__(self) -> int:
         return len(self._c)
 
+    def coefficient_sum(self):
+        """Sum of the coefficients, normalized: the value at s = u = t = 1."""
+        return _norm_coeff(sum(self._c.values()), self.p)
+
     def deg(self, name: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
         if not self._c:
             return -1
         sh = {"s": _SH_S, "u": _SH_U, "t": 0}[name]
-        return max((key >> sh) & _MASK for key in self._c)
+        return max([(key >> sh) & _MASK for key in self._c])
 
     def total_degree(self) -> int:
         if not self._c:
@@ -275,12 +302,10 @@ class TriPoly:
     def reduce_mod(self, p: int) -> "TriPoly":
         if self.p is not None:
             raise ValueError("already over a prime field")
-        return TriPoly({key: _residue(c, p) for key, c in self._c.items()}, p)
+        return TriPoly(self._c, p)  # ints reduce inline, Fractions through _residue
 
     def content(self) -> int:
         """gcd of integer coefficients (0 for the zero polynomial)."""
-        import math
-
         g = 0
         for c in self._c.values():
             if isinstance(c, Fraction):
@@ -291,13 +316,20 @@ class TriPoly:
     # -- u-direction views -----------------------------------------------------
 
     def u_coefficients(self) -> list:
-        """List [G_0, ..., G_r] of s,t-polynomials with self = sum u^j G_j."""
-        r = max(self.deg("u"), 0)
-        blocks = [dict() for _ in range(r + 1)]
+        """List [G_0, ..., G_r] of s,t-polynomials with self = sum u^j G_j.
+
+        One pass over the terms; r is the u-degree, and the zero polynomial
+        gives [0].
+        """
+        blocks: Dict[int, Dict[int, object]] = {}
         for key, c in self._c.items():
             j = (key >> _SH_U) & _MASK
-            blocks[j][key - (j << _SH_U)] = c
-        return [TriPoly(b, self.p) for b in blocks]
+            blk = blocks.get(j)
+            if blk is None:
+                blocks[j] = blk = {}
+            blk[key - (j << _SH_U)] = c
+        p = self.p
+        return [TriPoly._normal(blocks.get(j, {}), p) for j in range(max(blocks, default=0) + 1)]
 
     @staticmethod
     def from_u_coefficients(blocks, p: Optional[int] = None) -> "TriPoly":
@@ -496,33 +528,30 @@ class TriPoly:
 def frobenius_strip(f: TriPoly) -> Tuple[TriPoly, int]:
     """(core, k) with f = core^{p^k} and k maximal, over a prime field.
 
-    Over F_p the constant is absorbed into the core.  Constant input is
-    rejected.
+    p^k is the largest power of p dividing g, the gcd of every exponent of
+    every non-constant monomial.  The scan stops with (f, 0) at the first
+    monomial that leaves the running gcd prime to p: g divides the running
+    gcd, so p cannot divide g either.  Over F_p the constant is absorbed
+    into the core.  Constant input is rejected.
     """
     if f.p is None:
         raise ValueError("frobenius_strip needs a prime-field polynomial")
     if f.is_constant:
         raise ValueError("constant input")
     p = f.p
-    import math
-
     g = 0
-    for (i, j, k), _ in f.terms():
-        if (i, j, k) == (0, 0, 0):
-            continue
-        g = math.gcd(g, math.gcd(i, math.gcd(j, k)))
-    k_max = 0
+    for key in f._c:
+        if key:
+            g = math.gcd(g, key >> _SH_S, (key >> _SH_U) & _MASK, key & _MASK)
+            if g % p:
+                return f, 0
+    q, k_max = 1, 0
     while g % p == 0:
         g //= p
+        q *= p
         k_max += 1
-    if k_max == 0:
-        return f, 0
-    q = p**k_max
-    const = f.constant_value()
     core: Dict[int, object] = {}
-    for (i, j, kk), c in f.terms():
-        if (i, j, kk) == (0, 0, 0):
-            continue
-        core[_pack(i // q, j // q, kk // q)] = c
-    core[0] = core.get(0, 0) + const  # c^{p^k} = c over F_p
-    return TriPoly(core, p), k_max
+    for key, c in f._c.items():
+        i, j, kk = _unpack(key)
+        core[_pack(i // q, j // q, kk // q)] = c  # c^{p^k} = c over F_p
+    return TriPoly._normal(core, p), k_max

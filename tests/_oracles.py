@@ -8,7 +8,10 @@ interesting logic being cross-checked lives above that layer).  The
 exceptions are `direct_fiber_totals` and `group_pi_table`, which reuse the
 library's group enumeration, direct word evaluator and class lookup (all
 checked against brute force in the tests) as the references for the fiber
-counts that `sl2` reads from f_w and for its closed-form pi-fiber table.
+counts that `sl2` reads from f_w and for its closed-form pi-fiber table,
+and `match_inner_full_power`, the u-block matcher that raises the whole
+of Q to the n-th power for every block, kept on `TriPoly` arithmetic as
+the reference for the truncated matcher in `decompose`.
 """
 
 from collections import Counter
@@ -18,6 +21,7 @@ import numpy as np
 
 from tracelab.gf import field
 from tracelab.sl2 import _IDENTITY, _eval_word, build_class_table, enumerate_group
+from tracelab.tripoly import TriPoly
 from tracelab.words import X as GEN_X
 
 # ---------------------------------------------------------------------------
@@ -90,6 +94,34 @@ def tri_mul(a, b):
             if out[m] == 0:
                 del out[m]
     return out
+
+
+def tri_reduce(a, p):
+    """{(i,j,k): coeff} with integer coefficients reduced mod p, zeros dropped."""
+    return {m: c % p for m, c in a.items() if c % p}
+
+
+def frobenius_strip_brute(terms, p):
+    """(core terms, k) with f = core^(p^k) over F_p and k maximal, from the definition.
+
+    Tries k from the largest exponent down: the candidate core divides
+    every exponent by p^k, and it counts only when p^k - 1 more naive
+    multiplications mod p give f back.  ``terms`` is a non-constant dict
+    of residues mod p.
+    """
+    f = tri_reduce(terms, p)
+    top = max(max(m) for m in f)
+    for k in range(top.bit_length(), -1, -1):
+        q = p**k
+        if any(e % q for m in f if m != (0, 0, 0) for e in m):
+            continue
+        core = {tuple(e // q for e in m): c for m, c in f.items()}
+        power = core
+        for _ in range(q - 1):
+            power = tri_reduce(tri_mul(power, core), p)
+        if power == f:
+            return core, k
+    raise AssertionError("k = 0 always recomposes")
 
 
 def tri_eval_mod(terms, p, s, u, t):
@@ -469,3 +501,28 @@ def dickson_value(n, v):
     for _ in range(n - 1):
         a, b = b, Fraction(v) * b - a
     return b
+
+
+# ---------------------------------------------------------------------------
+# u-block matching by the whole n-th power of Q, once per block
+
+
+def match_inner_full_power(blocks, lead, n):
+    """The Q with leading u-block ``lead`` whose Q^n matches the top blocks, or None.
+
+    For each lower block j = 1..m of Q, rebuilds Q from the blocks found
+    so far (zeros below), raises it to the n-th power and solves the
+    target's u^(r-j) block minus that power's by n * lead^(n-1).
+    """
+    p = lead.p
+    r = len(blocks) - 1
+    m = r // n
+    q = [TriPoly.zero(p)] * m + [lead]
+    denom = (lead ** (n - 1)).scale(n)
+    for j in range(1, m + 1):
+        have = (TriPoly.from_u_coefficients(q, p) ** n).u_coefficients()
+        sol = (blocks[r - j] - have[r - j]).divide_exact(denom)
+        if sol is None:
+            return None
+        q[m - j] = sol
+    return TriPoly.from_u_coefficients(q, p)

@@ -80,6 +80,14 @@ class TestClassify:
         assert blob["bad_prime"] is None
         assert all(row["class"] == "NoncompositeP" for row in blob["per_prime"])
 
+    def test_p_max_below_two_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "cache.json"
+        code, out = run("classify", "xyxy", "--p-max", "1", "--cache", str(path))
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == "tracelab: error: p_max must be >= 2\n"
+        assert not path.exists()
+
     def test_degenerate_report(self):
         code, out = run("classify", "x", "--json")
         assert code == 0

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from tracelab.decompose import (
     NONCOMPOSITE_Q,
     SPECIAL_P,
     WildCompositionError,
+    _match_inner,
     classify_global,
     classify_p,
     classify_rational,
@@ -21,6 +23,8 @@ from tracelab.trace import trace_poly
 from tracelab.tripoly import TriPoly
 from tracelab.unipoly import UniPoly, dickson, dickson_apply
 from tracelab.words import DegenerateWordError, Word, enumerate_words, parse
+
+from _oracles import match_inner_full_power
 
 S = TriPoly.var("s", None)
 U = TriPoly.var("u", None)
@@ -66,10 +70,90 @@ class TestDicksonDecompose:
         # (u+s)^3 is a cube but not a Dickson composition
         assert dickson_decompose((U + S) ** 3, 3) is None
 
+    @pytest.mark.parametrize("p", [None, 7])
+    def test_point_mismatch_skips_the_full_check(self, p):
+        def ring(g):
+            return g if p is None else g.reduce_mod(p)
+
+        q = ring(U * S - T)
+        f = dickson_apply(3, q)
+        # both perturbations sit below the blocks the matcher reads, so every
+        # root of unity yields a candidate; only the full check can refuse one
+        # whose coefficient sum agrees with f's
+        checks = []
+
+        def counting(d, g):
+            checks.append(d)
+            return dickson_apply(d, g)
+
+        with mock.patch("tracelab.decompose.dickson_apply", counting):
+            assert dickson_decompose(f + ring(TriPoly.const(1)), 3) is None
+            assert checks == []
+            assert dickson_decompose(f + ring(S - T), 3) is None
+            assert checks != []
+            del checks[:]
+            assert dickson_decompose(f, 3) == q
+            assert checks == [3]
+
     def test_incompatible_index_raises(self):
         f = dickson_apply(4, U + S)
         with pytest.raises(ValueError):
             dickson_decompose(f, 3)
+
+
+st_scalars = st.sampled_from([-2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-3, 2)])
+st_st_blocks = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.just(0), st.integers(0, 1)), st_scalars, max_size=3
+)
+
+
+def _steps(matcher, blocks, lead, n):
+    """matcher's result and how many exact divisions, one per step, it ran."""
+    calls = []
+    divide = TriPoly.divide_exact
+
+    def counting(self, divisor):
+        calls.append(None)
+        return divide(self, divisor)
+
+    with mock.patch.object(TriPoly, "divide_exact", counting):
+        got = matcher(blocks, lead, n)
+    return got, len(calls)
+
+
+class TestMatchInner:
+    """The truncated matcher against the full-power reference in ``_oracles``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([None, 5, 7, 11, 13]),  # no p here divides any n below
+        st.sampled_from([2, 3, 4, 6]),
+        st.integers(2, 3),
+        st.sampled_from([(1, 0), (0, 1), (1, 1)]),
+        st_st_blocks,
+        st.integers(-3, 3),
+        st.data(),
+    )
+    def test_matches_full_power_reference(self, p, n, m, lead_exps, lead_rest, c, data):
+        lead = TriPoly.from_terms({(lead_exps[0], 0, lead_exps[1]): 1}, p)
+        lead = lead + TriPoly.from_terms(lead_rest, p)
+        if lead.is_constant:
+            return
+        lower = data.draw(st.lists(st_st_blocks, min_size=m, max_size=m))
+        q = TriPoly.from_u_coefficients([TriPoly.from_terms(b, p) for b in lower] + [lead], p)
+        target = q**n + q ** (n - 2) * TriPoly.const(c, p)  # h(Q), h = z^n + c*z^(n-2)
+        blocks = target.u_coefficients()
+        got, steps = _steps(_match_inner, blocks, lead, n)
+        assert (got, steps) == _steps(match_inner_full_power, blocks, lead, n)
+        assert (got, steps) == (q, m)
+
+        # a constant added to the u^(r-j) block leaves step j a remainder of 1
+        # modulo the nonconstant n * lead^(n-1), so both stop there with None
+        j = data.draw(st.integers(1, m))
+        r = n * m
+        blocks[r - j] = blocks[r - j] + TriPoly.const(1, p)
+        assert _steps(_match_inner, blocks, lead, n) == (None, j)
+        assert _steps(match_inner_full_power, blocks, lead, n) == (None, j)
 
 
 class TestDecomposeInU:
@@ -160,6 +244,12 @@ class TestClassifyP:
         with pytest.raises(DegenerateWordError):
             classify_p(parse("xx"), 3)
 
+    @pytest.mark.parametrize("p", [4, 9, 15, 1, 0, -3])
+    def test_non_prime_rejected(self, p):
+        # Z/pZ is not a field: no witness "over F4" or ZeroDivisionError at p = 0
+        with pytest.raises(ValueError, match="prime"):
+            classify_p(parse("xyxy"), p)
+
 
 class TestClassifyRational:
     def test_composite_square(self):
@@ -208,6 +298,13 @@ class TestClassifyGlobal:
         verdicts = {pv.p: pv.verdict for pv in g.per_prime}
         assert verdicts[3] == SPECIAL_P
         assert verdicts[2] == COMPOSITE_NOT_SPECIAL
+
+
+    @pytest.mark.parametrize("p_max", [1, 0, -5])
+    def test_p_max_below_two_raises(self, p_max):
+        # no prime to certify: xyxy must not come back certified to p_max
+        with pytest.raises(ValueError, match="p_max must be >= 2"):
+            classify_global(parse("xyxy"), p_max)
 
 
 class TestPowerWordReport:

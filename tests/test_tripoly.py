@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from tracelab.tripoly import TriPoly, _nth_roots, frobenius_strip
 
-from _oracles import tri_add, tri_eval_mod, tri_mul
+from _oracles import frobenius_strip_brute, tri_add, tri_eval_mod, tri_mul
 
 S = TriPoly.var("s", None)
 U = TriPoly.var("u", None)
@@ -98,6 +98,34 @@ class TestModularReduction:
         assert s.scale(Fraction(1, 2)).render() == "2*s"
         with pytest.raises(ValueError):
             TriPoly.const(Fraction(1, 3), 3)
+
+    def test_integral_fraction_becomes_int(self):
+        c = TriPoly.const(Fraction(4, 2)).constant_value()
+        assert c == 2 and type(c) is int
+        assert TriPoly.const(Fraction(1, 2)).constant_value() == Fraction(1, 2)
+
+    @pytest.mark.parametrize("p", [None, 5])
+    def test_zeros_dropped(self, p):
+        f = TriPoly.from_terms({(1, 0, 0): 0, (0, 1, 0): Fraction(0), (0, 0, 1): 3}, p)
+        assert len(f) == 1 and f.coeff(0, 0, 1) == 3
+
+    def test_ints_reduce_mod_p(self):
+        terms = {(1, 0, 0): -1, (0, 1, 0): 14, (0, 0, 1): -15, (0, 0, 0): 23}
+        f = TriPoly.from_terms(terms, 7)
+        assert dict(f.terms()) == {(1, 0, 0): 6, (0, 0, 1): 6, (0, 0, 0): 2}
+        assert f == as_tripoly(terms).reduce_mod(7)
+
+    def test_coefficient_sum_is_value_at_ones(self):
+        f = as_tripoly({(1, 0, 0): 4, (0, 2, 1): -1, (0, 0, 0): Fraction(1, 2)})
+        assert f.coefficient_sum() == Fraction(7, 2)
+        assert (f + C(Fraction(1, 2))).coefficient_sum() == 4
+        assert f.reduce_mod(5).coefficient_sum() == 1  # 4 - 1 + 3 = 6 = 1 mod 5
+
+    def test_p_divisible_denominator_raises(self):
+        with pytest.raises(ValueError):
+            TriPoly.from_terms({(1, 0, 0): 1, (0, 0, 0): Fraction(2, 7)}, 7)
+        with pytest.raises(ValueError):
+            (S + C(Fraction(2, 7))).reduce_mod(7)
 
     def test_mixed_characteristic_rejected(self):
         with pytest.raises(ValueError):
@@ -226,6 +254,41 @@ class TestFrobeniusStrip:
     def test_rejects_rational_input(self):
         with pytest.raises(ValueError):
             frobenius_strip(U**2)
+
+    def test_late_exponent_prime_to_p(self):
+        # every exponent but the last monomial's is divisible by p, so the
+        # scan meets the one that decides k = 0 only at the end
+        for p in (2, 3, 5):
+            terms = {(p, 0, 0): 1, (0, 2 * p, p): 1, (0, 0, 0): 1, (p, p, 0): 1, (1, p, 0): 1}
+            f = TriPoly.from_terms(terms, p)
+            assert list(f.terms())[-1][0] == (1, p, 0)
+            assert frobenius_strip(f) == (f, 0)
+            assert frobenius_strip_brute(terms, p) == (dict(f.terms()), 0)
+
+    @given(
+        st.sampled_from([2, 3, 5]),
+        st.integers(0, 2),
+        st.dictionaries(
+            st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+            st.integers(1, 4),
+            min_size=1,
+            max_size=3,
+        ),
+        st.one_of(st.none(), st.tuples(*[st.integers(0, 3)] * 3)),
+    )
+    def test_matches_brute_force(self, p, k, core, extra):
+        q = p**k
+        terms = {tuple(e * q for e in m): c for m, c in core.items() if c % p}
+        if extra is not None and extra != (0, 0, 0):
+            terms[extra] = 1  # inserted last: the scan reaches it after the rest
+        if not any(m != (0, 0, 0) for m in terms):
+            return
+        f = TriPoly.from_terms(terms, p)
+        got_core, got_k = frobenius_strip(f)
+        want_core, want_k = frobenius_strip_brute(terms, p)
+        assert got_k == want_k
+        assert dict(got_core.terms()) == want_core
+        assert got_core ** (p**got_k) == f
 
 
 def _frob_recompose(core, p, k):
