@@ -22,6 +22,10 @@ Sections, each hashed separately:
   the first 35 fibers-stream requests;
 - fibers-large-q: the same four outputs for xyXY, xyxy, x^4yX^2Yx^2yX^2Y
   and xxyXYYxyXy at q in {49, 64, 81}, past the fibers stream's q <= 32;
+- fibers-long: SL and PSL CSVs and ``ImageReport`` for (xy)^17, x^17y^16,
+  a 33-letter word and x^1000000y^-999999 at q in {7, 16, 27}, all longer
+  than 32 letters after exponent reduction (epsilon is left out: it traces
+  the word as written);
 - levelsets-<seed>: ``SpectrumProbe`` and ``LangWeilReport`` reprs over the
   first 36 levelsets-stream requests;
 - pi-fibers: ``pi_fiber_table(q)`` and ``sorted(delta_locus(q))`` for q in
@@ -56,6 +60,13 @@ SEEDS = (1, 2, 3)
 PI_FIBER_QS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 81)
 LARGE_FIBER_WORDS = ("xyXY", "xyxy", "x^4yX^2Yx^2yX^2Y", "xxyXYYxyXy")
 LARGE_FIBER_QS = (49, 64, 81)
+LONG_FIBER_WORDS = (
+    "xy" * 17,
+    "x^17y^16",
+    "x^-1yx^2yx^-2y^-2x^2y^-1x^-1yx^-1y^-2x^-1yx^2yxy^-2xyx^-2y^-2x^-1y",
+    "x^1000000y^-999999",
+)
+LONG_FIBER_QS = (7, 16, 27)
 DECOMPOSE_PRIMES = (None, 3, 5, 7, 11, 13)
 DECOMPOSE_NS = (2, 3, 4, 6)
 DECOMPOSE_INNERS = ("u", "u + s", "s*u - t", "u^2 + s*t*u - t", "s*u^2 + t*u - 2", "u^3 - s*u + t")
@@ -98,12 +109,13 @@ def _scans(tl):
         yield f"scan-sampled-{constraint}", tl.genericity_csv(sampled)
 
 
-def _fiber_outputs(tl, w, q):
+def _fiber_outputs(tl, w, q, epsilon=True):
     report = tl.fiber_distribution(w, q)
     yield report.to_csv()
     if q % 2:
         yield tl.psl_fiber_distribution(w, q, sl_report=report).to_csv()
-    yield json.dumps(tl.equidist_epsilon(report).to_json_dict(), sort_keys=True)
+    if epsilon:
+        yield json.dumps(tl.equidist_epsilon(report).to_json_dict(), sort_keys=True)
     yield repr(tl.image_analysis(w, q, sl_report=report))
 
 
@@ -115,6 +127,11 @@ def _fibers(tl, inputs, seed):
 def _fibers_large_q(tl):
     for text, q in itertools.product(LARGE_FIBER_WORDS, LARGE_FIBER_QS):
         yield from _fiber_outputs(tl, tl.parse(text), q)
+
+
+def _fibers_long(tl):
+    for text, q in itertools.product(LONG_FIBER_WORDS, LONG_FIBER_QS):
+        yield from _fiber_outputs(tl, tl.parse(text), q, epsilon=False)
 
 
 def _levelsets(tl, inputs, seed):
@@ -200,6 +217,7 @@ def sections(tl, inputs):
     for seed in SEEDS:
         yield f"fibers-{seed}", _fibers(tl, inputs, seed)
     yield "fibers-large-q", _fibers_large_q(tl)
+    yield "fibers-long", _fibers_long(tl)
     for seed in SEEDS:
         yield f"levelsets-{seed}", _levelsets(tl, inputs, seed)
     yield "pi-fibers", _pi_fibers(tl)

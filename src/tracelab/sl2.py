@@ -22,9 +22,10 @@ unipotent: off the locus kappa = 0 on one representative pair per point,
 since a pi-fiber there is one free PGL(2,q)-orbit; on it, on the pairs of
 each class representative x_c of trace s with the y of tr y = t and
 tr x_c y = u, solved from their conic at about q pairs per point, or one
-y per class when x_c is central.  No pass over the group is made unless a
-word is too long to trace.  Counts accumulate in a fixed class order, so
-results are deterministic.
+y per class when x_c is central.  No pass over the group is made: a word
+too long to trace reads f_w from one pair per point, since
+tr w(x, y) = f_w(pi(x, y)) on every pair.  Counts accumulate in a fixed
+class order, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -47,22 +48,22 @@ from .words import Word, X as _GEN_X
 # f_w is +-2, O(q^3) pairs at worst (the commutator), in bounded batches.
 # This is the top of the level-set screens' q list, so epsilon can be
 # tested at the same q; there the commutator's report takes about 0.8 s and
-# 70 MB peak RSS on a 2-vCPU host.
+# 70 MB peak RSS on a 2-vCPU host, and that of (xy)^17, past
+# _MAX_TRACED_LENGTH, about 2 s.
 MAX_FIBER_Q = 128
 
-# fiber_distribution reads classes from f_w for words of at most this many
-# letters after exponent reduction, and evaluates longer words on every
-# pair, which costs time linear in the letters.  The trace engine's cost
-# grows exponentially in the blocks and faster than quadratically in each
-# exponent; the letter count bounds both.  On a cold engine the slowest of
-# 260 random 32-letter words traced in 0.33 s, while at 40 and 48 letters
-# it reaches 1.6 s and 9.7 s (463 MB).
+# fiber_distribution reads f_w from the trace polynomial for words of at
+# most this many letters after exponent reduction, and from the word on one
+# pair per point of F_q^3 (_word_slices) for longer ones.  The trace
+# engine's cost grows exponentially in the blocks and faster than
+# quadratically in each exponent; the letter count bounds both.  On a cold
+# engine the slowest of 260 random 32-letter words traced in 0.33 s, while
+# at 40 and 48 letters it reaches 1.6 s and 9.7 s (463 MB).  The word slices
+# cost time linear in the letters and in q^3: for (xy)^17 they take 0.04 s
+# at q = 27, 0.47 s at q = 81 and 1.9 s at q = 128 on a 2-vCPU host.  On
+# the 105 words of at most 12 letters of perfbench's fibers stream (seed 1)
+# they took 1.3 s in all, against 0.07 s for tracing and _u_slices.
 _MAX_TRACED_LENGTH = 32
-
-# A longer word is evaluated on every pair of a class representative and a
-# group element, O(q^4) matrix products per letter; fiber_distribution
-# refuses it beyond this q.
-_MAX_ALL_PAIRS_Q = 81
 
 Matrix = tuple[int, int, int, int]
 
@@ -125,30 +126,6 @@ def word_value(w: Word, X: Matrix, Y: Matrix, F: GF) -> Matrix:
         if F.sub(F.mul(a, d), F.mul(b, c)) != F.one:
             raise ValueError(f"{name} does not have determinant 1")
     return tuple(int(v) for v in _eval_word(F, w, X, Y))
-
-
-def enumerate_group(F: GF):
-    """All of SL(2,q) as four parallel code arrays (a, b, c, d).
-
-    Deterministic order: ascending a, then b, then the free coordinate.
-    """
-    q = F.q
-    mt, at, nt, inv = F.mul_table, F.add_table, F.neg_table, F.inv_table
-    free = np.arange(q, dtype=np.int64)
-    units = free[1:]
-    # a = 0: bc = -1 forces c, d free
-    b0, d0 = np.meshgrid(units, free, indexing="ij")
-    c0 = nt[inv[b0]]
-    # a != 0: d = a^{-1} (1 + b c), c free
-    a1, b1, c1 = np.meshgrid(units, free, free, indexing="ij")
-    d1 = mt[inv[a1], at[F.one, mt[b1, c1]]]
-    out = tuple(
-        np.concatenate((v0.ravel(), v1.ravel()))
-        for v0, v1 in ((np.zeros_like(b0), a1), (b0, b1), (c0, c1), (d0, d1))
-    )
-    if out[0].shape[0] != q**3 - q:
-        raise RuntimeError("group enumeration does not match |SL(2,q)|")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -305,21 +282,6 @@ def _exponent_residues(w: Word, q: int) -> Word:
     return Word.from_blocks([(g, r - E if r > E // 2 else r) for g, r in residues])
 
 
-def class_fiber_counts(
-    w: Word, table: ClassTable, ys, xmat: Matrix
-) -> np.ndarray:
-    """#{y in batch : w(xmat, y) lands in class C}, per class C.
-
-    Evaluates the word directly; fiber_distribution calls it on every pair
-    of a class representative and a group element, for a word too long to
-    trace.
-    """
-    n = ys[0].shape[0]
-    vals = _eval_word(table.field, w, xmat, ys)
-    idx = table.classify_array(*(np.broadcast_to(v, (n,)) for v in vals))
-    return np.bincount(idx, minlength=len(table.classes))
-
-
 def _quadratic_roots(F: GF) -> np.ndarray:
     """Both roots in F_q of c^2 + beta c + gamma, indexed [beta, gamma, :].
 
@@ -343,33 +305,57 @@ def _distinct_roots(roots, beta, gamma):
     return i, pair[i, j]
 
 
-def _off_locus_pairs(F: GF, s, u, t):
-    """One pair (x, y) in SL(2,q) with traces (s, u, t) per point off the locus.
+def _point_pairs(F: GF, roots, s, u, t):
+    """One pair (x, y) in SL(2,q) with traces (s, u, t) at each point.
 
-    x = [[0, -1], [1, s]] and y = [[a, b], [c, d]] with d = t - a and
-    b = u + c - s d, where c is a root of c^2 + (u - s d) c + (1 - a d), so
-    that det y = 1.  The roots are read from _quadratic_roots, and
-    a = 0, 1, ... is tried at the points still without a root.  Every point
-    off the locus kappa = 0 has such a pair: the first entry of a pair
-    there is not scalar, so it is GL(2,q)-conjugate to this x, and
-    conjugation keeps the three traces.
+    Where s = 2e and u = e t for e = +-1, x = e I and y = [[0, -1], [1, t]].
+    Elsewhere x = [[0, -1], [1, s]] and y = [[a, b], [c, d]] with d = t - a
+    and b = u + c - s d, where c is a root of c^2 + (u - s d) c + (1 - a d),
+    so that det y = 1.  The roots are read from roots = _quadratic_roots(F),
+    and a = 0, 1, ... is tried at the points still without a root.  Every
+    such point has one: a pair with first entry e I has s = 2e and u = e t,
+    so the first entry of a pair there is not scalar; it is then
+    GL(2,q)-conjugate to this x, and conjugation keeps the three traces.
     """
     q, add, mul, neg = F.q, F.add_table, F.mul_table, F.neg_table
-    roots = _quadratic_roots(F)[:, :, 0]
-    x = (F.zero, F.neg(F.one), F.one, s)
-    y = tuple(np.zeros(len(s), dtype=np.int64) for _ in range(4))
-    todo = np.arange(len(s))
+    first_root = roots[:, :, 0]
+    n = len(s)
+    x = (np.zeros(n, dtype=np.int64), np.full(n, F.neg(F.one)), np.full(n, F.one), s.copy())
+    y = tuple(np.zeros(n, dtype=np.int64) for _ in range(4))
+    central = np.zeros(n, dtype=bool)
+    for e in {F.one, F.neg(F.one)}:
+        at = (s == F.add(e, e)) & (u == mul[e, t])
+        for entry, val in zip(x + y, (e, F.zero, F.zero, e, F.zero, F.neg(F.one), F.one, t[at])):
+            entry[at] = val
+        central |= at
+    todo = np.flatnonzero(~central)
     for a in range(q):
         d = add[t[todo], neg[a]]
         beta = add[u[todo], neg[mul[s[todo], d]]]
-        c = roots[beta, add[F.one, neg[mul[a, d]]]]
+        c = first_root[beta, add[F.one, neg[mul[a, d]]]]
         ok = c >= 0
         for entry, val in zip(y, (a, add[beta[ok], c[ok]], c[ok], d[ok])):
             entry[todo[ok]] = val
         todo = todo[~ok]
         if not todo.size:
             return x, y
-    raise RuntimeError("a point off the locus has no representative pair")
+    raise RuntimeError("a point has no representative pair")
+
+
+def _word_slices(w: Word, F: GF) -> Iterator[np.ndarray]:
+    """tr w on the q x q grid [s, t], for u = 0, 1, ..., q-1 in turn.
+
+    tr w(x, y) = f_w(s, u, t) on every pair over the point (s, u, t), so
+    the word on one pair per point from _point_pairs yields what
+    _u_slices yields from f_w, without tracing w.
+    """
+    q = F.q
+    roots = _quadratic_roots(F)
+    s, t = (v.ravel() for v in np.indices((q, q)))
+    for u in range(q):
+        x, y = _point_pairs(F, roots, s, np.full(q * q, u), t)
+        a, _, _, d = (np.broadcast_to(v, s.shape) for v in _eval_word(F, w, x, y))
+        yield F.add_table[a, d].reshape(q, q)
 
 
 def _off_locus_totals(w: Word, table: ClassTable, points, z) -> np.ndarray:
@@ -382,7 +368,7 @@ def _off_locus_totals(w: Word, table: ClassTable, points, z) -> np.ndarray:
     when q is odd, one when q is even), which conjugation by PGL(2,q) swaps.
     """
     F, q = table.field, table.q
-    x, y = _off_locus_pairs(F, points // (q * q), points // q % q, points % q)
+    x, y = _point_pairs(F, _quadratic_roots(F), points // (q * q), points // q % q, points % q)
     vals = [np.broadcast_to(v, z.shape) for v in _eval_word(F, w, x, y)]
     if not np.array_equal(F.add_table[vals[0], vals[3]], z):
         raise RuntimeError("the word's trace differs from f_w at a representative pair")
@@ -489,7 +475,7 @@ def _locus_totals(w: Word, table: ClassTable, points, z, expected: int) -> np.nd
     return totals
 
 
-def _traced_totals(w: Word, table: ClassTable) -> np.ndarray:
+def _fiber_totals(w: Word, table: ClassTable) -> np.ndarray:
     """#{(x, y) : w(x, y) in C} per class C, through f_w and the pi-fiber weights.
 
     Every point (s, u, t) of F_q^3 carries N(s, u, t) pairs, and the class
@@ -498,10 +484,16 @@ def _traced_totals(w: Word, table: ClassTable) -> np.ndarray:
     bincount over (f_w, kind of N).  The points where f_w = +-2 are split
     by the word itself: off the locus through one representative pair
     each, on it through the pairs of each class representative with the y
-    of those traces.
+    of those traces.  f_w is traced for a word of at most
+    _MAX_TRACED_LENGTH letters and read from the word on one pair per
+    point for a longer one.
     """
     F, q = table.field, table.q
-    fw = np.stack(list(_u_slices(trace_poly(w).f.reduce_mod(F.p), F)), axis=1).ravel()
+    if w.length > _MAX_TRACED_LENGTH:
+        slices = _word_slices(w, F)
+    else:
+        slices = _u_slices(trace_poly(w).f.reduce_mod(F.p), F)
+    fw = np.stack(list(slices), axis=1).ravel()
     kinds = _pi_fiber_kinds(F).ravel()
     values = _pi_fiber_values(q)
     weights = np.bincount(fw * 4 + kinds, minlength=4 * q).reshape(q, 4) @ values
@@ -529,28 +521,16 @@ def fiber_distribution(w: Word, q: int) -> FiberReport:
     evaluated only where f_w = +-2, to split central from unipotent: on one
     representative pair per point off the locus kappa = 0, and on it on
     the pairs of each class representative x_c with the y of traces
-    tr y = t and tr x_c y = u, read off their conic.  A word still longer
-    than _MAX_TRACED_LENGTH letters is evaluated on every pair of a class
-    representative and a group element, so the cost stays polynomial in
-    the word; that is refused beyond q = _MAX_ALL_PAIRS_Q.
+    tr y = t and tr x_c y = u, read off their conic.  The values of f_w
+    come from its trace polynomial, or, for a word still longer than
+    _MAX_TRACED_LENGTH letters, from the word on one pair per point, so
+    the cost stays polynomial in the word.
     """
     if q > MAX_FIBER_Q:
         raise ValueError(f"resource guard exceeded: q = {q} > {MAX_FIBER_Q}")
-    v = _exponent_residues(w, q)
-    if v.length > _MAX_TRACED_LENGTH and q > _MAX_ALL_PAIRS_Q:
-        raise ValueError(
-            f"resource guard exceeded: a word of {v.length} letters after exponent "
-            f"reduction is evaluated on all pairs, which stops at q = {_MAX_ALL_PAIRS_Q}"
-        )
     table = build_class_table(q)
     order = q**3 - q
-    if v.length > _MAX_TRACED_LENGTH:
-        ys = enumerate_group(table.field)
-        totals = np.zeros(len(table.classes), dtype=np.int64)
-        for cls in table.classes:
-            totals += cls.size * class_fiber_counts(v, table, ys, cls.rep)
-    else:
-        totals = _traced_totals(v, table)
+    totals = _fiber_totals(_exponent_residues(w, q), table)
     if (totals % table.sizes != 0).any():
         raise RuntimeError("per-class totals are not divisible by class sizes")
     per_element = totals // table.sizes

@@ -343,7 +343,7 @@ class TriPoly:
                 out[key + (j << _SH_U)] = out.get(key + (j << _SH_U), 0) + c
         return TriPoly(out, p)
 
-    # -- substitution and evaluation -----------------------------------------
+    # -- substitution ---------------------------------------------------------
 
     def substitute(self, s_val: "TriPoly", u_val: "TriPoly", t_val: "TriPoly") -> "TriPoly":
         """Compose with polynomial values for the three variables."""
@@ -368,27 +368,6 @@ class TriPoly:
                 term = term * vpow("t", k)
             out = out + term
         return out
-
-    def evaluate(self, field, s: int, u: int, t: int) -> int:
-        """Evaluate at field elements (encoded ints) of ``field``."""
-        if self.p is None:
-            raise ValueError("reduce mod p before evaluating in a field")
-        if field.p != self.p:
-            raise ValueError("field characteristic does not match")
-        mul = field.mul_table.item
-        add = field.add_table.item
-        terms = [(_unpack(key), c) for key, c in self._c.items()]
-        rows = []
-        for v, base in enumerate((s, u, t)):
-            row = [field.one]
-            for _ in range(max((e[v] for e, _ in terms), default=0)):
-                row.append(mul(row[-1], base))
-            rows.append(row)
-        ps, pu, pt = rows
-        acc = field.zero
-        for (i, j, k), c in terms:  # coefficients are residues mod p, codes of F_p
-            acc = add(acc, mul(mul(mul(c, ps[i]), pu[j]), pt[k]))
-        return acc
 
     # -- exact division and roots ----------------------------------------------
 

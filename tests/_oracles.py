@@ -6,12 +6,12 @@ polynomials are plain dicts, words are letter strings, group elements are
 (addition/multiplication in a finite field has one correct answer; the
 interesting logic being cross-checked lives above that layer).  The
 exceptions are `direct_fiber_totals` and `group_pi_table`, which reuse the
-library's group enumeration, direct word evaluator and class lookup (all
-checked against brute force in the tests) as the references for the fiber
-counts that `sl2` reads from f_w and for its closed-form pi-fiber table,
-and `match_inner_full_power`, the u-block matcher that raises the whole
-of Q to the n-th power for every block, kept on `TriPoly` arithmetic as
-the reference for the truncated matcher in `decompose`.
+library's direct word evaluator and class lookup (both checked against
+brute force in the tests) on `enumerate_group` as the references for the
+fiber counts that `sl2` reads from f_w and for its closed-form pi-fiber
+table, and `match_inner_full_power`, the u-block matcher that raises the
+whole of Q to the n-th power for every block, kept on `TriPoly`
+arithmetic as the reference for the truncated matcher in `decompose`.
 """
 
 from collections import Counter
@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from tracelab.gf import field
-from tracelab.sl2 import _IDENTITY, _eval_word, build_class_table, enumerate_group
+from tracelab.sl2 import _IDENTITY, _eval_word, build_class_table
 from tracelab.tripoly import TriPoly
 from tracelab.words import X as GEN_X
 
@@ -346,6 +346,30 @@ def mat_neg(F, m):
     return tuple(F.neg(v) for v in m)
 
 
+def enumerate_group(F):
+    """All of SL(2,q) as four parallel code arrays (a, b, c, d).
+
+    Deterministic order: ascending a, then b, then the free coordinate.
+    """
+    q = F.q
+    mt, at, nt, inv = F.mul_table, F.add_table, F.neg_table, F.inv_table
+    free = np.arange(q, dtype=np.int64)
+    units = free[1:]
+    # a = 0: bc = -1 forces c, d free
+    b0, d0 = np.meshgrid(units, free, indexing="ij")
+    c0 = nt[inv[b0]]
+    # a != 0: d = a^{-1} (1 + b c), c free
+    a1, b1, c1 = np.meshgrid(units, free, free, indexing="ij")
+    d1 = mt[inv[a1], at[F.one, mt[b1, c1]]]
+    out = tuple(
+        np.concatenate((v0.ravel(), v1.ravel()))
+        for v0, v1 in ((np.zeros_like(b0), a1), (b0, b1), (c0, c1), (d0, d1))
+    )
+    if out[0].shape[0] != q**3 - q:
+        raise RuntimeError("group enumeration does not match |SL(2,q)|")
+    return out
+
+
 def group_elements(q):
     F = field(q)
     arrs = enumerate_group(F)
@@ -463,25 +487,36 @@ def brute_pi_table(q):
 
 
 # ---------------------------------------------------------------------------
-# scalar level-set counter (no vectorization, no Horner blocks)
+# scalar evaluation and level-set counting (no vectorization, no Horner blocks)
+
+
+def poly_value(f, F, s, u, t):
+    """f(s, u, t) at codes of F, term by term; f is a TriPoly over F_p."""
+    if f.p != F.p:
+        raise ValueError("polynomial is not over the field's prime field")
+    mul, add = F.mul_table.item, F.add_table.item
+    terms = list(f.terms())
+    rows = []  # rows[v][e] = (s, u, t)[v]^e
+    for v, base in enumerate((s, u, t)):
+        row = [F.one]
+        for _ in range(max((m[v] for m, _ in terms), default=0)):
+            row.append(mul(row[-1], base))
+        rows.append(row)
+    ps, pu, pt = rows
+    total = F.zero
+    for (i, j, k), c in terms:  # coefficients are residues mod p, codes of F_p
+        total = add(total, mul(mul(mul(c, ps[i]), pu[j]), pt[k]))
+    return total
 
 
 def naive_level_counts(f, q):
     F = field(q)
     g = f if f.p is not None else f.reduce_mod(F.p)
-    terms = list(g.terms())
     counts = [0] * q
     for s in range(q):
         for u in range(q):
             for t in range(q):
-                total = 0
-                for mono, c in terms:
-                    v = F.embed_int(c)
-                    v = F.mul(v, F.pow(s, mono[0]))
-                    v = F.mul(v, F.pow(u, mono[1]))
-                    v = F.mul(v, F.pow(t, mono[2]))
-                    total = F.add(total, v)
-                counts[total] += 1
+                counts[poly_value(g, F, s, u, t)] += 1
     return counts
 
 

@@ -41,6 +41,7 @@ from _oracles import (
     group_elements,
     lau_from_unipoly,
     mat_neg,
+    poly_value,
 )
 
 S = TriPoly.var("s", None)
@@ -102,7 +103,7 @@ def test_criterion_02_oracle_agreement():
             f = trace_poly(w, engine=eng).f.reduce_mod(101)
             for _ in range(100):
                 s, u, t = (rng.randrange(101) for _ in range(3))
-                assert f.evaluate(F, s, u, t) == eval_trace_direct(w, F, s, u, t)
+                assert poly_value(f, F, s, u, t) == eval_trace_direct(w, F, s, u, t)
 
 
 def test_criterion_03_specialization_suite():

@@ -12,7 +12,6 @@ from tracelab.sl2 import (
     MAX_FIBER_Q,
     build_class_table,
     delta_locus,
-    enumerate_group,
     epsilon_feasible,
     equidist_epsilon,
     fiber_distribution,
@@ -34,6 +33,7 @@ from _oracles import (
     brute_psl_fibers,
     brute_sl_fibers,
     direct_fiber_totals,
+    enumerate_group,
     group_elements,
     group_pi_table,
     mat_neg,
@@ -228,18 +228,26 @@ class TestFiberDistribution:
             fiber_distribution(parse("xy"), 131)
         assert MAX_FIBER_Q == 128
 
-    @pytest.mark.parametrize("q", [83, 128])
-    def test_untraceable_word_refused_past_all_pairs_q(self, q, monkeypatch):
-        # 34 letters after exponent reduction: only the all-pairs branch counts it
+    def test_untraceable_word_within_budget(self):
+        # 34 letters after exponent reduction: f_w is read from one pair per point
         w = parse("xy" * 17)
-        assert sl2._exponent_residues(w, q).length > sl2._MAX_TRACED_LENGTH
+        assert sl2._exponent_residues(w, 83).length > sl2._MAX_TRACED_LENGTH
+        t0 = time.monotonic()
+        rep = fiber_distribution(w, 83)
+        elapsed = time.monotonic() - t0
+        assert elapsed <= 2.5, f"budget exceeded: {elapsed:.2f}s > 2.5s"
+        assert sum(r.class_size * r.fiber_per_element for r in rep.rows) == rep.order**2
 
-        def no_table(q):
-            raise AssertionError("class table built past the guard")
-
-        monkeypatch.setattr(sl2, "build_class_table", no_table)
-        with pytest.raises(ValueError, match="resource guard exceeded"):
-            fiber_distribution(w, q)
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+    def test_word_slices_equal_the_traced_slices(self, q):
+        # characteristic 2 included, where the traces +2 and -2 coincide
+        F = field(q)
+        rng = random.Random(q)
+        for _ in range(3):
+            w = parse("".join(rng.choice("xXyY") for _ in range(rng.randint(1, 14))))
+            traced = sl2._u_slices(trace_poly(w).f.reduce_mod(F.p), F)
+            for got, want in zip(sl2._word_slices(w, F), traced, strict=True):
+                assert np.array_equal(got, want), str(w)
 
     @pytest.mark.parametrize("q", [25, 32])
     def test_matches_direct_evaluation_on_and_off_the_locus(self, q):
@@ -381,8 +389,8 @@ class TestPiFibers:
         with pytest.raises(ValueError, match="resource guard exceeded"):
             pi_fiber_table(131)
 
-    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27])
-    def test_off_locus_representatives(self, q):
+    @staticmethod
+    def _check_point_pairs(q, on_locus):
         F = field(q)
         add, mul, neg = F.add_table, F.mul_table, F.neg_table
 
@@ -392,9 +400,10 @@ class TestPiFibers:
         s, u, t = (v.ravel() for v in np.indices((q, q, q)))
         # kappa = s^2 + t^2 + u^2 - s u t - 4
         kappa = add[add[mul[s, s], mul[t, t]], sub(mul[u, u], mul[mul[s, u], t])]
-        off = sub(kappa, F.embed_int(4)) != 0
-        s, u, t = s[off], u[off], t[off]
-        (x0, x1, x2, x3), (y0, y1, y2, y3) = sl2._off_locus_pairs(F, s, u, t)
+        keep = (sub(kappa, F.embed_int(4)) == 0) == on_locus
+        s, u, t = s[keep], u[keep], t[keep]
+        pairs = sl2._point_pairs(F, sl2._quadratic_roots(F), s, u, t)
+        (x0, x1, x2, x3), (y0, y1, y2, y3) = pairs
         assert (sub(mul[x0, x3], mul[x1, x2]) == F.one).all()
         assert (sub(mul[y0, y3], mul[y1, y2]) == F.one).all()
         assert np.array_equal(add[x0, x3], s)
@@ -403,10 +412,28 @@ class TestPiFibers:
         tr_xy = add[add[mul[x0, y0], mul[x1, y2]], add[mul[x2, y1], mul[x3, y3]]]
         assert np.array_equal(tr_xy, u)
 
-    def test_point_without_representative_raises(self):
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27])
+    def test_off_locus_representatives(self, q):
+        self._check_point_pairs(q, on_locus=False)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+    def test_locus_representatives(self, q):
+        # with the off-locus test, every point of F_q^3
+        self._check_point_pairs(q, on_locus=True)
+
+    def test_point_reached_only_by_a_central_x(self):
         # at q = 3 the locus point (-2, 0, 0) is reached only with x = -I
+        F = field(3)
+        x, y = sl2._point_pairs(F, sl2._quadratic_roots(F), *(np.array([v]) for v in (1, 0, 0)))
+        assert [int(v[0]) for v in x] == [2, 0, 0, 2]
+        assert [int(v[0]) for v in y] == [0, 2, 1, 0]
+
+    def test_point_without_representative_raises(self):
+        # with no quadratic roots, only x = e I could serve, and (0, 1, 1) has s != +-2
+        F = field(3)
+        no_roots = np.full((3, 3, 2), -1)
         with pytest.raises(RuntimeError, match="no representative pair"):
-            sl2._off_locus_pairs(field(3), np.array([1]), np.array([0]), np.array([0]))
+            sl2._point_pairs(F, no_roots, *(np.array([v]) for v in (0, 1, 1)))
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27])
     def test_quadratic_roots_match_brute_force(self, q):

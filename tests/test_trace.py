@@ -20,6 +20,7 @@ from _oracles import (
     lau_mul,
     lau_pow,
     lau_scale,
+    poly_value,
     reduced_strings,
     trace_by_product,
 )
@@ -116,7 +117,7 @@ class TestOracleAgreement:
             for s in range(3):
                 for u in range(3):
                     for t in range(3):
-                        assert f.evaluate(F, s, u, t) == eval_trace_direct(w, F, s, u, t)
+                        assert poly_value(f, F, s, u, t) == eval_trace_direct(w, F, s, u, t)
 
     def test_random_words_larger_field(self, engine):
         F = field(25)
@@ -125,7 +126,7 @@ class TestOracleAgreement:
             f = trace_poly(w, engine=engine).f.reduce_mod(5)
             for _ in range(8):
                 s, u, t = (rng.randrange(25) for _ in range(3))
-                assert f.evaluate(F, s, u, t) == eval_trace_direct(w, F, s, u, t)
+                assert poly_value(f, F, s, u, t) == eval_trace_direct(w, F, s, u, t)
 
 
 class TestUStructure:
@@ -242,7 +243,7 @@ class TestLargeExponents:
         rng = random.Random(text)
         for _ in range(5):
             s, u, t = (rng.randrange(101) for _ in range(3))
-            assert g.evaluate(F, s, u, t) == eval_trace_direct(w, F, s, u, t)
+            assert poly_value(g, F, s, u, t) == eval_trace_direct(w, F, s, u, t)
 
 
 class TestSpecializations:
