@@ -192,13 +192,11 @@ def cmd_fibers(args, out) -> int:
 
 def cmd_epsilon(args, out) -> int:
     w = parse(args.word)
-    if args.q is None and not args.q_list:
-        raise ValueError("epsilon requires --q or --q-list")
-    qs = []
-    if args.q is not None:
-        qs.append(args.q)
+    qs = [] if args.q is None else [args.q]
     if args.q_list:
         qs.extend(int(tok) for tok in args.q_list.split(",") if tok)
+    if not qs:
+        raise ValueError("epsilon requires --q or --q-list")
     reports = []
     for q in qs:
         base = (

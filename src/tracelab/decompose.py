@@ -189,9 +189,13 @@ def decompose_in_u(f: TriPoly, n: int) -> Optional[CompositionWitness]:
     coefficient lc, and h has no z^(n-1) term: lower blocks of Q come from
     matching f / lc against Q^n from the top, then each h_i, i = n-2 down
     to 0, is read off the u^(i*m) block of what remains (it must be a
-    constant times lam^i) while h_i * Q^i is peeled away.  Every returned
-    witness recomposes exactly.  Raises in the wild case (characteristic
-    divides n).
+    constant times lam^i) while h_i * Q^i is peeled away.  Raises in the
+    wild case (characteristic divides n).
+
+    A returned witness recomposes to f exactly, though none is recomposed:
+    after matching, f - lc * Q^n has u-degree below (n-1)*m, and each step
+    refuses a block above u^(i*m) and clears that one, so the peel ends at
+    f - h(Q) = 0; _dickson_normalize only rescales, D_n(c*Q) = h(Q).
     """
     if n < 2:
         raise ValueError("outer degree must be >= 2")
@@ -230,10 +234,9 @@ def decompose_in_u(f: TriPoly, n: int) -> Optional[CompositionWitness]:
         coeffs[i] = h.constant_value()
         rem = rem - powers[i].scale(coeffs[i])
 
-    witness = _dickson_normalize(UniPoly(coeffs, p), inner, p)
-    if witness.recompose() != f:
-        return None
-    return witness
+    if rem:
+        raise RuntimeError("the peel left a nonzero remainder")
+    return _dickson_normalize(UniPoly(coeffs, p), inner, p)
 
 
 def _dickson_normalize(outer: UniPoly, inner: TriPoly, p: Optional[int]) -> CompositionWitness:

@@ -21,9 +21,10 @@ class.  Where f_w = +-2 the word is evaluated, to split central from
 unipotent: off the locus kappa = 0 on one representative pair per point,
 since a pi-fiber there is one free PGL(2,q)-orbit; on it, on the pairs of
 each class representative x_c of trace s with the y of tr y = t and
-tr x_c y = u, solved from their conic at about q pairs per point, or one
-y per class when x_c is central.  No pass over the group is made: a word
-too long to trace reads f_w from one pair per point, since
+tr x_c y = u, at about q pairs per point, solved from one conic for every
+noncentral x_c (each is in companion form (0, b, -1/b, s)), or one y per
+class when x_c is central.  No pass over the group is made: a word too
+long to trace reads f_w from one pair per point, since
 tr w(x, y) = f_w(pi(x, y)) on every pair.  Counts accumulate in a fixed
 class order, so results are deterministic.
 """
@@ -154,9 +155,9 @@ class ClassTable:
     (unipotent) classes of trace +-2 whose invariant beta(g) = b if b != 0
     else -c, read off after normalizing the trace sign to +2, is a square
     or a non-square; in characteristic 2 every element is a square, so kind
-    2 stays empty.  This matches conjugation by hand on the standard
-    representatives and is re-verified against a brute-force orbit oracle
-    in the test suite.
+    2 stays empty.  Noncentral representatives are in companion form (see
+    build_class_table).  The lookup is re-verified against a brute-force
+    orbit oracle in the test suite.
     """
 
     def __init__(self, F: GF, classes: Sequence[ClassInfo]):
@@ -199,7 +200,11 @@ def build_class_table(q: int) -> ClassTable:
     Order: the central classes +-I, then the unipotent classes of trace 2
     and of trace -2 (beta = 1, then the least non-square), then one class
     per remaining trace.  When p = 2, +-I coincide and beta = 1 is the only
-    square class.
+    square class.  A central class is represented by e I, every other class
+    of trace z in companion form (0, b, -1/b, z): b = -1 if semisimple, and
+    b = e beta for the unipotent class of trace 2e and invariant beta
+    ((0, 1, 1, 0) in characteristic 2), so _locus_pairs solves one conic
+    for all of them.
     """
     F = field(q)
     central = {F.add(e, e): e for e in (F.one, F.neg(F.one))}  # trace -> scalar
@@ -211,7 +216,8 @@ def build_class_table(q: int) -> ClassTable:
     for tr, e in central.items():
         for kind, beta in enumerate(betas, 1):
             ctype = f"unipotent-split-{kind}"
-            rep = (e, F.mul(e, beta), 0, e)
+            b = F.mul(e, beta)
+            rep = (0, b, F.neg(F.inv(b)), tr)
             classes.append(
                 ClassInfo(f"{ctype}_tr{tr}", rep, tr, ctype, (q * q - 1) // len(betas))
             )
@@ -296,15 +302,6 @@ def _quadratic_roots(F: GF) -> np.ndarray:
     return roots
 
 
-def _distinct_roots(roots, beta, gamma):
-    """(i, c) for every distinct root c of the i-th quadratic c^2 + beta[i] c + gamma[i]."""
-    pair = roots[beta, gamma]
-    ok = pair >= 0
-    ok[:, 1] &= pair[:, 1] != pair[:, 0]
-    i, j = np.nonzero(ok)
-    return i, pair[i, j]
-
-
 def _point_pairs(F: GF, roots, s, u, t):
     """One pair (x, y) in SL(2,q) with traces (s, u, t) at each point.
 
@@ -387,12 +384,11 @@ def _locus_pairs(table: ClassTable, roots, points):
     x_c runs over the class representatives of trace s.  Returns
     (xc, weight, k, y): the class of x_c, the class whose size each pair
     stands for, the index of its point, and y = (a, b, c, d) as code arrays.
-    With d = t - a:
-    - semisimple x_c = (0, -1, 1, s): b = u + c - s d, and c runs over the
-      roots of c^2 + (u - s d) c + (1 - a d), for every a;
-    - unipotent x_c = (e, e beta, 0, e): c = (e u - t) / beta; if c != 0,
-      b = (a d - 1) / c for every a, and if c = 0, a runs over the roots of
-      a^2 - t a + 1 and b over F_q;
+    - noncentral x_c = (0, b_c, -1/b_c, s), in companion form: with
+      m = -b_c, d = t - a and beta = u - s d, y = (a, m (beta + c), c / m, d)
+      for every a and every root c of c^2 + beta c + (1 - a d).  These are
+      the solutions for x_0 = (0, -1, 1, s) conjugated by diag(m, 1), which
+      carries x_0 to x_c, so one conic serves every noncentral class;
     - central x_c = e I: only u = e t has pairs, and w(x_c, g y g^-1) is
       conjugate to w(x_c, y), so one y per class of trace t stands for the
       whole class.
@@ -400,40 +396,34 @@ def _locus_pairs(table: ClassTable, roots, points):
     size of y's class.
     """
     F, q = table.field, table.q
-    add, mul, neg, inv = F.add_table, F.mul_table, F.neg_table, F.inv_table
+    add, mul = F.add_table.ravel(), F.mul_table.ravel()  # read by flat 1-D takes
+    neg, inv = F.neg_table, F.inv_table
     reps = np.array([c.rep for c in table.classes]).T
     s, u, t = points // (q * q), points // q % q, points % q
-    codes = np.arange(q)
+    pm2 = table.trace_open.take(s)
 
-    def against_codes(k):  # each of k against every code
-        return np.repeat(k, q), np.tile(codes, len(k))
+    noncentral = table._index.take(s, axis=0)
+    noncentral[pm2, 0] = -1
+    row, col = np.nonzero(noncentral >= 0)
+    j, a = np.repeat(np.arange(row.size), q), np.tile(np.arange(q), row.size)
+    k = row.take(j)
+    d = add.take(t.take(k) * q + neg.take(a))
+    beta = add.take(u.take(k) * q + neg.take(mul.take(s.take(k) * q + d)))
+    gamma = add.take(F.one * q + neg.take(mul.take(a * q + d)))
+    # the distinct roots c of each quadratic: a double root is read once
+    pair = roots.reshape(q * q, 2).take(beta * q + gamma, axis=0)
+    ok = pair >= 0
+    ok[:, 1] &= pair[:, 1] != pair[:, 0]
+    i, r = np.nonzero(ok)
+    c = pair[i, r]
+    xc = noncentral[row, col].take(j.take(i))
+    m = neg.take(reps[1].take(xc))
+    b = mul.take(m * q + add.take(beta.take(i) * q + c))
+    parts = [(xc, xc, k.take(i), a.take(i), b, mul.take(c * q + inv.take(m)), d.take(i))]
 
-    parts = []  # (xc, weight, k, a, b, c, d)
-    k, a = against_codes(np.flatnonzero(~table.trace_open.take(s)))
-    d = add[t[k], neg[a]]
-    beta = add[u[k], neg[mul[s[k], d]]]
-    i, c = _distinct_roots(roots, beta, add[F.one, neg[mul[a, d]]])
-    xc = table.trace_class.take(s[k[i]])
-    parts.append((xc, xc, k[i], a[i], add[beta[i], c], c, d[i]))
-
-    pm2 = np.flatnonzero(table.trace_open.take(s))
-    cls = table._index[s[pm2], 1:]
-    row, col = np.nonzero(cls >= 0)
-    k, xc = pm2[row], cls[row, col]
-    e = reps[0, xc]
-    c = mul[add[mul[e, u[k]], neg[t[k]]], inv[mul[e, reps[1, xc]]]]
-    j, a = against_codes(np.flatnonzero(c != 0))
-    d = add[t[k[j]], neg[a]]
-    b = mul[add[mul[a, d], neg[F.one]], inv[c[j]]]
-    parts.append((xc[j], xc[j], k[j], a, b, c[j], d))
-    free = np.flatnonzero(c == 0)
-    i, a = _distinct_roots(roots, neg[t[k[free]]], np.full(free.size, F.one))
-    j, b = against_codes(free[i])
-    a = np.repeat(a, q)
-    parts.append((xc[j], xc[j], k[j], a, b, np.zeros_like(b), add[t[k[j]], neg[a]]))
-
+    pm2 = np.flatnonzero(pm2)
     xc = table.trace_class.take(s[pm2])
-    on = np.flatnonzero(u[pm2] == mul[reps[0, xc], t[pm2]])
+    on = np.flatnonzero(u[pm2] == mul.take(reps[0, xc] * q + t[pm2]))
     ycls = table._index[t[pm2[on]]]
     row, col = np.nonzero(ycls >= 0)
     yc = ycls[row, col]

@@ -159,7 +159,8 @@ class SyllablePair:
 
 def _trace_result(w: Word, f: TriPoly) -> Optional[TraceResult]:
     """f as the trace of w, or None when w is canonical and deg_u f != complexity."""
-    canon = w if w.is_empty else canonicalize(w)[0]
+    # a word from an x-block to a y-block is its own canonical form
+    canon = w if w.is_empty or w.is_canonical else canonicalize(w)[0]
     u_degree = max(f.deg("u"), 0)
     if canon.is_canonical and u_degree != canon.complexity:
         return None

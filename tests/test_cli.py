@@ -171,6 +171,11 @@ class TestEpsilon:
         assert blob[0]["epsilon"] == "13/24"
         assert blob[1]["epsilon"] == "5/12"
 
+    @pytest.mark.parametrize("q_list", ["", ",", ",,"])
+    def test_q_list_without_a_q_exit_two(self, q_list, capsys):
+        assert run("epsilon", "xy", "--q-list", q_list) == (2, "")
+        assert "epsilon requires --q or --q-list" in capsys.readouterr().err
+
 
 class TestScan:
     def test_exhaustive_cumulative_counts(self):

@@ -192,6 +192,43 @@ class TestDecomposeInU:
             assert wit.recompose() == target
             assert wit.outer.degree == 3
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from([None, 3, 5, 7]),
+        st.sampled_from([2, 3, 4]),
+        st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]),
+        st.lists(st_st_blocks, min_size=1, max_size=2),
+        st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+        st.sampled_from([None, "s", "t*u^(r-1)", "s*u^m", "1"]),
+    )
+    def test_every_witness_recomposes(self, p, n, lead_exps, lower, coeffs, perturb):
+        # decompose_in_u returns without recomposing; recompose is the reference
+        if p is not None and n % p == 0:
+            return  # wild
+        lead = TriPoly.from_terms({(lead_exps[0], 0, lead_exps[1]): 1}, p)
+        q = TriPoly.from_u_coefficients([TriPoly.from_terms(b, p) for b in lower] + [lead], p)
+        outer = UniPoly([*coeffs[:n], coeffs[n] or 1], p)
+        if outer.degree != n:
+            return  # leading coefficient divisible by p
+        f = TriPoly.zero(p)
+        for i, c in enumerate(outer.coeffs):
+            f = f + (q**i).scale(c)
+        s, t, u = (TriPoly.var(name, p) for name in "stu")
+        m, r = len(lower), n * len(lower)
+        f = f + {
+            None: TriPoly.zero(p),
+            "s": s,
+            "t*u^(r-1)": t * u ** (r - 1),
+            "s*u^m": s * u**m,
+            "1": TriPoly.const(1, p),
+        }[perturb]
+        wit = decompose_in_u(f, n)
+        if perturb is None:
+            assert wit is not None
+        if wit is not None:
+            assert wit.recompose() == f
+            assert wit.outer.degree == n
+
     def test_none_for_noncomposite(self):
         f = trace_poly(parse("xyXY")).f
         assert decompose_in_u(f, 2) is None

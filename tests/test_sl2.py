@@ -160,11 +160,21 @@ class TestClassTable:
         idx = table.classify_array(*enumerate_group(table.field))
         assert np.bincount(idx, minlength=len(table.classes)).tolist() == table.sizes.tolist()
 
-    @pytest.mark.parametrize("q", [5, 7])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27])
     def test_rep_belongs_to_its_class(self, q):
         table = build_class_table(q)
         for c in table.classes:
             assert table.classes[table.class_of(c.rep)] is c
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 16])
+    def test_noncentral_reps_in_companion_form(self, q):
+        # _locus_pairs solves one conic for every x_c = (0, b, -1/b, trace)
+        table = build_class_table(q)
+        F = table.field
+        for c in table.classes:
+            if c.ctype != "central":
+                b = c.rep[1]
+                assert c.rep == (0, b, F.neg(F.inv(b)), c.trace), c.class_id
 
 
 class TestFiberDistribution:
