@@ -39,12 +39,17 @@ Sections, each hashed separately:
   stream seldom reaches the general path with n >= 3);
 - theorem / measure: ``TheoremRun.to_csv`` and ``MeasureSheet.to_text`` for
   xyXY and xyxy at p = 3, q in {3, 9} and p = 5, q in {5, 25};
-- verify: ``tracelab verify --suite all``.
+- verify: ``tracelab verify --suite all``;
+- cli: exit code, stdout and stderr of ``cli.main`` with ``TRACELAB_CACHE``
+  unset: ``trace`` and ``trace --json`` on eight words (the empty word and
+  pure powers among them), ``classify --json``, ``fibers --psl``, PSL
+  ``epsilon --q-list`` and four refused inputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import io
 import itertools
@@ -70,6 +75,19 @@ LONG_FIBER_QS = (7, 16, 27)
 DECOMPOSE_PRIMES = (None, 3, 5, 7, 11, 13)
 DECOMPOSE_NS = (2, 3, 4, 6)
 DECOMPOSE_INNERS = ("u", "u + s", "s*u - t", "u^2 + s*t*u - t", "s*u^2 + t*u - 2", "u^3 - s*u + t")
+CLI_TRACE_WORDS = ("xyXY", "x^3", "", "Yx", "XXX", "xxyXYYxyXy", "yx^2", "x^4000y")
+CLI_RUNS = (
+    *(["trace", text, *flags] for text in CLI_TRACE_WORDS for flags in ([], ["--json"])),
+    ["classify", "xyxy", "--json"],
+    ["classify", "x^2", "--json"],
+    ["fibers", "xyXY", "--q", "7", "--psl"],
+    ["epsilon", "xyXY", "--q-list", "5,7,9", "--psl", "--json"],
+    # refused inputs: exit 2 and a message on stderr
+    ["trace", "x^0"],
+    ["fibers", "xy", "--q", "131"],
+    ["classify", "xy", "--p-max", "1"],
+    ["epsilon", "xy", "--q-list", ","],
+)
 
 
 def _digest(lines) -> str:
@@ -208,6 +226,21 @@ def _verify(tl):
     return [out.getvalue(), code]
 
 
+def _cli():
+    from tracelab import cli
+
+    saved = os.environ.pop("TRACELAB_CACHE", None)
+    try:
+        for argv in CLI_RUNS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(argv, out=out)
+            yield argv, code, out.getvalue(), err.getvalue()
+    finally:
+        if saved is not None:
+            os.environ["TRACELAB_CACHE"] = saved
+
+
 def sections(tl, inputs):
     """(name, lines) for every section, in a fixed order."""
     for seed in SEEDS:
@@ -228,6 +261,7 @@ def sections(tl, inputs):
     yield "theorem", runs
     yield "measure", sheets
     yield "verify", _verify(tl)
+    yield "cli", _cli()
 
 
 def main(argv=None) -> int:

@@ -32,8 +32,8 @@ from .tripoly import TriPoly
 from .unipoly import UniPoly, chebyshev_v, dickson, dickson_apply
 from .words import (
     CONSTRAINTS,
+    X as GEN_X,
     DegenerateWordError,
-    Word,
     WordSyntaxError,
     canonicalize,
     parse,
@@ -122,26 +122,15 @@ def _global_dict(g: GlobalVerdict) -> dict:
     }
 
 
-def _word_exponent_sums(w: Word) -> tuple[int, int]:
-    from .words import X as GEN_X
-
-    a = sum(e for g, e in w.blocks if g == GEN_X)
-    b = sum(e for g, e in w.blocks if g != GEN_X)
-    return a, b
-
-
 def cmd_trace(args, out) -> int:
     w = parse(args.word)
     cache = TraceCache(args.cache)
     result = cached_trace_poly(w, cache=cache)
     cache.save()
     canon = result.word
-    try:
-        st = stats(canon)
-        r, a, b = st.r, st.A, st.B
-    except ValueError:
-        r = 0
-        a, b = _word_exponent_sums(canon)
+    r = canon.complexity if canon.is_canonical else 0
+    a = sum(e for g, e in canon.blocks if g == GEN_X)
+    b = sum(e for g, e in canon.blocks if g != GEN_X)
     if args.json:
         print(
             json.dumps({"f": result.f.render(), "r": r, "A": a, "B": b}),

@@ -164,12 +164,6 @@ class GF:
                 a = self.mul_table.item(a, a)
         return acc
 
-    def quad_root_count(self, z: int) -> int:
-        """Number of roots in F_q of lambda^2 - z*lambda + 1."""
-        # 0 is never a root, and a unit lambda is one iff lambda + 1/lambda = z
-        units = np.arange(1, self.q)
-        return int(np.count_nonzero(self.add_table[units, self.inv_table[1:]] == z))
-
     def __repr__(self) -> str:
         return f"GF({self.q})"
 
@@ -178,18 +172,6 @@ class GF:
 def field(q: int) -> GF:
     """Cached field constructor; fields are immutable once built."""
     return GF(q)
-
-
-def prime_powers(lo: int, hi: int) -> List[int]:
-    """All prime powers q with lo <= q <= hi, ascending."""
-    out = []
-    for q in range(max(lo, 2), hi + 1):
-        try:
-            _factor_prime_power(q)
-        except ValueError:
-            continue
-        out.append(q)
-    return out
 
 
 def is_prime(m: int) -> bool:

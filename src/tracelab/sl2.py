@@ -121,14 +121,6 @@ def _eval_word(F: GF, w: Word, X, Y):
     return _IDENTITY if acc is None else acc
 
 
-def word_value(w: Word, X: Matrix, Y: Matrix, F: GF) -> Matrix:
-    """Evaluate w at the pair (X, Y); matrix powers use repeated squaring."""
-    for name, (a, b, c, d) in (("X", X), ("Y", Y)):
-        if F.sub(F.mul(a, d), F.mul(b, c)) != F.one:
-            raise ValueError(f"{name} does not have determinant 1")
-    return tuple(int(v) for v in _eval_word(F, w, X, Y))
-
-
 # ---------------------------------------------------------------------------
 # conjugacy classes
 
@@ -194,6 +186,14 @@ class ClassTable:
         return int(self.classify_array(*np.array(mat, dtype=np.int64)[:, None])[0])
 
 
+def _quad_roots(F: GF) -> np.ndarray:
+    """Number of roots in F_q of lambda^2 - z*lambda + 1, by z; it is 1 at z = +-2.
+
+    0 is never a root, and a unit lambda is one iff lambda + 1/lambda = z.
+    """
+    return np.bincount(F.add_table[np.arange(1, F.q), F.inv_table[1:]], minlength=F.q)
+
+
 def build_class_table(q: int) -> ClassTable:
     """All conjugacy classes of SL(2,q), validated against |G| = q(q^2-1).
 
@@ -221,13 +221,13 @@ def build_class_table(q: int) -> ClassTable:
             classes.append(
                 ClassInfo(f"{ctype}_tr{tr}", rep, tr, ctype, (q * q - 1) // len(betas))
             )
+    nroots = _quad_roots(F).tolist()
     for z in range(q):
         if z in central:
             continue
-        nroots = F.quad_root_count(z)
-        if nroots == 2:
+        if nroots[z] == 2:
             ctype, size = "semisimple-split", q * (q + 1)
-        elif nroots == 0:
+        elif nroots[z] == 0:
             ctype, size = "semisimple-nonsplit", q * (q - 1)
         else:
             raise RuntimeError(f"trace {z} has a repeated eigenvalue off the center")
@@ -339,15 +339,15 @@ def _point_pairs(F: GF, roots, s, u, t):
     raise RuntimeError("a point has no representative pair")
 
 
-def _word_slices(w: Word, F: GF) -> Iterator[np.ndarray]:
+def _word_slices(w: Word, F: GF, roots) -> Iterator[np.ndarray]:
     """tr w on the q x q grid [s, t], for u = 0, 1, ..., q-1 in turn.
 
     tr w(x, y) = f_w(s, u, t) on every pair over the point (s, u, t), so
     the word on one pair per point from _point_pairs yields what
-    _u_slices yields from f_w, without tracing w.
+    _u_slices yields from f_w, without tracing w.  roots is
+    _quadratic_roots(F).
     """
     q = F.q
-    roots = _quadratic_roots(F)
     s, t = (v.ravel() for v in np.indices((q, q)))
     for u in range(q):
         x, y = _point_pairs(F, roots, s, np.full(q * q, u), t)
@@ -355,7 +355,7 @@ def _word_slices(w: Word, F: GF) -> Iterator[np.ndarray]:
         yield F.add_table[a, d].reshape(q, q)
 
 
-def _off_locus_totals(w: Word, table: ClassTable, points, z) -> np.ndarray:
+def _off_locus_totals(w: Word, table: ClassTable, roots, points, z) -> np.ndarray:
     """Pairs per class over the flat [s, u, t] points off the locus where f_w = z = +-2.
 
     The pi-fiber of such a point is one free PGL(2,q)-orbit, and the class
@@ -365,7 +365,7 @@ def _off_locus_totals(w: Word, table: ClassTable, points, z) -> np.ndarray:
     when q is odd, one when q is even), which conjugation by PGL(2,q) swaps.
     """
     F, q = table.field, table.q
-    x, y = _point_pairs(F, _quadratic_roots(F), points // (q * q), points // q % q, points % q)
+    x, y = _point_pairs(F, roots, points // (q * q), points // q % q, points % q)
     vals = [np.broadcast_to(v, z.shape) for v in _eval_word(F, w, x, y)]
     if not np.array_equal(F.add_table[vals[0], vals[3]], z):
         raise RuntimeError("the word's trace differs from f_w at a representative pair")
@@ -437,7 +437,7 @@ def _locus_pairs(table: ClassTable, roots, points):
 _LOCUS_BATCH = 2**18
 
 
-def _locus_totals(w: Word, table: ClassTable, points, z, expected: int) -> np.ndarray:
+def _locus_totals(w: Word, table: ClassTable, roots, points, z, expected: int) -> np.ndarray:
     """Pairs per class over the flat [s, u, t] points on the locus where f_w = z = +-2.
 
     The word is evaluated on every pair of _locus_pairs, about q per class
@@ -449,7 +449,6 @@ def _locus_totals(w: Word, table: ClassTable, points, z, expected: int) -> np.nd
     F, q = table.field, table.q
     ncls = len(table.classes)
     reps = np.array([c.rep for c in table.classes]).T
-    roots = _quadratic_roots(F)
     counts = np.zeros(ncls * ncls, dtype=np.int64)  # [weight class, class of w]
     step = max(1, _LOCUS_BATCH // (4 * q + 3))
     for start in range(0, points.size, step):
@@ -476,11 +475,13 @@ def _fiber_totals(w: Word, table: ClassTable) -> np.ndarray:
     each, on it through the pairs of each class representative with the y
     of those traces.  f_w is traced for a word of at most
     _MAX_TRACED_LENGTH letters and read from the word on one pair per
-    point for a longer one.
+    point for a longer one.  The conic root table is built once, for all
+    three passes.
     """
     F, q = table.field, table.q
+    roots = _quadratic_roots(F)
     if w.length > _MAX_TRACED_LENGTH:
-        slices = _word_slices(w, F)
+        slices = _word_slices(w, F, roots)
     else:
         slices = _u_slices(trace_poly(w).f.reduce_mod(F.p), F)
     fw = np.stack(list(slices), axis=1).ravel()
@@ -496,8 +497,8 @@ def _fiber_totals(w: Word, table: ClassTable) -> np.ndarray:
     z_off, z_on = fw.take(off_locus), fw.take(on_locus)
     expected = int(values.take(kinds.take(on_locus)).sum())
     del fw, kinds, pm2
-    totals += _off_locus_totals(w, table, off_locus, z_off)
-    return totals + _locus_totals(w, table, on_locus, z_on, expected)
+    totals += _off_locus_totals(w, table, roots, off_locus, z_off)
+    return totals + _locus_totals(w, table, roots, on_locus, z_on, expected)
 
 
 def fiber_distribution(w: Word, q: int) -> FiberReport:
@@ -656,40 +657,32 @@ def _cor311_constants(d: int, q: int) -> tuple[int, int, float]:
     return 4 * (50 * d**4) ** 2, b_const, 3 * b_const / math.sqrt(q)
 
 
-def epsilon_feasible(report: FiberReport, eps: Fraction) -> bool:
-    """Can a set of at most eps*|G| elements absorb every deviation > eps?
-
-    Deviations are constant on classes, so the optimal excluded set is a
-    union of whole classes plus possibly part of one; excluding the
-    worst-deviation elements first is optimal, hence the simple count.
-    """
-    excluded = sum(r.class_size for r in report.rows if r.deviation > eps)
-    return Fraction(excluded, report.order) <= eps
-
-
 def equidist_epsilon(report: FiberReport) -> EquidistReport:
     """Minimal epsilon in the exclusion sense, plus the theoretical pack.
 
     Scans per-element deviations in descending order; after excluding the k
     worst elements the feasible epsilon is max(next deviation, k/|G|), and
     the minimum over class-boundary prefixes is reported.  Ties prefer
-    fewer excluded elements.
+    fewer excluded elements.  Every deviation is |fiber - |G|| / |G| and
+    every prefix share cum / |G|, so the scan compares the integer
+    numerators over |G|: the same order and the same ties.
     """
     order = report.order
-    items = sorted(report.rows, key=lambda r: (r.deviation, r.class_id), reverse=True)
-    best_eps: Optional[Fraction] = None
+    items = sorted(
+        ((abs(r.fiber_per_element - order), r.class_id, r.class_size) for r in report.rows),
+        reverse=True,
+    )
+    best: Optional[int] = None
     best_cut = 0
     cum = 0
-    for cut in range(len(items) + 1):
-        next_dev = items[cut].deviation if cut < len(items) else Fraction(0)
-        eps = max(next_dev, Fraction(cum, order))
-        if best_eps is None or eps < best_eps:
-            best_eps = eps
+    for cut, (dev, _, size) in enumerate([*items, (0, None, 0)]):
+        eps = max(dev, cum)
+        if best is None or eps < best:
+            best = eps
             best_cut = cut
-        if cut < len(items):
-            cum += items[cut].class_size
-    excluded = tuple(r.class_id for r in items[:best_cut])
-    kept = tuple(r.class_id for r in items[best_cut:])
+        cum += size
+    excluded = tuple(class_id for _, class_id, _ in items[:best_cut])
+    kept = tuple(class_id for _, class_id, _ in items[best_cut:])
     d = trace_poly(report.word).f.total_degree()
     q0, b_const, cor311 = _cor311_constants(d, report.q)
     return EquidistReport(
@@ -697,7 +690,7 @@ def equidist_epsilon(report: FiberReport) -> EquidistReport:
         group=report.group,
         order=order,
         degree=d,
-        epsilon=best_eps,
+        epsilon=Fraction(best, order),
         excluded_classes=excluded,
         kept_classes=kept,
         q0=q0,
@@ -721,11 +714,6 @@ def fraction_le_inv_sqrt(eps: Fraction, c: Union[int, Fraction], q: int) -> bool
 # trace-triple fibers and the degenerate locus
 
 
-def _quad_roots(F: GF) -> np.ndarray:
-    """Number of roots in F_q of lambda^2 - z*lambda + 1, by z; it is 1 at z = +-2."""
-    return np.array([F.quad_root_count(z) for z in range(F.q)])
-
-
 def _kappa_zero(F: GF) -> np.ndarray:
     """Where kappa = s^2 + t^2 + u^2 - sut - 4 vanishes on F_q^3, indexed [s, u, t].
 
@@ -745,12 +733,10 @@ def _pi_fiber_kinds(F: GF) -> np.ndarray:
     other than +-2 (or t, when all three are).  _pi_fiber_values gives the
     count of each kind.
     """
-    roots = _quad_roots(F).astype(np.int8)
-    pm2 = roots == 1
-    codes = np.arange(F.q)
-    s, u, t = codes[:, None, None], codes[None, :, None], codes[None, None, :]
-    first = np.where(~pm2[s], s, np.where(~pm2[u], u, t))
-    return np.where(_kappa_zero(F), roots[first] + 1, 0).astype(np.int8)
+    kind = (_quad_roots(F) + 1).astype(np.int8)  # 2 exactly at z = +-2
+    s, u, t = kind[:, None, None], kind[None, :, None], kind[None, None, :]
+    on_locus = np.where(s != 2, s, np.where(u != 2, u, t))
+    return np.where(_kappa_zero(F), on_locus, np.int8(0))
 
 
 def _pi_fiber_values(q: int) -> np.ndarray:

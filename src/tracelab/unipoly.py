@@ -181,27 +181,3 @@ def dickson_apply(n: int, g):
         return two
     return _recurrence(n, g, two, g)[1]
 
-
-def is_permutation_all_extensions(h: UniPoly):
-    """Test whether h permutes F_{p^n} for every n, with a shape witness.
-
-    That happens exactly when h = a*z^(p^k) + b with a != 0, k >= 0.
-    Returns (True, (a, k, b)) or (False, None).
-    """
-    if h.p is None:
-        raise ValueError("needs a prime-field polynomial")
-    if h.is_zero:
-        raise ValueError("zero polynomial")
-    d = h.degree
-    if d < 1:
-        return False, None
-    k = 0
-    m = d
-    while m % h.p == 0:
-        m //= h.p
-        k += 1
-    if m != 1:
-        return False, None
-    if any(c and i not in (0, d) for i, c in enumerate(h.coeffs)):
-        return False, None
-    return True, (h.coeffs[d], k, h[0])

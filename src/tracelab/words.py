@@ -237,21 +237,6 @@ def stats(w: Word) -> WordStats:
     )
 
 
-def similarity_signature(w: Word):
-    """(r, sorted |a_i| multiset, sorted |b_i| multiset)."""
-    sylls = w.syllables
-    return (
-        len(sylls),
-        tuple(sorted(abs(a) for a, _ in sylls)),
-        tuple(sorted(abs(b) for _, b in sylls)),
-    )
-
-
-def trace_similar(w: Word, v: Word) -> bool:
-    """Equal complexity with matching multisets of absolute exponents."""
-    return similarity_signature(w) == similarity_signature(v)
-
-
 def _divisors(n: int) -> list[int]:
     small, large = [], []
     for d in range(1, math.isqrt(n) + 1):
@@ -271,54 +256,6 @@ def proper_power_root(w: Word) -> Tuple[Word, int]:
         if sylls == sylls[:m] * k:
             return Word.from_syllables(sylls[:m]), k
     return w, 1
-
-
-@dataclass(frozen=True)
-class ConvenientForm:
-    word: Word
-    swapped_xy: bool
-    found_repeat: bool
-
-
-def _swap_generators(w: Word) -> Tuple[Tuple[int, int], ...]:
-    # exchange the roles of x and y, then rotate back to x-start
-    swapped = tuple((1 - g, e) for g, e in w.blocks)
-    rotated = swapped[1:] + swapped[:1]
-    return Word(rotated).syllables
-
-
-def convenient_form(w: Word) -> ConvenientForm:
-    """Expose a repeated syllable at the front when rotations allow it.
-
-    The moves are cyclic permutation of syllables and (optionally)
-    exchanging the roles of x and y; the trace polynomial of the result is
-    that of ``w`` up to the s <-> t swap.  All syllables must share one
-    magnitude shape x^{+-a} y^{+-b}.
-    """
-    sylls = w.syllables
-    mags = {(abs(a), abs(b)) for a, b in sylls}
-    if len(mags) != 1:
-        raise ValueError("syllable shapes not uniform")
-    r = len(sylls)
-    candidates = []
-    for swapped, base in ((False, sylls), (True, _swap_generators(w))):
-        for rot in range(r):
-            rotated = base[rot:] + base[:rot]
-            candidates.append((rotated, swapped))
-    with_repeat = [c for c in candidates if c[0][0] in c[0][1:]]
-    pool = with_repeat or candidates
-
-    def key(cand):
-        rotated, swapped = cand
-        positive = rotated[0][0] > 0 and rotated[0][1] > 0
-        return (positive, rotated, not swapped)
-
-    best, swapped = max(pool, key=key)
-    return ConvenientForm(
-        word=Word.from_syllables(best),
-        swapped_xy=swapped,
-        found_repeat=bool(with_repeat),
-    )
 
 
 # -- enumeration and sampling ---------------------------------------------

@@ -9,7 +9,9 @@ exceptions are `direct_fiber_totals` and `group_pi_table`, which reuse the
 library's direct word evaluator and class lookup (both checked against
 brute force in the tests) on `enumerate_group` as the references for the
 fiber counts that `sl2` reads from f_w and for its closed-form pi-fiber
-table, and `match_inner_full_power`, the u-block matcher that raises the
+table, `word_value`, the determinant check on one pair in front of that
+evaluator, which the tests check against `word_eval_string`, and
+`match_inner_full_power`, the u-block matcher that raises the
 whole of Q to the n-th power for every block, kept on `TriPoly`
 arithmetic as the reference for the truncated matcher in `decompose`.
 """
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from tracelab.gf import field
+from tracelab.gf import _factor_prime_power, field
 from tracelab.sl2 import _IDENTITY, _eval_word, build_class_table
 from tracelab.tripoly import TriPoly
 from tracelab.words import X as GEN_X
@@ -322,6 +324,22 @@ def string_is_proper_power(w):
 
 
 # ---------------------------------------------------------------------------
+# prime powers
+
+
+def prime_powers(lo, hi):
+    """All prime powers q with lo <= q <= hi, ascending."""
+    out = []
+    for q in range(max(lo, 2), hi + 1):
+        try:
+            _factor_prime_power(q)
+        except ValueError:
+            continue
+        out.append(q)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # 2x2 matrices over GF(q) as row-major 4-tuples
 
 
@@ -382,6 +400,14 @@ def word_eval_string(F, wtext, X, Y):
     for ch in wtext:
         cur = mat_mul(F, cur, tab[ch])
     return cur
+
+
+def word_value(w, X, Y, F):
+    """Evaluate w at the pair (X, Y); matrix powers use repeated squaring."""
+    for name, (a, b, c, d) in (("X", X), ("Y", Y)):
+        if F.sub(F.mul(a, d), F.mul(b, c)) != F.one:
+            raise ValueError(f"{name} does not have determinant 1")
+    return tuple(int(v) for v in _eval_word(F, w, X, Y))
 
 
 def brute_conjugacy_orbits(q):
@@ -455,6 +481,17 @@ def group_pi_table(q):
         grid = np.bincount(trace_xy(F, cls.rep, ys) * q + tr_y, minlength=q * q)
         out[cls.trace] += cls.size * grid.reshape(q, q)
     return out
+
+
+def epsilon_feasible(report, eps):
+    """Can a set of at most eps*|G| elements absorb every deviation > eps?
+
+    Deviations are constant on classes, so the optimal excluded set is a
+    union of whole classes plus possibly part of one; excluding the
+    worst-deviation elements first is optimal, hence the simple count.
+    """
+    excluded = sum(r.class_size for r in report.rows if r.deviation > eps)
+    return Fraction(excluded, report.order) <= eps
 
 
 def brute_psl_fibers(wtext, q):

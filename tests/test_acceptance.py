@@ -16,7 +16,7 @@ from tracelab.decompose import (
     power_word_report,
 )
 from tracelab.experiments import genericity_scan
-from tracelab.gf import field, prime_powers
+from tracelab.gf import field
 from tracelab.sl2 import (
     build_class_table,
     delta_locus,
@@ -42,6 +42,7 @@ from _oracles import (
     lau_from_unipoly,
     mat_neg,
     poly_value,
+    prime_powers,
 )
 
 S = TriPoly.var("s", None)

@@ -12,7 +12,6 @@ from tracelab.sl2 import (
     MAX_FIBER_Q,
     build_class_table,
     delta_locus,
-    epsilon_feasible,
     equidist_epsilon,
     fiber_distribution,
     fraction_le_inv_sqrt,
@@ -21,7 +20,6 @@ from tracelab.sl2 import (
     pi_fiber_table,
     psl_fiber_distribution,
     spectrum_probe,
-    word_value,
 )
 from tracelab.trace import trace_poly
 from tracelab.tripoly import TriPoly
@@ -34,11 +32,13 @@ from _oracles import (
     brute_sl_fibers,
     direct_fiber_totals,
     enumerate_group,
+    epsilon_feasible,
     group_elements,
     group_pi_table,
     mat_neg,
     trace_xy,
     word_eval_string,
+    word_value,
 )
 
 
@@ -137,7 +137,7 @@ class TestClassTable:
                 assert c.size == q * (q - 1)
             if c.ctype.startswith("semisimple"):
                 # split exactly when the characteristic roots live in F_q
-                roots = F.quad_root_count(c.trace)
+                roots = sl2._quad_roots(F)[c.trace]
                 assert (roots > 0) == (c.ctype == "semisimple-split")
 
     @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
@@ -256,7 +256,8 @@ class TestFiberDistribution:
         for _ in range(3):
             w = parse("".join(rng.choice("xXyY") for _ in range(rng.randint(1, 14))))
             traced = sl2._u_slices(trace_poly(w).f.reduce_mod(F.p), F)
-            for got, want in zip(sl2._word_slices(w, F), traced, strict=True):
+            got_slices = sl2._word_slices(w, F, sl2._quadratic_roots(F))
+            for got, want in zip(got_slices, traced, strict=True):
                 assert np.array_equal(got, want), str(w)
 
     @pytest.mark.parametrize("q", [25, 32])
@@ -336,10 +337,18 @@ class TestEquidistEpsilon:
         assert e.epsilon == 0
         assert e.excluded_classes == ()
 
-    @pytest.mark.parametrize("q", [5, 7, 9])
+    @pytest.mark.parametrize(
+        "q,psl",
+        [
+            pytest.param(q, psl, id=f"{q}-psl" if psl else str(q))
+            for q in (5, 7, 9)
+            for psl in (False, True)
+        ],
+    )
     @pytest.mark.parametrize("wtext", ["xyXY", "xxy", "xyxYY"])
-    def test_epsilon_is_minimal_feasible(self, wtext, q):
-        rep = fiber_distribution(parse(wtext), q)
+    def test_epsilon_is_minimal_feasible(self, wtext, q, psl):
+        report = psl_fiber_distribution if psl else fiber_distribution
+        rep = report(parse(wtext), q)
         e = equidist_epsilon(rep)
         assert epsilon_feasible(rep, e.epsilon)
         if e.epsilon > 0:

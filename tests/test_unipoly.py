@@ -3,14 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tracelab.gf import field
 from tracelab.tripoly import TriPoly
 from tracelab.unipoly import (
     UniPoly,
     chebyshev_v,
     dickson,
     dickson_apply,
-    is_permutation_all_extensions,
 )
 
 from _oracles import dickson_value
@@ -18,14 +16,6 @@ from _oracles import dickson_value
 rationals = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=8
 ).filter(lambda v: v != 0)
-
-
-def _field_eval(h, F, x):
-    """Horner evaluation of an integer-coefficient polynomial in GF(q)."""
-    acc = F.zero
-    for c in reversed(h.coeffs):
-        acc = F.add(F.mul(acc, x), F.embed_int(c))
-    return acc
 
 
 class TestChebyshev:
@@ -94,40 +84,6 @@ class TestDickson:
             for i, c in enumerate(dickson(n, None).coeffs):
                 expect = expect + (g**i).scale(c)
             assert dickson_apply(n, g) == expect
-
-
-class TestPermutationShape:
-    @pytest.mark.parametrize(
-        "coeffs,p,expect",
-        [
-            ([0, 1], 5, True),  # z
-            ([3, 2], 5, True),  # 2z + 3
-            ([1, 0, 0, 1], 3, True),  # z^3 + 1
-            ([0, 0, 0, 0, 0, 0, 0, 0, 0, 1], 3, True),  # z^9
-            ([0, 1, 1], 2, False),  # z^2 + z permutes F_2 but not F_4
-            ([0, 0, 0, 1], 5, False),  # z^3 mod 5
-            ([0, 0, 1], 3, False),
-        ],
-    )
-    def test_shape_detection(self, coeffs, p, expect):
-        got, witness = is_permutation_all_extensions(UniPoly(coeffs, p))
-        assert got is expect
-        if expect:
-            a, k, b = witness
-            assert a != 0
-
-    @pytest.mark.parametrize("coeffs,p", [([0, 1, 1], 2), ([0, 0, 0, 1], 5), ([1, 0, 0, 1], 3)])
-    def test_against_brute_bijectivity(self, coeffs, p):
-        h = UniPoly(coeffs, p)
-        claimed, _ = is_permutation_all_extensions(h)
-        bijective_everywhere = True
-        for n in (1, 2, 3):
-            F = field(p**n)
-            image = {_field_eval(h, F, x) for x in F.elements()}
-            if len(image) != F.q:
-                bijective_everywhere = False
-                break
-        assert claimed == bijective_everywhere
 
 
 class TestUniPolyBasics:

@@ -6,14 +6,11 @@ from tracelab.words import (
     Word,
     WordSyntaxError,
     canonicalize,
-    convenient_form,
     enumerate_words,
     parse,
     proper_power_root,
     sample_words,
-    similarity_signature,
     stats,
-    trace_similar,
 )
 
 from _oracles import canonical_strings, string_is_proper_power
@@ -125,11 +122,6 @@ class TestStats:
         assert st_.Abar == sum(abs(a) for a, _ in syl)
         assert st_.Bbar == sum(abs(b) for _, b in syl)
 
-    def test_similarity(self):
-        assert similarity_signature(parse("xxyXY")) == (2, (1, 2), (1, 1))
-        assert trace_similar(parse("xxyXY"), parse("XyxxY"))
-        assert not trace_similar(parse("xxyXY"), parse("xYXyy"))
-
 
 class TestProperPowers:
     def test_examples(self):
@@ -192,37 +184,3 @@ class TestEnumerate:
 
     def test_sampler_lengths(self):
         assert all(w.length <= 9 for w in sample_words(9, 50, seed=2))
-
-
-class TestConvenientForm:
-    def test_repeat_exposed(self):
-        cf = convenient_form(parse("xyxyxY"))
-        assert cf.found_repeat
-        syl = cf.word.syllables
-        assert syl[0] == syl[1]
-
-    def test_no_repeat(self):
-        cf = convenient_form(parse("xyXyxY"))
-        assert not cf.found_repeat
-
-    @given(
-        st.integers(1, 3),
-        st.integers(1, 3),
-        st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=4),
-    )
-    def test_rearrangement_preserves_signature(self, a, b, signs):
-        # uniform syllable shape |a_i| = a, |b_i| = b with varying signs
-        w = Word.from_syllables(
-            [(a if sa else -a, b if sb else -b) for sa, sb in signs]
-        )
-        cf = convenient_form(w)
-        sig = similarity_signature(cf.word)
-        ref = similarity_signature(w)
-        if cf.swapped_xy:
-            assert sig == (ref[0], ref[2], ref[1])
-        else:
-            assert sig == ref
-
-    def test_requires_uniform_shape(self):
-        with pytest.raises(ValueError):
-            convenient_form(parse("xyxyy"))
