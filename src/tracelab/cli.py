@@ -182,10 +182,12 @@ def cmd_fibers(args, out) -> int:
 def cmd_epsilon(args, out) -> int:
     w = parse(args.word)
     qs = [] if args.q is None else [args.q]
-    if args.q_list:
+    if args.q_list is not None:
         qs.extend(int(tok) for tok in args.q_list.split(",") if tok)
     if not qs:
-        raise ValueError("epsilon requires --q or --q-list")
+        raise ValueError(
+            "epsilon requires --q or --q-list" if args.q_list is None else "--q-list names no q"
+        )
     reports = []
     for q in qs:
         base = (

@@ -204,15 +204,16 @@ def genericity_csv(reports: Sequence[GenericityReport]) -> str:
 
 def _scan_counts(
     words: Iterator[Word], engine: TraceEngine, certify: bool
-) -> Iterator[tuple[int, bool, bool]]:
+) -> dict[int, list[int]]:
+    """[total, proper powers, certified] counts of the words, by length."""
+    by_len: dict[int, list[int]] = {}
     for w in words:
-        is_power = proper_power_root(w)[1] >= 2
+        cell = by_len.setdefault(w.length, [0, 0, 0])
+        cell[0] += 1
+        cell[1] += proper_power_root(w)[1] >= 2
         if certify:
-            cls, _ = classify_rational(w, engine=engine)
-            certified = cls == NONCOMPOSITE_Q
-        else:
-            certified = False
-        yield w.length, is_power, certified
+            cell[2] += classify_rational(w, engine=engine)[0] == NONCOMPOSITE_Q
+    return by_len
 
 
 def _genericity_report(
@@ -263,13 +264,7 @@ def genericity_scan(
     reports: list[GenericityReport] = []
     ensemble = f"canonical words, constraint={constraint}"
     if mode == "exhaustive":
-        by_len: dict[int, list[int]] = {}
-        stream = enumerate_words(n_max, constraint)
-        for length, is_power, certified in _scan_counts(stream, eng, certify):
-            cell = by_len.setdefault(length, [0, 0, 0])
-            cell[0] += 1
-            cell[1] += int(is_power)
-            cell[2] += int(certified)
+        by_len = _scan_counts(enumerate_words(n_max, constraint), eng, certify)
         cum = [0, 0, 0]
         for n in sorted(by_len):
             cum = [x + y for x, y in zip(cum, by_len[n])]
@@ -277,11 +272,7 @@ def genericity_scan(
         return reports
     for n in sorted({n for n, _, _ in _candidate_cells(n_max, constraint)}):
         stream = sample_words(n, samples, seed=seed + n, constraint=constraint)
-        counts = [0, 0, 0]
-        for _length, is_power, certified in _scan_counts(stream, eng, certify):
-            counts[0] += 1
-            counts[1] += int(is_power)
-            counts[2] += int(certified)
+        counts = [sum(col) for col in zip(*_scan_counts(stream, eng, certify).values())]
         label = f"sampled({samples},seed={seed})"
         reports.append(_genericity_report(n, ensemble, label, counts))
     return reports

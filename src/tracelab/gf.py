@@ -152,18 +152,6 @@ class GF:
     def elements(self) -> Iterator[int]:
         return iter(range(self.q))
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self.inv(a), -e
-        acc = 1
-        while e:
-            if e & 1:
-                acc = self.mul_table.item(acc, a)
-            e >>= 1
-            if e:
-                a = self.mul_table.item(a, a)
-        return acc
-
     def __repr__(self) -> str:
         return f"GF({self.q})"
 

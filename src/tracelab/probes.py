@@ -1,8 +1,8 @@
 """Point counting for trilinear-coordinate level sets over small finite fields.
 
 Counts N_z = #{(s,u,t) in F_q^3 : f(s,u,t) = z} for every z at once, with
-the one evaluator of a TriPoly on F_q^3 (`sl2.delta_locus` and
-`sl2.fiber_distribution` use it too).
+the one evaluator of a TriPoly on F_q^3 (`sl2.fiber_distribution` uses
+it too).
 Writing f = sum_j u^j G_j(s,t), it evaluates each G_j once on the q x q
 grid of (s,t), then f on that grid for one u at a time by Horner's rule in
 u.  Tables are read flat: with row = q * mul_table[u], a Horner step is

@@ -8,14 +8,16 @@ screens for level-set irreducibility.
 Matrices are row-major 4-tuples (a, b, c, d) of field element codes for
 [[a, b], [c, d]].  A class is looked up by (trace, kind): kind 0 is the
 class of a trace other than +-2 or the central class +-I, kinds 1 and 2
-the unipotent classes of trace +-2 (see ClassTable).
+the unipotent classes of trace +-2 (see ClassTable).  Negation keeps the
+kind, so PSL(2,q) pairs each class with that of the opposite trace.
 
 The pi-fiber counts N(s, u, t), the pairs (x, y) with tr x = s,
 tr xy = u and tr y = t, need no pass over the group: they take four
 values, in closed form, chosen by the zero set of
 kappa = s^2 + t^2 + u^2 - sut - 4 = tr[x, y] - 2 on F_q^3, which is also
-the third factor of the degenerate locus.  Fiber counting weighs each
-point of F_q^3 by N and reads the class of w on its pairs from
+the third factor of the degenerate locus; kappa is monic of degree 2 in
+u, so its zeros are read from the conic root table.  Fiber counting
+weighs each point of F_q^3 by N and reads the class of w on its pairs from
 f_w(s, u, t), evaluated once on F_q^3: a trace other than +-2 fixes the
 class.  Where f_w = +-2 the word is evaluated, to split central from
 unipotent: off the locus kappa = 0 on one representative pair per point,
@@ -41,7 +43,7 @@ import numpy as np
 from .gf import GF, field
 from .probes import _u_slices, level_set_counts
 from .trace import trace_poly
-from .tripoly import TriPoly
+from .tripoly import TriPoly, _power
 from .words import Word, X as _GEN_X
 
 # Fiber reports hold f_w and the pi-fiber kinds on F_q^3, and evaluate the
@@ -92,17 +94,7 @@ def _mat_pow(F: GF, M, e: int):
         a, b, c, d = M
         M = (d, F.neg_table[b], F.neg_table[c], a)  # the adjugate, M^-1 at det 1
         e = -e
-    if e == 0:
-        return _IDENTITY
-    result = None
-    base = M
-    while e:
-        if e & 1:
-            result = base if result is None else _mat_mul(F, result, base)
-        e >>= 1
-        if e:
-            base = _mat_mul(F, base, base)
-    return result
+    return _power(M, e, lambda A, B: _mat_mul(F, A, B)) if e else _IDENTITY
 
 
 def _eval_word(F: GF, w: Word, X, Y):
@@ -157,6 +149,7 @@ class ClassTable:
         self.q = F.q
         self.classes = tuple(classes)
         self.sizes = np.array([c.size for c in self.classes], dtype=np.int64)
+        self._reps = np.array([c.rep for c in self.classes], dtype=np.int64).T  # [entry, class]
         self._index = np.full((F.q, 3), -1, dtype=np.int64)
         for i, c in enumerate(self.classes):
             self._index[c.trace, _UNIPOTENT_KIND.get(c.ctype, 0)] = i
@@ -302,6 +295,15 @@ def _quadratic_roots(F: GF) -> np.ndarray:
     return roots
 
 
+def _distinct_roots(roots, beta, gamma):
+    """(i, c) for each distinct root c of c^2 + beta[i] c + gamma[i], from roots."""
+    q = len(roots)
+    pair = roots.reshape(q * q, 2).take(beta * q + gamma, axis=0)
+    pair[pair[:, 1] == pair[:, 0], 1] = -1  # a double root is read once
+    i, r = np.nonzero(pair >= 0)
+    return i, pair[i, r]
+
+
 def _point_pairs(F: GF, roots, s, u, t):
     """One pair (x, y) in SL(2,q) with traces (s, u, t) at each point.
 
@@ -314,24 +316,28 @@ def _point_pairs(F: GF, roots, s, u, t):
     so the first entry of a pair there is not scalar; it is then
     GL(2,q)-conjugate to this x, and conjugation keeps the three traces.
     """
-    q, add, mul, neg = F.q, F.add_table, F.mul_table, F.neg_table
-    first_root = roots[:, :, 0]
+    q, neg = F.q, F.neg_table
+    # read by flat 1-D takes: the whole tables at a flat index, or one row
+    add, mul = F.add_table.ravel(), F.mul_table.ravel()
+    first_root = roots[:, :, 0].ravel()
     n = len(s)
     x = (np.zeros(n, dtype=np.int64), np.full(n, F.neg(F.one)), np.full(n, F.one), s.copy())
     y = tuple(np.zeros(n, dtype=np.int64) for _ in range(4))
     central = np.zeros(n, dtype=bool)
     for e in {F.one, F.neg(F.one)}:
-        at = (s == F.add(e, e)) & (u == mul[e, t])
+        at = (s == F.add(e, e)) & (u == F.mul_table[e].take(t))
         for entry, val in zip(x + y, (e, F.zero, F.zero, e, F.zero, F.neg(F.one), F.one, t[at])):
             entry[at] = val
         central |= at
     todo = np.flatnonzero(~central)
+    sq, uq = s * q, u * q
     for a in range(q):
-        d = add[t[todo], neg[a]]
-        beta = add[u[todo], neg[mul[s[todo], d]]]
-        c = first_root[beta, add[F.one, neg[mul[a, d]]]]
+        d = F.add_table[neg.item(a)].take(t.take(todo))
+        beta = add.take(uq.take(todo) + neg.take(mul.take(sq.take(todo) + d)))
+        c = first_root.take(beta * q + F.add_table[F.one].take(neg.take(F.mul_table[a].take(d))))
         ok = c >= 0
-        for entry, val in zip(y, (a, add[beta[ok], c[ok]], c[ok], d[ok])):
+        beta, c, d = beta[ok], c[ok], d[ok]
+        for entry, val in zip(y, (a, add.take(beta * q + c), c, d)):
             entry[todo[ok]] = val
         todo = todo[~ok]
         if not todo.size:
@@ -355,6 +361,15 @@ def _word_slices(w: Word, F: GF, roots) -> Iterator[np.ndarray]:
         yield F.add_table[a, d].reshape(q, q)
 
 
+def _word_classes(w: Word, table: ClassTable, x, y, z, where: str) -> np.ndarray:
+    """The class of w(x, y) on each pair, once its trace is checked against z = f_w."""
+    F = table.field
+    vals = [np.broadcast_to(v, z.shape) for v in _eval_word(F, w, x, y)]
+    if not np.array_equal(F.add_table[vals[0], vals[3]], z):
+        raise RuntimeError(f"the word's trace differs from f_w at a {where}")
+    return table.classify_array(*vals)
+
+
 def _off_locus_totals(w: Word, table: ClassTable, roots, points, z) -> np.ndarray:
     """Pairs per class over the flat [s, u, t] points off the locus where f_w = z = +-2.
 
@@ -366,10 +381,7 @@ def _off_locus_totals(w: Word, table: ClassTable, roots, points, z) -> np.ndarra
     """
     F, q = table.field, table.q
     x, y = _point_pairs(F, roots, points // (q * q), points // q % q, points % q)
-    vals = [np.broadcast_to(v, z.shape) for v in _eval_word(F, w, x, y)]
-    if not np.array_equal(F.add_table[vals[0], vals[3]], z):
-        raise RuntimeError("the word's trace differs from f_w at a representative pair")
-    idx = table.classify_array(*vals)
+    idx = _word_classes(w, table, x, y, z, "representative pair")
     central = idx == table.trace_class.take(z)
     unipotent = table._index[z[~central], 1:]
     order, ncls = q**3 - q, len(table.classes)
@@ -398,7 +410,7 @@ def _locus_pairs(table: ClassTable, roots, points):
     F, q = table.field, table.q
     add, mul = F.add_table.ravel(), F.mul_table.ravel()  # read by flat 1-D takes
     neg, inv = F.neg_table, F.inv_table
-    reps = np.array([c.rep for c in table.classes]).T
+    reps = table._reps
     s, u, t = points // (q * q), points // q % q, points % q
     pm2 = table.trace_open.take(s)
 
@@ -410,12 +422,7 @@ def _locus_pairs(table: ClassTable, roots, points):
     d = add.take(t.take(k) * q + neg.take(a))
     beta = add.take(u.take(k) * q + neg.take(mul.take(s.take(k) * q + d)))
     gamma = add.take(F.one * q + neg.take(mul.take(a * q + d)))
-    # the distinct roots c of each quadratic: a double root is read once
-    pair = roots.reshape(q * q, 2).take(beta * q + gamma, axis=0)
-    ok = pair >= 0
-    ok[:, 1] &= pair[:, 1] != pair[:, 0]
-    i, r = np.nonzero(ok)
-    c = pair[i, r]
+    i, c = _distinct_roots(roots, beta, gamma)
     xc = noncentral[row, col].take(j.take(i))
     m = neg.take(reps[1].take(xc))
     b = mul.take(m * q + add.take(beta.take(i) * q + c))
@@ -446,18 +453,14 @@ def _locus_totals(w: Word, table: ClassTable, roots, points, z, expected: int) -
     `expected` pairs of the group, the sum of N over the points, and the
     trace of each value must be f_w at its point.
     """
-    F, q = table.field, table.q
     ncls = len(table.classes)
-    reps = np.array([c.rep for c in table.classes]).T
     counts = np.zeros(ncls * ncls, dtype=np.int64)  # [weight class, class of w]
-    step = max(1, _LOCUS_BATCH // (4 * q + 3))
+    step = max(1, _LOCUS_BATCH // (4 * table.q + 3))
     for start in range(0, points.size, step):
         xc, weight, k, y = _locus_pairs(table, roots, points[start : start + step])
-        x = tuple(col.take(xc) for col in reps)
-        vals = [np.broadcast_to(v, k.shape) for v in _eval_word(F, w, x, y)]
-        if not np.array_equal(F.add_table[vals[0], vals[3]], z[start : start + step].take(k)):
-            raise RuntimeError("the word's trace differs from f_w at a locus pair")
-        counts += np.bincount(weight * ncls + table.classify_array(*vals), minlength=ncls * ncls)
+        x = tuple(col.take(xc) for col in table._reps)
+        idx = _word_classes(w, table, x, y, z[start : start + step].take(k), "locus pair")
+        counts += np.bincount(weight * ncls + idx, minlength=ncls * ncls)
     totals = table.sizes @ counts.reshape(ncls, ncls)
     if int(totals.sum()) != expected:
         raise RuntimeError("the locus pairs do not account for every pi-fiber")
@@ -485,7 +488,7 @@ def _fiber_totals(w: Word, table: ClassTable) -> np.ndarray:
     else:
         slices = _u_slices(trace_poly(w).f.reduce_mod(F.p), F)
     fw = np.stack(list(slices), axis=1).ravel()
-    kinds = _pi_fiber_kinds(F).ravel()
+    kinds = _pi_fiber_kinds(F, roots).ravel()
     values = _pi_fiber_values(q)
     weights = np.bincount(fw * 4 + kinds, minlength=4 * q).reshape(q, 4) @ values
     totals = np.zeros(len(table.classes), dtype=np.int64)
@@ -499,6 +502,18 @@ def _fiber_totals(w: Word, table: ClassTable) -> np.ndarray:
     del fw, kinds, pm2
     totals += _off_locus_totals(w, table, roots, off_locus, z_off)
     return totals + _locus_totals(w, table, roots, on_locus, z_on, expected)
+
+
+def _fiber_report(w: Word, q: int, group: str, order: int, rows) -> FiberReport:
+    """The report of (class_id, trace, ctype, class size, fiber per element) rows.
+
+    The rows must partition the order^2 pairs of the group; each deviation
+    is |fiber / order - 1|.
+    """
+    if sum(row[3] * row[4] for row in rows) != order * order:
+        raise RuntimeError(f"fiber counts do not partition |{group}|^2")
+    rows = tuple(FiberRow(*row, deviation=abs(Fraction(row[4], order) - 1)) for row in rows)
+    return FiberReport(w, q, group, order, order * order, rows)
 
 
 def fiber_distribution(w: Word, q: int) -> FiberReport:
@@ -520,28 +535,12 @@ def fiber_distribution(w: Word, q: int) -> FiberReport:
     if q > MAX_FIBER_Q:
         raise ValueError(f"resource guard exceeded: q = {q} > {MAX_FIBER_Q}")
     table = build_class_table(q)
-    order = q**3 - q
     totals = _fiber_totals(_exponent_residues(w, q), table)
     if (totals % table.sizes != 0).any():
         raise RuntimeError("per-class totals are not divisible by class sizes")
-    per_element = totals // table.sizes
-    checksum = int((table.sizes * per_element).sum())
-    if checksum != order * order:
-        raise RuntimeError("fiber counts do not partition |G|^2")
-    rows = tuple(
-        FiberRow(
-            class_id=c.class_id,
-            trace=c.trace,
-            ctype=c.ctype,
-            class_size=c.size,
-            fiber_per_element=int(pe),
-            deviation=abs(Fraction(int(pe), order) - 1),
-        )
-        for c, pe in zip(table.classes, per_element)
-    )
-    return FiberReport(
-        word=w, q=q, group="SL(2,q)", order=order, total_pairs=order * order, rows=rows
-    )
+    per_element = (totals // table.sizes).tolist()
+    rows = [(c.class_id, c.trace, c.ctype, c.size, n) for c, n in zip(table.classes, per_element)]
+    return _fiber_report(w, q, "SL(2,q)", q**3 - q, rows)
 
 
 def _sl_report_of(w: Word, q: int, sl_report: Optional[FiberReport]) -> FiberReport:
@@ -553,13 +552,21 @@ def _sl_report_of(w: Word, q: int, sl_report: Optional[FiberReport]) -> FiberRep
     return sl_report
 
 
+def _negation_partners(table: ClassTable) -> list[int]:
+    """The class of -g for g in each class: trace -tr g, the same kind (beta(-g) = beta(g))."""
+    neg, index = table.field.neg_table, table._index
+    return [index.item(neg.item(c.trace), _UNIPOTENT_KIND.get(c.ctype, 0)) for c in table.classes]
+
+
 def psl_fiber_distribution(
     w: Word, q: int, sl_report: Optional[FiberReport] = None
 ) -> FiberReport:
     """Per-element fibers over PSL(2,q), odd q.
 
     For the two preimages g, -g of a PSL element, the PSL fiber is
-    (fiber(g) + fiber(-g)) / 4; the division is asserted exact.  A given
+    (fiber(g) + fiber(-g)) / 4; the division is asserted exact.  The class
+    of -g has trace -tr g and the kind of g's class (_negation_partners),
+    and each pair of classes gives one row, at the first.  A given
     sl_report must be the SL(2,q) report of w at q, else ValueError.
     """
     # checked before any table is built; fiber_distribution applies MAX_FIBER_Q
@@ -567,52 +574,23 @@ def psl_fiber_distribution(
         raise ValueError("PSL(2,q) = SL(2,q) for even q; use fiber_distribution")
     report = _sl_report_of(w, q, sl_report)
     table = build_class_table(q)
-    reps = np.array([c.rep for c in table.classes], dtype=np.int64)
-    partner = table.classify_array(*table.field.neg_table[reps].T).tolist()
-    order = (q**3 - q) // 2
     rows = []
-    seen = set()
-    for i, c in enumerate(table.classes):
-        if i in seen:
-            continue
-        j = partner[i]
-        seen.add(i)
-        seen.add(j)
-        fib_i = report.rows[i].fiber_per_element
-        fib_j = report.rows[j].fiber_per_element
-        paired_sum = fib_i + fib_j
+    for i, (c, j) in enumerate(zip(table.classes, _negation_partners(table))):
+        if j < i:
+            continue  # the row of the pair {j, i} was written at j
+        paired_sum = report.rows[i].fiber_per_element + report.rows[j].fiber_per_element
         if paired_sum % 4 != 0:
             raise RuntimeError("paired fiber sum is not divisible by 4")
-        per_element = paired_sum // 4
         if j == i:
             if c.size % 2 != 0:
                 raise RuntimeError("self-paired class has odd size")
             size = c.size // 2
+        elif table.classes[j].size != c.size:
+            raise RuntimeError("negation pairs classes of different sizes")
         else:
-            if table.classes[j].size != c.size:
-                raise RuntimeError("negation pairs classes of different sizes")
             size = c.size
-        rows.append(
-            FiberRow(
-                class_id=f"psl:{c.class_id}",
-                trace=c.trace,
-                ctype=c.ctype,
-                class_size=size,
-                fiber_per_element=per_element,
-                deviation=abs(Fraction(per_element, order) - 1),
-            )
-        )
-    checksum = sum(r.class_size * r.fiber_per_element for r in rows)
-    if checksum != order * order:
-        raise RuntimeError("PSL fiber counts do not partition |PSL|^2")
-    return FiberReport(
-        word=w,
-        q=q,
-        group="PSL(2,q)",
-        order=order,
-        total_pairs=order * order,
-        rows=tuple(rows),
-    )
+        rows.append((f"psl:{c.class_id}", c.trace, c.ctype, size, paired_sum // 4))
+    return _fiber_report(w, q, "PSL(2,q)", (q**3 - q) // 2, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -714,29 +692,28 @@ def fraction_le_inv_sqrt(eps: Fraction, c: Union[int, Fraction], q: int) -> bool
 # trace-triple fibers and the degenerate locus
 
 
-def _kappa_zero(F: GF) -> np.ndarray:
-    """Where kappa = s^2 + t^2 + u^2 - sut - 4 vanishes on F_q^3, indexed [s, u, t].
-
-    kappa(tr x, tr xy, tr y) = tr[x, y] - 2, so this is the locus where the
-    pair (x, y) is not absolutely irreducible.
-    """
-    s, u, t = (TriPoly.var(v, F.p) for v in "sut")
-    kappa = s * s + t * t + u * u - u * s * t - TriPoly.const(4, F.p)
-    return np.stack([val == 0 for val in _u_slices(kappa, F)], axis=1)
-
-
-def _pi_fiber_kinds(F: GF) -> np.ndarray:
+def _pi_fiber_kinds(F: GF, roots) -> np.ndarray:
     """Which closed-form value N(s, u, t) takes, as int8 codes indexed [s, u, t].
 
-    Kind 0 is off the locus kappa = 0.  On it the kind is 1 plus the number
-    of roots in F_q of lambda^2 - z*lambda + 1, for z the first of s, u, t
-    other than +-2 (or t, when all three are).  _pi_fiber_values gives the
-    count of each kind.
+    Kind 0 is off the locus kappa = 0, whose points over each (s, t) are
+    the distinct roots u of u^2 - st u + s^2 + t^2 - 4, read from
+    roots = _quadratic_roots(F).  On it the kind is 1 plus the number of
+    roots in F_q of lambda^2 - z*lambda + 1, for z the first of s, u, t
+    other than +-2 (or t, when all three are); where s = +-2, kappa is
+    (u -+ t)^2, so u = +-t and z = t.  _pi_fiber_values gives the count of
+    each kind.
     """
+    q, add, mul = F.q, F.add_table.ravel(), F.mul_table.ravel()
+    s, t = np.divmod(np.arange(q * q), q)
+    sq = F.mul_table.diagonal()
+    gamma = add.take(add.take(sq.take(s) * q + sq.take(t)) * q + F.embed_int(-4))
+    i, u = _distinct_roots(roots, F.neg_table.take(mul.take(s * q + t)), gamma)
+    s, t = s.take(i), t.take(i)
     kind = (_quad_roots(F) + 1).astype(np.int8)  # 2 exactly at z = +-2
-    s, u, t = kind[:, None, None], kind[None, :, None], kind[None, None, :]
-    on_locus = np.where(s != 2, s, np.where(u != 2, u, t))
-    return np.where(_kappa_zero(F), on_locus, np.int8(0))
+    ks = kind.take(s)
+    out = np.zeros((q, q, q), dtype=np.int8)
+    out[s, u, t] = np.where(ks != 2, ks, kind.take(t))
+    return out
 
 
 def _pi_fiber_values(q: int) -> np.ndarray:
@@ -754,11 +731,12 @@ def pi_fiber_table(q: int) -> np.ndarray:
     depends only on the number of roots in F_q of lambda^2 - z*lambda + 1,
     for z the first of s, u, t other than +-2 (or t, when all three are):
     q^2 - q with none, q^3 + q^2 - q with one (z = +-2), q(q+1)(2q-1) with
-    two.
+    two.  The locus is read from the conic root table (_pi_fiber_kinds).
     """
     if q > MAX_FIBER_Q:
         raise ValueError(f"resource guard exceeded: q = {q} > {MAX_FIBER_Q}")
-    out = _pi_fiber_values(q).take(_pi_fiber_kinds(field(q)))
+    F = field(q)
+    out = _pi_fiber_values(q).take(_pi_fiber_kinds(F, _quadratic_roots(F)))
     if int(out.sum()) != (q**3 - q) ** 2:
         raise RuntimeError("pi-fiber table does not partition |G|^2")
     return out
@@ -767,12 +745,12 @@ def pi_fiber_table(q: int) -> np.ndarray:
 def delta_locus(q: int) -> set[tuple[int, int, int]]:
     """F_q-points (s, u, t) of (t^2-4)(s^2-4)(s^2+t^2+u^2-ust-4) = 0.
 
-    The zero set of the last factor is read from the kappa cube that
-    pi_fiber_table uses; the first two vanish where t or s is +-2.
+    The zero set of the last factor is the locus pi_fiber_table reads from
+    the conic root table; the first two vanish where t or s is +-2.
     """
     F = field(q)
     pm2 = _quad_roots(F) == 1
-    zero = _kappa_zero(F) | pm2[:, None, None] | pm2[None, None, :]
+    zero = (_pi_fiber_kinds(F, _quadratic_roots(F)) > 0) | pm2[:, None, None] | pm2[None, None, :]
     return {tuple(point) for point in np.argwhere(zero).tolist()}
 
 

@@ -4,7 +4,8 @@ Coefficients are arbitrary-precision integers (Fractions are allowed in
 characteristic 0, where intermediate decompositions need them) or residues
 modulo a prime p.  The rules for these scalars (normalizing, reduction
 mod p, division, n-th roots and signed rendering) live here once, in
-private helpers that ``unipoly`` and ``decompose`` share.
+private helpers that ``unipoly`` and ``decompose`` share, as does
+``_power``, the one square-and-multiply, with ``unipoly`` and ``sl2``.
 
 Monomials are packed into a single integer key, 16 bits per exponent,
 ordered (s, u, t) from high to low; packed keys add under monomial
@@ -141,6 +142,20 @@ def _render_terms(terms: Iterable[Tuple[object, str]], p: Optional[int]) -> str:
             pieces.append("-")
         pieces.append(body)
     return "".join(pieces) or "0"
+
+
+def _power(base, n: int, mul):
+    """base^n for n >= 1 by square-and-multiply, with mul(a, b) the product."""
+    if n < 1:
+        raise ValueError(f"power {n} < 1")
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else mul(result, base)
+        n >>= 1
+        if not n:
+            return result
+        base = mul(base, base)
 
 
 class TriPoly:
@@ -286,16 +301,7 @@ class TriPoly:
     def __pow__(self, n: int) -> "TriPoly":
         if n < 0:
             raise ValueError("negative power")
-        result = TriPoly.const(1, self.p)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n > 1
-            n >>= 1
-            if base_needed and n:
-                base = base * base
-        return result
+        return _power(self, n, TriPoly.__mul__) if n else TriPoly.const(1, self.p)
 
     # -- coefficient-ring moves ----------------------------------------------
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .tripoly import _norm_coeff, _render_terms, _residue
+from .tripoly import _norm_coeff, _power, _render_terms, _residue
 
 
 class UniPoly:
@@ -108,15 +108,7 @@ class UniPoly:
     def __pow__(self, n: int) -> "UniPoly":
         if n < 0:
             raise ValueError("negative power")
-        result = UniPoly.const(1, self.p)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, UniPoly.__mul__) if n else UniPoly.const(1, self.p)
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
         """self(inner) by Horner over the polynomial ring."""

@@ -10,10 +10,13 @@ library's direct word evaluator and class lookup (both checked against
 brute force in the tests) on `enumerate_group` as the references for the
 fiber counts that `sl2` reads from f_w and for its closed-form pi-fiber
 table, `word_value`, the determinant check on one pair in front of that
-evaluator, which the tests check against `word_eval_string`, and
-`match_inner_full_power`, the u-block matcher that raises the
-whole of Q to the n-th power for every block, kept on `TriPoly`
-arithmetic as the reference for the truncated matcher in `decompose`.
+evaluator, which the tests check against `word_eval_string`,
+`kappa_zero`, kappa built as a `TriPoly` and evaluated on all of F_q^3
+by the library's cube evaluator, the reference for the locus that `sl2`
+reads from its conic root table, and `match_inner_full_power`, the
+u-block matcher that raises the whole of Q to the n-th power for every
+block, kept on `TriPoly` arithmetic as the reference for the truncated
+matcher in `decompose`.
 """
 
 from collections import Counter
@@ -22,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from tracelab.gf import _factor_prime_power, field
+from tracelab.probes import _u_slices
 from tracelab.sl2 import _IDENTITY, _eval_word, build_class_table
 from tracelab.tripoly import TriPoly
 from tracelab.words import X as GEN_X
@@ -521,6 +525,17 @@ def brute_pi_table(q):
             t = F.add(Y[0], Y[3])
             cnt[(s, u, t)] += 1
     return cnt
+
+
+def kappa_zero(F):
+    """Where kappa = s^2 + t^2 + u^2 - sut - 4 vanishes on F_q^3, indexed [s, u, t].
+
+    kappa(tr x, tr xy, tr y) = tr[x, y] - 2, so this is the locus where the
+    pair (x, y) is not absolutely irreducible.
+    """
+    s, u, t = (TriPoly.var(v, F.p) for v in "sut")
+    kappa = s * s + t * t + u * u - u * s * t - TriPoly.const(4, F.p)
+    return np.stack([val == 0 for val in _u_slices(kappa, F)], axis=1)
 
 
 # ---------------------------------------------------------------------------

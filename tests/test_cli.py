@@ -174,7 +174,7 @@ class TestEpsilon:
     @pytest.mark.parametrize("q_list", ["", ",", ",,"])
     def test_q_list_without_a_q_exit_two(self, q_list, capsys):
         assert run("epsilon", "xy", "--q-list", q_list) == (2, "")
-        assert "epsilon requires --q or --q-list" in capsys.readouterr().err
+        assert "--q-list names no q" in capsys.readouterr().err
 
 
 class TestScan:

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from tracelab import sl2
 from tracelab.gf import GF, field, is_prime, primes_in
+from tracelab.tripoly import _power
 
 from _oracles import prime_powers
 
@@ -72,8 +73,8 @@ class TestFieldAxioms:
         # x -> x^p is additive (freshman's dream)
         for a in F.elements():
             for b in list(F.elements())[:8]:
-                lhs = F.pow(F.add(a, b), F.p)
-                rhs = F.add(F.pow(a, F.p), F.pow(b, F.p))
+                lhs = _power(F.add(a, b), F.p, F.mul)
+                rhs = F.add(_power(a, F.p, F.mul), _power(b, F.p, F.mul))
                 assert lhs == rhs
 
     @pytest.mark.parametrize("q", [3, 4, 5, 8, 9, 13])
@@ -81,7 +82,7 @@ class TestFieldAxioms:
         F = field(q)
         for a in F.elements():
             if a != F.zero:
-                assert F.pow(a, q - 1) == F.one
+                assert _power(a, q - 1, F.mul) == F.one
 
 
 class TestSquares:

@@ -35,7 +35,11 @@ from _oracles import (
     epsilon_feasible,
     group_elements,
     group_pi_table,
+    kappa_zero,
+    mat_inv,
+    mat_mul,
     mat_neg,
+    prime_powers,
     trace_xy,
     word_eval_string,
     word_value,
@@ -98,6 +102,16 @@ class TestWordValue:
         F = field(5)
         with pytest.raises(ValueError):
             word_value(parse("xy"), (2, 0, 0, 1), (1, 0, 0, 1), F)
+
+    @pytest.mark.parametrize("q", [2, 7, 9])
+    def test_matrix_powers_match_repeated_products(self, q):
+        F, mats = group_elements(q)
+        for M in mats[:: len(mats) // 5]:
+            for sign, base in ((1, M), (-1, mat_inv(F, M))):
+                acc = (1, 0, 0, 1)
+                for e in range(41):
+                    assert tuple(int(v) for v in sl2._mat_pow(F, M, sign * e)) == acc
+                    acc = mat_mul(F, acc, base)
 
 
 class TestClassTable:
@@ -329,6 +343,13 @@ class TestPSL:
             with pytest.raises(ValueError, match="sl_report"):
                 psl_fiber_distribution(parse("xy"), 7, sl_report=other)
 
+    @pytest.mark.parametrize("q", [q for q in prime_powers(3, 127) if q % 2])
+    def test_negation_partners_equal_the_class_lookup(self, q):
+        table = build_class_table(q)
+        reps = np.array([c.rep for c in table.classes], dtype=np.int64)
+        want = table.classify_array(*table.field.neg_table[reps].T).tolist()
+        assert sl2._negation_partners(table) == want
+
 
 class TestEquidistEpsilon:
     def test_uniform_word_needs_no_exclusions(self):
@@ -430,6 +451,18 @@ class TestPiFibers:
         # tr(x y) = x0 y0 + x1 y2 + x2 y1 + x3 y3
         tr_xy = add[add[mul[x0, y0], mul[x1, y2]], add[mul[x2, y1], mul[x3, y3]]]
         assert np.array_equal(tr_xy, u)
+
+    @pytest.mark.parametrize(
+        "q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128]
+    )
+    def test_kinds_read_from_the_root_table(self, q):
+        F = field(q)
+        zero = kappa_zero(F)
+        assert int(zero.sum()) == q * q + 1
+        kind = (sl2._quad_roots(F) + 1).astype(np.int8)
+        s, u, t = kind[:, None, None], kind[None, :, None], kind[None, None, :]
+        want = np.where(zero, np.where(s != 2, s, np.where(u != 2, u, t)), np.int8(0))
+        assert np.array_equal(sl2._pi_fiber_kinds(F, sl2._quadratic_roots(F)), want)
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27])
     def test_off_locus_representatives(self, q):

@@ -1,9 +1,10 @@
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from tracelab.tripoly import TriPoly, _nth_roots, frobenius_strip
+from tracelab.tripoly import TriPoly, _nth_roots, _power, frobenius_strip
 
 from _oracles import frobenius_strip_brute, poly_value, tri_add, tri_eval_mod, tri_mul
 
@@ -23,6 +24,25 @@ term_dicts = st.dictionaries(monos, coeffs, max_size=6)
 
 def as_tripoly(d, p=None):
     return TriPoly.from_terms(d, p)
+
+
+class TestPower:
+    @pytest.mark.parametrize("p", [None, 7])
+    def test_matches_repeated_products(self, p):
+        f = TriPoly.parse("s*u - t + 2", p)
+        acc = TriPoly.const(1, p)
+        for n in range(41):
+            assert f**n == acc
+            acc = acc * f
+        with pytest.raises(ValueError):
+            f ** -1
+
+    def test_square_and_multiply(self):
+        for n in range(1, 41):
+            assert _power(3, n, operator.mul) == 3**n
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                _power(3, n, operator.mul)
 
 
 class TestArithmetic:

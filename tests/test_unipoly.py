@@ -18,6 +18,18 @@ rationals = st.fractions(
 ).filter(lambda v: v != 0)
 
 
+class TestPower:
+    @pytest.mark.parametrize("p", [None, 5])
+    def test_matches_repeated_products(self, p):
+        f = UniPoly([2, -1, 3], p)
+        acc = UniPoly.const(1, p)
+        for n in range(41):
+            assert (f**n).coeffs == acc.coeffs
+            acc = acc * f
+        with pytest.raises(ValueError):
+            f ** -1
+
+
 class TestChebyshev:
     def test_first_values(self):
         assert chebyshev_v(0, None).coeffs == []
