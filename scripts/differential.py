@@ -43,7 +43,11 @@ Sections, each hashed separately:
 - cli: exit code, stdout and stderr of ``cli.main`` with ``TRACELAB_CACHE``
   unset: ``trace`` and ``trace --json`` on eight words (the empty word and
   pure powers among them), ``classify --json``, ``fibers --psl``, PSL
-  ``epsilon --q-list`` and four refused inputs.
+  ``epsilon --q-list`` and four refused inputs;
+- level-counts: raw ``level_set_counts`` arrays, over F_p, of polynomials
+  under each case of the sign rules (both, one, neither, a constant) and of
+  f_w for three words, at q in {2, 3, 4, 8, 9, 16, 25, 27, 49, 64, 81,
+  101, 121, 125, 128}.
 """
 
 from __future__ import annotations
@@ -75,6 +79,18 @@ LONG_FIBER_QS = (7, 16, 27)
 DECOMPOSE_PRIMES = (None, 3, 5, 7, 11, 13)
 DECOMPOSE_NS = (2, 3, 4, 6)
 DECOMPOSE_INNERS = ("u", "u + s", "s*u - t", "u^2 + s*t*u - t", "s*u^2 + t*u - 2", "u^3 - s*u + t")
+LEVEL_COUNT_POLYS = (
+    "u^3 + s*t + s^2*u - 2*u*t^2 + 5*u",
+    "s + u*t^2 + 3*u^3*t + s^2*u",
+    "u^3 + s*t + s*u^2*t + t^3",
+    "s + u*t",
+    "s + t + u*t",
+    "s^2 + u",
+    "s^2 + u^2*t + u",
+    "3",
+)
+LEVEL_COUNT_WORDS = ("xyXY", "xyXYxy", "xxxxyXXYxxyXXY")
+LEVEL_COUNT_QS = (2, 3, 4, 8, 9, 16, 25, 27, 49, 64, 81, 101, 121, 125, 128)
 CLI_TRACE_WORDS = ("xyXY", "x^3", "", "Yx", "XXX", "xxyXYYxyXy", "yx^2", "x^4000y")
 CLI_RUNS = (
     *(["trace", text, *flags] for text in CLI_TRACE_WORDS for flags in ([], ["--json"])),
@@ -241,6 +257,14 @@ def _cli():
             os.environ["TRACELAB_CACHE"] = saved
 
 
+def _level_counts(tl, inputs):
+    polys = [tl.TriPoly.parse(text) for text in LEVEL_COUNT_POLYS]
+    polys += [tl.trace_poly(tl.parse(text)).f for text in LEVEL_COUNT_WORDS]
+    for q, f in itertools.product(LEVEL_COUNT_QS, polys):
+        fp = f.reduce_mod(inputs.prime_power(q)[0])
+        yield q, f.render(), tl.level_set_counts(fp, q).tolist()
+
+
 def sections(tl, inputs):
     """(name, lines) for every section, in a fixed order."""
     for seed in SEEDS:
@@ -262,6 +286,7 @@ def sections(tl, inputs):
     yield "measure", sheets
     yield "verify", _verify(tl)
     yield "cli", _cli()
+    yield "level-counts", _level_counts(tl, inputs)
 
 
 def main(argv=None) -> int:

@@ -3,30 +3,58 @@
 Counts N_z = #{(s,u,t) in F_q^3 : f(s,u,t) = z} for every z at once, with
 the one evaluator of a TriPoly on F_q^3 (`sl2.fiber_distribution` uses
 it too).
-Writing f = sum_j u^j G_j(s,t), it evaluates each G_j once on the q x q
-grid of (s,t), then f on that grid for one u at a time by Horner's rule in
-u.  Tables are read flat: with row = q * mul_table[u], a Horner step is
-add_flat.take(row.take(val) + G_j), two 1-D takes on element codes.  Work
-is O(q^3 deg_u f) lookups in O(q^2 deg_u f) memory; the cube is never held.
+Writing f = sum_j u^j G_j(s,t), it evaluates each G_j once on a grid of
+(s,t), the whole q x q grid unless a sub-grid is selected, then f on that
+grid for one u at a time by Horner's rule in u.  Tables are read flat: with
+row = q * mul_table[u], a Horner step is add_flat.take(row.take(val) + G_j),
+two 1-D takes on element codes.  Work is O(q x rows x cols x deg_u f)
+lookups in O(rows x cols x deg_u f) memory; the cube is never held.
+
+Level sets are counted on orbit representatives and relabelled.  For f over
+F_p and q = p^n the counts of the plane at s, over all (u, t), move under
+two exact symmetries:
+
+- signs, q odd: if i + j has one parity a over the monomials s^i u^j t^k,
+  f(-s, -u, t) = (-1)^a f, so the plane at -s has the counts of the plane
+  at s with z -> (-1)^a z; if j + k has one parity b, f(s, -u, -t) =
+  (-1)^b f, so the line (s, -t) has the counts of the line (s, t) with
+  z -> (-1)^b z;
+- Frobenius, n > 1: f(s^p, u^p, t^p) = f^p, so the plane at s^p has the
+  counts of the plane at s with z -> z^p.
+
+The s-negation and Frobenius generate a group G acting on s.  f is evaluated
+on one s per G-orbit and, under the j + k rule, on t = 0 and one t of each
+pair {t, -t}; each line is weighted by the size of its s-orbit and by 2
+where it stands for its mirror line too.  Summing the mirror relabelling and
+every element of G over these weighted counts gives the full counts
+2|G| times over.  A polynomial with neither parity rule over a prime field,
+such as s + t + u*t, is counted on the whole grid; characteristic 2 gets
+the Frobenius reduction only.  The work falls to about q^3 / 4 points at odd
+primes and by a further factor near n at q = p^n.
+
 The counts of the last four (f, field) pairs, q ints each, are memoized and
 handed out as copies: a screen run after a probe of the same f over the
-same field does not count the cube again.
+same field does not count again.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .gf import GF, field
-from .tripoly import TriPoly
+from .tripoly import TriPoly, _power
+
+# values of s and of t, each an array of element codes
+Select = Optional[tuple[np.ndarray, np.ndarray]]
 
 
-def _u_blocks_on_grid(f: TriPoly, F: GF) -> list[np.ndarray]:
-    """Each u-block G_j(s,t) of f over F_p on the q x q grid [s, t]."""
+def _u_blocks_on_grid(f: TriPoly, F: GF, select: Select = None) -> list[np.ndarray]:
+    """Each u-block G_j(s,t) of f over F_p on the grid [s, t], s and t from select."""
     q, add, mul = F.q, F.add_table.ravel(), F.mul_table.ravel()
+    s_vals, t_vals = select if select is not None else (np.arange(q), np.arange(q))
     blocks = f.u_coefficients()
     pows = [np.full(q, F.one), np.arange(q)]  # pows[i][x] = x^i
     while len(pows) <= max(max(blk.deg("s"), blk.deg("t")) for blk in blocks):
@@ -35,23 +63,24 @@ def _u_blocks_on_grid(f: TriPoly, F: GF) -> list[np.ndarray]:
     for blk in blocks:
         rows: dict[int, np.ndarray] = {}  # G_j = sum_i s^i * rows[i](t)
         for (i, _j, k), coef in blk.terms():
-            term = F.mul_table[F.embed_int(coef)].take(pows[k])
+            term = F.mul_table[F.embed_int(coef)].take(pows[k].take(t_vals))
             rows[i] = add.take(rows[i] * q + term) if i in rows else term
-        grid = np.zeros((q, q), dtype=np.intp)
+        grid = np.zeros((len(s_vals), len(t_vals)), dtype=np.intp)
         for i, row in rows.items():
-            grid = add.take(grid * q + mul.take(pows[i][:, None] * q + row))
+            grid = add.take(grid * q + mul.take(pows[i].take(s_vals)[:, None] * q + row))
         out.append(grid)
     return out
 
 
-def _u_slices(f: TriPoly, F: GF) -> Iterator[np.ndarray]:
-    """f over F_p on the q x q grid [s, t], for u = 0, 1, ..., q-1 in turn.
+def _u_slices(f: TriPoly, F: GF, select: Select = None) -> Iterator[np.ndarray]:
+    """f over F_p on the grid [s, t], for u = 0, 1, ..., q-1 in turn.
 
-    A slice may be shared with the next one or with the block grids, so
-    callers only read it.
+    select = (s_vals, t_vals) picks the rows and columns; the default is the
+    whole q x q grid.  A slice may be shared with the next one or with the
+    block grids, so callers only read it.
     """
     add = F.add_table.ravel()
-    top, *lower = reversed(_u_blocks_on_grid(f, F))
+    top, *lower = reversed(_u_blocks_on_grid(f, F, select))
     for u in range(F.q):
         row, val = F.mul_table[u] * F.q, top
         for grid in lower:
@@ -59,10 +88,53 @@ def _u_slices(f: TriPoly, F: GF) -> Iterator[np.ndarray]:
         yield val
 
 
+def _symmetries(f: TriPoly, F: GF):
+    """The relabellings of f's level counts that the module docstring proves.
+
+    Returns (s_maps, z_maps, t_mirror, z_mirror): row g of s_maps moves the
+    plane at s to the plane at s_maps[g, s], whose counts at z_maps[g, z] are
+    the counts of the plane at s at z; the line (s, t) has the counts of the
+    line (s, t_mirror[t]) with z -> z_mirror[z].
+    """
+    q, mul = F.q, F.mul_table.ravel()
+    ident, neg = np.arange(q), F.neg_table
+    odd = F.p > 2
+    ij = {(i + j) % 2 for (i, j, _k), _c in f.terms()}
+    jk = {(j + k) % 2 for (_i, j, k), _c in f.terms()}
+    signs = [(ident, ident)]
+    if odd and len(ij) <= 1:
+        signs.append((neg, neg if ij == {1} else ident))
+    frob = _power(ident, F.p, lambda a, b: mul.take(a * q + b))  # x -> x^p
+    frobs = [ident]
+    while len(frobs) < F.n:
+        frobs.append(frob.take(frobs[-1]))
+    s_maps = np.array([fk.take(sm) for fk in frobs for sm, _zm in signs])
+    z_maps = np.array([fk.take(zm) for fk in frobs for _sm, zm in signs])
+    mirror = odd and len(jk) <= 1
+    t_mirror = neg if mirror else ident
+    z_mirror = neg if mirror and jk == {1} else ident
+    return s_maps, z_maps, t_mirror, z_mirror
+
+
 @lru_cache(maxsize=4)
 def _cube_counts(f: TriPoly, F: GF) -> np.ndarray:
-    counts = sum(np.bincount(val.ravel(), minlength=F.q) for val in _u_slices(f, F))
-    if int(counts.sum()) != F.q**3:
+    q = F.q
+    s_maps, z_maps, t_mirror, z_mirror = _symmetries(f, F)
+    # one s per orbit, its smallest element, weighted by the orbit's size
+    s_reps, s_weight = np.unique(s_maps.min(axis=0), return_counts=True)
+    t_reps = np.flatnonzero(np.arange(q) <= t_mirror)
+    t_weight = 1 + (t_reps < t_mirror.take(t_reps))
+    weights, cls = np.unique(np.outer(s_weight, t_weight), return_inverse=True)
+    base = cls.reshape(len(s_reps), len(t_reps)) * q
+    tally = sum(
+        np.bincount((base + val).ravel(), minlength=len(weights) * q)
+        for val in _u_slices(f, F, (s_reps, t_reps))
+    )
+    lines = weights @ tally.reshape(-1, q)
+    planes = lines + lines.take(z_mirror)
+    total = planes.take(np.argsort(z_maps, axis=1)).sum(axis=0)
+    counts, rem = np.divmod(total, 2 * len(z_maps))
+    if rem.any() or int(counts.sum()) != q**3:
         raise RuntimeError("level-set counts do not partition the coordinate cube")
     return counts
 

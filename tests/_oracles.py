@@ -13,7 +13,9 @@ table, `word_value`, the determinant check on one pair in front of that
 evaluator, which the tests check against `word_eval_string`,
 `kappa_zero`, kappa built as a `TriPoly` and evaluated on all of F_q^3
 by the library's cube evaluator, the reference for the locus that `sl2`
-reads from its conic root table, and `match_inner_full_power`, the
+reads from its conic root table, `cube_level_counts`, the same evaluator's
+count over the whole cube, the reference for the orbit counts of `probes`,
+and `match_inner_full_power`, the
 u-block matcher that raises the whole of Q to the n-th power for every
 block, kept on `TriPoly` arithmetic as the reference for the truncated
 matcher in `decompose`.
@@ -559,6 +561,20 @@ def poly_value(f, F, s, u, t):
     for (i, j, k), c in terms:  # coefficients are residues mod p, codes of F_p
         total = add(total, mul(mul(mul(c, ps[i]), pu[j]), pt[k]))
     return total
+
+
+def cube_level_counts(f, q):
+    """N_z for every z from the library's evaluator on the whole cube, no symmetry used.
+
+    One bincount per u-slice of the full q x q grid, with the partition
+    check: the reference for the orbit counts of `level_set_counts`.
+    """
+    F = field(q)
+    g = f if f.p is not None else f.reduce_mod(F.p)
+    counts = sum(np.bincount(val.ravel(), minlength=q) for val in _u_slices(g, F))
+    if int(counts.sum()) != q**3:
+        raise RuntimeError("level-set counts do not partition the coordinate cube")
+    return counts.tolist()
 
 
 def naive_level_counts(f, q):

@@ -1,19 +1,37 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tracelab import probes
+from tracelab.gf import _factor_prime_power
 from tracelab.probes import level_set_counts
 from tracelab.sl2 import lang_weil_check, spectrum_probe
 from tracelab.trace import trace_poly
 from tracelab.tripoly import TriPoly
 from tracelab.words import parse
 
-from _oracles import naive_level_counts
+from _oracles import cube_level_counts, naive_level_counts
 
 U = TriPoly.var("u", None)
 S = TriPoly.var("s", None)
 T = TriPoly.var("t", None)
 # x^4 y x^-2 y^-1 x^2 y x^-2 y^-1, whose f_w has degree 12
 REMARK = "xxxxyXXYxxyXXY"
+ORBIT_QS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 81, 125, 128]
+# one polynomial for each case of the sign rules on the monomials s^i u^j t^k
+RULE_CASES = {
+    # i + j and j + k both odd on every monomial
+    "both-odd": "u^3 + s*t + s^2*u - 2*u*t^2 + 5*u",
+    "both-odd-word": trace_poly(parse("xyXYxy")).f.render(),
+    "both-even-word": trace_poly(parse(REMARK)).f.render(),
+    "i+j-only": "s + u*t^2 + 3*u^3*t + s^2*u",
+    "j+k-only": "u^3 + s*t + s*u^2*t + t^3",
+    # f(-s, -u, t) = -f and f(s, -u, -t) = f
+    "odd-even": "s + u*t",
+    "neither": "s + t + u*t",
+    "neither-square": "s^2 + u",
+    "neither-cubic": "s^2 + u^2*t + u",
+    "constant": "3",
+}
 
 
 class TestLevelSetCounts:
@@ -49,6 +67,59 @@ class TestLevelSetCounts:
             level_set_counts(f, 5)
 
 
+def _assert_matches_references(f, q):
+    got = list(level_set_counts(f, q))
+    assert got == cube_level_counts(f, q)
+    if q <= 16:
+        assert got == naive_level_counts(f, q)
+
+
+class TestOrbitCounts:
+    @pytest.mark.parametrize("q", ORBIT_QS)
+    @pytest.mark.parametrize("case", RULE_CASES)
+    def test_matches_full_cube(self, case, q):
+        p = _factor_prime_power(q)[0]
+        _assert_matches_references(TriPoly.parse(RULE_CASES[case]).reduce_mod(p), q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+            st.integers(-9, 9),
+            max_size=6,
+        ),
+        st.sampled_from(ORBIT_QS),
+    )
+    def test_random_polynomials_match_full_cube(self, terms, q):
+        _assert_matches_references(TriPoly.from_terms(terms, _factor_prime_power(q)[0]), q)
+
+
+class TestPointsVisited:
+    @staticmethod
+    def _visited(monkeypatch, f, q):
+        sizes = []
+        u_slices = probes._u_slices
+
+        def recording(f, F, *args):
+            for val in u_slices(f, F, *args):
+                sizes.append(val.size)
+                yield val
+
+        monkeypatch.setattr(probes, "_u_slices", recording)
+        probes._cube_counts.cache_clear()
+        level_set_counts(f, q)
+        return sum(sizes)
+
+    @pytest.mark.parametrize("q,share", [(101, 3), (125, 5), (128, 5)])
+    def test_commutator_visits_orbit_representatives(self, monkeypatch, q, share):
+        f = trace_poly(parse("xyXY")).f
+        assert self._visited(monkeypatch, f, q) <= q**3 / share
+
+    def test_no_symmetry_visits_the_whole_cube(self, monkeypatch):
+        f = TriPoly.parse(RULE_CASES["neither"])
+        assert self._visited(monkeypatch, f, 101) == 101**3
+
+
 class TestMemo:
     def test_mutating_a_result_leaves_the_next_call_intact(self):
         f = trace_poly(parse("xxyXY")).f
@@ -70,9 +141,9 @@ class TestMemo:
         passes = []
         u_slices = probes._u_slices
 
-        def counting(f, F):
+        def counting(f, F, *args):
             passes.append(F.q)
-            return u_slices(f, F)
+            return u_slices(f, F, *args)
 
         monkeypatch.setattr(probes, "_u_slices", counting)
         probes._cube_counts.cache_clear()

@@ -109,6 +109,21 @@ class TestInvariance:
         assert trace_poly(w).f == trace_poly(c * w * c.inverse()).f
 
 
+class TestSignRule:
+    def test_central_sign_flips_and_monomial_parities(self, engine):
+        # -I is central with tr(-g) = -tr g, so x -> -x flips (s, u) and
+        # y -> -y flips (u, t), and f_w picks up (-1)^A and (-1)^B
+        words = list(enumerate_words(6))
+        assert len(words) > 100
+        for w in words:
+            f, st_ = trace_poly(w, engine=engine).f, stats(w)
+            assert f.substitute(-S, -U, T) == f.scale((-1) ** st_.A), w
+            assert f.substitute(S, -U, -T) == f.scale((-1) ** st_.B), w
+            monos = [m for m, _c in f.terms()]
+            assert {(i + j) % 2 for i, j, _k in monos} == {st_.A % 2}, w
+            assert {(j + k) % 2 for _i, j, k in monos} == {st_.B % 2}, w
+
+
 class TestOracleAgreement:
     def test_exhaustive_small_words_small_field(self, engine):
         F = field(3)
