@@ -47,7 +47,11 @@ Sections, each hashed separately:
 - level-counts: raw ``level_set_counts`` arrays, over F_p, of polynomials
   under each case of the sign rules (both, one, neither, a constant) and of
   f_w for three words, at q in {2, 3, 4, 8, 9, 16, 25, 27, 49, 64, 81,
-  101, 121, 125, 128}.
+  101, 121, 125, 128};
+- fibers-orbits: SL and PSL CSVs, epsilon JSON and ``ImageReport`` for
+  xyXY, xxy, xyy and xyxy, whose exponent sums take each pair of
+  parities, at q in {121, 125, 127, 128}, where fiber reports are read off
+  sign and Frobenius orbit representatives.
 """
 
 from __future__ import annotations
@@ -76,6 +80,8 @@ LONG_FIBER_WORDS = (
     "x^1000000y^-999999",
 )
 LONG_FIBER_QS = (7, 16, 27)
+ORBIT_FIBER_WORDS = ("xyXY", "xxy", "xyy", "xyxy")
+ORBIT_FIBER_QS = (121, 125, 127, 128)
 DECOMPOSE_PRIMES = (None, 3, 5, 7, 11, 13)
 DECOMPOSE_NS = (2, 3, 4, 6)
 DECOMPOSE_INNERS = ("u", "u + s", "s*u - t", "u^2 + s*t*u - t", "s*u^2 + t*u - 2", "u^3 - s*u + t")
@@ -166,6 +172,11 @@ def _fibers_large_q(tl):
 def _fibers_long(tl):
     for text, q in itertools.product(LONG_FIBER_WORDS, LONG_FIBER_QS):
         yield from _fiber_outputs(tl, tl.parse(text), q, epsilon=False)
+
+
+def _fibers_orbits(tl):
+    for text, q in itertools.product(ORBIT_FIBER_WORDS, ORBIT_FIBER_QS):
+        yield from _fiber_outputs(tl, tl.parse(text), q)
 
 
 def _levelsets(tl, inputs, seed):
@@ -287,6 +298,7 @@ def sections(tl, inputs):
     yield "verify", _verify(tl)
     yield "cli", _cli()
     yield "level-counts", _level_counts(tl, inputs)
+    yield "fibers-orbits", _fibers_orbits(tl)
 
 
 def main(argv=None) -> int:

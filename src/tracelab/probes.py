@@ -30,7 +30,9 @@ every element of G over these weighted counts gives the full counts
 2|G| times over.  A polynomial with neither parity rule over a prime field,
 such as s + t + u*t, is counted on the whole grid; characteristic 2 gets
 the Frobenius reduction only.  The work falls to about q^3 / 4 points at odd
-primes and by a further factor near n at q = p^n.
+primes and by a further factor near n at q = p^n.  sl2's fiber pass visits
+the same representatives (_representatives) and relabels through the same
+sum (_orbit_sum), with the two parities read off its word's exponent sums.
 
 The counts of the last four (f, field) pairs, q ints each, are memoized and
 handed out as copies: a screen run after a probe of the same f over the
@@ -88,53 +90,88 @@ def _u_slices(f: TriPoly, F: GF, select: Select = None) -> Iterator[np.ndarray]:
         yield val
 
 
-def _symmetries(f: TriPoly, F: GF):
-    """The relabellings of f's level counts that the module docstring proves.
+def _parities(f: TriPoly) -> tuple[Optional[int], Optional[int]]:
+    """The parity of i + j and of j + k over f's monomials s^i u^j t^k, None where mixed."""
+    ij = {(i + j) % 2 for (i, j, _k), _c in f.terms()}
+    jk = {(j + k) % 2 for (_i, j, k), _c in f.terms()}
+    return tuple(None if len(par) > 1 else int(1 in par) for par in (ij, jk))
 
-    Returns (s_maps, z_maps, t_mirror, z_mirror): row g of s_maps moves the
-    plane at s to the plane at s_maps[g, s], whose counts at z_maps[g, z] are
-    the counts of the plane at s at z; the line (s, t) has the counts of the
-    line (s, t_mirror[t]) with z -> z_mirror[z].
+
+def _symmetries(F: GF, ij: Optional[int], jk: Optional[int]):
+    """The relabellings of level counts that the module docstring proves.
+
+    ij and jk are the parities of the two sign rules, None where a rule does
+    not hold.  Returns (s_maps, z_maps, t_mirror, z_mirror): row g of s_maps
+    moves the plane at s to the plane at s_maps[g, s], whose counts at
+    z_maps[g, z] are the counts of the plane at s at z; the line (s, t) has
+    the counts of the line (s, t_mirror[t]) with z -> z_mirror[z].
     """
     q, mul = F.q, F.mul_table.ravel()
     ident, neg = np.arange(q), F.neg_table
     odd = F.p > 2
-    ij = {(i + j) % 2 for (i, j, _k), _c in f.terms()}
-    jk = {(j + k) % 2 for (_i, j, k), _c in f.terms()}
     signs = [(ident, ident)]
-    if odd and len(ij) <= 1:
-        signs.append((neg, neg if ij == {1} else ident))
+    if odd and ij is not None:
+        signs.append((neg, neg if ij else ident))
     frob = _power(ident, F.p, lambda a, b: mul.take(a * q + b))  # x -> x^p
     frobs = [ident]
     while len(frobs) < F.n:
         frobs.append(frob.take(frobs[-1]))
     s_maps = np.array([fk.take(sm) for fk in frobs for sm, _zm in signs])
     z_maps = np.array([fk.take(zm) for fk in frobs for _sm, zm in signs])
-    mirror = odd and len(jk) <= 1
+    mirror = odd and jk is not None
     t_mirror = neg if mirror else ident
-    z_mirror = neg if mirror and jk == {1} else ident
+    z_mirror = neg if mirror and jk else ident
     return s_maps, z_maps, t_mirror, z_mirror
+
+
+def _representatives(s_maps: np.ndarray, t_mirror: np.ndarray):
+    """The lines (s, t) to evaluate, and the weight each one carries.
+
+    Returns ((s_reps, t_reps), weights, cls): one s per orbit of s_maps, its
+    smallest element, and t = t_mirror[t] or t < t_mirror[t]; the line
+    (s_reps[i], t_reps[j]) carries weights[cls[i, j]], its s-orbit's size
+    times 2 where it also stands for its mirror line.
+    """
+    labels = np.arange(len(t_mirror))
+    orbit = s_maps.min(axis=0)
+    s_reps = np.flatnonzero(orbit == labels)
+    t_reps = np.flatnonzero(labels <= t_mirror)
+    line = np.bincount(orbit).take(s_reps)[:, None] * (1 + (t_reps < t_mirror.take(t_reps)))
+    # the distinct weights, ascending, and each line's rank among them
+    present = np.bincount(line.ravel()) > 0
+    return (s_reps, t_reps), np.flatnonzero(present), np.cumsum(present).take(line) - 1
+
+
+def _orbit_sum(weighted: np.ndarray, maps: np.ndarray, mirror: np.ndarray) -> np.ndarray:
+    """The full counts from the weighted counts of the representative lines.
+
+    weighted[z] is a count vector over labels z; the mirror line's counts
+    sit at mirror[z], and row g of maps is the labelling of group element g.
+    Summing every relabelling gives the full counts 2|G| times over; a
+    division that is not exact raises RuntimeError.
+    """
+    both = weighted + weighted.take(mirror)
+    inverse = np.empty_like(maps)
+    inverse[np.arange(len(maps))[:, None], maps] = np.arange(maps.shape[1])
+    total = both.take(inverse).sum(axis=0)
+    counts, rem = np.divmod(total, 2 * len(maps))
+    if rem.any():
+        raise RuntimeError("orbit counts do not divide by the symmetry group's order")
+    return counts
 
 
 @lru_cache(maxsize=4)
 def _cube_counts(f: TriPoly, F: GF) -> np.ndarray:
     q = F.q
-    s_maps, z_maps, t_mirror, z_mirror = _symmetries(f, F)
-    # one s per orbit, its smallest element, weighted by the orbit's size
-    s_reps, s_weight = np.unique(s_maps.min(axis=0), return_counts=True)
-    t_reps = np.flatnonzero(np.arange(q) <= t_mirror)
-    t_weight = 1 + (t_reps < t_mirror.take(t_reps))
-    weights, cls = np.unique(np.outer(s_weight, t_weight), return_inverse=True)
-    base = cls.reshape(len(s_reps), len(t_reps)) * q
+    s_maps, z_maps, t_mirror, z_mirror = _symmetries(F, *_parities(f))
+    select, weights, cls = _representatives(s_maps, t_mirror)
+    base = cls * q
     tally = sum(
         np.bincount((base + val).ravel(), minlength=len(weights) * q)
-        for val in _u_slices(f, F, (s_reps, t_reps))
+        for val in _u_slices(f, F, select)
     )
-    lines = weights @ tally.reshape(-1, q)
-    planes = lines + lines.take(z_mirror)
-    total = planes.take(np.argsort(z_maps, axis=1)).sum(axis=0)
-    counts, rem = np.divmod(total, 2 * len(z_maps))
-    if rem.any() or int(counts.sum()) != q**3:
+    counts = _orbit_sum(weights @ tally.reshape(-1, q), z_maps, z_mirror)
+    if int(counts.sum()) != q**3:
         raise RuntimeError("level-set counts do not partition the coordinate cube")
     return counts
 

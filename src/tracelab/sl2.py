@@ -18,17 +18,26 @@ kappa = s^2 + t^2 + u^2 - sut - 4 = tr[x, y] - 2 on F_q^3, which is also
 the third factor of the degenerate locus; kappa is monic of degree 2 in
 u, so its zeros are read from the conic root table.  Fiber counting
 weighs each point of F_q^3 by N and reads the class of w on its pairs from
-f_w(s, u, t), evaluated once on F_q^3: a trace other than +-2 fixes the
-class.  Where f_w = +-2 the word is evaluated, to split central from
-unipotent: off the locus kappa = 0 on one representative pair per point,
-since a pi-fiber there is one free PGL(2,q)-orbit; on it, on the pairs of
-each class representative x_c of trace s with the y of tr y = t and
-tr x_c y = u, at about q pairs per point, solved from one conic for every
-noncentral x_c (each is in companion form (0, b, -1/b, s)), or one y per
-class when x_c is central.  No pass over the group is made: a word too
-long to trace reads f_w from one pair per point, since
-tr w(x, y) = f_w(pi(x, y)) on every pair.  Counts accumulate in a fixed
-class order, so results are deterministic.
+f_w(s, u, t): a trace other than +-2 fixes the class.  The points are
+visited on orbit representatives, as probes counts level sets: with A and
+B the exponent sums of x and y, (x, y) -> (-x, y) and (x, y) -> (x, -y)
+multiply w by (-1)^A and (-1)^B, and entrywise Frobenius maps w to w^phi;
+each keeps N and moves the pairs over one point, class by class, to the
+pairs over its image point, with w's class relabelled by its trace.  So
+f_w is evaluated on one s per orbit of negation and Frobenius and on t = 0
+plus one t of each pair {t, -t} (Frobenius only in characteristic 2), and
+the class totals of these lines, weighted by orbit size and summed over
+every relabelling, are the totals 2|G| times over.  Where f_w = +-2 the
+word is evaluated, to split central from unipotent: off the locus
+kappa = 0 on one representative pair per point, since a pi-fiber there
+is one free PGL(2,q)-orbit; on it, on the pairs of each class
+representative x_c of trace s with the y of tr y = t and tr x_c y = u, at
+about q pairs per point, solved from one conic for every noncentral x_c
+(each is in companion form (0, b, -1/b, s)), or one y per class when x_c
+is central.  No pass over the group is made: a word too long to trace
+reads f_w from one pair per point, since tr w(x, y) = f_w(pi(x, y)) on
+every pair.  Counts accumulate in a fixed class order, so results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -41,18 +50,26 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .gf import GF, field
-from .probes import _u_slices, level_set_counts
+from .probes import (
+    Select,
+    _orbit_sum,
+    _representatives,
+    _symmetries,
+    _u_slices,
+    level_set_counts,
+)
 from .trace import trace_poly
 from .tripoly import TriPoly, _power
-from .words import Word, X as _GEN_X
+from .words import Word, X as _GEN_X, Y as _GEN_Y
 
-# Fiber reports hold f_w and the pi-fiber kinds on F_q^3, and evaluate the
-# word on about q pairs per class representative at each locus point where
-# f_w is +-2, O(q^3) pairs at worst (the commutator), in bounded batches.
-# This is the top of the level-set screens' q list, so epsilon can be
-# tested at the same q; there the commutator's report takes about 0.8 s and
-# 70 MB peak RSS on a 2-vCPU host, and that of (xy)^17, past
-# _MAX_TRACED_LENGTH, about 2 s.
+# Fiber reports hold f_w and the pi-fiber kinds on the orbit representatives
+# of F_q^3, and evaluate the word on about q pairs per class representative
+# at each such locus point where f_w is +-2, O(q^3) pairs at worst (the
+# commutator), in bounded batches.  This is the top of the level-set
+# screens' q list, so epsilon can be tested at the same q; there, in a
+# fresh process on a 2-vCPU host, the commutator's report takes about
+# 0.15 s and 58 MB peak RSS, and that of (xy)^17, past _MAX_TRACED_LENGTH,
+# 0.6-1.1 s and 38 MB.
 MAX_FIBER_Q = 128
 
 # fiber_distribution reads f_w from the trace polynomial for words of at
@@ -62,10 +79,11 @@ MAX_FIBER_Q = 128
 # quadratically in each exponent; the letter count bounds both.  On a cold
 # engine the slowest of 260 random 32-letter words traced in 0.33 s, while
 # at 40 and 48 letters it reaches 1.6 s and 9.7 s (463 MB).  The word slices
-# cost time linear in the letters and in q^3: for (xy)^17 they take 0.04 s
-# at q = 27, 0.47 s at q = 81 and 1.9 s at q = 128 on a 2-vCPU host.  On
-# the 105 words of at most 12 letters of perfbench's fibers stream (seed 1)
-# they took 1.3 s in all, against 0.07 s for tracing and _u_slices.
+# cost time linear in the letters and in the points visited: on the orbit
+# representatives, for (xy)^17 they take 0.05 s at q = 27, 0.27 s at
+# q = 81 and 0.8 s at q = 128 on a 2-vCPU host.  On the 105 words of at
+# most 12 letters of perfbench's fibers stream (seed 1) they took 1.5-1.7 s
+# in all, against 0.11 s for tracing and _u_slices.
 _MAX_TRACED_LENGTH = 32
 
 Matrix = tuple[int, int, int, int]
@@ -345,20 +363,23 @@ def _point_pairs(F: GF, roots, s, u, t):
     raise RuntimeError("a point has no representative pair")
 
 
-def _word_slices(w: Word, F: GF, roots) -> Iterator[np.ndarray]:
-    """tr w on the q x q grid [s, t], for u = 0, 1, ..., q-1 in turn.
+def _word_slices(w: Word, F: GF, roots, select: Select = None) -> Iterator[np.ndarray]:
+    """tr w on the grid [s, t], for u = 0, 1, ..., q-1 in turn.
 
     tr w(x, y) = f_w(s, u, t) on every pair over the point (s, u, t), so
     the word on one pair per point from _point_pairs yields what
-    _u_slices yields from f_w, without tracing w.  roots is
+    _u_slices yields from f_w, on the same selection of rows and columns
+    (the whole q x q grid by default), without tracing w.  roots is
     _quadratic_roots(F).
     """
     q = F.q
-    s, t = (v.ravel() for v in np.indices((q, q)))
+    s_vals, t_vals = select if select is not None else (np.arange(q), np.arange(q))
+    shape = (len(s_vals), len(t_vals))
+    s, t = np.repeat(s_vals, shape[1]), np.tile(t_vals, shape[0])
     for u in range(q):
-        x, y = _point_pairs(F, roots, s, np.full(q * q, u), t)
+        x, y = _point_pairs(F, roots, s, np.full(s.size, u), t)
         a, _, _, d = (np.broadcast_to(v, s.shape) for v in _eval_word(F, w, x, y))
-        yield F.add_table[a, d].reshape(q, q)
+        yield F.add_table[a, d].reshape(shape)
 
 
 def _word_classes(w: Word, table: ClassTable, x, y, z, where: str) -> np.ndarray:
@@ -370,7 +391,7 @@ def _word_classes(w: Word, table: ClassTable, x, y, z, where: str) -> np.ndarray
     return table.classify_array(*vals)
 
 
-def _off_locus_totals(w: Word, table: ClassTable, roots, points, z) -> np.ndarray:
+def _off_locus_totals(w: Word, table: ClassTable, roots, points, z, wcls, nw) -> np.ndarray:
     """Pairs per class over the flat [s, u, t] points off the locus where f_w = z = +-2.
 
     The pi-fiber of such a point is one free PGL(2,q)-orbit, and the class
@@ -378,16 +399,22 @@ def _off_locus_totals(w: Word, table: ClassTable, roots, points, z) -> np.ndarra
     w is central there, the central class of trace z gets all q^3 - q pairs;
     if not, they split evenly over the unipotent classes of trace z (two
     when q is odd, one when q is even), which conjugation by PGL(2,q) swaps.
+    Returns nw rows of totals, indexed [weight class, class], each point
+    counted in row wcls[point].
     """
     F, q = table.field, table.q
     x, y = _point_pairs(F, roots, points // (q * q), points // q % q, points % q)
     idx = _word_classes(w, table, x, y, z, "representative pair")
     central = idx == table.trace_class.take(z)
     unipotent = table._index[z[~central], 1:]
+    row, col = np.nonzero(unipotent >= 0)
     order, ncls = q**3 - q, len(table.classes)
-    central_counts = np.bincount(idx[central], minlength=ncls)
-    unipotent_counts = np.bincount(unipotent[unipotent >= 0], minlength=ncls)
-    return order * central_counts + order // (1 + q % 2) * unipotent_counts
+    nbins = nw * ncls
+    central_counts = np.bincount(wcls[central] * ncls + idx[central], minlength=nbins)
+    unipotent_cells = wcls[~central].take(row) * ncls + unipotent[row, col]
+    unipotent_counts = np.bincount(unipotent_cells, minlength=nbins)
+    totals = order * central_counts + order // (1 + q % 2) * unipotent_counts
+    return totals.reshape(nw, ncls)
 
 
 def _locus_pairs(table: ClassTable, roots, points):
@@ -444,24 +471,30 @@ def _locus_pairs(table: ClassTable, roots, points):
 _LOCUS_BATCH = 2**18
 
 
-def _locus_totals(w: Word, table: ClassTable, roots, points, z, expected: int) -> np.ndarray:
+def _locus_totals(
+    w: Word, table: ClassTable, roots, points, z, wcls, nw, expected: int
+) -> np.ndarray:
     """Pairs per class over the flat [s, u, t] points on the locus where f_w = z = +-2.
 
     The word is evaluated on every pair of _locus_pairs, about q per class
     representative and point, in batches of at most _LOCUS_BATCH pairs: a
     point carries at most 4q + 3 of them.  The pairs must stand for
     `expected` pairs of the group, the sum of N over the points, and the
-    trace of each value must be f_w at its point.
+    trace of each value must be f_w at its point.  Returns the totals
+    indexed [weight class, class], as _off_locus_totals does.
     """
     ncls = len(table.classes)
-    counts = np.zeros(ncls * ncls, dtype=np.int64)  # [weight class, class of w]
+    nbins = nw * ncls * ncls
+    # [weight class of the point, class the pair stands for, class of w]
+    counts = np.zeros(nbins, dtype=np.int64)
     step = max(1, _LOCUS_BATCH // (4 * table.q + 3))
     for start in range(0, points.size, step):
         xc, weight, k, y = _locus_pairs(table, roots, points[start : start + step])
         x = tuple(col.take(xc) for col in table._reps)
         idx = _word_classes(w, table, x, y, z[start : start + step].take(k), "locus pair")
-        counts += np.bincount(weight * ncls + idx, minlength=ncls * ncls)
-    totals = table.sizes @ counts.reshape(ncls, ncls)
+        cell = wcls[start : start + step].take(k) * ncls + weight
+        counts += np.bincount(cell * ncls + idx, minlength=nbins)
+    totals = table.sizes @ counts.reshape(nw, ncls, ncls)
     if int(totals.sum()) != expected:
         raise RuntimeError("the locus pairs do not account for every pi-fiber")
     return totals
@@ -470,49 +503,63 @@ def _locus_totals(w: Word, table: ClassTable, roots, points, z, expected: int) -
 def _fiber_totals(w: Word, table: ClassTable) -> np.ndarray:
     """#{(x, y) : w(x, y) in C} per class C, through f_w and the pi-fiber weights.
 
-    Every point (s, u, t) of F_q^3 carries N(s, u, t) pairs, and the class
-    of w on them is fixed by z = f_w(s, u, t) unless z = +-2.  So a trace
-    z other than +-2 gets the sum of N over the points where f_w = z, one
-    bincount over (f_w, kind of N).  The points where f_w = +-2 are split
-    by the word itself: off the locus through one representative pair
-    each, on it through the pairs of each class representative with the y
-    of those traces.  f_w is traced for a word of at most
-    _MAX_TRACED_LENGTH letters and read from the word on one pair per
-    point for a longer one.  The conic root table is built once, for all
-    three passes.
+    The points visited are the orbit representatives of the module
+    docstring, each line (s, t) weighted by its orbit's size.  A trace z
+    other than +-2 fixes the class and gets the weighted sum of N over the
+    points where f_w = z, one bincount over (weight class, f_w, kind of N).
+    The points where f_w = +-2 are split by the word itself, binned by
+    weight class: off the locus through one representative pair each, on
+    it through the pairs of each class representative with the y of those
+    traces.  The weighted class totals are then summed over every
+    relabelling (_class_maps) and divided by 2|G| (probes._orbit_sum).
+    f_w is traced for a word of at most _MAX_TRACED_LENGTH letters and
+    read from the word on one pair per point for a longer one.  The conic
+    root table is built once, for all three passes.
     """
     F, q = table.field, table.q
     roots = _quadratic_roots(F)
+    signs = (sum(e for g, e in w.blocks if g == gen) % 2 for gen in (_GEN_X, _GEN_Y))
+    s_maps, z_maps, t_mirror, z_mirror = _symmetries(F, *signs)
+    select, weights, wcls = _representatives(s_maps, t_mirror)
     if w.length > _MAX_TRACED_LENGTH:
-        slices = _word_slices(w, F, roots)
+        slices = _word_slices(w, F, roots, select)
     else:
-        slices = _u_slices(trace_poly(w).f.reduce_mod(F.p), F)
-    fw = np.stack(list(slices), axis=1).ravel()
-    kinds = _pi_fiber_kinds(F, roots).ravel()
-    values = _pi_fiber_values(q)
-    weights = np.bincount(fw * 4 + kinds, minlength=4 * q).reshape(q, 4) @ values
-    totals = np.zeros(len(table.classes), dtype=np.int64)
+        slices = _u_slices(trace_poly(w).f.reduce_mod(F.p), F, select)
+    kinds = _pi_fiber_kinds(F, roots, select)  # [s rep, u, t rep]
+    fw = np.empty(kinds.shape, dtype=np.intp)
+    for u, val in enumerate(slices):
+        fw[:, u] = val
+    values, nw = _pi_fiber_values(q), len(weights)
+    tally = np.bincount(((wcls[:, None] * q + fw) * 4 + kinds).ravel(), minlength=nw * q * 4)
+    by_trace = (weights @ tally.reshape(nw, q * 4)).reshape(q, 4) @ values
+    weighted = np.zeros(len(table.classes), dtype=np.int64)
     fixed = np.flatnonzero(~table.trace_open)
-    totals[table.trace_class.take(fixed)] = weights.take(fixed)
+    weighted[table.trace_class.take(fixed)] = by_trace.take(fixed)
     pm2 = table.trace_open.take(fw)
     off_locus = np.flatnonzero(pm2 & (kinds == 0))
     on_locus = np.flatnonzero(pm2 & (kinds > 0))
-    z_off, z_on = fw.take(off_locus), fw.take(on_locus)
-    expected = int(values.take(kinds.take(on_locus)).sum())
-    del fw, kinds, pm2
-    totals += _off_locus_totals(w, table, roots, off_locus, z_off)
-    return totals + _locus_totals(w, table, roots, on_locus, z_on, expected)
+    expected = int(values.take(kinds.ravel().take(on_locus)).sum())
+
+    def located(flat):  # flat [s rep, u, t rep] indices: cube points, f_w, weight classes
+        i, u, j = np.unravel_index(flat, kinds.shape)
+        points = (select[0].take(i) * q + u) * q + select[1].take(j)
+        return points, fw.ravel().take(flat), wcls[i, j]
+
+    off = _off_locus_totals(w, table, roots, *located(off_locus), nw)
+    on = _locus_totals(w, table, roots, *located(on_locus), nw, expected)
+    weighted += weights @ (off + on)
+    return _orbit_sum(weighted, _class_maps(table, z_maps), _class_maps(table, z_mirror))
 
 
 def _fiber_report(w: Word, q: int, group: str, order: int, rows) -> FiberReport:
     """The report of (class_id, trace, ctype, class size, fiber per element) rows.
 
     The rows must partition the order^2 pairs of the group; each deviation
-    is |fiber / order - 1|.
+    is |fiber - order| / order, that is |fiber / order - 1|.
     """
     if sum(row[3] * row[4] for row in rows) != order * order:
         raise RuntimeError(f"fiber counts do not partition |{group}|^2")
-    rows = tuple(FiberRow(*row, deviation=abs(Fraction(row[4], order) - 1)) for row in rows)
+    rows = tuple(FiberRow(*row, deviation=Fraction(abs(row[4] - order), order)) for row in rows)
     return FiberReport(w, q, group, order, order * order, rows)
 
 
@@ -522,8 +569,9 @@ def fiber_distribution(w: Word, q: int) -> FiberReport:
     Counts the pairs (x, y) with w(x, y) in each class C, then divides the
     per-class totals by the class sizes; exactness of that division is
     asserted.  Exponents are first reduced modulo a multiple of every
-    element order.  The totals are read from f_w on F_q^3, each point
-    (s, u, t) weighted by its pi-fiber count N(s, u, t); the word itself is
+    element order.  The totals are read from f_w on the sign and Frobenius
+    orbit representatives of F_q^3 and relabelled, each point (s, u, t)
+    weighted by its pi-fiber count N(s, u, t); the word itself is
     evaluated only where f_w = +-2, to split central from unipotent: on one
     representative pair per point off the locus kappa = 0, and on it on
     the pairs of each class representative x_c with the y of traces
@@ -552,10 +600,20 @@ def _sl_report_of(w: Word, q: int, sl_report: Optional[FiberReport]) -> FiberRep
     return sl_report
 
 
+def _class_maps(table: ClassTable, z_maps: np.ndarray) -> np.ndarray:
+    """The class of trace z_maps[..., tr C] and the kind of C, for each class C.
+
+    Negation (beta(-g) = beta(g)) and Frobenius (beta^p is a square iff
+    beta is) keep the kind, so these are the classes of -g and g^phi.
+    """
+    traces = [c.trace for c in table.classes]
+    kinds = [_UNIPOTENT_KIND.get(c.ctype, 0) for c in table.classes]
+    return table._index[z_maps[..., traces], kinds]
+
+
 def _negation_partners(table: ClassTable) -> list[int]:
-    """The class of -g for g in each class: trace -tr g, the same kind (beta(-g) = beta(g))."""
-    neg, index = table.field.neg_table, table._index
-    return [index.item(neg.item(c.trace), _UNIPOTENT_KIND.get(c.ctype, 0)) for c in table.classes]
+    """The class of -g for g in each class: trace -tr g, the same kind."""
+    return _class_maps(table, table.field.neg_table).tolist()
 
 
 def psl_fiber_distribution(
@@ -692,8 +750,11 @@ def fraction_le_inv_sqrt(eps: Fraction, c: Union[int, Fraction], q: int) -> bool
 # trace-triple fibers and the degenerate locus
 
 
-def _pi_fiber_kinds(F: GF, roots) -> np.ndarray:
+def _pi_fiber_kinds(F: GF, roots, select: Select = None) -> np.ndarray:
     """Which closed-form value N(s, u, t) takes, as int8 codes indexed [s, u, t].
+
+    select = (s_vals, t_vals) picks the rows s and columns t, as in
+    _u_slices; the default is all of F_q^3.
 
     Kind 0 is off the locus kappa = 0, whose points over each (s, t) are
     the distinct roots u of u^2 - st u + s^2 + t^2 - 4, read from
@@ -704,15 +765,16 @@ def _pi_fiber_kinds(F: GF, roots) -> np.ndarray:
     each kind.
     """
     q, add, mul = F.q, F.add_table.ravel(), F.mul_table.ravel()
-    s, t = np.divmod(np.arange(q * q), q)
+    s_vals, t_vals = select if select is not None else (np.arange(q), np.arange(q))
+    row, col = np.divmod(np.arange(len(s_vals) * len(t_vals)), len(t_vals))
+    s, t = s_vals.take(row), t_vals.take(col)
     sq = F.mul_table.diagonal()
     gamma = add.take(add.take(sq.take(s) * q + sq.take(t)) * q + F.embed_int(-4))
     i, u = _distinct_roots(roots, F.neg_table.take(mul.take(s * q + t)), gamma)
-    s, t = s.take(i), t.take(i)
     kind = (_quad_roots(F) + 1).astype(np.int8)  # 2 exactly at z = +-2
-    ks = kind.take(s)
-    out = np.zeros((q, q, q), dtype=np.int8)
-    out[s, u, t] = np.where(ks != 2, ks, kind.take(t))
+    ks = kind.take(s.take(i))
+    out = np.zeros((len(s_vals), q, len(t_vals)), dtype=np.int8)
+    out[row.take(i), u, col.take(i)] = np.where(ks != 2, ks, kind.take(t.take(i)))
     return out
 
 

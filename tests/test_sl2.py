@@ -1,12 +1,13 @@
 import random
 import time
+import tracemalloc
 from collections import Counter, defaultdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from tracelab import sl2
+from tracelab import probes, sl2
 from tracelab.gf import field
 from tracelab.sl2 import (
     MAX_FIBER_Q,
@@ -266,13 +267,18 @@ class TestFiberDistribution:
     def test_word_slices_equal_the_traced_slices(self, q):
         # characteristic 2 included, where the traces +2 and -2 coincide
         F = field(q)
+        roots = sl2._quadratic_roots(F)
         rng = random.Random(q)
         for _ in range(3):
             w = parse("".join(rng.choice("xXyY") for _ in range(rng.randint(1, 14))))
-            traced = sl2._u_slices(trace_poly(w).f.reduce_mod(F.p), F)
-            got_slices = sl2._word_slices(w, F, sl2._quadratic_roots(F))
-            for got, want in zip(got_slices, traced, strict=True):
-                assert np.array_equal(got, want), str(w)
+            f = trace_poly(w).f.reduce_mod(F.p)
+            # the whole grid, then the orbit representatives the fiber pass visits
+            s_maps, _, t_mirror, _ = probes._symmetries(F, *probes._parities(f))
+            for select in (None, probes._representatives(s_maps, t_mirror)[0]):
+                traced = sl2._u_slices(f, F, select)
+                got_slices = sl2._word_slices(w, F, roots, select)
+                for got, want in zip(got_slices, traced, strict=True):
+                    assert np.array_equal(got, want), str(w)
 
     @pytest.mark.parametrize("q", [25, 32])
     def test_matches_direct_evaluation_on_and_off_the_locus(self, q):
@@ -305,6 +311,43 @@ class TestFiberDistribution:
         lines = rep.to_csv().strip().splitlines()
         assert lines[0] == "class_id,trace,type,class_size,fiber_per_element,deviation"
         assert len(lines) == len(rep.rows) + 1
+
+
+class TestFiberOrbits:
+    # exponent sums (A, B) of each parity, then a word past _MAX_TRACED_LENGTH
+    WORDS = ("xyXY", "xxy", "xyy", "xy", "xy" * 17)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32])
+    def test_matches_direct_evaluation(self, q):
+        for wtext in self.WORDS:
+            w = parse(wtext)
+            rep = fiber_distribution(w, q)
+            got = [r.class_size * r.fiber_per_element for r in rep.rows]
+            assert got == direct_fiber_totals(w, q), wtext
+
+    @pytest.mark.parametrize("q,share", [(101, 3), (125, 5), (128, 5)])
+    def test_commutator_visits_orbit_representatives(self, monkeypatch, q, share):
+        sizes = []
+        u_slices = sl2._u_slices
+
+        def recording(f, F, *args):
+            for val in u_slices(f, F, *args):
+                sizes.append(val.size)
+                yield val
+
+        monkeypatch.setattr(sl2, "_u_slices", recording)
+        fiber_distribution(parse("xyXY"), q)
+        assert 0 < sum(sizes) <= q**3 / share
+
+    def test_report_at_the_top_q_within_memory_budget(self):
+        tracemalloc.start()
+        try:
+            rep = fiber_distribution(parse("xxyXYYxyXy"), MAX_FIBER_Q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20, f"budget exceeded: {peak / 2**20:.1f} MB > 16 MB"
+        assert sum(r.class_size * r.fiber_per_element for r in rep.rows) == rep.order**2
 
 
 class TestPSL:
@@ -463,6 +506,9 @@ class TestPiFibers:
         s, u, t = kind[:, None, None], kind[None, :, None], kind[None, None, :]
         want = np.where(zero, np.where(s != 2, s, np.where(u != 2, u, t)), np.int8(0))
         assert np.array_equal(sl2._pi_fiber_kinds(F, sl2._quadratic_roots(F)), want)
+        rows, cols = np.arange(0, q, 3), np.arange(1, q, 2)
+        picked = sl2._pi_fiber_kinds(F, sl2._quadratic_roots(F), (rows, cols))
+        assert np.array_equal(picked, want[rows][:, :, cols])
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27])
     def test_off_locus_representatives(self, q):
