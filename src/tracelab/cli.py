@@ -1,8 +1,9 @@
 """Command-line front end: trace, classify, fibers, epsilon, scan, verify.
 
 Exit codes: 0 success, 1 a verify suite detected an inconsistency, 2 usage
-error (bad flags or unparsable word).  All outputs are deterministic given
-the flags; JSON is used for verdicts and reports, CSV for bulk tables.
+error (bad flags, unparsable word or a cache path that cannot be written).
+All outputs are deterministic given the flags; JSON is used for verdicts and
+reports, CSV for bulk tables.
 """
 
 from __future__ import annotations
@@ -40,15 +41,9 @@ from .words import (
     stats,
 )
 
-class _Parser(argparse.ArgumentParser):
-    # argparse already exits 2 on usage errors; keep messages on stderr
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(2, f"{self.prog}: error: {message}\n")
-
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="tracelab", description=__doc__)
+    parser = argparse.ArgumentParser(prog="tracelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_trace = sub.add_parser("trace", help="trace polynomial of a word")
@@ -355,6 +350,9 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return 2
     except (ValueError, DegenerateWordError) as exc:
         print(f"tracelab: error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the trace cache is the one file a command writes
+        print(f"tracelab: error: cannot write the cache: {exc}", file=sys.stderr)
         return 2
 
 

@@ -34,7 +34,6 @@ from .unipoly import UniPoly, _recurrence, dickson, dickson_apply
 from .words import (
     DegenerateWordError,
     Word,
-    _divisors,
     canonicalize,
     proper_power_root,
     stats,
@@ -252,6 +251,16 @@ def _dickson_normalize(outer: UniPoly, inner: TriPoly, p: Optional[int]) -> Comp
 
 
 # -- per-prime and global classification ----------------------------------------
+
+
+def _divisors(n: int) -> list[int]:
+    small, large = [], []
+    for d in range(1, math.isqrt(n) + 1):
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+    return small + large[::-1]
 
 
 def _dickson_candidates(A: int, B: int, r: int, p: Optional[int]) -> List[int]:

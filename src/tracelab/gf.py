@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -125,9 +125,6 @@ class GF:
     def add(self, a: int, b: int) -> int:
         return self.add_table.item(a, b)
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add_table.item(a, self.neg_table.item(b))
-
     def neg(self, a: int) -> int:
         return self.neg_table.item(a)
 
@@ -148,9 +145,6 @@ class GF:
                 raise ZeroDivisionError("denominator vanishes in this field")
             return (c.numerator * pow(c.denominator, -1, self.p)) % self.p
         return c % self.p
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.q))
 
     def __repr__(self) -> str:
         return f"GF({self.q})"

@@ -193,9 +193,6 @@ class ClassTable:
             raise RuntimeError("class lookup failed to resolve some elements")
         return out
 
-    def class_of(self, mat: Matrix) -> int:
-        return int(self.classify_array(*np.array(mat, dtype=np.int64)[:, None])[0])
-
 
 def _quad_roots(F: GF) -> np.ndarray:
     """Number of roots in F_q of lambda^2 - z*lambda + 1, by z; it is 1 at z = +-2.
@@ -280,12 +277,6 @@ class FiberReport:
                 f"{r.fiber_per_element},{r.deviation}"
             )
         return "\n".join(lines) + "\n"
-
-    def row_by_id(self, class_id: str) -> FiberRow:
-        for r in self.rows:
-            if r.class_id == class_id:
-                return r
-        raise KeyError(class_id)
 
 
 def _exponent_residues(w: Word, q: int) -> Word:

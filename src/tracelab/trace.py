@@ -32,7 +32,7 @@ from typing import Optional, Tuple
 
 from .tripoly import TriPoly
 from .unipoly import _recurrence, dickson_apply
-from .words import Block, Word, X, canonicalize, _reduce
+from .words import Block, Word, X, _cyclic_reduce, _invert, _period, _reduce, canonicalize
 
 _S = TriPoly.var("s")
 _T = TriPoly.var("t")
@@ -40,21 +40,6 @@ _U = TriPoly.var("u")
 _ZERO = TriPoly.zero()
 _ONE = TriPoly.const(1)
 _TWO = TriPoly.const(2)
-
-
-def _cyclic_reduce(blocks: Tuple[Block, ...]) -> Tuple[Block, ...]:
-    """Conjugation-minimal representative: merge blocks across the wrap."""
-    b = list(blocks)
-    while len(b) >= 2 and b[0][0] == b[-1][0]:
-        g, a = b[0]
-        _, c = b[-1]
-        e = a + c
-        b = ([(g, e)] if e else []) + b[1:-1]
-    return tuple(b)
-
-
-def _invert(blocks: Tuple[Block, ...]) -> Tuple[Block, ...]:
-    return tuple((g, -e) for g, e in reversed(blocks))
 
 
 def _canonical_cyclic(blocks: Tuple[Block, ...]) -> Tuple[Block, ...]:
@@ -70,11 +55,13 @@ def _canonical_cyclic(blocks: Tuple[Block, ...]) -> Tuple[Block, ...]:
 
 
 class TraceEngine:
-    """Fricke-style reduction with a memo table.
+    """Fricke-style reduction with a memo table, on ``words``' block rules.
 
-    The memo may be shared between threads: the lock guards the dict, and
-    since every entry is a pure function of its key, racing recomputation
-    is harmless.
+    A word is cyclically reduced, and a proper power v^k, cut at its least
+    period as in ``proper_power_root``, is traced as D_k(f_v).  The memo key
+    is the least rotation of the blocks or of their inverse.  The memo may
+    be shared between threads: the lock guards the dict, and since every
+    entry is a pure function of its key, racing recomputation is harmless.
     """
 
     def __init__(self):
@@ -85,7 +72,7 @@ class TraceEngine:
         return self._trace(w.blocks)
 
     def _trace(self, blocks: Tuple[Block, ...]) -> TriPoly:
-        blocks = _cyclic_reduce(_reduce(blocks))
+        blocks = _cyclic_reduce(_reduce(blocks))[0]
         n = len(blocks)
         if n == 0:
             return _TWO
@@ -110,10 +97,9 @@ class TraceEngine:
     def _reduce_step(self, blocks: Tuple[Block, ...]) -> TriPoly:
         # blocks: canonical representative, even length, alternating, x first
         n = len(blocks)
-        if n >= 4:
-            for m in range(2, n // 2 + 1, 2):
-                if n % m == 0 and blocks == blocks[:m] * (n // m):
-                    return dickson_apply(n // m, self._trace(blocks[:m]))
+        m = _period(blocks)
+        if m < n:
+            return dickson_apply(n // m, self._trace(blocks[:m]))
         idx = max(range(n), key=lambda i: abs(blocks[i][1]))
         g, e = blocks[idx]
         if abs(e) >= 2:
@@ -140,11 +126,6 @@ class TraceResult:
     word: Word
     f: TriPoly
     u_degree: int
-
-    @property
-    def leading(self) -> TriPoly:
-        """The top u-block G_r of f."""
-        return self.f.u_coefficients()[-1]
 
 
 @dataclass(frozen=True)

@@ -310,15 +310,6 @@ class TriPoly:
             raise ValueError("already over a prime field")
         return TriPoly(self._c, p)  # ints reduce inline, Fractions through _residue
 
-    def content(self) -> int:
-        """gcd of integer coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self._c.values():
-            if isinstance(c, Fraction):
-                raise ValueError("content needs integer coefficients")
-            g = math.gcd(g, abs(c))
-        return g
-
     # -- u-direction views -----------------------------------------------------
 
     def u_coefficients(self) -> list:
@@ -354,24 +345,16 @@ class TriPoly:
     def substitute(self, s_val: "TriPoly", u_val: "TriPoly", t_val: "TriPoly") -> "TriPoly":
         """Compose with polynomial values for the three variables."""
         p = self.p
-        pow_cache = {"s": {0: TriPoly.const(1, p)}, "u": {0: TriPoly.const(1, p)}, "t": {0: TriPoly.const(1, p)}}
-        vals = {"s": s_val, "u": u_val, "t": t_val}
-
-        def vpow(name, e):
-            cache = pow_cache[name]
-            if e not in cache:
-                cache[e] = vpow(name, e - 1) * vals[name]
-            return cache[e]
-
+        vals = (s_val, u_val, t_val)
+        powers: Dict[Tuple[int, int], "TriPoly"] = {}  # (variable, exponent) -> value ** exponent
         out = TriPoly.zero(p)
-        for (i, j, k), c in self.terms():
+        for exps, c in self.terms():
             term = TriPoly.const(c, p)
-            if i:
-                term = term * vpow("s", i)
-            if j:
-                term = term * vpow("u", j)
-            if k:
-                term = term * vpow("t", k)
+            for v, e in enumerate(exps):
+                if e:
+                    if (v, e) not in powers:
+                        powers[v, e] = vals[v] ** e
+                    term = term * powers[v, e]
             out = out + term
         return out
 

@@ -55,6 +55,34 @@ def _reduce(blocks: Sequence[Block]) -> Tuple[Block, ...]:
     return tuple(out)
 
 
+def _invert(blocks: Tuple[Block, ...]) -> Tuple[Block, ...]:
+    return tuple((g, -e) for g, e in reversed(blocks))
+
+
+def _cyclic_reduce(blocks: Tuple[Block, ...]) -> Tuple[Tuple[Block, ...], int]:
+    """(core, k) with blocks = c * core * c^-1 for c = blocks[:k], core cyclically reduced.
+
+    Each of the k merges folds the first block into the last, so that core
+    keeps an original block in front; blocks must be freely reduced.
+    """
+    core, k = blocks, 0
+    while len(core) >= 2 and core[0][0] == core[-1][0]:
+        g, a = core[0]
+        e = a + core[-1][1]
+        core = core[1:-1] + (((g, e),) if e else ())
+        k += 1
+    return core, k
+
+
+def _period(blocks: Tuple[Block, ...]) -> int:
+    """Least even m with blocks = blocks[:m] repeated; len(blocks) when there is none."""
+    n = len(blocks)
+    for m in range(2, n // 2 + 1, 2):
+        if n % m == 0 and blocks == blocks[:m] * (n // m):
+            return m
+    return n
+
+
 @dataclass(frozen=True)
 class Word:
     """A freely reduced word; immutable and usable as a dict key."""
@@ -113,7 +141,7 @@ class Word:
     # -- group operations ------------------------------------------------
 
     def inverse(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.blocks)))
+        return Word(_invert(self.blocks))
 
     def __mul__(self, other: "Word") -> "Word":
         return Word(_reduce(self.blocks + other.blocks))
@@ -189,30 +217,17 @@ def canonicalize(w: Word) -> Tuple[Word, CanonicalizeRecord]:
 
     Pure powers of a single generator come back flagged degenerate; the
     empty word is an error.  Rotation and cyclic reduction are conjugations,
-    so every trace-level quantity is unchanged.
+    so every trace-level quantity is unchanged.  The conjugator is a prefix
+    of w: the blocks ``_cyclic_reduce`` merges away and a rotated y-block.
     """
     if w.is_empty:
         raise DegenerateWordError("cannot canonicalize the empty word")
-    blocks = list(w.blocks)
-    conj: list[Block] = []
-    while len(blocks) >= 2 and blocks[0][0] == blocks[-1][0]:
-        g, a = blocks[0]
-        _, b = blocks[-1]
-        conj.append((g, a))
-        mid = blocks[1:-1]
-        if a + b:
-            mid.append((g, a + b))
-        blocks = list(_reduce(mid))
-        if not blocks:
-            break
+    blocks, k = _cyclic_reduce(w.blocks)
     if len(blocks) >= 2 and blocks[0][0] == Y:
-        g, a = blocks[0]
-        conj.append((g, a))
-        blocks = blocks[1:] + [(g, a)]
-    out = Word(tuple(blocks))
-    return out, CanonicalizeRecord(
-        conjugator=Word(_reduce(conj)), degenerate=out.is_degenerate
-    )
+        blocks = blocks[1:] + blocks[:1]
+        k += 1
+    out = Word(blocks)
+    return out, CanonicalizeRecord(conjugator=Word(w.blocks[:k]), degenerate=out.is_degenerate)
 
 
 @dataclass(frozen=True)
@@ -237,25 +252,14 @@ def stats(w: Word) -> WordStats:
     )
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
-
-
 def proper_power_root(w: Word) -> Tuple[Word, int]:
-    """Maximal (v, k) with w = v^k in the free group; k = 1 if aperiodic."""
-    sylls = w.syllables
-    r = len(sylls)
-    for k in sorted((d for d in _divisors(r) if d >= 2), reverse=True):
-        m = r // k
-        if sylls == sylls[:m] * k:
-            return Word.from_syllables(sylls[:m]), k
-    return w, 1
+    """Maximal (v, k) with w = v^k in the free group; k = 1 if aperiodic.
+
+    v is the canonical w cut at its least period (``_period``), as in TraceEngine.
+    """
+    n = 2 * w.complexity  # raises on non-canonical input
+    m = _period(w.blocks)
+    return Word(w.blocks[:m]), n // m
 
 
 # -- enumeration and sampling ---------------------------------------------

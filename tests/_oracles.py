@@ -5,7 +5,9 @@ polynomials are plain dicts, words are letter strings, group elements are
 4-tuples multiplied by hand.  Field arithmetic reuses the GF lookup tables
 (addition/multiplication in a finite field has one correct answer; the
 interesting logic being cross-checked lives above that layer).  The
-exceptions are `direct_fiber_totals` and `group_pi_table`, which reuse the
+exceptions are `class_index`, the library's class lookup on one matrix
+(checked against brute-force orbits in the tests), and
+`direct_fiber_totals` and `group_pi_table`, which reuse the
 library's direct word evaluator and class lookup (both checked against
 brute force in the tests) on `enumerate_group` as the references for the
 fiber counts that `sl2` reads from f_w and for its closed-form pi-fiber
@@ -370,6 +372,11 @@ def mat_neg(F, m):
     return tuple(F.neg(v) for v in m)
 
 
+def class_index(table, m):
+    """Index in table.classes of the matrix m, by the library's class lookup."""
+    return int(table.classify_array(*np.array(m, dtype=np.int64)[:, None])[0])
+
+
 def enumerate_group(F):
     """All of SL(2,q) as four parallel code arrays (a, b, c, d).
 
@@ -411,7 +418,7 @@ def word_eval_string(F, wtext, X, Y):
 def word_value(w, X, Y, F):
     """Evaluate w at the pair (X, Y); matrix powers use repeated squaring."""
     for name, (a, b, c, d) in (("X", X), ("Y", Y)):
-        if F.sub(F.mul(a, d), F.mul(b, c)) != F.one:
+        if F.add(F.mul(a, d), F.neg(F.mul(b, c))) != F.one:
             raise ValueError(f"{name} does not have determinant 1")
     return tuple(int(v) for v in _eval_word(F, w, X, Y))
 

@@ -37,6 +37,7 @@ from tracelab.words import Word, enumerate_words, parse, sample_words, stats
 from _oracles import (
     LAU_S,
     brute_psl_fibers,
+    class_index,
     eval_trace_direct,
     group_elements,
     lau_from_unipoly,
@@ -248,9 +249,9 @@ def test_criterion_11_psl_consistency():
             rows = {r.class_id.removeprefix("psl:"): r for r in rep.rows}
             seen = {r.class_id: 0 for r in rep.rows}
             for m in reps:
-                cid = table.classes[table.class_of(m)].class_id
+                cid = table.classes[class_index(table, m)].class_id
                 if cid not in rows:
-                    cid = table.classes[table.class_of(mat_neg(F, m))].class_id
+                    cid = table.classes[class_index(table, mat_neg(F, m))].class_id
                 row = rows[cid]
                 assert cnt.get(m, 0) == row.fiber_per_element
                 seen[row.class_id] += 1

@@ -74,7 +74,6 @@ class TestCachedTracePoly:
         direct = trace_poly(w)
         assert cold.f == warm.f == direct.f
         assert warm.u_degree == direct.u_degree
-        assert warm.leading == direct.leading
 
     def test_remembered_hit_is_not_traced_again(self, tmp_path, monkeypatch):
         w = parse("yxxyX")  # not canonical: the key is the engine's to derive

@@ -289,6 +289,19 @@ class TestCacheFlag:
             run("fibers", "xy", "--q", "5", "--cache", str(tmp_path / "cache.json"))
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["trace", "classify"])
+    @pytest.mark.parametrize("name", ["a-directory", "a-file/cache.json"])
+    def test_unwritable_cache_path_exit_two(self, tmp_path, capsys, command, name):
+        (tmp_path / "a-directory").mkdir()
+        (tmp_path / "a-file").write_text("")
+        code, out = run(command, "xy", "--cache", str(tmp_path / name))
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("tracelab: error: cannot write the cache: ")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_env_variable_cache(self, tmp_path, monkeypatch):
         target = tmp_path / "env-cache.json"
         monkeypatch.setenv("TRACELAB_CACHE", str(target))

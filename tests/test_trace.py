@@ -155,7 +155,7 @@ class TestUStructure:
     def test_leading_coefficient_factorizes(self, w):
         # leading u-coefficient is the product of signed Chebyshev factors
         res = trace_poly(w)
-        lead = res.leading
+        lead = res.f.u_coefficients()[-1]
         expect = C(1)
         for a, b in w.syllables:
             sa = chebyshev_v(abs(a), None)
@@ -293,4 +293,3 @@ class TestEngineBehavior:
         res = trace_poly(parse("xxyXY"), engine=engine)
         assert res.word == parse("xxyXY")
         assert res.u_degree == 2
-        assert res.leading == res.f.u_coefficients()[-1]

@@ -171,14 +171,6 @@ class TestStructure:
         with pytest.raises(ValueError):
             TriPoly.monomial(1, 0, -1, 0)
 
-    @given(term_dicts)
-    def test_content_divides_all(self, a):
-        f = as_tripoly(a)
-        c = f.content()
-        if not f.is_zero:
-            assert c > 0
-            assert all(coeff % c == 0 for _, coeff in f.terms())
-
 
 class TestRender:
     def test_spec_ordering(self):
