@@ -2,7 +2,9 @@
 
 Entries map canonical word text to polynomial text and round-trip through
 the rendering format; a version-stamped header invalidates stale files.
-The default location comes from the TRACELAB_CACHE environment variable.
+An existing file that is not a cache of any version (unparsable, or with
+no version stamp) is refused rather than overwritten.  The default
+location comes from the TRACELAB_CACHE environment variable.
 """
 
 from __future__ import annotations
@@ -39,16 +41,18 @@ class TraceCache:
             self._load()
 
     def _load(self) -> None:
+        """Read the file; ValueError when it is not a cache, so that save keeps it."""
         try:
             with open(self.path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            self.entries = {}
-            return
-        if not isinstance(data, dict) or data.get("version") != CACHE_VERSION:
-            # version mismatch (or foreign file): start fresh
-            self.entries = {}
-            return
+        except OSError:
+            return  # unreadable, such as a directory: save reports it
+        except ValueError:  # unparsable JSON or text
+            data = None
+        if not isinstance(data, dict) or "version" not in data:
+            raise ValueError(f"{self.path} exists and is not a trace cache; refusing to overwrite it")
+        if data["version"] != CACHE_VERSION:
+            return  # a cache of another version: start fresh
         entries = data.get("entries", {})
         if isinstance(entries, dict):
             self.entries = {str(k): str(v) for k, v in entries.items()}

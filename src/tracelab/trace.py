@@ -2,21 +2,34 @@
 
 For x, y in SL(2) over any commutative ring, the trace of a word w(x, y)
 is an integer polynomial f_w(s, u, t) in the three coordinates s = tr x,
-u = tr xy, t = tr y.  The engine here computes f_w exactly from the
-classical identities
+u = tr xy, t = tr y.  The engine computes f_w as the trace of a product.
+The algebra generated by two generic SL(2) matrices X, Y is free of rank
+4 over Z[s, u, t], with basis 1, X, Y, XY (Fricke; Horowitz, "Characters
+of free groups represented in the two-dimensional special linear group",
+CPAM 25, 1972), and the relations
 
-    tr 1 = 2,  tr U^-1 = tr U,  tr UV = tr VU,
-    tr UV = tr U * tr V - tr UV^-1,
-    tr U^k = D_k(tr U),
-    tr g^e R = V_|e|(tr g) * tr g^(+-1) R - V_(|e|-1)(tr g) * tr R,
+    X^2 = sX - 1,   Y^2 = tY - 1,
+    YX = sY + tX - XY + u - st,   XYX = uX + Y - t
 
-with memoization keyed on a normal form invariant under cyclic rotation
-and inversion, both of which preserve the trace.  D_k and V_k are
-``unipoly``'s Dickson and Chebyshev polynomials, one recurrence f_(k+1) =
-z*f_k - f_(k-1); the last identity is Cayley-Hamilton for g^e, with g^(+-1)
-carrying the sign of e, so a block costs two traces whatever its exponent.
-The test suite's oracle evaluates the word on explicit matrices over a
-finite field, and f_w must agree with it pointwise.
+multiply any a + bX + cY + dXY on the right by X or Y with monomial
+shifts and additions alone (X^-1 = s - X, Y^-1 = t - Y).  The trace of
+a + bX + cY + dXY is 2a + sb + tc + ud.  A block enters whole: by
+Cayley-Hamilton x^e = V_e(s) X - V_(e-1)(s) and x^-e = V_(e+1)(s) -
+V_e(s) X, with V_e ``unipoly``'s Chebyshev polynomials, whose closed-form
+coefficients come in one pass, and likewise in t.  So a word of n blocks
+costs n products by blocks, each linear in the size of the running
+product and in the block's exponent.
+
+Two bounded memos sit in front of the product.  Whole words are keyed on
+a normal form invariant under cyclic rotation and inversion, both of
+which preserve the trace, and a proper power v^k, cut at its least period
+as in ``proper_power_root``, is traced as D_k(f_v).  The product of a
+key's blocks but its last is kept too, so words that differ only in
+their last block share the work before it.  A word whose a-priori size
+or work bound is past ``MAX_TRACE_SIZE`` or ``MAX_TRACE_WORK`` is refused
+with ValueError before any work.  The test suite's oracles evaluate the
+word on explicit matrices and run the classical Fricke recursion; f_w
+must agree with both.
 
 Writing a canonical word as x^a1 y^b1 ... x^ar y^br, the expansion
 f_w = sum_k u^k G_k(s, t) stops exactly at k = r, and the single-syllable
@@ -27,19 +40,33 @@ the leading coefficient G_r = prod_i g_{a_i,b_i}.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
-from .tripoly import TriPoly
-from .unipoly import _recurrence, dickson_apply
-from .words import Block, Word, X, _cyclic_reduce, _invert, _period, _reduce, canonicalize
+from .tripoly import _SH_S, _SH_U, TriPoly
+from .unipoly import _chebyshev_terms, dickson_apply
+from .words import Block, Word, X, Y, _cyclic_reduce, _invert, _period, canonicalize
 
-_S = TriPoly.var("s")
-_T = TriPoly.var("t")
-_U = TriPoly.var("u")
-_ZERO = TriPoly.zero()
-_ONE = TriPoly.const(1)
 _TWO = TriPoly.const(2)
+
+# packed monomial keys of s, u and t (see ``tripoly``): a product adds keys
+_KS, _KU, _KT = 1 << _SH_S, 1 << _SH_U, 1
+
+# A-priori bounds past which a word is refused, in machine words (see
+# ``_size_bound`` and ``_work_bound``): near them the slowest words take
+# about a minute or a few hundred MB.  The size bound also keeps every
+# degree below the packed keys' 32767: x^32768 alone has size 32769 * 513.
+MAX_TRACE_WORK = 4 * 10**8
+MAX_TRACE_SIZE = 10**7
+
+# Entries each memo keeps.  The classify stream of 1500 requests traces
+# about 940 distinct words, so it evicts nothing.
+_MEMO_BOUND = 2048
+
+# a + bX + cY + dXY, each coefficient a packed-key dict over Z[s, u, t]
+_ONE_VEC = ({0: 1}, {}, {}, {})
 
 
 def _canonical_cyclic(blocks: Tuple[Block, ...]) -> Tuple[Block, ...]:
@@ -54,66 +81,212 @@ def _canonical_cyclic(blocks: Tuple[Block, ...]) -> Tuple[Block, ...]:
     return best
 
 
-class TraceEngine:
-    """Fricke-style reduction with a memo table, on ``words``' block rules.
+def _combine(vec, parts) -> dict:
+    """The sum of c * m * vec[i] over (i, key, c) parts, m the monomial of the packed key.
 
-    A word is cyclically reduced, and a proper power v^k, cut at its least
-    period as in ``proper_power_root``, is traced as D_k(f_v).  The memo key
-    is the least rotation of the blocks or of their inverse.  The memo may
-    be shared between threads: the lock guards the dict, and since every
-    entry is a pure function of its key, racing recomputation is harmless.
+    Zeros are dropped; one part is a shifted copy and has none.
+    """
+    (i, shift, c), *rest = parts
+    out = {key + shift: c * v for key, v in vec[i].items()}
+    if not rest:
+        return out
+    get = out.get
+    for i, shift, c in rest:
+        for key, v in vec[i].items():
+            key += shift
+            out[key] = get(key, 0) + c * v
+    return {key: v for key, v in out.items() if v}
+
+
+# Right multiplication by X or by Y, as (target, source, monomial key,
+# coefficient) entries on the components a, b, c, d, from the relations
+# in the module docstring:
+#   (a + bX + cY + dXY) X = (-b + uc - stc - td) + (a + sb + tc + ud) X + (sc + d) Y - c XY
+#   (a + bX + cY + dXY) Y = -c - d X + (a + tc) Y + (b + td) XY
+_LETTER = {
+    X: (
+        (0, 1, 0, -1), (0, 2, _KU, 1), (0, 2, _KS + _KT, -1), (0, 3, _KT, -1),
+        (1, 0, 0, 1), (1, 1, _KS, 1), (1, 2, _KT, 1), (1, 3, _KU, 1),
+        (2, 2, _KS, 1), (2, 3, 0, 1),
+        (3, 2, 0, -1),
+    ),
+    Y: ((0, 2, 0, -1), (1, 3, 0, -1), (2, 0, 0, 1), (2, 2, _KT, 1), (3, 1, 0, 1), (3, 3, _KT, 1)),
+}
+
+
+def _block_table(g: int, e: int):
+    """Right multiplication by g^e = alpha + beta*g, as each component's (source, key, coefficient) list.
+
+    Cayley-Hamilton gives alpha = -V_(e-1)(z), beta = V_e(z) for e > 0 and
+    alpha = V_(|e|+1)(z), beta = -V_|e|(z) for e < 0, z = tr g; equal
+    (target, source, key) entries are merged, so g^-1 = z - g costs less
+    than z times a copy plus a product by g.
+    """
+    z = _KS if g == X else _KT
+    n = abs(e)
+    sign = 1 if e > 0 else -1
+    entries: dict = {}
+    for k, c in _chebyshev_terms(n - 1 if e > 0 else n + 1):
+        for i in range(4):
+            entries[i, i, k * z] = entries.get((i, i, k * z), 0) - sign * c
+    for k, c in _chebyshev_terms(n):
+        for target, source, key, c2 in _LETTER[g]:
+            at = (target, source, k * z + key)
+            entries[at] = entries.get(at, 0) + sign * c * c2
+    table = ([], [], [], [])
+    for (target, source, key), c in entries.items():
+        if c:
+            table[target].append((source, key, c))
+    return table
+
+
+# the tables of small exponents, which every word reuses
+_small_block_table = lru_cache(maxsize=64)(_block_table)
+
+
+def _times_block(vec, block: Block):
+    """vec * g^e, one pass over a source component per table entry."""
+    table = _small_block_table(*block) if abs(block[1]) <= 8 else _block_table(*block)
+    return tuple(_combine(vec, parts) for parts in table)
+
+
+def _trace_of(vec) -> TriPoly:
+    return TriPoly._normal(_combine(vec, ((0, 0, 2), (1, _KS, 1), (2, _KT, 1), (3, _KU, 1))), None)
+
+
+def _coefficient_words(letters: int) -> int:
+    """Machine words of a coefficient: they grow by at most about one bit a letter."""
+    return 1 + letters // 64
+
+
+def _size_bound(core: Tuple[Block, ...]) -> int:
+    """A bound on the machine words of f_w, the same for every rotation and the inverse.
+
+    f_w has degree at most x, r and y in s, u and t, x and y the letters on
+    each generator and r the syllables, so at most (x+1)(r+1)(y+1) terms.
+    """
+    letters = sum(abs(e) for _, e in core)
+    x = sum(abs(e) for g, e in core if g == X)
+    r = len(core) // 2
+    return (x + 1) * (r + 1) * (letters - x + 1) * _coefficient_words(letters)
+
+
+def _work_bound(key: Tuple[Block, ...]) -> int:
+    """A bound on the product's machine-word operations over key's blocks.
+
+    Before a block, the running product has at most (x+1)(r+1)(y+1) terms
+    in each coefficient, counting what precedes the block as in
+    ``_size_bound``, and the block's table has about |e| entries.
+    """
+    x = y = r = 0
+    updates = 0
+    for g, e in key:
+        updates += (x + 1) * (r + 1) * (y + 1) * (abs(e) + 1)
+        if g == X:
+            x += abs(e)
+        else:
+            y += abs(e)
+            r += 1
+    return updates * _coefficient_words(x + y)
+
+
+def _check_bounds(blocks: Tuple[Block, ...], work: bool = True) -> None:
+    """ValueError past the size bound, or with ``work`` past the work bound on these blocks."""
+    size = _size_bound(blocks)
+    if size > MAX_TRACE_SIZE:
+        raise ValueError(
+            f"word too large to trace: f_w may take {size:.1e} machine words, "
+            f"at most {MAX_TRACE_SIZE:.0e}"
+        )
+    ops = _work_bound(blocks) if work else 0
+    if ops > MAX_TRACE_WORK:
+        raise ValueError(
+            f"word too large to trace: its product may take {ops:.1e} "
+            f"machine-word operations, at most {MAX_TRACE_WORK:.0e}"
+        )
+
+
+class _LRU(OrderedDict):
+    """A map of at most ``_MEMO_BOUND`` entries that drops the least recently used."""
+
+    def recall(self, key):
+        value = self.get(key)
+        if value is not None:
+            self.move_to_end(key)
+        return value
+
+    def keep(self, key, value) -> None:
+        self[key] = value
+        self.move_to_end(key)
+        if len(self) > _MEMO_BOUND:
+            self.popitem(last=False)
+
+
+class TraceEngine:
+    """The 4-basis product behind two bounded memos, on ``words``' block rules.
+
+    A word is cyclically reduced, and one past ``MAX_TRACE_SIZE`` or
+    ``MAX_TRACE_WORK`` is refused with ValueError before any work.  Whole
+    words are memoized on the least rotation of the blocks or of their
+    inverse, and ``_product`` keeps the product of each key but its last
+    block.  Both memos are LRU maps of ``_MEMO_BOUND`` entries.  They may be shared between threads:
+    the lock guards them, and since every entry is a pure function of its
+    key, racing recomputation is harmless.
     """
 
     def __init__(self):
-        self._memo: dict = {}
+        self._words = _LRU()
+        self._prefixes = _LRU()
         self._lock = threading.Lock()
 
     def trace_word(self, w: Word) -> TriPoly:
-        return self._trace(w.blocks)
-
-    def _trace(self, blocks: Tuple[Block, ...]) -> TriPoly:
-        blocks = _cyclic_reduce(_reduce(blocks))[0]
-        n = len(blocks)
-        if n == 0:
+        core = _cyclic_reduce(w.blocks)[0]
+        if not core:
             return _TWO
-        if n == 1:
-            g, e = blocks[0]
-            return dickson_apply(abs(e), _S if g == X else _T)
-        key = _canonical_cyclic(blocks)
+        if len(core) > 64:
+            _check_bounds(core, work=False)  # before a key quadratic in the blocks
+        return self._trace(_canonical_cyclic(core))
+
+    def _trace(self, key: Tuple[Block, ...]) -> TriPoly:
+        """f_w for a key of ``_canonical_cyclic``; a proper power's root is one too."""
         with self._lock:
-            f = self._memo.get(key)
+            f = self._words.recall(key)
         if f is None:
-            f = self._reduce_step(key)
+            _check_bounds(key)
+            m = _period(key)
+            if m < len(key):
+                f = dickson_apply(len(key) // m, self._trace(key[:m]))
+            else:
+                f = _trace_of(self._product(key))
             with self._lock:
-                self._memo[key] = f
+                self._words.keep(key, f)
         return f
 
     def remember(self, result: TraceResult) -> None:
         """Memoize a result that passed trace_poly's checks; its word is canonical."""
         if len(result.word.blocks) >= 2:
             with self._lock:
-                self._memo[_canonical_cyclic(result.word.blocks)] = result.f
+                self._words.keep(_canonical_cyclic(result.word.blocks), result.f)
 
-    def _reduce_step(self, blocks: Tuple[Block, ...]) -> TriPoly:
-        # blocks: canonical representative, even length, alternating, x first
+    def _product(self, blocks: Tuple[Block, ...]):
+        """The word's a + bX + cY + dXY, from the longest remembered prefix on.
+
+        Remembered prefixes are keys but their last block, of odd length.
+        """
         n = len(blocks)
-        m = _period(blocks)
-        if m < n:
-            return dickson_apply(n // m, self._trace(blocks[:m]))
-        idx = max(range(n), key=lambda i: abs(blocks[i][1]))
-        g, e = blocks[idx]
-        if abs(e) >= 2:
-            # Cayley-Hamilton: g^e = V_|e|(tr g) * g^(+-1) - V_(|e|-1)(tr g) * 1
-            rest = blocks[idx + 1 :] + blocks[:idx]
-            v_prev, v_e = _recurrence(abs(e), _S if g == X else _T, _ZERO, _ONE)
-            unit = ((g, 1 if e > 0 else -1),)
-            return v_e * self._trace(unit + rest) - v_prev * self._trace(rest)
-        if n == 2:
-            a, b = blocks[0][1], blocks[1][1]
-            return _U if a * b > 0 else _S * _T - _U
-        head, tail = blocks[:2], blocks[2:]
-        cross = self._trace(head + _invert(tail))
-        return self._trace(head) * self._trace(tail) - cross
+        start, vec = 0, _ONE_VEC
+        with self._lock:
+            for i in range(n - 1, 0, -2):
+                found = self._prefixes.recall(blocks[:i])
+                if found is not None:
+                    start, vec = i, found
+                    break
+        for block in blocks[start : n - 1]:
+            vec = _times_block(vec, block)
+        if start < n - 1:
+            with self._lock:
+                self._prefixes.keep(blocks[:-1], vec)
+        return _times_block(vec, blocks[-1])
 
 
 _DEFAULT_ENGINE = TraceEngine()
@@ -149,7 +322,10 @@ def _trace_result(w: Word, f: TriPoly) -> Optional[TraceResult]:
 
 
 def trace_poly(w: Word, engine: Optional[TraceEngine] = None) -> TraceResult:
-    """Exact trace polynomial of any word, including degenerate ones."""
+    """Exact trace polynomial of any word, including degenerate ones.
+
+    ValueError for a word past the engine's size or work bound.
+    """
     eng = engine if engine is not None else _DEFAULT_ENGINE
     f = eng.trace_word(w)
     result = _trace_result(w, f)
@@ -169,4 +345,3 @@ def syllable_polys(a: int, b: int) -> SyllablePair:
     if g.deg("s") != abs(a) - 1 or g.deg("t") != abs(b) - 1:
         raise RuntimeError(f"degree contract failed for syllable ({a}, {b})")
     return SyllablePair(a=a, b=b, g=g, h=h)
-

@@ -343,11 +343,11 @@ class TriPoly:
     # -- substitution ---------------------------------------------------------
 
     def substitute(self, s_val: "TriPoly", u_val: "TriPoly", t_val: "TriPoly") -> "TriPoly":
-        """Compose with polynomial values for the three variables."""
+        """Compose with polynomial values for the three variables; terms add up in one dict."""
         p = self.p
         vals = (s_val, u_val, t_val)
         powers: Dict[Tuple[int, int], "TriPoly"] = {}  # (variable, exponent) -> value ** exponent
-        out = TriPoly.zero(p)
+        out: Dict[int, object] = {}
         for exps, c in self.terms():
             term = TriPoly.const(c, p)
             for v, e in enumerate(exps):
@@ -355,8 +355,9 @@ class TriPoly:
                     if (v, e) not in powers:
                         powers[v, e] = vals[v] ** e
                     term = term * powers[v, e]
-            out = out + term
-        return out
+            for key, val in term._c.items():
+                out[key] = out.get(key, 0) + val
+        return TriPoly(out, p)
 
     # -- exact division and roots ----------------------------------------------
 

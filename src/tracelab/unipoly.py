@@ -4,9 +4,11 @@ Two families built on one recurrence, f_{n+1} = z*f_n - f_{n-1}, whose
 single loop is ``_recurrence``:
 
 * ``chebyshev_v``: V_0 = 0, V_1 = 1.  These satisfy M^n = V_n(tr M)*M -
-  V_{n-1}(tr M)*I for M in SL(2), which is how powers of a generator
-  leave the trace ring; the trace engine's exponent step runs the same
-  loop at tr x or tr y.
+  V_{n-1}(tr M)*I for M in SL(2), which is how a block x^e of a word
+  enters the trace engine's product.  Their coefficients have the closed
+  form V_n(z) = sum_k (-1)^k C(n-1-k, k) z^(n-1-2k), which
+  ``_chebyshev_terms`` fills in one pass over integers, O(n) operations
+  where the recurrence takes O(n^2).
 * ``dickson``: D_0 = 2, D_1 = z.  These satisfy D_n(tr M) = tr(M^n),
   D_{-n} = D_n, and D_{nm} = D_n(D_m); they are the permutation-like
   outer compositions that do not break equidistribution.
@@ -17,7 +19,7 @@ and a ``ring_const`` hook, without building D_n's coefficients first.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .tripoly import _norm_coeff, _power, _render_terms, _residue
 
@@ -151,13 +153,30 @@ def _recurrence(n: int, z, a, b):
     return a, b
 
 
+def _chebyshev_terms(n: int) -> List[Tuple[int, int]]:
+    """(degree, coefficient) of each term of V_n, n >= 0, from the top degree down.
+
+    The coefficient of z^(m-2k), m = n - 1, is (-1)^k C(m-k, k), and
+    C(m-k, k) = C(m-k+1, k-1) (m-2k+2)(m-2k+1) / (k (m-k+1)) exactly.
+    """
+    m = n - 1
+    terms = []
+    c = 1
+    for k in range((n + 1) // 2):
+        if k:
+            c = -c * (m - 2 * k + 2) * (m - 2 * k + 1) // (k * (m - k + 1))
+        terms.append((m - 2 * k, c))
+    return terms
+
+
 def chebyshev_v(n: int, p: Optional[int] = None) -> UniPoly:
     """V_n with V_0 = 0, V_1 = 1, V_{n+1} = z*V_n - V_{n-1}; V_{-n} = -V_n."""
     if n < 0:
         return -chebyshev_v(-n, p)
-    if n == 0:
-        return UniPoly([], p)
-    return _recurrence(n, UniPoly.var(p), UniPoly([], p), UniPoly([1], p))[1]
+    coeffs = [0] * max(n, 0)
+    for e, c in _chebyshev_terms(n):
+        coeffs[e] = c
+    return UniPoly(coeffs, p)
 
 
 def dickson(n: int, p: Optional[int] = None) -> UniPoly:

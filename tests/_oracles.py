@@ -17,10 +17,12 @@ evaluator, which the tests check against `word_eval_string`,
 by the library's cube evaluator, the reference for the locus that `sl2`
 reads from its conic root table, `cube_level_counts`, the same evaluator's
 count over the whole cube, the reference for the orbit counts of `probes`,
-and `match_inner_full_power`, the
+`match_inner_full_power`, the
 u-block matcher that raises the whole of Q to the n-th power for every
 block, kept on `TriPoly` arithmetic as the reference for the truncated
-matcher in `decompose`.
+matcher in `decompose`, and `fricke_trace`, the recursion on trace
+identities that the trace engine ran before its 4-basis product, kept on
+`TriPoly` arithmetic as the reference for that product.
 """
 
 from collections import Counter
@@ -198,6 +200,85 @@ def trace_by_product(wtext):
     re, im = _xi_add(acc[0], acc[3])
     assert not im, "trace left Z[s, u, t]"
     return re
+
+
+# ---------------------------------------------------------------------------
+# the classical Fricke recursion on trace identities, memoized on rotations
+
+_FS, _FU, _FT = TriPoly.var("s"), TriPoly.var("u"), TriPoly.var("t")
+
+
+def _free_core(blocks):
+    """Free and then cyclic reduction of a (generator, exponent) block sequence."""
+    out = []
+    for g, e in blocks:
+        if out and out[-1][0] == g:
+            e += out.pop()[1]
+        if e:
+            out.append((g, e))
+    while len(out) >= 2 and out[0][0] == out[-1][0]:
+        g, e = out[0][0], out[0][1] + out[-1][1]
+        out = out[1:-1]
+        if e:
+            out.append((g, e))
+    return tuple(out)
+
+
+def _block_inverse(blocks):
+    return tuple((g, -e) for g, e in reversed(blocks))
+
+
+def _chebyshev_pair(n, z, a, b):
+    """(f_(n-1), f_n) for f_0 = a, f_1 = b and f_(k+1) = z f_k - f_(k-1), n >= 1."""
+    for _ in range(n - 1):
+        a, b = b, z * b - a
+    return a, b
+
+
+def fricke_trace(w, memo=None):
+    """f_w as a TriPoly from the trace identities, with no product of matrices.
+
+    tr 1 = 2, tr g^e = D_|e|(tr g), tr UV = tr U tr V - tr UV^-1 (the split
+    of a word into its first syllable and the rest) and, for a block g^e
+    with |e| >= 2, tr g^e R = V_|e|(tr g) tr g^(+-1) R - V_(|e|-1)(tr g) tr R.
+    Rotation and inversion keep the trace, so ``memo`` is keyed on the least
+    rotation of the blocks or of their inverse.  A proper power takes no
+    shortcut, so the engine's f_(v^k) = D_k(f_v) is checked as well.  The
+    split makes the cost exponential in the syllables.
+    """
+    return _fricke(w.blocks, {} if memo is None else memo)
+
+
+def _fricke(blocks, memo):
+    blocks = _free_core(blocks)
+    n = len(blocks)
+    if n == 0:
+        return TriPoly.const(2)
+    if n == 1:
+        g, e = blocks[0]
+        z = _FS if g == GEN_X else _FT
+        return _chebyshev_pair(abs(e), z, TriPoly.const(2), z)[1]
+    key = min(
+        seq[i:] + seq[:i] for seq in (blocks, _block_inverse(blocks)) for i in range(n)
+    )
+    if key in memo:
+        return memo[key]
+    idx = max(range(n), key=lambda i: abs(key[i][1]))
+    g, e = key[idx]
+    if abs(e) >= 2:
+        rest = key[idx + 1 :] + key[:idx]
+        z = _FS if g == GEN_X else _FT
+        v_prev, v_e = _chebyshev_pair(abs(e), z, TriPoly.zero(), TriPoly.const(1))
+        unit = ((g, 1 if e > 0 else -1),)
+        f = v_e * _fricke(unit + rest, memo) - v_prev * _fricke(rest, memo)
+    elif n == 2:
+        f = _FU if key[0][1] * key[1][1] > 0 else _FS * _FT - _FU
+    else:
+        head, tail = key[:2], key[2:]
+        cross = _fricke(head + _block_inverse(tail), memo)
+        f = _fricke(head, memo) * _fricke(tail, memo) - cross
+    memo[key] = f
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -42,11 +42,16 @@ class TestTraceCache:
         assert len(fresh) == 0
         assert fresh.lookup(parse("xy")) is None
 
-    def test_corrupt_file_starts_fresh(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text", ["{not json", "[]\n", '{"entries": {}}\n'], ids=["unparsable", "a-list", "unstamped"]
+    )
+    def test_file_that_is_not_a_cache_is_refused(self, tmp_path, text):
+        # unparsable, or parsable with no version stamp: kept, not overwritten
         path = tmp_path / "c.json"
-        path.write_text("{not json")
-        cache = TraceCache(path)
-        assert len(cache) == 0
+        path.write_text(text)
+        with pytest.raises(ValueError, match="not a trace cache"):
+            TraceCache(path)
+        assert path.read_text() == text
 
     def test_dirty_flag(self, tmp_path):
         cache = TraceCache(tmp_path / "c.json")
@@ -84,10 +89,10 @@ class TestCachedTracePoly:
         stored.remember(hit)
         cached_trace_poly(w, cache=cache, engine=seeded)
 
-        def no_reduce(self, blocks):
+        def no_product(self, blocks):
             raise AssertionError("a remembered word was traced again")
 
-        monkeypatch.setattr(TraceEngine, "_reduce_step", no_reduce)
+        monkeypatch.setattr(TraceEngine, "_product", no_product)
         for eng in (stored, seeded):
             assert trace_poly(w, engine=eng).f == hit.f
 

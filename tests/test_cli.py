@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from io import StringIO
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ from tracelab.trace import TraceEngine, trace_poly
 from tracelab.words import parse
 
 from _oracles import direct_fiber_totals
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(*argv):
@@ -261,6 +267,55 @@ class TestErrors:
         assert exc.value.code == 2
 
 
+def _fresh_cli(*argv):
+    """(exit code, stdout, stderr, seconds) of the command in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("TRACELAB_CACHE", None)
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "tracelab.cli", *argv], env=env, capture_output=True, text=True
+    )
+    return proc.returncode, proc.stdout, proc.stderr, time.monotonic() - start
+
+
+class TestWordSize:
+    # x^4000y took 4.5 s to trace and 6.1 s for epsilon at q = 7 when each
+    # block cost O(e^2) term operations; the closed form makes them O(e)
+    @pytest.mark.parametrize(
+        "argv", [("trace", "x^4000y"), ("epsilon", "x^4000y", "--q", "7", "--json")]
+    )
+    def test_long_exponent_within_budget(self, argv):
+        code, out, err, seconds = _fresh_cli(*argv)
+        assert code == 0, err
+        assert out
+        assert seconds <= 3, f"budget exceeded: {seconds:.1f}s > 3s"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("trace", "x^123456y"),
+            ("classify", "x^123456y"),
+            ("epsilon", "x^123456y", "--q", "7"),
+            ("trace", "x^1000y^1000x^1000y^-1000"),
+        ],
+    )
+    def test_word_past_the_bounds_refused(self, argv, capsys):
+        start = time.monotonic()
+        code, out = run(*argv)
+        seconds = time.monotonic() - start
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("tracelab: error: word too large to trace: ")
+        assert err.count("\n") == 1
+        assert seconds <= 2, f"the refusal took {seconds:.1f}s"
+
+    def test_fibers_reduces_exponents_first(self):
+        code, out = run("fibers", "x^123456y", "--q", "7")
+        assert code == 0
+        assert out == run("fibers", f"x^{123456 % 336}y", "--q", "7")[1]
+
+
 class TestCacheFlag:
     def test_cold_and_warm_runs_identical(self, tmp_path):
         path = str(tmp_path / "cache.json")
@@ -273,13 +328,13 @@ class TestCacheFlag:
         path = str(tmp_path / "cache.json")
         cold = run("classify", "xyXYxY", "--json", "--cache", path)
         steps = []
-        reduce_step = TraceEngine._reduce_step
+        product = TraceEngine._product
 
         def counted(engine, blocks):
             steps.append(blocks)
-            return reduce_step(engine, blocks)
+            return product(engine, blocks)
 
-        monkeypatch.setattr(TraceEngine, "_reduce_step", counted)
+        monkeypatch.setattr(TraceEngine, "_product", counted)
         warm = run("classify", "xyXYxY", "--json", "--cache", path)
         assert steps == []
         assert warm == cold
@@ -300,6 +355,18 @@ class TestCacheFlag:
         err = capsys.readouterr().err
         assert err.startswith("tracelab: error: cannot write the cache: ")
         assert err.count("\n") == 1
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("command", ["trace", "classify"])
+    def test_file_that_is_not_a_cache_exit_two(self, tmp_path, capsys, command):
+        notes = tmp_path / "notes.txt"
+        notes.write_text("remember the milk\n")
+        code, out = run(command, "xy", "--cache", str(notes))
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err == f"tracelab: error: {notes} exists and is not a trace cache; refusing to overwrite it\n"
+        assert notes.read_text() == "remember the milk\n"
         assert not list(tmp_path.rglob("*.tmp"))
 
     def test_env_variable_cache(self, tmp_path, monkeypatch):

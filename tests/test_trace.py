@@ -1,20 +1,26 @@
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tracelab import trace
 from tracelab.gf import field
 from tracelab.trace import TraceEngine, syllable_polys, trace_poly
 from tracelab.tripoly import TriPoly
 from tracelab.unipoly import chebyshev_v, dickson, dickson_apply
-from tracelab.words import X, Word, enumerate_words, parse, sample_words, stats
+from tracelab.words import X, Y, Word, enumerate_words, parse, sample_words, stats
 
 from _oracles import (
     LAU_S,
     LAU_X,
     LAU_XINV,
     eval_trace_direct,
+    fricke_trace,
     lau_add,
     lau_from_unipoly,
     lau_mul,
@@ -24,6 +30,8 @@ from _oracles import (
     reduced_strings,
     trace_by_product,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 S = TriPoly.var("s", None)
 U = TriPoly.var("u", None)
@@ -244,6 +252,63 @@ class TestProductOracle:
                 assert dict(f.terms()) == trace_by_product(text), text
 
 
+class TestFrickeOracle:
+    def test_every_reduced_word_up_to_length_eight(self):
+        eng, memo = TraceEngine(), {}
+        for n in range(9):
+            for text in reduced_strings(n):
+                w = parse(text)
+                assert trace_poly(w, engine=eng).f == fricke_trace(w, memo), text
+
+    @given(syllable_words(max_r=8, hi=3))
+    @settings(max_examples=25)
+    def test_words_up_to_eight_syllables(self, w):
+        assert trace_poly(w, engine=TraceEngine()).f == fricke_trace(w)
+
+
+# Nielsen moves: the images of x and y, and Phi = (f_a(x), f_a(x)a(y), f_a(y))
+NIELSEN = {
+    "x->xy": ({X: ((X, 1), (Y, 1)), Y: ((Y, 1),)}, (U, U * T - S, T)),
+    "y->yx": ({X: ((X, 1),), Y: ((Y, 1), (X, 1))}, (S, S * U - T, U)),
+    "x->x^-1": ({X: ((X, -1),), Y: ((Y, 1),)}, (S, S * T - U, T)),
+    "x<->y": ({X: ((Y, 1),), Y: ((X, 1),)}, (T, U, S)),
+}
+
+
+def apply_move(images, w):
+    """alpha(w) for the automorphism with the given images of x and y."""
+    blocks = []
+    for g, e in w.blocks:
+        image = images[g] if e > 0 else tuple((h, -f) for h, f in reversed(images[g]))
+        blocks.extend(image * abs(e))
+    return Word.from_blocks(blocks)
+
+
+class TestAutomorphismOracle:
+    # f_(alpha(w)) = f_w o Phi_alpha (Fricke; Horowitz 1972): exact over Z,
+    # with no matrices, so it checks long words against other long words
+    @given(
+        w=syllable_words(max_r=40, hi=2),
+        moves=st.lists(st.sampled_from(sorted(NIELSEN)), min_size=1, max_size=2),
+    )
+    @settings(max_examples=12)
+    def test_trace_commutes_with_nielsen_moves(self, w, moves):
+        f = trace_poly(w, engine=TraceEngine()).f
+        for name in moves:
+            images, phi = NIELSEN[name]
+            w = apply_move(images, w)
+            g = trace_poly(w, engine=TraceEngine()).f
+            assert g == f.substitute(*phi), name
+            f = g
+
+    @pytest.mark.parametrize("name", sorted(NIELSEN))
+    def test_forty_syllables(self, name):
+        rng = random.Random(40)
+        w = Word.from_syllables([(rng.choice((-1, 1)), rng.choice((-1, 1))) for _ in range(40)])
+        images, phi = NIELSEN[name]
+        assert trace_poly(apply_move(images, w)).f == trace_poly(w).f.substitute(*phi)
+
+
 class TestLargeExponents:
     @pytest.mark.parametrize("text", ["x^1000y", "x^-1000y", "x^300y^300"])
     def test_cold_engine_within_budget(self, text):
@@ -259,6 +324,64 @@ class TestLargeExponents:
         for _ in range(5):
             s, u, t = (rng.randrange(101) for _ in range(3))
             assert poly_value(g, F, s, u, t) == eval_trace_direct(w, F, s, u, t)
+
+
+class TestBounds:
+    def test_forty_syllables_in_a_fresh_process(self):
+        # the split head * tail - cross took 132 s for 20 syllables
+        code = (
+            "import random, time, tracemalloc\n"
+            "from tracelab import TraceEngine, Word, trace_poly\n"
+            "rng = random.Random(3)\n"
+            "w = Word.from_syllables([(rng.choice((-1, 1)), rng.choice((-1, 1))) for _ in range(40)])\n"
+            "tracemalloc.start()\n"
+            "start = time.perf_counter()\n"
+            "res = trace_poly(w, engine=TraceEngine())\n"
+            "print(res.u_degree, time.perf_counter() - start, tracemalloc.get_traced_memory()[1])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert run.returncode == 0, run.stderr
+        u_degree, seconds, peak = run.stdout.split()
+        assert int(u_degree) == 40
+        assert float(seconds) <= 10, f"budget exceeded: {float(seconds):.1f}s > 10s"
+        assert int(peak) <= 16 * 2**20, f"peak {int(peak) / 2**20:.1f} MB > 16 MB"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x^123456y",  # a six-digit exponent
+            "x^32768",  # a degree past the packed keys
+            "x^1000y^1000x^1000y^-1000",  # f_w with millions of terms
+            "x^200y^200x^200y^-200",  # small enough, but a long product
+            "y^3" + "x^2yx^-2y^2" * 9000 + "Y^3",  # 36 000 blocks, a conjugate of a power
+        ],
+        ids=lambda text: text[:30],
+    )
+    def test_refused_before_any_work(self, text):
+        w = parse(text)
+        eng = TraceEngine()
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="word too large to trace"):
+            trace_poly(w, engine=eng)
+        assert time.monotonic() - start <= 1
+        assert not eng._words and not eng._prefixes
+
+    def test_memos_stay_within_the_bound(self):
+        eng = TraceEngine()
+        words = {}
+        for w in sample_words(12, 3 * trace._MEMO_BOUND, seed=8):
+            words.setdefault(trace._canonical_cyclic(w.blocks), w)
+        assert len(words) > trace._MEMO_BOUND + 100
+        for w in words.values():
+            trace_poly(w, engine=eng)
+        assert len(eng._words) == trace._MEMO_BOUND
+        assert len(eng._prefixes) <= trace._MEMO_BOUND
+        # the least recently used went first; the last word is still there
+        first, *_, last = words
+        assert first not in eng._words and last in eng._words
 
 
 class TestSpecializations:
