@@ -59,12 +59,6 @@ class CompositionWitness:
     p: Optional[int]
     dickson_index: Optional[int] = None
 
-    def recompose(self) -> TriPoly:
-        acc = TriPoly.const(self.outer.leading_coeff(), self.p)
-        for i in range(self.outer.degree - 1, -1, -1):
-            acc = acc * self.inner + TriPoly.const(self.outer[i], self.p)
-        return acc
-
 
 @dataclass(frozen=True)
 class PrimeVerdict:

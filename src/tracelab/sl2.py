@@ -38,6 +38,9 @@ is central.  No pass over the group is made: a word too long to trace
 reads f_w from one pair per point, since tr w(x, y) = f_w(pi(x, y)) on
 every pair.  Counts accumulate in a fixed class order, so results are
 deterministic.
+
+The class table of each q, which holds the conic root table, is built on
+first use and looked up after, as the field is (build_class_table).
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -74,16 +78,16 @@ MAX_FIBER_Q = 128
 
 # fiber_distribution reads f_w from the trace polynomial for words of at
 # most this many letters after exponent reduction, and from the word on one
-# pair per point of F_q^3 (_word_slices) for longer ones.  The trace
-# engine's cost grows exponentially in the blocks and faster than
-# quadratically in each exponent; the letter count bounds both.  On a cold
-# engine the slowest of 260 random 32-letter words traced in 0.33 s, while
-# at 40 and 48 letters it reaches 1.6 s and 9.7 s (463 MB).  The word slices
-# cost time linear in the letters and in the points visited: on the orbit
-# representatives, for (xy)^17 they take 0.05 s at q = 27, 0.27 s at
-# q = 81 and 0.8 s at q = 128 on a 2-vCPU host.  On the 105 words of at
-# most 12 letters of perfbench's fibers stream (seed 1) they took 1.5-1.7 s
-# in all, against 0.11 s for tracing and _u_slices.
+# pair per point of F_q^3 (_word_slices) for longer ones.  The slices cost
+# time linear in the letters and in the points visited; the product
+# engine's trace grows with the syllables and the exponents.  Slices
+# against tracing with _u_slices, on the orbit representatives, single runs
+# on a 2-vCPU host: (xy)^17 at q = 127, 0.93-1.07 s against 0.03-0.04 s;
+# x^17y^16 at q = 127, 0.49-0.55 s against 0.004-0.008 s; a random word of
+# 46-48 letters at q = 7, 0.009-0.013 s against 0.028-0.046 s; a 40-syllable
+# word of 158 letters at q = 27, 0.11 s against 4.2 s.  The crossover moves
+# with q and with the exponents, so no letter count records it; the value
+# is kept until a choice by cost is measured (ROADMAP item 5).
 _MAX_TRACED_LENGTH = 32
 
 Matrix = tuple[int, int, int, int]
@@ -159,7 +163,9 @@ class ClassTable:
     or a non-square; in characteristic 2 every element is a square, so kind
     2 stays empty.  Noncentral representatives are in companion form (see
     build_class_table).  The lookup is re-verified against a brute-force
-    orbit oracle in the test suite.
+    orbit oracle in the test suite.  The table also holds roots, the conic
+    root table of F (_quadratic_roots), which every fiber pass reads.
+    Tables are shared (build_class_table), so their arrays are read-only.
     """
 
     def __init__(self, F: GF, classes: Sequence[ClassInfo]):
@@ -174,6 +180,9 @@ class ClassTable:
         # by trace z: the class that z fixes, and whether z (+-2) leaves it open
         self.trace_class = self._index[:, 0]
         self.trace_open = self._index[:, 1] >= 0
+        self.roots = _quadratic_roots(F)
+        for array in (v for v in vars(self).values() if isinstance(v, np.ndarray)):
+            array.flags.writeable = False
 
     def classify_array(self, a, b, c, d) -> np.ndarray:
         F = self.field
@@ -202,8 +211,15 @@ def _quad_roots(F: GF) -> np.ndarray:
     return np.bincount(F.add_table[np.arange(1, F.q), F.inv_table[1:]], minlength=F.q)
 
 
+@lru_cache(maxsize=None)
 def build_class_table(q: int) -> ClassTable:
     """All conjugacy classes of SL(2,q), validated against |G| = q(q^2-1).
+
+    Memoized per q, as gf.field is: every report at q reads one table and
+    its conic root table, built on the first call.  A table keeps the GF it
+    was built from, also after field.cache_clear(); the field's
+    construction is deterministic, so the tables depend on q alone.  Memory
+    is one table per q asked for, O(q^2) like that field's own tables.
 
     Order: the central classes +-I, then the unipotent classes of trace 2
     and of trace -2 (beta = 1, then the least non-square), then one class
@@ -304,31 +320,32 @@ def _quadratic_roots(F: GF) -> np.ndarray:
     return roots
 
 
-def _distinct_roots(roots, beta, gamma):
-    """(i, c) for each distinct root c of c^2 + beta[i] c + gamma[i], from roots."""
-    q = len(roots)
-    pair = roots.reshape(q * q, 2).take(beta * q + gamma, axis=0)
+def _distinct_roots(table: ClassTable, beta, gamma):
+    """(i, c) for each distinct root c of c^2 + beta[i] c + gamma[i], from table.roots."""
+    q = table.q
+    pair = table.roots.reshape(q * q, 2).take(beta * q + gamma, axis=0)
     pair[pair[:, 1] == pair[:, 0], 1] = -1  # a double root is read once
     i, r = np.nonzero(pair >= 0)
     return i, pair[i, r]
 
 
-def _point_pairs(F: GF, roots, s, u, t):
+def _point_pairs(table: ClassTable, s, u, t):
     """One pair (x, y) in SL(2,q) with traces (s, u, t) at each point.
 
     Where s = 2e and u = e t for e = +-1, x = e I and y = [[0, -1], [1, t]].
     Elsewhere x = [[0, -1], [1, s]] and y = [[a, b], [c, d]] with d = t - a
     and b = u + c - s d, where c is a root of c^2 + (u - s d) c + (1 - a d),
-    so that det y = 1.  The roots are read from roots = _quadratic_roots(F),
-    and a = 0, 1, ... is tried at the points still without a root.  Every
+    so that det y = 1.  The roots are read from table.roots, and
+    a = 0, 1, ... is tried at the points still without a root.  Every
     such point has one: a pair with first entry e I has s = 2e and u = e t,
     so the first entry of a pair there is not scalar; it is then
     GL(2,q)-conjugate to this x, and conjugation keeps the three traces.
     """
-    q, neg = F.q, F.neg_table
+    F, q = table.field, table.q
+    neg = F.neg_table
     # read by flat 1-D takes: the whole tables at a flat index, or one row
     add, mul = F.add_table.ravel(), F.mul_table.ravel()
-    first_root = roots[:, :, 0].ravel()
+    first_root = table.roots[:, :, 0].ravel()
     n = len(s)
     x = (np.zeros(n, dtype=np.int64), np.full(n, F.neg(F.one)), np.full(n, F.one), s.copy())
     y = tuple(np.zeros(n, dtype=np.int64) for _ in range(4))
@@ -354,21 +371,20 @@ def _point_pairs(F: GF, roots, s, u, t):
     raise RuntimeError("a point has no representative pair")
 
 
-def _word_slices(w: Word, F: GF, roots, select: Select = None) -> Iterator[np.ndarray]:
+def _word_slices(w: Word, table: ClassTable, select: Select = None) -> Iterator[np.ndarray]:
     """tr w on the grid [s, t], for u = 0, 1, ..., q-1 in turn.
 
     tr w(x, y) = f_w(s, u, t) on every pair over the point (s, u, t), so
     the word on one pair per point from _point_pairs yields what
     _u_slices yields from f_w, on the same selection of rows and columns
-    (the whole q x q grid by default), without tracing w.  roots is
-    _quadratic_roots(F).
+    (the whole q x q grid by default), without tracing w.
     """
-    q = F.q
+    F, q = table.field, table.q
     s_vals, t_vals = select if select is not None else (np.arange(q), np.arange(q))
     shape = (len(s_vals), len(t_vals))
     s, t = np.repeat(s_vals, shape[1]), np.tile(t_vals, shape[0])
     for u in range(q):
-        x, y = _point_pairs(F, roots, s, np.full(s.size, u), t)
+        x, y = _point_pairs(table, s, np.full(s.size, u), t)
         a, _, _, d = (np.broadcast_to(v, s.shape) for v in _eval_word(F, w, x, y))
         yield F.add_table[a, d].reshape(shape)
 
@@ -382,7 +398,7 @@ def _word_classes(w: Word, table: ClassTable, x, y, z, where: str) -> np.ndarray
     return table.classify_array(*vals)
 
 
-def _off_locus_totals(w: Word, table: ClassTable, roots, points, z, wcls, nw) -> np.ndarray:
+def _off_locus_totals(w: Word, table: ClassTable, points, z, wcls, nw) -> np.ndarray:
     """Pairs per class over the flat [s, u, t] points off the locus where f_w = z = +-2.
 
     The pi-fiber of such a point is one free PGL(2,q)-orbit, and the class
@@ -393,8 +409,8 @@ def _off_locus_totals(w: Word, table: ClassTable, roots, points, z, wcls, nw) ->
     Returns nw rows of totals, indexed [weight class, class], each point
     counted in row wcls[point].
     """
-    F, q = table.field, table.q
-    x, y = _point_pairs(F, roots, points // (q * q), points // q % q, points % q)
+    q = table.q
+    x, y = _point_pairs(table, points // (q * q), points // q % q, points % q)
     idx = _word_classes(w, table, x, y, z, "representative pair")
     central = idx == table.trace_class.take(z)
     unipotent = table._index[z[~central], 1:]
@@ -408,7 +424,7 @@ def _off_locus_totals(w: Word, table: ClassTable, roots, points, z, wcls, nw) ->
     return totals.reshape(nw, ncls)
 
 
-def _locus_pairs(table: ClassTable, roots, points):
+def _locus_pairs(table: ClassTable, points):
     """The pairs (x_c, y) with traces (s, u, t) at the flat [s, u, t] points.
 
     x_c runs over the class representatives of trace s.  Returns
@@ -440,7 +456,7 @@ def _locus_pairs(table: ClassTable, roots, points):
     d = add.take(t.take(k) * q + neg.take(a))
     beta = add.take(u.take(k) * q + neg.take(mul.take(s.take(k) * q + d)))
     gamma = add.take(F.one * q + neg.take(mul.take(a * q + d)))
-    i, c = _distinct_roots(roots, beta, gamma)
+    i, c = _distinct_roots(table, beta, gamma)
     xc = noncentral[row, col].take(j.take(i))
     m = neg.take(reps[1].take(xc))
     b = mul.take(m * q + add.take(beta.take(i) * q + c))
@@ -463,7 +479,7 @@ _LOCUS_BATCH = 2**18
 
 
 def _locus_totals(
-    w: Word, table: ClassTable, roots, points, z, wcls, nw, expected: int
+    w: Word, table: ClassTable, points, z, wcls, nw, expected: int
 ) -> np.ndarray:
     """Pairs per class over the flat [s, u, t] points on the locus where f_w = z = +-2.
 
@@ -480,7 +496,7 @@ def _locus_totals(
     counts = np.zeros(nbins, dtype=np.int64)
     step = max(1, _LOCUS_BATCH // (4 * table.q + 3))
     for start in range(0, points.size, step):
-        xc, weight, k, y = _locus_pairs(table, roots, points[start : start + step])
+        xc, weight, k, y = _locus_pairs(table, points[start : start + step])
         x = tuple(col.take(xc) for col in table._reps)
         idx = _word_classes(w, table, x, y, z[start : start + step].take(k), "locus pair")
         cell = wcls[start : start + step].take(k) * ncls + weight
@@ -504,19 +520,17 @@ def _fiber_totals(w: Word, table: ClassTable) -> np.ndarray:
     traces.  The weighted class totals are then summed over every
     relabelling (_class_maps) and divided by 2|G| (probes._orbit_sum).
     f_w is traced for a word of at most _MAX_TRACED_LENGTH letters and
-    read from the word on one pair per point for a longer one.  The conic
-    root table is built once, for all three passes.
+    read from the word on one pair per point for a longer one.
     """
     F, q = table.field, table.q
-    roots = _quadratic_roots(F)
     signs = (sum(e for g, e in w.blocks if g == gen) % 2 for gen in (_GEN_X, _GEN_Y))
     s_maps, z_maps, t_mirror, z_mirror = _symmetries(F, *signs)
     select, weights, wcls = _representatives(s_maps, t_mirror)
     if w.length > _MAX_TRACED_LENGTH:
-        slices = _word_slices(w, F, roots, select)
+        slices = _word_slices(w, table, select)
     else:
         slices = _u_slices(trace_poly(w).f.reduce_mod(F.p), F, select)
-    kinds = _pi_fiber_kinds(F, roots, select)  # [s rep, u, t rep]
+    kinds = _pi_fiber_kinds(table, select)  # [s rep, u, t rep]
     fw = np.empty(kinds.shape, dtype=np.intp)
     for u, val in enumerate(slices):
         fw[:, u] = val
@@ -536,8 +550,8 @@ def _fiber_totals(w: Word, table: ClassTable) -> np.ndarray:
         points = (select[0].take(i) * q + u) * q + select[1].take(j)
         return points, fw.ravel().take(flat), wcls[i, j]
 
-    off = _off_locus_totals(w, table, roots, *located(off_locus), nw)
-    on = _locus_totals(w, table, roots, *located(on_locus), nw, expected)
+    off = _off_locus_totals(w, table, *located(off_locus), nw)
+    on = _locus_totals(w, table, *located(on_locus), nw, expected)
     weighted += weights @ (off + on)
     return _orbit_sum(weighted, _class_maps(table, z_maps), _class_maps(table, z_mirror))
 
@@ -602,11 +616,6 @@ def _class_maps(table: ClassTable, z_maps: np.ndarray) -> np.ndarray:
     return table._index[z_maps[..., traces], kinds]
 
 
-def _negation_partners(table: ClassTable) -> list[int]:
-    """The class of -g for g in each class: trace -tr g, the same kind."""
-    return _class_maps(table, table.field.neg_table).tolist()
-
-
 def psl_fiber_distribution(
     w: Word, q: int, sl_report: Optional[FiberReport] = None
 ) -> FiberReport:
@@ -614,8 +623,8 @@ def psl_fiber_distribution(
 
     For the two preimages g, -g of a PSL element, the PSL fiber is
     (fiber(g) + fiber(-g)) / 4; the division is asserted exact.  The class
-    of -g has trace -tr g and the kind of g's class (_negation_partners),
-    and each pair of classes gives one row, at the first.  A given
+    of -g has trace -tr g and the kind of g's class (_class_maps under
+    negation), and each pair of classes gives one row, at the first.  A given
     sl_report must be the SL(2,q) report of w at q, else ValueError.
     """
     # checked before any table is built; fiber_distribution applies MAX_FIBER_Q
@@ -623,8 +632,9 @@ def psl_fiber_distribution(
         raise ValueError("PSL(2,q) = SL(2,q) for even q; use fiber_distribution")
     report = _sl_report_of(w, q, sl_report)
     table = build_class_table(q)
+    partners = _class_maps(table, table.field.neg_table).tolist()
     rows = []
-    for i, (c, j) in enumerate(zip(table.classes, _negation_partners(table))):
+    for i, (c, j) in enumerate(zip(table.classes, partners)):
         if j < i:
             continue  # the row of the pair {j, i} was written at j
         paired_sum = report.rows[i].fiber_per_element + report.rows[j].fiber_per_element
@@ -741,7 +751,7 @@ def fraction_le_inv_sqrt(eps: Fraction, c: Union[int, Fraction], q: int) -> bool
 # trace-triple fibers and the degenerate locus
 
 
-def _pi_fiber_kinds(F: GF, roots, select: Select = None) -> np.ndarray:
+def _pi_fiber_kinds(table: ClassTable, select: Select = None) -> np.ndarray:
     """Which closed-form value N(s, u, t) takes, as int8 codes indexed [s, u, t].
 
     select = (s_vals, t_vals) picks the rows s and columns t, as in
@@ -749,19 +759,19 @@ def _pi_fiber_kinds(F: GF, roots, select: Select = None) -> np.ndarray:
 
     Kind 0 is off the locus kappa = 0, whose points over each (s, t) are
     the distinct roots u of u^2 - st u + s^2 + t^2 - 4, read from
-    roots = _quadratic_roots(F).  On it the kind is 1 plus the number of
-    roots in F_q of lambda^2 - z*lambda + 1, for z the first of s, u, t
-    other than +-2 (or t, when all three are); where s = +-2, kappa is
-    (u -+ t)^2, so u = +-t and z = t.  _pi_fiber_values gives the count of
-    each kind.
+    table.roots.  On it the kind is 1 plus the number of roots in F_q of
+    lambda^2 - z*lambda + 1, for z the first of s, u, t other than +-2 (or
+    t, when all three are); where s = +-2, kappa is (u -+ t)^2, so u = +-t
+    and z = t.  _pi_fiber_values gives the count of each kind.
     """
-    q, add, mul = F.q, F.add_table.ravel(), F.mul_table.ravel()
+    F, q = table.field, table.q
+    add, mul = F.add_table.ravel(), F.mul_table.ravel()
     s_vals, t_vals = select if select is not None else (np.arange(q), np.arange(q))
     row, col = np.divmod(np.arange(len(s_vals) * len(t_vals)), len(t_vals))
     s, t = s_vals.take(row), t_vals.take(col)
     sq = F.mul_table.diagonal()
     gamma = add.take(add.take(sq.take(s) * q + sq.take(t)) * q + F.embed_int(-4))
-    i, u = _distinct_roots(roots, F.neg_table.take(mul.take(s * q + t)), gamma)
+    i, u = _distinct_roots(table, F.neg_table.take(mul.take(s * q + t)), gamma)
     kind = (_quad_roots(F) + 1).astype(np.int8)  # 2 exactly at z = +-2
     ks = kind.take(s.take(i))
     out = np.zeros((len(s_vals), q, len(t_vals)), dtype=np.int8)
@@ -788,8 +798,7 @@ def pi_fiber_table(q: int) -> np.ndarray:
     """
     if q > MAX_FIBER_Q:
         raise ValueError(f"resource guard exceeded: q = {q} > {MAX_FIBER_Q}")
-    F = field(q)
-    out = _pi_fiber_values(q).take(_pi_fiber_kinds(F, _quadratic_roots(F)))
+    out = _pi_fiber_values(q).take(_pi_fiber_kinds(build_class_table(q)))
     if int(out.sum()) != (q**3 - q) ** 2:
         raise RuntimeError("pi-fiber table does not partition |G|^2")
     return out
@@ -801,9 +810,9 @@ def delta_locus(q: int) -> set[tuple[int, int, int]]:
     The zero set of the last factor is the locus pi_fiber_table reads from
     the conic root table; the first two vanish where t or s is +-2.
     """
-    F = field(q)
-    pm2 = _quad_roots(F) == 1
-    zero = (_pi_fiber_kinds(F, _quadratic_roots(F)) > 0) | pm2[:, None, None] | pm2[None, None, :]
+    table = build_class_table(q)
+    pm2 = table.trace_open
+    zero = (_pi_fiber_kinds(table) > 0) | pm2[:, None, None] | pm2[None, None, :]
     return {tuple(point) for point in np.argwhere(zero).tolist()}
 
 

@@ -179,10 +179,6 @@ class TriPoly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_terms(terms: Dict[Tuple[int, int, int], object], p: Optional[int] = None) -> "TriPoly":
-        return TriPoly({_pack(*m): c for m, c in terms.items()}, p)
-
-    @staticmethod
     def zero(p: Optional[int] = None) -> "TriPoly":
         return TriPoly({}, p)
 
@@ -194,10 +190,6 @@ class TriPoly:
     def var(name: str, p: Optional[int] = None) -> "TriPoly":
         i, j, k = {"s": (1, 0, 0), "u": (0, 1, 0), "t": (0, 0, 1)}[name]
         return TriPoly({_pack(i, j, k): 1}, p)
-
-    @staticmethod
-    def monomial(c, i: int, j: int, k: int, p: Optional[int] = None) -> "TriPoly":
-        return TriPoly({_pack(i, j, k): c}, p)
 
     def ring_const(self, c) -> "TriPoly":
         """Constant polynomial in the same coefficient ring as self."""

@@ -120,14 +120,6 @@ class UniPoly:
             acc = acc * inner + UniPoly.const(c, self.p)
         return acc
 
-    def evaluate(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-            if self.p is not None:
-                acc %= self.p
-        return acc
-
     def reduce_mod(self, p: int) -> "UniPoly":
         if self.p is not None:
             raise ValueError("already over a prime field")

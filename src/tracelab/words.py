@@ -63,15 +63,23 @@ def _cyclic_reduce(blocks: Tuple[Block, ...]) -> Tuple[Tuple[Block, ...], int]:
     """(core, k) with blocks = c * core * c^-1 for c = blocks[:k], core cyclically reduced.
 
     Each of the k merges folds the first block into the last, so that core
-    keeps an original block in front; blocks must be freely reduced.
+    keeps an original block in front; blocks must be freely reduced.  Two
+    indices walk inward, so the cost is linear in the blocks: core is
+    blocks[i:j] followed by last, the merged last block.  A merge that
+    cancels leaves at least one block, as adjacent blocks differ.
     """
-    core, k = blocks, 0
-    while len(core) >= 2 and core[0][0] == core[-1][0]:
-        g, a = core[0]
-        e = a + core[-1][1]
-        core = core[1:-1] + (((g, e),) if e else ())
-        k += 1
-    return core, k
+    if len(blocks) < 2 or blocks[0][0] != blocks[-1][0]:
+        return blocks, 0  # already cyclically reduced, the common case
+    i, j, last = 0, len(blocks) - 1, blocks[-1]
+    while i < j and blocks[i][0] == last[0]:
+        e = blocks[i][1] + last[1]
+        i += 1
+        if e:
+            last = (last[0], e)
+        else:
+            j -= 1
+            last = blocks[j]
+    return blocks[i:j] + (last,), i
 
 
 def _period(blocks: Tuple[Block, ...]) -> int:

@@ -22,7 +22,14 @@ u-block matcher that raises the whole of Q to the n-th power for every
 block, kept on `TriPoly` arithmetic as the reference for the truncated
 matcher in `decompose`, and `fricke_trace`, the recursion on trace
 identities that the trace engine ran before its 4-basis product, kept on
-`TriPoly` arithmetic as the reference for that product.
+`TriPoly` arithmetic as the reference for that product.  The library values
+that only tests build or read go through small helpers on the library's
+types: `tripoly_from_terms` and `monomial`, a `TriPoly` from exponent
+triples, `unipoly_value`, a `UniPoly` at a point by Horner, and
+`recompose`, outer(inner) for a `CompositionWitness` on `TriPoly`
+arithmetic, the reference the witness tests compare against.
+`apply_move` applies one of the `NIELSEN_MOVES`, which generate Aut(F_2),
+to a `Word` by substitution.
 """
 
 from collections import Counter
@@ -33,8 +40,59 @@ import numpy as np
 from tracelab.gf import _factor_prime_power, field
 from tracelab.probes import _u_slices
 from tracelab.sl2 import _IDENTITY, _eval_word, build_class_table
-from tracelab.tripoly import TriPoly
-from tracelab.words import X as GEN_X
+from tracelab.tripoly import TriPoly, _pack
+from tracelab.words import X as GEN_X, Y as GEN_Y, Word
+
+# ---------------------------------------------------------------------------
+# library values that only tests build or read
+
+
+def tripoly_from_terms(terms, p=None):
+    """The TriPoly of a {(i, j, k): coefficient} dict of s^i u^j t^k terms."""
+    return TriPoly({_pack(*m): c for m, c in terms.items()}, p)
+
+
+def monomial(c, i, j, k, p=None):
+    """c s^i u^j t^k as a TriPoly."""
+    return tripoly_from_terms({(i, j, k): c}, p)
+
+
+def unipoly_value(f, x):
+    """f(x) for a UniPoly f by Horner, reduced mod f.p over F_p."""
+    acc = 0
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+        if f.p is not None:
+            acc %= f.p
+    return acc
+
+
+def recompose(witness):
+    """outer(inner) for a CompositionWitness, by Horner on TriPoly arithmetic."""
+    outer, p = witness.outer, witness.p
+    acc = TriPoly.const(outer.leading_coeff(), p)
+    for i in range(outer.degree - 1, -1, -1):
+        acc = acc * witness.inner + TriPoly.const(outer[i], p)
+    return acc
+
+
+# images of x and y under the Nielsen moves, which generate Aut(F_2)
+NIELSEN_MOVES = {
+    "x->xy": {GEN_X: ((GEN_X, 1), (GEN_Y, 1)), GEN_Y: ((GEN_Y, 1),)},
+    "y->yx": {GEN_X: ((GEN_X, 1),), GEN_Y: ((GEN_Y, 1), (GEN_X, 1))},
+    "x->x^-1": {GEN_X: ((GEN_X, -1),), GEN_Y: ((GEN_Y, 1),)},
+    "x<->y": {GEN_X: ((GEN_Y, 1),), GEN_Y: ((GEN_X, 1),)},
+}
+
+
+def apply_move(images, w):
+    """alpha(w) for the automorphism with the given images of x and y."""
+    blocks = []
+    for g, e in w.blocks:
+        image = images[g] if e > 0 else tuple((h, -f) for h, f in reversed(images[g]))
+        blocks.extend(image * abs(e))
+    return Word.from_blocks(blocks)
+
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials in one variable x, as {exponent: coefficient} dicts

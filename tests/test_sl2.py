@@ -1,3 +1,4 @@
+import copy
 import random
 import time
 import tracemalloc
@@ -6,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tracelab import probes, sl2
 from tracelab.gf import field
@@ -24,9 +26,11 @@ from tracelab.sl2 import (
 )
 from tracelab.trace import trace_poly
 from tracelab.tripoly import TriPoly
-from tracelab.words import parse
+from tracelab.words import Word, parse
 
 from _oracles import (
+    NIELSEN_MOVES,
+    apply_move,
     brute_conjugacy_orbits,
     brute_pi_table,
     brute_psl_fibers,
@@ -182,6 +186,18 @@ class TestClassTable:
         for c in table.classes:
             assert table.classes[class_index(table, c.rep)] is c
 
+    @pytest.mark.parametrize("q", [2, 3, 7])
+    def test_table_is_built_once_per_q(self, q):
+        assert build_class_table(q) is build_class_table(q)
+
+    def test_shared_arrays_are_read_only(self):
+        table = build_class_table(7)
+        shared = (table.sizes, table._reps, table._index, table.trace_class, table.trace_open)
+        for array in (*shared, table.roots):
+            first = (0,) * array.ndim
+            with pytest.raises(ValueError, match="read-only"):
+                array[first] = array[first]
+
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 16])
     def test_noncentral_reps_in_companion_form(self, q):
         # _locus_pairs solves one conic for every x_c = (0, b, -1/b, trace)
@@ -267,8 +283,8 @@ class TestFiberDistribution:
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
     def test_word_slices_equal_the_traced_slices(self, q):
         # characteristic 2 included, where the traces +2 and -2 coincide
-        F = field(q)
-        roots = sl2._quadratic_roots(F)
+        table = build_class_table(q)
+        F = table.field
         rng = random.Random(q)
         for _ in range(3):
             w = parse("".join(rng.choice("xXyY") for _ in range(rng.randint(1, 14))))
@@ -277,7 +293,7 @@ class TestFiberDistribution:
             s_maps, _, t_mirror, _ = probes._symmetries(F, *probes._parities(f))
             for select in (None, probes._representatives(s_maps, t_mirror)[0]):
                 traced = sl2._u_slices(f, F, select)
-                got_slices = sl2._word_slices(w, F, roots, select)
+                got_slices = sl2._word_slices(w, table, select)
                 for got, want in zip(got_slices, traced, strict=True):
                     assert np.array_equal(got, want), str(w)
 
@@ -351,6 +367,35 @@ class TestFiberOrbits:
         assert sum(r.class_size * r.fiber_per_element for r in rep.rows) == rep.order**2
 
 
+EXPONENTS = st.sampled_from([-2, -1, 1, 2])
+
+
+class TestNielsenInvariance:
+    # (x, y) -> (alpha(x), alpha(y)) is a bijection of G^2 for alpha in Aut(F_2),
+    # so w and alpha(w) have equal fiber rows.  f_w comes from the trace
+    # polynomial up to _MAX_TRACED_LENGTH letters and from the word slices past
+    # it; the identity uses neither, and the moves carry words across the cap.
+    @given(
+        w=st.lists(st.tuples(EXPONENTS, EXPONENTS), min_size=5, max_size=10).map(
+            Word.from_syllables
+        ),
+        moves=st.lists(st.sampled_from(sorted(NIELSEN_MOVES)), min_size=2, max_size=4),
+        q=st.sampled_from([5, 7, 8, 9]),
+    )
+    @example(w=parse("x^2y^2" * 8), moves=["x->xy"], q=7)  # 32 letters, then 48
+    @settings(max_examples=25, deadline=None)
+    def test_fiber_rows_are_invariant_under_nielsen_moves(self, w, moves, q):
+        rows = fiber_distribution(w, q).rows
+        for name in moves:
+            w = apply_move(NIELSEN_MOVES[name], w)
+            assert fiber_distribution(w, q).rows == rows, (name, str(w))
+
+    def test_a_move_crosses_the_length_cap(self):
+        w = parse("x^2y^2" * 8)
+        moved = apply_move(NIELSEN_MOVES["x->xy"], w)
+        assert w.length == sl2._MAX_TRACED_LENGTH < moved.length
+
+
 class TestPSL:
     @pytest.mark.parametrize("q", [3, 5])
     def test_matches_brute_enumeration(self, q):
@@ -381,6 +426,22 @@ class TestPSL:
         rep = psl_fiber_distribution(parse("xyXY"), 7)
         assert sum(r.class_size * r.fiber_per_element for r in rep.rows) == rep.order**2
 
+    def test_seen_q_builds_no_table(self, monkeypatch):
+        # the SL report inside and the PSL rows read the one class table of q
+        psl_fiber_distribution(parse("xyXY"), 7)
+        built = []
+
+        def counting(name):
+            builder = getattr(sl2, name)
+            return lambda *args: built.append(name) or builder(*args)
+
+        for name in ("ClassTable", "_quadratic_roots"):
+            monkeypatch.setattr(sl2, name, counting(name))
+        psl_fiber_distribution(parse("xyXY"), 7)
+        assert built == []
+        sl2.build_class_table.__wrapped__(7)  # an unmemoized build is counted
+        assert built == ["ClassTable", "_quadratic_roots"]
+
     def test_rejects_the_report_of_another_word_or_q(self):
         for wtext, q in (("xyxy", 7), ("xy", 5)):
             other = fiber_distribution(parse(wtext), q)
@@ -392,7 +453,7 @@ class TestPSL:
         table = build_class_table(q)
         reps = np.array([c.rep for c in table.classes], dtype=np.int64)
         want = table.classify_array(*table.field.neg_table[reps].T).tolist()
-        assert sl2._negation_partners(table) == want
+        assert sl2._class_maps(table, table.field.neg_table).tolist() == want
 
 
 class TestEquidistEpsilon:
@@ -486,7 +547,7 @@ class TestPiFibers:
         kappa = add[add[mul[s, s], mul[t, t]], sub(mul[u, u], mul[mul[s, u], t])]
         keep = (sub(kappa, F.embed_int(4)) == 0) == on_locus
         s, u, t = s[keep], u[keep], t[keep]
-        pairs = sl2._point_pairs(F, sl2._quadratic_roots(F), s, u, t)
+        pairs = sl2._point_pairs(build_class_table(q), s, u, t)
         (x0, x1, x2, x3), (y0, y1, y2, y3) = pairs
         assert (sub(mul[x0, x3], mul[x1, x2]) == F.one).all()
         assert (sub(mul[y0, y3], mul[y1, y2]) == F.one).all()
@@ -506,9 +567,10 @@ class TestPiFibers:
         kind = (sl2._quad_roots(F) + 1).astype(np.int8)
         s, u, t = kind[:, None, None], kind[None, :, None], kind[None, None, :]
         want = np.where(zero, np.where(s != 2, s, np.where(u != 2, u, t)), np.int8(0))
-        assert np.array_equal(sl2._pi_fiber_kinds(F, sl2._quadratic_roots(F)), want)
+        table = build_class_table(q)
+        assert np.array_equal(sl2._pi_fiber_kinds(table), want)
         rows, cols = np.arange(0, q, 3), np.arange(1, q, 2)
-        picked = sl2._pi_fiber_kinds(F, sl2._quadratic_roots(F), (rows, cols))
+        picked = sl2._pi_fiber_kinds(table, (rows, cols))
         assert np.array_equal(picked, want[rows][:, :, cols])
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27])
@@ -522,17 +584,16 @@ class TestPiFibers:
 
     def test_point_reached_only_by_a_central_x(self):
         # at q = 3 the locus point (-2, 0, 0) is reached only with x = -I
-        F = field(3)
-        x, y = sl2._point_pairs(F, sl2._quadratic_roots(F), *(np.array([v]) for v in (1, 0, 0)))
+        x, y = sl2._point_pairs(build_class_table(3), *(np.array([v]) for v in (1, 0, 0)))
         assert [int(v[0]) for v in x] == [2, 0, 0, 2]
         assert [int(v[0]) for v in y] == [0, 2, 1, 0]
 
     def test_point_without_representative_raises(self):
         # with no quadratic roots, only x = e I could serve, and (0, 1, 1) has s != +-2
-        F = field(3)
-        no_roots = np.full((3, 3, 2), -1)
+        table = copy.copy(build_class_table(3))  # the shared table keeps its roots
+        table.roots = np.full((3, 3, 2), -1)
         with pytest.raises(RuntimeError, match="no representative pair"):
-            sl2._point_pairs(F, no_roots, *(np.array([v]) for v in (0, 1, 1)))
+            sl2._point_pairs(table, *(np.array([v]) for v in (0, 1, 1)))
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27])
     def test_quadratic_roots_match_brute_force(self, q):
@@ -553,7 +614,7 @@ class TestPiFibers:
         table = build_class_table(q)
         F = table.field
         points = np.arange(q**3)
-        xc, weight, k, y = sl2._locus_pairs(table, sl2._quadratic_roots(F), points)
+        xc, weight, k, y = sl2._locus_pairs(table, points)
         ys = enumerate_group(F)
         tr_y = trace_xy(F, sl2._IDENTITY, ys)
         for i, cls in enumerate(table.classes):
@@ -575,8 +636,8 @@ class TestPiFibers:
     def test_missing_locus_pair_raises(self, monkeypatch):
         locus_pairs = sl2._locus_pairs
 
-        def one_short(table, roots, points):
-            xc, weight, k, y = locus_pairs(table, roots, points)
+        def one_short(table, points):
+            xc, weight, k, y = locus_pairs(table, points)
             return xc[1:], weight[1:], k[1:], tuple(v[1:] for v in y)
 
         monkeypatch.setattr(sl2, "_locus_pairs", one_short)

@@ -13,12 +13,14 @@ from tracelab.gf import field
 from tracelab.trace import TraceEngine, syllable_polys, trace_poly
 from tracelab.tripoly import TriPoly
 from tracelab.unipoly import chebyshev_v, dickson, dickson_apply
-from tracelab.words import X, Y, Word, enumerate_words, parse, sample_words, stats
+from tracelab.words import X, Word, enumerate_words, parse, sample_words, stats
 
 from _oracles import (
     LAU_S,
     LAU_X,
     LAU_XINV,
+    NIELSEN_MOVES,
+    apply_move,
     eval_trace_direct,
     fricke_trace,
     lau_add,
@@ -29,6 +31,7 @@ from _oracles import (
     poly_value,
     reduced_strings,
     trace_by_product,
+    tripoly_from_terms,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -238,8 +241,8 @@ class TestPowerRule:
     @settings(max_examples=30)
     def test_power_is_dickson_of_base(self, v, k):
         # non-circular: both sides come from the matrix-product oracle
-        fv = TriPoly.from_terms(trace_by_product(letters(v)))
-        fw = TriPoly.from_terms(trace_by_product(letters(v**k)))
+        fv = tripoly_from_terms(trace_by_product(letters(v)))
+        fw = tripoly_from_terms(trace_by_product(letters(v**k)))
         assert fw == dickson_apply(k, fv)
 
 
@@ -267,21 +270,13 @@ class TestFrickeOracle:
 
 
 # Nielsen moves: the images of x and y, and Phi = (f_a(x), f_a(x)a(y), f_a(y))
+# each Nielsen move with the substitution Phi_alpha of its traces
 NIELSEN = {
-    "x->xy": ({X: ((X, 1), (Y, 1)), Y: ((Y, 1),)}, (U, U * T - S, T)),
-    "y->yx": ({X: ((X, 1),), Y: ((Y, 1), (X, 1))}, (S, S * U - T, U)),
-    "x->x^-1": ({X: ((X, -1),), Y: ((Y, 1),)}, (S, S * T - U, T)),
-    "x<->y": ({X: ((Y, 1),), Y: ((X, 1),)}, (T, U, S)),
+    "x->xy": (NIELSEN_MOVES["x->xy"], (U, U * T - S, T)),
+    "y->yx": (NIELSEN_MOVES["y->yx"], (S, S * U - T, U)),
+    "x->x^-1": (NIELSEN_MOVES["x->x^-1"], (S, S * T - U, T)),
+    "x<->y": (NIELSEN_MOVES["x<->y"], (T, U, S)),
 }
-
-
-def apply_move(images, w):
-    """alpha(w) for the automorphism with the given images of x and y."""
-    blocks = []
-    for g, e in w.blocks:
-        image = images[g] if e > 0 else tuple((h, -f) for h, f in reversed(images[g]))
-        blocks.extend(image * abs(e))
-    return Word.from_blocks(blocks)
 
 
 class TestAutomorphismOracle:

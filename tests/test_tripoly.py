@@ -6,7 +6,15 @@ from hypothesis import given, strategies as st
 
 from tracelab.tripoly import TriPoly, _nth_roots, _power, frobenius_strip
 
-from _oracles import frobenius_strip_brute, poly_value, tri_add, tri_eval_mod, tri_mul
+from _oracles import (
+    frobenius_strip_brute,
+    monomial,
+    poly_value,
+    tri_add,
+    tri_eval_mod,
+    tri_mul,
+    tripoly_from_terms,
+)
 
 S = TriPoly.var("s", None)
 U = TriPoly.var("u", None)
@@ -23,7 +31,7 @@ term_dicts = st.dictionaries(monos, coeffs, max_size=6)
 
 
 def as_tripoly(d, p=None):
-    return TriPoly.from_terms(d, p)
+    return tripoly_from_terms(d, p)
 
 
 class TestPower:
@@ -126,12 +134,12 @@ class TestModularReduction:
 
     @pytest.mark.parametrize("p", [None, 5])
     def test_zeros_dropped(self, p):
-        f = TriPoly.from_terms({(1, 0, 0): 0, (0, 1, 0): Fraction(0), (0, 0, 1): 3}, p)
+        f = tripoly_from_terms({(1, 0, 0): 0, (0, 1, 0): Fraction(0), (0, 0, 1): 3}, p)
         assert len(f) == 1 and f.coeff(0, 0, 1) == 3
 
     def test_ints_reduce_mod_p(self):
         terms = {(1, 0, 0): -1, (0, 1, 0): 14, (0, 0, 1): -15, (0, 0, 0): 23}
-        f = TriPoly.from_terms(terms, 7)
+        f = tripoly_from_terms(terms, 7)
         assert dict(f.terms()) == {(1, 0, 0): 6, (0, 0, 1): 6, (0, 0, 0): 2}
         assert f == as_tripoly(terms).reduce_mod(7)
 
@@ -143,7 +151,7 @@ class TestModularReduction:
 
     def test_p_divisible_denominator_raises(self):
         with pytest.raises(ValueError):
-            TriPoly.from_terms({(1, 0, 0): 1, (0, 0, 0): Fraction(2, 7)}, 7)
+            tripoly_from_terms({(1, 0, 0): 1, (0, 0, 0): Fraction(2, 7)}, 7)
         with pytest.raises(ValueError):
             (S + C(Fraction(2, 7))).reduce_mod(7)
 
@@ -167,9 +175,9 @@ class TestStructure:
 
     def test_exponent_guard(self):
         with pytest.raises(ValueError):
-            TriPoly.from_terms({(40000, 0, 0): 1})
+            tripoly_from_terms({(40000, 0, 0): 1})
         with pytest.raises(ValueError):
-            TriPoly.monomial(1, 0, -1, 0)
+            monomial(1, 0, -1, 0)
 
 
 class TestRender:
@@ -266,7 +274,7 @@ class TestFrobeniusStrip:
         # scan meets the one that decides k = 0 only at the end
         for p in (2, 3, 5):
             terms = {(p, 0, 0): 1, (0, 2 * p, p): 1, (0, 0, 0): 1, (p, p, 0): 1, (1, p, 0): 1}
-            f = TriPoly.from_terms(terms, p)
+            f = tripoly_from_terms(terms, p)
             assert list(f.terms())[-1][0] == (1, p, 0)
             assert frobenius_strip(f) == (f, 0)
             assert frobenius_strip_brute(terms, p) == (dict(f.terms()), 0)
@@ -289,7 +297,7 @@ class TestFrobeniusStrip:
             terms[extra] = 1  # inserted last: the scan reaches it after the rest
         if not any(m != (0, 0, 0) for m in terms):
             return
-        f = TriPoly.from_terms(terms, p)
+        f = tripoly_from_terms(terms, p)
         got_core, got_k = frobenius_strip(f)
         want_core, want_k = frobenius_strip_brute(terms, p)
         assert got_k == want_k

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -82,6 +84,18 @@ class TestCanonicalize:
     def test_recomposition(self, text):
         w = parse(text)
         c, rec = canonicalize(w)
+        assert rec.conjugator * c * rec.conjugator.inverse() == w
+
+    def test_long_conjugate_within_budget(self):
+        # (xy)^8000 x^2 (YX)^8000: 32 001 blocks, 16 000 merges, linear in the blocks
+        w = parse("xy" * 8000 + "xx" + "YX" * 8000)
+        assert len(w.blocks) == 32001
+        t0 = time.monotonic()
+        c, rec = canonicalize(w)
+        elapsed = time.monotonic() - t0
+        assert elapsed <= 0.25, f"budget exceeded: {elapsed:.2f}s > 0.25s"
+        assert c == parse("xx") and rec.degenerate
+        assert rec.conjugator == parse("xy" * 8000)
         assert rec.conjugator * c * rec.conjugator.inverse() == w
 
     def test_empty_word_rejected(self):
