@@ -84,17 +84,6 @@ ORBIT_FIBER_WORDS = ("xyXY", "xxy", "xyy", "xyxy")
 ORBIT_FIBER_QS = (121, 125, 127, 128)
 DECOMPOSE_PRIMES = (None, 3, 5, 7, 11, 13)
 DECOMPOSE_NS = (2, 3, 4, 6)
-DECOMPOSE_INNERS = ("u", "u + s", "s*u - t", "u^2 + s*t*u - t", "s*u^2 + t*u - 2", "u^3 - s*u + t")
-LEVEL_COUNT_POLYS = (
-    "u^3 + s*t + s^2*u - 2*u*t^2 + 5*u",
-    "s + u*t^2 + 3*u^3*t + s^2*u",
-    "u^3 + s*t + s*u^2*t + t^3",
-    "s + u*t",
-    "s + t + u*t",
-    "s^2 + u",
-    "s^2 + u^2*t + u",
-    "3",
-)
 LEVEL_COUNT_WORDS = ("xyXY", "xyXYxy", "xxxxyXXYxxyXXY")
 LEVEL_COUNT_QS = (2, 3, 4, 8, 9, 16, 25, 27, 49, 64, 81, 101, 121, 125, 128)
 CLI_TRACE_WORDS = ("xyXY", "x^3", "", "Yx", "XXX", "xxyXYYxyXy", "yx^2", "x^4000y")
@@ -220,9 +209,15 @@ def _decompose_outcome(tl, fn, f, n):
     return got.outer.render(), got.inner.render(), got.dickson_index
 
 
+def _decompose_inners(tl):
+    s, u, t = (tl.TriPoly.var(name) for name in "sut")
+    two = tl.TriPoly.const(2)
+    return (u, u + s, s * u - t, u**2 + s * t * u - t, s * u**2 + t * u - two, u**3 - s * u + t)
+
+
 def _decompose(tl):
-    for p, n, text in itertools.product(DECOMPOSE_PRIMES, DECOMPOSE_NS, DECOMPOSE_INNERS):
-        q = tl.TriPoly.parse(text)
+    for p, n, q in itertools.product(DECOMPOSE_PRIMES, DECOMPOSE_NS, _decompose_inners(tl)):
+        text = q.render()
         if p is not None:
             q = q.reduce_mod(p)
         s, t, u = (tl.TriPoly.var(name, p) for name in "stu")
@@ -268,8 +263,23 @@ def _cli():
             os.environ["TRACELAB_CACHE"] = saved
 
 
+def _level_count_polys(tl):
+    """One polynomial for each case of the sign rules: both, one, neither, a constant."""
+    s, u, t = (tl.TriPoly.var(name) for name in "sut")
+    return [
+        u**3 + s * t + s**2 * u - (u * t**2).scale(2) + u.scale(5),
+        s + u * t**2 + (u**3 * t).scale(3) + s**2 * u,
+        u**3 + s * t + s * u**2 * t + t**3,
+        s + u * t,
+        s + t + u * t,
+        s**2 + u,
+        s**2 + u**2 * t + u,
+        tl.TriPoly.const(3),
+    ]
+
+
 def _level_counts(tl, inputs):
-    polys = [tl.TriPoly.parse(text) for text in LEVEL_COUNT_POLYS]
+    polys = _level_count_polys(tl)
     polys += [tl.trace_poly(tl.parse(text)).f for text in LEVEL_COUNT_WORDS]
     for q, f in itertools.product(LEVEL_COUNT_QS, polys):
         fp = f.reduce_mod(inputs.prime_power(q)[0])

@@ -1,10 +1,15 @@
 """Persistent cache of computed trace polynomials.
 
-Entries map canonical word text to polynomial text and round-trip through
-the rendering format; a version-stamped header invalidates stale files.
-An existing file that is not a cache of any version (unparsable, or with
-no version stamp) is refused rather than overwritten.  The default
-location comes from the TRACELAB_CACHE environment variable.
+In memory the cache maps canonical word text to the ``TriPoly`` f_w, so a
+request neither renders nor parses text.  On disk each entry is one
+string of integer terms ``i,j,k,c;...``: the exponents of s, u and t and
+the coefficient, in sorted order.  A loaded entry is decoded on its first
+lookup; one that does not decode, or that fails trace_poly's checks, is a
+miss and is overwritten.  A version-stamped header invalidates files of
+another version, which start fresh.  An existing file that is not a cache
+of any version (unparsable, or with no version stamp) is refused rather
+than overwritten.  The default location comes from the TRACELAB_CACHE
+environment variable.
 """
 
 from __future__ import annotations
@@ -14,11 +19,11 @@ import os
 import tempfile
 from typing import Optional
 
-from .trace import TraceEngine, TraceResult, _trace_result, trace_poly
-from .tripoly import TriPoly
+from .trace import _DEFAULT_ENGINE, TraceEngine, TraceResult, _trace_result, trace_poly
+from .tripoly import TriPoly, _pack
 from .words import Word, canonicalize
 
-CACHE_VERSION = "tracelab-cache-1"
+CACHE_VERSION = "tracelab-cache-2"
 
 
 def _canonical_key(w: Word) -> str:
@@ -28,14 +33,32 @@ def _canonical_key(w: Word) -> str:
     return str(canon)
 
 
+def _encode(f: TriPoly) -> str:
+    return ";".join(f"{i},{j},{k},{c}" for (i, j, k), c in sorted(f.terms()))
+
+
+def _decode(text) -> Optional[TriPoly]:
+    """The polynomial an entry encodes, or None when it encodes none."""
+    if not isinstance(text, str):
+        return None
+    coeffs = {}
+    try:
+        for term in text.split(";"):
+            i, j, k, c = map(int, term.split(","))
+            coeffs[_pack(i, j, k)] = c
+    except ValueError:  # a non-integer field, the wrong field count or an exponent out of range
+        return None
+    return TriPoly(coeffs)
+
+
 class TraceCache:
-    """Word-text -> polynomial-text map with atomic JSON persistence."""
+    """Word-text -> polynomial map with atomic JSON persistence."""
 
     def __init__(self, path: Optional[str] = None):
         if path is None:
             path = os.environ.get("TRACELAB_CACHE") or None
         self.path = path
-        self.entries: dict[str, str] = {}
+        self.entries: dict[str, object] = {}  # a TriPoly, or a loaded entry not yet decoded
         self.dirty = False
         if self.path and os.path.exists(self.path):
             self._load()
@@ -55,38 +78,41 @@ class TraceCache:
             return  # a cache of another version: start fresh
         entries = data.get("entries", {})
         if isinstance(entries, dict):
-            self.entries = {str(k): str(v) for k, v in entries.items()}
+            self.entries = entries
 
     def lookup(self, w: Word) -> Optional[TriPoly]:
-        text = self.entries.get(_canonical_key(w))
-        if text is None:
-            return None
-        try:
-            return TriPoly.parse(text, None)
-        except ValueError:
-            return None
+        key = _canonical_key(w)
+        f = self.entries.get(key)
+        if f is None or type(f) is TriPoly:
+            return f
+        f = _decode(f)
+        if f is not None:
+            self.entries[key] = f
+        return f
 
     def store(self, w: Word, f: TriPoly) -> None:
         key = _canonical_key(w)
-        text = f.render()
-        if self.entries.get(key) != text:
-            self.entries[key] = text
+        if self.entries.get(key) != f:
+            self.entries[key] = f
             self.dirty = True
 
     def save(self) -> None:
+        """Write the file atomically, one entry at a time."""
         if not self.path or not self.dirty:
             return
-        payload = {
-            "version": CACHE_VERSION,
-            "entries": dict(sorted(self.entries.items())),
-        }
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=0, sort_keys=True)
-                fh.write("\n")
+                fh.write(f'{{"version": "{CACHE_VERSION}", "entries": {{')
+                sep = "\n"
+                for key in sorted(self.entries):
+                    f = self.entries[key]
+                    text = _encode(f) if type(f) is TriPoly else f
+                    fh.write(f"{sep}{json.dumps(key)}: {json.dumps(text)}")
+                    sep = ",\n"
+                fh.write("\n}}\n")
             os.replace(tmp, self.path)
         finally:
             if os.path.exists(tmp):
@@ -104,20 +130,20 @@ def cached_trace_poly(
 ) -> TraceResult:
     """trace_poly with a read-through/write-through cache.
 
-    Hits reconstruct the result from the stored polynomial text and pass
-    trace_poly's checks; an entry that fails them is treated as a miss and
-    overwritten, like an unparsable one.  A hit is also put into the
-    engine's memo, if one is given, so later work on that engine (such as
+    Hits pass trace_poly's checks; an entry that fails them is treated as a
+    miss and overwritten, like one that does not decode.  A hit is also put
+    into the memo of the engine that a miss would trace on (the given one,
+    or trace_poly's default), so later work on that engine (such as
     classify_global) reads f instead of recomputing it.  A differential
     test asserts hits never change any output versus cold runs.
     """
+    eng = engine if engine is not None else _DEFAULT_ENGINE
     f = cache.lookup(w)
     if f is not None:
         result = _trace_result(w, f)
         if result is not None:
-            if engine is not None:
-                engine.remember(result)
+            eng.remember(result)
             return result
-    result = trace_poly(w, engine=engine)
+    result = trace_poly(w, engine=eng)
     cache.store(w, result.f)
     return result

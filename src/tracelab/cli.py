@@ -28,7 +28,7 @@ from .sl2 import (
     fiber_distribution,
     psl_fiber_distribution,
 )
-from .trace import TraceEngine, syllable_polys, trace_poly
+from .trace import syllable_polys, trace_poly
 from .tripoly import TriPoly
 from .unipoly import UniPoly, chebyshev_v, dickson, dickson_apply
 from .words import (
@@ -143,12 +143,10 @@ def cmd_classify(args, out) -> int:
     w = parse(args.word)
     check_p_max(args.p_max)  # before tracing: a refusal does no work and writes no cache
     cache = TraceCache(args.cache)
-    engine = TraceEngine()
-    # a cache hit lands in engine's memo, so classify_global does not recompute f
-    result = cached_trace_poly(w, cache=cache, engine=engine)
+    result = cached_trace_poly(w, cache=cache)
     cache.save()
     try:
-        payload = _global_dict(classify_global(w, args.p_max, engine=engine))
+        payload = _global_dict(classify_global(w, args.p_max))
     except DegenerateWordError:
         payload = {
             "word": str(w),

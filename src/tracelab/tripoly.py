@@ -12,16 +12,16 @@ ordered (s, u, t) from high to low; packed keys add under monomial
 multiplication and compare lexicographically, which keeps the arithmetic
 loops tight.
 
-The text format is fixed: monomials sorted by u-degree, then s-degree,
-then t-degree, all descending; each monomial renders its variables
-alphabetically (s, t, u) with unit parts omitted; terms join with
-`` + `` / `` - ``.  Example: ``u^2 - s*t*u + s^2 + t^2 - 2``.
+The rendered text is output only, and its format is fixed: monomials
+sorted by u-degree, then s-degree, then t-degree, all descending; each
+monomial renders its variables alphabetically (s, t, u) with unit parts
+omitted; terms join with `` + `` / `` - ``.  Example:
+``u^2 - s*t*u + s^2 + t^2 - 2``.  Nothing in the library parses it back.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
@@ -436,54 +436,6 @@ class TriPoly:
     def __repr__(self) -> str:
         ring = "ZZ" if self.p is None else f"F{self.p}"
         return f"TriPoly[{ring}]({self.render()})"
-
-    @staticmethod
-    def parse(text: str, p: Optional[int] = None) -> "TriPoly":
-        """Inverse of :meth:`render`."""
-        text = text.strip()
-        if text == "0":
-            return TriPoly.zero(p)
-        # split into signed terms at top level
-        terms = []
-        sign = 1
-        if text.startswith("-"):
-            sign = -1
-            text = text[1:]
-        for chunk in re.split(r"\s([+-])\s", text):
-            if chunk == "+":
-                sign = 1
-            elif chunk == "-":
-                sign = -1
-            else:
-                terms.append((sign, chunk))
-        out: Dict[int, object] = {}
-        for sgn, chunk in terms:
-            coeff: object = 1
-            exps = {"s": 0, "t": 0, "u": 0}
-            for factor in chunk.split("*"):
-                factor = factor.strip()
-                if not factor:
-                    raise ValueError(f"empty factor in {chunk!r}")
-                if factor[0].isdigit():
-                    try:
-                        coeff = Fraction(factor) if "/" in factor else int(factor)
-                    except ZeroDivisionError:
-                        raise ValueError(f"zero denominator in {factor!r}") from None
-                else:
-                    name = factor[0]
-                    if name not in exps:
-                        raise ValueError(f"unknown variable in {factor!r}")
-                    e = 1
-                    if len(factor) > 1:
-                        if not factor[1] == "^":
-                            raise ValueError(f"malformed factor {factor!r}")
-                        e = int(factor[2:])
-                    if exps[name]:
-                        raise ValueError(f"repeated variable in {chunk!r}")
-                    exps[name] = e
-            key = _pack(exps["s"], exps["u"], exps["t"])
-            out[key] = out.get(key, 0) + sgn * coeff
-        return TriPoly(out, p)
 
 
 def frobenius_strip(f: TriPoly) -> Tuple[TriPoly, int]:

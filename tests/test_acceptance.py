@@ -32,14 +32,13 @@ from tracelab.sl2 import (
 from tracelab.trace import TraceEngine, trace_poly
 from tracelab.tripoly import TriPoly
 from tracelab.unipoly import dickson, dickson_apply
-from tracelab.words import Word, enumerate_words, parse, sample_words, stats
+from tracelab.words import enumerate_words, parse, sample_words, stats
 
 from _oracles import (
     LAU_S,
     brute_psl_fibers,
     class_index,
     eval_trace_direct,
-    group_elements,
     lau_from_unipoly,
     mat_neg,
     poly_value,

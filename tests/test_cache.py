@@ -1,10 +1,16 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
-from tracelab.cache import CACHE_VERSION, TraceCache, cached_trace_poly
+from tracelab.cache import CACHE_VERSION, TraceCache, _decode, _encode, cached_trace_poly
 from tracelab.trace import TraceEngine, trace_poly
+from tracelab.tripoly import TriPoly
 from tracelab.words import parse
+
+from _oracles import tripoly_from_terms
+
+S, U, T = (TriPoly.var(name) for name in "sut")
 
 
 class TestTraceCache:
@@ -102,20 +108,99 @@ class TestCachedTracePoly:
         assert res.f == trace_poly(parse("xx")).f
 
     def test_zero_denominator_entry_is_a_miss(self, tmp_path):
+        # a coefficient field that is not an integer
         path = tmp_path / "c.json"
         path.write_text(
-            json.dumps({"version": CACHE_VERSION, "entries": {"xy": "1/0"}})
+            json.dumps({"version": CACHE_VERSION, "entries": {"xy": "0,1,0,1/0"}})
         )
         cache = TraceCache(path)
         assert cache.lookup(parse("xy")) is None
         res = cached_trace_poly(parse("xy"), cache=cache)
         assert res.f == trace_poly(parse("xy")).f
-        assert cache.entries["xy"] == "u"
+        assert cache.entries["xy"] == U
+        cache.save()
+        assert json.loads(path.read_text())["entries"]["xy"] == "0,1,0,1"
 
     def test_entry_failing_checks_is_a_miss(self, tmp_path):
         cache = TraceCache(tmp_path / "c.json")
-        cache.entries["xy"] = "u^2"  # u-degree 2, but xy has complexity 1
+        cache.entries["xy"] = "0,2,0,1"  # u^2: u-degree 2, but xy has complexity 1
         res = cached_trace_poly(parse("xy"), cache=cache)
         assert res.f == trace_poly(parse("xy")).f
         assert res.u_degree == 1
         assert cache.lookup(parse("xy")) == res.f
+
+    def test_request_path_does_not_render(self, tmp_path, monkeypatch):
+        def no_render(self):
+            raise AssertionError("the cache rendered a polynomial")
+
+        monkeypatch.setattr(TriPoly, "render", no_render)
+        cache = TraceCache(tmp_path / "c.json")
+        w = parse("xxyXYYxyXy")
+        cold = cached_trace_poly(w, cache=cache, engine=TraceEngine())
+        warm = cached_trace_poly(w, cache=cache, engine=TraceEngine())
+        assert cold.f == warm.f == trace_poly(w).f
+
+
+class TestFileFormat:
+    def test_version_one_file_starts_fresh_and_is_rewritten(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(
+            json.dumps({"version": "tracelab-cache-1", "entries": {"xy": "u", "xyXY": "0"}})
+        )
+        cache = TraceCache(path)
+        assert len(cache) == 0
+        assert cache.lookup(parse("xy")) is None
+        cached_trace_poly(parse("xy"), cache=cache)
+        cache.save()
+        assert json.loads(path.read_text()) == {
+            "version": "tracelab-cache-2",
+            "entries": {"xy": "0,1,0,1"},
+        }
+
+    @pytest.mark.parametrize(
+        "entry",
+        [7, None, ["0,1,0,1"], "0,1,0,1.0", "0,1,0,one", "0,1,1", "0,1,0,1,0", "0,32768,0,1", "0,-1,0,1"],
+        ids=[
+            "an-int",
+            "null",
+            "a-list",
+            "a-float-field",
+            "a-word-field",
+            "three-fields",
+            "five-fields",
+            "exponent-past-32767",
+            "a-negative-exponent",
+        ],
+    )
+    def test_malformed_entry_is_a_miss_and_overwritten(self, tmp_path, entry):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"version": CACHE_VERSION, "entries": {"xy": entry}}))
+        cache = TraceCache(path)
+        assert cache.lookup(parse("xy")) is None
+        res = cached_trace_poly(parse("xy"), cache=cache)
+        assert res.f == U
+        assert cache.lookup(parse("xy")) == U
+        cache.save()
+        assert json.loads(path.read_text())["entries"] == {"xy": "0,1,0,1"}
+
+    def test_round_trip_of_large_and_negative_coefficients(self, tmp_path):
+        path = tmp_path / "c.json"
+        big = 3**200
+        f = (U**3 * T).scale(-big) + (S * U).scale(big + 1) + T**32767 + TriPoly.const(-(10**40))
+        long_word = parse("x^60y^60")
+        g = trace_poly(long_word).f
+        assert max(abs(c) for _, c in g.terms()) > 2**64
+        cache = TraceCache(path)
+        cache.store(parse("xy"), f)
+        cache.store(long_word, g)
+        cache.save()
+        text = json.loads(path.read_text())["entries"]["xy"]
+        assert text == f"0,0,0,{-(10**40)};0,0,32767,1;0,3,1,{-big};1,1,0,{big + 1}"
+        fresh = TraceCache(path)
+        assert fresh.lookup(parse("xy")) == f
+        assert fresh.lookup(long_word) == g
+
+    @given(st.dictionaries(st.tuples(*[st.integers(0, 40)] * 3), st.integers(1, 2**70), min_size=1, max_size=8))
+    def test_encoding_round_trips(self, terms):
+        f = tripoly_from_terms(terms)
+        assert _decode(_encode(f)) == f

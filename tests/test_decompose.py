@@ -21,8 +21,8 @@ from tracelab.decompose import (
 )
 from tracelab.trace import trace_poly
 from tracelab.tripoly import TriPoly
-from tracelab.unipoly import UniPoly, dickson, dickson_apply
-from tracelab.words import DegenerateWordError, Word, enumerate_words, parse
+from tracelab.unipoly import UniPoly, dickson_apply
+from tracelab.words import DegenerateWordError, enumerate_words, parse
 
 from _oracles import match_inner_full_power, recompose, tripoly_from_terms
 

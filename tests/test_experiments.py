@@ -14,7 +14,7 @@ from tracelab.experiments import (
     measure_preserving_report,
     verify_theorem_p_equi,
 )
-from tracelab.words import parse, proper_power_root
+from tracelab.words import parse
 
 from _oracles import canonical_strings, string_is_proper_power
 

@@ -1,5 +1,6 @@
 import ast
 import inspect
+from pathlib import Path
 
 import tracelab
 
@@ -30,3 +31,27 @@ def test_engine_is_set_on_exactly_the_trace_entry_points():
         "classify_global",
         "cached_trace_poly",
     }
+
+
+def _unread_imports(path: Path) -> set:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound - read
+
+
+def test_every_imported_name_is_read():
+    root = Path(__file__).resolve().parent.parent
+    modules = sorted((root / "src" / "tracelab").glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    unread = {
+        f"{path.relative_to(root)}: {name}"
+        for path in modules
+        if path.name != "__init__.py"
+        for name in _unread_imports(path)
+    }
+    assert unread == set()

@@ -20,17 +20,17 @@ ORBIT_QS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 81, 125, 128]
 # one polynomial for each case of the sign rules on the monomials s^i u^j t^k
 RULE_CASES = {
     # i + j and j + k both odd on every monomial
-    "both-odd": "u^3 + s*t + s^2*u - 2*u*t^2 + 5*u",
-    "both-odd-word": trace_poly(parse("xyXYxy")).f.render(),
-    "both-even-word": trace_poly(parse(REMARK)).f.render(),
-    "i+j-only": "s + u*t^2 + 3*u^3*t + s^2*u",
-    "j+k-only": "u^3 + s*t + s*u^2*t + t^3",
+    "both-odd": U**3 + S * T + S**2 * U - (U * T**2).scale(2) + U.scale(5),
+    "both-odd-word": trace_poly(parse("xyXYxy")).f,
+    "both-even-word": trace_poly(parse(REMARK)).f,
+    "i+j-only": S + U * T**2 + (U**3 * T).scale(3) + S**2 * U,
+    "j+k-only": U**3 + S * T + S * U**2 * T + T**3,
     # f(-s, -u, t) = -f and f(s, -u, -t) = f
-    "odd-even": "s + u*t",
-    "neither": "s + t + u*t",
-    "neither-square": "s^2 + u",
-    "neither-cubic": "s^2 + u^2*t + u",
-    "constant": "3",
+    "odd-even": S + U * T,
+    "neither": S + T + U * T,
+    "neither-square": S**2 + U,
+    "neither-cubic": S**2 + U**2 * T + U,
+    "constant": TriPoly.const(3, None),
 }
 
 
@@ -79,7 +79,7 @@ class TestOrbitCounts:
     @pytest.mark.parametrize("case", RULE_CASES)
     def test_matches_full_cube(self, case, q):
         p = _factor_prime_power(q)[0]
-        _assert_matches_references(TriPoly.parse(RULE_CASES[case]).reduce_mod(p), q)
+        _assert_matches_references(RULE_CASES[case].reduce_mod(p), q)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -116,7 +116,7 @@ class TestPointsVisited:
         assert self._visited(monkeypatch, f, q) <= q**3 / share
 
     def test_no_symmetry_visits_the_whole_cube(self, monkeypatch):
-        f = TriPoly.parse(RULE_CASES["neither"])
+        f = RULE_CASES["neither"]
         assert self._visited(monkeypatch, f, 101) == 101**3
 
 

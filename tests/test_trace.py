@@ -12,7 +12,7 @@ from tracelab import trace
 from tracelab.gf import field
 from tracelab.trace import TraceEngine, syllable_polys, trace_poly
 from tracelab.tripoly import TriPoly
-from tracelab.unipoly import chebyshev_v, dickson, dickson_apply
+from tracelab.unipoly import chebyshev_v, dickson_apply
 from tracelab.words import X, Word, enumerate_words, parse, sample_words, stats
 
 from _oracles import (
@@ -24,7 +24,6 @@ from _oracles import (
     eval_trace_direct,
     fricke_trace,
     lau_add,
-    lau_from_unipoly,
     lau_mul,
     lau_pow,
     lau_scale,
