@@ -3,9 +3,9 @@
 In memory the cache maps canonical word text to the ``TriPoly`` f_w, so a
 request neither renders nor parses text.  On disk each entry is one
 string of integer terms ``i,j,k,c;...``: the exponents of s, u and t and
-the coefficient, in sorted order.  A loaded entry is decoded on its first
-lookup; one that does not decode, or that fails trace_poly's checks, is a
-miss and is overwritten.  A version-stamped header invalidates files of
+the coefficient, in sorted order.  Entries are decoded when the file is
+loaded; one that does not decode is dropped, so it is a miss, and one
+that fails trace_poly's checks is a miss too; either is overwritten.  A version-stamped header invalidates files of
 another version, which start fresh.  An existing file that is not a cache
 of any version (unparsable, or with no version stamp) is refused rather
 than overwritten.  The default location comes from the TRACELAB_CACHE
@@ -19,7 +19,7 @@ import os
 import tempfile
 from typing import Optional
 
-from .trace import _DEFAULT_ENGINE, TraceEngine, TraceResult, _trace_result, trace_poly
+from .trace import TraceEngine, TraceResult, _engine, _trace_result, trace_poly
 from .tripoly import TriPoly, _pack
 from .words import Word, canonicalize
 
@@ -58,7 +58,7 @@ class TraceCache:
         if path is None:
             path = os.environ.get("TRACELAB_CACHE") or None
         self.path = path
-        self.entries: dict[str, object] = {}  # a TriPoly, or a loaded entry not yet decoded
+        self.entries: dict[str, TriPoly] = {}
         self.dirty = False
         if self.path and os.path.exists(self.path):
             self._load()
@@ -78,17 +78,13 @@ class TraceCache:
             return  # a cache of another version: start fresh
         entries = data.get("entries", {})
         if isinstance(entries, dict):
-            self.entries = entries
+            for key, text in entries.items():
+                f = _decode(text)
+                if f is not None:
+                    self.entries[key] = f
 
     def lookup(self, w: Word) -> Optional[TriPoly]:
-        key = _canonical_key(w)
-        f = self.entries.get(key)
-        if f is None or type(f) is TriPoly:
-            return f
-        f = _decode(f)
-        if f is not None:
-            self.entries[key] = f
-        return f
+        return self.entries.get(_canonical_key(w))
 
     def store(self, w: Word, f: TriPoly) -> None:
         key = _canonical_key(w)
@@ -108,9 +104,7 @@ class TraceCache:
                 fh.write(f'{{"version": "{CACHE_VERSION}", "entries": {{')
                 sep = "\n"
                 for key in sorted(self.entries):
-                    f = self.entries[key]
-                    text = _encode(f) if type(f) is TriPoly else f
-                    fh.write(f"{sep}{json.dumps(key)}: {json.dumps(text)}")
+                    fh.write(f"{sep}{json.dumps(key)}: {json.dumps(_encode(self.entries[key]))}")
                     sep = ",\n"
                 fh.write("\n}}\n")
             os.replace(tmp, self.path)
@@ -133,11 +127,13 @@ def cached_trace_poly(
     Hits pass trace_poly's checks; an entry that fails them is treated as a
     miss and overwritten, like one that does not decode.  A hit is also put
     into the memo of the engine that a miss would trace on (the given one,
-    or trace_poly's default), so later work on that engine (such as
-    classify_global) reads f instead of recomputing it.  A differential
-    test asserts hits never change any output versus cold runs.
+    or trace_poly's shared default), so later work on that engine (such as
+    classify_global) reads f instead of recomputing it.  With no engine
+    given, a hit thus reaches every later default-engine call in the
+    process.  A differential test asserts hits never change any output
+    versus cold runs.
     """
-    eng = engine if engine is not None else _DEFAULT_ENGINE
+    eng = _engine(engine)
     f = cache.lookup(w)
     if f is not None:
         result = _trace_result(w, f)

@@ -292,6 +292,11 @@ class TraceEngine:
 _DEFAULT_ENGINE = TraceEngine()
 
 
+def _engine(engine: Optional[TraceEngine]) -> TraceEngine:
+    """engine, or the shared default engine as it is bound when called."""
+    return engine if engine is not None else _DEFAULT_ENGINE
+
+
 @dataclass(frozen=True)
 class TraceResult:
     """f_w together with its u-direction structure."""
@@ -326,8 +331,7 @@ def trace_poly(w: Word, engine: Optional[TraceEngine] = None) -> TraceResult:
 
     ValueError for a word past the engine's size or work bound.
     """
-    eng = engine if engine is not None else _DEFAULT_ENGINE
-    f = eng.trace_word(w)
+    f = _engine(engine).trace_word(w)
     result = _trace_result(w, f)
     if result is None:
         raise RuntimeError(f"u-degree {f.deg('u')} != complexity of {w}")

@@ -123,7 +123,7 @@ class TestCachedTracePoly:
 
     def test_entry_failing_checks_is_a_miss(self, tmp_path):
         cache = TraceCache(tmp_path / "c.json")
-        cache.entries["xy"] = "0,2,0,1"  # u^2: u-degree 2, but xy has complexity 1
+        cache.entries["xy"] = U**2  # u-degree 2, but xy has complexity 1
         res = cached_trace_poly(parse("xy"), cache=cache)
         assert res.f == trace_poly(parse("xy")).f
         assert res.u_degree == 1

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from tracelab import trace
 from tracelab.cli import main
 from tracelab.experiments import genericity_csv, genericity_scan
 from tracelab.trace import TraceEngine, trace_poly
@@ -327,6 +328,23 @@ class TestCacheFlag:
     def test_warm_classify_reads_the_cache(self, tmp_path, monkeypatch):
         path = str(tmp_path / "cache.json")
         cold = run("classify", "xyXYxY", "--json", "--cache", path)
+        steps = []
+        product = TraceEngine._product
+
+        def counted(engine, blocks):
+            steps.append(blocks)
+            return product(engine, blocks)
+
+        monkeypatch.setattr(TraceEngine, "_product", counted)
+        warm = run("classify", "xyXYxY", "--json", "--cache", path)
+        assert steps == []
+        assert warm == cold
+
+    def test_warm_classify_on_a_fresh_engine_reads_the_cache(self, tmp_path, monkeypatch):
+        # a fresh default engine, as in a new process: only the cache can supply f_w
+        path = str(tmp_path / "cache.json")
+        cold = run("classify", "xyXYxY", "--json", "--cache", path)
+        monkeypatch.setattr(trace, "_DEFAULT_ENGINE", TraceEngine())
         steps = []
         product = TraceEngine._product
 
