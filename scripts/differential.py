@@ -51,7 +51,13 @@ Sections, each hashed separately:
 - fibers-orbits: SL and PSL CSVs, epsilon JSON and ``ImageReport`` for
   xyXY, xxy, xyy and xyxy, whose exponent sums take each pair of
   parities, at q in {121, 125, 127, 128}, where fiber reports are read off
-  sign and Frobenius orbit representatives.
+  sign and Frobenius orbit representatives;
+- classify-memo: ``classify_global``, ``classify_rational``, ``classify_p``
+  for every p <= 13 and ``power_word_report`` on every rotation of the
+  letters of 40 words and of their inverses, all on one engine (swapped
+  in as the default for the section), with a ``cached_trace_poly`` call
+  between them; the words are powers, squares of words with exponent sums
+  (0, 0), and words with p | r for every p <= 13.
 """
 
 from __future__ import annotations
@@ -80,6 +86,21 @@ LONG_FIBER_WORDS = (
     "x^1000000y^-999999",
 )
 LONG_FIBER_QS = (7, 16, 27)
+MEMO_WORDS = (
+    # proper powers
+    "xyxy", "xyxyxy", "xy" * 5, "xy" * 7, "xy" * 11, "xy" * 13, "xxyxxy", "xyyxyy",
+    "xYxYxY", "xxYxxYxxYxxY", "x^2y^2x^2y^2", "xxyXYxxyXY", "xyxYxyxY", "x^3y^-2x^3y^-2",
+    # squares of words with exponent sums (0, 0)
+    "xyXYxyXY", "xxyXXYxxyXXY", "xyyXYYxyyXYY", "xyyxYXXYxyyxYXXY",
+    "x^2yx^-1y^-2x^-1yx^2yx^-1y^-2x^-1y",
+    # aperiodic, with r = 2, 3, 4, 5, 6, 7, 10, 11 and 13 syllables
+    "xyxY", "xxyyxxYY", "x^3yx^-1y^3", "xyxyxY", "x^2y^2x^2y^2x^2y^4", "xyXYxY",
+    "xyxyxyxY", "xyxyxyxyxY", "x^2yxyxyxyx^-1y^2", "xyxYxyXYxy^2x^2y",
+    "xyxyxyxyxyxY", "xyxyxyxyxyxyxY", "xy" * 9 + "xY", "xy" * 10 + "xY",
+    "xy" * 12 + "xY", "xyXYxyXyxYXyxyXYxyXYxyXYxY",
+    # one syllable, and family words x^a y^b x^c y^d
+    "xy", "x^3y^2", "x^2yx^2Y", "x^3y^-3x^-3y^3", "x^2y^3x^-2y^3",
+)
 ORBIT_FIBER_WORDS = ("xyXY", "xxy", "xyy", "xyxy")
 ORBIT_FIBER_QS = (121, 125, 127, 128)
 DECOMPOSE_PRIMES = (None, 3, 5, 7, 11, 13)
@@ -286,6 +307,35 @@ def _level_counts(tl, inputs):
         yield q, f.render(), tl.level_set_counts(fp, q).tolist()
 
 
+def _rotations(tl, w):
+    """Every rotation of w's letters and of its inverse's letters."""
+    letters = [(g, 1 if e > 0 else -1) for g, e in w.blocks for _ in range(abs(e))]
+    for seq in (letters, [(g, -e) for g, e in reversed(letters)]):
+        for i in range(len(seq)):
+            yield tl.Word.from_blocks(seq[i:] + seq[:i])
+
+
+def _classify_memo(tl):
+    from tracelab import cli
+
+    saved = tl.trace._DEFAULT_ENGINE
+    engine = tl.trace._DEFAULT_ENGINE = tl.TraceEngine()
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = tl.TraceCache(os.path.join(tmp, "cache.json"))
+            for text in MEMO_WORDS:
+                for w in _rotations(tl, tl.parse(text)):
+                    yield json.dumps(cli._global_dict(tl.classify_global(w, 13)), sort_keys=True)
+                    hit = tl.cached_trace_poly(w, cache=cache, engine=engine)
+                    yield hit.word, hit.f.render()
+                    yield repr(tl.classify_rational(w, engine=engine))
+                    for p in (2, 3, 5, 7, 11, 13):
+                        yield repr(tl.classify_p(w, p))
+                    yield repr(tl.power_word_report(w))
+    finally:
+        tl.trace._DEFAULT_ENGINE = saved
+
+
 def sections(tl, inputs):
     """(name, lines) for every section, in a fixed order."""
     for seed in SEEDS:
@@ -309,6 +359,7 @@ def sections(tl, inputs):
     yield "cli", _cli()
     yield "level-counts", _level_counts(tl, inputs)
     yield "fibers-orbits", _fibers_orbits(tl)
+    yield "classify-memo", _classify_memo(tl)
 
 
 def main(argv=None) -> int:

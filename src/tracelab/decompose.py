@@ -19,17 +19,28 @@ polynomial D_d with d dividing every nonzero member of {A, B}.  The
 general tame case is decided by decompose_in_u; the wild part of the
 characteristic is handled entirely by Frobenius stripping, and exotic
 wild outers beyond that are out of scope.
+
+Each verdict is a function of f_w, r = deg_u f_w, whether (A, B) = (0, 0)
+and gcd(|A|, |B|), all invariant under rotation and inversion of the word.
+So every verdict is searched for once per word: it is kept in the row of
+the word's entry in the trace engine's memo (``trace._WordEntry``), which
+``classify_global``, ``classify_rational``, ``classify_p`` and
+``power_word_report`` read and fill, and which is evicted with f_w.  For
+(A, B) != (0, 0), a prime that does not divide r and leaves no Dickson
+candidate is read as NoncompositeP without reducing f_w
+(``_prime_verdict``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from .gf import is_prime, primes_in
 from .tripoly import TriPoly, _div, _norm_coeff, _nth_roots, frobenius_strip
-from .trace import TraceEngine, trace_poly
+from .trace import TraceEngine, _WordEntry, _word_entry, trace_poly
 from .unipoly import UniPoly, _recurrence, dickson, dickson_apply
 from .words import (
     DegenerateWordError,
@@ -293,26 +304,67 @@ def _find_witness(
 
 def _word_poly(
     w: Word, engine: Optional[TraceEngine] = None
-) -> Tuple[Word, int, int, TriPoly]:
-    """Canonical form, exponent sums A, B and f_w of a classifiable word."""
+) -> Tuple[Word, int, int, _WordEntry]:
+    """Canonical form, exponent sums A, B and memo entry (f_w, verdicts) of a classifiable word."""
     canon, rec = canonicalize(w)
     if rec.degenerate:
         raise DegenerateWordError(f"classification needs complexity >= 1: {w!r}")
     st = stats(canon)
-    return canon, st.A, st.B, trace_poly(canon, engine=engine).f
+    return canon, st.A, st.B, _word_entry(canon, engine)
+
+
+_MISSING = object()
+
+
+def _verdict(entry: _WordEntry, A: int, B: int, p: Optional[int]):
+    """The PrimeVerdict at p, or the rational witness for p None, from the entry's row.
+
+    A verdict not in the row yet is searched for and kept there.
+    """
+    found = entry.verdicts.get(p, _MISSING)
+    if found is _MISSING:
+        if p is None:
+            found = _find_witness(entry.f, A, B, None)
+        else:
+            found = _prime_verdict(entry.f, A, B, p)
+        entry.verdicts[p] = found
+    return found
 
 
 def _rational_class(witness: Optional[CompositionWitness]) -> str:
     return NONCOMPOSITE_Q if witness is None else COMPOSITE_Q
 
 
+@lru_cache(maxsize=None)
+def _noncomposite(p: int) -> PrimeVerdict:
+    """The NoncompositeP verdict with k = 0 at p, one object shared by every row.
+
+    The cache holds one verdict per prime ever asked, no more than one
+    classify_global up to the largest p_max asked returns.
+    """
+    return PrimeVerdict(p=p, verdict=NONCOMPOSITE_P, witness=None, frobenius_k=0)
+
+
 def _prime_verdict(f: TriPoly, A: int, B: int, p: int) -> PrimeVerdict:
-    """Verdict for the rational f_w at one prime: strip Frobenius layers, test the core."""
+    """Verdict for the rational f_w at one prime: strip Frobenius layers, test the core.
+
+    When p does not divide r = deg_u f, (A, B) != (0, 0) and no Dickson
+    index is a candidate at p, the verdict is NoncompositeP with k = 0, and
+    f is not reduced.  For f = sum_k u^k G_k, the leading coefficient
+    G_r = prod_i g_{a_i,b_i} has leading coefficient +-1, so u^r survives mod
+    p, and since p does not divide r the exponents' gcd is prime to p:
+    frobenius_strip returns k = 0 and core = f mod p.  With (A, B) !=
+    (0, 0) _find_witness tries the Dickson candidates alone, and there are
+    none, so it returns None.
+    """
+    r = f.deg("u")
+    if r % p and (A, B) != (0, 0) and not _dickson_candidates(A, B, r, p):
+        return _noncomposite(p)
     core, k = frobenius_strip(f.reduce_mod(p))
     witness = _find_witness(core, A, B, p)
     if witness is None:
         if k == 0:
-            return PrimeVerdict(p=p, verdict=NONCOMPOSITE_P, witness=None, frobenius_k=0)
+            return _noncomposite(p)
         frob = UniPoly([0] * (p**k) + [1], p)  # z^(p^k), a permutation of every F_{p^n}
         witness = CompositionWitness(outer=frob, inner=core, p=p, dickson_index=p**k)
         return PrimeVerdict(p=p, verdict=SPECIAL_P, witness=witness, frobenius_k=k)
@@ -335,16 +387,16 @@ def classify_p(w: Word, p: int) -> PrimeVerdict:
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    _, A, B, f = _word_poly(w)
-    return _prime_verdict(f, A, B, p)
+    _, A, B, entry = _word_poly(w)
+    return _verdict(entry, A, B, p)
 
 
 def classify_rational(
     w: Word, engine: Optional[TraceEngine] = None
 ) -> Tuple[str, Optional[CompositionWitness]]:
     """Compositeness of f_w over the rationals."""
-    _, A, B, f = _word_poly(w, engine)
-    witness = _find_witness(f, A, B, None)
+    _, A, B, entry = _word_poly(w, engine)
+    witness = _verdict(entry, A, B, None)
     return _rational_class(witness), witness
 
 
@@ -365,9 +417,9 @@ def classify_global(
     Raises ValueError when p_max < 2, which leaves no prime to certify.
     """
     check_p_max(p_max)
-    w, A, B, f = _word_poly(w, engine)
-    rational_witness = _find_witness(f, A, B, None)
-    per_prime = tuple(_prime_verdict(f, A, B, p) for p in primes_in(2, p_max))
+    w, A, B, entry = _word_poly(w, engine)
+    rational_witness = _verdict(entry, A, B, None)
+    per_prime = tuple(_verdict(entry, A, B, p) for p in primes_in(2, p_max))
     bad = next((v.p for v in per_prime if v.verdict == COMPOSITE_NOT_SPECIAL), None)
     if bad is not None:
         conclusion = "NotEquidistributed"
@@ -395,9 +447,9 @@ def power_word_report(w: Word) -> PowerWordReport:
     flagged rather than raised, since it would contradict the classified
     dichotomy in the tested regime.
     """
-    w, A, B, f = _word_poly(w)
+    w, A, B, entry = _word_poly(w)
     root, k = proper_power_root(w)
-    witness = _find_witness(f, A, B, None)
+    witness = _verdict(entry, A, B, None)
     d = witness.dickson_index if witness is not None else None
     if k == 1:
         consistent = witness is None

@@ -23,7 +23,10 @@ product and in the block's exponent.
 Two bounded memos sit in front of the product.  Whole words are keyed on
 a normal form invariant under cyclic rotation and inversion, both of
 which preserve the trace, and a proper power v^k, cut at its least period
-as in ``proper_power_root``, is traced as D_k(f_v).  The product of a
+as in ``proper_power_root``, is traced as D_k(f_v).  Each word entry
+holds f_w and a row of the verdicts ``decompose`` reads off it (the
+rational witness and one verdict per prime asked), which are invariant
+under the same moves; the row is evicted with f_w.  The product of a
 key's blocks but its last is kept too, so words that differ only in
 their last block share the work before it.  A word whose a-priori size
 or work bound is past ``MAX_TRACE_SIZE`` or ``MAX_TRACE_WORK`` is refused
@@ -222,16 +225,34 @@ class _LRU(OrderedDict):
             self.popitem(last=False)
 
 
+class _WordEntry:
+    """A word memo entry: f_w and the row of verdicts read off it.
+
+    ``verdicts`` maps a prime p, or None for the rationals, to what
+    ``decompose`` decided there, and its readers fill it.  Every value is a
+    function of the entry's key, as f_w is, so a thread that finds a value
+    missing and stores its own stores an equal one.
+    """
+
+    __slots__ = ("f", "verdicts")
+
+    def __init__(self, f: TriPoly):
+        self.f = f
+        self.verdicts: dict = {}
+
+
 class TraceEngine:
     """The 4-basis product behind two bounded memos, on ``words``' block rules.
 
     A word is cyclically reduced, and one past ``MAX_TRACE_SIZE`` or
     ``MAX_TRACE_WORK`` is refused with ValueError before any work.  Whole
     words are memoized on the least rotation of the blocks or of their
-    inverse, and ``_product`` keeps the product of each key but its last
-    block.  Both memos are LRU maps of ``_MEMO_BOUND`` entries.  They may be shared between threads:
-    the lock guards them, and since every entry is a pure function of its
-    key, racing recomputation is harmless.
+    inverse, each entry with its row of verdicts (``_WordEntry``), and
+    ``_product`` keeps the product of each key but its last block.  Both
+    memos are LRU maps of ``_MEMO_BOUND`` entries.  They may be shared
+    between threads: the lock guards them, an entry once kept is never
+    replaced, and since every entry is a pure function of its key, racing
+    recomputation is harmless.
     """
 
     def __init__(self):
@@ -241,32 +262,51 @@ class TraceEngine:
 
     def trace_word(self, w: Word) -> TriPoly:
         core = _cyclic_reduce(w.blocks)[0]
+        return self._entry(core).f if core else _TWO
+
+    def entry(self, w: Word) -> _WordEntry:
+        """The memo entry of a word whose cyclic reduction is not empty."""
+        core = _cyclic_reduce(w.blocks)[0]
         if not core:
-            return _TWO
+            raise ValueError(f"{w!r} reduces cyclically to the empty word")
+        return self._entry(core)
+
+    def _entry(self, core: Tuple[Block, ...]) -> _WordEntry:
         if len(core) > 64:
             _check_bounds(core, work=False)  # before a key quadratic in the blocks
         return self._trace(_canonical_cyclic(core))
 
-    def _trace(self, key: Tuple[Block, ...]) -> TriPoly:
-        """f_w for a key of ``_canonical_cyclic``; a proper power's root is one too."""
+    def _trace(self, key: Tuple[Block, ...]) -> _WordEntry:
+        """The entry of a key of ``_canonical_cyclic``; a proper power's root is one too."""
         with self._lock:
-            f = self._words.recall(key)
-        if f is None:
-            _check_bounds(key)
-            m = _period(key)
-            if m < len(key):
-                f = dickson_apply(len(key) // m, self._trace(key[:m]))
-            else:
-                f = _trace_of(self._product(key))
-            with self._lock:
-                self._words.keep(key, f)
-        return f
+            entry = self._words.recall(key)
+        if entry is not None:
+            return entry
+        _check_bounds(key)
+        m = _period(key)
+        if m < len(key):
+            f = dickson_apply(len(key) // m, self._trace(key[:m]).f)
+        else:
+            f = _trace_of(self._product(key))
+        return self._keep(key, f)
+
+    def _keep(self, key: Tuple[Block, ...], f: TriPoly) -> _WordEntry:
+        """The kept entry of key, or a new one for f if none is kept."""
+        with self._lock:
+            entry = self._words.recall(key)
+            if entry is None:
+                entry = _WordEntry(f)
+                self._words.keep(key, entry)
+        return entry
 
     def remember(self, result: TraceResult) -> None:
-        """Memoize a result that passed trace_poly's checks; its word is canonical."""
+        """Memoize a result that passed trace_poly's checks; its word is canonical.
+
+        An entry already kept for the word stays, with its verdicts: its f
+        is equal.
+        """
         if len(result.word.blocks) >= 2:
-            with self._lock:
-                self._words.keep(_canonical_cyclic(result.word.blocks), result.f)
+            self._keep(_canonical_cyclic(result.word.blocks), result.f)
 
     def _product(self, blocks: Tuple[Block, ...]):
         """The word's a + bX + cY + dXY, from the longest remembered prefix on.
@@ -326,16 +366,29 @@ def _trace_result(w: Word, f: TriPoly) -> Optional[TraceResult]:
     return TraceResult(word=canon, f=f, u_degree=u_degree)
 
 
+def _checked(w: Word, f: TriPoly) -> TraceResult:
+    result = _trace_result(w, f)
+    if result is None:
+        raise RuntimeError(f"u-degree {f.deg('u')} != complexity of {w}")
+    return result
+
+
 def trace_poly(w: Word, engine: Optional[TraceEngine] = None) -> TraceResult:
     """Exact trace polynomial of any word, including degenerate ones.
 
     ValueError for a word past the engine's size or work bound.
     """
-    f = _engine(engine).trace_word(w)
-    result = _trace_result(w, f)
-    if result is None:
-        raise RuntimeError(f"u-degree {f.deg('u')} != complexity of {w}")
-    return result
+    return _checked(w, _engine(engine).trace_word(w))
+
+
+def _word_entry(w: Word, engine: Optional[TraceEngine] = None) -> _WordEntry:
+    """The engine's memo entry of a word that does not reduce cyclically to the empty word.
+
+    Its f passes trace_poly's check on every call, as trace_poly's does.
+    """
+    entry = _engine(engine).entry(w)
+    _checked(w, entry.f)
+    return entry
 
 
 def syllable_polys(a: int, b: int) -> SyllablePair:

@@ -197,8 +197,9 @@ class TestFileFormat:
         text = json.loads(path.read_text())["entries"]["xy"]
         assert text == f"0,0,0,{-(10**40)};0,0,32767,1;0,3,1,{-big};1,1,0,{big + 1}"
         fresh = TraceCache(path)
-        assert fresh.lookup(parse("xy")) == f
+        assert fresh.entries["xy"] == f
         assert fresh.lookup(long_word) == g
+        assert fresh.lookup(parse("xy")) is None  # f is not xy's trace: its first hit is refused
 
     @given(st.dictionaries(st.tuples(*[st.integers(0, 40)] * 3), st.integers(1, 2**70), min_size=1, max_size=8))
     def test_encoding_round_trips(self, terms):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from tracelab import trace
+from tracelab.cache import CACHE_VERSION
 from tracelab.cli import main
 from tracelab.experiments import genericity_csv, genericity_scan
 from tracelab.trace import TraceEngine, trace_poly
@@ -356,6 +357,20 @@ class TestCacheFlag:
         warm = run("classify", "xyXYxY", "--json", "--cache", path)
         assert steps == []
         assert warm == cold
+
+    @pytest.mark.parametrize("command", ["trace", "classify"])
+    def test_wrong_entry_in_the_file_is_a_miss_and_overwritten(self, tmp_path, monkeypatch, command):
+        # 2*u under xy, whose f is u: its u-degree is right, its value at a point is not
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({"version": CACHE_VERSION, "entries": {"xy": "0,1,0,2"}}))
+        monkeypatch.setattr(trace, "_DEFAULT_ENGINE", TraceEngine())
+        code, out = run(command, "xy", "--cache", str(path))
+        assert code == 0
+        if command == "trace":
+            assert out.splitlines()[-1] == "f: u"
+        else:
+            assert "Equidistributed-certified-to-13" in out
+        assert json.loads(path.read_text())["entries"] == {"xy": "0,1,0,1"}
 
     def test_commands_that_ignore_the_cache_reject_the_flag(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -1,9 +1,13 @@
+import sys
+import threading
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tracelab import decompose, trace
+from tracelab.cache import TraceCache, cached_trace_poly
 from tracelab.decompose import (
     COMPOSITE_NOT_SPECIAL,
     COMPOSITE_Q,
@@ -11,7 +15,9 @@ from tracelab.decompose import (
     NONCOMPOSITE_Q,
     SPECIAL_P,
     WildCompositionError,
+    _find_witness,
     _match_inner,
+    _prime_verdict,
     classify_global,
     classify_p,
     classify_rational,
@@ -19,10 +25,10 @@ from tracelab.decompose import (
     dickson_decompose,
     power_word_report,
 )
-from tracelab.trace import trace_poly
-from tracelab.tripoly import TriPoly
+from tracelab.trace import TraceEngine, trace_poly
+from tracelab.tripoly import TriPoly, frobenius_strip
 from tracelab.unipoly import UniPoly, dickson_apply
-from tracelab.words import DegenerateWordError, enumerate_words, parse
+from tracelab.words import DegenerateWordError, Word, enumerate_words, parse, sample_words, stats
 
 from _oracles import match_inner_full_power, recompose, tripoly_from_terms
 
@@ -363,3 +369,164 @@ class TestPowerWordReport:
         rep = power_word_report(v**k)
         assert rep.consistent
         assert rep.multiplicity % k == 0
+
+
+def _variants(w):
+    """Every rotation of w's letters and of its inverse's letters."""
+    letters = [(g, 1 if e > 0 else -1) for g, e in w.blocks for _ in range(abs(e))]
+    for seq in (letters, [(g, -e) for g, e in reversed(letters)]):
+        for i in range(len(seq)):
+            yield Word.from_blocks(seq[i:] + seq[:i])
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The primes (None for the rationals) of every witness search, in order."""
+    calls = []
+
+    def counted(f, A, B, p):
+        calls.append(p)
+        return _find_witness(f, A, B, p)
+
+    monkeypatch.setattr(decompose, "_find_witness", counted)
+    return calls
+
+
+MEMO_WORDS = ["xyxy", "xyXY", "xyxyxy", "xxyXYYxyXy", "x^2yx^-1y^3", "xyXYxyXY"]
+
+
+class TestVerdictMemo:
+    @pytest.mark.parametrize("text", MEMO_WORDS)
+    def test_rotations_and_inverse_search_nothing_again(self, text, searches):
+        eng = TraceEngine()
+        w = parse(text)
+        first = classify_global(w, 13, engine=eng)
+        assert None in searches
+        searches.clear()
+        for v in _variants(w):
+            again = classify_global(v, 13, engine=eng)
+            assert (again.rational_witness, again.per_prime) == (first.rational_witness, first.per_prime)
+            assert again.conclusion == first.conclusion
+        assert searches == []
+
+    @pytest.mark.parametrize("text", MEMO_WORDS)
+    def test_every_reader_shares_the_row(self, text, searches, monkeypatch):
+        # classify_p and power_word_report trace on the default engine
+        monkeypatch.setattr(trace, "_DEFAULT_ENGINE", TraceEngine())
+        w = parse(text)
+        cls, wit = classify_rational(w)
+        g = classify_global(w, 13)
+        assert searches.count(None) == 1
+        searches.clear()
+        assert classify_rational(w) == (cls, wit)
+        assert [classify_p(w, p) for p in (2, 3, 5, 7, 11, 13)] == list(g.per_prime)
+        assert power_word_report(w).consistent
+        assert searches == []
+
+    def test_cache_hit_keeps_the_row(self, tmp_path, searches):
+        eng = TraceEngine()
+        w = parse("xxyXYYxyXy")
+        f = trace_poly(w, engine=TraceEngine()).f
+        cache = TraceCache(str(tmp_path / "cache.json"))
+        cache.store(w, f)
+        first = classify_global(w, 13, engine=eng)
+        searches.clear()
+        assert cached_trace_poly(w, cache=cache, engine=eng).f == f
+        assert classify_global(w, 13, engine=eng) == first
+        assert searches == []
+
+    def test_fresh_engine_recomputes(self, searches):
+        w = parse("xxyXYYxyXy")
+        first = classify_global(w, 13, engine=TraceEngine())
+        count = len(searches)
+        assert count > 0
+        assert classify_global(w, 13, engine=TraceEngine()) == first
+        assert len(searches) == 2 * count
+
+    def test_threads_sharing_an_engine_agree_with_one_thread(self):
+        words = list(sample_words(12, 200, seed=41))
+        eng = TraceEngine()
+        single = [classify_global(w, 13, engine=TraceEngine()) for w in words]
+        results = {}
+
+        def work(i):
+            order = range(len(words)) if i % 2 else range(len(words) - 1, -1, -1)
+            results[i] = {j: classify_global(words[j], 13, engine=eng) for j in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == [0, 1, 2, 3]
+        for got in results.values():
+            assert [got[j] for j in range(len(words))] == single
+
+
+def syllable_words(max_r=4, hi=3):
+    exps = st.integers(-hi, hi).filter(bool)
+    return st.lists(st.tuples(exps, exps), min_size=1, max_size=max_r).map(Word.from_syllables)
+
+
+class TestPrimeShortcut:
+    """_prime_verdict against its unshortcut path: frobenius_strip(f mod p), then _find_witness."""
+
+    PRIMES = (2, 3, 5, 7, 11, 13)
+
+    def _check(self, w):
+        A, B = stats(w).A, stats(w).B
+        f = trace_poly(w).f
+        for p in self.PRIMES:
+            got = _prime_verdict(f, A, B, p)
+            core, k = frobenius_strip(f.reduce_mod(p))
+            wit = _find_witness(core, A, B, p)
+            assert (got.p, got.frobenius_k) == (p, k), (w, p)
+            if wit is None and k == 0:
+                assert (got.verdict, got.witness) == (NONCOMPOSITE_P, None), (w, p)
+            elif wit is None:
+                assert got.verdict == SPECIAL_P, (w, p)
+                assert (got.witness.inner, got.witness.dickson_index) == (core, p**k)
+            else:
+                assert got.verdict == COMPOSITE_NOT_SPECIAL, (w, p)
+                assert got.witness.outer == wit.outer
+                assert got.witness.inner == wit.inner ** (p**k)
+                assert got.witness.dickson_index == wit.dickson_index
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "xyxy",  # p | r at 2, with a Frobenius layer; a Dickson witness at 5
+            "xyxyxy",  # p | r at 3
+            "xyxyxyxyxy",  # a Frobenius layer at 5
+            "xyXY",  # (A, B) = (0, 0)
+            "xyXYxyXY",  # (A, B) = (0, 0), a square
+            "x^2yx^-1y^3",  # no Dickson candidate
+            "x^2y^2x^2y^2x^2y^4",  # gcd(A, B) = 2 with r = 3
+        ],
+    )
+    def test_fixed_cases(self, text):
+        self._check(parse(text))
+
+    @given(syllable_words())
+    @settings(max_examples=40)
+    def test_random_words(self, w):
+        self._check(w)
+
+    def test_shortcut_reduces_nothing_and_shares_the_verdict(self, monkeypatch):
+        # r = 2 and gcd(A, B) = 1 for both, and p = 3 does not divide r
+        v, w = parse("x^2yx^-1y^3"), parse("xxyXyy")
+        f, g = trace_poly(v).f, trace_poly(w).f
+
+        def no_reduce(self, p):
+            raise AssertionError("f was reduced")
+
+        monkeypatch.setattr(TriPoly, "reduce_mod", no_reduce)
+        got = _prime_verdict(f, stats(v).A, stats(v).B, 3)
+        assert got is _prime_verdict(g, stats(w).A, stats(w).B, 3)
+        assert (got.verdict, got.witness, got.frobenius_k) == (NONCOMPOSITE_P, None, 0)

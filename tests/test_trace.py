@@ -371,11 +371,14 @@ class TestBounds:
         assert len(words) > trace._MEMO_BOUND + 100
         for w in words.values():
             trace_poly(w, engine=eng)
+            eng.entry(w).verdicts[None] = w
         assert len(eng._words) == trace._MEMO_BOUND
         assert len(eng._prefixes) <= trace._MEMO_BOUND
-        # the least recently used went first; the last word is still there
+        # the least recently used went first, with its verdicts; the last word is still there
         first, *_, last = words
         assert first not in eng._words and last in eng._words
+        assert eng.entry(words[first]).verdicts == {}
+        assert eng.entry(words[last]).verdicts == {None: words[last]}
 
 
 class TestSpecializations:
@@ -405,6 +408,19 @@ class TestEngineBehavior:
         assert first == second
         fresh = trace_poly(w, engine=TraceEngine()).f
         assert first == fresh
+
+    def test_remember_keeps_the_entry_and_its_verdicts(self):
+        eng = TraceEngine()
+        w = parse("xxyXYxyy")
+        entry = eng.entry(w)
+        entry.verdicts[None] = "kept"
+        eng.remember(trace_poly(w, engine=TraceEngine()))
+        assert eng.entry(w) is entry and entry.verdicts == {None: "kept"}
+        # a rotation and the inverse read the same entry
+        assert eng.entry(parse("yxxyXYxy")) is entry
+        assert eng.entry(w.inverse()) is entry
+        with pytest.raises(ValueError, match="empty word"):
+            eng.entry(parse("xyYX"))
 
     def test_result_fields(self, engine):
         res = trace_poly(parse("xxyXY"), engine=engine)
