@@ -12,8 +12,8 @@ product there, or the entry is a miss and is overwritten.  Entries stored
 in this process are not checked.  A version-stamped header invalidates files of
 another version, which start fresh.  An existing file that is not a cache
 of any version (unparsable, or with no version stamp) is refused rather
-than overwritten.  The default location comes from the TRACELAB_CACHE
-environment variable.
+than overwritten.  The command line does not use the cache; the
+benchmark's classify workload does.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import os
 import tempfile
 from typing import Optional
 
-from .trace import TraceEngine, TraceResult, _engine, _trace_result, trace_poly
+from .trace import TraceEngine, TraceResult, _trace_result, trace_poly
 from .tripoly import TriPoly, _pack, _power
 from .words import Y, Word, canonicalize, parse
 
@@ -111,14 +111,12 @@ def _agrees(w: Word, f: TriPoly) -> bool:
 class TraceCache:
     """Word-text -> polynomial map with atomic JSON persistence."""
 
-    def __init__(self, path: Optional[str] = None):
-        if path is None:
-            path = os.environ.get("TRACELAB_CACHE") or None
+    def __init__(self, path: str | os.PathLike):
         self.path = path
         self.entries: dict[str, TriPoly] = {}
         self._unchecked: set[str] = set()  # keys read from the file and not yet hit
         self.dirty = False
-        if self.path and os.path.exists(self.path):
+        if os.path.exists(self.path):
             self._load()
 
     def _load(self) -> None:
@@ -162,7 +160,7 @@ class TraceCache:
 
     def save(self) -> None:
         """Write the file atomically, one entry at a time."""
-        if not self.path or not self.dirty:
+        if not self.dirty:
             return
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
@@ -194,21 +192,15 @@ def cached_trace_poly(
 
     Hits pass trace_poly's checks, and a hit read from the file passes the
     check at one point too; an entry that fails either is treated as a
-    miss and overwritten, like one that does not decode.  A hit is also put
-    into the memo of the engine that a miss would trace on (the given one,
-    or trace_poly's shared default), so later work on that engine (such as
-    classify_global) reads f instead of recomputing it.  With no engine
-    given, a hit thus reaches every later default-engine call in the
-    process.  A differential test asserts hits never change any output
-    versus cold runs.
+    miss and overwritten, like one that does not decode.  A miss is traced
+    on the given engine, or on trace_poly's shared default.  A differential
+    test asserts hits never change any output versus cold runs.
     """
-    eng = _engine(engine)
     f = cache.lookup(w)
     if f is not None:
         result = _trace_result(w, f)
         if result is not None:
-            eng.remember(result)
             return result
-    result = trace_poly(w, engine=eng)
+    result = trace_poly(w, engine=engine)
     cache.store(w, result.f)
     return result

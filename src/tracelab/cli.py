@@ -1,24 +1,24 @@
 """Command-line front end: trace, classify, fibers, epsilon, scan, verify.
 
 Exit codes: 0 success, 1 a verify suite detected an inconsistency, 2 usage
-error (bad flags, unparsable word or a cache path that cannot be written).
-All outputs are deterministic given the flags; JSON is used for verdicts and
-reports, CSV for bulk tables.
+error (bad flags or values, an unparsable word or one too large to trace), 141
+when the reader closes standard output early, as ``| head`` does.  All
+outputs are deterministic given the flags; JSON is used for verdicts and
+reports, CSV for bulk tables.  No command reads or writes a file.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
-from .cache import TraceCache, cached_trace_poly
 from .decompose import (
     CompositionWitness,
     GlobalVerdict,
     PrimeVerdict,
-    check_p_max,
     classify_global,
     dickson_decompose,
 )
@@ -48,12 +48,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_trace = sub.add_parser("trace", help="trace polynomial of a word")
     p_trace.add_argument("word")
-    p_trace.add_argument("--cache", type=str, default=None)
     p_trace.add_argument("--json", action="store_true")
 
     p_cls = sub.add_parser("classify", help="compositeness verdicts")
     p_cls.add_argument("word")
-    p_cls.add_argument("--cache", type=str, default=None)
     p_cls.add_argument("--p-max", type=int, default=13)
     p_cls.add_argument("--json", action="store_true")
 
@@ -118,10 +116,7 @@ def _global_dict(g: GlobalVerdict) -> dict:
 
 
 def cmd_trace(args, out) -> int:
-    w = parse(args.word)
-    cache = TraceCache(args.cache)
-    result = cached_trace_poly(w, cache=cache)
-    cache.save()
+    result = trace_poly(parse(args.word))
     canon = result.word
     r = canon.complexity if canon.is_canonical else 0
     a = sum(e for g, e in canon.blocks if g == GEN_X)
@@ -141,17 +136,13 @@ def cmd_trace(args, out) -> int:
 
 def cmd_classify(args, out) -> int:
     w = parse(args.word)
-    check_p_max(args.p_max)  # before tracing: a refusal does no work and writes no cache
-    cache = TraceCache(args.cache)
-    result = cached_trace_poly(w, cache=cache)
-    cache.save()
     try:
         payload = _global_dict(classify_global(w, args.p_max))
     except DegenerateWordError:
         payload = {
             "word": str(w),
             "degenerate": True,
-            "f": result.f.render(),
+            "f": trace_poly(w).f.render(),
             "note": "single-generator word; the trace map is a one-variable "
             "polynomial and equidistribution is decided by its shape",
         }
@@ -342,16 +333,19 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     args = parser.parse_args(argv)
     out = out if out is not None else sys.stdout
     try:
-        return _COMMANDS[args.command](args, out)
+        code = _COMMANDS[args.command](args, out)
+        out.flush()  # a closed pipe fails here, not in the flush at exit
+        return code
     except WordSyntaxError as exc:
         print(f"tracelab: syntax error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, DegenerateWordError) as exc:
         print(f"tracelab: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:  # the trace cache is the one file a command writes
-        print(f"tracelab: error: cannot write the cache: {exc}", file=sys.stderr)
-        return 2
+    except BrokenPipeError:  # the reader closed the output early, as `| head` does
+        if out is sys.stdout:  # what is still buffered goes nowhere at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return 141
 
 
 if __name__ == "__main__":

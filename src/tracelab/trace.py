@@ -299,19 +299,10 @@ class TraceEngine:
                 self._words.keep(key, entry)
         return entry
 
-    def remember(self, result: TraceResult) -> None:
-        """Memoize a result that passed trace_poly's checks; its word is canonical.
-
-        An entry already kept for the word stays, with its verdicts: its f
-        is equal.
-        """
-        if len(result.word.blocks) >= 2:
-            self._keep(_canonical_cyclic(result.word.blocks), result.f)
-
     def _product(self, blocks: Tuple[Block, ...]):
-        """The word's a + bX + cY + dXY, from the longest remembered prefix on.
+        """The word's a + bX + cY + dXY, from the longest kept prefix on.
 
-        Remembered prefixes are keys but their last block, of odd length.
+        Kept prefixes are keys but their last block, of odd length.
         """
         n = len(blocks)
         start, vec = 0, _ONE_VEC

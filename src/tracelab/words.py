@@ -200,11 +200,14 @@ def parse(text: str) -> Word:
             if j < n and text[j] == "-":
                 j += 1
             k = j
-            while k < n and text[k].isdigit():
+            while k < n and "0" <= text[k] <= "9":  # ASCII only: str.isdigit admits '²' and '٣'
                 k += 1
             if k == j:
                 raise WordSyntaxError(f"malformed exponent at position {i}")
-            exp = int(text[i:k])
+            try:
+                exp = int(text[i:k])
+            except ValueError:  # past the interpreter's limit on int-string digits
+                raise WordSyntaxError(f"exponent too long at position {i}") from None
             if exp == 0:
                 raise WordSyntaxError(f"zero exponent at position {i}")
             i = k

@@ -67,13 +67,15 @@ class TestTraceCache:
         cache.save()
         assert not cache.dirty
 
-    def test_env_default_path(self, tmp_path, monkeypatch):
-        target = tmp_path / "env.json"
-        monkeypatch.setenv("TRACELAB_CACHE", str(target))
-        cache = TraceCache()
+    @pytest.mark.parametrize("name", ["a-directory", "a-file/cache.json"])
+    def test_failed_save_raises_and_leaves_no_temporary_file(self, tmp_path, name):
+        (tmp_path / "a-directory").mkdir()
+        (tmp_path / "a-file").write_text("")
+        cache = TraceCache(tmp_path / name)
         cache.store(parse("xy"), trace_poly(parse("xy")).f)
-        cache.save()
-        assert target.exists()
+        with pytest.raises(OSError):
+            cache.save()
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestCachedTracePoly:
@@ -85,22 +87,6 @@ class TestCachedTracePoly:
         direct = trace_poly(w)
         assert cold.f == warm.f == direct.f
         assert warm.u_degree == direct.u_degree
-
-    def test_remembered_hit_is_not_traced_again(self, tmp_path, monkeypatch):
-        w = parse("yxxyX")  # not canonical: the key is the engine's to derive
-        cache = TraceCache(tmp_path / "c.json")
-        cache.store(w, trace_poly(w).f)
-        hit = cached_trace_poly(w, cache=cache)
-        stored, seeded = TraceEngine(), TraceEngine()
-        stored.remember(hit)
-        cached_trace_poly(w, cache=cache, engine=seeded)
-
-        def no_product(self, blocks):
-            raise AssertionError("a remembered word was traced again")
-
-        monkeypatch.setattr(TraceEngine, "_product", no_product)
-        for eng in (stored, seeded):
-            assert trace_poly(w, engine=eng).f == hit.f
 
     def test_degenerate_words_not_cached(self, tmp_path):
         cache = TraceCache(tmp_path / "c.json")
@@ -120,6 +106,16 @@ class TestCachedTracePoly:
         assert cache.entries["xy"] == U
         cache.save()
         assert json.loads(path.read_text())["entries"]["xy"] == "0,1,0,1"
+
+    def test_entry_failing_the_point_check_is_a_miss_and_overwritten(self, tmp_path):
+        # 2*u under xy, whose f is u: its u-degree is right, its value at a point is not
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"version": CACHE_VERSION, "entries": {"xy": "0,1,0,2"}}))
+        cache = TraceCache(path)
+        res = cached_trace_poly(parse("xy"), cache=cache, engine=TraceEngine())
+        assert res.f == U
+        cache.save()
+        assert json.loads(path.read_text())["entries"] == {"xy": "0,1,0,1"}
 
     def test_entry_failing_checks_is_a_miss(self, tmp_path):
         cache = TraceCache(tmp_path / "c.json")

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -9,8 +11,7 @@ from pathlib import Path
 import pytest
 
 from tracelab import trace
-from tracelab.cache import CACHE_VERSION
-from tracelab.cli import main
+from tracelab.cli import _COMMANDS, _build_parser, main
 from tracelab.experiments import genericity_csv, genericity_scan
 from tracelab.trace import TraceEngine, trace_poly
 from tracelab.words import parse
@@ -56,6 +57,13 @@ class TestTrace:
         code, _ = run("trace", "zz")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "word", ["x^\u00b2", "x^\u0663y", "x^" + "1" * 5000 + "y"], ids=["superscript", "arabic-indic", "5000-digits"]
+    )
+    def test_malformed_exponent_is_a_syntax_error(self, capsys, word):
+        assert run("trace", word) == (2, "")
+        assert capsys.readouterr().err.startswith("tracelab: syntax error: ")
+
     def test_deterministic(self):
         assert run("trace", "xxyXYxy") == run("trace", "xxyXYxy")
 
@@ -88,13 +96,11 @@ class TestClassify:
         assert blob["bad_prime"] is None
         assert all(row["class"] == "NoncompositeP" for row in blob["per_prime"])
 
-    def test_p_max_below_two_exit_two(self, tmp_path, capsys):
-        path = tmp_path / "cache.json"
-        code, out = run("classify", "xyxy", "--p-max", "1", "--cache", str(path))
+    def test_p_max_below_two_exit_two(self, capsys):
+        code, out = run("classify", "xyxy", "--p-max", "1")
         assert code == 2
         assert out == ""
         assert capsys.readouterr().err == "tracelab: error: p_max must be >= 2\n"
-        assert not path.exists()
 
     def test_degenerate_report(self):
         code, out = run("classify", "x", "--json")
@@ -272,7 +278,6 @@ class TestErrors:
 def _fresh_cli(*argv):
     """(exit code, stdout, stderr, seconds) of the command in a new interpreter."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("TRACELAB_CACHE", None)
     start = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-m", "tracelab.cli", *argv], env=env, capture_output=True, text=True
@@ -319,16 +324,17 @@ class TestWordSize:
 
 
 class TestCacheFlag:
-    def test_cold_and_warm_runs_identical(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        cold = run("trace", "xyXYxy", "--cache", path)
-        warm = run("trace", "xyXYxy", "--cache", path)
-        assert cold == warm
-        assert (tmp_path / "cache.json").exists()
+    """No command reads or writes the trace cache: ``--cache`` and TRACELAB_CACHE are gone."""
 
-    def test_warm_classify_reads_the_cache(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "cache.json")
-        cold = run("classify", "xyXYxY", "--json", "--cache", path)
+    def test_cold_and_warm_runs_identical(self, monkeypatch):
+        monkeypatch.setattr(trace, "_DEFAULT_ENGINE", TraceEngine())
+        for argv in (("trace", "xyXYxy"), ("classify", "xyXYxY", "--json")):
+            assert run(*argv) == run(*argv)
+
+    def test_warm_classify_reads_the_cache(self, monkeypatch):
+        # within one process the cache is the default engine's memo
+        monkeypatch.setattr(trace, "_DEFAULT_ENGINE", TraceEngine())
+        cold = run("classify", "xyXYxY", "--json")
         steps = []
         product = TraceEngine._product
 
@@ -337,73 +343,87 @@ class TestCacheFlag:
             return product(engine, blocks)
 
         monkeypatch.setattr(TraceEngine, "_product", counted)
-        warm = run("classify", "xyXYxY", "--json", "--cache", path)
+        warm = run("classify", "xyXYxY", "--json")
         assert steps == []
         assert warm == cold
 
-    def test_warm_classify_on_a_fresh_engine_reads_the_cache(self, tmp_path, monkeypatch):
-        # a fresh default engine, as in a new process: only the cache can supply f_w
+    def test_commands_that_ignore_the_cache_reject_the_flag(self, tmp_path, capsys):
         path = str(tmp_path / "cache.json")
-        cold = run("classify", "xyXYxY", "--json", "--cache", path)
-        monkeypatch.setattr(trace, "_DEFAULT_ENGINE", TraceEngine())
-        steps = []
-        product = TraceEngine._product
-
-        def counted(engine, blocks):
-            steps.append(blocks)
-            return product(engine, blocks)
-
-        monkeypatch.setattr(TraceEngine, "_product", counted)
-        warm = run("classify", "xyXYxY", "--json", "--cache", path)
-        assert steps == []
-        assert warm == cold
-
-    @pytest.mark.parametrize("command", ["trace", "classify"])
-    def test_wrong_entry_in_the_file_is_a_miss_and_overwritten(self, tmp_path, monkeypatch, command):
-        # 2*u under xy, whose f is u: its u-degree is right, its value at a point is not
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps({"version": CACHE_VERSION, "entries": {"xy": "0,1,0,2"}}))
-        monkeypatch.setattr(trace, "_DEFAULT_ENGINE", TraceEngine())
-        code, out = run(command, "xy", "--cache", str(path))
-        assert code == 0
-        if command == "trace":
-            assert out.splitlines()[-1] == "f: u"
-        else:
-            assert "Equidistributed-certified-to-13" in out
-        assert json.loads(path.read_text())["entries"] == {"xy": "0,1,0,1"}
-
-    def test_commands_that_ignore_the_cache_reject_the_flag(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run("fibers", "xy", "--q", "5", "--cache", str(tmp_path / "cache.json"))
-        assert exc.value.code == 2
+        for argv in (("fibers", "xy", "--q", "5"), ("epsilon", "xy", "--q", "5"), ("scan", "--n-max", "2"), ("verify",)):
+            with pytest.raises(SystemExit) as exc:
+                run(*argv, "--cache", path)
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --cache" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["trace", "classify"])
     @pytest.mark.parametrize("name", ["a-directory", "a-file/cache.json"])
     def test_unwritable_cache_path_exit_two(self, tmp_path, capsys, command, name):
         (tmp_path / "a-directory").mkdir()
         (tmp_path / "a-file").write_text("")
-        code, out = run(command, "xy", "--cache", str(tmp_path / name))
-        assert code == 2
-        assert out == ""
-        err = capsys.readouterr().err
-        assert err.startswith("tracelab: error: cannot write the cache: ")
-        assert err.count("\n") == 1
+        with pytest.raises(SystemExit) as exc:
+            run(command, "xy", "--cache", str(tmp_path / name))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cache" in capsys.readouterr().err
+        assert not list((tmp_path / "a-directory").iterdir())
         assert not list(tmp_path.rglob("*.tmp"))
 
     @pytest.mark.parametrize("command", ["trace", "classify"])
-    def test_file_that_is_not_a_cache_exit_two(self, tmp_path, capsys, command):
+    def test_file_that_is_not_a_cache_exit_two(self, tmp_path, monkeypatch, command):
         notes = tmp_path / "notes.txt"
         notes.write_text("remember the milk\n")
-        code, out = run(command, "xy", "--cache", str(notes))
-        assert code == 2
-        assert out == ""
-        err = capsys.readouterr().err
-        assert err == f"tracelab: error: {notes} exists and is not a trace cache; refusing to overwrite it\n"
+        with pytest.raises(SystemExit) as exc:
+            run(command, "xy", "--cache", str(notes))
+        assert exc.value.code == 2
+        unset = run(command, "xy")
+        monkeypatch.setenv("TRACELAB_CACHE", str(notes))
+        assert run(command, "xy") == unset
         assert notes.read_text() == "remember the milk\n"
-        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_env_variable_cache(self, tmp_path, monkeypatch):
         target = tmp_path / "env-cache.json"
+        monkeypatch.delenv("TRACELAB_CACHE", raising=False)
+        unset = [run("trace", "xyxYxy"), run("classify", "xyxYxy")]
         monkeypatch.setenv("TRACELAB_CACHE", str(target))
-        code, _ = run("trace", "xyxYxy")
-        assert code == 0
+        assert [run("trace", "xyxYxy"), run("classify", "xyxYxy")] == unset
+        assert not target.exists()
+
+
+class TestClosedOutput:
+    # x^4000y fails in a print, xy in the flush after the command
+    @pytest.mark.parametrize(
+        "argv", [("trace", "x^4000y"), ("trace", "xy"), ("classify", "xyXY", "--json")], ids=" ".join
+    )
+    def test_closed_stdout_ends_quietly(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tracelab.cli", *argv],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 141
+        assert err == ""
+
+
+def _readme_cli_lines():
+    """The argument lists of the ``tracelab`` lines in the README's CLI block."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("tracelab ")]
+
+
+class TestReadme:
+    def test_cli_block_flags_are_accepted(self):
+        lines = _readme_cli_lines()
+        assert {argv[0] for argv in lines} == set(_COMMANDS)
+        subparsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for argv in lines:
+            accepted = subparsers.choices[argv[0]]._option_string_actions
+            for token in argv:
+                if token.startswith("--"):
+                    assert token.split("=", 1)[0] in accepted, f"{token} in {argv}"
+            _build_parser().parse_args(argv)

@@ -409,14 +409,11 @@ class TestEngineBehavior:
         fresh = trace_poly(w, engine=TraceEngine()).f
         assert first == fresh
 
-    def test_remember_keeps_the_entry_and_its_verdicts(self):
+    def test_rotations_and_the_inverse_share_the_entry(self):
         eng = TraceEngine()
         w = parse("xxyXYxyy")
         entry = eng.entry(w)
-        entry.verdicts[None] = "kept"
-        eng.remember(trace_poly(w, engine=TraceEngine()))
-        assert eng.entry(w) is entry and entry.verdicts == {None: "kept"}
-        # a rotation and the inverse read the same entry
+        assert eng.entry(w) is entry
         assert eng.entry(parse("yxxyXYxy")) is entry
         assert eng.entry(w.inverse()) is entry
         with pytest.raises(ValueError, match="empty word"):

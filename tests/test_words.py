@@ -49,6 +49,14 @@ class TestParseRender:
             with pytest.raises(WordSyntaxError):
                 parse(bad)
 
+    @pytest.mark.parametrize(
+        "bad", ["x^\u00b2", "x^\u0663y", "x^-\u0663", "x^" + "1" * 5000 + "y"],
+        ids=["superscript-two", "arabic-indic-three", "negative-arabic-indic-three", "5000-digits"],
+    )
+    def test_exponent_of_non_ascii_or_too_many_digits(self, bad):
+        with pytest.raises(WordSyntaxError):
+            parse(bad)
+
     @given(syllable_words())
     def test_syllable_round_trip(self, w):
         assert Word.from_syllables(w.syllables) == w
