@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from tracelab import trace
+from tracelab.cache import CACHE_VERSION, TraceCache, cached_trace_poly
 from tracelab.cli import _COMMANDS, _build_parser, main
 from tracelab.experiments import genericity_csv, genericity_scan
 from tracelab.trace import TraceEngine, trace_poly
@@ -379,6 +380,31 @@ class TestCacheFlag:
         monkeypatch.setenv("TRACELAB_CACHE", str(notes))
         assert run(command, "xy") == unset
         assert notes.read_text() == "remember the milk\n"
+
+    @pytest.mark.parametrize("command", ["trace", "classify"])
+    def test_wrong_entry_in_the_file_is_a_miss_and_overwritten(self, tmp_path, monkeypatch, command):
+        # a cache file left by an older tracelab, holding 2*u under xy, whose f is u:
+        # the CLI never reads it and prints the true answer, and leaves the file to
+        # the library, whose one-point check makes the entry a miss that save rewrites
+        path = tmp_path / "cache.json"
+        stale = json.dumps({"version": CACHE_VERSION, "entries": {"xy": "0,1,0,2"}})
+        path.write_text(stale)
+        monkeypatch.setattr(trace, "_DEFAULT_ENGINE", TraceEngine())
+        with pytest.raises(SystemExit) as exc:
+            run(command, "xy", "--cache", str(path))
+        assert exc.value.code == 2
+        monkeypatch.setenv("TRACELAB_CACHE", str(path))
+        code, out = run(command, "xy")
+        assert code == 0
+        if command == "trace":
+            assert out.splitlines()[-1] == "f: u"
+        else:
+            assert "Equidistributed-certified-to-13" in out
+        assert path.read_text() == stale
+        cache = TraceCache(path)
+        assert cached_trace_poly(parse("xy"), cache=cache, engine=TraceEngine()).f == trace_poly(parse("xy")).f
+        cache.save()
+        assert json.loads(path.read_text())["entries"] == {"xy": "0,1,0,1"}
 
     def test_env_variable_cache(self, tmp_path, monkeypatch):
         target = tmp_path / "env-cache.json"
