@@ -57,7 +57,12 @@ Sections, each hashed separately:
   letters of 40 words and of their inverses, all on one engine (swapped
   in as the default for the section), with a ``cached_trace_poly`` call
   between them; the words are powers, squares of words with exponent sums
-  (0, 0), and words with p | r for every p <= 13.
+  (0, 0), and words with p | r for every p <= 13;
+- power-verdicts: ``classify_rational`` and ``classify_p`` for every p <= 13
+  on one engine (swapped in as the default for the section), over powers
+  v^k with k in {4, 5, 6}, cubes of roots with exponent sums (0, 0), and
+  powers whose root leaves an outer above k to try, such as
+  (x^2y^2x^2y^-2)^2, where D_4 is tried before D_2.
 """
 
 from __future__ import annotations
@@ -100,6 +105,14 @@ MEMO_WORDS = (
     "xy" * 12 + "xY", "xyXYxyXyxYXyxyXYxyXYxyXYxY",
     # one syllable, and family words x^a y^b x^c y^d
     "xy", "x^3y^2", "x^2yx^2Y", "x^3y^-3x^-3y^3", "x^2y^3x^-2y^3",
+)
+POWER_VERDICT_WORDS = (
+    # k = 4, 5 and 6
+    *(root * k for root in ("xy", "x^2y", "xY", "xyxY", "x^2y^-1") for k in (4, 5, 6)),
+    # cubes of roots with exponent sums (0, 0)
+    *(root * 3 for root in ("xyXY", "xxyXXY", "xyyXYY", "xYXy", "x^2yx^-1y^-2x^-1y")),
+    # roots that leave an outer above k: D_4 before D_2, D_6 before D_3, D_6 and D_3 before D_2
+    "x^2y^2x^2y^-2" * 2, "x^2y^2x^2y^-2" * 3, "x^2y^4x^2y^2" * 2, "x^3y^3x^3y^3x^3y^-3" * 2,
 )
 ORBIT_FIBER_WORDS = ("xyXY", "xxy", "xyy", "xyxy")
 ORBIT_FIBER_QS = (121, 125, 127, 128)
@@ -336,6 +349,19 @@ def _classify_memo(tl):
         tl.trace._DEFAULT_ENGINE = saved
 
 
+def _power_verdicts(tl):
+    saved = tl.trace._DEFAULT_ENGINE
+    tl.trace._DEFAULT_ENGINE = tl.TraceEngine()
+    try:
+        for text in POWER_VERDICT_WORDS:
+            w = tl.parse(text)
+            yield repr(tl.classify_rational(w))
+            for p in (2, 3, 5, 7, 11, 13):
+                yield repr(tl.classify_p(w, p))
+    finally:
+        tl.trace._DEFAULT_ENGINE = saved
+
+
 def sections(tl, inputs):
     """(name, lines) for every section, in a fixed order."""
     for seed in SEEDS:
@@ -360,6 +386,7 @@ def sections(tl, inputs):
     yield "level-counts", _level_counts(tl, inputs)
     yield "fibers-orbits", _fibers_orbits(tl)
     yield "classify-memo", _classify_memo(tl)
+    yield "power-verdicts", _power_verdicts(tl)
 
 
 def main(argv=None) -> int:

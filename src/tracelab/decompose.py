@@ -29,6 +29,46 @@ the word's entry in the trace engine's memo (``trace._WordEntry``), which
 (A, B) != (0, 0), a prime that does not divide r and leaves no Dickson
 candidate is read as NoncompositeP without reducing f_w
 (``_prime_verdict``).
+
+A proper power w = v^k is traced as f_w = D_k(f_v), and its entry links to
+v's, whose row ``_power_verdict`` fills first.  Where v is NoncompositeQ
+(over QQ), or NoncompositeP at a prime p that does not divide k, only the
+outers that ``_find_witness`` tries before k are searched, on f_w or f_w
+mod p: the Dickson indices d > k, or with (A, B) = (0, 0) the tame
+divisors n > k of r.  If none succeeds, the witness is D_k with inner
++-f_v (mod p), and the verdict at p is CompositeNotSpecial with
+frobenius_k = 0.  Most powers have no such outer: when gcd(|A_v|, |B_v|,
+r_v) = 1, no Dickson index of w exceeds k.  Everywhere else (p | k, or v
+composite or SpecialP at p) the search runs on f_w as for any word.  The
+reading is exact by three facts, for p not dividing k:
+
+(a) With omega a primitive k-th root of unity,
+    D_k(x) - D_k(y) = (x - y) (x + y if k is even) prod_{0 < j < k/2}
+    (x^2 - (omega^j + omega^-j) x y + y^2 + (omega^j - omega^-j)^2).
+    Each quadratic is (x - omega^j y)(x - omega^-j y) plus a nonzero
+    constant, so it vanishes at no pair of nonconstant polynomials: both
+    linear factors would be constants, and then so would y.  So D_k(Q) =
+    f_w = D_k(f_v) forces Q = +-f_v.  A matcher at index k returns a Q
+    with D_k(Q) = f_w, so nothing needs to be recomposed, and the leading
+    root it tries first decides the sign.
+(b) If f_v mod p is not a p-th power, neither is f_w mod p: some partial
+    derivative of f_v is nonzero, and so is D_k'(f_v) times it, since D_k'
+    has leading term k z^(k-1).  So frobenius_strip returns k = 0 and the
+    core f_w mod p, and the reading needs no strip.  A NoncompositeP v has
+    frobenius_k = 0.
+(c) The leading coefficient lc of f_v's top u-block is +-1 (it is G_r's,
+    see ``_prime_verdict``), and f_w's is lc^k.  dickson_decompose leads
+    with zeta * rho, rho the first k-th root of lc^k and zeta the first
+    k-th root of unity that makes it +-lc; decompose_in_u's
+    _dickson_normalize scales by the first k-th root of lc^k that is
+    +-lc.  In ``_nth_roots`` order 1 precedes -1.  For odd k, -lc is not a
+    k-th root of lc^k, so the pick is lc; for even k, lc^k = 1 and the
+    pick is 1.  So the inner is f_v, or -f_v when k is even and lc = -1.
+
+The outers above k are still searched.  Skipping them needs a proof that a
+noncomposite root rules them out, which Lüroth's and Ritt's theorems do
+not give here: the outers have constant coefficients, and D_2(D_3) =
+D_3(D_2) shows that larger outers exist in general.
 """
 
 from __future__ import annotations
@@ -278,6 +318,29 @@ def _dickson_candidates(A: int, B: int, r: int, p: Optional[int]) -> List[int]:
     return sorted(cand, reverse=True)
 
 
+def _outer_degrees(A: int, B: int, r: int, p: Optional[int]) -> List[int]:
+    """The outer degrees _find_witness tries on an f of u-degree r >= 2, largest first.
+
+    Dickson indices when (A, B) != (0, 0), else the divisors of r that are
+    tame at p: wild outers beyond Frobenius layers are out of scope.
+    """
+    if (A, B) != (0, 0):
+        return _dickson_candidates(A, B, r, p)
+    return [n for n in reversed(_divisors(r)) if n >= 2 and (p is None or n % p)]
+
+
+def _try_outer(
+    f: TriPoly, n: int, zero_sums: bool, p: Optional[int]
+) -> Optional[CompositionWitness]:
+    """The witness of outer degree n, D_n unless the exponent sums are (0, 0), or None."""
+    if zero_sums:
+        return decompose_in_u(f, n)
+    q = dickson_decompose(f, n)
+    if q is None:
+        return None
+    return CompositionWitness(outer=dickson(n, p), inner=q, p=p, dickson_index=n)
+
+
 def _find_witness(
     f: TriPoly, A: int, B: int, p: Optional[int]
 ) -> Optional[CompositionWitness]:
@@ -285,20 +348,10 @@ def _find_witness(
     r = f.deg("u")
     if r < 2:
         return None
-    if (A, B) != (0, 0):
-        for d in _dickson_candidates(A, B, r, p):
-            q = dickson_decompose(f, d)
-            if q is not None:
-                return CompositionWitness(
-                    outer=dickson(d, p), inner=q, p=p, dickson_index=d
-                )
-        return None
-    for n in sorted((d for d in _divisors(r) if d >= 2), reverse=True):
-        if p is not None and n % p == 0:
-            continue  # wild outers beyond Frobenius layers are out of scope
-        w = decompose_in_u(f, n)
-        if w is not None:
-            return w
+    for n in _outer_degrees(A, B, r, p):
+        witness = _try_outer(f, n, (A, B) == (0, 0), p)
+        if witness is not None:
+            return witness
     return None
 
 
@@ -319,16 +372,52 @@ _MISSING = object()
 def _verdict(entry: _WordEntry, A: int, B: int, p: Optional[int]):
     """The PrimeVerdict at p, or the rational witness for p None, from the entry's row.
 
-    A verdict not in the row yet is searched for and kept there.
+    A verdict not in the row yet is read from a proper power's root where
+    ``_power_verdict`` can, and searched for otherwise; either is kept there.
     """
     found = entry.verdicts.get(p, _MISSING)
     if found is _MISSING:
-        if p is None:
-            found = _find_witness(entry.f, A, B, None)
-        else:
-            found = _prime_verdict(entry.f, A, B, p)
+        if entry.root is not None:
+            found = _power_verdict(entry, A, B, p)
+        if found is _MISSING:
+            if p is None:
+                found = _find_witness(entry.f, A, B, None)
+            else:
+                found = _prime_verdict(entry.f, A, B, p)
         entry.verdicts[p] = found
     return found
+
+
+def _power_verdict(entry: _WordEntry, A: int, B: int, p: Optional[int]):
+    """The verdict of a proper power v^k from v's row, or _MISSING where the search must run.
+
+    Read only over QQ with v NoncompositeQ, or at p not dividing k with v
+    NoncompositeP; the module docstring gives the rule and its proofs.
+    """
+    root, k = entry.root, entry.k
+    if p is not None and k % p == 0:
+        return _MISSING
+    below = _verdict(root, A // k, B // k, p)
+    if below is not None and (p is None or below.verdict != NONCOMPOSITE_P):
+        return _MISSING
+    zero_sums = (A, B) == (0, 0)
+    blocks = root.f.u_coefficients()
+    larger = [n for n in _outer_degrees(A, B, k * (len(blocks) - 1), p) if n > k]
+    witness = None
+    if larger:
+        f = entry.f if p is None else entry.f.reduce_mod(p)
+        for n in larger:
+            witness = _try_outer(f, n, zero_sums, p)
+            if witness is not None:
+                break
+    if witness is None:
+        inner = root.f if k % 2 or blocks[-1].leading_coeff() == 1 else -root.f
+        if p is not None:
+            inner = inner.reduce_mod(p)
+        witness = CompositionWitness(outer=dickson(k, p), inner=inner, p=p, dickson_index=k)
+    if p is None:
+        return witness
+    return PrimeVerdict(p=p, verdict=COMPOSITE_NOT_SPECIAL, witness=witness, frobenius_k=0)
 
 
 def _rational_class(witness: Optional[CompositionWitness]) -> str:
@@ -445,7 +534,11 @@ def power_word_report(w: Word) -> PowerWordReport:
     k | d whose inner at index k matches the root's trace polynomial; an
     aperiodic word must be rationally noncomposite.  Any mismatch is
     flagged rather than raised, since it would contradict the classified
-    dichotomy in the tested regime.
+    dichotomy in the tested regime.  Unless an outer above k succeeds, a
+    proper power's witness is read from its root's row (see the module
+    docstring) and matches the root by construction, so the independent
+    check of those verdicts is the search on f_w alone, kept in the test
+    suite's oracles, not this report.
     """
     w, A, B, entry = _word_poly(w)
     root, k = proper_power_root(w)

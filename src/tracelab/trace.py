@@ -23,16 +23,18 @@ product and in the block's exponent.
 Two bounded memos sit in front of the product.  Whole words are keyed on
 a normal form invariant under cyclic rotation and inversion, both of
 which preserve the trace, and a proper power v^k, cut at its least period
-as in ``proper_power_root``, is traced as D_k(f_v).  Each word entry
-holds f_w and a row of the verdicts ``decompose`` reads off it (the
-rational witness and one verdict per prime asked), which are invariant
-under the same moves; the row is evicted with f_w.  The product of a
-key's blocks but its last is kept too, so words that differ only in
-their last block share the work before it.  A word whose a-priori size
-or work bound is past ``MAX_TRACE_SIZE`` or ``MAX_TRACE_WORK`` is refused
-with ValueError before any work.  The test suite's oracles evaluate the
-word on explicit matrices and run the classical Fricke recursion; f_w
-must agree with both.
+as in ``proper_power_root``, is traced as D_k(f_v), its entry linked to
+v's.  Each word entry holds f_w and a row of the verdicts ``decompose``
+reads off it (the rational witness and one verdict per prime asked),
+which are invariant under the same moves; the row is evicted with f_w.
+The product of a key's blocks but its last is kept too, so words that
+differ only in their last block share the work before it.  A word whose
+a-priori size bound is past ``MAX_TRACE_SIZE`` is refused with ValueError
+before any work, and so is a product whose work bound is past
+``MAX_TRACE_WORK``: for a proper power, the root's product and then the
+D_k recurrence on f_v.  The test suite's oracles evaluate the word on
+explicit matrices and run the classical Fricke recursion; f_w must agree
+with both.
 
 Writing a canonical word as x^a1 y^b1 ... x^ar y^br, the expansion
 f_w = sum_k u^k G_k(s, t) stops exactly at k = r, and the single-syllable
@@ -193,15 +195,29 @@ def _work_bound(key: Tuple[Block, ...]) -> int:
     return updates * _coefficient_words(x + y)
 
 
-def _check_bounds(blocks: Tuple[Block, ...], work: bool = True) -> None:
-    """ValueError past the size bound, or with ``work`` past the work bound on these blocks."""
+def _dickson_work(f: TriPoly, k: int, letters: int) -> int:
+    """A bound on the machine-word operations of D_k(f) by its recurrence.
+
+    Step j multiplies f by D_j(f), which has at most (j*d_s+1)(j*d_u+1)(j*d_t+1)
+    terms for f of degrees d_s, d_u and d_t; ``letters`` are those of the power.
+    """
+    ds, du, dt = f.deg("s"), f.deg("u"), f.deg("t")
+    terms = sum((j * ds + 1) * (j * du + 1) * (j * dt + 1) for j in range(1, k))
+    return len(f) * terms * _coefficient_words(letters)
+
+
+def _check_size(blocks: Tuple[Block, ...]) -> None:
+    """ValueError past the size bound on these blocks."""
     size = _size_bound(blocks)
     if size > MAX_TRACE_SIZE:
         raise ValueError(
             f"word too large to trace: f_w may take {size:.1e} machine words, "
             f"at most {MAX_TRACE_SIZE:.0e}"
         )
-    ops = _work_bound(blocks) if work else 0
+
+
+def _check_work(ops: int) -> None:
+    """ValueError past the work bound."""
     if ops > MAX_TRACE_WORK:
         raise ValueError(
             f"word too large to trace: its product may take {ops:.1e} "
@@ -226,29 +242,37 @@ class _LRU(OrderedDict):
 
 
 class _WordEntry:
-    """A word memo entry: f_w and the row of verdicts read off it.
+    """A word memo entry: f_w, the row of verdicts read off it, and a proper power's root.
 
     ``verdicts`` maps a prime p, or None for the rationals, to what
     ``decompose`` decided there, and its readers fill it.  Every value is a
     function of the entry's key, as f_w is, so a thread that finds a value
-    missing and stores its own stores an equal one.
+    missing and stores its own stores an equal one.  The entry of a proper
+    power v^k holds v's entry as ``root``, whose row ``decompose`` reads,
+    and k as ``k``; it keeps v's entry alive after the memo drops it, so a
+    power holds at most one entry more.  Otherwise ``root`` is None and
+    ``k`` is 1.
     """
 
-    __slots__ = ("f", "verdicts")
+    __slots__ = ("f", "verdicts", "root", "k")
 
-    def __init__(self, f: TriPoly):
+    def __init__(self, f: TriPoly, root: Optional["_WordEntry"] = None, k: int = 1):
         self.f = f
         self.verdicts: dict = {}
+        self.root = root
+        self.k = k
 
 
 class TraceEngine:
     """The 4-basis product behind two bounded memos, on ``words``' block rules.
 
     A word is cyclically reduced, and one past ``MAX_TRACE_SIZE`` or
-    ``MAX_TRACE_WORK`` is refused with ValueError before any work.  Whole
+    ``MAX_TRACE_WORK`` is refused with ValueError before that work.  Whole
     words are memoized on the least rotation of the blocks or of their
     inverse, each entry with its row of verdicts (``_WordEntry``), and
-    ``_product`` keeps the product of each key but its last block.  Both
+    ``_product`` keeps the product of each key but its last block.  A
+    proper power v^k is traced as D_k(f_v) and its entry links to v's, so
+    a power keeps at most one entry alive past the memo's bound.  Both
     memos are LRU maps of ``_MEMO_BOUND`` entries.  They may be shared
     between threads: the lock guards them, an entry once kept is never
     replaced, and since every entry is a pure function of its key, racing
@@ -273,7 +297,7 @@ class TraceEngine:
 
     def _entry(self, core: Tuple[Block, ...]) -> _WordEntry:
         if len(core) > 64:
-            _check_bounds(core, work=False)  # before a key quadratic in the blocks
+            _check_size(core)  # before a key quadratic in the blocks
         return self._trace(_canonical_cyclic(core))
 
     def _trace(self, key: Tuple[Block, ...]) -> _WordEntry:
@@ -282,21 +306,20 @@ class TraceEngine:
             entry = self._words.recall(key)
         if entry is not None:
             return entry
-        _check_bounds(key)
+        _check_size(key)
         m = _period(key)
         if m < len(key):
-            f = dickson_apply(len(key) // m, self._trace(key[:m]).f)
+            root, k = self._trace(key[:m]), len(key) // m
+            _check_work(_dickson_work(root.f, k, sum(abs(e) for _, e in key)))
+            entry = _WordEntry(dickson_apply(k, root.f), root, k)
         else:
-            f = _trace_of(self._product(key))
-        return self._keep(key, f)
-
-    def _keep(self, key: Tuple[Block, ...], f: TriPoly) -> _WordEntry:
-        """The kept entry of key, or a new one for f if none is kept."""
+            _check_work(_work_bound(key))
+            entry = _WordEntry(_trace_of(self._product(key)))
         with self._lock:
-            entry = self._words.recall(key)
-            if entry is None:
-                entry = _WordEntry(f)
-                self._words.keep(key, entry)
+            kept = self._words.recall(key)
+            if kept is not None:
+                return kept  # a racing thread kept an equal entry first
+            self._words.keep(key, entry)
         return entry
 
     def _product(self, blocks: Tuple[Block, ...]):

@@ -29,7 +29,11 @@ triples, `unipoly_value`, a `UniPoly` at a point by Horner, and
 `recompose`, outer(inner) for a `CompositionWitness` on `TriPoly`
 arithmetic, the reference the witness tests compare against.
 `apply_move` applies one of the `NIELSEN_MOVES`, which generate Aut(F_2),
-to a `Word` by substitution.
+to a `Word` by substitution.  `searched_verdict` is the witness search that
+`decompose` ran on every word before it read a proper power's verdicts
+from its root: the library's `_find_witness` on f_w over QQ, or on the
+Frobenius core of f_w mod p with `_prime_verdict`'s rewrap, with no memo
+row and no shortcut, the reference for the verdicts the classifiers give.
 """
 
 from collections import Counter
@@ -37,10 +41,19 @@ from fractions import Fraction
 
 import numpy as np
 
+from tracelab.decompose import (
+    COMPOSITE_NOT_SPECIAL,
+    NONCOMPOSITE_P,
+    SPECIAL_P,
+    CompositionWitness,
+    PrimeVerdict,
+    _find_witness,
+)
 from tracelab.gf import _factor_prime_power, field
 from tracelab.probes import _u_slices
 from tracelab.sl2 import _IDENTITY, _eval_word, build_class_table
-from tracelab.tripoly import TriPoly, _pack
+from tracelab.tripoly import TriPoly, _pack, frobenius_strip
+from tracelab.unipoly import UniPoly
 from tracelab.words import X as GEN_X, Y as GEN_Y, Word
 
 # ---------------------------------------------------------------------------
@@ -775,3 +788,32 @@ def match_inner_full_power(blocks, lead, n):
             return None
         q[m - j] = sol
     return TriPoly.from_u_coefficients(q, p)
+
+
+# ---------------------------------------------------------------------------
+# the witness search on f_w alone
+
+
+def searched_verdict(f, A, B, p):
+    """The rational witness of f_w for p None, else the PrimeVerdict at p, by search.
+
+    f is f_w over QQ and A, B the word's exponent sums.  At p, f mod p is
+    stripped of its Frobenius layers, f mod p = core^(p^k), the core is
+    searched, and a core witness is raised back to f or, if there is none
+    and k > 0, z^(p^k) is the SpecialP witness.
+    """
+    if p is None:
+        return _find_witness(f, A, B, None)
+    core, k = frobenius_strip(f.reduce_mod(p))
+    witness = _find_witness(core, A, B, p)
+    if witness is None and k == 0:
+        return PrimeVerdict(p=p, verdict=NONCOMPOSITE_P, witness=None, frobenius_k=0)
+    if witness is None:
+        frob = UniPoly([0] * p**k + [1], p)
+        witness = CompositionWitness(outer=frob, inner=core, p=p, dickson_index=p**k)
+        return PrimeVerdict(p=p, verdict=SPECIAL_P, witness=witness, frobenius_k=k)
+    if k:
+        witness = CompositionWitness(
+            outer=witness.outer, inner=witness.inner ** (p**k), p=p, dickson_index=witness.dickson_index
+        )
+    return PrimeVerdict(p=p, verdict=COMPOSITE_NOT_SPECIAL, witness=witness, frobenius_k=k)

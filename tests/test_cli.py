@@ -318,6 +318,12 @@ class TestWordSize:
         assert err.count("\n") == 1
         assert seconds <= 2, f"the refusal took {seconds:.1f}s"
 
+    @pytest.mark.parametrize("command", ["trace", "classify"])
+    def test_a_long_power_of_a_short_root_runs(self, command):
+        code, out = run(command, "xy" * 100)
+        assert code == 0
+        assert out
+
     def test_fibers_reduces_exponents_first(self):
         code, out = run("fibers", "x^123456y", "--q", "7")
         assert code == 0

@@ -1,10 +1,13 @@
+import importlib.util
+import itertools
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tracelab import decompose, trace
 from tracelab.cache import TraceCache, cached_trace_poly
@@ -15,6 +18,8 @@ from tracelab.decompose import (
     NONCOMPOSITE_Q,
     SPECIAL_P,
     WildCompositionError,
+    CompositionWitness,
+    PrimeVerdict,
     _find_witness,
     _match_inner,
     _prime_verdict,
@@ -26,11 +31,20 @@ from tracelab.decompose import (
     power_word_report,
 )
 from tracelab.trace import TraceEngine, trace_poly
-from tracelab.tripoly import TriPoly, frobenius_strip
-from tracelab.unipoly import UniPoly, dickson_apply
-from tracelab.words import DegenerateWordError, Word, enumerate_words, parse, sample_words, stats
+from tracelab.tripoly import TriPoly
+from tracelab.unipoly import UniPoly, dickson, dickson_apply
+from tracelab.words import (
+    DegenerateWordError,
+    Word,
+    canonicalize,
+    enumerate_words,
+    parse,
+    proper_power_root,
+    sample_words,
+    stats,
+)
 
-from _oracles import match_inner_full_power, recompose, tripoly_from_terms
+from _oracles import match_inner_full_power, recompose, searched_verdict, tripoly_from_terms
 
 S = TriPoly.var("s", None)
 U = TriPoly.var("u", None)
@@ -475,7 +489,7 @@ def syllable_words(max_r=4, hi=3):
 
 
 class TestPrimeShortcut:
-    """_prime_verdict against its unshortcut path: frobenius_strip(f mod p), then _find_witness."""
+    """_prime_verdict against its unshortcut path, the oracle ``searched_verdict``."""
 
     PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -483,20 +497,7 @@ class TestPrimeShortcut:
         A, B = stats(w).A, stats(w).B
         f = trace_poly(w).f
         for p in self.PRIMES:
-            got = _prime_verdict(f, A, B, p)
-            core, k = frobenius_strip(f.reduce_mod(p))
-            wit = _find_witness(core, A, B, p)
-            assert (got.p, got.frobenius_k) == (p, k), (w, p)
-            if wit is None and k == 0:
-                assert (got.verdict, got.witness) == (NONCOMPOSITE_P, None), (w, p)
-            elif wit is None:
-                assert got.verdict == SPECIAL_P, (w, p)
-                assert (got.witness.inner, got.witness.dickson_index) == (core, p**k)
-            else:
-                assert got.verdict == COMPOSITE_NOT_SPECIAL, (w, p)
-                assert got.witness.outer == wit.outer
-                assert got.witness.inner == wit.inner ** (p**k)
-                assert got.witness.dickson_index == wit.dickson_index
+            assert _prime_verdict(f, A, B, p) == searched_verdict(f, A, B, p), (w, p)
 
     @pytest.mark.parametrize(
         "text",
@@ -530,3 +531,141 @@ class TestPrimeShortcut:
         got = _prime_verdict(f, stats(v).A, stats(v).B, 3)
         assert got is _prime_verdict(g, stats(w).A, stats(w).B, 3)
         assert (got.verdict, got.witness, got.frobenius_k) == (NONCOMPOSITE_P, None, 0)
+
+
+def _stream_powers(seeds=(1, 2, 3), count=500):
+    """Every proper power among the first ``count`` requests of the classify streams."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    found = {}
+    for seed in seeds:
+        for req in itertools.islice(inputs.classify_stream(seed), count):
+            if req.power > 1:
+                found.setdefault(req.syllables, Word.from_syllables(req.syllables))
+    return list(found.values())
+
+
+@st.composite
+def proper_powers(draw):
+    """v^k for an aperiodic root v, k in 2..6; every other root has exponent sums (0, 0)."""
+    exps = st.integers(-2, 2).filter(bool)
+    syl = draw(st.lists(st.tuples(exps, exps), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        syl = syl[:2] + [(-a, -b) for a, b in syl[:2]]
+    root = canonicalize(Word.from_syllables(syl))[0]
+    k = draw(st.integers(2, 6))
+    assume(root.complexity >= 1 and proper_power_root(root)[1] == 1)
+    assume(root.complexity * k <= 12)
+    return root**k
+
+
+class TestPowerVerdicts:
+    """A proper power's verdicts, read from its root's row, against the search on f_w alone."""
+
+    PRIMES = (2, 3, 5, 7, 11, 13)
+
+    def _check(self, w, monkeypatch):
+        monkeypatch.setattr(trace, "_DEFAULT_ENGINE", TraceEngine())
+        st_ = stats(canonicalize(w)[0])
+        f = trace_poly(w, engine=TraceEngine()).f
+        want = searched_verdict(f, st_.A, st_.B, None)
+        assert classify_rational(w) == (NONCOMPOSITE_Q if want is None else COMPOSITE_Q, want), w
+        for p in self.PRIMES:
+            assert classify_p(w, p) == searched_verdict(f, st_.A, st_.B, p), (w, p)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "xyxy",  # p | k at 2, and every odd p is 1 mod k
+            "xyxyxy",  # p | k at 3; p = 7, 13 are 1 mod k
+            "xy" * 4,  # p | k at 2; p = 5, 13 are 1 mod 4
+            "x^2y^-1" * 5,  # p | k at 5; p = 11 is 1 mod 5
+            "xYxyy" * 6,  # p | k at 2 and 3; p = 7, 13 are 1 mod 6
+            "x^2y^2x^2y^-2" * 2,  # D_4 is tried before k = 2 over QQ and at odd p
+            "xy^2xy^2xy^2",  # a cube of a one-syllable root
+            "xyXY" * 2,  # (0, 0) sums: decompose_in_u at n = 4 before k = 2
+            "xyXY" * 3,  # (0, 0) sums: n = 6 before k = 3, except at p = 2 and 3
+        ],
+    )
+    def test_fixed_cases(self, text, monkeypatch):
+        self._check(parse(text), monkeypatch)
+
+    def test_stream_powers_and_small_squares_and_cubes(self, monkeypatch):
+        words = _stream_powers()
+        assert len(words) > 100
+        words += [v**k for v in enumerate_words(4) for k in (2, 3)]
+        for w in words:
+            self._check(w, monkeypatch)
+
+    @given(proper_powers())
+    @settings(max_examples=30)
+    def test_random_powers(self, w):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self._check(w, monkeypatch)
+
+    @pytest.mark.parametrize("verdict", [COMPOSITE_NOT_SPECIAL, SPECIAL_P])
+    def test_a_root_composite_at_p_leaves_the_search(self, verdict, searches):
+        # no aperiodic word of up to 8 letters is composite at a prime <= 7, so
+        # the root's row is seeded: the search on f_w must run and decide alone
+        eng = TraceEngine()
+        w = parse("xyXY" * 2)
+        entry = eng.entry(w)
+        f, p = entry.f, 5
+        stand_in = searched_verdict(f, 0, 0, None)
+        entry.root.verdicts[None] = stand_in
+        entry.root.verdicts[p] = PrimeVerdict(p=p, verdict=verdict, witness=stand_in, frobenius_k=0)
+        assert classify_rational(w, engine=eng) == (COMPOSITE_Q, searched_verdict(f, 0, 0, None))
+        assert searches == [None]
+        assert classify_global(w, p, engine=eng).per_prime[-1] == searched_verdict(f, 0, 0, p)
+        assert searches[-1] == p and searches.count(p) == 1
+
+    def test_a_cube_reads_its_verdicts_without_a_matcher(self, monkeypatch):
+        calls = []
+
+        def spy(name):
+            real = getattr(decompose, name)
+
+            def counted(f, *args):
+                calls.append((name, f))
+                return real(f, *args)
+
+            monkeypatch.setattr(decompose, name, counted)
+
+        for name in ("_find_witness", "dickson_decompose", "decompose_in_u"):
+            spy(name)
+        g = classify_global(parse("xy^2xy^2xy^2"), 13, engine=TraceEngine())
+        root = trace_poly(parse("xy^2")).f
+        # the root over QQ, then the Frobenius core of f_w mod 3 = f_root^3 mod 3
+        assert calls == [("_find_witness", root), ("_find_witness", root.reduce_mod(3))]
+        assert [v.verdict for v in g.per_prime] == [COMPOSITE_NOT_SPECIAL, SPECIAL_P] + [COMPOSITE_NOT_SPECIAL] * 4
+        assert g.rational_witness == CompositionWitness(
+            outer=UniPoly([0, -3, 0, 1]), inner=root, p=None, dickson_index=3
+        )
+
+    def test_a_long_power_of_a_short_root(self):
+        g = classify_global(parse("xy" * 100), 13, engine=TraceEngine())
+        assert g.rational_witness == CompositionWitness(
+            outer=dickson(100), inner=U, p=None, dickson_index=100
+        )
+        # p | k at 2 and 5: Frobenius layers, D_25 and D_4 on the cores
+        assert [(v.verdict, v.frobenius_k) for v in g.per_prime] == [
+            (COMPOSITE_NOT_SPECIAL, 2), (COMPOSITE_NOT_SPECIAL, 0), (COMPOSITE_NOT_SPECIAL, 2),
+        ] + [(COMPOSITE_NOT_SPECIAL, 0)] * 3
+
+    def test_a_larger_candidate_is_still_tried(self, monkeypatch):
+        tried = []
+        real = decompose.dickson_decompose
+
+        def counted(f, d):
+            tried.append((f.p, d))
+            return real(f, d)
+
+        monkeypatch.setattr(decompose, "dickson_decompose", counted)
+        w = parse("x^2y^2x^2y^-2" * 2)
+        witness = classify_rational(w, engine=TraceEngine())[1]
+        # the root's own candidate 2, then 4 on f_w; no recomposition at k = 2
+        assert tried == [(None, 2), (None, 4)]
+        root = trace_poly(parse("x^2y^2x^2y^-2")).f
+        assert witness.dickson_index == 2 and witness.inner in (root, -root)

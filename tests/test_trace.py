@@ -363,6 +363,15 @@ class TestBounds:
         assert time.monotonic() - start <= 1
         assert not eng._words and not eng._prefixes
 
+    def test_a_power_is_bounded_by_its_root_and_the_recurrence(self):
+        # the work bound on the whole key read 4.1e8 for (xy)^100, past MAX_TRACE_WORK
+        eng = TraceEngine()
+        res = trace_poly(parse("xy" * 100), engine=eng)
+        assert res.u_degree == 100 and res.f == dickson_apply(100, U)
+        assert trace._work_bound(trace._canonical_cyclic(parse("xy" * 100).blocks)) > trace.MAX_TRACE_WORK
+        with pytest.raises(ValueError, match="f_w may take"):
+            trace_poly(parse("xy" * 400), engine=TraceEngine())
+
     def test_memos_stay_within_the_bound(self):
         eng = TraceEngine()
         words = {}
