@@ -20,21 +20,43 @@ coefficients come in one pass, and likewise in t.  So a word of n blocks
 costs n products by blocks, each linear in the size of the running
 product and in the block's exponent.
 
-Two bounded memos sit in front of the product.  Whole words are keyed on
-a normal form invariant under cyclic rotation and inversion, both of
-which preserve the trace, and a proper power v^k, cut at its least period
-as in ``proper_power_root``, is traced as D_k(f_v), its entry linked to
-v's.  Each word entry holds f_w and a row of the verdicts ``decompose``
-reads off it (the rational witness and one verdict per prime asked),
-which are invariant under the same moves; the row is evicted with f_w.
-The product of a key's blocks but its last is kept too, so words that
-differ only in their last block share the work before it.  A word whose
-a-priori size bound is past ``MAX_TRACE_SIZE`` is refused with ValueError
-before any work, and so is a product whose work bound is past
-``MAX_TRACE_WORK``: for a proper power, the root's product and then the
-D_k recurrence on f_v.  The test suite's oracles evaluate the word on
-explicit matrices and run the classical Fricke recursion; f_w must agree
-with both.
+When f_w's coefficients provably fit in 64 bits, the product runs on
+integers (Kronecker substitution; Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symbolic
+Comput. 44, 2009).  A key with x letters on X and r syllables packs
+s^i u^j t^k into the 64-bit slot i + j*S + k*S*U, S = x + 1 and
+U = r + 1, t the major axis; that is, a component becomes its value at
+s = 2^64, u = 2^(64S), t = 2^(64SU), a ring homomorphism Z[s, u, t] ->
+Z.  Each component is then one Python int, a table entry (source,
+monomial, c) one ``o += c * (v << shift)``, and only f_w is decoded.
+Decoding is exact although the components may leave the box: f_w has
+degree at most x in s and r in u, so its support lies in the box, and its
+coefficients lie in (-2^63, 2^63), which makes the balanced base-2^64
+digits unique.  The bound: let growth(g^e) be the largest, over the four
+targets, of the sum of |c| over that target's entries in the block's
+table.  A block's target coefficient is a sum over those entries of c
+times a source coefficient, so each block multiplies the largest
+coefficient of a, b, c, d by at most growth(g^e), and 2a + sb + tc + ud
+multiplies it by at most 5; starting from 1, every coefficient of f_w is
+at most 5 * prod growth(block) in absolute value.  A key with that bound
+below 2^63 takes the packed path; every other key, such as x^100 y, whose
+V_100 has coefficients far past 64 bits, takes the product over packed-key
+dicts, where a shift copies only the terms there are.  Both paths share
+one table per block.
+
+Whole words are memoized in a bounded memo, keyed on a normal form
+invariant under cyclic rotation and inversion, both of which preserve the
+trace, and a proper power v^k, cut at its least period as in
+``proper_power_root``, is traced as D_k(f_v), its entry linked to v's.
+Each word entry holds f_w, its u-degree and a row of the verdicts
+``decompose`` reads off it (the rational witness and one verdict per
+prime asked), which are invariant under the same moves; the row is
+evicted with f_w.  A word whose a-priori size bound is past
+``MAX_TRACE_SIZE`` is refused with ValueError before any work, and so is
+a product whose work bound is past ``MAX_TRACE_WORK``: for a proper power,
+the root's product and then the D_k recurrence on f_v.  The test suite's
+oracles evaluate the word on explicit matrices and run the classical
+Fricke recursion; f_w must agree with both, on either path.
 
 Writing a canonical word as x^a1 y^b1 ... x^ar y^br, the expansion
 f_w = sum_k u^k G_k(s, t) stops exactly at k = r, and the single-syllable
@@ -50,7 +72,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
 
-from .tripoly import _SH_S, _SH_U, TriPoly
+import numpy as np
+
+from .tripoly import _MASK, _SH_S, _SH_U, TriPoly
 from .unipoly import _chebyshev_terms, dickson_apply
 from .words import Block, Word, X, Y, _cyclic_reduce, _invert, _period, canonicalize
 
@@ -66,9 +90,14 @@ _KS, _KU, _KT = 1 << _SH_S, 1 << _SH_U, 1
 MAX_TRACE_WORK = 4 * 10**8
 MAX_TRACE_SIZE = 10**7
 
-# Entries each memo keeps.  The classify stream of 1500 requests traces
-# about 940 distinct words, so it evicts nothing.
+# Entries the word memo keeps.  The classify stream of 1500 requests
+# traces about 940 distinct words, so it evicts nothing.
 _MEMO_BOUND = 2048
+
+# f_w's coefficients must lie in (-2^63, 2^63) to take the packed path;
+# each 64-bit slot is decoded with a bias of 2^63 (see ``_decode_slots``)
+_SLOT_BOUND = 1 << 63
+_SLOT_BIAS = (1 << 63).to_bytes(8, "little")
 
 # a + bX + cY + dXY, each coefficient a packed-key dict over Z[s, u, t]
 _ONE_VEC = ({0: 1}, {}, {}, {})
@@ -145,18 +174,107 @@ def _block_table(g: int, e: int):
     return table
 
 
-# the tables of small exponents, which every word reuses
-_small_block_table = lru_cache(maxsize=64)(_block_table)
+def _growth(table) -> int:
+    """The largest sum of |coefficient| over a component's entries, or 2^63 once one reaches it."""
+    most = 0
+    for parts in table:
+        total = 0
+        for _, _, c in parts:
+            total += abs(c)
+            if total >= _SLOT_BOUND:
+                return _SLOT_BOUND
+        most = max(most, total)
+    return most
 
 
-def _times_block(vec, block: Block):
-    """vec * g^e, one pass over a source component per table entry."""
-    table = _small_block_table(*block) if abs(block[1]) <= 8 else _block_table(*block)
-    return tuple(_combine(vec, parts) for parts in table)
+@lru_cache(maxsize=64)
+def _small_block(g: int, e: int):
+    """The table and growth of a small exponent, which every word reuses."""
+    table = _block_table(g, e)
+    return table, _growth(table)
 
 
-def _trace_of(vec) -> TriPoly:
+def _product(key: Tuple[Block, ...]) -> TriPoly:
+    """f_w of a key, packed when 5 * prod growth(block) < 2^63 and by dicts otherwise.
+
+    Each block's table is built once and serves the bound and the path.
+    """
+    tables = []
+    bound = 5
+    for g, e in key:
+        if abs(e) <= 8:
+            table, growth = _small_block(g, e)
+        else:
+            table = _block_table(g, e)
+            growth = _growth(table) if bound < _SLOT_BOUND else 1
+        tables.append(table)
+        bound = min(bound * growth, _SLOT_BOUND)
+    return _packed_trace(key, tables) if bound < _SLOT_BOUND else _dict_trace(tables)
+
+
+def _dict_trace(tables) -> TriPoly:
+    """f_w from the blocks' tables, each component a packed-key dict."""
+    vec = _ONE_VEC
+    for table in tables:
+        vec = tuple(_combine(vec, parts) for parts in table)
     return TriPoly._normal(_combine(vec, ((0, 0, 2), (1, _KS, 1), (2, _KT, 1), (3, _KU, 1))), None)
+
+
+def _packed_trace(key: Tuple[Block, ...], tables) -> TriPoly:
+    """f_w from the blocks' tables, each component one int of 64-bit slots.
+
+    Only for a key whose coefficient bound is below 2^63 (module docstring).
+    """
+    x = sum(abs(e) for g, e in key if g == X)
+    y = sum(abs(e) for _, e in key) - x
+    su, u = x + 1, len(key) // 2 + 1
+    sut = su * u
+    vec = (1, 0, 0, 0)
+    for table in tables:
+        out = []
+        for parts in table:
+            o = 0
+            for source, mono, c in parts:
+                v = vec[source]
+                if v:
+                    shift = ((mono >> _SH_S) + su * ((mono >> _SH_U) & _MASK) + sut * (mono & _MASK)) << 6
+                    if c == 1:  # most entries: no product by c to allocate
+                        o += v << shift
+                    elif c == -1:
+                        o -= v << shift
+                    else:
+                        o += c * (v << shift)
+            out.append(o)
+        vec = out
+    a, b, c, d = vec
+    f = 2 * a + (b << 64) + (d << (su << 6)) + (c << (sut << 6))
+    return _decode_slots(f, su, u, y + 1)
+
+
+def _decode_slots(f: int, su: int, u: int, t: int) -> TriPoly:
+    """The polynomial whose 64-bit slots, each in (-2^63, 2^63), sum to f.
+
+    Adding 2^63 to every slot makes each one a digit of f in base 2^64,
+    which ``to_bytes`` writes out; XOR with 2^63 then reads each digit back
+    as a signed slot.  Since every slot is below 2^63 in absolute value,
+    the slots under the top nonzero one sum to less than half its weight
+    2^(64n), so f.bit_length() // 64 is n.
+    """
+    n = f.bit_length() // 64 + 1
+    raw = (f + int.from_bytes(_SLOT_BIAS * n, "little")).to_bytes(8 * n, "little")
+    coeffs = (np.frombuffer(raw, "<u8") ^ np.uint64(_SLOT_BOUND)).view(np.int64)
+    slots = np.flatnonzero(coeffs)
+    keys = _slot_keys(su, u, t)[slots]
+    return TriPoly._normal(dict(zip(keys.tolist(), coeffs[slots].tolist())), None)
+
+
+@lru_cache(maxsize=128)
+def _slot_keys(su: int, u: int, t: int) -> np.ndarray:
+    """The packed monomial key of each slot of an su x u x t box, t the major axis."""
+    slot = np.arange(su * u * t, dtype=np.int64)
+    keys = ((slot % su) << _SH_S) | ((slot // su % u) << _SH_U) | (slot // (su * u))
+    keys.flags.writeable = False  # shared by every caller of the cache
+    return keys
 
 
 def _coefficient_words(letters: int) -> int:
@@ -242,7 +360,7 @@ class _LRU(OrderedDict):
 
 
 class _WordEntry:
-    """A word memo entry: f_w, the row of verdicts read off it, and a proper power's root.
+    """A word memo entry: f_w, its u-degree, the row of verdicts read off it, and a proper power's root.
 
     ``verdicts`` maps a prime p, or None for the rationals, to what
     ``decompose`` decided there, and its readers fill it.  Every value is a
@@ -251,37 +369,37 @@ class _WordEntry:
     power v^k holds v's entry as ``root``, whose row ``decompose`` reads,
     and k as ``k``; it keeps v's entry alive after the memo drops it, so a
     power holds at most one entry more.  Otherwise ``root`` is None and
-    ``k`` is 1.
+    ``k`` is 1.  f is never replaced, so ``u_degree``, f.deg("u") taken
+    once, stays f's.
     """
 
-    __slots__ = ("f", "verdicts", "root", "k")
+    __slots__ = ("f", "u_degree", "verdicts", "root", "k")
 
     def __init__(self, f: TriPoly, root: Optional["_WordEntry"] = None, k: int = 1):
         self.f = f
+        self.u_degree = f.deg("u")
         self.verdicts: dict = {}
         self.root = root
         self.k = k
 
 
 class TraceEngine:
-    """The 4-basis product behind two bounded memos, on ``words``' block rules.
+    """The 4-basis product behind a bounded memo, on ``words``' block rules.
 
     A word is cyclically reduced, and one past ``MAX_TRACE_SIZE`` or
     ``MAX_TRACE_WORK`` is refused with ValueError before that work.  Whole
     words are memoized on the least rotation of the blocks or of their
-    inverse, each entry with its row of verdicts (``_WordEntry``), and
-    ``_product`` keeps the product of each key but its last block.  A
+    inverse, each entry with its row of verdicts (``_WordEntry``).  A
     proper power v^k is traced as D_k(f_v) and its entry links to v's, so
-    a power keeps at most one entry alive past the memo's bound.  Both
-    memos are LRU maps of ``_MEMO_BOUND`` entries.  They may be shared
-    between threads: the lock guards them, an entry once kept is never
-    replaced, and since every entry is a pure function of its key, racing
-    recomputation is harmless.
+    a power keeps at most one entry alive past the memo's bound.  The memo
+    is an LRU map of ``_MEMO_BOUND`` entries.  It may be shared between
+    threads: the lock guards it, an entry once kept is never replaced, and
+    since every entry is a pure function of its key, racing recomputation
+    is harmless.
     """
 
     def __init__(self):
         self._words = _LRU()
-        self._prefixes = _LRU()
         self._lock = threading.Lock()
 
     def trace_word(self, w: Word) -> TriPoly:
@@ -314,33 +432,13 @@ class TraceEngine:
             entry = _WordEntry(dickson_apply(k, root.f), root, k)
         else:
             _check_work(_work_bound(key))
-            entry = _WordEntry(_trace_of(self._product(key)))
+            entry = _WordEntry(_product(key))
         with self._lock:
             kept = self._words.recall(key)
             if kept is not None:
                 return kept  # a racing thread kept an equal entry first
             self._words.keep(key, entry)
         return entry
-
-    def _product(self, blocks: Tuple[Block, ...]):
-        """The word's a + bX + cY + dXY, from the longest kept prefix on.
-
-        Kept prefixes are keys but their last block, of odd length.
-        """
-        n = len(blocks)
-        start, vec = 0, _ONE_VEC
-        with self._lock:
-            for i in range(n - 1, 0, -2):
-                found = self._prefixes.recall(blocks[:i])
-                if found is not None:
-                    start, vec = i, found
-                    break
-        for block in blocks[start : n - 1]:
-            vec = _times_block(vec, block)
-        if start < n - 1:
-            with self._lock:
-                self._prefixes.keep(blocks[:-1], vec)
-        return _times_block(vec, blocks[-1])
 
 
 _DEFAULT_ENGINE = TraceEngine()
@@ -370,14 +468,22 @@ class SyllablePair:
     h: TriPoly
 
 
-def _trace_result(w: Word, f: TriPoly) -> Optional[TraceResult]:
-    """f as the trace of w, or None when w is canonical and deg_u f != complexity."""
+def _canonical_if_consistent(w: Word, u_degree: int) -> Optional[Word]:
+    """w's canonical form, or None when it is canonical and max(u_degree, 0) != complexity."""
     # a word from an x-block to a y-block is its own canonical form
     canon = w if w.is_empty or w.is_canonical else canonicalize(w)[0]
-    u_degree = max(f.deg("u"), 0)
-    if canon.is_canonical and u_degree != canon.complexity:
+    if canon.is_canonical and max(u_degree, 0) != canon.complexity:
         return None
-    return TraceResult(word=canon, f=f, u_degree=u_degree)
+    return canon
+
+
+def _trace_result(w: Word, f: TriPoly) -> Optional[TraceResult]:
+    """f as the trace of w, or None when w is canonical and deg_u f != complexity."""
+    u_degree = f.deg("u")
+    canon = _canonical_if_consistent(w, u_degree)
+    if canon is None:
+        return None
+    return TraceResult(word=canon, f=f, u_degree=max(u_degree, 0))
 
 
 def _checked(w: Word, f: TriPoly) -> TraceResult:
@@ -398,10 +504,12 @@ def trace_poly(w: Word, engine: Optional[TraceEngine] = None) -> TraceResult:
 def _word_entry(w: Word, engine: Optional[TraceEngine] = None) -> _WordEntry:
     """The engine's memo entry of a word that does not reduce cyclically to the empty word.
 
-    Its f passes trace_poly's check on every call, as trace_poly's does.
+    Its f passes trace_poly's check on every call, as trace_poly's does,
+    on the u-degree the entry keeps.
     """
     entry = _engine(engine).entry(w)
-    _checked(w, entry.f)
+    if _canonical_if_consistent(w, entry.u_degree) is None:
+        raise RuntimeError(f"u-degree {entry.u_degree} != complexity of {w}")
     return entry
 
 

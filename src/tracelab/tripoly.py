@@ -105,8 +105,7 @@ def _iroot(m: int, n: int) -> Optional[int]:
 def _nth_roots(c, n: int, p: Optional[int]) -> list:
     """All n-th roots of the scalar c: ascending in F_p; over QQ the positive root first."""
     if p is not None:
-        c = c % p
-        return [a for a in range(p) if pow(a, n, p) == c]
+        return _roots_mod_p(c % p, n, p)
     frac = Fraction(c)
     if frac == 0:
         return [0]
@@ -118,6 +117,70 @@ def _nth_roots(c, n: int, p: Optional[int]) -> list:
         return []
     root = _norm_coeff(Fraction(num if frac > 0 else -num, den), None)
     return [root, -root] if n % 2 == 0 else [root]
+
+
+def _roots_mod_p(c: int, n: int, p: int) -> list:
+    """All x in F_p with x^n = c, ascending, for n >= 1, without a scan of F_p.
+
+    F_p* is cyclic of order m = p - 1, and with g = gcd(n, m) the n-th
+    powers are the g-th powers, the c with c^(m/g) = 1, each with g roots:
+    one root times the g-th roots of unity.  Write m = mA * mB, with mA
+    made of the primes of g and mB prime to g, and split c = cA * cB
+    between the subgroups of those orders.  On the subgroup of order mB,
+    x -> x^g is a bijection.  On the one of order mA, with a generator z,
+    cA = z^L by Pohlig-Hellman (a search of l digits for each prime l of
+    g), g divides L, and z^(L/g) is a g-th root.  With a*n = g (mod m),
+    y^a is an n-th root of c when y^g = c, and z^(mA/g) generates the g-th
+    roots of unity.
+    """
+    if c == 0:
+        return [0]
+    m = p - 1
+    g = math.gcd(n, m)
+    if pow(c, m // g, p) != 1:
+        return []
+    primes = [l for l in range(2, g + 1) if g % l == 0 and all(l % q for q in range(2, l))]
+    ma = 1
+    for l in primes:
+        while m % (ma * l) == 0:
+            ma *= l
+    mb = m // ma
+    y = pow(c, ma * pow(ma, -1, mb) * pow(g, -1, mb), p)
+    zeta = 1
+    if g > 1:
+        ca = pow(c, mb * pow(mb, -1, ma), p)
+        z = next(
+            z
+            for z in (pow(b, mb, p) for b in range(2, p))
+            if all(pow(z, ma // l, p) != 1 for l in primes)
+        )
+        y = y * pow(z, _discrete_log(ca, z, ma, primes, p) // g, p) % p
+        zeta = pow(z, ma // g, p)
+    x = pow(y, pow(n // g, -1, m // g), p)
+    roots = [x]
+    for _ in range(g - 1):
+        roots.append(roots[-1] * zeta % p)
+    return sorted(roots)
+
+
+def _discrete_log(h: int, z: int, order: int, primes: list, p: int) -> int:
+    """L in [0, order) with z^L = h mod p, z of that order, whose primes are all in ``primes``."""
+    log, modulus = 0, 1
+    for l in primes:
+        e = 0
+        while order % l ** (e + 1) == 0:
+            e += 1
+        cofactor = order // l**e
+        gamma, target = pow(z, cofactor, p), pow(h, cofactor, p)
+        base = pow(gamma, l ** (e - 1), p)  # of order l
+        digits = 0
+        for k in range(e):
+            step = pow(target * pow(gamma, -digits, p), l ** (e - 1 - k), p)
+            digits += next(d for d in range(l) if pow(base, d, p) == step) * l**k
+        # CRT: log mod modulus and digits mod l^e
+        log += modulus * ((digits - log) * pow(modulus, -1, l**e) % l**e)
+        modulus *= l**e
+    return log
 
 
 def _render_terms(terms: Iterable[Tuple[object, str]], p: Optional[int]) -> str:

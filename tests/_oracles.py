@@ -34,10 +34,17 @@ to a `Word` by substitution.  `searched_verdict` is the witness search that
 from its root: the library's `_find_witness` on f_w over QQ, or on the
 Frobenius core of f_w mod p with `_prime_verdict`'s rewrap, with no memo
 row and no shortcut, the reference for the verdicts the classifiers give.
+`nth_roots_by_scan` is the scan of F_p that `tripoly._nth_roots` ran
+before it took roots through the cyclic group, the reference for it.
+`perfbench_inputs` loads the benchmark's input streams, so tests can run
+the words the benchmark sends.
 """
 
+import importlib.util
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -58,6 +65,15 @@ from tracelab.words import X as GEN_X, Y as GEN_Y, Word
 
 # ---------------------------------------------------------------------------
 # library values that only tests build or read
+
+
+def perfbench_inputs():
+    """The module ``perfbench/inputs.py``, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
 
 
 def tripoly_from_terms(terms, p=None):
@@ -205,6 +221,14 @@ def frobenius_strip_brute(terms, p):
         if power == f:
             return core, k
     raise AssertionError("k = 0 always recomposes")
+
+
+def nth_roots_by_scan(n, p):
+    """For each c in F_p, the ascending x in F_p with x^n = c, from one scan of F_p."""
+    roots = [[] for _ in range(p)]
+    for x in range(p):
+        roots[pow(x, n, p)].append(x)
+    return roots
 
 
 def tri_eval_mod(terms, p, s, u, t):

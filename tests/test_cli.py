@@ -343,13 +343,14 @@ class TestCacheFlag:
         monkeypatch.setattr(trace, "_DEFAULT_ENGINE", TraceEngine())
         cold = run("classify", "xyXYxY", "--json")
         steps = []
-        product = TraceEngine._product
+        init = trace._WordEntry.__init__
 
-        def counted(engine, blocks):
-            steps.append(blocks)
-            return product(engine, blocks)
+        def counted(entry, f, *rest):
+            # every f_w the engine computes, by product or by D_k, enters a new entry
+            steps.append(f)
+            init(entry, f, *rest)
 
-        monkeypatch.setattr(TraceEngine, "_product", counted)
+        monkeypatch.setattr(trace._WordEntry, "__init__", counted)
         warm = run("classify", "xyXYxY", "--json")
         assert steps == []
         assert warm == cold

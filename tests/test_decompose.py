@@ -1,9 +1,9 @@
-import importlib.util
 import itertools
+import math
 import sys
 import threading
+import time
 from fractions import Fraction
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -44,7 +44,13 @@ from tracelab.words import (
     stats,
 )
 
-from _oracles import match_inner_full_power, recompose, searched_verdict, tripoly_from_terms
+from _oracles import (
+    match_inner_full_power,
+    perfbench_inputs,
+    recompose,
+    searched_verdict,
+    tripoly_from_terms,
+)
 
 S = TriPoly.var("s", None)
 U = TriPoly.var("u", None)
@@ -356,6 +362,16 @@ class TestClassifyGlobal:
         assert verdicts[3] == SPECIAL_P
         assert verdicts[2] == COMPOSITE_NOT_SPECIAL
 
+    def test_large_p_max_within_budget(self):
+        # the D_4 tried before k = 2 at every odd p took roots by a scan of F_p: 0.4 s
+        w = parse("x^2y^2x^2y^-2") ** 2
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            g = classify_global(w, 3000, engine=TraceEngine())
+            best = min(best, time.perf_counter() - start)
+        assert g.conclusion == "NotEquidistributed" and g.bad_prime == 3
+        assert best <= 0.3, f"budget exceeded: {best:.2f}s > 0.3s"
 
     @pytest.mark.parametrize("p_max", [1, 0, -5])
     def test_p_max_below_two_raises(self, p_max):
@@ -535,10 +551,7 @@ class TestPrimeShortcut:
 
 def _stream_powers(seeds=(1, 2, 3), count=500):
     """Every proper power among the first ``count`` requests of the classify streams."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
+    inputs = perfbench_inputs()
     found = {}
     for seed in seeds:
         for req in itertools.islice(inputs.classify_stream(seed), count):

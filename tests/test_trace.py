@@ -1,3 +1,5 @@
+import itertools
+import math
 import os
 import random
 import subprocess
@@ -6,14 +8,14 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tracelab import trace
 from tracelab.gf import field
 from tracelab.trace import TraceEngine, syllable_polys, trace_poly
 from tracelab.tripoly import TriPoly
 from tracelab.unipoly import chebyshev_v, dickson_apply
-from tracelab.words import X, Word, enumerate_words, parse, sample_words, stats
+from tracelab.words import X, Word, _cyclic_reduce, enumerate_words, parse, sample_words, stats
 
 from _oracles import (
     LAU_S,
@@ -27,6 +29,7 @@ from _oracles import (
     lau_mul,
     lau_pow,
     lau_scale,
+    perfbench_inputs,
     poly_value,
     reduced_strings,
     trace_by_product,
@@ -320,6 +323,77 @@ class TestLargeExponents:
             assert poly_value(g, F, s, u, t) == eval_trace_direct(w, F, s, u, t)
 
 
+def _key_and_tables(w):
+    """The memo key of w, its blocks' tables and log2 of its packed-path bound."""
+    key = trace._canonical_cyclic(_cyclic_reduce(w.blocks)[0])
+    tables = [trace._block_table(g, e) for g, e in key]
+    return key, tables, math.log2(5 * math.prod(map(trace._growth, tables)))
+
+
+@st.composite
+def near_bound_words(draw):
+    """A word whose packed-path bound is 2^60 to 2^63, its last x-exponent swept up or down."""
+    exps = st.integers(-8, 8).filter(bool)
+    syl = []
+    for a, b in draw(st.lists(st.tuples(exps, exps), min_size=1, max_size=4)):
+        if _key_and_tables(Word.from_syllables(syl + [(a, b)]))[2] >= 50:
+            break
+        syl.append((a, b))
+    # below 2^59 at |a| = 1 and past 2^63 at |a| = 99, in steps under 3 bits
+    b, sign = draw(exps), draw(st.sampled_from((-1, 1)))
+    for a in draw(st.sampled_from((range(1, 100), range(99, 0, -1)))):
+        w = Word.from_syllables(syl + [(sign * a, b)])
+        if 60 <= _key_and_tables(w)[2] < 63:
+            return w
+    assume(False)
+
+
+class TestPackedProduct:
+    """The product on 64-bit slots against the product on dicts and the oracles."""
+
+    @given(syllable_words(max_r=5, hi=12))
+    @settings(max_examples=15)
+    def test_either_side_of_the_bound(self, w):
+        key, tables, bits = _key_and_tables(w)
+        f = trace._dict_trace(tables)
+        if bits < 63:
+            assert trace._packed_trace(key, tables) == f
+        assert trace_poly(w, engine=TraceEngine()).f == f == fricke_trace(w)
+
+    @given(near_bound_words())
+    @settings(max_examples=15)
+    def test_bounds_of_60_to_63_bits(self, w):
+        key, tables, _ = _key_and_tables(w)
+        assert trace._packed_trace(key, tables) == trace._dict_trace(tables) == fricke_trace(w)
+
+    def test_top_slot_below_zero(self):
+        # slots 0, 1, 5 and 6 of a 1 x 1 x 7 box: s-degree and u-degree 0,
+        # the slots at the bound and the top one negative
+        low = (1 << 63) - 1
+        top = -low
+        f = low + (-1 << 64) + (3 << 320) + (top << 384)
+        assert f < 0
+        assert trace._decode_slots(f, 1, 1, 7) == TriPoly.const(low) - T + C(3) * T**5 + C(top) * T**6
+        # xyxY = -u^2 + stu - t^2 + 2: the slot of t^2 is the top one
+        assert trace_poly(parse("xyxY"), engine=TraceEngine()).f == CLOSED_FORMS["xyxY"]
+
+    def test_paths_taken(self, monkeypatch):
+        taken = []
+        monkeypatch.setattr(trace, "_packed_trace", lambda key, tables: taken.append("packed"))
+        monkeypatch.setattr(trace, "_dict_trace", lambda tables: taken.append("dict"))
+        rng = random.Random(3)
+        forty = Word.from_syllables([(rng.choice((-1, 1)), rng.choice((-1, 1))) for _ in range(40)])
+        for w in (parse("x^100y"), forty):
+            trace._product(_key_and_tables(w)[0])
+        assert taken == ["dict", "dict"]
+        taken.clear()
+        words = {req.syllables for req in itertools.islice(perfbench_inputs().classify_stream(1), 1500)}
+        keys = {_key_and_tables(Word.from_syllables(syl))[0] for syl in words}
+        for key in keys:
+            trace._product(key)
+        assert taken == ["packed"] * len(keys)
+
+
 class TestBounds:
     def test_forty_syllables_in_a_fresh_process(self):
         # the split head * tail - cross took 132 s for 20 syllables
@@ -361,7 +435,7 @@ class TestBounds:
         with pytest.raises(ValueError, match="word too large to trace"):
             trace_poly(w, engine=eng)
         assert time.monotonic() - start <= 1
-        assert not eng._words and not eng._prefixes
+        assert not eng._words
 
     def test_a_power_is_bounded_by_its_root_and_the_recurrence(self):
         # the work bound on the whole key read 4.1e8 for (xy)^100, past MAX_TRACE_WORK
@@ -382,7 +456,6 @@ class TestBounds:
             trace_poly(w, engine=eng)
             eng.entry(w).verdicts[None] = w
         assert len(eng._words) == trace._MEMO_BOUND
-        assert len(eng._prefixes) <= trace._MEMO_BOUND
         # the least recently used went first, with its verdicts; the last word is still there
         first, *_, last = words
         assert first not in eng._words and last in eng._words
@@ -427,6 +500,16 @@ class TestEngineBehavior:
         assert eng.entry(w.inverse()) is entry
         with pytest.raises(ValueError, match="empty word"):
             eng.entry(parse("xyYX"))
+
+    def test_entry_u_degree_checked_on_every_call(self):
+        # a planted entry whose f has u-degree 2 under xy, of complexity 1
+        eng = TraceEngine()
+        w = parse("xy")
+        assert trace._word_entry(w, eng).u_degree == 1
+        eng._words[trace._canonical_cyclic(w.blocks)] = trace._WordEntry(U**2)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="u-degree 2 != complexity of xy"):
+                trace._word_entry(w, eng)
 
     def test_result_fields(self, engine):
         res = trace_poly(parse("xxyXY"), engine=engine)

@@ -9,6 +9,7 @@ from tracelab.tripoly import TriPoly, _nth_roots, _power, frobenius_strip
 from _oracles import (
     frobenius_strip_brute,
     monomial,
+    nth_roots_by_scan,
     poly_value,
     tri_add,
     tri_eval_mod,
@@ -231,6 +232,15 @@ class TestDivisionAndRoots:
         assert _nth_roots(4, 2, 7)[0] in (2, 5)
         assert _nth_roots(-8, 3, None)[0] == -2
         assert _nth_roots(-4, 2, None) == []
+
+    def test_roots_mod_p_match_the_scan(self):
+        primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+        for p in primes:
+            for n in range(1, 13):
+                expect = nth_roots_by_scan(n, p)
+                for c in range(p):
+                    assert _nth_roots(c, n, p) == expect[c], (c, n, p)
+                    assert _nth_roots(c - p, n, p) == expect[c], (c - p, n, p)
 
 
 class TestFrobeniusStrip:
