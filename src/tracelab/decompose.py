@@ -85,9 +85,9 @@ from .unipoly import UniPoly, _recurrence, dickson, dickson_apply
 from .words import (
     DegenerateWordError,
     Word,
+    _exponent_sums,
     canonicalize,
     proper_power_root,
-    stats,
 )
 
 NONCOMPOSITE_P = "NoncompositeP"
@@ -203,7 +203,11 @@ def dickson_decompose(f: TriPoly, d: int) -> Optional[TriPoly]:
     """
     if d < 2:
         raise ValueError("Dickson index must be >= 2")
-    blocks = f.u_coefficients()
+    return _dickson_from_blocks(f, f.u_coefficients(), d)
+
+
+def _dickson_from_blocks(f: TriPoly, blocks: List[TriPoly], d: int) -> Optional[TriPoly]:
+    """dickson_decompose(f, d) on f's u-blocks, split once by the caller."""
     r = len(blocks) - 1
     if r < 1 or r % d:
         raise ValueError(f"index {d} does not divide u-degree {f.deg('u')}")
@@ -243,7 +247,11 @@ def decompose_in_u(f: TriPoly, n: int) -> Optional[CompositionWitness]:
     """
     if n < 2:
         raise ValueError("outer degree must be >= 2")
-    blocks = f.u_coefficients()
+    return _decompose_from_blocks(f, f.u_coefficients(), n)
+
+
+def _decompose_from_blocks(f: TriPoly, blocks: List[TriPoly], n: int) -> Optional[CompositionWitness]:
+    """decompose_in_u(f, n) on f's u-blocks, split once by the caller."""
     r = len(blocks) - 1
     if r < 1 or r % n:
         raise ValueError(f"outer degree {n} does not divide u-degree {f.deg('u')}")
@@ -330,12 +338,15 @@ def _outer_degrees(A: int, B: int, r: int, p: Optional[int]) -> List[int]:
 
 
 def _try_outer(
-    f: TriPoly, n: int, zero_sums: bool, p: Optional[int]
+    f: TriPoly, blocks: List[TriPoly], n: int, zero_sums: bool, p: Optional[int]
 ) -> Optional[CompositionWitness]:
-    """The witness of outer degree n, D_n unless the exponent sums are (0, 0), or None."""
+    """The witness of outer degree n >= 2, D_n unless the exponent sums are (0, 0), or None.
+
+    ``blocks`` are f's u-blocks, which the caller splits once for every n it tries.
+    """
     if zero_sums:
-        return decompose_in_u(f, n)
-    q = dickson_decompose(f, n)
+        return _decompose_from_blocks(f, blocks, n)
+    q = _dickson_from_blocks(f, blocks, n)
     if q is None:
         return None
     return CompositionWitness(outer=dickson(n, p), inner=q, p=p, dickson_index=n)
@@ -348,8 +359,12 @@ def _find_witness(
     r = f.deg("u")
     if r < 2:
         return None
-    for n in _outer_degrees(A, B, r, p):
-        witness = _try_outer(f, n, (A, B) == (0, 0), p)
+    outers = _outer_degrees(A, B, r, p)
+    if not outers:
+        return None
+    blocks = f.u_coefficients()
+    for n in outers:
+        witness = _try_outer(f, blocks, n, (A, B) == (0, 0), p)
         if witness is not None:
             return witness
     return None
@@ -362,8 +377,8 @@ def _word_poly(
     canon, rec = canonicalize(w)
     if rec.degenerate:
         raise DegenerateWordError(f"classification needs complexity >= 1: {w!r}")
-    st = stats(canon)
-    return canon, st.A, st.B, _word_entry(canon, engine)
+    A, B, _, _ = _exponent_sums(canon.blocks)
+    return canon, A, B, _word_entry(canon, engine)
 
 
 _MISSING = object()
@@ -401,17 +416,17 @@ def _power_verdict(entry: _WordEntry, A: int, B: int, p: Optional[int]):
     if below is not None and (p is None or below.verdict != NONCOMPOSITE_P):
         return _MISSING
     zero_sums = (A, B) == (0, 0)
-    blocks = root.f.u_coefficients()
-    larger = [n for n in _outer_degrees(A, B, k * (len(blocks) - 1), p) if n > k]
+    larger = [n for n in _outer_degrees(A, B, k * root.u_degree, p) if n > k]
     witness = None
     if larger:
         f = entry.f if p is None else entry.f.reduce_mod(p)
+        f_blocks = f.u_coefficients()
         for n in larger:
-            witness = _try_outer(f, n, zero_sums, p)
+            witness = _try_outer(f, f_blocks, n, zero_sums, p)
             if witness is not None:
                 break
     if witness is None:
-        inner = root.f if k % 2 or blocks[-1].leading_coeff() == 1 else -root.f
+        inner = root.f if k % 2 or root.f.u_coefficients()[-1].leading_coeff() == 1 else -root.f
         if p is not None:
             inner = inner.reduce_mod(p)
         witness = CompositionWitness(outer=dickson(k, p), inner=inner, p=p, dickson_index=k)

@@ -104,11 +104,22 @@ _ONE_VEC = ({0: 1}, {}, {}, {})
 
 
 def _canonical_cyclic(blocks: Tuple[Block, ...]) -> Tuple[Block, ...]:
-    """Least rotation of the block sequence or its inverse."""
+    """Least rotation of a cyclically reduced block sequence or its inverse.
+
+    Only the rotations that start on an x-block are compared.  A cyclically
+    reduced core of two or more blocks has adjacent blocks on different
+    generators, its last and first blocks included, so its generators
+    alternate around the cycle, and so do its inverse's.  Blocks compare
+    as (gen, exp) tuples and X = 0 < Y = 1, so every rotation that starts
+    on an x-block is smaller than every rotation that starts on a y-block,
+    and the least rotation starts on an x-block: at the even indices when
+    the sequence starts on one, at the odd indices otherwise.  A core of
+    one block keeps its single rotation.
+    """
     best = None
     for seq in (blocks, _invert(blocks)):
-        n = len(seq)
-        for i in range(n):
+        start = 1 if len(seq) > 1 and seq[0][0] == Y else 0
+        for i in range(start, len(seq), 2):
             cand = seq[i:] + seq[:i]
             if best is None or cand < best:
                 best = cand

@@ -131,16 +131,21 @@ class Word:
             and self.blocks[-1][0] == Y
         )
 
-    @property
-    def syllables(self) -> Tuple[Tuple[int, int], ...]:
+    def _require_canonical(self) -> None:
         if not self.is_canonical:
             raise DegenerateWordError(f"word {self!r} is not in canonical form")
+
+    @property
+    def syllables(self) -> Tuple[Tuple[int, int], ...]:
+        self._require_canonical()
         it = iter(self.blocks)
         return tuple((a, b) for (_, a), (_, b) in zip(it, it))
 
     @property
     def complexity(self) -> int:
-        return len(self.syllables)
+        """The number of syllables, read from the block count of a canonical word."""
+        self._require_canonical()
+        return len(self.blocks) // 2
 
     @property
     def length(self) -> int:
@@ -223,6 +228,10 @@ class CanonicalizeRecord:
     degenerate: bool
 
 
+# the record of every word that is already canonical
+_CANONICAL = CanonicalizeRecord(conjugator=Word(()), degenerate=False)
+
+
 def canonicalize(w: Word) -> Tuple[Word, CanonicalizeRecord]:
     """Cyclically reduce and rotate so the word starts with an x-power.
 
@@ -230,7 +239,12 @@ def canonicalize(w: Word) -> Tuple[Word, CanonicalizeRecord]:
     empty word is an error.  Rotation and cyclic reduction are conjugations,
     so every trace-level quantity is unchanged.  The conjugator is a prefix
     of w: the blocks ``_cyclic_reduce`` merges away and a rotated y-block.
+    A word that is already canonical, from an x-block to a y-block, is
+    cyclically reduced and needs no rotation, so it comes back as it is,
+    with an empty conjugator.
     """
+    if w.is_canonical:
+        return w, _CANONICAL
     if w.is_empty:
         raise DegenerateWordError("cannot canonicalize the empty word")
     blocks, k = _cyclic_reduce(w.blocks)
@@ -251,16 +265,23 @@ class WordStats:
     length: int
 
 
+def _exponent_sums(blocks: Tuple[Block, ...]) -> Tuple[int, int, int, int]:
+    """(A, B, Abar, Bbar): the signed and absolute exponent sums on x and on y, in one pass."""
+    A = B = Abar = Bbar = 0
+    for gen, exp in blocks:
+        if gen == X:
+            A += exp
+            Abar += abs(exp)
+        else:
+            B += exp
+            Bbar += abs(exp)
+    return A, B, Abar, Bbar
+
+
 def stats(w: Word) -> WordStats:
-    sylls = w.syllables  # raises on non-canonical input
-    return WordStats(
-        r=len(sylls),
-        A=sum(a for a, _ in sylls),
-        B=sum(b for _, b in sylls),
-        Abar=sum(abs(a) for a, _ in sylls),
-        Bbar=sum(abs(b) for _, b in sylls),
-        length=w.length,
-    )
+    r = w.complexity  # raises on non-canonical input
+    A, B, Abar, Bbar = _exponent_sums(w.blocks)
+    return WordStats(r=r, A=A, B=B, Abar=Abar, Bbar=Bbar, length=Abar + Bbar)
 
 
 def proper_power_root(w: Word) -> Tuple[Word, int]:
@@ -284,12 +305,15 @@ def _compositions(n: int, parts: int) -> Iterator[Tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _signed(word_shape: Tuple[int, ...], signbits: int) -> Tuple[Tuple[int, int], ...]:
-    vals = []
-    for i, m in enumerate(word_shape):
-        vals.append(-m if (signbits >> i) & 1 else m)
-    it = iter(vals)
-    return tuple(zip(it, it))
+def _signed(word_shape: Tuple[int, ...], signbits: int) -> Tuple[Block, ...]:
+    """The blocks x^m1 y^m2 x^m3 ... of a shape of even length, bit i of signbits negating m_(i+1).
+
+    The exponents are nonzero and the generators alternate, so the blocks
+    are freely reduced, and canonical.
+    """
+    return tuple(
+        (Y if i & 1 else X, -m if (signbits >> i) & 1 else m) for i, m in enumerate(word_shape)
+    )
 
 
 # the candidate sets a scan or sampler may be restricted to
@@ -318,7 +342,7 @@ def _candidate_cells(max_length: int, constraint: str):
 def enumerate_words(max_length: int, constraint: str = "any") -> Iterator[Word]:
     """All candidate words of length <= max_length, in a fixed order."""
     return (
-        Word.from_syllables(_signed(shape, bits))
+        Word(_signed(shape, bits))
         for n, r, _ in _candidate_cells(max_length, constraint)
         for shape in _compositions(n, 2 * r)
         for bits in range(1 << (2 * r))
@@ -353,4 +377,4 @@ def _sampled(cells, count: int, rng: random.Random) -> Iterator[Word]:
         bounds = [0] + cuts + [n]
         shape = tuple(bounds[i + 1] - bounds[i] for i in range(2 * r))
         bits = rng.getrandbits(2 * r)
-        yield Word.from_syllables(_signed(shape, bits))
+        yield Word(_signed(shape, bits))

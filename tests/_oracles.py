@@ -37,10 +37,18 @@ row and no shortcut, the reference for the verdicts the classifiers give.
 `nth_roots_by_scan` is the scan of F_p that `tripoly._nth_roots` ran
 before it took roots through the cyclic group, the reference for it.
 `perfbench_inputs` loads the benchmark's input streams, so tests can run
-the words the benchmark sends.
+the words the benchmark sends.  `all_rotations_canonical_cyclic` compares
+every rotation, as `trace._canonical_cyclic` did before it compared only
+those that start on an x-block, and `syllable_stats` reads `stats` from
+the syllable tuple, as `words.stats` did before it read the blocks in one
+pass; `enumerated_by_syllables` and `sampled_by_syllables` build each word
+of `enumerate_words` and `sample_words` through `Word.from_syllables`, as
+both did before they built words from their blocks.  Each is the
+reference for the rule that replaced it.
 """
 
 import importlib.util
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -61,7 +69,7 @@ from tracelab.probes import _u_slices
 from tracelab.sl2 import _IDENTITY, _eval_word, build_class_table
 from tracelab.tripoly import TriPoly, _pack, frobenius_strip
 from tracelab.unipoly import UniPoly
-from tracelab.words import X as GEN_X, Y as GEN_Y, Word
+from tracelab.words import X as GEN_X, Y as GEN_Y, Word, _candidate_cells, _compositions
 
 # ---------------------------------------------------------------------------
 # library values that only tests build or read
@@ -841,3 +849,72 @@ def searched_verdict(f, A, B, p):
             outer=witness.outer, inner=witness.inner ** (p**k), p=p, dickson_index=witness.dickson_index
         )
     return PrimeVerdict(p=p, verdict=COMPOSITE_NOT_SPECIAL, witness=witness, frobenius_k=k)
+
+
+# ---------------------------------------------------------------------------
+# the word rules that read syllables and every rotation
+
+
+def all_rotations_canonical_cyclic(blocks):
+    """The least of every rotation of a block sequence and of its inverse, none skipped."""
+    inverse = _block_inverse(blocks)
+    return min(seq[i:] + seq[:i] for seq in (blocks, inverse) for i in range(len(seq)))
+
+
+def syllable_stats(w):
+    """(r, A, B, Abar, Bbar, length) of a canonical word, read from its syllables."""
+    sylls = w.syllables  # DegenerateWordError on non-canonical input
+    return (
+        len(sylls),
+        sum(a for a, _ in sylls),
+        sum(b for _, b in sylls),
+        sum(abs(a) for a, _ in sylls),
+        sum(abs(b) for _, b in sylls),
+        sum(abs(a) + abs(b) for a, b in sylls),
+    )
+
+
+def _signed_syllables(shape, bits):
+    """The syllables of a shape's exponents, bit i of bits negating the i-th."""
+    vals = [-m if (bits >> i) & 1 else m for i, m in enumerate(shape)]
+    it = iter(vals)
+    return tuple(zip(it, it))
+
+
+def enumerated_by_syllables(max_length):
+    """``enumerate_words(max_length)``, each word built by ``Word.from_syllables``."""
+    return [
+        Word.from_syllables(_signed_syllables(shape, bits))
+        for n, r, _ in _candidate_cells(max_length, "any")
+        for shape in _compositions(n, 2 * r)
+        for bits in range(1 << (2 * r))
+    ]
+
+
+def sampled_by_syllables(max_length, count, seed):
+    """``sample_words(max_length, count, seed)``, each word built by ``Word.from_syllables``."""
+    cells = _candidate_cells(max_length, "any")
+    rng = random.Random(seed)
+    total = sum(c for _, _, c in cells)
+    out = []
+    for _ in range(count):
+        idx = rng.randrange(total)
+        for n, r, c in cells:
+            if idx < c:
+                break
+            idx -= c
+        cuts = sorted(rng.sample(range(1, n), 2 * r - 1))
+        bounds = [0] + cuts + [n]
+        shape = tuple(bounds[i + 1] - bounds[i] for i in range(2 * r))
+        out.append(Word.from_syllables(_signed_syllables(shape, rng.getrandbits(2 * r))))
+    return out
+
+
+def alternating_block_words(max_blocks, exponents):
+    """Every freely reduced block tuple of 1 to max_blocks blocks with exponents from ``exponents``."""
+    out = []
+    level = [((g, e),) for g in (GEN_X, GEN_Y) for e in exponents]
+    for _ in range(max_blocks):
+        out += level
+        level = [w + ((1 - w[-1][0], e),) for w in level for e in exponents]
+    return out

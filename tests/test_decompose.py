@@ -669,13 +669,13 @@ class TestPowerVerdicts:
 
     def test_a_larger_candidate_is_still_tried(self, monkeypatch):
         tried = []
-        real = decompose.dickson_decompose
+        real = decompose._dickson_from_blocks
 
-        def counted(f, d):
+        def counted(f, blocks, d):
             tried.append((f.p, d))
-            return real(f, d)
+            return real(f, blocks, d)
 
-        monkeypatch.setattr(decompose, "dickson_decompose", counted)
+        monkeypatch.setattr(decompose, "_dickson_from_blocks", counted)
         w = parse("x^2y^2x^2y^-2" * 2)
         witness = classify_rational(w, engine=TraceEngine())[1]
         # the root's own candidate 2, then 4 on f_w; no recomposition at k = 2

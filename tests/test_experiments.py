@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from tracelab import decompose, trace, words
 from tracelab.decompose import (
     COMPOSITE_NOT_SPECIAL,
     NONCOMPOSITE_P,
@@ -14,7 +15,7 @@ from tracelab.experiments import (
     measure_preserving_report,
     verify_theorem_p_equi,
 )
-from tracelab.words import parse
+from tracelab.words import Word, parse
 
 from _oracles import canonical_strings, string_is_proper_power
 
@@ -101,6 +102,25 @@ class TestGenericity:
         # rational noncompositeness implies not a proper power
         assert last.certified + last.proper_powers <= last.total
         assert last.mu_certified == Fraction(last.certified, last.total)
+
+    def test_scan_reads_no_syllables_and_keeps_canonical_words(self, monkeypatch):
+        # a count guard, not a timer: each canonical word is classified as it is
+        reads = []
+        real_syllables = Word.syllables
+        monkeypatch.setattr(Word, "syllables", property(lambda w: reads.append(w) or real_syllables.fget(w)))
+        calls = []
+        real_canonicalize = words.canonicalize
+
+        def spy(w):
+            out = real_canonicalize(w)
+            calls.append(out[0] is w)
+            return out
+
+        for module in (words, decompose, trace):
+            monkeypatch.setattr(module, "canonicalize", spy)
+        reports = genericity_scan(5, mode="exhaustive", certify=True)
+        assert reads == []
+        assert len(calls) == reports[-1].total == 120 and all(calls)
 
     def test_power_words_never_certified(self):
         # certified words are exactly the rationally noncomposite ones, and

@@ -22,6 +22,8 @@ from _oracles import (
     LAU_X,
     LAU_XINV,
     NIELSEN_MOVES,
+    all_rotations_canonical_cyclic,
+    alternating_block_words,
     apply_move,
     eval_trace_direct,
     fricke_trace,
@@ -120,6 +122,35 @@ class TestInvariance:
         w = parse(text)
         c = parse("xy")
         assert trace_poly(w).f == trace_poly(c * w * c.inverse()).f
+
+
+@st.composite
+def cyclic_cores(draw):
+    """A cyclically reduced core: one block, or a canonical word rotated, raised to a power, inverted."""
+    exps = st.integers(-4, 4).filter(bool)
+    if draw(st.booleans()):
+        return ((draw(st.sampled_from((0, 1))), draw(exps)),)
+    blocks = draw(syllable_words(max_r=4, hi=4)).blocks
+    shift = draw(st.integers(0, len(blocks) - 1))  # odd shifts start on a y-block
+    core = (blocks[shift:] + blocks[:shift]) * draw(st.integers(1, 3))
+    return Word(core).inverse().blocks if draw(st.booleans()) else core
+
+
+class TestCanonicalCyclic:
+    """The memo key compares the x-block rotations only; the all-rotation rule is the reference."""
+
+    @given(cyclic_cores())
+    def test_matches_all_rotations(self, core):
+        assert _cyclic_reduce(core)[0] == core
+        assert trace._canonical_cyclic(core) == all_rotations_canonical_cyclic(core)
+
+    def test_every_small_core(self):
+        # every reduced word of at most 10 blocks of +-1, and of at most 6 of +-1, +-2
+        words = alternating_block_words(10, (1, -1)) + alternating_block_words(6, (1, -1, 2, -2))
+        cores = {_cyclic_reduce(blocks)[0] for blocks in words} - {()}
+        assert len(cores) > 5000
+        for core in cores:
+            assert trace._canonical_cyclic(core) == all_rotations_canonical_cyclic(core), core
 
 
 class TestSignRule:

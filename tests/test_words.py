@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import pytest
@@ -15,7 +16,14 @@ from tracelab.words import (
     stats,
 )
 
-from _oracles import canonical_strings, string_is_proper_power
+from _oracles import (
+    alternating_block_words,
+    canonical_strings,
+    enumerated_by_syllables,
+    sampled_by_syllables,
+    string_is_proper_power,
+    syllable_stats,
+)
 
 # letter strategy for random words, possibly unreduced
 letters = st.text(alphabet="xXyY", min_size=0, max_size=14)
@@ -113,7 +121,7 @@ class TestCanonicalize:
     @given(syllable_words())
     def test_canonical_words_are_fixed_points(self, w):
         c, rec = canonicalize(w)
-        assert c == w
+        assert c is w  # returned as it is, not rebuilt
         assert rec.conjugator.is_empty
         assert not rec.degenerate
 
@@ -122,6 +130,18 @@ class TestCanonicalize:
         assert rec.degenerate
         c, rec = canonicalize(parse("yXY"))  # conjugate of x
         assert rec.degenerate
+
+
+class TestComplexity:
+    @pytest.mark.parametrize("text", ["x^3", "yx", ""])
+    def test_non_canonical_word_raises_the_syllables_message(self, text):
+        w = parse(text)
+        with pytest.raises(DegenerateWordError) as err:
+            w.complexity
+        assert str(err.value) == f"word {w!r} is not in canonical form"
+        with pytest.raises(DegenerateWordError) as from_syllables:
+            w.syllables
+        assert str(from_syllables.value) == str(err.value)
 
 
 class TestStats:
@@ -136,13 +156,27 @@ class TestStats:
 
     @given(syllable_words())
     def test_stats_match_syllables(self, w):
-        st_ = stats(w)
-        syl = w.syllables
-        assert st_.r == len(syl)
-        assert st_.A == sum(a for a, _ in syl)
-        assert st_.B == sum(b for _, b in syl)
-        assert st_.Abar == sum(abs(a) for a, _ in syl)
-        assert st_.Bbar == sum(abs(b) for _, b in syl)
+        assert dataclasses.astuple(stats(w)) == syllable_stats(w)
+
+    @staticmethod
+    def _agrees_with_the_syllable_oracle(w):
+        if w.is_canonical:
+            return dataclasses.astuple(stats(w)) == syllable_stats(w)
+        for read in (stats, syllable_stats):
+            with pytest.raises(DegenerateWordError):
+                read(w)
+        return True
+
+    @given(letters)
+    def test_matches_the_syllable_oracle_on_any_word(self, text):
+        assert self._agrees_with_the_syllable_oracle(parse(text))
+
+    def test_matches_the_syllable_oracle_on_every_small_word(self):
+        # every reduced word of at most 10 blocks of +-1, and of at most 6 of +-1, +-2
+        words = alternating_block_words(10, (1, -1)) + alternating_block_words(6, (1, -1, 2, -2))
+        assert sum(Word(blocks).is_canonical for blocks in words) > 2000
+        for blocks in words:
+            assert self._agrees_with_the_syllable_oracle(Word(blocks)), blocks
 
 
 class TestProperPowers:
@@ -173,6 +207,13 @@ class TestEnumerate:
                 parse(t).render() for m in range(2, n + 1) for t in canonical_strings(m)
             }
             assert got == expect
+
+    def test_words_equal_the_syllable_construction(self):
+        # built from their blocks, the words are those Word.from_syllables built, in order
+        words = list(enumerate_words(9))
+        assert len(words) > 9000
+        assert words == enumerated_by_syllables(9)
+        assert list(sample_words(9, 500, seed=3)) == sampled_by_syllables(9, 500, 3)
 
     def test_prime_complexity_filter(self):
         for w in enumerate_words(6, constraint="prime-complexity"):
