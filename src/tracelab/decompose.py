@@ -25,8 +25,10 @@ and gcd(|A|, |B|), all invariant under rotation and inversion of the word.
 So every verdict is searched for once per word: it is kept in the row of
 the word's entry in the trace engine's memo (``trace._WordEntry``), which
 ``classify_global``, ``classify_rational``, ``classify_p`` and
-``power_word_report`` read and fill, and which is evicted with f_w.  For
-(A, B) != (0, 0), a prime that does not divide r and leaves no Dickson
+``power_word_report`` read and fill, and which is evicted with f_w; r is
+read from the entry, not from f_w's terms.  At a prime that does not
+divide r no Frobenius strip runs, since f_w mod p has no layer there, and
+for (A, B) != (0, 0) a prime that does not divide r and leaves no Dickson
 candidate is read as NoncompositeP without reducing f_w
 (``_prime_verdict``).
 
@@ -353,10 +355,9 @@ def _try_outer(
 
 
 def _find_witness(
-    f: TriPoly, A: int, B: int, p: Optional[int]
+    f: TriPoly, A: int, B: int, p: Optional[int], r: int
 ) -> Optional[CompositionWitness]:
-    """Composite witness for f over QQ or F_p, trying large outers first."""
-    r = f.deg("u")
+    """Composite witness for f of u-degree r over QQ or F_p, trying large outers first."""
     if r < 2:
         return None
     outers = _outer_degrees(A, B, r, p)
@@ -396,9 +397,9 @@ def _verdict(entry: _WordEntry, A: int, B: int, p: Optional[int]):
             found = _power_verdict(entry, A, B, p)
         if found is _MISSING:
             if p is None:
-                found = _find_witness(entry.f, A, B, None)
+                found = _find_witness(entry.f, A, B, None, entry.u_degree)
             else:
-                found = _prime_verdict(entry.f, A, B, p)
+                found = _prime_verdict(entry.f, A, B, p, entry.u_degree)
         entry.verdicts[p] = found
     return found
 
@@ -426,7 +427,11 @@ def _power_verdict(entry: _WordEntry, A: int, B: int, p: Optional[int]):
             if witness is not None:
                 break
     if witness is None:
-        inner = root.f if k % 2 or root.f.u_coefficients()[-1].leading_coeff() == 1 else -root.f
+        if k % 2 == 0 and root.top_sign is None:
+            # the coefficient of the (s, t)-largest monomial at u^r, read once per root
+            r = root.u_degree
+            root.top_sign = max((i, t, c) for (i, j, t), c in root.f.terms() if j == r)[2]
+        inner = root.f if k % 2 or root.top_sign == 1 else -root.f
         if p is not None:
             inner = inner.reduce_mod(p)
         witness = CompositionWitness(outer=dickson(k, p), inner=inner, p=p, dickson_index=k)
@@ -449,23 +454,26 @@ def _noncomposite(p: int) -> PrimeVerdict:
     return PrimeVerdict(p=p, verdict=NONCOMPOSITE_P, witness=None, frobenius_k=0)
 
 
-def _prime_verdict(f: TriPoly, A: int, B: int, p: int) -> PrimeVerdict:
-    """Verdict for the rational f_w at one prime: strip Frobenius layers, test the core.
+def _prime_verdict(f: TriPoly, A: int, B: int, p: int, r: int) -> PrimeVerdict:
+    """Verdict for the rational f_w of u-degree r at one prime: strip Frobenius layers, test the core.
 
-    When p does not divide r = deg_u f, (A, B) != (0, 0) and no Dickson
-    index is a candidate at p, the verdict is NoncompositeP with k = 0, and
-    f is not reduced.  For f = sum_k u^k G_k, the leading coefficient
-    G_r = prod_i g_{a_i,b_i} has leading coefficient +-1, so u^r survives mod
-    p, and since p does not divide r the exponents' gcd is prime to p:
-    frobenius_strip returns k = 0 and core = f mod p.  With (A, B) !=
-    (0, 0) _find_witness tries the Dickson candidates alone, and there are
-    none, so it returns None.
+    For f = sum_k u^k G_k, the leading coefficient G_r = prod_i g_{a_i,b_i}
+    has leading coefficient +-1, so u^r survives mod p.  When p does not
+    divide r, the exponents' gcd is therefore prime to p: frobenius_strip
+    would return k = 0 and core = f mod p, so the core is taken as that
+    without a strip.  If moreover (A, B) != (0, 0) and no Dickson index is
+    a candidate at p, the verdict is NoncompositeP with k = 0, and f is not
+    reduced: with (A, B) != (0, 0) _find_witness tries the Dickson
+    candidates alone, and there are none, so it returns None.  When p
+    divides r, the core of f mod p = core^(p^k) has u-degree r / p^k.
     """
-    r = f.deg("u")
-    if r % p and (A, B) != (0, 0) and not _dickson_candidates(A, B, r, p):
-        return _noncomposite(p)
-    core, k = frobenius_strip(f.reduce_mod(p))
-    witness = _find_witness(core, A, B, p)
+    if r % p:
+        if (A, B) != (0, 0) and not _dickson_candidates(A, B, r, p):
+            return _noncomposite(p)
+        core, k = f.reduce_mod(p), 0
+    else:
+        core, k = frobenius_strip(f.reduce_mod(p))
+    witness = _find_witness(core, A, B, p, r // p**k)
     if witness is None:
         if k == 0:
             return _noncomposite(p)

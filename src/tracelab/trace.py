@@ -24,25 +24,34 @@ When f_w's coefficients provably fit in 64 bits, the product runs on
 integers (Kronecker substitution; Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", J. Symbolic
 Comput. 44, 2009).  A key with x letters on X and r syllables packs
-s^i u^j t^k into the 64-bit slot i + j*S + k*S*U, S = x + 1 and
+s^i u^j t^k into the W-bit slot i + j*S + k*S*U, S = x + 1 and
 U = r + 1, t the major axis; that is, a component becomes its value at
-s = 2^64, u = 2^(64S), t = 2^(64SU), a ring homomorphism Z[s, u, t] ->
-Z.  Each component is then one Python int, a table entry (source,
-monomial, c) one ``o += c * (v << shift)``, and only f_w is decoded.
-Decoding is exact although the components may leave the box: f_w has
-degree at most x in s and r in u, so its support lies in the box, and its
-coefficients lie in (-2^63, 2^63), which makes the balanced base-2^64
-digits unique.  The bound: let growth(g^e) be the largest, over the four
-targets, of the sum of |c| over that target's entries in the block's
-table.  A block's target coefficient is a sum over those entries of c
-times a source coefficient, so each block multiplies the largest
-coefficient of a, b, c, d by at most growth(g^e), and 2a + sb + tc + ud
-multiplies it by at most 5; starting from 1, every coefficient of f_w is
-at most 5 * prod growth(block) in absolute value.  A key with that bound
-below 2^63 takes the packed path; every other key, such as x^100 y, whose
-V_100 has coefficients far past 64 bits, takes the product over packed-key
-dicts, where a shift copies only the terms there are.  Both paths share
-one table per block.
+s = 2^W, u = 2^(WS), t = 2^(WSU), a ring homomorphism Z[s, u, t] -> Z.
+Each component is then one Python int, a table entry (source, monomial,
+c) one ``o += c * (v << shift)``, and only f_w is decoded.  Decoding is
+exact although the components may leave the box: f_w has degree at most
+x in s and r in u, so its support lies in the box, and its coefficients
+lie in (-2^(W-1), 2^(W-1)), which makes the balanced base-2^W digits
+unique.
+
+The bound is carried per component.  For a block's table let N[i][j] be
+the sum of |c| over the entries from source j to target i.  A target
+coefficient is a sum, over the table's entries, of c times one source
+coefficient, so if every coefficient of component j is at most B_j in
+absolute value before the block, every coefficient of component i is at
+most (N B)_i after it.  Starting from 1 = (1, 0, 0, 0), B <- N B at
+each block bounds a, b, c, d, and a coefficient of 2a + sb + tc + ud is
+at most 2 B_a + B_b + B_c + B_d.  Since (N B)_i <= growth * max(B), with
+growth the largest row sum of N, this bound is never above the scalar
+bound 5 * prod growth(block), so every key that bound packs is packed;
+on 926 random words of up to 24 letters it is 2 to 14 bits below that
+bound.  The slot width W is the fewest whole bytes with the bound below
+2^(W-1), W = 8 * (bound.bit_length() // 8 + 1), so narrow coefficients
+make short ints.  A key with the bound below 2^63 takes the packed path,
+at W <= 64; every other key, such as x^100 y, whose V_100 has
+coefficients far past 64 bits, takes the product over packed-key dicts,
+where a shift copies only the terms there are.  Both paths share one
+table per block.
 
 Whole words are memoized in a bounded memo, keyed on a normal form
 invariant under cyclic rotation and inversion, both of which preserve the
@@ -94,10 +103,9 @@ MAX_TRACE_SIZE = 10**7
 # traces about 940 distinct words, so it evicts nothing.
 _MEMO_BOUND = 2048
 
-# f_w's coefficients must lie in (-2^63, 2^63) to take the packed path;
-# each 64-bit slot is decoded with a bias of 2^63 (see ``_decode_slots``)
+# f_w's coefficients must lie in (-2^63, 2^63) to take the packed path,
+# whose slots are at most 64 bits wide (see ``_decode_slots``)
 _SLOT_BOUND = 1 << 63
-_SLOT_BIAS = (1 << 63).to_bytes(8, "little")
 
 # a + bX + cY + dXY, each coefficient a packed-key dict over Z[s, u, t]
 _ONE_VEC = ({0: 1}, {}, {}, {})
@@ -185,42 +193,49 @@ def _block_table(g: int, e: int):
     return table
 
 
-def _growth(table) -> int:
-    """The largest sum of |coefficient| over a component's entries, or 2^63 once one reaches it."""
-    most = 0
-    for parts in table:
-        total = 0
-        for _, _, c in parts:
-            total += abs(c)
-            if total >= _SLOT_BOUND:
-                return _SLOT_BOUND
-        most = max(most, total)
-    return most
+def _norms(table) -> tuple:
+    """N[target][source], the sum of |c| over the table's entries from source to target, row by row."""
+    norms = [0] * 16
+    for target, parts in enumerate(table):
+        for source, _, c in parts:
+            norms[4 * target + source] += abs(c)
+    return tuple(norms)
 
 
 @lru_cache(maxsize=64)
 def _small_block(g: int, e: int):
-    """The table and growth of a small exponent, which every word reuses."""
+    """The table and norms of a small exponent, which every word reuses."""
     table = _block_table(g, e)
-    return table, _growth(table)
+    return table, _norms(table)
 
 
 def _product(key: Tuple[Block, ...]) -> TriPoly:
-    """f_w of a key, packed when 5 * prod growth(block) < 2^63 and by dicts otherwise.
+    """f_w of a key, packed in slots of the bound's width when it is below 2^63 and by dicts otherwise.
 
     Each block's table is built once and serves the bound and the path.
+    The bound (Ba, Bb, Bc, Bd) <- N (Ba, Bb, Bc, Bd) is unrolled into 16
+    products a block (module docstring).
     """
     tables = []
-    bound = 5
+    Ba, Bb, Bc, Bd = 1, 0, 0, 0
     for g, e in key:
         if abs(e) <= 8:
-            table, growth = _small_block(g, e)
+            table, norms = _small_block(g, e)
         else:
             table = _block_table(g, e)
-            growth = _growth(table) if bound < _SLOT_BOUND else 1
+            norms = _norms(table)
         tables.append(table)
-        bound = min(bound * growth, _SLOT_BOUND)
-    return _packed_trace(key, tables) if bound < _SLOT_BOUND else _dict_trace(tables)
+        a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = norms
+        Ba, Bb, Bc, Bd = (
+            a0 * Ba + a1 * Bb + a2 * Bc + a3 * Bd,
+            b0 * Ba + b1 * Bb + b2 * Bc + b3 * Bd,
+            c0 * Ba + c1 * Bb + c2 * Bc + c3 * Bd,
+            d0 * Ba + d1 * Bb + d2 * Bc + d3 * Bd,
+        )
+    bound = 2 * Ba + Bb + Bc + Bd
+    if bound >= _SLOT_BOUND:
+        return _dict_trace(tables)
+    return _packed_trace(key, tables, 8 * (bound.bit_length() // 8 + 1))
 
 
 def _dict_trace(tables) -> TriPoly:
@@ -231,15 +246,15 @@ def _dict_trace(tables) -> TriPoly:
     return TriPoly._normal(_combine(vec, ((0, 0, 2), (1, _KS, 1), (2, _KT, 1), (3, _KU, 1))), None)
 
 
-def _packed_trace(key: Tuple[Block, ...], tables) -> TriPoly:
-    """f_w from the blocks' tables, each component one int of 64-bit slots.
+def _packed_trace(key: Tuple[Block, ...], tables, width: int) -> TriPoly:
+    """f_w from the blocks' tables, each component one int of slots ``width`` bits wide.
 
-    Only for a key whose coefficient bound is below 2^63 (module docstring).
+    Only for a key whose coefficient bound is below 2^(width - 1) (module docstring).
     """
     x = sum(abs(e) for g, e in key if g == X)
     y = sum(abs(e) for _, e in key) - x
     su, u = x + 1, len(key) // 2 + 1
-    sut = su * u
+    suw, sutw = su * width, su * u * width
     vec = (1, 0, 0, 0)
     for table in tables:
         out = []
@@ -248,7 +263,7 @@ def _packed_trace(key: Tuple[Block, ...], tables) -> TriPoly:
             for source, mono, c in parts:
                 v = vec[source]
                 if v:
-                    shift = ((mono >> _SH_S) + su * ((mono >> _SH_U) & _MASK) + sut * (mono & _MASK)) << 6
+                    shift = width * (mono >> _SH_S) + suw * ((mono >> _SH_U) & _MASK) + sutw * (mono & _MASK)
                     if c == 1:  # most entries: no product by c to allocate
                         o += v << shift
                     elif c == -1:
@@ -258,22 +273,30 @@ def _packed_trace(key: Tuple[Block, ...], tables) -> TriPoly:
             out.append(o)
         vec = out
     a, b, c, d = vec
-    f = 2 * a + (b << 64) + (d << (su << 6)) + (c << (sut << 6))
-    return _decode_slots(f, su, u, y + 1)
+    f = 2 * a + (b << width) + (d << suw) + (c << sutw)
+    return _decode_slots(f, width, su, u, y + 1)
 
 
-def _decode_slots(f: int, su: int, u: int, t: int) -> TriPoly:
-    """The polynomial whose 64-bit slots, each in (-2^63, 2^63), sum to f.
+def _decode_slots(f: int, width: int, su: int, u: int, t: int) -> TriPoly:
+    """The polynomial whose ``width``-bit slots, each in (-2^(width-1), 2^(width-1)), sum to f.
 
-    Adding 2^63 to every slot makes each one a digit of f in base 2^64,
-    which ``to_bytes`` writes out; XOR with 2^63 then reads each digit back
-    as a signed slot.  Since every slot is below 2^63 in absolute value,
+    The width is a multiple of 8 up to 64.  Adding 2^(width-1) to every
+    slot makes each one a digit of f in base 2^width, which ``to_bytes``
+    writes out.  Each digit's bytes are copied to the top of a 64-bit word,
+    which is then the digit times 2^(64-width); XOR with 2^63 makes it the
+    slot times 2^(64-width) in two's complement, and an arithmetic shift
+    right by 64 - width reads the slot back, at width 64 too, where the
+    shift is 0.  Since every slot is below 2^(width-1) in absolute value,
     the slots under the top nonzero one sum to less than half its weight
-    2^(64n), so f.bit_length() // 64 is n.
+    2^(width*n), so f.bit_length() // width is n.
     """
-    n = f.bit_length() // 64 + 1
-    raw = (f + int.from_bytes(_SLOT_BIAS * n, "little")).to_bytes(8 * n, "little")
-    coeffs = (np.frombuffer(raw, "<u8") ^ np.uint64(_SLOT_BOUND)).view(np.int64)
+    nbytes = width // 8
+    n = f.bit_length() // width + 1
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
+    digits = np.frombuffer((f + bias).to_bytes(nbytes * n, "little"), np.uint8).reshape(n, nbytes)
+    words = np.zeros((n, 8), np.uint8)
+    words[:, 8 - nbytes :] = digits
+    coeffs = (words.view("<u8").ravel() ^ np.uint64(_SLOT_BOUND)).view(np.int64) >> (64 - width)
     slots = np.flatnonzero(coeffs)
     keys = _slot_keys(su, u, t)[slots]
     return TriPoly._normal(dict(zip(keys.tolist(), coeffs[slots].tolist())), None)
@@ -381,14 +404,16 @@ class _WordEntry:
     and k as ``k``; it keeps v's entry alive after the memo drops it, so a
     power holds at most one entry more.  Otherwise ``root`` is None and
     ``k`` is 1.  f is never replaced, so ``u_degree``, f.deg("u") taken
-    once, stays f's.
+    once, stays f's, and so does ``top_sign``, the leading coefficient of
+    f's top u-block, None until ``decompose`` first reads it.
     """
 
-    __slots__ = ("f", "u_degree", "verdicts", "root", "k")
+    __slots__ = ("f", "u_degree", "top_sign", "verdicts", "root", "k")
 
     def __init__(self, f: TriPoly, root: Optional["_WordEntry"] = None, k: int = 1):
         self.f = f
         self.u_degree = f.deg("u")
+        self.top_sign = None
         self.verdicts: dict = {}
         self.root = root
         self.k = k

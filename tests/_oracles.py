@@ -43,8 +43,10 @@ those that start on an x-block, and `syllable_stats` reads `stats` from
 the syllable tuple, as `words.stats` did before it read the blocks in one
 pass; `enumerated_by_syllables` and `sampled_by_syllables` build each word
 of `enumerate_words` and `sample_words` through `Word.from_syllables`, as
-both did before they built words from their blocks.  Each is the
-reference for the rule that replaced it.
+both did before they built words from their blocks.  `scalar_bound` is
+the packed product's coefficient bound 5 * prod growth(block), which
+`trace._product` used before it carried a bound per component.  Each is
+the reference for the rule that replaced it.
 """
 
 import importlib.util
@@ -303,6 +305,14 @@ def trace_by_product(wtext):
     re, im = _xi_add(acc[0], acc[3])
     assert not im, "trace left Z[s, u, t]"
     return re
+
+
+def scalar_bound(tables):
+    """5 * prod growth(table), growth the largest sum of |c| over one target's entries of a block table."""
+    bound = 5
+    for table in tables:
+        bound *= max(sum(abs(c) for _, _, c in parts) for parts in table)
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -835,9 +845,9 @@ def searched_verdict(f, A, B, p):
     and k > 0, z^(p^k) is the SpecialP witness.
     """
     if p is None:
-        return _find_witness(f, A, B, None)
+        return _find_witness(f, A, B, None, f.deg("u"))
     core, k = frobenius_strip(f.reduce_mod(p))
-    witness = _find_witness(core, A, B, p)
+    witness = _find_witness(core, A, B, p, core.deg("u"))
     if witness is None and k == 0:
         return PrimeVerdict(p=p, verdict=NONCOMPOSITE_P, witness=None, frobenius_k=0)
     if witness is None:

@@ -23,6 +23,7 @@ from tracelab.decompose import (
     _find_witness,
     _match_inner,
     _prime_verdict,
+    _verdict,
     classify_global,
     classify_p,
     classify_rational,
@@ -30,8 +31,9 @@ from tracelab.decompose import (
     dickson_decompose,
     power_word_report,
 )
+from tracelab.gf import primes_in
 from tracelab.trace import TraceEngine, trace_poly
-from tracelab.tripoly import TriPoly
+from tracelab.tripoly import TriPoly, frobenius_strip
 from tracelab.unipoly import UniPoly, dickson, dickson_apply
 from tracelab.words import (
     DegenerateWordError,
@@ -414,9 +416,9 @@ def searches(monkeypatch):
     """The primes (None for the rationals) of every witness search, in order."""
     calls = []
 
-    def counted(f, A, B, p):
+    def counted(f, A, B, p, r):
         calls.append(p)
-        return _find_witness(f, A, B, p)
+        return _find_witness(f, A, B, p, r)
 
     monkeypatch.setattr(decompose, "_find_witness", counted)
     return calls
@@ -513,7 +515,7 @@ class TestPrimeShortcut:
         A, B = stats(w).A, stats(w).B
         f = trace_poly(w).f
         for p in self.PRIMES:
-            assert _prime_verdict(f, A, B, p) == searched_verdict(f, A, B, p), (w, p)
+            assert _prime_verdict(f, A, B, p, f.deg("u")) == searched_verdict(f, A, B, p), (w, p)
 
     @pytest.mark.parametrize(
         "text",
@@ -544,9 +546,22 @@ class TestPrimeShortcut:
             raise AssertionError("f was reduced")
 
         monkeypatch.setattr(TriPoly, "reduce_mod", no_reduce)
-        got = _prime_verdict(f, stats(v).A, stats(v).B, 3)
-        assert got is _prime_verdict(g, stats(w).A, stats(w).B, 3)
+        got = _prime_verdict(f, stats(v).A, stats(v).B, 3, 2)
+        assert got is _prime_verdict(g, stats(w).A, stats(w).B, 3, 2)
         assert (got.verdict, got.witness, got.frobenius_k) == (NONCOMPOSITE_P, None, 0)
+
+    @given(syllable_words(max_r=6))
+    @settings(max_examples=30)
+    def test_no_strip_where_p_does_not_divide_r(self, w):
+        # the fact _prime_verdict relies on to take f mod p as the core at p not dividing r
+        entry = TraceEngine().entry(w)
+        f, r = entry.f, entry.u_degree
+        A, B = stats(w).A, stats(w).B
+        for p in primes_in(2, 31):
+            if r % p:
+                g = f.reduce_mod(p)
+                assert frobenius_strip(g) == (g, 0), (w, p)
+                assert _verdict(entry, A, B, p) == searched_verdict(f, A, B, p), (w, p)
 
 
 def _stream_powers(seeds=(1, 2, 3), count=500):
@@ -656,6 +671,22 @@ class TestPowerVerdicts:
         assert g.rational_witness == CompositionWitness(
             outer=UniPoly([0, -3, 0, 1]), inner=root, p=None, dickson_index=3
         )
+
+    def test_a_root_top_sign_is_read_without_a_split(self, monkeypatch):
+        # splitting f_v into u-blocks for its top sign at every prime where an
+        # even-index power falls back to D_k made 456 of 2043 splits here
+        splits = []
+        real = TriPoly.u_coefficients
+
+        def counted(f):
+            splits.append(f)
+            return real(f)
+
+        monkeypatch.setattr(TriPoly, "u_coefficients", counted)
+        eng = TraceEngine()
+        for req in itertools.islice(perfbench_inputs().classify_stream(1), 1500):
+            classify_global(Word.from_syllables(req.syllables), 13, engine=eng)
+        assert len(splits) <= 2043 - 400
 
     def test_a_long_power_of_a_short_root(self):
         g = classify_global(parse("xy" * 100), 13, engine=TraceEngine())

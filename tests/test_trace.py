@@ -1,5 +1,4 @@
 import itertools
-import math
 import os
 import random
 import subprocess
@@ -15,7 +14,7 @@ from tracelab.gf import field
 from tracelab.trace import TraceEngine, syllable_polys, trace_poly
 from tracelab.tripoly import TriPoly
 from tracelab.unipoly import chebyshev_v, dickson_apply
-from tracelab.words import X, Word, _cyclic_reduce, enumerate_words, parse, sample_words, stats
+from tracelab.words import X, Word, _cyclic_reduce, _period, enumerate_words, parse, sample_words, stats
 
 from _oracles import (
     LAU_S,
@@ -34,6 +33,7 @@ from _oracles import (
     perfbench_inputs,
     poly_value,
     reduced_strings,
+    scalar_bound,
     trace_by_product,
     tripoly_from_terms,
 )
@@ -355,62 +355,101 @@ class TestLargeExponents:
 
 
 def _key_and_tables(w):
-    """The memo key of w, its blocks' tables and log2 of its packed-path bound."""
+    """The memo key of w, its blocks' tables and the packed path's bound on f_w's coefficients.
+
+    The bound is carried as a plain matrix-vector product over the blocks'
+    norms, the reference for the unrolled update in ``trace._product``.
+    """
     key = trace._canonical_cyclic(_cyclic_reduce(w.blocks)[0])
     tables = [trace._block_table(g, e) for g, e in key]
-    return key, tables, math.log2(5 * math.prod(map(trace._growth, tables)))
+    bound = [1, 0, 0, 0]
+    for table in tables:
+        norms = trace._norms(table)
+        bound = [sum(norms[4 * i + j] * bound[j] for j in range(4)) for i in range(4)]
+    return key, tables, 2 * bound[0] + bound[1] + bound[2] + bound[3]
+
+
+def _width(bound):
+    """The fewest whole bytes of slot with bound < 2^(width - 1)."""
+    return 8 * (bound.bit_length() // 8 + 1)
+
+
+WIDTHS = range(8, 65, 8)
 
 
 @st.composite
-def near_bound_words(draw):
-    """A word whose packed-path bound is 2^60 to 2^63, its last x-exponent swept up or down."""
+def near_bound_words(draw, width):
+    """A word whose packed-path bound is 2^(width-4) to 2^(width-1), its last x-exponent swept up or down."""
     exps = st.integers(-8, 8).filter(bool)
     syl = []
     for a, b in draw(st.lists(st.tuples(exps, exps), min_size=1, max_size=4)):
-        if _key_and_tables(Word.from_syllables(syl + [(a, b)]))[2] >= 50:
+        if _key_and_tables(Word.from_syllables(syl + [(a, b)]))[2].bit_length() > width - 13:
             break
         syl.append((a, b))
-    # below 2^59 at |a| = 1 and past 2^63 at |a| = 99, in steps under 3 bits
+    # the bound grows by under a bit a step of |a|, and passes 2^63 by |a| = 99
     b, sign = draw(exps), draw(st.sampled_from((-1, 1)))
     for a in draw(st.sampled_from((range(1, 100), range(99, 0, -1)))):
         w = Word.from_syllables(syl + [(sign * a, b)])
-        if 60 <= _key_and_tables(w)[2] < 63:
+        if width - 3 <= _key_and_tables(w)[2].bit_length() <= width - 1:
             return w
     assume(False)
 
 
 class TestPackedProduct:
-    """The product on 64-bit slots against the product on dicts and the oracles."""
+    """The product on packed slots against the product on dicts and the oracles."""
 
     @given(syllable_words(max_r=5, hi=12))
     @settings(max_examples=15)
     def test_either_side_of_the_bound(self, w):
-        key, tables, bits = _key_and_tables(w)
+        key, tables, bound = _key_and_tables(w)
+        assert bound <= scalar_bound(tables)
         f = trace._dict_trace(tables)
-        if bits < 63:
-            assert trace._packed_trace(key, tables) == f
+        assert max(abs(c) for _, c in f.terms()) <= bound
+        if bound < 1 << 63:
+            assert trace._packed_trace(key, tables, _width(bound)) == f
         assert trace_poly(w, engine=TraceEngine()).f == f == fricke_trace(w)
 
-    @given(near_bound_words())
+    @staticmethod
+    def _near_bound(w, width):
+        key, tables, bound = _key_and_tables(w)
+        assert _width(bound) == width
+        assert trace._packed_trace(key, tables, width) == trace._dict_trace(tables) == fricke_trace(w)
+
+    @given(near_bound_words(64))
     @settings(max_examples=15)
     def test_bounds_of_60_to_63_bits(self, w):
-        key, tables, _ = _key_and_tables(w)
-        assert trace._packed_trace(key, tables) == trace._dict_trace(tables) == fricke_trace(w)
+        self._near_bound(w, 64)
+
+    @pytest.mark.parametrize("width", WIDTHS[:-1])
+    def test_bounds_within_3_bits_of_each_width(self, width):
+        @given(near_bound_words(width))
+        @settings(max_examples=5)
+        def check(w):
+            self._near_bound(w, width)
+
+        check()
 
     def test_top_slot_below_zero(self):
-        # slots 0, 1, 5 and 6 of a 1 x 1 x 7 box: s-degree and u-degree 0,
-        # the slots at the bound and the top one negative
-        low = (1 << 63) - 1
-        top = -low
-        f = low + (-1 << 64) + (3 << 320) + (top << 384)
-        assert f < 0
-        assert trace._decode_slots(f, 1, 1, 7) == TriPoly.const(low) - T + C(3) * T**5 + C(top) * T**6
+        for width in WIDTHS:
+            # slots 0, 1, 5 and 6 of a 1 x 1 x 7 box: s-degree and u-degree 0,
+            # the slots at the bound and the top one negative
+            low = (1 << (width - 1)) - 1
+            top = -low
+            f = low + (-1 << width) + (3 << 5 * width) + (top << 6 * width)
+            assert f < 0
+            want = TriPoly.const(low) - T + C(3) * T**5 + C(top) * T**6
+            assert trace._decode_slots(f, width, 1, 1, 7) == want, width
         # xyxY = -u^2 + stu - t^2 + 2: the slot of t^2 is the top one
         assert trace_poly(parse("xyxY"), engine=TraceEngine()).f == CLOSED_FORMS["xyxY"]
 
     def test_paths_taken(self, monkeypatch):
-        taken = []
-        monkeypatch.setattr(trace, "_packed_trace", lambda key, tables: taken.append("packed"))
+        taken, widths = [], {}
+
+        def packed(key, tables, width):
+            taken.append("packed")
+            widths[key] = width
+
+        monkeypatch.setattr(trace, "_packed_trace", packed)
         monkeypatch.setattr(trace, "_dict_trace", lambda tables: taken.append("dict"))
         rng = random.Random(3)
         forty = Word.from_syllables([(rng.choice((-1, 1)), rng.choice((-1, 1))) for _ in range(40)])
@@ -420,9 +459,12 @@ class TestPackedProduct:
         taken.clear()
         words = {req.syllables for req in itertools.islice(perfbench_inputs().classify_stream(1), 1500)}
         keys = {_key_and_tables(Word.from_syllables(syl))[0] for syl in words}
-        for key in keys:
+        roots = {key[: _period(key)] for key in keys}
+        for key in keys | roots:
             trace._product(key)
-        assert taken == ["packed"] * len(keys)
+        assert taken == ["packed"] * len(keys | roots)
+        assert widths == {key: _width(_key_and_tables(Word.from_blocks(key))[2]) for key in keys | roots}
+        assert max(widths[key] for key in roots) <= 32
 
 
 class TestBounds:
