@@ -33,9 +33,9 @@ from .tripoly import TriPoly
 from .unipoly import UniPoly, chebyshev_v, dickson, dickson_apply
 from .words import (
     CONSTRAINTS,
-    X as GEN_X,
     DegenerateWordError,
     WordSyntaxError,
+    _exponent_sums,
     canonicalize,
     parse,
     stats,
@@ -119,8 +119,7 @@ def cmd_trace(args, out) -> int:
     result = trace_poly(parse(args.word))
     canon = result.word
     r = canon.complexity if canon.is_canonical else 0
-    a = sum(e for g, e in canon.blocks if g == GEN_X)
-    b = sum(e for g, e in canon.blocks if g != GEN_X)
+    a, b, _, _ = _exponent_sums(canon.blocks)
     if args.json:
         print(
             json.dumps({"f": result.f.render(), "r": r, "A": a, "B": b}),

@@ -64,7 +64,7 @@ from .probes import (
 )
 from .trace import trace_poly
 from .tripoly import TriPoly, _power
-from .words import Word, X as _GEN_X, Y as _GEN_Y
+from .words import Word, X as _GEN_X, _exponent_sums
 
 # Fiber reports hold f_w and the pi-fiber kinds on the orbit representatives
 # of F_q^3, and evaluate the word on about q pairs per class representative
@@ -523,8 +523,8 @@ def _fiber_totals(w: Word, table: ClassTable) -> np.ndarray:
     read from the word on one pair per point for a longer one.
     """
     F, q = table.field, table.q
-    signs = (sum(e for g, e in w.blocks if g == gen) % 2 for gen in (_GEN_X, _GEN_Y))
-    s_maps, z_maps, t_mirror, z_mirror = _symmetries(F, *signs)
+    A, B, _, _ = _exponent_sums(w.blocks)
+    s_maps, z_maps, t_mirror, z_mirror = _symmetries(F, A % 2, B % 2)
     select, weights, wcls = _representatives(s_maps, t_mirror)
     if w.length > _MAX_TRACED_LENGTH:
         slices = _word_slices(w, table, select)

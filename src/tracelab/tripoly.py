@@ -264,9 +264,6 @@ class TriPoly:
         for key, c in self._c.items():
             yield _unpack(key), c
 
-    def coeff(self, i: int, j: int, k: int):
-        return self._c.get(_pack(i, j, k), 0)
-
     @property
     def is_zero(self) -> bool:
         return not self._c

@@ -25,7 +25,10 @@ identities that the trace engine ran before its 4-basis product, kept on
 `TriPoly` arithmetic as the reference for that product.  The library values
 that only tests build or read go through small helpers on the library's
 types: `tripoly_from_terms` and `monomial`, a `TriPoly` from exponent
-triples, `unipoly_value`, a `UniPoly` at a point by Horner, and
+triples, `_decode`, a `TriPoly` from one entry of a file that
+`cache.TraceCache.save` wrote, the reader the library ran on each entry
+when it still loaded the file, kept as the reference reader for the save
+format, `unipoly_value`, a `UniPoly` at a point by Horner, and
 `recompose`, outer(inner) for a `CompositionWitness` on `TriPoly`
 arithmetic, the reference the witness tests compare against.
 `apply_move` applies one of the `NIELSEN_MOVES`, which generate Aut(F_2),
@@ -94,6 +97,20 @@ def tripoly_from_terms(terms, p=None):
 def monomial(c, i, j, k, p=None):
     """c s^i u^j t^k as a TriPoly."""
     return tripoly_from_terms({(i, j, k): c}, p)
+
+
+def _decode(text):
+    """The polynomial an entry encodes, or None when it encodes none."""
+    if not isinstance(text, str):
+        return None
+    coeffs = {}
+    try:
+        for term in text.split(";"):
+            i, j, k, c = map(int, term.split(","))
+            coeffs[_pack(i, j, k)] = c
+    except ValueError:  # a non-integer field, the wrong field count or an exponent out of range
+        return None
+    return TriPoly(coeffs)
 
 
 def unipoly_value(f, x):

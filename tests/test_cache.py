@@ -1,16 +1,21 @@
+import importlib
+import itertools
 import json
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from tracelab.cache import CACHE_VERSION, TraceCache, _decode, _encode, cached_trace_poly
+from tracelab.cache import CACHE_VERSION, TraceCache, _encode, cached_trace_poly
 from tracelab.trace import TraceEngine, trace_poly
 from tracelab.tripoly import TriPoly
 from tracelab.words import parse
 
-from _oracles import tripoly_from_terms
+from _oracles import _decode, tripoly_from_terms
 
 S, U, T = (TriPoly.var(name) for name in "sut")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 class TestTraceCache:
@@ -24,10 +29,6 @@ class TestTraceCache:
         assert cache.lookup(w) == f
         cache.save()
 
-        fresh = TraceCache(path)
-        assert fresh.lookup(w) == f
-        assert len(fresh) == len(cache)
-
     def test_keyed_by_canonical_form(self, tmp_path):
         cache = TraceCache(tmp_path / "c.json")
         w = parse("xyXYxy")
@@ -35,29 +36,27 @@ class TestTraceCache:
         conj = parse("y") * w * parse("Y")
         assert cache.lookup(conj) == trace_poly(w).f
 
-    def test_version_mismatch_discards(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["a-text-file", "a-saved-cache"])
+    def test_existing_path_is_refused_and_kept(self, tmp_path, kind):
         path = tmp_path / "c.json"
-        cache = TraceCache(path)
-        cache.store(parse("xy"), trace_poly(parse("xy")).f)
-        cache.save()
-        blob = json.loads(path.read_text())
-        assert blob["version"] == CACHE_VERSION
-        blob["version"] = "something-older"
-        path.write_text(json.dumps(blob))
-        fresh = TraceCache(path)
-        assert len(fresh) == 0
-        assert fresh.lookup(parse("xy")) is None
-
-    @pytest.mark.parametrize(
-        "text", ["{not json", "[]\n", '{"entries": {}}\n'], ids=["unparsable", "a-list", "unstamped"]
-    )
-    def test_file_that_is_not_a_cache_is_refused(self, tmp_path, text):
-        # unparsable, or parsable with no version stamp: kept, not overwritten
-        path = tmp_path / "c.json"
-        path.write_text(text)
-        with pytest.raises(ValueError, match="not a trace cache"):
+        if kind == "a-text-file":
+            path.write_text("remember the milk\n")
+        else:
+            cache = TraceCache(path)
+            cache.store(parse("xy"), trace_poly(parse("xy")).f)
+            cache.save()
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="already exists"):
             TraceCache(path)
-        assert path.read_text() == text
+        assert path.read_bytes() == before
+
+    def test_link_to_a_directory_is_refused(self, tmp_path):
+        # save could not replace the directory, but it would replace the link
+        (tmp_path / "a-directory").mkdir()
+        path = tmp_path / "c.json"
+        path.symlink_to(tmp_path / "a-directory")
+        with pytest.raises(ValueError, match="already exists"):
+            TraceCache(path)
 
     def test_dirty_flag(self, tmp_path):
         cache = TraceCache(tmp_path / "c.json")
@@ -93,30 +92,6 @@ class TestCachedTracePoly:
         res = cached_trace_poly(parse("xx"), cache=cache)
         assert res.f == trace_poly(parse("xx")).f
 
-    def test_zero_denominator_entry_is_a_miss(self, tmp_path):
-        # a coefficient field that is not an integer
-        path = tmp_path / "c.json"
-        path.write_text(
-            json.dumps({"version": CACHE_VERSION, "entries": {"xy": "0,1,0,1/0"}})
-        )
-        cache = TraceCache(path)
-        assert cache.lookup(parse("xy")) is None
-        res = cached_trace_poly(parse("xy"), cache=cache)
-        assert res.f == trace_poly(parse("xy")).f
-        assert cache.entries["xy"] == U
-        cache.save()
-        assert json.loads(path.read_text())["entries"]["xy"] == "0,1,0,1"
-
-    def test_entry_failing_the_point_check_is_a_miss_and_overwritten(self, tmp_path):
-        # 2*u under xy, whose f is u: its u-degree is right, its value at a point is not
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps({"version": CACHE_VERSION, "entries": {"xy": "0,1,0,2"}}))
-        cache = TraceCache(path)
-        res = cached_trace_poly(parse("xy"), cache=cache, engine=TraceEngine())
-        assert res.f == U
-        cache.save()
-        assert json.loads(path.read_text())["entries"] == {"xy": "0,1,0,1"}
-
     def test_entry_failing_checks_is_a_miss(self, tmp_path):
         cache = TraceCache(tmp_path / "c.json")
         cache.entries["xy"] = U**2  # u-degree 2, but xy has complexity 1
@@ -138,47 +113,6 @@ class TestCachedTracePoly:
 
 
 class TestFileFormat:
-    def test_version_one_file_starts_fresh_and_is_rewritten(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text(
-            json.dumps({"version": "tracelab-cache-1", "entries": {"xy": "u", "xyXY": "0"}})
-        )
-        cache = TraceCache(path)
-        assert len(cache) == 0
-        assert cache.lookup(parse("xy")) is None
-        cached_trace_poly(parse("xy"), cache=cache)
-        cache.save()
-        assert json.loads(path.read_text()) == {
-            "version": "tracelab-cache-2",
-            "entries": {"xy": "0,1,0,1"},
-        }
-
-    @pytest.mark.parametrize(
-        "entry",
-        [7, None, ["0,1,0,1"], "0,1,0,1.0", "0,1,0,one", "0,1,1", "0,1,0,1,0", "0,32768,0,1", "0,-1,0,1"],
-        ids=[
-            "an-int",
-            "null",
-            "a-list",
-            "a-float-field",
-            "a-word-field",
-            "three-fields",
-            "five-fields",
-            "exponent-past-32767",
-            "a-negative-exponent",
-        ],
-    )
-    def test_malformed_entry_is_a_miss_and_overwritten(self, tmp_path, entry):
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps({"version": CACHE_VERSION, "entries": {"xy": entry}}))
-        cache = TraceCache(path)
-        assert cache.lookup(parse("xy")) is None
-        res = cached_trace_poly(parse("xy"), cache=cache)
-        assert res.f == U
-        assert cache.lookup(parse("xy")) == U
-        cache.save()
-        assert json.loads(path.read_text())["entries"] == {"xy": "0,1,0,1"}
-
     def test_round_trip_of_large_and_negative_coefficients(self, tmp_path):
         path = tmp_path / "c.json"
         big = 3**200
@@ -190,14 +124,29 @@ class TestFileFormat:
         cache.store(parse("xy"), f)
         cache.store(long_word, g)
         cache.save()
-        text = json.loads(path.read_text())["entries"]["xy"]
-        assert text == f"0,0,0,{-(10**40)};0,0,32767,1;0,3,1,{-big};1,1,0,{big + 1}"
-        fresh = TraceCache(path)
-        assert fresh.entries["xy"] == f
-        assert fresh.lookup(long_word) == g
-        assert fresh.lookup(parse("xy")) is None  # f is not xy's trace: its first hit is refused
+        saved = json.loads(path.read_text())
+        assert saved["version"] == CACHE_VERSION
+        assert saved["entries"]["xy"] == f"0,0,0,{-(10**40)};0,0,32767,1;0,3,1,{-big};1,1,0,{big + 1}"
+        assert {key: _decode(text) for key, text in saved["entries"].items()} == {"xy": f, "x^60y^60": g}
 
     @given(st.dictionaries(st.tuples(*[st.integers(0, 40)] * 3), st.integers(1, 2**70), min_size=1, max_size=8))
     def test_encoding_round_trips(self, terms):
         f = tripoly_from_terms(terms)
         assert _decode(_encode(f)) == f
+
+
+class TestBenchmarkContract:
+    """What the benchmark's tracer and classify workload use of the cache."""
+
+    def test_classify_workload_runs_on_the_cache(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        tracer, workloads = (importlib.import_module(name) for name in ("tracer", "workloads"))
+        bench_tracer = tracer.Tracer()
+        bench_tracer.install()  # imports every layer and reads TraceCache.lookup and .save from the class
+        bench_tracer.uninstall()
+        wl = workloads.Classify(1, tmp_path)
+        wl.setup()
+        for i, req in enumerate(itertools.islice(wl.stream(), 20)):
+            assert wl.check(req, wl.run(req), random.Random(i)) == []
+        wl.finish()
+        assert Path(wl.cache_path).read_text().startswith('{"version": "tracelab-cache-2", "entries": {')

@@ -89,8 +89,8 @@ class TestArithmetic:
 
     def test_fraction_coefficients(self):
         f = S.scale(Fraction(1, 2)) + U
-        assert f.coeff(1, 0, 0) == Fraction(1, 2)
-        assert (f + f).coeff(1, 0, 0) == 1
+        assert dict(f.terms()) == {(1, 0, 0): Fraction(1, 2), (0, 1, 0): 1}
+        assert dict((f + f).terms()) == {(1, 0, 0): 1, (0, 1, 0): 2}
 
     def test_integral_rationals_come_back_as_int(self):
         # an integral QQ coefficient is stored as int, never Fraction(n, 1)
@@ -118,7 +118,7 @@ class TestModularReduction:
 
     def test_denominator_must_be_invertible(self):
         f = S.scale(Fraction(1, 2))
-        assert f.reduce_mod(3).coeff(1, 0, 0) == 2  # 1/2 = 2 mod 3
+        assert dict(f.reduce_mod(3).terms()) == {(1, 0, 0): 2}  # 1/2 = 2 mod 3
         with pytest.raises(ValueError):
             f.reduce_mod(2)
 
@@ -137,7 +137,7 @@ class TestModularReduction:
     @pytest.mark.parametrize("p", [None, 5])
     def test_zeros_dropped(self, p):
         f = tripoly_from_terms({(1, 0, 0): 0, (0, 1, 0): Fraction(0), (0, 0, 1): 3}, p)
-        assert len(f) == 1 and f.coeff(0, 0, 1) == 3
+        assert len(f) == 1 and dict(f.terms()) == {(0, 0, 1): 3}
 
     def test_ints_reduce_mod_p(self):
         terms = {(1, 0, 0): -1, (0, 1, 0): 14, (0, 0, 1): -15, (0, 0, 0): 23}
