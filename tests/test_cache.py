@@ -36,15 +36,22 @@ class TestTraceCache:
         conj = parse("y") * w * parse("Y")
         assert cache.lookup(conj) == trace_poly(w).f
 
-    @pytest.mark.parametrize("kind", ["a-text-file", "a-saved-cache"])
-    def test_existing_path_is_refused_and_kept(self, tmp_path, kind):
+    @pytest.mark.parametrize(
+        "text", ["{not json", "[]\n", '{"entries": {}}\n'], ids=["unparsable", "a-list", "unstamped"]
+    )
+    def test_file_that_is_not_a_cache_is_refused(self, tmp_path, text):
+        # unparsable, or parsable with no version stamp: kept, not overwritten
         path = tmp_path / "c.json"
-        if kind == "a-text-file":
-            path.write_text("remember the milk\n")
-        else:
-            cache = TraceCache(path)
-            cache.store(parse("xy"), trace_poly(parse("xy")).f)
-            cache.save()
+        path.write_text(text)
+        with pytest.raises(ValueError, match="already exists"):
+            TraceCache(path)
+        assert path.read_text() == text
+
+    def test_saved_cache_is_refused_and_kept(self, tmp_path):
+        path = tmp_path / "c.json"
+        cache = TraceCache(path)
+        cache.store(parse("xy"), trace_poly(parse("xy")).f)
+        cache.save()
         before = path.read_bytes()
         with pytest.raises(ValueError, match="already exists"):
             TraceCache(path)
