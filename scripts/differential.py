@@ -15,7 +15,7 @@ Sections, each hashed separately:
 
 - classify-<seed>: ``cli._global_dict(classify_global(w, 13))`` and
   ``trace_poly(w).f`` over the first 500 classify-stream requests, plus
-  ``cached_trace_poly`` read back from a cache on a fresh engine;
+  ``trace_poly`` on a fresh engine, traced and then read from its memo;
 - scan-<constraint>: the exhaustive n = 7 scan under each constraint, and
   sampled n = 8 scans (200 samples, seed 5);
 - fibers-<seed>: SL and PSL CSVs, epsilon JSON and ``ImageReport`` over
@@ -55,7 +55,7 @@ Sections, each hashed separately:
 - classify-memo: ``classify_global``, ``classify_rational``, ``classify_p``
   for every p <= 13 and ``power_word_report`` on every rotation of the
   letters of 40 words and of their inverses, all on one engine (swapped
-  in as the default for the section), with a ``cached_trace_poly`` call
+  in as the default for the section), with a ``trace_poly`` call on it
   between them; the words are powers, squares of words with exponent sums
   (0, 0), and words with p | r for every p <= 13;
 - power-verdicts: ``classify_rational`` and ``classify_p`` for every p <= 13
@@ -75,7 +75,6 @@ import itertools
 import json
 import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -147,18 +146,15 @@ def _classify(tl, inputs, seed):
     from tracelab import cli
 
     engine = tl.TraceEngine()
-    with tempfile.TemporaryDirectory() as tmp:
-        cache = tl.TraceCache(os.path.join(tmp, "cache.json"))
-        for req in itertools.islice(inputs.classify_stream(seed), 500):
-            w = tl.Word.from_syllables(req.syllables)
-            verdict = tl.classify_global(w, 13, engine=engine)
-            yield json.dumps(cli._global_dict(verdict), sort_keys=True)
-            yield tl.trace_poly(w).f.render()
-            cache.store(w, tl.trace_poly(w).f)
-            fresh = tl.TraceEngine()
-            hit = tl.cached_trace_poly(w, cache=cache, engine=fresh)
-            yield hit.word, hit.f.render(), hit.u_degree
-            yield tl.trace_poly(w, engine=fresh).f.render()
+    for req in itertools.islice(inputs.classify_stream(seed), 500):
+        w = tl.Word.from_syllables(req.syllables)
+        verdict = tl.classify_global(w, 13, engine=engine)
+        yield json.dumps(cli._global_dict(verdict), sort_keys=True)
+        yield tl.trace_poly(w).f.render()
+        fresh = tl.TraceEngine()
+        result = tl.trace_poly(w, engine=fresh)
+        yield result.word, result.f.render(), result.u_degree
+        yield tl.trace_poly(w, engine=fresh).f.render()
 
 
 def _scans(tl):
@@ -334,17 +330,15 @@ def _classify_memo(tl):
     saved = tl.trace._DEFAULT_ENGINE
     engine = tl.trace._DEFAULT_ENGINE = tl.TraceEngine()
     try:
-        with tempfile.TemporaryDirectory() as tmp:
-            cache = tl.TraceCache(os.path.join(tmp, "cache.json"))
-            for text in MEMO_WORDS:
-                for w in _rotations(tl, tl.parse(text)):
-                    yield json.dumps(cli._global_dict(tl.classify_global(w, 13)), sort_keys=True)
-                    hit = tl.cached_trace_poly(w, cache=cache, engine=engine)
-                    yield hit.word, hit.f.render()
-                    yield repr(tl.classify_rational(w, engine=engine))
-                    for p in (2, 3, 5, 7, 11, 13):
-                        yield repr(tl.classify_p(w, p))
-                    yield repr(tl.power_word_report(w))
+        for text in MEMO_WORDS:
+            for w in _rotations(tl, tl.parse(text)):
+                yield json.dumps(cli._global_dict(tl.classify_global(w, 13)), sort_keys=True)
+                result = tl.trace_poly(w, engine=engine)
+                yield result.word, result.f.render()
+                yield repr(tl.classify_rational(w, engine=engine))
+                for p in (2, 3, 5, 7, 11, 13):
+                    yield repr(tl.classify_p(w, p))
+                yield repr(tl.power_word_report(w))
     finally:
         tl.trace._DEFAULT_ENGINE = saved
 

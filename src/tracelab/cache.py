@@ -18,7 +18,7 @@ import os
 import tempfile
 from typing import Optional
 
-from .trace import TraceEngine, TraceResult, _trace_result, trace_poly
+from .trace import TraceEngine, TraceResult, _canonical_if_consistent, trace_poly
 from .tripoly import TriPoly
 from .words import Word, canonicalize
 
@@ -77,9 +77,6 @@ class TraceCache:
                 os.unlink(tmp)
         self.dirty = False
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def cached_trace_poly(
     w: Word,
@@ -88,16 +85,18 @@ def cached_trace_poly(
 ) -> TraceResult:
     """trace_poly with a write-through cache.
 
-    Since ``store`` takes any f, a hit must pass trace_poly's checks; one
-    that fails them is treated as a miss and overwritten.  A miss is traced
-    on the given engine, or on trace_poly's shared default.  A differential
-    test asserts hits never change any output versus cold runs.
+    Since ``store`` takes any f, a hit must pass trace_poly's check: the
+    stored f's u-degree must equal the complexity of a canonical word
+    (``_canonical_if_consistent``).  A hit that fails it is treated as a
+    miss and overwritten.  A miss is traced on the given engine, or on
+    trace_poly's shared default.
     """
     f = cache.lookup(w)
     if f is not None:
-        result = _trace_result(w, f)
-        if result is not None:
-            return result
+        u_degree = max(f.deg("u"), 0)
+        canon = _canonical_if_consistent(w, u_degree)
+        if canon is not None:
+            return TraceResult(word=canon, f=f, u_degree=u_degree)
     result = trace_poly(w, engine=engine)
     cache.store(w, result.f)
     return result

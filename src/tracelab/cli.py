@@ -117,8 +117,7 @@ def _global_dict(g: GlobalVerdict) -> dict:
 
 def cmd_trace(args, out) -> int:
     result = trace_poly(parse(args.word))
-    canon = result.word
-    r = canon.complexity if canon.is_canonical else 0
+    canon, r = result.word, result.u_degree
     a, b, _, _ = _exponent_sums(canon.blocks)
     if args.json:
         print(

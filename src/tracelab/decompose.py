@@ -512,10 +512,19 @@ def classify_rational(
     return _rational_class(witness), witness
 
 
+# The largest p_max classify_global takes.  Its time and the verdict row a
+# word's memo entry keeps grow linearly in p_max: at 10^4, on a 2-vCPU host,
+# a call on a fresh engine takes 0.04-2 s and a row 0.1-1.2 MB, and at
+# 10^6 tracelab classify took 10 s and 75 MB peak RSS.
+_MAX_P_MAX = 10**4
+
+
 def check_p_max(p_max: int) -> None:
-    """ValueError unless p_max >= 2: below that no prime is classified or certified."""
+    """ValueError unless 2 <= p_max <= _MAX_P_MAX: below 2 no prime is classified or certified."""
     if p_max < 2:
         raise ValueError("p_max must be >= 2")
+    if p_max > _MAX_P_MAX:
+        raise ValueError(f"resource guard exceeded: p_max = {p_max} > {_MAX_P_MAX}")
 
 
 def classify_global(
@@ -526,7 +535,8 @@ def classify_global(
     NotEquidistributed as soon as one prime is CompositeNotSpecial;
     otherwise the verdict certifies equidistribution only up to p_max,
     since the set of exceptional primes has no effective bound here.
-    Raises ValueError when p_max < 2, which leaves no prime to certify.
+    Raises ValueError when p_max < 2, which leaves no prime to certify,
+    and past ``_MAX_P_MAX``, the resource guard.
     """
     check_p_max(p_max)
     w, A, B, entry = _word_poly(w, engine)

@@ -288,7 +288,10 @@ def _decode_slots(f: int, width: int, su: int, u: int, t: int) -> TriPoly:
     right by 64 - width reads the slot back, at width 64 too, where the
     shift is 0.  Since every slot is below 2^(width-1) in absolute value,
     the slots under the top nonzero one sum to less than half its weight
-    2^(width*n), so f.bit_length() // width is n.
+    2^(width*n), so f.bit_length() // width is n.  Slot i + j*su + k*su*u
+    of the su x u x t box is s^i u^j t^k, whose packed key (``tripoly``)
+    is (i, j, k) raveled into fields of 2^(_SH_S-_SH_U) and 2^_SH_U; only
+    the nonzero slots are mapped.
     """
     nbytes = width // 8
     n = f.bit_length() // width + 1
@@ -298,17 +301,9 @@ def _decode_slots(f: int, width: int, su: int, u: int, t: int) -> TriPoly:
     words[:, 8 - nbytes :] = digits
     coeffs = (words.view("<u8").ravel() ^ np.uint64(_SLOT_BOUND)).view(np.int64) >> (64 - width)
     slots = np.flatnonzero(coeffs)
-    keys = _slot_keys(su, u, t)[slots]
+    k, j, i = np.unravel_index(slots, (t, u, su))
+    keys = np.ravel_multi_index((i, j, k), (su, 1 << (_SH_S - _SH_U), 1 << _SH_U))
     return TriPoly._normal(dict(zip(keys.tolist(), coeffs[slots].tolist())), None)
-
-
-@lru_cache(maxsize=128)
-def _slot_keys(su: int, u: int, t: int) -> np.ndarray:
-    """The packed monomial key of each slot of an su x u x t box, t the major axis."""
-    slot = np.arange(su * u * t, dtype=np.int64)
-    keys = ((slot % su) << _SH_S) | ((slot // su % u) << _SH_U) | (slot // (su * u))
-    keys.flags.writeable = False  # shared by every caller of the cache
-    return keys
 
 
 def _coefficient_words(letters: int) -> int:
@@ -438,18 +433,11 @@ class TraceEngine:
         self._words = _LRU()
         self._lock = threading.Lock()
 
-    def trace_word(self, w: Word) -> TriPoly:
-        core = _cyclic_reduce(w.blocks)[0]
-        return self._entry(core).f if core else _TWO
-
     def entry(self, w: Word) -> _WordEntry:
         """The memo entry of a word whose cyclic reduction is not empty."""
         core = _cyclic_reduce(w.blocks)[0]
         if not core:
             raise ValueError(f"{w!r} reduces cyclically to the empty word")
-        return self._entry(core)
-
-    def _entry(self, core: Tuple[Block, ...]) -> _WordEntry:
         if len(core) > 64:
             _check_size(core)  # before a key quadratic in the blocks
         return self._trace(_canonical_cyclic(core))
@@ -513,35 +501,26 @@ def _canonical_if_consistent(w: Word, u_degree: int) -> Optional[Word]:
     return canon
 
 
-def _trace_result(w: Word, f: TriPoly) -> Optional[TraceResult]:
-    """f as the trace of w, or None when w is canonical and deg_u f != complexity."""
-    u_degree = f.deg("u")
-    canon = _canonical_if_consistent(w, u_degree)
-    if canon is None:
-        return None
-    return TraceResult(word=canon, f=f, u_degree=max(u_degree, 0))
-
-
-def _checked(w: Word, f: TriPoly) -> TraceResult:
-    result = _trace_result(w, f)
-    if result is None:
-        raise RuntimeError(f"u-degree {f.deg('u')} != complexity of {w}")
-    return result
-
-
 def trace_poly(w: Word, engine: Optional[TraceEngine] = None) -> TraceResult:
     """Exact trace polynomial of any word, including degenerate ones.
 
-    ValueError for a word past the engine's size or work bound.
+    The empty word traces to 2; any other word reads f_w and its u-degree
+    from its checked memo entry (``_word_entry``).  ValueError for a word
+    past the engine's size or work bound.
     """
-    return _checked(w, _engine(engine).trace_word(w))
+    if w.is_empty:
+        return TraceResult(word=w, f=_TWO, u_degree=0)
+    entry = _word_entry(w, engine)
+    canon = _canonical_if_consistent(w, entry.u_degree)
+    return TraceResult(word=canon, f=entry.f, u_degree=entry.u_degree)
 
 
 def _word_entry(w: Word, engine: Optional[TraceEngine] = None) -> _WordEntry:
     """The engine's memo entry of a word that does not reduce cyclically to the empty word.
 
-    Its f passes trace_poly's check on every call, as trace_poly's does,
-    on the u-degree the entry keeps.
+    Its u-degree, kept in the entry, is checked against w's complexity on
+    every call (``_canonical_if_consistent``): this is the one check of
+    f_w that every reader, ``trace_poly`` included, goes through.
     """
     entry = _engine(engine).entry(w)
     if _canonical_if_consistent(w, entry.u_degree) is None:

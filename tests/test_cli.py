@@ -56,6 +56,19 @@ class TestTrace:
         assert code == 0
         assert "s^3 - 3*s" in out
 
+    @pytest.mark.parametrize(
+        "word, r",
+        [("x^3", 0), ("", 0), ("xxyXYYxyXy", 4), ("Yx", 1)],
+        ids=["pure-power", "empty", "canonical", "rotated"],
+    )
+    def test_r_is_the_complexity(self, word, r):
+        code, out = run("trace", word, "--json")
+        assert code == 0
+        assert json.loads(out)["r"] == r
+        code, out = run("trace", word)
+        assert code == 0
+        assert out.splitlines()[2].startswith(f"r: {r}  ")
+
     def test_syntax_error_exit_two(self, capsys):
         code, _ = run("trace", "zz")
         assert code == 2
@@ -104,6 +117,14 @@ class TestClassify:
         assert code == 2
         assert out == ""
         assert capsys.readouterr().err == "tracelab: error: p_max must be >= 2\n"
+
+    def test_p_max_past_the_guard_exit_two(self, capsys):
+        start = time.monotonic()
+        code, out = run("classify", "xy", "--p-max", "1000000000")
+        assert time.monotonic() - start <= 1
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err == "tracelab: error: resource guard exceeded: p_max = 1000000000 > 10000\n"
 
     def test_degenerate_report(self):
         code, out = run("classify", "x", "--json")

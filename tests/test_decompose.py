@@ -375,6 +375,15 @@ class TestClassifyGlobal:
         assert g.conclusion == "NotEquidistributed" and g.bad_prime == 3
         assert best <= 0.3, f"budget exceeded: {best:.2f}s > 0.3s"
 
+    @pytest.mark.parametrize("p_max", [decompose._MAX_P_MAX + 1, 10**9])
+    def test_p_max_past_the_guard_raises(self, p_max):
+        eng = TraceEngine()
+        w = parse("xyxYxyXYxy^2x^2y")
+        with pytest.raises(ValueError, match=f"resource guard exceeded: p_max = {p_max} > 10000"):
+            classify_global(w, p_max, engine=eng)
+        assert not eng._words  # refused before the word is traced
+        assert classify_global(w, decompose._MAX_P_MAX, engine=eng).certified_to == 10000
+
     @pytest.mark.parametrize("p_max", [1, 0, -5])
     def test_p_max_below_two_raises(self, p_max):
         # no prime to certify: xyxy must not come back certified to p_max

@@ -47,7 +47,11 @@ def _unread_imports(path: Path) -> set:
 
 def test_every_imported_name_is_read():
     root = Path(__file__).resolve().parent.parent
-    modules = sorted((root / "src" / "tracelab").glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    modules = [
+        path
+        for directory in (root / "src" / "tracelab", root / "tests", root / "scripts")
+        for path in sorted(directory.glob("*.py"))
+    ]
     unread = {
         f"{path.relative_to(root)}: {name}"
         for path in modules

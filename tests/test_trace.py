@@ -584,6 +584,17 @@ class TestEngineBehavior:
             with pytest.raises(RuntimeError, match="u-degree 2 != complexity of xy"):
                 trace._word_entry(w, eng)
 
+    def test_memo_hit_runs_no_degree_scan(self, monkeypatch):
+        # the u-degree of a hit is the one its entry kept, not a scan of f's terms
+        eng = TraceEngine()
+        words = [parse(text) for text in ("xxyXYxyy", "yxxyXYxy", "x^3", "xyxy")]
+        cold = [trace_poly(w, engine=eng) for w in words]
+        calls = []
+        deg = TriPoly.deg
+        monkeypatch.setattr(TriPoly, "deg", lambda self, var: calls.append(var) or deg(self, var))
+        assert [trace_poly(w, engine=eng) for w in words] == cold
+        assert calls == []
+
     def test_result_fields(self, engine):
         res = trace_poly(parse("xxyXY"), engine=engine)
         assert res.word == parse("xxyXY")
