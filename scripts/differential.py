@@ -62,7 +62,11 @@ Sections, each hashed separately:
   on one engine (swapped in as the default for the section), over powers
   v^k with k in {4, 5, 6}, cubes of roots with exponent sums (0, 0), and
   powers whose root leaves an outer above k to try, such as
-  (x^2y^2x^2y^-2)^2, where D_4 is tried before D_2.
+  (x^2y^2x^2y^-2)^2, where D_4 was tried before D_2 until outer degrees
+  were ruled out by f_w's degrees;
+- classify-p31: ``cli._global_dict(classify_global(w, 31))`` over the
+  first 300 seed-1 classify-stream requests on one engine, which reaches
+  more primes, more p | r cases and more tame divisors than p_max = 13.
 """
 
 from __future__ import annotations
@@ -356,6 +360,15 @@ def _power_verdicts(tl):
         tl.trace._DEFAULT_ENGINE = saved
 
 
+def _classify_p31(tl, inputs):
+    from tracelab import cli
+
+    engine = tl.TraceEngine()
+    for req in itertools.islice(inputs.classify_stream(1), 300):
+        verdict = tl.classify_global(tl.Word.from_syllables(req.syllables), 31, engine=engine)
+        yield json.dumps(cli._global_dict(verdict), sort_keys=True)
+
+
 def sections(tl, inputs):
     """(name, lines) for every section, in a fixed order."""
     for seed in SEEDS:
@@ -381,6 +394,7 @@ def sections(tl, inputs):
     yield "fibers-orbits", _fibers_orbits(tl)
     yield "classify-memo", _classify_memo(tl)
     yield "power-verdicts", _power_verdicts(tl)
+    yield "classify-p31", _classify_p31(tl, inputs)
 
 
 def main(argv=None) -> int:

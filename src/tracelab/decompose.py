@@ -20,6 +20,41 @@ general tame case is decided by decompose_in_u; the wild part of the
 characteristic is handled entirely by Frobenius stripping, and exotic
 wild outers beyond that are out of scope.
 
+A degree rule rules out most of those outers before any search (deg f =
+deg h * deg Q, as in Kozen and Landau, "Polynomial decomposition
+algorithms", J. Symbolic Comput. 7, 1989).  Let R be Q[s, u, t] or
+F_p[s, u, t], both integral domains, and f = h(Q) in R with Q
+nonconstant and h = sum h_i z^i of degree n with constant coefficients,
+such as D_n or decompose_in_u's h.  Take a weight omega >= 0 on (s, u, t)
+and let e = deg_omega Q and Q_top the sum of Q's terms of omega-degree e.
+Then Q^n is Q_top^n, nonzero in a domain and of omega-degree n*e, plus
+terms of lower omega-degree, and each h_i Q^i with i < n has omega-degree
+at most i*e, below n*e when e > 0; when e = 0, f has omega-degree 0 too.
+So deg_omega f = n * deg_omega Q.  The weights (0, 1, 0), (1, 0, 0), (0, 0, 1)
+and (1, 1, 1) give the degrees in u, s, t and in total, so every outer
+degree n divides
+
+    g(f) = gcd(deg_u f, deg_s f, deg_t f, total degree of f),
+
+and the verdicts try only the candidates of ``_outer_degrees`` that divide
+g, reading g only where some candidate divides the u-degree.  A candidate
+that does not divide g would fail, and candidates are tried largest first
+with the first success kept, so no verdict and no witness changes.
+
+g is taken from the polynomial actually searched.  f_w has integer
+coefficients; its g and the product c of the contents of its top faces in
+s, in t and in total degree (the gcds of the coefficients of its terms of
+largest degree in each) are read in one pass, once per word
+(``_degree_gcd``, kept on the word's memo entry).  At a prime p dividing
+no such content, each top face keeps a coefficient that p does not
+divide, so f_w mod p has f_w's degrees in s, t and in total, and its
+u-degree is r at every p (see ``_prime_verdict``): g at p is g(f_w), or
+g(f_w) / p^k for the core of f_w mod p = core^(p^k), whose exponents are
+f_w mod p's over p^k.  At a p dividing c a degree may drop, as for f =
+(u + s)^2 - 2 + 3s^3, where deg_s f = 3 rules n = 2 out over QQ but f mod
+3 = D_2(u + s); there g is read off f_w mod p or its core.  On the
+benchmark's classify streams every word's top faces have content 1.
+
 Each verdict is a function of f_w, r = deg_u f_w, whether (A, B) = (0, 0)
 and gcd(|A|, |B|), all invariant under rotation and inversion of the word.
 So every verdict is searched for once per word: it is kept in the row of
@@ -28,18 +63,16 @@ the word's entry in the trace engine's memo (``trace._WordEntry``), which
 ``power_word_report`` read and fill, and which is evicted with f_w; r is
 read from the entry, not from f_w's terms.  At a prime that does not
 divide r no Frobenius strip runs, since f_w mod p has no layer there, and
-for (A, B) != (0, 0) a prime that does not divide r and leaves no Dickson
-candidate is read as NoncompositeP without reducing f_w
-(``_prime_verdict``).
+a prime that does not divide r or c and leaves no outer degree dividing g
+is read as NoncompositeP without reducing f_w (``_prime_verdict``).
 
 A proper power w = v^k is traced as f_w = D_k(f_v), and its entry links to
 v's, whose row ``_power_verdict`` fills first.  Where v is NoncompositeQ
 (over QQ), or NoncompositeP at a prime p that does not divide k, only the
-outers that ``_find_witness`` tries before k are searched, on f_w or f_w
-mod p: the Dickson indices d > k, or with (A, B) = (0, 0) the tame
-divisors n > k of r.  If none succeeds, the witness is D_k with inner
-+-f_v (mod p), and the verdict at p is CompositeNotSpecial with
-frobenius_k = 0.  Most powers have no such outer: when gcd(|A_v|, |B_v|,
+outers above k are searched, on f_w or f_w mod p: the Dickson indices
+d > k, or with (A, B) = (0, 0) the tame divisors n > k of r, that divide
+g.  If none succeeds, the witness is D_k with inner +-f_v (mod p), and
+the verdict at p is CompositeNotSpecial with frobenius_k = 0.  Most powers have no such outer: when gcd(|A_v|, |B_v|,
 r_v) = 1, no Dickson index of w exceeds k.  Everywhere else (p | k, or v
 composite or SpecialP at p) the search runs on f_w as for any word.  The
 reading is exact by three facts, for p not dividing k:
@@ -67,7 +100,10 @@ reading is exact by three facts, for p not dividing k:
     k-th root of lc^k, so the pick is lc; for even k, lc^k = 1 and the
     pick is 1.  So the inner is f_v, or -f_v when k is even and lc = -1.
 
-The outers above k are still searched.  Skipping them needs a proof that a
+The outers above k are searched only where the degree rule allows.  With
+h = D_k it gives g(f_w) = k * g(f_v), over QQ and mod p alike, so an outer
+n > k must divide k * g(f_v): where g(f_v) = 1 none is searched and the
+witness is D_k at once.  Skipping the rest needs a proof that a
 noncomposite root rules them out, which Lüroth's and Ritt's theorems do
 not give here: the outers have constant coefficients, and D_2(D_3) =
 D_3(D_2) shows that larger outers exist in general.
@@ -329,14 +365,52 @@ def _dickson_candidates(A: int, B: int, r: int, p: Optional[int]) -> List[int]:
 
 
 def _outer_degrees(A: int, B: int, r: int, p: Optional[int]) -> List[int]:
-    """The outer degrees _find_witness tries on an f of u-degree r >= 2, largest first.
+    """The outer degrees of a witness for an f of u-degree r >= 1, largest first.
 
     Dickson indices when (A, B) != (0, 0), else the divisors of r that are
-    tame at p: wild outers beyond Frobenius layers are out of scope.
+    tame at p: wild outers beyond Frobenius layers are out of scope.  Only
+    those that also divide f's degree gcd are tried (module docstring).
     """
     if (A, B) != (0, 0):
         return _dickson_candidates(A, B, r, p)
     return [n for n in reversed(_divisors(r)) if n >= 2 and (p is None or n % p)]
+
+
+def _degree_gcd(f: TriPoly) -> Tuple[int, int]:
+    """(g, c) for a nonzero f: g the gcd of its degrees in u, s, t and in total, c the contents' product.
+
+    c is the product of the contents of f's top faces in s, in t and in
+    total degree, the gcds of the coefficients of the terms of largest
+    degree in each; for f over the integers, a prime that divides none
+    of them leaves every degree of f mod p as f's.  One pass over f's
+    terms.
+    """
+    du = ds = dt = dn = -1
+    cs = ct = cn = 0
+    for (i, j, k), c in f.terms():
+        if j > du:
+            du = j
+        if i > ds:
+            ds, cs = i, c
+        elif i == ds:
+            cs = math.gcd(cs, c)
+        if k > dt:
+            dt, ct = k, c
+        elif k == dt:
+            ct = math.gcd(ct, c)
+        n = i + j + k
+        if n > dn:
+            dn, cn = n, c
+        elif n == dn:
+            cn = math.gcd(cn, c)
+    return math.gcd(du, ds, dt, dn), abs(cs * ct * cn)
+
+
+def _faces(entry: _WordEntry) -> Tuple[int, int]:
+    """``_degree_gcd`` of the entry's f_w, computed once per entry."""
+    if entry.faces is None:
+        entry.faces = _degree_gcd(entry.f)
+    return entry.faces
 
 
 def _try_outer(
@@ -355,20 +429,30 @@ def _try_outer(
 
 
 def _find_witness(
-    f: TriPoly, A: int, B: int, p: Optional[int], r: int
+    f: TriPoly, outers: List[int], zero_sums: bool, p: Optional[int]
 ) -> Optional[CompositionWitness]:
-    """Composite witness for f of u-degree r over QQ or F_p, trying large outers first."""
-    if r < 2:
-        return None
-    outers = _outer_degrees(A, B, r, p)
+    """The witness of the first outer degree in ``outers`` that succeeds on f over QQ or F_p, or None.
+
+    The callers pass the degrees of ``_outer_degrees`` that divide f's
+    degree gcd, largest first; f is split into u-blocks once for them all.
+    """
     if not outers:
         return None
     blocks = f.u_coefficients()
     for n in outers:
-        witness = _try_outer(f, blocks, n, (A, B) == (0, 0), p)
+        witness = _try_outer(f, blocks, n, zero_sums, p)
         if witness is not None:
             return witness
     return None
+
+
+def _rational_witness(entry: _WordEntry, A: int, B: int) -> Optional[CompositionWitness]:
+    """f_w's witness over QQ; f_w's terms are read for g only where some outer degree divides r."""
+    outers = _outer_degrees(A, B, entry.u_degree, None)
+    if outers:
+        g = _faces(entry)[0]
+        outers = [n for n in outers if g % n == 0]
+    return _find_witness(entry.f, outers, (A, B) == (0, 0), None)
 
 
 def _word_poly(
@@ -397,9 +481,9 @@ def _verdict(entry: _WordEntry, A: int, B: int, p: Optional[int]):
             found = _power_verdict(entry, A, B, p)
         if found is _MISSING:
             if p is None:
-                found = _find_witness(entry.f, A, B, None, entry.u_degree)
+                found = _rational_witness(entry, A, B)
             else:
-                found = _prime_verdict(entry.f, A, B, p, entry.u_degree)
+                found = _prime_verdict(entry, A, B, p)
         entry.verdicts[p] = found
     return found
 
@@ -416,16 +500,17 @@ def _power_verdict(entry: _WordEntry, A: int, B: int, p: Optional[int]):
     below = _verdict(root, A // k, B // k, p)
     if below is not None and (p is None or below.verdict != NONCOMPOSITE_P):
         return _MISSING
-    zero_sums = (A, B) == (0, 0)
-    larger = [n for n in _outer_degrees(A, B, k * root.u_degree, p) if n > k]
+    larger = [n for n in _outer_degrees(A, B, entry.u_degree, p) if n > k]
     witness = None
     if larger:
-        f = entry.f if p is None else entry.f.reduce_mod(p)
-        f_blocks = f.u_coefficients()
-        for n in larger:
-            witness = _try_outer(f, f_blocks, n, zero_sums, p)
-            if witness is not None:
-                break
+        f, (g, content) = entry.f, _faces(entry)
+        if p is not None and content % p == 0:
+            f = f.reduce_mod(p)
+            g = _degree_gcd(f)[0]  # f mod p may lose a degree
+        larger = [n for n in larger if g % n == 0]
+        if larger:
+            f = f if f.p == p else f.reduce_mod(p)
+            witness = _find_witness(f, larger, (A, B) == (0, 0), p)
     if witness is None:
         if k % 2 == 0 and root.top_sign is None:
             # the coefficient of the (s, t)-largest monomial at u^r, read once per root
@@ -454,26 +539,43 @@ def _noncomposite(p: int) -> PrimeVerdict:
     return PrimeVerdict(p=p, verdict=NONCOMPOSITE_P, witness=None, frobenius_k=0)
 
 
-def _prime_verdict(f: TriPoly, A: int, B: int, p: int, r: int) -> PrimeVerdict:
-    """Verdict for the rational f_w of u-degree r at one prime: strip Frobenius layers, test the core.
+def _prime_verdict(entry: _WordEntry, A: int, B: int, p: int) -> PrimeVerdict:
+    """Verdict for the entry's rational f_w of u-degree r at one prime: strip Frobenius layers, test the core.
 
     For f = sum_k u^k G_k, the leading coefficient G_r = prod_i g_{a_i,b_i}
     has leading coefficient +-1, so u^r survives mod p.  When p does not
     divide r, the exponents' gcd is therefore prime to p: frobenius_strip
     would return k = 0 and core = f mod p, so the core is taken as that
-    without a strip.  If moreover (A, B) != (0, 0) and no Dickson index is
-    a candidate at p, the verdict is NoncompositeP with k = 0, and f is not
-    reduced: with (A, B) != (0, 0) _find_witness tries the Dickson
-    candidates alone, and there are none, so it returns None.  When p
-    divides r, the core of f mod p = core^(p^k) has u-degree r / p^k.
+    without a strip.  When p divides r, the core of f mod p = core^(p^k)
+    has u-degree r / p^k.  Only the outers whose degree divides g, the gcd
+    of the core's four degrees, are tried (module docstring), and g is
+    read only where some outer degree divides the core's u-degree.  Where
+    p divides none of the contents of f's top faces (``_degree_gcd``), f
+    mod p has f's degrees, each p^k times the core's, so g is f's g over
+    p^k; elsewhere g is read off the core.  With no outer degree left and
+    k = 0 the verdict is NoncompositeP, and where p divides neither r nor
+    a content f is not reduced, since _find_witness would try nothing.
     """
+    f, r = entry.f, entry.u_degree
     if r % p:
-        if (A, B) != (0, 0) and not _dickson_candidates(A, B, r, p):
-            return _noncomposite(p)
-        core, k = f.reduce_mod(p), 0
+        core, k = None, 0
     else:
         core, k = frobenius_strip(f.reduce_mod(p))
-    witness = _find_witness(core, A, B, p, r // p**k)
+    outers = _outer_degrees(A, B, r // p**k, p)
+    if outers:
+        g, content = _faces(entry)
+        if content % p:
+            g //= p**k
+        else:  # f mod p may lose a degree: g is read off the core
+            if core is None:
+                core = f.reduce_mod(p)
+            g = _degree_gcd(core)[0]
+        outers = [n for n in outers if g % n == 0]
+    if not outers and k == 0:
+        return _noncomposite(p)
+    if core is None:
+        core = f.reduce_mod(p)
+    witness = _find_witness(core, outers, (A, B) == (0, 0), p)
     if witness is None:
         if k == 0:
             return _noncomposite(p)

@@ -399,16 +399,19 @@ class _WordEntry:
     and k as ``k``; it keeps v's entry alive after the memo drops it, so a
     power holds at most one entry more.  Otherwise ``root`` is None and
     ``k`` is 1.  f is never replaced, so ``u_degree``, f.deg("u") taken
-    once, stays f's, and so does ``top_sign``, the leading coefficient of
-    f's top u-block, None until ``decompose`` first reads it.
+    once, stays f's, and so do ``top_sign``, the leading coefficient of
+    f's top u-block, and ``faces``, the gcd of f's degrees and the product
+    of its top faces' contents (``decompose._degree_gcd``), each None until
+    ``decompose`` first reads it.
     """
 
-    __slots__ = ("f", "u_degree", "top_sign", "verdicts", "root", "k")
+    __slots__ = ("f", "u_degree", "top_sign", "faces", "verdicts", "root", "k")
 
     def __init__(self, f: TriPoly, root: Optional["_WordEntry"] = None, k: int = 1):
         self.f = f
         self.u_degree = f.deg("u")
         self.top_sign = None
+        self.faces = None
         self.verdicts: dict = {}
         self.root = root
         self.k = k
@@ -505,27 +508,33 @@ def trace_poly(w: Word, engine: Optional[TraceEngine] = None) -> TraceResult:
     """Exact trace polynomial of any word, including degenerate ones.
 
     The empty word traces to 2; any other word reads f_w and its u-degree
-    from its checked memo entry (``_word_entry``).  ValueError for a word
-    past the engine's size or work bound.
+    from its checked memo entry (``_checked_entry``).  ValueError for a
+    word past the engine's size or work bound.
     """
     if w.is_empty:
         return TraceResult(word=w, f=_TWO, u_degree=0)
-    entry = _word_entry(w, engine)
-    canon = _canonical_if_consistent(w, entry.u_degree)
+    canon, entry = _checked_entry(w, engine)
     return TraceResult(word=canon, f=entry.f, u_degree=entry.u_degree)
 
 
 def _word_entry(w: Word, engine: Optional[TraceEngine] = None) -> _WordEntry:
-    """The engine's memo entry of a word that does not reduce cyclically to the empty word.
+    """The engine's memo entry of a word that does not reduce cyclically to the empty word, checked."""
+    return _checked_entry(w, engine)[1]
 
-    Its u-degree, kept in the entry, is checked against w's complexity on
-    every call (``_canonical_if_consistent``): this is the one check of
-    f_w that every reader, ``trace_poly`` included, goes through.
+
+def _checked_entry(w: Word, engine: Optional[TraceEngine]) -> Tuple[Word, _WordEntry]:
+    """w's canonical form and its memo entry, for w not reducing cyclically to the empty word.
+
+    The entry's u-degree is checked against the canonical form's
+    complexity on every call (``_canonical_if_consistent``), which also
+    gives the canonical form, so w is canonicalized once: this is the one
+    check of f_w that every reader, ``trace_poly`` included, goes through.
     """
     entry = _engine(engine).entry(w)
-    if _canonical_if_consistent(w, entry.u_degree) is None:
+    canon = _canonical_if_consistent(w, entry.u_degree)
+    if canon is None:
         raise RuntimeError(f"u-degree {entry.u_degree} != complexity of {w}")
-    return entry
+    return canon, entry
 
 
 def syllable_polys(a: int, b: int) -> SyllablePair:

@@ -34,9 +34,11 @@ arithmetic, the reference the witness tests compare against.
 `apply_move` applies one of the `NIELSEN_MOVES`, which generate Aut(F_2),
 to a `Word` by substitution.  `searched_verdict` is the witness search that
 `decompose` ran on every word before it read a proper power's verdicts
-from its root: the library's `_find_witness` on f_w over QQ, or on the
-Frobenius core of f_w mod p with `_prime_verdict`'s rewrap, with no memo
-row and no shortcut, the reference for the verdicts the classifiers give.
+from its root and before it ruled outer degrees out by f_w's degrees:
+every outer degree of `_outer_degrees` at the u-degree, tried through
+`_try_outer` on f_w over QQ, or on the Frobenius core of f_w mod p with
+`_prime_verdict`'s rewrap, with no memo row and no shortcut, the
+reference for the verdicts the classifiers give.
 `nth_roots_by_scan` is the scan of F_p that `tripoly._nth_roots` ran
 before it took roots through the cyclic group, the reference for it.
 `perfbench_inputs` loads the benchmark's input streams, so tests can run
@@ -67,7 +69,8 @@ from tracelab.decompose import (
     SPECIAL_P,
     CompositionWitness,
     PrimeVerdict,
-    _find_witness,
+    _outer_degrees,
+    _try_outer,
 )
 from tracelab.gf import _factor_prime_power, field
 from tracelab.probes import _u_slices
@@ -853,6 +856,16 @@ def match_inner_full_power(blocks, lead, n):
 # the witness search on f_w alone
 
 
+def _search(f, A, B, p):
+    """The first witness over the outer degrees that divide f's u-degree, largest first, or None."""
+    blocks = f.u_coefficients()
+    for n in _outer_degrees(A, B, f.deg("u"), p):
+        witness = _try_outer(f, blocks, n, (A, B) == (0, 0), p)
+        if witness is not None:
+            return witness
+    return None
+
+
 def searched_verdict(f, A, B, p):
     """The rational witness of f_w for p None, else the PrimeVerdict at p, by search.
 
@@ -862,9 +875,9 @@ def searched_verdict(f, A, B, p):
     and k > 0, z^(p^k) is the SpecialP witness.
     """
     if p is None:
-        return _find_witness(f, A, B, None, f.deg("u"))
+        return _search(f, A, B, None)
     core, k = frobenius_strip(f.reduce_mod(p))
-    witness = _find_witness(core, A, B, p, core.deg("u"))
+    witness = _search(core, A, B, p)
     if witness is None and k == 0:
         return PrimeVerdict(p=p, verdict=NONCOMPOSITE_P, witness=None, frobenius_k=0)
     if witness is None:

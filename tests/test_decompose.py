@@ -20,6 +20,8 @@ from tracelab.decompose import (
     WildCompositionError,
     CompositionWitness,
     PrimeVerdict,
+    _degree_gcd,
+    _faces,
     _find_witness,
     _match_inner,
     _prime_verdict,
@@ -32,7 +34,7 @@ from tracelab.decompose import (
     power_word_report,
 )
 from tracelab.gf import primes_in
-from tracelab.trace import TraceEngine, trace_poly
+from tracelab.trace import TraceEngine, _WordEntry, trace_poly
 from tracelab.tripoly import TriPoly, frobenius_strip
 from tracelab.unipoly import UniPoly, dickson, dickson_apply
 from tracelab.words import (
@@ -422,12 +424,16 @@ def _variants(w):
 
 @pytest.fixture
 def searches(monkeypatch):
-    """The primes (None for the rationals) of every witness search, in order."""
+    """The primes (None for the rationals) of every witness search, in order.
+
+    A prime p that leaves no outer degree dividing f_w's degree gcd, with
+    no Frobenius layer, makes no search (``_prime_verdict``).
+    """
     calls = []
 
-    def counted(f, A, B, p, r):
+    def counted(f, outers, zero_sums, p):
         calls.append(p)
-        return _find_witness(f, A, B, p, r)
+        return _find_witness(f, outers, zero_sums, p)
 
     monkeypatch.setattr(decompose, "_find_witness", counted)
     return calls
@@ -524,7 +530,7 @@ class TestPrimeShortcut:
         A, B = stats(w).A, stats(w).B
         f = trace_poly(w).f
         for p in self.PRIMES:
-            assert _prime_verdict(f, A, B, p, f.deg("u")) == searched_verdict(f, A, B, p), (w, p)
+            assert _prime_verdict(_WordEntry(f), A, B, p) == searched_verdict(f, A, B, p), (w, p)
 
     @pytest.mark.parametrize(
         "text",
@@ -547,17 +553,20 @@ class TestPrimeShortcut:
         self._check(w)
 
     def test_shortcut_reduces_nothing_and_shares_the_verdict(self, monkeypatch):
-        # r = 2 and gcd(A, B) = 1 for both, and p = 3 does not divide r
-        v, w = parse("x^2yx^-1y^3"), parse("xxyXyy")
-        f, g = trace_poly(v).f, trace_poly(w).f
+        # r = 2 and p = 3 does not divide r: gcd(A, B) = 1 for the first two; xyxY
+        # has the Dickson candidate 2 and xyXY the tame divisor 2, but f_w's s- and
+        # t-degrees and total degree leave g = 1 for both
+        words = [parse(text) for text in ("x^2yx^-1y^3", "xxyXyy", "xyxY", "xyXY")]
+        entries = [_WordEntry(trace_poly(w).f) for w in words]
+        assert [_faces(e)[0] for e in entries] == [1, 1, 1, 1]
 
         def no_reduce(self, p):
             raise AssertionError("f was reduced")
 
         monkeypatch.setattr(TriPoly, "reduce_mod", no_reduce)
-        got = _prime_verdict(f, stats(v).A, stats(v).B, 3, 2)
-        assert got is _prime_verdict(g, stats(w).A, stats(w).B, 3, 2)
-        assert (got.verdict, got.witness, got.frobenius_k) == (NONCOMPOSITE_P, None, 0)
+        got = [_prime_verdict(e, stats(w).A, stats(w).B, 3) for e, w in zip(entries, words)]
+        assert all(v is got[0] for v in got)
+        assert (got[0].verdict, got[0].witness, got[0].frobenius_k) == (NONCOMPOSITE_P, None, 0)
 
     @given(syllable_words(max_r=6))
     @settings(max_examples=30)
@@ -620,7 +629,8 @@ class TestPowerVerdicts:
             "xy" * 4,  # p | k at 2; p = 5, 13 are 1 mod 4
             "x^2y^-1" * 5,  # p | k at 5; p = 11 is 1 mod 5
             "xYxyy" * 6,  # p | k at 2 and 3; p = 7, 13 are 1 mod 6
-            "x^2y^2x^2y^-2" * 2,  # D_4 is tried before k = 2 over QQ and at odd p
+            "x^2y^2x^2y^-2" * 2,  # D_4 and D_2 are ruled out by f_w's degrees
+            "x^2yx^4y" * 2,  # D_4 is tried before k = 2 over QQ and at odd p
             "xy^2xy^2xy^2",  # a cube of a one-syllable root
             "xyXY" * 2,  # (0, 0) sums: decompose_in_u at n = 4 before k = 2
             "xyXY" * 3,  # (0, 0) sums: n = 6 before k = 3, except at p = 2 and 3
@@ -716,9 +726,109 @@ class TestPowerVerdicts:
             return real(f, blocks, d)
 
         monkeypatch.setattr(decompose, "_dickson_from_blocks", counted)
-        w = parse("x^2y^2x^2y^-2" * 2)
+        # the root has r = 2, (A, B) = (6, 2) and degree gcd 2, so its square keeps D_4
+        w = parse("x^2yx^4y" * 2)
         witness = classify_rational(w, engine=TraceEngine())[1]
         # the root's own candidate 2, then 4 on f_w; no recomposition at k = 2
         assert tried == [(None, 2), (None, 4)]
-        root = trace_poly(parse("x^2y^2x^2y^-2")).f
+        root = trace_poly(parse("x^2yx^4y")).f
         assert witness.dickson_index == 2 and witness.inner in (root, -root)
+
+
+def _rule_polys(p):
+    """Nonconstant Q with up to four terms of degree <= 2 in each of s, u, t, over QQ or F_p."""
+    exps = st.tuples(*[st.integers(0, 2)] * 3)
+    coeffs = st.integers(-3, 3).filter(lambda c: c % (p or 7))
+    return (
+        st.dictionaries(exps, coeffs, min_size=1, max_size=4)
+        .map(lambda terms: tripoly_from_terms(terms, p))
+        .filter(lambda q: not q.is_constant)
+    )
+
+
+@st.composite
+def rule_words(draw):
+    """Proper powers with k in {2, 3, 4}, squares of words with exponent sums (0, 0), and words of up to 7 syllables.
+
+    The last make p | r at every p <= 7 somewhere, the others have Dickson
+    indices or tame divisors that f_w's degrees must not rule out.
+    """
+    exps = st.integers(-2, 2).filter(bool)
+    kind = draw(st.sampled_from(("power", "zero-sums square", "word")))
+    if kind == "word":
+        return Word.from_syllables(draw(st.lists(st.tuples(exps, exps), min_size=1, max_size=7)))
+    syl = draw(st.lists(st.tuples(exps, exps), min_size=1, max_size=3))
+    if kind == "zero-sums square":
+        return Word.from_syllables(syl[:2] + [(-a, -b) for a, b in syl[:2]]) ** 2
+    return Word.from_syllables(syl) ** draw(st.integers(2, 4))
+
+
+class TestDegreeRule:
+    """Outer degrees n are tried only where n divides the gcd of f's four degrees."""
+
+    @given(st.data(), st.sampled_from([None, 2, 3, 5, 7]), st.integers(2, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_an_outer_degree_divides_every_degree_of_the_composite(self, data, p, n):
+        q = data.draw(_rule_polys(p))
+        h = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        lead = data.draw(st.integers(1, 3).filter(lambda c: c % (p or 7)))
+        f = TriPoly.zero(p)
+        for c in [lead] + h:  # Horner: f = h(Q), deg h = n
+            f = f * q + TriPoly.const(c, p)
+        degrees = (f.deg("u"), f.deg("s"), f.deg("t"), f.total_degree())
+        assert all(d % n == 0 for d in degrees), (q, degrees)
+        assert _degree_gcd(f)[0] == math.gcd(*degrees)
+
+    @given(_rule_polys(None))
+    @settings(max_examples=60)
+    def test_degree_gcd_and_face_contents_by_definition(self, f):
+        terms = dict(f.terms())
+
+        def content(degree):
+            top = max(map(degree, terms))
+            return math.gcd(*(c for m, c in terms.items() if degree(m) == top))
+
+        faces = content(lambda m: m[0]) * content(lambda m: m[2]) * content(sum)
+        degrees = (f.deg("u"), f.deg("s"), f.deg("t"), f.total_degree())
+        assert _degree_gcd(f) == (math.gcd(*degrees), faces)
+
+    def test_a_prime_dividing_a_face_content_reads_the_degrees_mod_p(self):
+        # deg_s f = 3 rules D_2 out over QQ, but f mod 3 = D_2(u + s)
+        f = (U + S) ** 2 - TriPoly.const(2) + (S**3).scale(3)
+        entry = _WordEntry(f)
+        assert _faces(entry) == (1, 9)
+        got = _verdict(entry, 2, 2, 3)
+        assert got.verdict == COMPOSITE_NOT_SPECIAL
+        assert got == searched_verdict(f, 2, 2, 3)
+        assert recompose(got.witness) == f.reduce_mod(3)
+        assert _verdict(entry, 2, 2, None) is None
+        # a square of a root whose f_v = u + s + 3s^2 loses its s-degree mod 3
+        root = _WordEntry(U + S + (S**2).scale(3))
+        power = _WordEntry(dickson_apply(2, root.f), root, 2)
+        assert _faces(power)[1] % 3 == 0
+        assert _verdict(root, 1, 1, 3).verdict == NONCOMPOSITE_P
+        assert _verdict(power, 2, 2, 3) == searched_verdict(power.f, 2, 2, 3)
+
+    @given(rule_words())
+    @settings(max_examples=40, deadline=None)
+    def test_verdicts_match_the_unfiltered_search(self, w):
+        g = classify_global(w, 31, engine=TraceEngine())
+        st_ = stats(canonicalize(w)[0])
+        f = trace_poly(w, engine=TraceEngine()).f
+        assert g.rational_witness == searched_verdict(f, st_.A, st_.B, None), w
+        assert list(g.per_prime) == [searched_verdict(f, st_.A, st_.B, p) for p in primes_in(2, 31)], w
+
+    def test_the_stream_tries_a_tenth_of_the_outers(self, monkeypatch):
+        # without the rule, the first 500 seed-1 requests made 883 tries
+        tries = []
+        real = decompose._try_outer
+
+        def counted(f, blocks, n, zero_sums, p):
+            tries.append(n)
+            return real(f, blocks, n, zero_sums, p)
+
+        monkeypatch.setattr(decompose, "_try_outer", counted)
+        eng = TraceEngine()
+        for req in itertools.islice(perfbench_inputs().classify_stream(1), 500):
+            classify_global(Word.from_syllables(req.syllables), 13, engine=eng)
+        assert len(tries) <= 883 // 10

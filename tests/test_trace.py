@@ -584,6 +584,18 @@ class TestEngineBehavior:
             with pytest.raises(RuntimeError, match="u-degree 2 != complexity of xy"):
                 trace._word_entry(w, eng)
 
+    def test_memo_hit_canonicalizes_once(self, monkeypatch):
+        # a word that starts on a y-block is not canonical: the check and the
+        # result share one canonical form
+        eng = TraceEngine()
+        w = parse("yxxyXYYxyX")
+        cold = trace_poly(w, engine=eng)
+        calls = []
+        real = trace.canonicalize
+        monkeypatch.setattr(trace, "canonicalize", lambda v: calls.append(v) or real(v))
+        assert trace_poly(w, engine=eng) == cold
+        assert calls == [w]
+
     def test_memo_hit_runs_no_degree_scan(self, monkeypatch):
         # the u-degree of a hit is the one its entry kept, not a scan of f's terms
         eng = TraceEngine()
