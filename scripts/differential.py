@@ -66,7 +66,12 @@ Sections, each hashed separately:
   were ruled out by f_w's degrees;
 - classify-p31: ``cli._global_dict(classify_global(w, 31))`` over the
   first 300 seed-1 classify-stream requests on one engine, which reaches
-  more primes, more p | r cases and more tame divisors than p_max = 13.
+  more primes, more p | r cases and more tame divisors than p_max = 13;
+- decompose-units: ``dickson_decompose`` and ``decompose_in_u`` on D_d(c Q)
+  for three inners Q with monic top u-block and every lead c other than
+  +-1, at p in {13, 17} and d in {4, 6, 8}, where gcd(d, p - 1) >= 4
+  leaves d-th roots of unity other than +-1, so the sign of the inner
+  depends on which scaling is picked.
 """
 
 from __future__ import annotations
@@ -121,6 +126,8 @@ ORBIT_FIBER_WORDS = ("xyXY", "xxy", "xyy", "xyxy")
 ORBIT_FIBER_QS = (121, 125, 127, 128)
 DECOMPOSE_PRIMES = (None, 3, 5, 7, 11, 13)
 DECOMPOSE_NS = (2, 3, 4, 6)
+UNIT_PRIMES = (13, 17)
+UNIT_NS = (4, 6, 8)
 LEVEL_COUNT_WORDS = ("xyXY", "xyXYxy", "xxxxyXXYxxyXXY")
 LEVEL_COUNT_QS = (2, 3, 4, 8, 9, 16, 25, 27, 49, 64, 81, 101, 121, 125, 128)
 CLI_TRACE_WORDS = ("xyXY", "x^3", "", "Yx", "XXX", "xxyXYYxyXy", "yx^2", "x^4000y")
@@ -264,6 +271,16 @@ def _decompose(tl):
                 yield p, n, text, _decompose_outcome(tl, tl.decompose_in_u, f, n)
 
 
+def _decompose_units(tl):
+    for p, n in itertools.product(UNIT_PRIMES, UNIT_NS):
+        for q in _decompose_inners(tl)[1:4]:
+            q = q.reduce_mod(p)
+            for c in range(2, p - 1):
+                f = tl.dickson_apply(n, q.scale(c))
+                yield p, n, c, q.render(), _decompose_outcome(tl, tl.dickson_decompose, f, n)
+                yield p, n, c, q.render(), _decompose_outcome(tl, tl.decompose_in_u, f, n)
+
+
 def _theorem_and_measure(tl):
     runs, sheets = [], []
     for text in ("xyXY", "xyxy"):
@@ -395,6 +412,7 @@ def sections(tl, inputs):
     yield "classify-memo", _classify_memo(tl)
     yield "power-verdicts", _power_verdicts(tl)
     yield "classify-p31", _classify_p31(tl, inputs)
+    yield "decompose-units", _decompose_units(tl)
 
 
 def main(argv=None) -> int:

@@ -15,10 +15,12 @@ equidistributes on SL(2, p^n) for large n.  Three verdicts per prime:
 
 The search space is finite: an outer of degree n forces n | deg_u f, and
 when the exponent sums A, B are not both zero the outer is a Dickson
-polynomial D_d with d dividing every nonzero member of {A, B}.  The
-general tame case is decided by decompose_in_u; the wild part of the
-characteristic is handled entirely by Frobenius stripping, and exotic
-wild outers beyond that are out of scope.
+polynomial D_d with d dividing every nonzero member of {A, B}, read off
+decompose_in_u's witness where its outer is D_d up to scaling Q: a tame
+h(Q) with no z^(n-1) term in h fixes Q up to a scalar (von zur Gathen,
+J. Symbolic Comput. 9, 1990), and every scalar is tried.  The wild part
+of the characteristic is handled entirely by Frobenius stripping, and
+exotic wild outers beyond that are out of scope.
 
 A degree rule rules out most of those outers before any search (deg f =
 deg h * deg Q, as in Kozen and Landau, "Polynomial decomposition
@@ -52,8 +54,9 @@ u-degree is r at every p (see ``_prime_verdict``): g at p is g(f_w), or
 g(f_w) / p^k for the core of f_w mod p = core^(p^k), whose exponents are
 f_w mod p's over p^k.  At a p dividing c a degree may drop, as for f =
 (u + s)^2 - 2 + 3s^3, where deg_s f = 3 rules n = 2 out over QQ but f mod
-3 = D_2(u + s); there g is read off f_w mod p or its core.  On the
-benchmark's classify streams every word's top faces have content 1.
+3 = D_2(u + s); there g is read off f_w mod p or its core
+(``_dividing_g``).  On the benchmark's classify streams every word's top
+faces have content 1.
 
 Each verdict is a function of f_w, r = deg_u f_w, whether (A, B) = (0, 0)
 and gcd(|A|, |B|), all invariant under rotation and inversion of the word.
@@ -83,22 +86,22 @@ reading is exact by three facts, for p not dividing k:
     Each quadratic is (x - omega^j y)(x - omega^-j y) plus a nonzero
     constant, so it vanishes at no pair of nonconstant polynomials: both
     linear factors would be constants, and then so would y.  So D_k(Q) =
-    f_w = D_k(f_v) forces Q = +-f_v.  A matcher at index k returns a Q
-    with D_k(Q) = f_w, so nothing needs to be recomposed, and the leading
-    root it tries first decides the sign.
+    f_w = D_k(f_v) forces Q = +-f_v.  The matcher at index k returns a Q
+    with D_k(Q) = f_w, so nothing needs to be recomposed, and its scaling
+    decides the sign (c).
 (b) If f_v mod p is not a p-th power, neither is f_w mod p: some partial
     derivative of f_v is nonzero, and so is D_k'(f_v) times it, since D_k'
     has leading term k z^(k-1).  So frobenius_strip returns k = 0 and the
     core f_w mod p, and the reading needs no strip.  A NoncompositeP v has
     frobenius_k = 0.
 (c) The leading coefficient lc of f_v's top u-block is +-1 (it is G_r's,
-    see ``_prime_verdict``), and f_w's is lc^k.  dickson_decompose leads
-    with zeta * rho, rho the first k-th root of lc^k and zeta the first
-    k-th root of unity that makes it +-lc; decompose_in_u's
-    _dickson_normalize scales by the first k-th root of lc^k that is
-    +-lc.  In ``_nth_roots`` order 1 precedes -1.  For odd k, -lc is not a
-    k-th root of lc^k, so the pick is lc; for even k, lc^k = 1 and the
-    pick is 1.  So the inner is f_v, or -f_v when k is even and lc = -1.
+    see ``_prime_verdict``), and f_w's is lc^k.  The matcher finds the
+    inner lc * f_v, whose top block is monic, and _dickson_normalize
+    scales it by the first c in ``_nth_roots(lc^k, k, p)`` order with
+    h(z) = D_k(c z).  Those c are lc and, for even k, -lc.  For odd k the
+    pick is lc.  For even k, lc^k = 1, and 1 precedes -1 in
+    ``_nth_roots`` order, so the pick is 1.  So the inner is f_v, or -f_v
+    when k is even and lc = -1.
 
 The outers above k are searched only where the degree rule allows.  With
 h = D_k it gives g(f_w) = k * g(f_v), over QQ and mod p alike, so an outer
@@ -119,7 +122,7 @@ from typing import List, Optional, Tuple
 from .gf import is_prime, primes_in
 from .tripoly import TriPoly, _div, _norm_coeff, _nth_roots, frobenius_strip
 from .trace import TraceEngine, _WordEntry, _word_entry, trace_poly
-from .unipoly import UniPoly, _recurrence, dickson, dickson_apply
+from .unipoly import UniPoly, dickson, dickson_apply
 from .words import (
     DegenerateWordError,
     Word,
@@ -228,43 +231,21 @@ def _match_inner(blocks: List[TriPoly], lead: TriPoly, n: int) -> Optional[TriPo
 
 
 def dickson_decompose(f: TriPoly, d: int) -> Optional[TriPoly]:
-    """The inner Q with f = D_d(Q), or None.
+    """The inner Q with f = D_d(Q), or None: decompose_in_u(f, d)'s inner where its outer is D_d.
 
-    D_d is monic with no z^(d-1) term, so the leading u-block of Q is a
-    d-th root of f's leading block (all root choices are tried), lower
-    blocks follow by top-down matching, and the candidate is verified by
-    exact recomposition.  A candidate whose D_d differs from f at the
-    point s = u = t = 1 (a coefficient sum) is rejected without
-    recomposing; that is exact, since a mismatch at a point proves
-    D_d(Q) != f.  Unique up to sign when d is even; the returned
-    representative comes from the canonical root choice.
+    Q is unique for odd d and unique up to sign for even d; the sign is
+    that of the first c in ``_nth_roots`` order that scales the inner with
+    a monic top u-block to Q.
     """
     if d < 2:
         raise ValueError("Dickson index must be >= 2")
-    return _dickson_from_blocks(f, f.u_coefficients(), d)
-
-
-def _dickson_from_blocks(f: TriPoly, blocks: List[TriPoly], d: int) -> Optional[TriPoly]:
-    """dickson_decompose(f, d) on f's u-blocks, split once by the caller."""
-    r = len(blocks) - 1
+    r = f.deg("u")
     if r < 1 or r % d:
-        raise ValueError(f"index {d} does not divide u-degree {f.deg('u')}")
-    root0 = blocks[r].nth_root(d)
-    if root0 is None:
-        return None
-    target = None
-    for zeta in _nth_roots(1, d, f.p):
-        cand = _match_inner(blocks, root0.scale(zeta), d)
-        if cand is None:
-            continue
-        if target is None:
-            target = f.coefficient_sum()
-        z = cand.coefficient_sum()
-        if _norm_coeff(_recurrence(d, z, 2, z)[1], f.p) != target:
-            continue
-        if dickson_apply(d, cand) == f:
-            return cand
-    return None
+        raise ValueError(f"index {d} does not divide u-degree {r}")
+    if f.p is not None and d % f.p == 0:
+        raise ValueError("wild root index (characteristic divides n)")
+    witness = _try_outer(f, f.u_coefficients(), d, False, f.p)
+    return None if witness is None else witness.inner
 
 
 def decompose_in_u(f: TriPoly, n: int) -> Optional[CompositionWitness]:
@@ -299,7 +280,8 @@ def _decompose_from_blocks(f: TriPoly, blocks: List[TriPoly], n: int) -> Optiona
     p = f.p
     lc = blocks[r].leading_coeff()
     inv_lc = _div(1, lc, p)
-    monic = blocks if inv_lc == 1 else [b.scale(inv_lc) for b in blocks]
+    # _match_inner reads only the top m + 1 blocks; the peel works on f
+    monic = blocks if inv_lc == 1 else blocks[: r - m] + [b.scale(inv_lc) for b in blocks[r - m :]]
     lam = monic[r].nth_root(n)
     if lam is None:
         return None
@@ -413,19 +395,41 @@ def _faces(entry: _WordEntry) -> Tuple[int, int]:
     return entry.faces
 
 
+def _dividing_g(
+    entry: _WordEntry, outers: List[int], p: Optional[int], core: Optional[TriPoly] = None, k: int = 0
+) -> Tuple[List[int], Optional[TriPoly]]:
+    """The outers that divide g of the core searched (module docstring), and that core, None if unread.
+
+    The core is f_w over QQ, else that of f_w mod p = core^(p^k), passed by a caller that stripped it.
+    """
+    if not outers:
+        return outers, core
+    g, content = _faces(entry)
+    if p is not None:
+        if content % p:
+            g //= p**k
+        else:  # f_w mod p may lose a degree
+            if core is None:
+                core = entry.f.reduce_mod(p)
+            g = _degree_gcd(core)[0]
+    outers = [n for n in outers if g % n == 0]
+    if outers and core is None:
+        core = entry.f if p is None else entry.f.reduce_mod(p)
+    return outers, core
+
+
 def _try_outer(
     f: TriPoly, blocks: List[TriPoly], n: int, zero_sums: bool, p: Optional[int]
 ) -> Optional[CompositionWitness]:
     """The witness of outer degree n >= 2, D_n unless the exponent sums are (0, 0), or None.
 
     ``blocks`` are f's u-blocks, which the caller splits once for every n it tries.
+    D_n is monic, so no D_n witness exists unless f's top block's lead has an n-th root.
     """
-    if zero_sums:
-        return _decompose_from_blocks(f, blocks, n)
-    q = _dickson_from_blocks(f, blocks, n)
-    if q is None:
+    if not zero_sums and not _nth_roots(blocks[-1].leading_coeff(), n, p):
         return None
-    return CompositionWitness(outer=dickson(n, p), inner=q, p=p, dickson_index=n)
+    witness = _decompose_from_blocks(f, blocks, n)
+    return witness if zero_sums or witness is None or witness.dickson_index == n else None
 
 
 def _find_witness(
@@ -448,10 +452,7 @@ def _find_witness(
 
 def _rational_witness(entry: _WordEntry, A: int, B: int) -> Optional[CompositionWitness]:
     """f_w's witness over QQ; f_w's terms are read for g only where some outer degree divides r."""
-    outers = _outer_degrees(A, B, entry.u_degree, None)
-    if outers:
-        g = _faces(entry)[0]
-        outers = [n for n in outers if g % n == 0]
+    outers, _ = _dividing_g(entry, _outer_degrees(A, B, entry.u_degree, None), None)
     return _find_witness(entry.f, outers, (A, B) == (0, 0), None)
 
 
@@ -500,17 +501,8 @@ def _power_verdict(entry: _WordEntry, A: int, B: int, p: Optional[int]):
     below = _verdict(root, A // k, B // k, p)
     if below is not None and (p is None or below.verdict != NONCOMPOSITE_P):
         return _MISSING
-    larger = [n for n in _outer_degrees(A, B, entry.u_degree, p) if n > k]
-    witness = None
-    if larger:
-        f, (g, content) = entry.f, _faces(entry)
-        if p is not None and content % p == 0:
-            f = f.reduce_mod(p)
-            g = _degree_gcd(f)[0]  # f mod p may lose a degree
-        larger = [n for n in larger if g % n == 0]
-        if larger:
-            f = f if f.p == p else f.reduce_mod(p)
-            witness = _find_witness(f, larger, (A, B) == (0, 0), p)
+    larger, f = _dividing_g(entry, [n for n in _outer_degrees(A, B, entry.u_degree, p) if n > k], p)
+    witness = _find_witness(f, larger, (A, B) == (0, 0), p) if larger else None
     if witness is None:
         if k % 2 == 0 and root.top_sign is None:
             # the coefficient of the (s, t)-largest monomial at u^r, read once per root
@@ -547,34 +539,16 @@ def _prime_verdict(entry: _WordEntry, A: int, B: int, p: int) -> PrimeVerdict:
     divide r, the exponents' gcd is therefore prime to p: frobenius_strip
     would return k = 0 and core = f mod p, so the core is taken as that
     without a strip.  When p divides r, the core of f mod p = core^(p^k)
-    has u-degree r / p^k.  Only the outers whose degree divides g, the gcd
-    of the core's four degrees, are tried (module docstring), and g is
-    read only where some outer degree divides the core's u-degree.  Where
-    p divides none of the contents of f's top faces (``_degree_gcd``), f
-    mod p has f's degrees, each p^k times the core's, so g is f's g over
-    p^k; elsewhere g is read off the core.  With no outer degree left and
-    k = 0 the verdict is NoncompositeP, and where p divides neither r nor
-    a content f is not reduced, since _find_witness would try nothing.
+    has u-degree r / p^k.  Only the outers that divide the core's degree
+    gcd are tried (``_dividing_g``).  With none left and k = 0 the verdict
+    is NoncompositeP, and where p divides neither r nor a top-face content
+    f is not reduced, since _find_witness would try nothing.
     """
     f, r = entry.f, entry.u_degree
-    if r % p:
-        core, k = None, 0
-    else:
-        core, k = frobenius_strip(f.reduce_mod(p))
-    outers = _outer_degrees(A, B, r // p**k, p)
-    if outers:
-        g, content = _faces(entry)
-        if content % p:
-            g //= p**k
-        else:  # f mod p may lose a degree: g is read off the core
-            if core is None:
-                core = f.reduce_mod(p)
-            g = _degree_gcd(core)[0]
-        outers = [n for n in outers if g % n == 0]
+    core, k = (None, 0) if r % p else frobenius_strip(f.reduce_mod(p))
+    outers, core = _dividing_g(entry, _outer_degrees(A, B, r // p**k, p), p, core, k)
     if not outers and k == 0:
         return _noncomposite(p)
-    if core is None:
-        core = f.reduce_mod(p)
     witness = _find_witness(core, outers, (A, B) == (0, 0), p)
     if witness is None:
         if k == 0:

@@ -278,10 +278,6 @@ class TriPoly:
     def __len__(self) -> int:
         return len(self._c)
 
-    def coefficient_sum(self):
-        """Sum of the coefficients, normalized: the value at s = u = t = 1."""
-        return _norm_coeff(sum(self._c.values()), self.p)
-
     def deg(self, name: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
         if not self._c:

@@ -35,10 +35,16 @@ arithmetic, the reference the witness tests compare against.
 to a `Word` by substitution.  `searched_verdict` is the witness search that
 `decompose` ran on every word before it read a proper power's verdicts
 from its root and before it ruled outer degrees out by f_w's degrees:
-every outer degree of `_outer_degrees` at the u-degree, tried through
-`_try_outer` on f_w over QQ, or on the Frobenius core of f_w mod p with
-`_prime_verdict`'s rewrap, with no memo row and no shortcut, the
-reference for the verdicts the classifiers give.
+every outer degree of `_outer_degrees` at the u-degree, tried on f_w
+over QQ, or on the Frobenius core of f_w mod p with `_prime_verdict`'s
+rewrap, with no memo row and no shortcut, the reference for the verdicts
+the classifiers give.  With exponent sums (A, B) = (0, 0) it runs
+`decompose_in_u`'s matcher; its Dickson witnesses, for (A, B) != (0, 0),
+come from `dickson_from_blocks`, the matcher `dickson_decompose` ran
+before Dickson witnesses were read off `decompose_in_u`'s: it tries every
+d-th root of unity times one root of the top block, refuses a candidate
+whose D_d differs from f at s = u = t = 1, and recomposes the rest.  Its
+pick of sign is its own, so it agrees with `dickson_decompose` up to sign.
 `nth_roots_by_scan` is the scan of F_p that `tripoly._nth_roots` ran
 before it took roots through the cyclic group, the reference for it.
 `perfbench_inputs` loads the benchmark's input streams, so tests can run
@@ -69,14 +75,15 @@ from tracelab.decompose import (
     SPECIAL_P,
     CompositionWitness,
     PrimeVerdict,
+    _decompose_from_blocks,
+    _match_inner,
     _outer_degrees,
-    _try_outer,
 )
 from tracelab.gf import _factor_prime_power, field
 from tracelab.probes import _u_slices
 from tracelab.sl2 import _IDENTITY, _eval_word, build_class_table
-from tracelab.tripoly import TriPoly, _pack, frobenius_strip
-from tracelab.unipoly import UniPoly
+from tracelab.tripoly import TriPoly, _norm_coeff, _nth_roots, _pack, frobenius_strip
+from tracelab.unipoly import UniPoly, _recurrence, dickson, dickson_apply
 from tracelab.words import X as GEN_X, Y as GEN_Y, Word, _candidate_cells, _compositions
 
 # ---------------------------------------------------------------------------
@@ -856,11 +863,43 @@ def match_inner_full_power(blocks, lead, n):
 # the witness search on f_w alone
 
 
+def _coefficient_sum(f):
+    """Sum of f's coefficients, normalized: the value at s = u = t = 1."""
+    return _norm_coeff(sum(c for _, c in f.terms()), f.p)
+
+
+def dickson_from_blocks(f, blocks, d):
+    """The inner Q with f = D_d(Q) on f's u-blocks, or None, by every root of unity and recomposition."""
+    r = len(blocks) - 1
+    if r < 1 or r % d:
+        raise ValueError(f"index {d} does not divide u-degree {f.deg('u')}")
+    root0 = blocks[r].nth_root(d)
+    if root0 is None:
+        return None
+    target = None
+    for zeta in _nth_roots(1, d, f.p):
+        cand = _match_inner(blocks, root0.scale(zeta), d)
+        if cand is None:
+            continue
+        if target is None:
+            target = _coefficient_sum(f)
+        z = _coefficient_sum(cand)
+        if _norm_coeff(_recurrence(d, z, 2, z)[1], f.p) != target:
+            continue
+        if dickson_apply(d, cand) == f:
+            return cand
+    return None
+
+
 def _search(f, A, B, p):
     """The first witness over the outer degrees that divide f's u-degree, largest first, or None."""
     blocks = f.u_coefficients()
     for n in _outer_degrees(A, B, f.deg("u"), p):
-        witness = _try_outer(f, blocks, n, (A, B) == (0, 0), p)
+        if (A, B) == (0, 0):
+            witness = _decompose_from_blocks(f, blocks, n)
+        else:
+            q = dickson_from_blocks(f, blocks, n)
+            witness = None if q is None else CompositionWitness(dickson(n, p), q, p, dickson_index=n)
         if witness is not None:
             return witness
     return None

@@ -35,7 +35,7 @@ from tracelab.decompose import (
 )
 from tracelab.gf import primes_in
 from tracelab.trace import TraceEngine, _WordEntry, trace_poly
-from tracelab.tripoly import TriPoly, frobenius_strip
+from tracelab.tripoly import TriPoly, _div, frobenius_strip
 from tracelab.unipoly import UniPoly, dickson, dickson_apply
 from tracelab.words import (
     DegenerateWordError,
@@ -49,6 +49,7 @@ from tracelab.words import (
 )
 
 from _oracles import (
+    dickson_from_blocks,
     match_inner_full_power,
     perfbench_inputs,
     recompose,
@@ -101,34 +102,85 @@ class TestDicksonDecompose:
         assert dickson_decompose((U + S) ** 3, 3) is None
 
     @pytest.mark.parametrize("p", [None, 7])
-    def test_point_mismatch_skips_the_full_check(self, p):
+    def test_perturbations_below_the_matched_blocks_are_refused(self, p):
         def ring(g):
             return g if p is None else g.reduce_mod(p)
 
         q = ring(U * S - T)
         f = dickson_apply(3, q)
-        # both perturbations sit below the blocks the matcher reads, so every
-        # root of unity yields a candidate; only the full check can refuse one
-        # whose coefficient sum agrees with f's
-        checks = []
-
-        def counting(d, g):
-            checks.append(d)
-            return dickson_apply(d, g)
-
-        with mock.patch("tracelab.decompose.dickson_apply", counting):
-            assert dickson_decompose(f + ring(TriPoly.const(1)), 3) is None
-            assert checks == []
-            assert dickson_decompose(f + ring(S - T), 3) is None
-            assert checks != []
-            del checks[:]
-            assert dickson_decompose(f, 3) == q
-            assert checks == [3]
+        # both perturbations sit below the blocks the matcher reads, so the
+        # inner is matched: f + 1 is D_3 + 1 of it, not a D_3, and f + s - t,
+        # whose coefficient sum is f's, has no outer with constant coefficients
+        assert dickson_decompose(f + ring(TriPoly.const(1)), 3) is None
+        assert dickson_decompose(f + ring(S - T), 3) is None
+        assert dickson_decompose(f, 3) == q
 
     def test_incompatible_index_raises(self):
         f = dickson_apply(4, U + S)
         with pytest.raises(ValueError):
             dickson_decompose(f, 3)
+
+    def test_refusals_keep_their_types_and_messages(self):
+        cases = [
+            (U, 1, "Dickson index must be >= 2"),
+            (U**3, 2, "index 2 does not divide u-degree 3"),
+            (dickson_apply(4, U + S).reduce_mod(2), 2, "wild root index (characteristic divides n)"),
+        ]
+        for f, d, message in cases:
+            with pytest.raises(ValueError) as info:
+                dickson_decompose(f, d)
+            assert type(info.value) is ValueError and str(info.value) == message
+
+
+@st.composite
+def dickson_cases(draw):
+    """(f, d): D_d(Q), or D_d(Q) plus terms below its top u-block, for Q over QQ or F_p.
+
+    Q's top u-block leads with +-1, +-2 or 1/2 over QQ and with any unit
+    mod p in {13, 17, 41}.
+    """
+    p = draw(st.sampled_from([None, 13, 17, 41]))
+    d = draw(st.sampled_from([2, 3, 4, 6, 8]))
+    m = draw(st.integers(1, 2))
+    exps = st.tuples(st.integers(0, 1), st.integers(0, m), st.integers(0, 1))
+    terms = draw(st.dictionaries(exps, st.integers(-2, 2).filter(bool), max_size=3))
+    terms[(draw(st.integers(0, 1)), m, draw(st.integers(0, 1)))] = 1
+    q = tripoly_from_terms(terms, p)
+    if p is None:
+        lead = draw(st.sampled_from([1, -1, 2, -2, Fraction(1, 2)]))
+    else:
+        lead = draw(st.integers(1, p - 1))
+    f = dickson_apply(d, q.scale(_div(lead, q.u_coefficients()[m].leading_coeff(), p)))
+    if draw(st.booleans()):
+        below = st.tuples(st.integers(0, 2), st.integers(0, d * m - 1), st.integers(0, 2))
+        extra = draw(st.dictionaries(below, st.integers(-2, 2).filter(bool), min_size=1, max_size=2))
+        f = f + tripoly_from_terms(extra, p)
+    return f, d
+
+
+class TestOneMatcher:
+    """dickson_decompose reads decompose_in_u's witness; the reference matches every root of unity."""
+
+    @given(dickson_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_the_root_of_unity_reference(self, case):
+        f, d = case
+        got = dickson_decompose(f, d)
+        want = dickson_from_blocks(f, f.u_coefficients(), d)
+        assert (got is None) == (want is None), (f, d)
+        if got is not None:
+            assert got in (want, -want)
+            witness = decompose_in_u(f, d)
+            assert witness.dickson_index == d and witness.inner == got
+
+    def test_a_lead_with_no_root_is_refused_before_matching(self, monkeypatch):
+        # 2 is no square over QQ or mod 5, so 2 * D_2(u + s) has no D_2 witness
+        tried = []
+        monkeypatch.setattr(decompose, "_decompose_from_blocks", lambda *args: tried.append(args))
+        f = dickson_apply(2, U + S).scale(2)
+        assert dickson_decompose(f, 2) is None
+        assert dickson_decompose(f.reduce_mod(5), 2) is None
+        assert tried == []
 
 
 st_scalars = st.sampled_from([-2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-3, 2)])
@@ -719,13 +771,13 @@ class TestPowerVerdicts:
 
     def test_a_larger_candidate_is_still_tried(self, monkeypatch):
         tried = []
-        real = decompose._dickson_from_blocks
+        real = decompose._try_outer
 
-        def counted(f, blocks, d):
-            tried.append((f.p, d))
-            return real(f, blocks, d)
+        def counted(f, blocks, n, zero_sums, p):
+            tried.append((f.p, n))
+            return real(f, blocks, n, zero_sums, p)
 
-        monkeypatch.setattr(decompose, "_dickson_from_blocks", counted)
+        monkeypatch.setattr(decompose, "_try_outer", counted)
         # the root has r = 2, (A, B) = (6, 2) and degree gcd 2, so its square keeps D_4
         w = parse("x^2yx^4y" * 2)
         witness = classify_rational(w, engine=TraceEngine())[1]

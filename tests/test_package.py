@@ -1,5 +1,6 @@
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import tracelab
@@ -59,3 +60,49 @@ def test_every_imported_name_is_read():
         for name in _unread_imports(path)
     }
     assert unread == set()
+
+
+def _docstrings(tree) -> set:
+    return {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+    }
+
+
+def _mentions(path: Path) -> set:
+    """Every name the module reads, imports or writes in a string, docstrings aside."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    docs = _docstrings(tree)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name.split(".")[-1])
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
+            names.update(re.findall(r"\w+", node.value))
+    return names
+
+
+def test_every_defined_name_is_used():
+    # a function, method or class of the package that nothing in the package,
+    # its scripts or its benchmark names is dead code; dunders are called by
+    # the language itself
+    root = Path(__file__).resolve().parent.parent
+    package = sorted((root / "src" / "tracelab").glob("*.py"))
+    defined = {
+        (path.name, node.name)
+        for path in package
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+    named = set()
+    for directory in ("src", "scripts", "perfbench"):
+        for path in sorted((root / directory).rglob("*.py")):
+            named |= _mentions(path)
+    assert {f"{module}: {name}" for module, name in defined if name not in named} == set()

@@ -145,12 +145,6 @@ class TestModularReduction:
         assert dict(f.terms()) == {(1, 0, 0): 6, (0, 0, 1): 6, (0, 0, 0): 2}
         assert f == as_tripoly(terms).reduce_mod(7)
 
-    def test_coefficient_sum_is_value_at_ones(self):
-        f = as_tripoly({(1, 0, 0): 4, (0, 2, 1): -1, (0, 0, 0): Fraction(1, 2)})
-        assert f.coefficient_sum() == Fraction(7, 2)
-        assert (f + C(Fraction(1, 2))).coefficient_sum() == 4
-        assert f.reduce_mod(5).coefficient_sum() == 1  # 4 - 1 + 3 = 6 = 1 mod 5
-
     def test_p_divisible_denominator_raises(self):
         with pytest.raises(ValueError):
             tripoly_from_terms({(1, 0, 0): 1, (0, 0, 0): Fraction(2, 7)}, 7)
