@@ -1,13 +1,13 @@
-"""Write-through cache of computed trace polynomials.
+"""A store of computed trace polynomials that nothing reads.
 
-In memory the cache maps canonical word text to the ``TriPoly`` f_w, so a
-request neither renders nor parses text.  ``save`` writes the map
-atomically as JSON: a version-stamped header, then per entry one string
-of integer terms ``i,j,k,c;...``, the exponents of s, u and t and the
-coefficient, in sorted order.  Nothing reads the file back: within a
-process the trace engine's memo already serves repeats.  So that ``save``
-never overwrites a file, ``TraceCache(path)`` refuses a path where a file
-or link is already there.  The command line does not use the cache; the
+``cached_trace_poly`` is ``trace_poly`` on the caller's engine, whose memo
+serves repeats, and stores the f_w it returns in a map from canonical word
+text to ``TriPoly``.  ``save`` writes the map atomically as JSON: a
+version-stamped header, then per entry one string of integer terms
+``i,j,k,c;...``, the exponents of s, u and t and the coefficient, in
+sorted order.  Nothing reads the file back.  So that ``save`` never
+overwrites a file, ``TraceCache(path)`` refuses a path where a file or
+link is already there.  The command line does not use the cache; the
 benchmark's classify workload does.
 """
 
@@ -18,7 +18,7 @@ import os
 import tempfile
 from typing import Optional
 
-from .trace import TraceEngine, TraceResult, _canonical_if_consistent, trace_poly
+from .trace import TraceEngine, TraceResult, trace_poly
 from .tripoly import TriPoly
 from .words import Word, canonicalize
 
@@ -83,20 +83,11 @@ def cached_trace_poly(
     cache: TraceCache,
     engine: Optional[TraceEngine] = None,
 ) -> TraceResult:
-    """trace_poly with a write-through cache.
+    """trace_poly on the given engine, or on its shared default, with f stored in the cache.
 
-    Since ``store`` takes any f, a hit must pass trace_poly's check: the
-    stored f's u-degree must equal the complexity of a canonical word
-    (``_canonical_if_consistent``).  A hit that fails it is treated as a
-    miss and overwritten.  A miss is traced on the given engine, or on
-    trace_poly's shared default.
+    Nothing is read from the cache: the engine's memo serves repeats, and
+    trace_poly's one checked read of f_w covers every call.
     """
-    f = cache.lookup(w)
-    if f is not None:
-        u_degree = max(f.deg("u"), 0)
-        canon = _canonical_if_consistent(w, u_degree)
-        if canon is not None:
-            return TraceResult(word=canon, f=f, u_degree=u_degree)
     result = trace_poly(w, engine=engine)
     cache.store(w, result.f)
     return result

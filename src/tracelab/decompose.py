@@ -121,7 +121,7 @@ from typing import List, Optional, Tuple
 
 from .gf import is_prime, primes_in
 from .tripoly import TriPoly, _div, _norm_coeff, _nth_roots, frobenius_strip
-from .trace import TraceEngine, _WordEntry, _word_entry, trace_poly
+from .trace import TraceEngine, _WordEntry, _checked_entry, trace_poly
 from .unipoly import UniPoly, dickson, dickson_apply
 from .words import (
     DegenerateWordError,
@@ -464,7 +464,7 @@ def _word_poly(
     if rec.degenerate:
         raise DegenerateWordError(f"classification needs complexity >= 1: {w!r}")
     A, B, _, _ = _exponent_sums(canon.blocks)
-    return canon, A, B, _word_entry(canon, engine)
+    return canon, A, B, _checked_entry(canon, engine)[1]
 
 
 _MISSING = object()

@@ -19,7 +19,7 @@ from .decompose import (
     classify_p,
     classify_rational,
 )
-from .gf import field
+from .gf import _factor_prime_power, field
 from .sl2 import (
     MAX_FIBER_Q,
     _cor311_constants,
@@ -32,6 +32,12 @@ from .trace import TraceEngine, trace_poly
 from .words import Word, _candidate_cells, enumerate_words, proper_power_root, sample_words
 
 EXHAUSTIVE_SCAN_LIMIT = 14
+# A sampled scan draws ``samples`` words at each length up to n_max, and a
+# word's certification grows about 6x per 16 letters, so both are capped:
+# the slowest accepted scan, n_max = 32 with 5000 samples, took 47-49 s on
+# a 2-vCPU host (n_max = 20 with 2000 samples: 4.1 s).
+SAMPLED_SCAN_LIMIT = 32
+SAMPLED_SCAN_SAMPLES = 5000
 
 
 @dataclass(frozen=True)
@@ -151,8 +157,10 @@ def measure_preserving_report(w: Word, q: int) -> MeasureSheet:
 
     The theoretical row only binds for q > q0 = 4(50d^4)^2, which no
     enumerable q reaches; it is still printed for reference.  The observed
-    row is filled whenever q is within the enumeration guard.
+    row is filled whenever q is within the enumeration guard.  ValueError
+    for a q that is not a prime power, before any other work.
     """
+    _factor_prime_power(q)
     d = trace_poly(w).f.total_degree()
     q0, b_const, theoretical = _cor311_constants(d, q)
     active = q > q0
@@ -246,7 +254,9 @@ def genericity_scan(
 
     Exhaustive mode walks every canonical word of length <= n and reports
     exact cumulative counts; sampled mode draws ``samples`` >= 1 words
-    uniformly from the length <= n candidate set per n.  Each scan traces
+    uniformly from the length <= n candidate set per n.  Both are capped
+    (``EXHAUSTIVE_SCAN_LIMIT``, ``SAMPLED_SCAN_LIMIT`` and
+    ``SAMPLED_SCAN_SAMPLES``), with ValueError past a cap.  Each scan traces
     its words on a fresh engine.  ``certify=False`` skips the
     classifier column (it stays zero) when only power statistics are needed.
     """
@@ -260,6 +270,10 @@ def genericity_scan(
         )
     if mode == "sampled" and samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if mode == "sampled" and n_max > SAMPLED_SCAN_LIMIT:
+        raise ValueError(f"sampled scan capped at n_max = {SAMPLED_SCAN_LIMIT}")
+    if mode == "sampled" and samples > SAMPLED_SCAN_SAMPLES:
+        raise ValueError(f"sampled scan capped at samples = {SAMPLED_SCAN_SAMPLES}")
     eng = TraceEngine()
     reports: list[GenericityReport] = []
     ensemble = f"canonical words, constraint={constraint}"

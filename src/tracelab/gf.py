@@ -15,6 +15,7 @@ can run as fancy indexing instead of per-element Python calls.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import List, Tuple
@@ -27,11 +28,8 @@ _MAX_Q = 2048
 def _factor_prime_power(q: int) -> Tuple[int, int]:
     if q < 2:
         raise ValueError(f"not a prime power: {q}")
-    p = None
-    for cand in range(2, q + 1):
-        if q % cand == 0:
-            p = cand
-            break
+    # a q with no factor up to its square root is prime
+    p = next((cand for cand in range(2, math.isqrt(q) + 1) if q % cand == 0), q)
     n = 0
     m = q
     while m % p == 0:

@@ -471,11 +471,6 @@ class TraceEngine:
 _DEFAULT_ENGINE = TraceEngine()
 
 
-def _engine(engine: Optional[TraceEngine]) -> TraceEngine:
-    """engine, or the shared default engine as it is bound when called."""
-    return engine if engine is not None else _DEFAULT_ENGINE
-
-
 @dataclass(frozen=True)
 class TraceResult:
     """f_w together with its u-direction structure."""
@@ -495,15 +490,6 @@ class SyllablePair:
     h: TriPoly
 
 
-def _canonical_if_consistent(w: Word, u_degree: int) -> Optional[Word]:
-    """w's canonical form, or None when it is canonical and max(u_degree, 0) != complexity."""
-    # a word from an x-block to a y-block is its own canonical form
-    canon = w if w.is_empty or w.is_canonical else canonicalize(w)[0]
-    if canon.is_canonical and max(u_degree, 0) != canon.complexity:
-        return None
-    return canon
-
-
 def trace_poly(w: Word, engine: Optional[TraceEngine] = None) -> TraceResult:
     """Exact trace polynomial of any word, including degenerate ones.
 
@@ -517,22 +503,18 @@ def trace_poly(w: Word, engine: Optional[TraceEngine] = None) -> TraceResult:
     return TraceResult(word=canon, f=entry.f, u_degree=entry.u_degree)
 
 
-def _word_entry(w: Word, engine: Optional[TraceEngine] = None) -> _WordEntry:
-    """The engine's memo entry of a word that does not reduce cyclically to the empty word, checked."""
-    return _checked_entry(w, engine)[1]
-
-
 def _checked_entry(w: Word, engine: Optional[TraceEngine]) -> Tuple[Word, _WordEntry]:
     """w's canonical form and its memo entry, for w not reducing cyclically to the empty word.
 
     The entry's u-degree is checked against the canonical form's
-    complexity on every call (``_canonical_if_consistent``), which also
-    gives the canonical form, so w is canonicalized once: this is the one
-    check of f_w that every reader, ``trace_poly`` included, goes through.
+    complexity on every call: this is the one check of f_w that every
+    reader, ``trace_poly``, the cache and ``decompose`` alike, goes
+    through.  ``engine`` None is the shared default as bound when called.
     """
-    entry = _engine(engine).entry(w)
-    canon = _canonical_if_consistent(w, entry.u_degree)
-    if canon is None:
+    entry = (engine if engine is not None else _DEFAULT_ENGINE).entry(w)
+    # a word from an x-block to a y-block is its own canonical form
+    canon = w if w.is_canonical else canonicalize(w)[0]
+    if canon.is_canonical and max(entry.u_degree, 0) != canon.complexity:
         raise RuntimeError(f"u-degree {entry.u_degree} != complexity of {w}")
     return canon, entry
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from tracelab import trace
 from tracelab.cache import CACHE_VERSION, TraceCache, _encode, cached_trace_poly
 from tracelab.trace import TraceEngine, trace_poly
 from tracelab.tripoly import TriPoly
@@ -106,6 +107,22 @@ class TestCachedTracePoly:
         assert res.f == trace_poly(parse("xy")).f
         assert res.u_degree == 1
         assert cache.lookup(parse("xy")) == res.f
+
+    def test_every_call_is_one_checked_read(self, tmp_path, monkeypatch):
+        # the repeat is traced again on the engine, whose memo serves it,
+        # and the cache's map is never read
+        calls = []
+        real = trace._checked_entry
+        monkeypatch.setattr(trace, "_checked_entry", lambda w, engine: calls.append(w) or real(w, engine))
+        monkeypatch.setattr(TraceCache, "lookup", None)
+        cache = TraceCache(tmp_path / "c.json")
+        eng = TraceEngine()
+        w = parse("xxyXYY")
+        results = []
+        for n in (1, 2):
+            results.append(cached_trace_poly(w, cache=cache, engine=eng))
+            assert calls == [w] * n
+        assert results[0] == results[1] == trace_poly(w, engine=TraceEngine())
 
     def test_request_path_does_not_render(self, tmp_path, monkeypatch):
         def no_render(self):

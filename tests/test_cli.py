@@ -255,6 +255,17 @@ class TestScan:
         assert out == ""
         assert "--samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "n_max, samples, message",
+        [("200", "1", "capped at n_max = 32"), ("2", "1000000000", "capped at samples = 5000")],
+    )
+    def test_sampled_scan_past_a_cap_exit_two(self, n_max, samples, message, capsys):
+        start = time.monotonic()
+        code, out = run("scan", "--n-max", n_max, "--samples", samples)
+        assert time.monotonic() - start <= 1
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"tracelab: error: sampled scan {message}\n"
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_below_one_exit_two(self, samples, capsys):
         code, out = run("scan", "--n-max", "4", "--samples", samples)

@@ -1,8 +1,9 @@
+import time
 from fractions import Fraction
 
 import pytest
 
-from tracelab import decompose, trace, words
+from tracelab import decompose, experiments, gf, trace, words
 from tracelab.decompose import (
     COMPOSITE_NOT_SPECIAL,
     NONCOMPOSITE_P,
@@ -10,6 +11,8 @@ from tracelab.decompose import (
 )
 from tracelab.experiments import (
     EXHAUSTIVE_SCAN_LIMIT,
+    SAMPLED_SCAN_LIMIT,
+    SAMPLED_SCAN_SAMPLES,
     genericity_csv,
     genericity_scan,
     measure_preserving_report,
@@ -77,6 +80,20 @@ class TestMeasureSheets:
     def test_uniform_word_observed_zero(self):
         ms = measure_preserving_report(parse("xy"), 7)
         assert ms.observed_epsilon == 0
+
+    @pytest.mark.parametrize("q", [0, 1, 6, 1000])
+    def test_q_not_a_prime_power_is_refused_first(self, q, monkeypatch):
+        monkeypatch.setattr(experiments, "trace_poly", None)  # no other work runs
+        with pytest.raises(ValueError, match=f"not a prime power: {q}"):
+            measure_preserving_report(parse("xy"), q)
+
+    @pytest.mark.parametrize("q", [3**20, 10**9 + 7])
+    def test_large_prime_power_is_accepted_without_tables(self, q, monkeypatch):
+        monkeypatch.setattr(gf, "GF", None)  # no field is built
+        start = time.monotonic()
+        ms = measure_preserving_report(parse("xy"), q)
+        assert time.monotonic() - start < 0.5
+        assert ms.theoretical_active and ms.observed_epsilon is None
 
 
 class TestGenericity:
@@ -158,6 +175,27 @@ class TestGenericity:
         assert EXHAUSTIVE_SCAN_LIMIT == 14
         with pytest.raises(ValueError):
             genericity_scan(15, mode="exhaustive")
+
+    @pytest.mark.parametrize(
+        "n_max, samples, message",
+        [
+            (SAMPLED_SCAN_LIMIT + 1, 1, "capped at n_max = 32"),
+            (200, 1, "capped at n_max = 32"),
+            (2, SAMPLED_SCAN_SAMPLES + 1, "capped at samples = 5000"),
+            (2, 10**9, "capped at samples = 5000"),
+        ],
+    )
+    def test_sampled_caps(self, n_max, samples, message):
+        start = time.monotonic()
+        with pytest.raises(ValueError, match=message):
+            genericity_scan(n_max, mode="sampled", samples=samples)
+        assert time.monotonic() - start <= 1
+
+    def test_sampled_caps_are_accepted(self):
+        top = genericity_scan(SAMPLED_SCAN_LIMIT, mode="sampled", samples=1, certify=False)
+        assert [r.n for r in top] == list(range(2, SAMPLED_SCAN_LIMIT + 1))
+        (widest,) = genericity_scan(2, mode="sampled", samples=SAMPLED_SCAN_SAMPLES, certify=False)
+        assert widest.total == SAMPLED_SCAN_SAMPLES
 
     def test_csv_schema(self):
         reports = genericity_scan(4, mode="exhaustive", certify=False)

@@ -578,11 +578,11 @@ class TestEngineBehavior:
         # a planted entry whose f has u-degree 2 under xy, of complexity 1
         eng = TraceEngine()
         w = parse("xy")
-        assert trace._word_entry(w, eng).u_degree == 1
+        assert trace._checked_entry(w, eng)[1].u_degree == 1
         eng._words[trace._canonical_cyclic(w.blocks)] = trace._WordEntry(U**2)
         for _ in range(2):
             with pytest.raises(RuntimeError, match="u-degree 2 != complexity of xy"):
-                trace._word_entry(w, eng)
+                trace._checked_entry(w, eng)[1]
 
     def test_memo_hit_canonicalizes_once(self, monkeypatch):
         # a word that starts on a y-block is not canonical: the check and the
