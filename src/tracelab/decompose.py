@@ -58,16 +58,17 @@ f_w mod p's over p^k.  At a p dividing c a degree may drop, as for f =
 (``_dividing_g``).  On the benchmark's classify streams every word's top
 faces have content 1.
 
-Each verdict is a function of f_w, r = deg_u f_w, whether (A, B) = (0, 0)
-and gcd(|A|, |B|), all invariant under rotation and inversion of the word.
-So every verdict is searched for once per word: it is kept in the row of
-the word's entry in the trace engine's memo (``trace._WordEntry``), which
+Each verdict is a function of f_w, r = deg_u f_w and gcd(A, B), 0 exactly
+when (A, B) = (0, 0), all invariant under rotation and inversion of the
+word and all held on the word's entry in the trace engine's memo
+(``trace._WordEntry``), so a verdict reads the entry alone and is searched
+for once per word: it is kept in the entry's row, which
 ``classify_global``, ``classify_rational``, ``classify_p`` and
-``power_word_report`` read and fill, and which is evicted with f_w; r is
-read from the entry, not from f_w's terms.  At a prime that does not
-divide r no Frobenius strip runs, since f_w mod p has no layer there, and
-a prime that does not divide r or c and leaves no outer degree dividing g
-is read as NoncompositeP without reducing f_w (``_prime_verdict``).
+``power_word_report`` read and fill, and which is evicted with f_w.  At a
+prime that does not divide r no Frobenius strip runs, since f_w mod p has
+no layer there, and a prime that does not divide r or c and leaves no
+outer degree dividing g is read as NoncompositeP without reducing f_w
+(``_prime_verdict``).
 
 A proper power w = v^k is traced as f_w = D_k(f_v), and its entry links to
 v's, whose row ``_power_verdict`` fills first.  Where v is NoncompositeQ
@@ -126,7 +127,6 @@ from .unipoly import UniPoly, dickson, dickson_apply
 from .words import (
     DegenerateWordError,
     Word,
-    _exponent_sums,
     canonicalize,
     proper_power_root,
 )
@@ -326,36 +326,17 @@ def _dickson_normalize(outer: UniPoly, inner: TriPoly, p: Optional[int]) -> Comp
 # -- per-prime and global classification ----------------------------------------
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
-
-
-def _dickson_candidates(A: int, B: int, r: int, p: Optional[int]) -> List[int]:
-    g = math.gcd(abs(A), abs(B))  # gcd(a, 0) = a covers one-sided zero
-    cand = [
-        d
-        for d in _divisors(g)
-        if d >= 2 and r % d == 0 and (p is None or d % p)
-    ]
-    return sorted(cand, reverse=True)
-
-
-def _outer_degrees(A: int, B: int, r: int, p: Optional[int]) -> List[int]:
+def _outer_degrees(sums_gcd: int, r: int, p: Optional[int]) -> List[int]:
     """The outer degrees of a witness for an f of u-degree r >= 1, largest first.
 
-    Dickson indices when (A, B) != (0, 0), else the divisors of r that are
-    tame at p: wild outers beyond Frobenius layers are out of scope.  Only
-    those that also divide f's degree gcd are tried (module docstring).
+    They are the divisors n >= 2 of gcd(sums_gcd, r), sums_gcd = gcd(A, B),
+    tame at p: wild outers beyond Frobenius layers are out of scope.  With
+    (A, B) != (0, 0), n | gcd(|A|, |B|) and n | r, the Dickson indices, is
+    n | gcd(sums_gcd, r); with A = B = 0, gcd(0, r) = r gives every divisor
+    of r.  Only those dividing f's degree gcd are tried (module docstring).
     """
-    if (A, B) != (0, 0):
-        return _dickson_candidates(A, B, r, p)
-    return [n for n in reversed(_divisors(r)) if n >= 2 and (p is None or n % p)]
+    m = math.gcd(sums_gcd, r)
+    return [n for n in range(m, 1, -1) if m % n == 0 and (p is None or n % p)]
 
 
 def _degree_gcd(f: TriPoly) -> Tuple[int, int]:
@@ -388,13 +369,6 @@ def _degree_gcd(f: TriPoly) -> Tuple[int, int]:
     return math.gcd(du, ds, dt, dn), abs(cs * ct * cn)
 
 
-def _faces(entry: _WordEntry) -> Tuple[int, int]:
-    """``_degree_gcd`` of the entry's f_w, computed once per entry."""
-    if entry.faces is None:
-        entry.faces = _degree_gcd(entry.f)
-    return entry.faces
-
-
 def _dividing_g(
     entry: _WordEntry, outers: List[int], p: Optional[int], core: Optional[TriPoly] = None, k: int = 0
 ) -> Tuple[List[int], Optional[TriPoly]]:
@@ -404,7 +378,9 @@ def _dividing_g(
     """
     if not outers:
         return outers, core
-    g, content = _faces(entry)
+    if entry.faces is None:
+        entry.faces = _degree_gcd(entry.f)
+    g, content = entry.faces
     if p is not None:
         if content % p:
             g //= p**k
@@ -450,27 +426,18 @@ def _find_witness(
     return None
 
 
-def _rational_witness(entry: _WordEntry, A: int, B: int) -> Optional[CompositionWitness]:
-    """f_w's witness over QQ; f_w's terms are read for g only where some outer degree divides r."""
-    outers, _ = _dividing_g(entry, _outer_degrees(A, B, entry.u_degree, None), None)
-    return _find_witness(entry.f, outers, (A, B) == (0, 0), None)
-
-
-def _word_poly(
-    w: Word, engine: Optional[TraceEngine] = None
-) -> Tuple[Word, int, int, _WordEntry]:
-    """Canonical form, exponent sums A, B and memo entry (f_w, verdicts) of a classifiable word."""
+def _word_poly(w: Word, engine: Optional[TraceEngine] = None) -> Tuple[Word, _WordEntry]:
+    """Canonical form and memo entry (f_w, gcd(A, B), verdicts) of a classifiable word."""
     canon, rec = canonicalize(w)
     if rec.degenerate:
         raise DegenerateWordError(f"classification needs complexity >= 1: {w!r}")
-    A, B, _, _ = _exponent_sums(canon.blocks)
-    return canon, A, B, _checked_entry(canon, engine)[1]
+    return _checked_entry(canon, engine)
 
 
 _MISSING = object()
 
 
-def _verdict(entry: _WordEntry, A: int, B: int, p: Optional[int]):
+def _verdict(entry: _WordEntry, p: Optional[int]):
     """The PrimeVerdict at p, or the rational witness for p None, from the entry's row.
 
     A verdict not in the row yet is read from a proper power's root where
@@ -479,17 +446,18 @@ def _verdict(entry: _WordEntry, A: int, B: int, p: Optional[int]):
     found = entry.verdicts.get(p, _MISSING)
     if found is _MISSING:
         if entry.root is not None:
-            found = _power_verdict(entry, A, B, p)
+            found = _power_verdict(entry, p)
         if found is _MISSING:
             if p is None:
-                found = _rational_witness(entry, A, B)
+                outers, _ = _dividing_g(entry, _outer_degrees(entry.sums_gcd, entry.u_degree, None), None)
+                found = _find_witness(entry.f, outers, entry.sums_gcd == 0, None)
             else:
-                found = _prime_verdict(entry, A, B, p)
+                found = _prime_verdict(entry, p)
         entry.verdicts[p] = found
     return found
 
 
-def _power_verdict(entry: _WordEntry, A: int, B: int, p: Optional[int]):
+def _power_verdict(entry: _WordEntry, p: Optional[int]):
     """The verdict of a proper power v^k from v's row, or _MISSING where the search must run.
 
     Read only over QQ with v NoncompositeQ, or at p not dividing k with v
@@ -498,11 +466,11 @@ def _power_verdict(entry: _WordEntry, A: int, B: int, p: Optional[int]):
     root, k = entry.root, entry.k
     if p is not None and k % p == 0:
         return _MISSING
-    below = _verdict(root, A // k, B // k, p)
+    below = _verdict(root, p)
     if below is not None and (p is None or below.verdict != NONCOMPOSITE_P):
         return _MISSING
-    larger, f = _dividing_g(entry, [n for n in _outer_degrees(A, B, entry.u_degree, p) if n > k], p)
-    witness = _find_witness(f, larger, (A, B) == (0, 0), p) if larger else None
+    larger, f = _dividing_g(entry, [n for n in _outer_degrees(entry.sums_gcd, entry.u_degree, p) if n > k], p)
+    witness = _find_witness(f, larger, entry.sums_gcd == 0, p) if larger else None
     if witness is None:
         if k % 2 == 0 and root.top_sign is None:
             # the coefficient of the (s, t)-largest monomial at u^r, read once per root
@@ -531,7 +499,7 @@ def _noncomposite(p: int) -> PrimeVerdict:
     return PrimeVerdict(p=p, verdict=NONCOMPOSITE_P, witness=None, frobenius_k=0)
 
 
-def _prime_verdict(entry: _WordEntry, A: int, B: int, p: int) -> PrimeVerdict:
+def _prime_verdict(entry: _WordEntry, p: int) -> PrimeVerdict:
     """Verdict for the entry's rational f_w of u-degree r at one prime: strip Frobenius layers, test the core.
 
     For f = sum_k u^k G_k, the leading coefficient G_r = prod_i g_{a_i,b_i}
@@ -546,10 +514,10 @@ def _prime_verdict(entry: _WordEntry, A: int, B: int, p: int) -> PrimeVerdict:
     """
     f, r = entry.f, entry.u_degree
     core, k = (None, 0) if r % p else frobenius_strip(f.reduce_mod(p))
-    outers, core = _dividing_g(entry, _outer_degrees(A, B, r // p**k, p), p, core, k)
+    outers, core = _dividing_g(entry, _outer_degrees(entry.sums_gcd, r // p**k, p), p, core, k)
     if not outers and k == 0:
         return _noncomposite(p)
-    witness = _find_witness(core, outers, (A, B) == (0, 0), p)
+    witness = _find_witness(core, outers, entry.sums_gcd == 0, p)
     if witness is None:
         if k == 0:
             return _noncomposite(p)
@@ -571,20 +539,19 @@ def _prime_verdict(entry: _WordEntry, A: int, B: int, p: int) -> PrimeVerdict:
 def classify_p(w: Word, p: int) -> PrimeVerdict:
     """Verdict for one prime: strip Frobenius layers, then test the core.
 
-    Raises ValueError unless p is prime: Z/pZ is a field only then.
+    Raises ValueError unless p is prime: Z/pZ is a field only then.  A
+    probable prime past ``gf.is_prime``'s bound is refused too.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    _, A, B, entry = _word_poly(w)
-    return _verdict(entry, A, B, p)
+    return _verdict(_word_poly(w)[1], p)
 
 
 def classify_rational(
     w: Word, engine: Optional[TraceEngine] = None
 ) -> Tuple[str, Optional[CompositionWitness]]:
     """Compositeness of f_w over the rationals."""
-    _, A, B, entry = _word_poly(w, engine)
-    witness = _verdict(entry, A, B, None)
+    witness = _verdict(_word_poly(w, engine)[1], None)
     return _rational_class(witness), witness
 
 
@@ -615,9 +582,9 @@ def classify_global(
     and past ``_MAX_P_MAX``, the resource guard.
     """
     check_p_max(p_max)
-    w, A, B, entry = _word_poly(w, engine)
-    rational_witness = _verdict(entry, A, B, None)
-    per_prime = tuple(_verdict(entry, A, B, p) for p in primes_in(2, p_max))
+    w, entry = _word_poly(w, engine)
+    rational_witness = _verdict(entry, None)
+    per_prime = tuple(_verdict(entry, p) for p in primes_in(2, p_max))
     bad = next((v.p for v in per_prime if v.verdict == COMPOSITE_NOT_SPECIAL), None)
     if bad is not None:
         conclusion = "NotEquidistributed"
@@ -649,9 +616,9 @@ def power_word_report(w: Word) -> PowerWordReport:
     check of those verdicts is the search on f_w alone, kept in the test
     suite's oracles, not this report.
     """
-    w, A, B, entry = _word_poly(w)
+    w, entry = _word_poly(w)
     root, k = proper_power_root(w)
-    witness = _verdict(entry, A, B, None)
+    witness = _verdict(entry, None)
     d = witness.dickson_index if witness is not None else None
     if k == 1:
         consistent = witness is None

@@ -31,6 +31,9 @@ from .sl2 import (
 from .trace import TraceEngine, trace_poly
 from .words import Word, _candidate_cells, enumerate_words, proper_power_root, sample_words
 
+# An exhaustive scan walks every canonical word up to n_max letters, about
+# 4x more per letter: genericity_scan(n) took 15.8 s at n = 12, 70 s at 13
+# and 255 s at 14, with 40 MB peak RSS, in process on a 2-vCPU host.
 EXHAUSTIVE_SCAN_LIMIT = 14
 # A sampled scan draws ``samples`` words at each length up to n_max, and a
 # word's certification grows about 6x per 16 letters, so both are capped:

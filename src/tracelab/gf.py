@@ -11,33 +11,60 @@ Addition and multiplication tables are q-by-q int64 arrays (2 * 8 * q^2
 bytes), all built at once from the base-p digit vectors of the elements,
 so that bulk work (enumerating SL(2, q), evaluating polynomials on grids)
 can run as fancy indexing instead of per-element Python calls.
+
+The module also owns the integer arithmetic under them, in time
+polynomial in the digits: primality (``is_prime``), exact integer roots
+and the factorization of a prime power q = p^n.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 _MAX_Q = 2048
 
 
+# The first 13 primes, and psi_k for k = 1..13, the least composite that
+# passes strong probable-prime tests to the first k of them (Jaeschke,
+# Math. Comp. 61, 1993; Jiang and Deng, Math. Comp. 83, 2014; Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86,
+# 2017): an m below psi_k that passes the first k tests is prime.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
+
+
+def _iroot(m: int, n: int) -> Optional[int]:
+    """Exact n-th root of an integer m >= 0 by integer Newton iteration, or None."""
+    if m < 2:
+        return m
+    x = 1 << ((m.bit_length() + n - 1) // n + 1)
+    while True:
+        y = ((n - 1) * x + m // x ** (n - 1)) // n
+        if y >= x:
+            break
+        x = y
+    return x if x**n == m else None
+
+
 def _factor_prime_power(q: int) -> Tuple[int, int]:
-    if q < 2:
-        raise ValueError(f"not a prime power: {q}")
-    # a q with no factor up to its square root is prime
-    p = next((cand for cand in range(2, math.isqrt(q) + 1) if q % cand == 0), q)
-    n = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        n += 1
-    if m != 1:
-        raise ValueError(f"not a prime power: {q}")
-    return p, n
+    """(p, n) with q = p^n and p prime, else ValueError, in time polynomial in q's digits.
+
+    The exact k-th roots of q are tried from k = q.bit_length() down: if q
+    = p^n, no k > n has one, so the first prime root is p at k = n.
+    """
+    for n in range(q.bit_length(), 0, -1):
+        p = _iroot(q, n)
+        if p is not None and is_prime(p):
+            return p, n
+    raise ValueError(f"not a prime power: {q}")
 
 
 def _poly_mod(num: List[int], den: List[int], p: int) -> List[int]:
@@ -155,19 +182,35 @@ def field(q: int) -> GF:
 
 
 def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
+    """Whether m is prime: trial division by the first 13 primes, then strong probable-prime tests to them.
+
+    The tests stop at the first k whose psi_k exceeds m, so every answer is
+    exact; a probable prime past psi_13 is undecided, and ValueError.
+    """
+    if m <= 41:
+        return m in _SMALL_PRIMES
+    for a in _SMALL_PRIMES:
+        if m % a == 0:
             return False
-        f += 2
-    return True
+    if m < 43 * 43:  # a composite with no prime factor up to 41 is at least 43^2
+        return True
+    s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = d * 2^s with d odd
+    d = (m - 1) >> s
+    for a, psi in zip(_SMALL_PRIMES, _PSI):
+        x = pow(a, d, m)
+        if x != 1 and x != m - 1:
+            for _ in range(s - 1):
+                x = x * x % m
+                if x == m - 1:
+                    break
+            else:
+                return False
+        if m < psi:
+            return True
+    raise ValueError(f"primality past {_PSI[-1]} is not decided: {m}")
 
 
 def primes_in(lo: int, hi: int) -> List[int]:
-    return [m for m in range(max(lo, 2), hi + 1) if is_prime(m)]
+    """The primes in [lo, hi], ascending: the small ones read off ``_SMALL_PRIMES``, the odd m past them tested."""
+    small = [m for m in _SMALL_PRIMES if lo <= m <= hi]
+    return small + [m for m in range(max(lo, 42) | 1, hi + 1, 2) if is_prime(m)]

@@ -57,10 +57,10 @@ Whole words are memoized in a bounded memo, keyed on a normal form
 invariant under cyclic rotation and inversion, both of which preserve the
 trace, and a proper power v^k, cut at its least period as in
 ``proper_power_root``, is traced as D_k(f_v), its entry linked to v's.
-Each word entry holds f_w, its u-degree and a row of the verdicts
-``decompose`` reads off it (the rational witness and one verdict per
-prime asked), which are invariant under the same moves; the row is
-evicted with f_w.  A word whose a-priori size bound is past
+Each word entry holds f_w, its u-degree, the gcd of its exponent sums and
+a row of the verdicts ``decompose`` reads off them (the rational witness
+and one verdict per prime asked), all invariant under the same moves; the
+row is evicted with f_w.  A word whose a-priori size bound is past
 ``MAX_TRACE_SIZE`` is refused with ValueError before any work, and so is
 a product whose work bound is past ``MAX_TRACE_WORK``: for a proper power,
 the root's product and then the D_k recurrence on f_v.  The test suite's
@@ -75,6 +75,7 @@ the leading coefficient G_r = prod_i g_{a_i,b_i}.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -85,7 +86,7 @@ import numpy as np
 
 from .tripoly import _MASK, _SH_S, _SH_U, TriPoly
 from .unipoly import _chebyshev_terms, dickson_apply
-from .words import Block, Word, X, Y, _cyclic_reduce, _invert, _period, canonicalize
+from .words import Block, Word, X, Y, _cyclic_reduce, _exponent_sums, _invert, _period, canonicalize
 
 _TWO = TriPoly.const(2)
 
@@ -389,8 +390,11 @@ class _LRU(OrderedDict):
 
 
 class _WordEntry:
-    """A word memo entry: f_w, its u-degree, the row of verdicts read off it, and a proper power's root.
+    """A word memo entry: f_w, its u-degree, gcd(A, B), the row of verdicts read off them, and a proper power's root.
 
+    ``sums_gcd`` is gcd(A, B) of the exponent sums on x and on y, 0 exactly
+    when A = B = 0, and like f_w a function of the key: rotation keeps A
+    and B, inversion negates both, and v^k's sums are k times v's.
     ``verdicts`` maps a prime p, or None for the rationals, to what
     ``decompose`` decided there, and its readers fill it.  Every value is a
     function of the entry's key, as f_w is, so a thread that finds a value
@@ -405,11 +409,12 @@ class _WordEntry:
     ``decompose`` first reads it.
     """
 
-    __slots__ = ("f", "u_degree", "top_sign", "faces", "verdicts", "root", "k")
+    __slots__ = ("f", "u_degree", "sums_gcd", "top_sign", "faces", "verdicts", "root", "k")
 
-    def __init__(self, f: TriPoly, root: Optional["_WordEntry"] = None, k: int = 1):
+    def __init__(self, f: TriPoly, sums_gcd: int, root: Optional["_WordEntry"] = None, k: int = 1):
         self.f = f
         self.u_degree = f.deg("u")
+        self.sums_gcd = sums_gcd
         self.top_sign = None
         self.faces = None
         self.verdicts: dict = {}
@@ -456,10 +461,11 @@ class TraceEngine:
         if m < len(key):
             root, k = self._trace(key[:m]), len(key) // m
             _check_work(_dickson_work(root.f, k, sum(abs(e) for _, e in key)))
-            entry = _WordEntry(dickson_apply(k, root.f), root, k)
+            entry = _WordEntry(dickson_apply(k, root.f), k * root.sums_gcd, root, k)
         else:
             _check_work(_work_bound(key))
-            entry = _WordEntry(_product(key))
+            A, B, _, _ = _exponent_sums(key)
+            entry = _WordEntry(_product(key), math.gcd(A, B))
         with self._lock:
             kept = self._words.recall(key)
             if kept is not None:

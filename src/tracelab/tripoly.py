@@ -25,6 +25,8 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
+from .gf import _iroot, is_prime
+
 _SH_S = 32
 _SH_U = 16
 _MASK = (1 << 16) - 1
@@ -89,19 +91,6 @@ def _div(a, b, p: Optional[int]):
     return _norm_coeff(Fraction(a) / Fraction(b), None)
 
 
-def _iroot(m: int, n: int) -> Optional[int]:
-    """Exact n-th root of an integer m >= 0 by integer Newton iteration, or None."""
-    if m < 2:
-        return m
-    x = 1 << ((m.bit_length() + n - 1) // n + 1)
-    while True:
-        y = ((n - 1) * x + m // x ** (n - 1)) // n
-        if y >= x:
-            break
-        x = y
-    return x if x**n == m else None
-
-
 def _nth_roots(c, n: int, p: Optional[int]) -> list:
     """All n-th roots of the scalar c: ascending in F_p; over QQ the positive root first."""
     if p is not None:
@@ -139,7 +128,7 @@ def _roots_mod_p(c: int, n: int, p: int) -> list:
     g = math.gcd(n, m)
     if pow(c, m // g, p) != 1:
         return []
-    primes = [l for l in range(2, g + 1) if g % l == 0 and all(l % q for q in range(2, l))]
+    primes = [l for l in range(2, g + 1) if g % l == 0 and is_prime(l)]
     ma = 1
     for l in primes:
         while m % (ma * l) == 0:

@@ -35,10 +35,11 @@ arithmetic, the reference the witness tests compare against.
 to a `Word` by substitution.  `searched_verdict` is the witness search that
 `decompose` ran on every word before it read a proper power's verdicts
 from its root and before it ruled outer degrees out by f_w's degrees:
-every outer degree of `_outer_degrees` at the u-degree, tried on f_w
-over QQ, or on the Frobenius core of f_w mod p with `_prime_verdict`'s
-rewrap, with no memo row and no shortcut, the reference for the verdicts
-the classifiers give.  With exponent sums (A, B) = (0, 0) it runs
+every outer degree n >= 2, tame at p, that divides the u-degree and both
+exponent sums, read off that definition rather than `_outer_degrees`,
+tried on f_w over QQ, or on the Frobenius core of f_w mod p with
+`_prime_verdict`'s rewrap, with no memo row and no shortcut, the reference
+for the verdicts the classifiers give.  With exponent sums (A, B) = (0, 0) it runs
 `decompose_in_u`'s matcher; its Dickson witnesses, for (A, B) != (0, 0),
 come from `dickson_from_blocks`, the matcher `dickson_decompose` ran
 before Dickson witnesses were read off `decompose_in_u`'s: it tries every
@@ -77,7 +78,6 @@ from tracelab.decompose import (
     PrimeVerdict,
     _decompose_from_blocks,
     _match_inner,
-    _outer_degrees,
 )
 from tracelab.gf import _factor_prime_power, field
 from tracelab.probes import _u_slices
@@ -892,9 +892,16 @@ def dickson_from_blocks(f, blocks, d):
 
 
 def _search(f, A, B, p):
-    """The first witness over the outer degrees that divide f's u-degree, largest first, or None."""
+    """The first witness over the outer degrees, largest first, or None.
+
+    The degrees are the n >= 2 tame at p that divide f's u-degree, A and B;
+    with A = B = 0 every n divides both sums.
+    """
     blocks = f.u_coefficients()
-    for n in _outer_degrees(A, B, f.deg("u"), p):
+    r = f.deg("u")
+    for n in range(r, 1, -1):
+        if r % n or A % n or B % n or (p is not None and n % p == 0):
+            continue
         if (A, B) == (0, 0):
             witness = _decompose_from_blocks(f, blocks, n)
         else:

@@ -21,9 +21,9 @@ from tracelab.decompose import (
     CompositionWitness,
     PrimeVerdict,
     _degree_gcd,
-    _faces,
     _find_witness,
     _match_inner,
+    _outer_degrees,
     _prime_verdict,
     _verdict,
     classify_global,
@@ -369,6 +369,11 @@ class TestClassifyP:
         with pytest.raises(ValueError, match="prime"):
             classify_p(parse("xyxy"), p)
 
+    def test_a_large_prime_is_tested_fast(self):
+        start = time.monotonic()
+        assert classify_p(parse("xyXY"), 2**61 - 1).verdict == NONCOMPOSITE_P
+        assert time.monotonic() - start < 0.5
+
 
 class TestClassifyRational:
     def test_composite_square(self):
@@ -582,7 +587,7 @@ class TestPrimeShortcut:
         A, B = stats(w).A, stats(w).B
         f = trace_poly(w).f
         for p in self.PRIMES:
-            assert _prime_verdict(_WordEntry(f), A, B, p) == searched_verdict(f, A, B, p), (w, p)
+            assert _prime_verdict(_WordEntry(f, math.gcd(A, B)), p) == searched_verdict(f, A, B, p), (w, p)
 
     @pytest.mark.parametrize(
         "text",
@@ -609,14 +614,14 @@ class TestPrimeShortcut:
         # has the Dickson candidate 2 and xyXY the tame divisor 2, but f_w's s- and
         # t-degrees and total degree leave g = 1 for both
         words = [parse(text) for text in ("x^2yx^-1y^3", "xxyXyy", "xyxY", "xyXY")]
-        entries = [_WordEntry(trace_poly(w).f) for w in words]
-        assert [_faces(e)[0] for e in entries] == [1, 1, 1, 1]
+        entries = [_WordEntry(trace_poly(w).f, math.gcd(stats(w).A, stats(w).B)) for w in words]
+        assert [_degree_gcd(e.f)[0] for e in entries] == [1, 1, 1, 1]
 
         def no_reduce(self, p):
             raise AssertionError("f was reduced")
 
         monkeypatch.setattr(TriPoly, "reduce_mod", no_reduce)
-        got = [_prime_verdict(e, stats(w).A, stats(w).B, 3) for e, w in zip(entries, words)]
+        got = [_prime_verdict(e, 3) for e in entries]
         assert all(v is got[0] for v in got)
         assert (got[0].verdict, got[0].witness, got[0].frobenius_k) == (NONCOMPOSITE_P, None, 0)
 
@@ -631,7 +636,7 @@ class TestPrimeShortcut:
             if r % p:
                 g = f.reduce_mod(p)
                 assert frobenius_strip(g) == (g, 0), (w, p)
-                assert _verdict(entry, A, B, p) == searched_verdict(f, A, B, p), (w, p)
+                assert _verdict(entry, p) == searched_verdict(f, A, B, p), (w, p)
 
 
 def _stream_powers(seeds=(1, 2, 3), count=500):
@@ -818,6 +823,19 @@ def rule_words(draw):
 class TestDegreeRule:
     """Outer degrees n are tried only where n divides the gcd of f's four degrees."""
 
+    def test_outer_degrees_by_definition(self):
+        # the Dickson indices, dividing r and every nonzero exponent sum, or with
+        # (A, B) = (0, 0) every divisor of r; tame at p, largest first
+        for A, B in itertools.product(range(-12, 13), repeat=2):
+            for r in range(1, 25):
+                for p in (None, 2, 3, 5):
+                    want = [
+                        n
+                        for n in range(r, 1, -1)
+                        if r % n == 0 and all(c % n == 0 for c in (A, B) if c) and (p is None or n % p)
+                    ]
+                    assert _outer_degrees(math.gcd(A, B), r, p) == want, (A, B, r, p)
+
     @given(st.data(), st.sampled_from([None, 2, 3, 5, 7]), st.integers(2, 4))
     @settings(max_examples=60, deadline=None)
     def test_an_outer_degree_divides_every_degree_of_the_composite(self, data, p, n):
@@ -847,19 +865,19 @@ class TestDegreeRule:
     def test_a_prime_dividing_a_face_content_reads_the_degrees_mod_p(self):
         # deg_s f = 3 rules D_2 out over QQ, but f mod 3 = D_2(u + s)
         f = (U + S) ** 2 - TriPoly.const(2) + (S**3).scale(3)
-        entry = _WordEntry(f)
-        assert _faces(entry) == (1, 9)
-        got = _verdict(entry, 2, 2, 3)
+        entry = _WordEntry(f, 2)
+        assert _degree_gcd(entry.f) == (1, 9)
+        got = _verdict(entry, 3)
         assert got.verdict == COMPOSITE_NOT_SPECIAL
         assert got == searched_verdict(f, 2, 2, 3)
         assert recompose(got.witness) == f.reduce_mod(3)
-        assert _verdict(entry, 2, 2, None) is None
+        assert _verdict(entry, None) is None
         # a square of a root whose f_v = u + s + 3s^2 loses its s-degree mod 3
-        root = _WordEntry(U + S + (S**2).scale(3))
-        power = _WordEntry(dickson_apply(2, root.f), root, 2)
-        assert _faces(power)[1] % 3 == 0
-        assert _verdict(root, 1, 1, 3).verdict == NONCOMPOSITE_P
-        assert _verdict(power, 2, 2, 3) == searched_verdict(power.f, 2, 2, 3)
+        root = _WordEntry(U + S + (S**2).scale(3), 1)
+        power = _WordEntry(dickson_apply(2, root.f), 2, root, 2)
+        assert _degree_gcd(power.f)[1] % 3 == 0
+        assert _verdict(root, 3).verdict == NONCOMPOSITE_P
+        assert _verdict(power, 3) == searched_verdict(power.f, 2, 2, 3)
 
     @given(rule_words())
     @settings(max_examples=40, deadline=None)

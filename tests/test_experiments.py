@@ -81,13 +81,13 @@ class TestMeasureSheets:
         ms = measure_preserving_report(parse("xy"), 7)
         assert ms.observed_epsilon == 0
 
-    @pytest.mark.parametrize("q", [0, 1, 6, 1000])
+    @pytest.mark.parametrize("q", [0, 1, 6, 1000, 10**18 + 7])
     def test_q_not_a_prime_power_is_refused_first(self, q, monkeypatch):
         monkeypatch.setattr(experiments, "trace_poly", None)  # no other work runs
         with pytest.raises(ValueError, match=f"not a prime power: {q}"):
             measure_preserving_report(parse("xy"), q)
 
-    @pytest.mark.parametrize("q", [3**20, 10**9 + 7])
+    @pytest.mark.parametrize("q", [3**20, 10**9 + 7, 10**18 + 9, 2**61 - 1, 1009**6, 3**37])
     def test_large_prime_power_is_accepted_without_tables(self, q, monkeypatch):
         monkeypatch.setattr(gf, "GF", None)  # no field is built
         start = time.monotonic()

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tracelab import sl2
-from tracelab.gf import GF, field, is_prime, primes_in
+from tracelab.gf import _PSI, _SMALL_PRIMES, GF, _factor_prime_power, field, is_prime, primes_in
 from tracelab.tripoly import _power
 
 from _oracles import prime_powers
@@ -208,3 +210,42 @@ class TestPrimeHelpers:
     def test_is_prime_brute(self, n):
         brute = n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
         assert is_prime(n) == brute
+
+    @given(st.integers(1600, 3 * 10**6))
+    def test_is_prime_brute_past_trial_division(self, n):
+        # past 43^2 the strong probable-prime tests decide, through psi_1 = 2047 and psi_2 = 1373653
+        assert is_prime(n) == all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    def test_psi_table_is_composites_passing_their_bases(self):
+        def strong_probable_prime(m, a):
+            d, s = m - 1, 0
+            while d % 2 == 0:
+                d, s = d // 2, s + 1
+            x = pow(a, d, m)
+            return x in (1, m - 1) or any(pow(x, 2**i, m) == m - 1 for i in range(1, s))
+
+        for k, psi in enumerate(_PSI, 1):
+            assert all(strong_probable_prime(psi, a) for a in _SMALL_PRIMES[:k]), k
+            assert not all(strong_probable_prime(psi, a) for a in (43, 47, 53, 59, 61)), k  # so composite
+            if k < 13:
+                assert not is_prime(psi)
+
+    def test_primes_in_matches_is_prime(self):
+        for lo in range(-3, 50):
+            for hi in range(lo - 2, 110):
+                assert primes_in(lo, hi) == [m for m in range(lo, hi + 1) if is_prime(m)], (lo, hi)
+
+    @pytest.mark.parametrize(
+        "q, want", [(10**18 + 9, (10**18 + 9, 1)), (2**61 - 1, (2**61 - 1, 1)), (1009**6, (1009, 6)), (3**37, (3, 37))]
+    )
+    def test_large_prime_powers_factor_fast(self, q, want):
+        start = time.monotonic()
+        assert _factor_prime_power(q) == want
+        assert time.monotonic() - start < 0.5
+
+    @pytest.mark.parametrize("q", [10**18 + 7, 1009**6 * 1013, 2**89 - 1, _PSI[-1]])
+    def test_composites_and_undecided_primes_are_refused(self, q):
+        # 10^18 + 7 = 1370531 * 729644203597; the Mersenne prime 2^89 - 1 lies past
+        # psi_13, where no test decides, and psi_13 passes all 13
+        with pytest.raises(ValueError):
+            _factor_prime_power(q)

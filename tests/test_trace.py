@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -14,7 +15,17 @@ from tracelab.gf import field
 from tracelab.trace import TraceEngine, syllable_polys, trace_poly
 from tracelab.tripoly import TriPoly
 from tracelab.unipoly import chebyshev_v, dickson_apply
-from tracelab.words import X, Word, _cyclic_reduce, _period, enumerate_words, parse, sample_words, stats
+from tracelab.words import (
+    X,
+    Word,
+    _cyclic_reduce,
+    _period,
+    canonicalize,
+    enumerate_words,
+    parse,
+    sample_words,
+    stats,
+)
 
 from _oracles import (
     LAU_S,
@@ -554,6 +565,54 @@ class TestSpecializations:
             assert got == dickson_apply(idx, var)
 
 
+@st.composite
+def sums_words(draw):
+    """Random syllables, or ones whose sums are (0, 0) or zero on x alone, raised to a power k in 1..3."""
+    exps = st.integers(-3, 3).filter(bool)
+    syl = draw(st.lists(st.tuples(exps, exps), min_size=1, max_size=2))
+    kind = draw(st.sampled_from(("any", "zero", "zero on x")))
+    if kind == "zero":
+        syl += [(-a, -b) for a, b in syl]
+    elif kind == "zero on x":
+        syl += [(-a, b) for a, b in syl]
+    return Word.from_syllables(syl) ** draw(st.integers(1, 3))
+
+
+class TestSumsGcd:
+    """The entry's gcd(A, B) against the canonical word's exponent sums."""
+
+    @given(sums_words())
+    @settings(max_examples=40, deadline=None)
+    def test_canonical_sums_on_every_rotation_and_the_inverse(self, w):
+        canon = stats(canonicalize(w)[0])
+        A, B = canon.A, canon.B
+        entry = TraceEngine().entry(w)
+        assert entry.sums_gcd == math.gcd(A, B)
+        blocks = w.blocks
+        for v in [Word.from_blocks(blocks[i:] + blocks[:i]) for i in range(len(blocks))] + [w.inverse()]:
+            assert TraceEngine().entry(v).sums_gcd == entry.sums_gcd, v
+        if entry.root is not None:
+            k = entry.k
+            assert (A % k, B % k) == (0, 0)
+            assert entry.root.sums_gcd == math.gcd(A // k, B // k) == entry.sums_gcd // k
+
+    @pytest.mark.parametrize(
+        "text, want, root",
+        [
+            ("x^2yx^-2y^3", 4, None),  # A = 0: gcd(0, B) = |B|
+            ("xyXY", 0, None),
+            ("xyXYxyXY", 0, 0),
+            ("xyxyxy", 3, 1),
+            ("x^2y^-2x^2y^-2", 4, 2),
+            ("xY", 1, None),
+        ],
+    )
+    def test_fixed_words(self, text, want, root):
+        entry = TraceEngine().entry(parse(text))
+        assert entry.sums_gcd == want
+        assert (entry.root.sums_gcd if entry.root is not None else None) == root
+
+
 class TestEngineBehavior:
     def test_memo_reuse_is_consistent(self):
         eng = TraceEngine()
@@ -579,7 +638,7 @@ class TestEngineBehavior:
         eng = TraceEngine()
         w = parse("xy")
         assert trace._checked_entry(w, eng)[1].u_degree == 1
-        eng._words[trace._canonical_cyclic(w.blocks)] = trace._WordEntry(U**2)
+        eng._words[trace._canonical_cyclic(w.blocks)] = trace._WordEntry(U**2, 1)
         for _ in range(2):
             with pytest.raises(RuntimeError, match="u-degree 2 != complexity of xy"):
                 trace._checked_entry(w, eng)[1]
