@@ -43,20 +43,21 @@ g, reading g only where some candidate divides the u-degree.  A candidate
 that does not divide g would fail, and candidates are tried largest first
 with the first success kept, so no verdict and no witness changes.
 
-g is taken from the polynomial actually searched.  f_w has integer
-coefficients; its g and the product c of the contents of its top faces in
-s, in t and in total degree (the gcds of the coefficients of its terms of
-largest degree in each) are read in one pass, once per word
+Every verdict comes from one routine, ``_decide``, which lists the tame
+outer degrees n dividing g once, before any Frobenius strip.  f_w has
+integer coefficients; its g and the product c of the contents of its top
+faces in s, in t and in total degree (the gcds of the coefficients of its
+terms of largest degree in each) are read in one pass, once per word
 (``_degree_gcd``, kept on the word's memo entry).  At a prime p dividing
 no such content, each top face keeps a coefficient that p does not
 divide, so f_w mod p has f_w's degrees in s, t and in total, and its
-u-degree is r at every p (see ``_prime_verdict``): g at p is g(f_w), or
-g(f_w) / p^k for the core of f_w mod p = core^(p^k), whose exponents are
-f_w mod p's over p^k.  At a p dividing c a degree may drop, as for f =
-(u + s)^2 - 2 + 3s^3, where deg_s f = 3 rules n = 2 out over QQ but f mod
-3 = D_2(u + s); there g is read off f_w mod p or its core
-(``_dividing_g``).  On the benchmark's classify streams every word's top
-faces have content 1.
+u-degree is r at every p (below).  At a p dividing c a degree may drop,
+as for f = (u + s)^2 - 2 + 3s^3, where deg_s f = 3 rules n = 2 out over
+QQ but f mod 3 = D_2(u + s); there g is read off f_w mod p.  On the
+benchmark's classify streams every word's top faces have content 1.
+The core of f_w mod p = core^(p^j) has r / p^j and g / p^j in place of r
+and g, and these list the same outers: for p not dividing n, n | m / p^j
+exactly when n | m, since p^j is prime to n.
 
 Each verdict is a function of f_w, r = deg_u f_w and gcd(A, B), 0 exactly
 when (A, B) = (0, 0), all invariant under rotation and inversion of the
@@ -64,22 +65,24 @@ word and all held on the word's entry in the trace engine's memo
 (``trace._WordEntry``), so a verdict reads the entry alone and is searched
 for once per word: it is kept in the entry's row, which
 ``classify_global``, ``classify_rational``, ``classify_p`` and
-``power_word_report`` read and fill, and which is evicted with f_w.  At a
-prime that does not divide r no Frobenius strip runs, since f_w mod p has
-no layer there, and a prime that does not divide r or c and leaves no
-outer degree dividing g is read as NoncompositeP without reducing f_w
-(``_prime_verdict``).
+``power_word_report`` read and fill, and which is evicted with f_w.  For
+f_w = sum_i u^i G_i, the leading coefficient G_r = prod_i g_{a_i,b_i}
+has leading coefficient +-1, so u^r survives mod p, and at p not
+dividing r the exponents' gcd is prime to p: f_w mod p has no Frobenius
+layer there and no strip runs.  A prime that does not divide r or c and
+leaves no outer degree dividing g is NoncompositeP without reducing f_w.
 
 A proper power w = v^k is traced as f_w = D_k(f_v), and its entry links to
-v's, whose row ``_power_verdict`` fills first.  Where v is NoncompositeQ
-(over QQ), or NoncompositeP at a prime p that does not divide k, only the
+v's, whose row ``_decide`` fills first.  Where v is NoncompositeQ (over
+QQ), or NoncompositeP at a prime p that does not divide k, only the
 outers above k are searched, on f_w or f_w mod p: the Dickson indices
 d > k, or with (A, B) = (0, 0) the tame divisors n > k of r, that divide
 g.  If none succeeds, the witness is D_k with inner +-f_v (mod p), and
-the verdict at p is CompositeNotSpecial with frobenius_k = 0.  Most powers have no such outer: when gcd(|A_v|, |B_v|,
-r_v) = 1, no Dickson index of w exceeds k.  Everywhere else (p | k, or v
-composite or SpecialP at p) the search runs on f_w as for any word.  The
-reading is exact by three facts, for p not dividing k:
+the verdict at p is CompositeNotSpecial with frobenius_k = 0.  Most
+powers have no such outer: when gcd(|A_v|, |B_v|, r_v) = 1, no Dickson
+index of w exceeds k.  Everywhere else (p | k, or v composite or
+SpecialP at p) the search runs on f_w as for any word.  The reading is
+exact by three facts, for p not dividing k:
 
 (a) With omega a primitive k-th root of unity,
     D_k(x) - D_k(y) = (x - y) (x + y if k is even) prod_{0 < j < k/2}
@@ -92,12 +95,12 @@ reading is exact by three facts, for p not dividing k:
     decides the sign (c).
 (b) If f_v mod p is not a p-th power, neither is f_w mod p: some partial
     derivative of f_v is nonzero, and so is D_k'(f_v) times it, since D_k'
-    has leading term k z^(k-1).  So frobenius_strip returns k = 0 and the
-    core f_w mod p, and the reading needs no strip.  A NoncompositeP v has
-    frobenius_k = 0.
-(c) The leading coefficient lc of f_v's top u-block is +-1 (it is G_r's,
-    see ``_prime_verdict``), and f_w's is lc^k.  The matcher finds the
-    inner lc * f_v, whose top block is monic, and _dickson_normalize
+    has leading term k z^(k-1).  So frobenius_strip would return j = 0
+    and the core f_w mod p, and the reading runs no strip.  A
+    NoncompositeP v has frobenius_k = 0.
+(c) The leading coefficient lc of f_v's top u-block is +-1 (it is
+    G_r's, above), and f_w's is lc^k.  The matcher finds the inner
+    lc * f_v, whose top block is monic, and _dickson_normalize
     scales it by the first c in ``_nth_roots(lc^k, k, p)`` order with
     h(z) = D_k(c z).  Those c are lc and, for even k, -lc.  For odd k the
     pick is lc.  For even k, lc^k = 1, and 1 precedes -1 in
@@ -369,31 +372,6 @@ def _degree_gcd(f: TriPoly) -> Tuple[int, int]:
     return math.gcd(du, ds, dt, dn), abs(cs * ct * cn)
 
 
-def _dividing_g(
-    entry: _WordEntry, outers: List[int], p: Optional[int], core: Optional[TriPoly] = None, k: int = 0
-) -> Tuple[List[int], Optional[TriPoly]]:
-    """The outers that divide g of the core searched (module docstring), and that core, None if unread.
-
-    The core is f_w over QQ, else that of f_w mod p = core^(p^k), passed by a caller that stripped it.
-    """
-    if not outers:
-        return outers, core
-    if entry.faces is None:
-        entry.faces = _degree_gcd(entry.f)
-    g, content = entry.faces
-    if p is not None:
-        if content % p:
-            g //= p**k
-        else:  # f_w mod p may lose a degree
-            if core is None:
-                core = entry.f.reduce_mod(p)
-            g = _degree_gcd(core)[0]
-    outers = [n for n in outers if g % n == 0]
-    if outers and core is None:
-        core = entry.f if p is None else entry.f.reduce_mod(p)
-    return outers, core
-
-
 def _try_outer(
     f: TriPoly, blocks: List[TriPoly], n: int, zero_sums: bool, p: Optional[int]
 ) -> Optional[CompositionWitness]:
@@ -413,7 +391,7 @@ def _find_witness(
 ) -> Optional[CompositionWitness]:
     """The witness of the first outer degree in ``outers`` that succeeds on f over QQ or F_p, or None.
 
-    The callers pass the degrees of ``_outer_degrees`` that divide f's
+    ``_decide`` passes the degrees of ``_outer_degrees`` that divide f's
     degree gcd, largest first; f is split into u-blocks once for them all.
     """
     if not outers:
@@ -434,55 +412,85 @@ def _word_poly(w: Word, engine: Optional[TraceEngine] = None) -> Tuple[Word, _Wo
     return _checked_entry(canon, engine)
 
 
+# The largest p_max classify_global takes.  Its time and the verdict row a
+# word's memo entry keeps grow linearly in p_max: at 10^4, on a 2-vCPU host,
+# a call on a fresh engine takes 0.04-2 s and a row 0.1-1.2 MB, and at
+# 10^6 tracelab classify took 10 s and 75 MB peak RSS.  A verdict at a
+# larger p, which classify_p takes, is returned without being kept.
+_MAX_P_MAX = 10**4
+
+
 _MISSING = object()
 
 
 def _verdict(entry: _WordEntry, p: Optional[int]):
     """The PrimeVerdict at p, or the rational witness for p None, from the entry's row.
 
-    A verdict not in the row yet is read from a proper power's root where
-    ``_power_verdict`` can, and searched for otherwise; either is kept there.
+    A verdict not in the row yet is decided (``_decide``) and kept there
+    for p None or p <= _MAX_P_MAX; one at a larger p is returned unkept,
+    so a row holds no more than classify_global up to _MAX_P_MAX fills.
     """
     found = entry.verdicts.get(p, _MISSING)
     if found is _MISSING:
-        if entry.root is not None:
-            found = _power_verdict(entry, p)
-        if found is _MISSING:
-            if p is None:
-                outers, _ = _dividing_g(entry, _outer_degrees(entry.sums_gcd, entry.u_degree, None), None)
-                found = _find_witness(entry.f, outers, entry.sums_gcd == 0, None)
-            else:
-                found = _prime_verdict(entry, p)
-        entry.verdicts[p] = found
+        found = _decide(entry, p)
+        if p is None or p <= _MAX_P_MAX:
+            entry.verdicts[p] = found
     return found
 
 
-def _power_verdict(entry: _WordEntry, p: Optional[int]):
-    """The verdict of a proper power v^k from v's row, or _MISSING where the search must run.
+def _decide(entry: _WordEntry, p: Optional[int]):
+    """The verdict at p, or the rational witness for p None, from one witness search (module docstring).
 
-    Read only over QQ with v NoncompositeQ, or at p not dividing k with v
-    NoncompositeP; the module docstring gives the rule and its proofs.
+    k is a proper power's index where its verdict is read from its root's
+    row, else 1, and only the outers above k are searched.  f_w is reduced
+    mod p only for a search, a strip at p | r or a top-face content that
+    p divides.
     """
-    root, k = entry.root, entry.k
-    if p is not None and k % p == 0:
-        return _MISSING
-    below = _verdict(root, p)
-    if below is not None and (p is None or below.verdict != NONCOMPOSITE_P):
-        return _MISSING
-    larger, f = _dividing_g(entry, [n for n in _outer_degrees(entry.sums_gcd, entry.u_degree, p) if n > k], p)
-    witness = _find_witness(f, larger, entry.sums_gcd == 0, p) if larger else None
-    if witness is None:
+    r, k = entry.u_degree, 1
+    if entry.root is not None and (p is None or entry.k % p):
+        below = _verdict(entry.root, p)
+        if below is None or p is not None and below.verdict == NONCOMPOSITE_P:
+            k = entry.k
+    outers = [n for n in _outer_degrees(entry.sums_gcd, r, p) if n > k]
+    f = None  # the polynomial searched: f_w over QQ, else the core of f_w mod p
+    if outers:
+        if entry.faces is None:
+            entry.faces = _degree_gcd(entry.f)
+        g, content = entry.faces
+        if p is not None and content % p == 0:  # f_w mod p may lose a degree
+            f = entry.f.reduce_mod(p)
+            g = _degree_gcd(f)[0]
+        outers = [n for n in outers if g % n == 0]
+    strip = k == 1 and p is not None and r % p == 0
+    if f is None and (outers or strip or k == 1 and p is None):
+        f = entry.f if p is None else entry.f.reduce_mod(p)
+    j = 0
+    if strip:
+        f, j = frobenius_strip(f)
+    witness = None if f is None else _find_witness(f, outers, entry.sums_gcd == 0, p)
+    if witness is None and k > 1:
+        root = entry.root
         if k % 2 == 0 and root.top_sign is None:
             # the coefficient of the (s, t)-largest monomial at u^r, read once per root
-            r = root.u_degree
-            root.top_sign = max((i, t, c) for (i, j, t), c in root.f.terms() if j == r)[2]
+            root.top_sign = max((i, t, c) for (i, e, t), c in root.f.terms() if e == root.u_degree)[2]
         inner = root.f if k % 2 or root.top_sign == 1 else -root.f
         if p is not None:
             inner = inner.reduce_mod(p)
         witness = CompositionWitness(outer=dickson(k, p), inner=inner, p=p, dickson_index=k)
     if p is None:
         return witness
-    return PrimeVerdict(p=p, verdict=COMPOSITE_NOT_SPECIAL, witness=witness, frobenius_k=0)
+    if witness is None and j == 0:
+        # one object per p <= _MAX_P_MAX, shared by every row; unkept past it
+        return (_noncomposite if p <= _MAX_P_MAX else _noncomposite.__wrapped__)(p)
+    if witness is None:
+        frob = UniPoly([0] * (p**j) + [1], p)  # z^(p^j), a permutation of every F_{p^n}
+        witness = CompositionWitness(outer=frob, inner=f, p=p, dickson_index=p**j)
+        return PrimeVerdict(p=p, verdict=SPECIAL_P, witness=witness, frobenius_k=j)
+    if j > 0:
+        witness = CompositionWitness(
+            outer=witness.outer, inner=witness.inner ** (p**j), p=p, dickson_index=witness.dickson_index
+        )
+    return PrimeVerdict(p=p, verdict=COMPOSITE_NOT_SPECIAL, witness=witness, frobenius_k=j)
 
 
 def _rational_class(witness: Optional[CompositionWitness]) -> str:
@@ -493,47 +501,10 @@ def _rational_class(witness: Optional[CompositionWitness]) -> str:
 def _noncomposite(p: int) -> PrimeVerdict:
     """The NoncompositeP verdict with k = 0 at p, one object shared by every row.
 
-    The cache holds one verdict per prime ever asked, no more than one
-    classify_global up to the largest p_max asked returns.
+    ``_decide`` calls it only for p <= _MAX_P_MAX, so the cache holds at
+    most one verdict per prime up to _MAX_P_MAX.
     """
     return PrimeVerdict(p=p, verdict=NONCOMPOSITE_P, witness=None, frobenius_k=0)
-
-
-def _prime_verdict(entry: _WordEntry, p: int) -> PrimeVerdict:
-    """Verdict for the entry's rational f_w of u-degree r at one prime: strip Frobenius layers, test the core.
-
-    For f = sum_k u^k G_k, the leading coefficient G_r = prod_i g_{a_i,b_i}
-    has leading coefficient +-1, so u^r survives mod p.  When p does not
-    divide r, the exponents' gcd is therefore prime to p: frobenius_strip
-    would return k = 0 and core = f mod p, so the core is taken as that
-    without a strip.  When p divides r, the core of f mod p = core^(p^k)
-    has u-degree r / p^k.  Only the outers that divide the core's degree
-    gcd are tried (``_dividing_g``).  With none left and k = 0 the verdict
-    is NoncompositeP, and where p divides neither r nor a top-face content
-    f is not reduced, since _find_witness would try nothing.
-    """
-    f, r = entry.f, entry.u_degree
-    core, k = (None, 0) if r % p else frobenius_strip(f.reduce_mod(p))
-    outers, core = _dividing_g(entry, _outer_degrees(entry.sums_gcd, r // p**k, p), p, core, k)
-    if not outers and k == 0:
-        return _noncomposite(p)
-    witness = _find_witness(core, outers, entry.sums_gcd == 0, p)
-    if witness is None:
-        if k == 0:
-            return _noncomposite(p)
-        frob = UniPoly([0] * (p**k) + [1], p)  # z^(p^k), a permutation of every F_{p^n}
-        witness = CompositionWitness(outer=frob, inner=core, p=p, dickson_index=p**k)
-        return PrimeVerdict(p=p, verdict=SPECIAL_P, witness=witness, frobenius_k=k)
-    if k > 0:
-        witness = CompositionWitness(
-            outer=witness.outer,
-            inner=witness.inner ** (p**k),
-            p=p,
-            dickson_index=witness.dickson_index,
-        )
-    return PrimeVerdict(
-        p=p, verdict=COMPOSITE_NOT_SPECIAL, witness=witness, frobenius_k=k
-    )
 
 
 def classify_p(w: Word, p: int) -> PrimeVerdict:
@@ -553,13 +524,6 @@ def classify_rational(
     """Compositeness of f_w over the rationals."""
     witness = _verdict(_word_poly(w, engine)[1], None)
     return _rational_class(witness), witness
-
-
-# The largest p_max classify_global takes.  Its time and the verdict row a
-# word's memo entry keeps grow linearly in p_max: at 10^4, on a 2-vCPU host,
-# a call on a fresh engine takes 0.04-2 s and a row 0.1-1.2 MB, and at
-# 10^6 tracelab classify took 10 s and 75 MB peak RSS.
-_MAX_P_MAX = 10**4
 
 
 def check_p_max(p_max: int) -> None:

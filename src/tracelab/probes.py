@@ -50,13 +50,13 @@ from .gf import GF, field
 from .tripoly import TriPoly, _power
 
 # values of s and of t, each an array of element codes
-Select = Optional[tuple[np.ndarray, np.ndarray]]
+Select = tuple[np.ndarray, np.ndarray]
 
 
-def _u_blocks_on_grid(f: TriPoly, F: GF, select: Select = None) -> list[np.ndarray]:
+def _u_blocks_on_grid(f: TriPoly, F: GF, select: Select) -> list[np.ndarray]:
     """Each u-block G_j(s,t) of f over F_p on the grid [s, t], s and t from select."""
     q, add, mul = F.q, F.add_table.ravel(), F.mul_table.ravel()
-    s_vals, t_vals = select if select is not None else (np.arange(q), np.arange(q))
+    s_vals, t_vals = select
     blocks = f.u_coefficients()
     pows = [np.full(q, F.one), np.arange(q)]  # pows[i][x] = x^i
     while len(pows) <= max(max(blk.deg("s"), blk.deg("t")) for blk in blocks):
@@ -74,12 +74,12 @@ def _u_blocks_on_grid(f: TriPoly, F: GF, select: Select = None) -> list[np.ndarr
     return out
 
 
-def _u_slices(f: TriPoly, F: GF, select: Select = None) -> Iterator[np.ndarray]:
+def _u_slices(f: TriPoly, F: GF, select: Select) -> Iterator[np.ndarray]:
     """f over F_p on the grid [s, t], for u = 0, 1, ..., q-1 in turn.
 
-    select = (s_vals, t_vals) picks the rows and columns; the default is the
-    whole q x q grid.  A slice may be shared with the next one or with the
-    block grids, so callers only read it.
+    select = (s_vals, t_vals) picks the rows and columns.  A slice may be
+    shared with the next one or with the block grids, so callers only read
+    it.
     """
     add = F.add_table.ravel()
     top, *lower = reversed(_u_blocks_on_grid(f, F, select))

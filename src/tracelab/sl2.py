@@ -371,16 +371,16 @@ def _point_pairs(table: ClassTable, s, u, t):
     raise RuntimeError("a point has no representative pair")
 
 
-def _word_slices(w: Word, table: ClassTable, select: Select = None) -> Iterator[np.ndarray]:
+def _word_slices(w: Word, table: ClassTable, select: Select) -> Iterator[np.ndarray]:
     """tr w on the grid [s, t], for u = 0, 1, ..., q-1 in turn.
 
     tr w(x, y) = f_w(s, u, t) on every pair over the point (s, u, t), so
     the word on one pair per point from _point_pairs yields what
-    _u_slices yields from f_w, on the same selection of rows and columns
-    (the whole q x q grid by default), without tracing w.
+    _u_slices yields from f_w, on the same selection of rows and columns,
+    without tracing w.
     """
     F, q = table.field, table.q
-    s_vals, t_vals = select if select is not None else (np.arange(q), np.arange(q))
+    s_vals, t_vals = select
     shape = (len(s_vals), len(t_vals))
     s, t = np.repeat(s_vals, shape[1]), np.tile(t_vals, shape[0])
     for u in range(q):
@@ -751,7 +751,7 @@ def fraction_le_inv_sqrt(eps: Fraction, c: Union[int, Fraction], q: int) -> bool
 # trace-triple fibers and the degenerate locus
 
 
-def _pi_fiber_kinds(table: ClassTable, select: Select = None) -> np.ndarray:
+def _pi_fiber_kinds(table: ClassTable, select: Optional[Select] = None) -> np.ndarray:
     """Which closed-form value N(s, u, t) takes, as int8 codes indexed [s, u, t].
 
     select = (s_vals, t_vals) picks the rows s and columns t, as in

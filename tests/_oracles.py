@@ -37,9 +37,11 @@ to a `Word` by substitution.  `searched_verdict` is the witness search that
 from its root and before it ruled outer degrees out by f_w's degrees:
 every outer degree n >= 2, tame at p, that divides the u-degree and both
 exponent sums, read off that definition rather than `_outer_degrees`,
-tried on f_w over QQ, or on the Frobenius core of f_w mod p with
-`_prime_verdict`'s rewrap, with no memo row and no shortcut, the reference
-for the verdicts the classifiers give.  With exponent sums (A, B) = (0, 0) it runs
+tried on f_w over QQ, or on the core of f_w mod p = core^(p^j), stripped
+at every p and rewrapped as `_decide` rewraps a core witness or its
+absence, with no memo row, no root's row, no degree rule and no shortcut:
+the reference for every verdict `_decide` gives, rational, per-prime or
+read from a root.  With exponent sums (A, B) = (0, 0) it runs
 `decompose_in_u`'s matcher; its Dickson witnesses, for (A, B) != (0, 0),
 come from `dickson_from_blocks`, the matcher `dickson_decompose` ran
 before Dickson witnesses were read off `decompose_in_u`'s: it tries every
@@ -765,7 +767,7 @@ def kappa_zero(F):
     """
     s, u, t = (TriPoly.var(v, F.p) for v in "sut")
     kappa = s * s + t * t + u * u - u * s * t - TriPoly.const(4, F.p)
-    return np.stack([val == 0 for val in _u_slices(kappa, F)], axis=1)
+    return np.stack([val == 0 for val in _u_slices(kappa, F, (np.arange(F.q), np.arange(F.q)))], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +801,7 @@ def cube_level_counts(f, q):
     """
     F = field(q)
     g = f if f.p is not None else f.reduce_mod(F.p)
-    counts = sum(np.bincount(val.ravel(), minlength=q) for val in _u_slices(g, F))
+    counts = sum(np.bincount(val.ravel(), minlength=q) for val in _u_slices(g, F, (np.arange(q), np.arange(q))))
     if int(counts.sum()) != q**3:
         raise RuntimeError("level-set counts do not partition the coordinate cube")
     return counts.tolist()

@@ -7,7 +7,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tracelab import decompose, trace
 from tracelab.cache import TraceCache, cached_trace_poly
@@ -20,11 +20,13 @@ from tracelab.decompose import (
     WildCompositionError,
     CompositionWitness,
     PrimeVerdict,
+    _MAX_P_MAX,
+    _decide,
     _degree_gcd,
     _find_witness,
     _match_inner,
+    _noncomposite,
     _outer_degrees,
-    _prime_verdict,
     _verdict,
     classify_global,
     classify_p,
@@ -484,7 +486,7 @@ def searches(monkeypatch):
     """The primes (None for the rationals) of every witness search, in order.
 
     A prime p that leaves no outer degree dividing f_w's degree gcd, with
-    no Frobenius layer, makes no search (``_prime_verdict``).
+    no Frobenius layer, makes no search (``_decide``).
     """
     calls = []
 
@@ -547,6 +549,25 @@ class TestVerdictMemo:
         assert classify_global(w, 13, engine=TraceEngine()) == first
         assert len(searches) == 2 * count
 
+    @pytest.mark.parametrize("text", ["xxyXYYxyXy", "xyXY" * 2, "xyxy"])
+    def test_a_prime_past_the_guard_is_not_kept(self, text, monkeypatch):
+        # one verdict per prime kept in the row and in _noncomposite's cache grew
+        # without bound under classify_p at ever larger primes
+        monkeypatch.setattr(trace, "_DEFAULT_ENGINE", TraceEngine())
+        w = parse(text)
+        classify_global(w, 13)
+        entry = trace._DEFAULT_ENGINE.entry(w)
+        entries = [entry] if entry.root is None else [entry, entry.root]
+        rows = [len(e.verdicts) for e in entries]
+        cached = _noncomposite.cache_info().currsize
+        st_ = stats(canonicalize(w)[0])
+        large = primes_in(_MAX_P_MAX + 1, 2 * _MAX_P_MAX)[:300]
+        assert len(large) == 300
+        for p in large:
+            assert classify_p(w, p) == searched_verdict(entry.f, st_.A, st_.B, p), (w, p)
+        assert [len(e.verdicts) for e in entries] == rows
+        assert _noncomposite.cache_info().currsize == cached
+
     def test_threads_sharing_an_engine_agree_with_one_thread(self):
         words = list(sample_words(12, 200, seed=41))
         eng = TraceEngine()
@@ -579,7 +600,7 @@ def syllable_words(max_r=4, hi=3):
 
 
 class TestPrimeShortcut:
-    """_prime_verdict against its unshortcut path, the oracle ``searched_verdict``."""
+    """_decide at a prime against its unshortcut path, the oracle ``searched_verdict``."""
 
     PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -587,7 +608,7 @@ class TestPrimeShortcut:
         A, B = stats(w).A, stats(w).B
         f = trace_poly(w).f
         for p in self.PRIMES:
-            assert _prime_verdict(_WordEntry(f, math.gcd(A, B)), p) == searched_verdict(f, A, B, p), (w, p)
+            assert _decide(_WordEntry(f, math.gcd(A, B)), p) == searched_verdict(f, A, B, p), (w, p)
 
     @pytest.mark.parametrize(
         "text",
@@ -621,14 +642,14 @@ class TestPrimeShortcut:
             raise AssertionError("f was reduced")
 
         monkeypatch.setattr(TriPoly, "reduce_mod", no_reduce)
-        got = [_prime_verdict(e, 3) for e in entries]
+        got = [_decide(e, 3) for e in entries]
         assert all(v is got[0] for v in got)
         assert (got[0].verdict, got[0].witness, got[0].frobenius_k) == (NONCOMPOSITE_P, None, 0)
 
     @given(syllable_words(max_r=6))
     @settings(max_examples=30)
     def test_no_strip_where_p_does_not_divide_r(self, w):
-        # the fact _prime_verdict relies on to take f mod p as the core at p not dividing r
+        # the fact _decide relies on to take f mod p as the core at p not dividing r
         entry = TraceEngine().entry(w)
         f, r = entry.f, entry.u_degree
         A, B = stats(w).A, stats(w).B
@@ -637,6 +658,24 @@ class TestPrimeShortcut:
                 g = f.reduce_mod(p)
                 assert frobenius_strip(g) == (g, 0), (w, p)
                 assert _verdict(entry, p) == searched_verdict(f, A, B, p), (w, p)
+
+    @given(st.tuples(syllable_words(max_r=3), st.integers(1, 4)).map(lambda wk: wk[0] ** wk[1]))
+    @example(parse("xy") ** 4)  # f_w mod 2 = u^4, two layers
+    @example(parse("xy^2") ** 3)  # f_w mod 3 = f_v^3 mod 3, one layer
+    @settings(max_examples=30)
+    def test_outers_are_read_before_the_strip(self, w):
+        # for p not dividing n, n divides r / p^j (or g / p^j) exactly when it divides r (or g)
+        entry = TraceEngine().entry(w)
+        f, r = entry.f, entry.u_degree
+        g, content = _degree_gcd(f)
+        for p in primes_in(2, 31):
+            if r % p == 0:
+                fp = f.reduce_mod(p)
+                core, j = frobenius_strip(fp)
+                at_p = g if content % p else _degree_gcd(fp)[0]
+                read = [n for n in _outer_degrees(entry.sums_gcd, r, p) if at_p % n == 0]
+                want = [n for n in _outer_degrees(entry.sums_gcd, r // p**j, p) if _degree_gcd(core)[0] % n == 0]
+                assert read == want, (w, p, j)
 
 
 def _stream_powers(seeds=(1, 2, 3), count=500):
@@ -747,6 +786,26 @@ class TestPowerVerdicts:
         assert g.rational_witness == CompositionWitness(
             outer=UniPoly([0, -3, 0, 1]), inner=root, p=None, dickson_index=3
         )
+
+    @pytest.mark.parametrize("text,p", [("xyxY" * 3, 2), ("x^2yxy" * 5, 2), ("xyXYxy^2" * 5, 3)])
+    def test_a_power_read_at_p_dividing_r_runs_no_strip(self, text, p, monkeypatch):
+        # fact (b): f_v mod p is no p-th power, so neither is f_w mod p
+        w = parse(text)
+        entry = TraceEngine().entry(w)
+        assert entry.u_degree % p == 0 and entry.k % p
+        assert _verdict(entry.root, p).verdict == NONCOMPOSITE_P
+        strips = []
+        real = decompose.frobenius_strip
+
+        def counted(f):
+            strips.append(f)
+            return real(f)
+
+        monkeypatch.setattr(decompose, "frobenius_strip", counted)
+        got = _verdict(entry, p)
+        assert strips == []
+        st_ = stats(canonicalize(w)[0])
+        assert got == searched_verdict(entry.f, st_.A, st_.B, p)
 
     def test_a_root_top_sign_is_read_without_a_split(self, monkeypatch):
         # splitting f_v into u-blocks for its top sign at every prime where an

@@ -106,3 +106,31 @@ def test_every_defined_name_is_used():
         for path in sorted((root / directory).rglob("*.py")):
             named |= _mentions(path)
     assert {f"{module}: {name}" for module, name in defined if name not in named} == set()
+
+
+def _defined_names(path: Path) -> set:
+    """Every name a module binds: functions, classes, assignments and attributes it sets."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return names
+
+
+def test_every_cited_private_name_is_defined():
+    # a private name in single or double backticks in the package, the tests or
+    # the README must still be a module or a name bound in the package or the
+    # tests, so no deleted helper is cited
+    root = Path(__file__).resolve().parent.parent
+    modules = [path for directory in ("src/tracelab", "tests") for path in sorted((root / directory).glob("*.py"))]
+    cited = {
+        (path.name, name)
+        for path in [*modules, root / "README.md"]
+        for name in re.findall(r"(?<!`)``?(_\w+)``?(?!`)", path.read_text())
+    }
+    defined = {path.stem for path in modules}.union(*map(_defined_names, modules))
+    assert {f"{source}: {name}" for source, name in cited if name not in defined} == set()

@@ -291,7 +291,7 @@ class TestFiberDistribution:
             f = trace_poly(w).f.reduce_mod(F.p)
             # the whole grid, then the orbit representatives the fiber pass visits
             s_maps, _, t_mirror, _ = probes._symmetries(F, *probes._parities(f))
-            for select in (None, probes._representatives(s_maps, t_mirror)[0]):
+            for select in ((np.arange(q), np.arange(q)), probes._representatives(s_maps, t_mirror)[0]):
                 traced = sl2._u_slices(f, F, select)
                 got_slices = sl2._word_slices(w, table, select)
                 for got, want in zip(got_slices, traced, strict=True):
