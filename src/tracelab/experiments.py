@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .decompose import (
     NONCOMPOSITE_P,
@@ -29,11 +29,18 @@ from .sl2 import (
     image_analysis,
 )
 from .trace import TraceEngine, trace_poly
-from .words import Word, _candidate_cells, enumerate_words, proper_power_root, sample_words
+from .words import (
+    Word,
+    _candidate_cells,
+    _orbit_representatives,
+    proper_power_root,
+    sample_words,
+)
 
-# An exhaustive scan walks every canonical word up to n_max letters, about
-# 4x more per letter: genericity_scan(n) took 15.8 s at n = 12, 70 s at 13
-# and 255 s at 14, with 40 MB peak RSS, in process on a 2-vCPU host.
+# An exhaustive scan classifies one canonical word per symmetry orbit up to
+# n_max letters, about 3x more per letter: genericity_scan(n) took 0.46-0.52 s
+# at n = 12, 1.3 s at 13 and 3.7-4.2 s at 14, with 38.5 MB peak RSS, each in
+# a fresh process on a 2-vCPU host.
 EXHAUSTIVE_SCAN_LIMIT = 14
 # A sampled scan draws ``samples`` words at each length up to n_max, and a
 # word's certification grows about 6x per 16 letters, so both are capped:
@@ -214,16 +221,20 @@ def genericity_csv(reports: Sequence[GenericityReport]) -> str:
 
 
 def _scan_counts(
-    words: Iterator[Word], engine: TraceEngine, certify: bool
+    words: Iterable[tuple[Word, int]], engine: TraceEngine, certify: bool
 ) -> dict[int, list[int]]:
-    """[total, proper powers, certified] counts of the words, by length."""
+    """[total, proper powers, certified] counts of (word, weight) pairs, by length.
+
+    Each word counts as ``weight`` words, all with its length and verdicts.
+    """
     by_len: dict[int, list[int]] = {}
-    for w in words:
+    for w, weight in words:
         cell = by_len.setdefault(w.length, [0, 0, 0])
-        cell[0] += 1
-        cell[1] += proper_power_root(w)[1] >= 2
-        if certify:
-            cell[2] += classify_rational(w, engine=engine)[0] == NONCOMPOSITE_Q
+        cell[0] += weight
+        if proper_power_root(w)[1] >= 2:
+            cell[1] += weight
+        if certify and classify_rational(w, engine=engine)[0] == NONCOMPOSITE_Q:
+            cell[2] += weight
     return by_len
 
 
@@ -255,10 +266,15 @@ def genericity_scan(
 ) -> list[GenericityReport]:
     """Fractions of proper powers and certified-noncomposite words per length.
 
-    Exhaustive mode walks every canonical word of length <= n and reports
-    exact cumulative counts; sampled mode draws ``samples`` >= 1 words
-    uniformly from the length <= n candidate set per n.  Both are capped
-    (``EXHAUSTIVE_SCAN_LIMIT``, ``SAMPLED_SCAN_LIMIT`` and
+    Exhaustive mode reports exact cumulative counts over every canonical
+    word of length <= n.  It classifies one word per orbit of D_2r x| (Z/2)^2,
+    the group of order 16r for complexity r generated by the swap x <-> y,
+    reversal and the flips x -> x^-1 and y -> y^-1, each up to conjugation,
+    and counts it once per word of its orbit: each move keeps the length and
+    proper-power status and changes f_w by a ring automorphism of Z[s, u, t],
+    so it keeps every verdict.  Sampled mode draws ``samples`` >= 1 words
+    uniformly from the length <= n candidate set per n, each counted once.
+    Both are capped (``EXHAUSTIVE_SCAN_LIMIT``, ``SAMPLED_SCAN_LIMIT`` and
     ``SAMPLED_SCAN_SAMPLES``), with ValueError past a cap.  Each scan traces
     its words on a fresh engine.  ``certify=False`` skips the
     classifier column (it stays zero) when only power statistics are needed.
@@ -281,14 +297,14 @@ def genericity_scan(
     reports: list[GenericityReport] = []
     ensemble = f"canonical words, constraint={constraint}"
     if mode == "exhaustive":
-        by_len = _scan_counts(enumerate_words(n_max, constraint), eng, certify)
+        by_len = _scan_counts(_orbit_representatives(n_max, constraint), eng, certify)
         cum = [0, 0, 0]
         for n in sorted(by_len):
             cum = [x + y for x, y in zip(cum, by_len[n])]
             reports.append(_genericity_report(n, ensemble, "exhaustive", cum))
         return reports
     for n in sorted({n for n, _, _ in _candidate_cells(n_max, constraint)}):
-        stream = sample_words(n, samples, seed=seed + n, constraint=constraint)
+        stream = ((w, 1) for w in sample_words(n, samples, seed=seed + n, constraint=constraint))
         counts = [sum(col) for col in zip(*_scan_counts(stream, eng, certify).values())]
         label = f"sampled({samples},seed={seed})"
         reports.append(_genericity_report(n, ensemble, label, counts))

@@ -349,6 +349,72 @@ def enumerate_words(max_length: int, constraint: str = "any") -> Iterator[Word]:
     )
 
 
+def _orbit_representatives(max_length: int, constraint: str) -> Iterator[Tuple[Word, int]]:
+    """(word, orbit size) for one candidate word per symmetry orbit, in a fixed order.
+
+    A canonical word of complexity r is the cycle of its 2r block exponents,
+    x at the even positions.  Rotating the cycle by one position (swap x and
+    y, then conjugate), the reflection that fixes position 0 (reverse, then
+    conjugate) and negating the even or the odd positions (x -> x^-1 or
+    y -> y^-1) generate D_2r acting on the positions and (Z/2)^2 on the
+    signs, a group of order 16r that keeps the length and the complexity.
+    A shape (the exponents' absolute values) is kept when it is the least of
+    its 4r dihedral images; S is its stabiliser.  The flips clear bits 0 and
+    1 of any sign pattern in exactly one way, so a pattern with both clear
+    is kept when no element of S, followed by that clearing, makes it
+    smaller.  Its orbit holds 4r / |S| shapes, each with 4 patterns per
+    distinct cleared image under S.  Nothing is kept from one shape to the
+    next, so memory stays flat.
+    """
+    for n, r, _ in _candidate_cells(max_length, constraint):
+        size = 2 * r
+        full = (1 << size) - 1
+        evens = full // 3  # bits 0, 2, 4, ...
+        for shape in _compositions(n, size):
+            stabiliser = _least_shape_stabiliser(shape)
+            if stabiliser is None:
+                continue
+            shapes = 4 * r // len(stabiliser)
+            for bits in range(0, 1 << size, 4):
+                images = set()
+                for j, reflected in stabiliser:
+                    q = _mirrored(bits, size) if reflected else bits
+                    q = ((q >> j) | (q << (size - j))) & full
+                    if q & 1:
+                        q ^= evens
+                    if q & 2:
+                        q ^= full ^ evens
+                    if q < bits:
+                        break
+                    images.add(q)
+                else:
+                    yield Word(_signed(shape, bits)), shapes * 4 * len(images)
+
+
+def _mirrored(bits: int, size: int) -> int:
+    """A sign pattern under the reflection that fixes position 0: bit i becomes bit -i."""
+    return sum(((bits >> (-i % size)) & 1) << i for i in range(size))
+
+
+def _least_shape_stabiliser(shape: Tuple[int, ...]):
+    """The moves (j, reflected) that fix a cyclic shape, or None when one makes it smaller.
+
+    Move (j, False) rotates the cycle by j positions and (j, True) rotates
+    its mirror, the reflection that fixes position 0, by j positions.
+    """
+    size = len(shape)
+    mirror = shape[:1] + shape[:0:-1]  # position i holds shape[-i]
+    stabiliser = []
+    for j in range(size):
+        for reflected, seq in ((False, shape), (True, mirror)):
+            image = seq[j:] + seq[:j]
+            if image < shape:
+                return None
+            if image == shape:
+                stabiliser.append((j, reflected))
+    return stabiliser
+
+
 def sample_words(
     max_length: int,
     count: int,

@@ -59,8 +59,12 @@ pass; `enumerated_by_syllables` and `sampled_by_syllables` build each word
 of `enumerate_words` and `sample_words` through `Word.from_syllables`, as
 both did before they built words from their blocks.  `scalar_bound` is
 the packed product's coefficient bound 5 * prod growth(block), which
-`trace._product` used before it carried a bound per component.  Each is
-the reference for the rule that replaced it.
+`trace._product` used before it carried a bound per component.
+`scan_every_word` is the exhaustive genericity scan as it classified every
+word of `enumerate_words`, before it classified one word per symmetry
+orbit; `cycle_moves` applies that symmetry group's moves to a word's cycle
+of block exponents, and `symmetry_orbits` closes the candidate set under
+them by brute force.  Each is the reference for the rule that replaced it.
 """
 
 import importlib.util
@@ -75,18 +79,30 @@ import numpy as np
 from tracelab.decompose import (
     COMPOSITE_NOT_SPECIAL,
     NONCOMPOSITE_P,
+    NONCOMPOSITE_Q,
     SPECIAL_P,
     CompositionWitness,
     PrimeVerdict,
     _decompose_from_blocks,
     _match_inner,
+    classify_rational,
 )
+from tracelab.experiments import _genericity_report
 from tracelab.gf import _factor_prime_power, field
 from tracelab.probes import _u_slices
 from tracelab.sl2 import _IDENTITY, _eval_word, build_class_table
 from tracelab.tripoly import TriPoly, _norm_coeff, _nth_roots, _pack, frobenius_strip
 from tracelab.unipoly import UniPoly, _recurrence, dickson, dickson_apply
-from tracelab.words import X as GEN_X, Y as GEN_Y, Word, _candidate_cells, _compositions
+from tracelab.trace import TraceEngine
+from tracelab.words import (
+    X as GEN_X,
+    Y as GEN_Y,
+    Word,
+    _candidate_cells,
+    _compositions,
+    enumerate_words,
+    proper_power_root,
+)
 
 # ---------------------------------------------------------------------------
 # library values that only tests build or read
@@ -1006,3 +1022,66 @@ def alternating_block_words(max_blocks, exponents):
         out += level
         level = [w + ((1 - w[-1][0], e),) for w in level for e in exponents]
     return out
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive scan over every word, and the symmetries of its orbits
+
+
+def scan_every_word(n_max, constraint="any", certify=True):
+    """Exhaustive ``genericity_scan`` reports, each candidate word classified on its own."""
+    engine = TraceEngine()
+    by_len = {}
+    for w in enumerate_words(n_max, constraint):
+        cell = by_len.setdefault(w.length, [0, 0, 0])
+        cell[0] += 1
+        cell[1] += proper_power_root(w)[1] >= 2
+        if certify:
+            cell[2] += classify_rational(w, engine=engine)[0] == NONCOMPOSITE_Q
+    reports, cum = [], [0, 0, 0]
+    for n in sorted(by_len):
+        cum = [a + b for a, b in zip(cum, by_len[n])]
+        reports.append(_genericity_report(n, f"canonical words, constraint={constraint}", "exhaustive", cum))
+    return reports
+
+
+def cycle_word(cycle):
+    """The canonical word x^m0 y^m1 x^m2 ... of a cycle of block exponents."""
+    return Word(tuple((GEN_Y if i % 2 else GEN_X, m) for i, m in enumerate(cycle)))
+
+
+def cycle_moves(cycle):
+    """name -> image of a cycle of block exponents, x at the even positions.
+
+    Rotation by one position is the swap x <-> y followed by a conjugation,
+    the reflection fixing position 0 is reversal followed by a conjugation,
+    a syllable rotation is a conjugation, and the flips negate the x or the
+    y exponents.
+    """
+    return {
+        "rotation": cycle[1:] + cycle[:1],
+        "reflection": cycle[:1] + cycle[:0:-1],
+        "syllable rotation": cycle[2:] + cycle[:2],
+        "x-flip": tuple(-m if i % 2 == 0 else m for i, m in enumerate(cycle)),
+        "y-flip": tuple(-m if i % 2 else m for i, m in enumerate(cycle)),
+    }
+
+
+def symmetry_orbits(max_length, constraint="any"):
+    """The orbits, as sets of exponent cycles, of the candidate words under ``cycle_moves``."""
+    orbit_of = {}
+    orbits = []
+    for w in enumerate_words(max_length, constraint):
+        start = tuple(m for _, m in w.blocks)
+        if start in orbit_of:
+            continue
+        orbit, frontier = {start}, [start]
+        while frontier:
+            for image in cycle_moves(frontier.pop()).values():
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        for cycle in orbit:
+            orbit_of[cycle] = len(orbits)
+        orbits.append(orbit)
+    return orbits

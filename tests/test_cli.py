@@ -230,6 +230,12 @@ class TestScan:
             ("6", "364", "16"),
         ]
 
+    def test_exhaustive_scan_at_twelve(self):
+        # past the reach of the walk over every word, about 15 s on a 2-vCPU host
+        code, out = run("scan", "--n-max", "12")
+        assert code == 0
+        assert out.strip().splitlines()[-1].startswith("12,265720,404,265316,")
+
     def test_sampled_scan(self):
         a = run("scan", "--n-max", "7", "--samples", "100", "--seed", "3")
         b = run("scan", "--n-max", "7", "--samples", "100", "--seed", "3")

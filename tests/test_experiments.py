@@ -2,12 +2,14 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tracelab import decompose, experiments, gf, trace, words
 from tracelab.decompose import (
     COMPOSITE_NOT_SPECIAL,
     NONCOMPOSITE_P,
     SPECIAL_P,
+    classify_global,
 )
 from tracelab.experiments import (
     EXHAUSTIVE_SCAN_LIMIT,
@@ -18,9 +20,18 @@ from tracelab.experiments import (
     measure_preserving_report,
     verify_theorem_p_equi,
 )
-from tracelab.words import Word, parse
+from tracelab.trace import trace_poly
+from tracelab.words import CONSTRAINTS, Word, parse
 
-from _oracles import canonical_strings, string_is_proper_power
+from _oracles import (
+    canonical_strings,
+    cycle_moves,
+    cycle_word,
+    scan_every_word,
+    string_is_proper_power,
+    symmetry_orbits,
+    tri_eval_mod,
+)
 
 
 class TestTheoremRuns:
@@ -96,6 +107,19 @@ class TestMeasureSheets:
         assert ms.theoretical_active and ms.observed_epsilon is None
 
 
+@st.composite
+def scan_words(draw):
+    """Canonical words, among them proper powers, (0, 0) exponent sums and even complexities."""
+    exps = st.integers(-3, 3).filter(bool)
+    kind = draw(st.sampled_from(["plain", "power", "zero-sum"]))
+    sylls = draw(st.lists(st.tuples(exps, exps), min_size=1, max_size=4 if kind == "plain" else 2))
+    if kind == "power":
+        sylls = sylls * draw(st.integers(2, 3))
+    elif kind == "zero-sum":
+        sylls = sylls + [(-a, -b) for a, b in sylls]
+    return Word.from_syllables(sylls)
+
+
 class TestGenericity:
     def test_exhaustive_counts_match_string_oracle(self):
         reports = genericity_scan(8, mode="exhaustive", certify=False)
@@ -137,7 +161,36 @@ class TestGenericity:
             monkeypatch.setattr(module, "canonicalize", spy)
         reports = genericity_scan(5, mode="exhaustive", certify=True)
         assert reads == []
-        assert len(calls) == reports[-1].total == 120 and all(calls)
+        assert reports[-1].total == 120
+        assert len(calls) == len(symmetry_orbits(5)) == 13 and all(calls)
+
+    @pytest.mark.parametrize("n_max, certify", [(10, True), (11, False)])
+    @pytest.mark.parametrize("constraint", CONSTRAINTS)
+    def test_orbit_scan_equals_the_scan_of_every_word(self, n_max, certify, constraint):
+        got = genericity_scan(n_max, constraint=constraint, certify=certify)
+        assert got == scan_every_word(n_max, constraint, certify)
+
+    @given(scan_words(), st.randoms(use_true_random=False))
+    def test_every_move_keeps_f_and_every_verdict(self, w, rng):
+        # the scan counts cannot catch a wrong symmetry, since at n <= 12 every
+        # non-power is certified, so each move is checked on the word itself
+        p = 10007
+        f = dict(trace_poly(w).f.terms())
+        expect = classify_global(w, 31)
+        for name, cycle in cycle_moves(tuple(m for _, m in w.blocks)).items():
+            v = cycle_word(cycle)
+            g = dict(trace_poly(v).f.terms())
+            for _ in range(3):
+                s, u, t = (rng.randrange(p) for _ in range(3))
+                point = {
+                    "rotation": (t, u, s),
+                    "x-flip": (s, s * t - u, t),
+                    "y-flip": (s, s * t - u, t),
+                }.get(name, (s, u, t))
+                assert tri_eval_mod(g, p, s, u, t) == tri_eval_mod(f, p, *point), name
+            got = classify_global(v, 31)
+            assert got.rational_class == expect.rational_class, name
+            assert [x.verdict for x in got.per_prime] == [x.verdict for x in expect.per_prime], name
 
     def test_power_words_never_certified(self):
         # certified words are exactly the rationally noncomposite ones, and

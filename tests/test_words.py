@@ -1,13 +1,18 @@
 import dataclasses
+import math
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from tracelab.words import (
+    CONSTRAINTS,
     DegenerateWordError,
     Word,
     WordSyntaxError,
+    _candidate_cells,
+    _orbit_representatives,
     canonicalize,
     enumerate_words,
     parse,
@@ -23,6 +28,7 @@ from _oracles import (
     sampled_by_syllables,
     string_is_proper_power,
     syllable_stats,
+    symmetry_orbits,
 )
 
 # letter strategy for random words, possibly unreduced
@@ -247,3 +253,23 @@ class TestEnumerate:
 
     def test_sampler_lengths(self):
         assert all(w.length <= 9 for w in sample_words(9, 50, seed=2))
+
+
+class TestOrbitRepresentatives:
+    @pytest.mark.parametrize("constraint", CONSTRAINTS)
+    def test_weights_sum_to_every_cell(self, constraint):
+        weights = Counter()
+        for w, weight in _orbit_representatives(14, constraint):
+            weights[w.length, w.complexity] += weight
+        cells = _candidate_cells(14, constraint)
+        assert weights == {(n, r): math.comb(n - 1, 2 * r - 1) * 4**r for n, r, _ in cells}
+
+    @pytest.mark.parametrize("constraint", CONSTRAINTS)
+    def test_one_representative_per_orbit(self, constraint):
+        orbits = symmetry_orbits(9, constraint)
+        orbit_of = {cycle: i for i, orbit in enumerate(orbits) for cycle in orbit}
+        reps = list(_orbit_representatives(9, constraint))
+        assert all(w.is_canonical for w, _ in reps)
+        hit = [orbit_of[tuple(m for _, m in w.blocks)] for w, _ in reps]
+        assert sorted(hit) == list(range(len(orbits)))  # every orbit once, none twice
+        assert [weight for _, weight in reps] == [len(orbits[i]) for i in hit]
