@@ -71,6 +71,9 @@ has leading coefficient +-1, so u^r survives mod p, and at p not
 dividing r the exponents' gcd is prime to p: f_w mod p has no Frobenius
 layer there and no strip runs.  A prime that does not divide r or c and
 leaves no outer degree dividing g is NoncompositeP without reducing f_w.
+Where gcd(gcd(A, B), r) = 1 no outer degree is listed at all, so the word
+is NoncompositeQ, and NoncompositeP at every p not dividing r, with no f_w
+built: the entry builds f_w on its first read (``trace._WordEntry``).
 
 A proper power w = v^k is traced as f_w = D_k(f_v), and its entry links to
 v's, whose row ``_decide`` fills first.  Where v is NoncompositeQ (over
@@ -442,9 +445,12 @@ def _decide(entry: _WordEntry, p: Optional[int]):
     """The verdict at p, or the rational witness for p None, from one witness search (module docstring).
 
     k is a proper power's index where its verdict is read from its root's
-    row, else 1, and only the outers above k are searched.  f_w is reduced
-    mod p only for a search, a strip at p | r or a top-face content that
-    p divides.
+    row, else 1, and only the outers above k are searched.  f_w is read
+    only for a search, a strip at p | r, a top-face content or a power's
+    D_k inner, and the entry builds it on that first read
+    (``trace._WordEntry``): a word with gcd(gcd(A, B), r) = 1 lists no
+    outer degree, so its rational verdict and its verdict at every p not
+    dividing r build no f_w.
     """
     r, k = entry.u_degree, 1
     if entry.root is not None and (p is None or entry.k % p):
@@ -462,7 +468,7 @@ def _decide(entry: _WordEntry, p: Optional[int]):
             g = _degree_gcd(f)[0]
         outers = [n for n in outers if g % n == 0]
     strip = k == 1 and p is not None and r % p == 0
-    if f is None and (outers or strip or k == 1 and p is None):
+    if f is None and (outers or strip):
         f = entry.f if p is None else entry.f.reduce_mod(p)
     j = 0
     if strip:

@@ -13,11 +13,11 @@ from typing import Iterable, Optional, Sequence
 
 from .decompose import (
     NONCOMPOSITE_P,
-    NONCOMPOSITE_Q,
     SPECIAL_P,
     PrimeVerdict,
+    _verdict,
+    _word_poly,
     classify_p,
-    classify_rational,
 )
 from .gf import _factor_prime_power, field
 from .sl2 import (
@@ -38,14 +38,14 @@ from .words import (
 )
 
 # An exhaustive scan classifies one canonical word per symmetry orbit up to
-# n_max letters, about 3x more per letter: genericity_scan(n) took 0.46-0.52 s
-# at n = 12, 1.3 s at 13 and 3.7-4.2 s at 14, with 38.5 MB peak RSS, each in
+# n_max letters, about 3x more per letter: genericity_scan(n) took 0.23-0.29 s
+# at n = 12, 0.44-0.50 s at 13 and 1.7 s at 14, with 36 MB peak RSS, each in
 # a fresh process on a 2-vCPU host.
 EXHAUSTIVE_SCAN_LIMIT = 14
 # A sampled scan draws ``samples`` words at each length up to n_max, and a
 # word's certification grows about 6x per 16 letters, so both are capped:
-# the slowest accepted scan, n_max = 32 with 5000 samples, took 47-49 s on
-# a 2-vCPU host (n_max = 20 with 2000 samples: 4.1 s).
+# the slowest accepted scan, n_max = 32 with 5000 samples, took 12.4-12.9 s
+# at 49 MB peak RSS on a 2-vCPU host (n_max = 20 with 2000 samples: 1.6-1.8 s).
 SAMPLED_SCAN_LIMIT = 32
 SAMPLED_SCAN_SAMPLES = 5000
 
@@ -226,15 +226,22 @@ def _scan_counts(
     """[total, proper powers, certified] counts of (word, weight) pairs, by length.
 
     Each word counts as ``weight`` words, all with its length and verdicts.
+    A certified word's power index is its memo entry's, whose key the
+    engine cut at its least period as ``proper_power_root`` does.
     """
     by_len: dict[int, list[int]] = {}
     for w, weight in words:
         cell = by_len.setdefault(w.length, [0, 0, 0])
         cell[0] += weight
-        if proper_power_root(w)[1] >= 2:
+        if certify:
+            entry = _word_poly(w, engine)[1]
+            power = entry.k >= 2
+            if _verdict(entry, None) is None:
+                cell[2] += weight
+        else:
+            power = proper_power_root(w)[1] >= 2
+        if power:
             cell[1] += weight
-        if certify and classify_rational(w, engine=engine)[0] == NONCOMPOSITE_Q:
-            cell[2] += weight
     return by_len
 
 

@@ -60,7 +60,10 @@ trace, and a proper power v^k, cut at its least period as in
 Each word entry holds f_w, its u-degree, the gcd of its exponent sums and
 a row of the verdicts ``decompose`` reads off them (the rational witness
 and one verdict per prime asked), all invariant under the same moves; the
-row is evicted with f_w.  A word whose a-priori size bound is past
+row is evicted with f_w.  The entry builds f_w on the first read, not
+when it is made, and checks its u-degree against the key's syllable count
+before any reader gets it (``_WordEntry``), so a verdict that reads no f_w
+costs no product.  A word whose a-priori size bound is past
 ``MAX_TRACE_SIZE`` is refused with ValueError before any work, and so is
 a product whose work bound is past ``MAX_TRACE_WORK``: for a proper power,
 the root's product and then the D_k recurrence on f_v.  The test suite's
@@ -389,6 +392,10 @@ class _LRU(OrderedDict):
             self.popitem(last=False)
 
 
+# guards the one store of a lazily built f_w (``_WordEntry.f``)
+_BUILT_LOCK = threading.Lock()
+
+
 class _WordEntry:
     """A word memo entry: f_w, its u-degree, gcd(A, B), the row of verdicts read off them, and a proper power's root.
 
@@ -402,24 +409,53 @@ class _WordEntry:
     power v^k holds v's entry as ``root``, whose row ``decompose`` reads,
     and k as ``k``; it keeps v's entry alive after the memo drops it, so a
     power holds at most one entry more.  Otherwise ``root`` is None and
-    ``k`` is 1.  f is never replaced, so ``u_degree``, f.deg("u") taken
-    once, stays f's, and so do ``top_sign``, the leading coefficient of
-    f's top u-block, and ``faces``, the gcd of f's degrees and the product
-    of its top faces' contents (``decompose._degree_gcd``), each None until
-    ``decompose`` first reads it.
+    ``k`` is 1.
+
+    An entry made from a key builds f_w on the first read of ``f``, by the
+    product over the key or as D_k(f_v), and ``u_degree`` is then the key's
+    syllable count r.  A built f_w is checked to have u-degree r before any
+    reader gets it, with the RuntimeError of ``_checked_entry``; one that
+    fails is not kept, so every read raises again.  Threads racing on the
+    first read may build f_w twice, but the entry keeps the first one
+    stored and every read returns it.  An entry made from an f (the tests
+    plant some) takes its u-degree from f.  ``top_sign``, the leading
+    coefficient of f's top u-block, and ``faces``, the gcd of f's degrees
+    and the product of its top faces' contents (``decompose._degree_gcd``),
+    are None until ``decompose`` first reads them.
     """
 
-    __slots__ = ("f", "u_degree", "sums_gcd", "top_sign", "faces", "verdicts", "root", "k")
+    __slots__ = ("_f", "_key", "u_degree", "sums_gcd", "top_sign", "faces", "verdicts", "root", "k")
 
-    def __init__(self, f: TriPoly, sums_gcd: int, root: Optional["_WordEntry"] = None, k: int = 1):
-        self.f = f
-        self.u_degree = f.deg("u")
+    def __init__(
+        self,
+        f: Optional[TriPoly],
+        sums_gcd: int,
+        root: Optional["_WordEntry"] = None,
+        k: int = 1,
+        key: Optional[Tuple[Block, ...]] = None,
+    ):
+        self._f = f
+        self._key = key
+        self.u_degree = f.deg("u") if f is not None else len(key) // 2
         self.sums_gcd = sums_gcd
         self.top_sign = None
         self.faces = None
         self.verdicts: dict = {}
         self.root = root
         self.k = k
+
+    @property
+    def f(self) -> TriPoly:
+        f = self._f
+        if f is None:
+            f = dickson_apply(self.k, self.root.f) if self.root is not None else _product(self._key)
+            if max(f.deg("u"), 0) != self.u_degree:
+                raise RuntimeError(f"u-degree {f.deg('u')} != complexity of {Word(self._key)}")
+            with _BUILT_LOCK:
+                if self._f is None:
+                    self._f = f
+                f = self._f
+        return f
 
 
 class TraceEngine:
@@ -434,7 +470,10 @@ class TraceEngine:
     is an LRU map of ``_MEMO_BOUND`` entries.  It may be shared between
     threads: the lock guards it, an entry once kept is never replaced, and
     since every entry is a pure function of its key, racing recomputation
-    is harmless.
+    is harmless; so is a race on the first read of an entry's f_w, which
+    keeps one f_w.  The bounds are checked when an entry is made, with a
+    proper power's root built for the D_k work bound; every other product
+    waits for its first read.
     """
 
     def __init__(self):
@@ -461,11 +500,11 @@ class TraceEngine:
         if m < len(key):
             root, k = self._trace(key[:m]), len(key) // m
             _check_work(_dickson_work(root.f, k, sum(abs(e) for _, e in key)))
-            entry = _WordEntry(dickson_apply(k, root.f), k * root.sums_gcd, root, k)
+            entry = _WordEntry(None, k * root.sums_gcd, root, k, key)
         else:
             _check_work(_work_bound(key))
             A, B, _, _ = _exponent_sums(key)
-            entry = _WordEntry(_product(key), math.gcd(A, B))
+            entry = _WordEntry(None, math.gcd(A, B), key=key)
         with self._lock:
             kept = self._words.recall(key)
             if kept is not None:
@@ -513,8 +552,9 @@ def _checked_entry(w: Word, engine: Optional[TraceEngine]) -> Tuple[Word, _WordE
     """w's canonical form and its memo entry, for w not reducing cyclically to the empty word.
 
     The entry's u-degree is checked against the canonical form's
-    complexity on every call: this is the one check of f_w that every
-    reader, ``trace_poly``, the cache and ``decompose`` alike, goes
+    complexity on every call, and f_w's own u-degree against the entry's
+    when f_w is built (``_WordEntry``): these are the checks of f_w that
+    every reader, ``trace_poly``, the cache and ``decompose`` alike, goes
     through.  ``engine`` None is the shared default as bound when called.
     """
     entry = (engine if engine is not None else _DEFAULT_ENGINE).entry(w)

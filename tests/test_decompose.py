@@ -22,6 +22,7 @@ from tracelab.decompose import (
     PrimeVerdict,
     _MAX_P_MAX,
     _decide,
+    _decompose_from_blocks,
     _degree_gcd,
     _find_witness,
     _match_inner,
@@ -485,8 +486,8 @@ def _variants(w):
 def searches(monkeypatch):
     """The primes (None for the rationals) of every witness search, in order.
 
-    A prime p that leaves no outer degree dividing f_w's degree gcd, with
-    no Frobenius layer, makes no search (``_decide``).
+    The rationals, or a prime p with no Frobenius layer, leave no search
+    where no outer degree divides f_w's degree gcd (``_decide``).
     """
     calls = []
 
@@ -498,7 +499,26 @@ def searches(monkeypatch):
     return calls
 
 
-MEMO_WORDS = ["xyxy", "xyXY", "xyxyxy", "xxyXYYxyXy", "x^2yx^-1y^3", "xyXYxyXY"]
+MEMO_WORDS = ["xyxy", "xyXY", "xyxyxy", "xxyXYYxyXy", "x^2yx^-1y^3", "xyXYxyXY", "x^-1yx^-1y^3"]
+
+
+def _rational_searches(w):
+    """The rational witness searches of w: one for w and one for its root, each where an outer degree divides g(f).
+
+    The outer degrees are the divisors n >= 2 of gcd(gcd(A, B), r), and
+    g(f) is the gcd of f's degrees in u, s, t and in total.  A proper power
+    v^k, with v noncomposite over QQ as every root here is, searches only
+    the outers above k.
+    """
+    root, k = proper_power_root(canonicalize(w)[0])
+    count = 0
+    for v, above in [(root, 1), (w, k)] if k > 1 else [(w, 1)]:
+        st_ = stats(canonicalize(v)[0])
+        f = trace_poly(v, engine=TraceEngine()).f
+        g = math.gcd(f.deg("u"), f.deg("s"), f.deg("t"), f.total_degree())
+        m = math.gcd(st_.A, st_.B, f.deg("u"))
+        count += any(m % n == 0 and g % n == 0 for n in range(above + 1, m + 1))
+    return count
 
 
 class TestVerdictMemo:
@@ -507,7 +527,7 @@ class TestVerdictMemo:
         eng = TraceEngine()
         w = parse(text)
         first = classify_global(w, 13, engine=eng)
-        assert None in searches
+        assert searches.count(None) == _rational_searches(w)
         searches.clear()
         for v in _variants(w):
             again = classify_global(v, 13, engine=eng)
@@ -522,7 +542,7 @@ class TestVerdictMemo:
         w = parse(text)
         cls, wit = classify_rational(w)
         g = classify_global(w, 13)
-        assert searches.count(None) == 1
+        assert searches.count(None) == _rational_searches(w)
         searches.clear()
         assert classify_rational(w) == (cls, wit)
         assert [classify_p(w, p) for p in (2, 3, 5, 7, 11, 13)] == list(g.per_prime)
@@ -593,10 +613,87 @@ class TestVerdictMemo:
         for got in results.values():
             assert [got[j] for j in range(len(words))] == single
 
+        # four threads race on the first read of one entry's f_w: each builds its
+        # own, held at a barrier until all have, and every read returns one kept f_w
+        w = parse("xxyXYYxyXy")
+        entry = TraceEngine().entry(w)
+        barrier = threading.Barrier(4, timeout=10)
+        real = trace._product
+
+        def held(key):
+            f = real(key)
+            barrier.wait()
+            return f
+
+        read = {}
+        with mock.patch.object(trace, "_product", held):
+            threads = [threading.Thread(target=lambda i=i: read.setdefault(i, entry.f)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(read) == [0, 1, 2, 3] and not barrier.broken
+        assert all(f is entry.f for f in read.values())
+        assert entry.f == trace_poly(w, engine=TraceEngine()).f
+
 
 def syllable_words(max_r=4, hi=3):
     exps = st.integers(-hi, hi).filter(bool)
     return st.lists(st.tuples(exps, exps), min_size=1, max_size=max_r).map(Word.from_syllables)
+
+
+@st.composite
+def outer_free_words(draw):
+    """Canonical words with gcd(gcd(A, B), r) = 1, up to six syllables, so r is often composite."""
+    exps = st.integers(-3, 3).filter(bool)
+    syl = draw(st.lists(st.tuples(exps, exps), min_size=1, max_size=6))
+    assume(math.gcd(sum(a for a, _ in syl), sum(b for _, b in syl), len(syl)) == 1)
+    return Word.from_syllables(syl)
+
+
+class TestOuterFreeVerdicts:
+    """A word with gcd(gcd(A, B), r) = 1 lists no outer degree: its verdicts build no f_w, except at p | r."""
+
+    PRIMES = (2, 3, 5, 7, 11, 13)
+
+    @given(outer_free_words())
+    @example(parse("xyxyx^2Yx^-1y^2"))  # r = 4, gcd(A, B) = 3
+    @example(parse("xyxyxyxyx^2y^2XY"))  # r = 6, gcd(A, B) = 5
+    @settings(max_examples=40, deadline=None)
+    def test_a_verdict_builds_no_product(self, w):
+        st_ = stats(w)
+        assert math.gcd(st_.A, st_.B, st_.r) == 1
+        f = trace_poly(w, engine=TraceEngine()).f
+        built = []
+        real = trace._product
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(trace, "_DEFAULT_ENGINE", TraceEngine())
+            monkeypatch.setattr(trace, "_product", lambda key: built.append(key) or real(key))
+            assert searched_verdict(f, st_.A, st_.B, None) is None
+            assert classify_rational(w) == (NONCOMPOSITE_Q, None)
+            for p in self.PRIMES:
+                if st_.r % p:
+                    assert classify_p(w, p) == searched_verdict(f, st_.A, st_.B, p) == _noncomposite(p), (w, p)
+            assert built == []
+            for p in self.PRIMES:
+                if st_.r % p == 0:  # the Frobenius strip reads f_w mod p
+                    got = classify_p(w, p)
+                    assert got.verdict in (NONCOMPOSITE_P, SPECIAL_P), (w, p)
+                    assert got == searched_verdict(f, st_.A, st_.B, p), (w, p)
+
+    @given(outer_free_words())
+    @example(parse("xyxyx^2Yx^-1y^2"))
+    @example(parse("xyxyxyxyx^2y^2XY"))
+    @settings(max_examples=40, deadline=None)
+    def test_the_general_matcher_finds_no_witness_at_any_divisor_of_r(self, w):
+        # the fact the shortcut rests on: no h(Q) with deg h = n for any n >= 2 dividing r
+        f = trace_poly(w, engine=TraceEngine()).f
+        blocks = f.u_coefficients()
+        r = len(blocks) - 1
+        for n in range(2, r + 1):
+            if r % n == 0:
+                assert _decompose_from_blocks(f, blocks, n) is None, (w, n)
 
 
 class TestPrimeShortcut:
@@ -780,8 +877,9 @@ class TestPowerVerdicts:
             spy(name)
         g = classify_global(parse("xy^2xy^2xy^2"), 13, engine=TraceEngine())
         root = trace_poly(parse("xy^2")).f
-        # the root over QQ, then the Frobenius core of f_w mod 3 = f_root^3 mod 3
-        assert calls == [("_find_witness", root), ("_find_witness", root.reduce_mod(3))]
+        # the root lists no outer degree over QQ and makes no search; the
+        # Frobenius core of f_w mod 3 = f_root^3 mod 3 is searched at p | k
+        assert calls == [("_find_witness", root.reduce_mod(3))]
         assert [v.verdict for v in g.per_prime] == [COMPOSITE_NOT_SPECIAL, SPECIAL_P] + [COMPOSITE_NOT_SPECIAL] * 4
         assert g.rational_witness == CompositionWitness(
             outer=UniPoly([0, -3, 0, 1]), inner=root, p=None, dickson_index=3

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 
@@ -163,6 +164,21 @@ class TestGenericity:
         assert reads == []
         assert reports[-1].total == 120
         assert len(calls) == len(symmetry_orbits(5)) == 13 and all(calls)
+
+    def test_scan_builds_products_only_where_an_outer_degree_is_listed(self, monkeypatch):
+        # a representative with gcd(gcd(A, B), r) = 1 is certified with no f_w; a
+        # proper power has an outer degree, its index, and its root's product is built
+        built = []
+        real = trace._product
+        monkeypatch.setattr(trace, "_product", lambda key: built.append(key) or real(key))
+        genericity_scan(9)
+        want = set()
+        for w, _ in words._orbit_representatives(9, "any"):
+            st_ = words.stats(w)
+            if math.gcd(st_.A, st_.B, st_.r) >= 2:
+                want.add(trace._canonical_cyclic(words.proper_power_root(w)[0].blocks))
+        assert len(built) == len(set(built))
+        assert set(built) == want
 
     @pytest.mark.parametrize("n_max, certify", [(10, True), (11, False)])
     @pytest.mark.parametrize("constraint", CONSTRAINTS)

@@ -643,6 +643,19 @@ class TestEngineBehavior:
             with pytest.raises(RuntimeError, match="u-degree 2 != complexity of xy"):
                 trace._checked_entry(w, eng)[1]
 
+    @pytest.mark.parametrize("text", ["xxyXYxyy", "xyXYxyXY"])  # the second is a square: its root is built
+    def test_a_built_f_is_checked_before_any_read(self, text, monkeypatch):
+        # an entry builds f_w on its first read; one with the wrong u-degree is never kept
+        eng = TraceEngine()
+        w = parse(text)
+        monkeypatch.setattr(trace, "_product", lambda key: U**5)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="u-degree 5 != complexity of"):
+                trace_poly(w, engine=eng)
+        assert all(entry._f is None for entry in eng._words.values())
+        monkeypatch.undo()
+        assert trace_poly(w, engine=eng) == trace_poly(w, engine=TraceEngine())
+
     def test_memo_hit_canonicalizes_once(self, monkeypatch):
         # a word that starts on a y-block is not canonical: the check and the
         # result share one canonical form
