@@ -61,9 +61,9 @@ Sections, each hashed separately:
 - power-verdicts: ``classify_rational`` and ``classify_p`` for every p <= 13
   on one engine (swapped in as the default for the section), over powers
   v^k with k in {4, 5, 6}, cubes of roots with exponent sums (0, 0), and
-  powers whose root leaves an outer above k to try, such as
-  (x^2y^2x^2y^-2)^2, where D_4 was tried before D_2 until outer degrees
-  were ruled out by f_w's degrees;
+  powers whose f_w lists an outer above k, such as D_4 for
+  (x^2y^2x^2y^-2)^2, which a noncomposite root rules out, so that D_2 is
+  read off the root;
 - classify-p31: ``cli._global_dict(classify_global(w, 31))`` over the
   first 300 seed-1 classify-stream requests on one engine, which reaches
   more primes, more p | r cases and more tame divisors than p_max = 13;
@@ -119,7 +119,7 @@ POWER_VERDICT_WORDS = (
     *(root * k for root in ("xy", "x^2y", "xY", "xyxY", "x^2y^-1") for k in (4, 5, 6)),
     # cubes of roots with exponent sums (0, 0)
     *(root * 3 for root in ("xyXY", "xxyXXY", "xyyXYY", "xYXy", "x^2yx^-1y^-2x^-1y")),
-    # roots that leave an outer above k: D_4 before D_2, D_6 before D_3, D_6 and D_3 before D_2
+    # f_w lists an outer above k: D_4 at k = 2, D_6 at k = 3, D_6 and D_3 at k = 2
     "x^2y^2x^2y^-2" * 2, "x^2y^2x^2y^-2" * 3, "x^2y^4x^2y^2" * 2, "x^3y^3x^3y^3x^3y^-3" * 2,
 )
 ORBIT_FIBER_WORDS = ("xyXY", "xxy", "xyy", "xyxy")

@@ -77,15 +77,13 @@ built: the entry builds f_w on its first read (``trace._WordEntry``).
 
 A proper power w = v^k is traced as f_w = D_k(f_v), and its entry links to
 v's, whose row ``_decide`` fills first.  Where v is NoncompositeQ (over
-QQ), or NoncompositeP at a prime p that does not divide k, only the
-outers above k are searched, on f_w or f_w mod p: the Dickson indices
-d > k, or with (A, B) = (0, 0) the tame divisors n > k of r, that divide
-g.  If none succeeds, the witness is D_k with inner +-f_v (mod p), and
-the verdict at p is CompositeNotSpecial with frobenius_k = 0.  Most
-powers have no such outer: when gcd(|A_v|, |B_v|, r_v) = 1, no Dickson
-index of w exceeds k.  Everywhere else (p | k, or v composite or
-SpecialP at p) the search runs on f_w as for any word.  The reading is
-exact by three facts, for p not dividing k:
+QQ), or NoncompositeP at a prime p that does not divide k, every verdict
+is read off v's: the witness is D_k with inner +-f_v (mod p), the verdict
+at p is CompositeNotSpecial with frobenius_k = 0, and nothing is searched
+and f_w is not read.  Everywhere else (p | k, or v composite or SpecialP
+at p) the search runs on f_w as for any word.  The reading is exact,
+since no outer above k exists (below), and by three facts, for p not
+dividing k:
 
 (a) With omega a primitive k-th root of unity,
     D_k(x) - D_k(y) = (x - y) (x + y if k is even) prod_{0 < j < k/2}
@@ -93,9 +91,8 @@ exact by three facts, for p not dividing k:
     Each quadratic is (x - omega^j y)(x - omega^-j y) plus a nonzero
     constant, so it vanishes at no pair of nonconstant polynomials: both
     linear factors would be constants, and then so would y.  So D_k(Q) =
-    f_w = D_k(f_v) forces Q = +-f_v.  The matcher at index k returns a Q
-    with D_k(Q) = f_w, so nothing needs to be recomposed, and its scaling
-    decides the sign (c).
+    f_w = D_k(f_v) forces Q = +-f_v.  The matcher at index k would return
+    a Q with D_k(Q) = f_w, and its scaling decides the sign (c).
 (b) If f_v mod p is not a p-th power, neither is f_w mod p: some partial
     derivative of f_v is nonzero, and so is D_k'(f_v) times it, since D_k'
     has leading term k z^(k-1).  So frobenius_strip would return j = 0
@@ -110,13 +107,23 @@ exact by three facts, for p not dividing k:
     ``_nth_roots`` order, so the pick is 1.  So the inner is f_v, or -f_v
     when k is even and lc = -1.
 
-The outers above k are searched only where the degree rule allows.  With
-h = D_k it gives g(f_w) = k * g(f_v), over QQ and mod p alike, so an outer
-n > k must divide k * g(f_v): where g(f_v) = 1 none is searched and the
-witness is D_k at once.  Skipping the rest needs a proof that a
-noncomposite root rules them out, which Lüroth's and Ritt's theorems do
-not give here: the outers have constant coefficients, and D_2(D_3) =
-D_3(D_2) shows that larger outers exist in general.
+No outer above k exists.  Let K = Q or F_p, let f_w = D_k(f_v) = h(Q)
+with h in K[z] of degree n >= 2, and let L be the algebraic closure of
+K(f_w) in K(s, u, t).  Q and f_v lie in L, as roots of h(z) - f_w and
+D_k(z) - f_w, and L has transcendence degree 1 over K.  By Lüroth's
+theorem extended to such subfields (Gordan; J. Igusa, "On a theorem of
+Lueroth", 1951), L = K(P), and since L contains a nonconstant
+polynomial, P can be taken to be a polynomial (A. Schinzel, Polynomials
+with Special Regard to Reducibility, 2000, Ch. 1).  K(P) meets
+K[s, u, t] in K[P]: if a(P)/b(P) is a polynomial, with gcd(a, b) = 1,
+then alpha*a + beta*b = 1 in K[z] shows that b(P), which divides a(P),
+divides 1.  So f_v = g(P), and since f_v is noncomposite, deg g = 1, so
+L = K(f_v) and Q = g_2(f_v) with g_2 in K[z].  Then h(g_2(z)) = D_k(z),
+as f_v is transcendental over K, so n divides k.  The argument needs h
+to have constant coefficients, which it does; D_2(D_3) = D_3(D_2) gives
+larger outers only when the root itself is composite.  At p, the root's
+NoncompositeP is a tame verdict, so the proof holds within the module's
+standing scope: no wild outer beyond the Frobenius layers.
 """
 
 from __future__ import annotations
@@ -442,22 +449,30 @@ def _verdict(entry: _WordEntry, p: Optional[int]):
 
 
 def _decide(entry: _WordEntry, p: Optional[int]):
-    """The verdict at p, or the rational witness for p None, from one witness search (module docstring).
+    """The verdict at p, or the rational witness for p None, from the word's memo entry (module docstring).
 
-    k is a proper power's index where its verdict is read from its root's
-    row, else 1, and only the outers above k are searched.  f_w is read
-    only for a search, a strip at p | r, a top-face content or a power's
-    D_k inner, and the entry builds it on that first read
-    (``trace._WordEntry``): a word with gcd(gcd(A, B), r) = 1 lists no
-    outer degree, so its rational verdict and its verdict at every p not
-    dividing r build no f_w.
+    A proper power v^k whose root is NoncompositeQ (p None), or
+    NoncompositeP at a p not dividing k, has every verdict read off v's:
+    the witness is D_k with inner +-f_v (mod p), and no outer above k
+    exists (module docstring), so nothing is searched.  Otherwise f_w is
+    read only for a search, a strip at p | r or a top-face content, and
+    the entry builds it on that first read (``trace._WordEntry``): a word
+    with gcd(gcd(A, B), r) = 1 lists no outer degree, so its rational
+    verdict and its verdict at every p not dividing r build no f_w.
     """
-    r, k = entry.u_degree, 1
-    if entry.root is not None and (p is None or entry.k % p):
-        below = _verdict(entry.root, p)
+    root = entry.root
+    if root is not None and (p is None or entry.k % p):
+        below = _verdict(root, p)
         if below is None or p is not None and below.verdict == NONCOMPOSITE_P:
-            k = entry.k
-    outers = [n for n in _outer_degrees(entry.sums_gcd, r, p) if n > k]
+            if entry.k % 2 == 0 and root.top_sign is None:
+                # the coefficient of the (s, t)-largest monomial at u^r, read once per root
+                root.top_sign = max((i, t, c) for (i, e, t), c in root.f.terms() if e == root.u_degree)[2]
+            inner = root.f if entry.k % 2 or root.top_sign == 1 else -root.f
+            inner = inner if p is None else inner.reduce_mod(p)
+            witness = CompositionWitness(outer=dickson(entry.k, p), inner=inner, p=p, dickson_index=entry.k)
+            return witness if p is None else PrimeVerdict(p, COMPOSITE_NOT_SPECIAL, witness, 0)
+    r = entry.u_degree
+    outers = _outer_degrees(entry.sums_gcd, r, p)
     f = None  # the polynomial searched: f_w over QQ, else the core of f_w mod p
     if outers:
         if entry.faces is None:
@@ -467,22 +482,13 @@ def _decide(entry: _WordEntry, p: Optional[int]):
             f = entry.f.reduce_mod(p)
             g = _degree_gcd(f)[0]
         outers = [n for n in outers if g % n == 0]
-    strip = k == 1 and p is not None and r % p == 0
+    strip = p is not None and r % p == 0
     if f is None and (outers or strip):
         f = entry.f if p is None else entry.f.reduce_mod(p)
     j = 0
     if strip:
         f, j = frobenius_strip(f)
     witness = None if f is None else _find_witness(f, outers, entry.sums_gcd == 0, p)
-    if witness is None and k > 1:
-        root = entry.root
-        if k % 2 == 0 and root.top_sign is None:
-            # the coefficient of the (s, t)-largest monomial at u^r, read once per root
-            root.top_sign = max((i, t, c) for (i, e, t), c in root.f.terms() if e == root.u_degree)[2]
-        inner = root.f if k % 2 or root.top_sign == 1 else -root.f
-        if p is not None:
-            inner = inner.reduce_mod(p)
-        witness = CompositionWitness(outer=dickson(k, p), inner=inner, p=p, dickson_index=k)
     if p is None:
         return witness
     if witness is None and j == 0:
@@ -580,7 +586,7 @@ def power_word_report(w: Word) -> PowerWordReport:
     k | d whose inner at index k matches the root's trace polynomial; an
     aperiodic word must be rationally noncomposite.  Any mismatch is
     flagged rather than raised, since it would contradict the classified
-    dichotomy in the tested regime.  Unless an outer above k succeeds, a
+    dichotomy in the tested regime.  Where the root is NoncompositeQ, a
     proper power's witness is read from its root's row (see the module
     docstring) and matches the root by construction, so the independent
     check of those verdicts is the search on f_w alone, kept in the test

@@ -427,7 +427,7 @@ class TestClassifyGlobal:
         assert verdicts[2] == COMPOSITE_NOT_SPECIAL
 
     def test_large_p_max_within_budget(self):
-        # the D_4 tried before k = 2 at every odd p took roots by a scan of F_p: 0.4 s
+        # D_4, once tried above k = 2 at every odd p, took roots by a scan of F_p: 0.4 s
         w = parse("x^2y^2x^2y^-2") ** 2
         best = math.inf
         for _ in range(3):
@@ -503,22 +503,19 @@ MEMO_WORDS = ["xyxy", "xyXY", "xyxyxy", "xxyXYYxyXy", "x^2yx^-1y^3", "xyXYxyXY",
 
 
 def _rational_searches(w):
-    """The rational witness searches of w: one for w and one for its root, each where an outer degree divides g(f).
+    """The rational witness searches of w: one for its root, w itself unless a proper power, where an outer degree divides g(f).
 
     The outer degrees are the divisors n >= 2 of gcd(gcd(A, B), r), and
     g(f) is the gcd of f's degrees in u, s, t and in total.  A proper power
-    v^k, with v noncomposite over QQ as every root here is, searches only
-    the outers above k.
+    v^k, with v noncomposite over QQ as every root here is, reads its
+    rational verdict off v's and searches nothing itself.
     """
-    root, k = proper_power_root(canonicalize(w)[0])
-    count = 0
-    for v, above in [(root, 1), (w, k)] if k > 1 else [(w, 1)]:
-        st_ = stats(canonicalize(v)[0])
-        f = trace_poly(v, engine=TraceEngine()).f
-        g = math.gcd(f.deg("u"), f.deg("s"), f.deg("t"), f.total_degree())
-        m = math.gcd(st_.A, st_.B, f.deg("u"))
-        count += any(m % n == 0 and g % n == 0 for n in range(above + 1, m + 1))
-    return count
+    root = proper_power_root(canonicalize(w)[0])[0]
+    st_ = stats(canonicalize(root)[0])
+    f = trace_poly(root, engine=TraceEngine()).f
+    g = math.gcd(f.deg("u"), f.deg("s"), f.deg("t"), f.total_degree())
+    m = math.gcd(st_.A, st_.B, f.deg("u"))
+    return int(any(m % n == 0 and g % n == 0 for n in range(2, m + 1)))
 
 
 class TestVerdictMemo:
@@ -786,6 +783,31 @@ def _stream_powers(seeds=(1, 2, 3), count=500):
     return list(found.values())
 
 
+def _powers_above_k(max_length=8, ks=(2, 3, 4)):
+    """One power v^k per memo entry, v of up to ``max_length`` letters, whose entry lists a rational outer above its k dividing g(f_w).
+
+    The listed outers are the divisors n >= 2 of gcd(gcd(A, B), r), and
+    g(f_w) is the gcd of f_w's degrees in u, s, t and in total, so these are
+    the powers where reading a noncomposite root's verdict takes the place
+    of a search on f_w: the oracle checks on each that no outer above k
+    exists.
+    """
+    eng = TraceEngine()
+    found = {}
+    for v in enumerate_words(max_length):
+        for k in ks:
+            entry = eng.entry(v**k)
+            if entry in found:
+                continue
+            above = [n for n in _outer_degrees(entry.sums_gcd, entry.u_degree, None) if n > entry.k]
+            if above:
+                f = entry.f
+                g = math.gcd(f.deg("u"), f.deg("s"), f.deg("t"), f.total_degree())
+                if any(g % n == 0 for n in above):
+                    found[entry] = v**k
+    return list(found.values())
+
+
 @st.composite
 def proper_powers(draw):
     """v^k for an aperiodic root v, k in 2..6; every other root has exponent sums (0, 0)."""
@@ -822,11 +844,11 @@ class TestPowerVerdicts:
             "xy" * 4,  # p | k at 2; p = 5, 13 are 1 mod 4
             "x^2y^-1" * 5,  # p | k at 5; p = 11 is 1 mod 5
             "xYxyy" * 6,  # p | k at 2 and 3; p = 7, 13 are 1 mod 6
-            "x^2y^2x^2y^-2" * 2,  # D_4 and D_2 are ruled out by f_w's degrees
-            "x^2yx^4y" * 2,  # D_4 is tried before k = 2 over QQ and at odd p
+            "x^2y^2x^2y^-2" * 2,  # the root's degrees rule out D_2, and f_w's rule out D_4
+            "x^2yx^4y" * 2,  # f_w's degrees allow D_4 above k = 2, which the root rules out
             "xy^2xy^2xy^2",  # a cube of a one-syllable root
-            "xyXY" * 2,  # (0, 0) sums: decompose_in_u at n = 4 before k = 2
-            "xyXY" * 3,  # (0, 0) sums: n = 6 before k = 3, except at p = 2 and 3
+            "xyXY" * 2,  # (0, 0) sums: r = 4 lists n = 4 above k = 2, which f_w's degrees rule out too
+            "xyXY" * 3,  # (0, 0) sums: r = 6 lists n = 6 above k = 3; at p = 3, p | k, f_w mod 3 is searched
         ],
     )
     def test_fixed_cases(self, text, monkeypatch):
@@ -836,8 +858,36 @@ class TestPowerVerdicts:
         words = _stream_powers()
         assert len(words) > 100
         words += [v**k for v in enumerate_words(4) for k in (2, 3)]
-        for w in words:
+        above = _powers_above_k()
+        assert len(above) >= 40
+        for w in words + above:
             self._check(w, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "text,k",
+        [("x^2yx^4y", 2), ("x^2y^2x^2y^-2", 3), ("x^2y^4x^2y^2", 2), ("x^3y^3x^3y^3x^3y^-3", 2), ("xyXY", 3)],
+    )
+    def test_a_noncomposite_root_leaves_f_w_unbuilt(self, text, k, monkeypatch):
+        # each lists an outer above k; at p | k the search on f_w mod p still runs
+        eng = TraceEngine()
+        monkeypatch.setattr(trace, "_DEFAULT_ENGINE", eng)
+        searched = []
+        real = decompose._find_witness
+
+        def counted(f, *args):
+            searched.append(f)
+            return real(f, *args)
+
+        monkeypatch.setattr(decompose, "_find_witness", counted)
+        w = parse(text) ** k
+        primes = [p for p in self.PRIMES if k % p]
+        classify_rational(w)
+        for p in primes:
+            classify_p(w, p)
+        entry = eng.entry(w)
+        assert entry.root is not None and entry._f is None
+        f = trace_poly(w, engine=TraceEngine()).f
+        assert not {f, *(f.reduce_mod(p) for p in primes)} & set(searched)
 
     @given(proper_powers())
     @settings(max_examples=30)
@@ -931,7 +981,7 @@ class TestPowerVerdicts:
             (COMPOSITE_NOT_SPECIAL, 2), (COMPOSITE_NOT_SPECIAL, 0), (COMPOSITE_NOT_SPECIAL, 2),
         ] + [(COMPOSITE_NOT_SPECIAL, 0)] * 3
 
-    def test_a_larger_candidate_is_still_tried(self, monkeypatch):
+    def test_no_larger_candidate_is_tried(self, monkeypatch):
         tried = []
         real = decompose._try_outer
 
@@ -940,11 +990,11 @@ class TestPowerVerdicts:
             return real(f, blocks, n, zero_sums, p)
 
         monkeypatch.setattr(decompose, "_try_outer", counted)
-        # the root has r = 2, (A, B) = (6, 2) and degree gcd 2, so its square keeps D_4
+        # the root has r = 2, (A, B) = (6, 2) and degree gcd 2, so its square's degrees allow D_4
         w = parse("x^2yx^4y" * 2)
         witness = classify_rational(w, engine=TraceEngine())[1]
-        # the root's own candidate 2, then 4 on f_w; no recomposition at k = 2
-        assert tried == [(None, 2), (None, 4)]
+        # the root's own candidate 2 only: a noncomposite root leaves no outer above k = 2
+        assert tried == [(None, 2)]
         root = trace_poly(parse("x^2yx^4y")).f
         assert witness.dickson_index == 2 and witness.inner in (root, -root)
 
