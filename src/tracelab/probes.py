@@ -5,10 +5,18 @@ the one evaluator of a TriPoly on F_q^3 (`sl2.fiber_distribution` uses
 it too).
 Writing f = sum_j u^j G_j(s,t), it evaluates each G_j once on a grid of
 (s,t), the whole q x q grid unless a sub-grid is selected, then f on that
-grid for one u at a time by Horner's rule in u.  Tables are read flat: with
-row = q * mul_table[u], a Horner step is add_flat.take(row.take(val) + G_j),
-two 1-D takes on element codes.  Work is O(q x rows x cols x deg_u f)
-lookups in O(rows x cols x deg_u f) memory; the cube is never held.
+grid by Horner's rule.  Tables are read flat: with row = q * mul_table[x],
+a Horner step in x is add_flat.take(row.take(val) + G), three array
+operations on element codes.  At odd q the blocks split by the parity of j,
+f = E(u^2) + u O(u^2) (the even/odd split, Knuth, TAOCP vol. 2, 4.6.4), and
+one Horner pass in v = u^2 over E and over O serves both roots +-u of v.
+E's last step reads a q-scaled add table, so one index q E + u O reads
+E + u O = f(u) from add_flat and E - u O = f(-u) from the subtraction table
+add[:, neg].  A square with one root gets a Horner pass in u: u = 0, which
+reads G_0, and every u in characteristic 2, where squaring is a bijection;
+the two pairing tables are built at odd q only.  Per point, at odd q, that
+is about (3 deg_u f + 1) / 2 array operations against 3 deg_u f for a pass
+per u, in O(rows x cols x deg_u f) memory; the cube is never held.
 
 Level sets are counted on orbit representatives and relabelled.  For f over
 F_p and q = p^n the counts of the plane at s, over all (u, t), move under
@@ -30,9 +38,12 @@ every element of G over these weighted counts gives the full counts
 2|G| times over.  A polynomial with neither parity rule over a prime field,
 such as s + t + u*t, is counted on the whole grid; characteristic 2 gets
 the Frobenius reduction only.  The work falls to about q^3 / 4 points at odd
-primes and by a further factor near n at q = p^n.  sl2's fiber pass visits
-the same representatives (_representatives) and relabels through the same
-sum (_orbit_sum), with the two parities read off its word's exponent sums.
+primes and by a further factor near n at q = p^n.  Each slice is tallied by
+one bincount of f's values weighted by their lines' weights in float64:
+every partial sum is an integer of at most q^3 <= 2048^3 < 2^53, so the
+float sums are exact.  sl2's fiber pass visits the same representatives
+(_representatives) and relabels through the same sum (_orbit_sum), with the
+two parities read off its word's exponent sums.
 
 The counts of the last four (f, field) pairs, q ints each, are memoized and
 handed out as copies: a screen run after a probe of the same f over the
@@ -74,20 +85,42 @@ def _u_blocks_on_grid(f: TriPoly, F: GF, select: Select) -> list[np.ndarray]:
     return out
 
 
-def _u_slices(f: TriPoly, F: GF, select: Select) -> Iterator[np.ndarray]:
-    """f over F_p on the grid [s, t], for u = 0, 1, ..., q-1 in turn.
+def _u_slices(f: TriPoly, F: GF, select: Select) -> Iterator[tuple[int, np.ndarray]]:
+    """(u, f over F_p on the grid [s, t] at u), once for every u of F_q.
 
-    select = (s_vals, t_vals) picks the rows and columns.  A slice may be
-    shared with the next one or with the block grids, so callers only read
-    it.
+    select = (s_vals, t_vals) picks the rows and columns.  u = 0 comes
+    first, as G_0; the rest come in the order of the pairing, not of u.  At
+    odd q each pair (u, -u) comes from one Horner pass in v = u^2 over
+    f = E(u^2) + u O(u^2), as in the module docstring; in characteristic 2,
+    where every square has one root, and for f free of u, each u gets a
+    Horner pass in u.  A slice may be shared with another one or with the
+    block grids, so callers only read it.
     """
-    add = F.add_table.ravel()
-    top, *lower = reversed(_u_blocks_on_grid(f, F, select))
-    for u in range(F.q):
-        row, val = F.mul_table[u] * F.q, top
-        for grid in lower:
+    q, add, scaled = F.q, F.add_table.ravel(), F.mul_table * F.q
+
+    def horner(row, grids):  # sum_j x^j grids[j], row = q * mul_table[x]
+        val = grids[-1]
+        for grid in grids[-2::-1]:
             val = add.take(row.take(val) + grid)
-        yield val
+        return val
+
+    blocks = _u_blocks_on_grid(f, F, select)
+    yield 0, blocks[0]
+    if F.p == 2 or len(blocks) == 1:
+        for u in range(1, q):
+            yield u, horner(scaled[u], blocks)
+        return
+    neg = F.neg_table
+    add_q = add * q  # q (a + b) at a q + b
+    sub = F.add_table[:, neg].ravel()  # a - b at a q + b
+    even, odd = blocks[0::2], blocks[1::2]
+    low_q = even[0] * q
+    for u in np.flatnonzero(np.arange(q) < neg).tolist():  # one u of each pair
+        row = scaled[F.mul_table.item(u, u)]
+        qe = add_q.take(row.take(horner(row, even[1:])) + even[0]) if len(even) > 1 else low_q
+        at = qe + F.mul_table[u].take(horner(row, odd))  # q E + u O
+        yield u, add.take(at)
+        yield neg.item(u), sub.take(at)
 
 
 def _parities(f: TriPoly) -> tuple[Optional[int], Optional[int]]:
@@ -162,23 +195,34 @@ def _orbit_sum(weighted: np.ndarray, maps: np.ndarray, mirror: np.ndarray) -> np
 
 @lru_cache(maxsize=4)
 def _cube_counts(f: TriPoly, F: GF) -> np.ndarray:
+    """N_z of f over F_p for every z of F = F_q, from the weighted orbit tally.
+
+    Each slice of _u_slices on the orbit representatives is binned by f's
+    value with its line's weight as a float64 (exact, see the module
+    docstring), the weighted counts are relabelled by _orbit_sum, and the
+    result must partition the q^3 points.
+    """
     q = F.q
     s_maps, z_maps, t_mirror, z_mirror = _symmetries(F, *_parities(f))
     select, weights, cls = _representatives(s_maps, t_mirror)
-    base = cls * q
+    line = weights.take(cls).ravel().astype(np.float64)
     tally = sum(
-        np.bincount((base + val).ravel(), minlength=len(weights) * q)
-        for val in _u_slices(f, F, select)
+        np.bincount(val.ravel(), weights=line, minlength=q) for _u, val in _u_slices(f, F, select)
     )
-    counts = _orbit_sum(weights @ tally.reshape(-1, q), z_maps, z_mirror)
+    counts = _orbit_sum(tally.astype(np.int64), z_maps, z_mirror)
     if int(counts.sum()) != q**3:
         raise RuntimeError("level-set counts do not partition the coordinate cube")
     return counts
 
 
+def _over_prime_field(f: TriPoly, F: GF) -> TriPoly:
+    """f as a polynomial over F's prime field F_p: reduced mod p if f is over Q."""
+    if f.p is not None and f.p != F.p:
+        raise ValueError(f"polynomial over F_{f.p} cannot be evaluated in F_{F.q}")
+    return f.reduce_mod(F.p) if f.p is None else f
+
+
 def level_set_counts(f: TriPoly, q: int) -> np.ndarray:
     """All level-set sizes at once: counts[z] = N_z, an array of length q."""
     F = field(q)
-    if f.p is not None and f.p != F.p:
-        raise ValueError(f"polynomial over F_{f.p} cannot be evaluated in F_{F.q}")
-    return _cube_counts(f.reduce_mod(F.p) if f.p is None else f, F).copy()
+    return _cube_counts(_over_prime_field(f, F), F).copy()

@@ -57,6 +57,7 @@ from .gf import GF, field
 from .probes import (
     Select,
     _orbit_sum,
+    _over_prime_field,
     _representatives,
     _symmetries,
     _u_slices,
@@ -371,13 +372,15 @@ def _point_pairs(table: ClassTable, s, u, t):
     raise RuntimeError("a point has no representative pair")
 
 
-def _word_slices(w: Word, table: ClassTable, select: Select) -> Iterator[np.ndarray]:
-    """tr w on the grid [s, t], for u = 0, 1, ..., q-1 in turn.
+def _word_slices(
+    w: Word, table: ClassTable, select: Select
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(u, tr w on the grid [s, t] at u), for u = 0, 1, ..., q-1 in turn.
 
     tr w(x, y) = f_w(s, u, t) on every pair over the point (s, u, t), so
-    the word on one pair per point from _point_pairs yields what
+    the word on one pair per point from _point_pairs yields the pairs that
     _u_slices yields from f_w, on the same selection of rows and columns,
-    without tracing w.
+    in u's order rather than the pairing's, without tracing w.
     """
     F, q = table.field, table.q
     s_vals, t_vals = select
@@ -386,7 +389,7 @@ def _word_slices(w: Word, table: ClassTable, select: Select) -> Iterator[np.ndar
     for u in range(q):
         x, y = _point_pairs(table, s, np.full(s.size, u), t)
         a, _, _, d = (np.broadcast_to(v, s.shape) for v in _eval_word(F, w, x, y))
-        yield F.add_table[a, d].reshape(shape)
+        yield u, F.add_table[a, d].reshape(shape)
 
 
 def _word_classes(w: Word, table: ClassTable, x, y, z, where: str) -> np.ndarray:
@@ -532,7 +535,7 @@ def _fiber_totals(w: Word, table: ClassTable) -> np.ndarray:
         slices = _u_slices(trace_poly(w).f.reduce_mod(F.p), F, select)
     kinds = _pi_fiber_kinds(table, select)  # [s rep, u, t rep]
     fw = np.empty(kinds.shape, dtype=np.intp)
-    for u, val in enumerate(slices):
+    for u, val in slices:
         fw[:, u] = val
     values, nw = _pi_fiber_values(q), len(weights)
     tally = np.bincount(((wcls[:, None] * q + fw) * 4 + kinds).ravel(), minlength=nw * q * 4)
@@ -886,14 +889,17 @@ def lang_weil_check(
 ) -> LangWeilReport:
     """Check |N_z - q^2| <= (d-1)(d-2)q^{3/2} + 12(d+3)^4 q off the exclusions.
 
-    The irrational bound is compared exactly by isolating the q^{3/2} term
-    and squaring.  When d > 4 and q > 16 the sharper residual form
-    |N_z - q^2| < 50 d^4 q is evaluated as well.
+    d is the degree of the polynomial counted, f mod p for f over Q.  The
+    irrational bound is compared exactly by isolating the q^{3/2} term and
+    squaring.  When d > 4 and q > 16 the sharper residual form
+    |N_z - q^2| < 50 d^4 q is evaluated as well.  A polynomial constant
+    mod p is refused with ValueError.
     """
-    if f.is_constant:
-        raise ValueError("level-set screen requires a nonconstant polynomial")
-    counts = level_set_counts(f, q)
-    d = f.total_degree()
+    fq = _over_prime_field(f, field(q))
+    if fq.is_constant:
+        raise ValueError("level-set screen requires a polynomial nonconstant mod p")
+    counts = level_set_counts(fq, q)
+    d = fq.total_degree()
     excluded = tuple(sorted(set(spectrum_exclusions)))
     c1 = (d - 1) * (d - 2)
     c2 = 12 * (d + 3) ** 4
@@ -945,14 +951,17 @@ def spectrum_probe(f: TriPoly, p: int, n_list: Sequence[int]) -> SpectrumProbe:
     whose counts are near multiples of q^2, while irreducible levels stay
     within the point-count bound at these desk-scale q.  Candidates are
     restricted to the prime field, where the embedding into every probed
-    extension is canonical.
+    extension is canonical.  The spectrum bound reads the degree of f mod p,
+    and a polynomial constant mod p is refused with ValueError.
     """
     if not n_list:
         raise ValueError("n_list must be nonempty")
     fq = f.reduce_mod(p) if f.p is None else f
     if fq.p != p:
         raise ValueError(f"polynomial is over F_{fq.p}, probe requested p = {p}")
-    d = f.total_degree()
+    if fq.is_constant:
+        raise ValueError("level-set screen requires a polynomial nonconstant mod p")
+    d = fq.total_degree()
     per_field: dict[int, tuple[int, ...]] = {}
     flagged: Optional[set[int]] = None
     for n in sorted(set(n_list)):

@@ -15,8 +15,11 @@ table, `word_value`, the determinant check on one pair in front of that
 evaluator, which the tests check against `word_eval_string`,
 `kappa_zero`, kappa built as a `TriPoly` and evaluated on all of F_q^3
 by the library's cube evaluator, the reference for the locus that `sl2`
-reads from its conic root table, `cube_level_counts`, the same evaluator's
-count over the whole cube, the reference for the orbit counts of `probes`,
+reads from its conic root table, `horner_u_slices`, the per-u Horner loop
+that `probes._u_slices` ran before it paired u with -u, on the library's
+u-block grids, the reference for that evaluator, `cube_level_counts`,
+that loop's count over the whole cube, the reference for the orbit counts
+of `probes`,
 `match_inner_full_power`, the
 u-block matcher that raises the whole of Q to the n-th power for every
 block, kept on `TriPoly` arithmetic as the reference for the truncated
@@ -89,7 +92,7 @@ from tracelab.decompose import (
 )
 from tracelab.experiments import _genericity_report
 from tracelab.gf import _factor_prime_power, field
-from tracelab.probes import _u_slices
+from tracelab.probes import _u_blocks_on_grid, _u_slices
 from tracelab.sl2 import _IDENTITY, _eval_word, build_class_table
 from tracelab.tripoly import TriPoly, _norm_coeff, _nth_roots, _pack, frobenius_strip
 from tracelab.unipoly import UniPoly, _recurrence, dickson, dickson_apply
@@ -783,7 +786,24 @@ def kappa_zero(F):
     """
     s, u, t = (TriPoly.var(v, F.p) for v in "sut")
     kappa = s * s + t * t + u * u - u * s * t - TriPoly.const(4, F.p)
-    return np.stack([val == 0 for val in _u_slices(kappa, F, (np.arange(F.q), np.arange(F.q)))], axis=1)
+    slices = dict(_u_slices(kappa, F, (np.arange(F.q), np.arange(F.q))))
+    return np.stack([slices[u] == 0 for u in range(F.q)], axis=1)
+
+
+def horner_u_slices(f, F, select):
+    """f over F_p on the grid [s, t], for u = 0, 1, ..., q-1 in turn.
+
+    The loop `probes._u_slices` ran before it paired u with -u: one Horner
+    pass in u per slice over the library's u-block grids, the reference for
+    the paired evaluator.
+    """
+    add = F.add_table.ravel()
+    top, *lower = reversed(_u_blocks_on_grid(f, F, select))
+    for u in range(F.q):
+        row, val = F.mul_table[u] * F.q, top
+        for grid in lower:
+            val = add.take(row.take(val) + grid)
+        yield val
 
 
 # ---------------------------------------------------------------------------
@@ -810,14 +830,15 @@ def poly_value(f, F, s, u, t):
 
 
 def cube_level_counts(f, q):
-    """N_z for every z from the library's evaluator on the whole cube, no symmetry used.
+    """N_z for every z from `horner_u_slices` on the whole cube, no symmetry used.
 
     One bincount per u-slice of the full q x q grid, with the partition
     check: the reference for the orbit counts of `level_set_counts`.
     """
     F = field(q)
     g = f if f.p is not None else f.reduce_mod(F.p)
-    counts = sum(np.bincount(val.ravel(), minlength=q) for val in _u_slices(g, F, (np.arange(q), np.arange(q))))
+    grid = (np.arange(q), np.arange(q))
+    counts = sum(np.bincount(val.ravel(), minlength=q) for val in horner_u_slices(g, F, grid))
     if int(counts.sum()) != q**3:
         raise RuntimeError("level-set counts do not partition the coordinate cube")
     return counts.tolist()

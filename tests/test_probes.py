@@ -1,15 +1,16 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracelab import probes
-from tracelab.gf import _factor_prime_power
+from tracelab.gf import _factor_prime_power, field
 from tracelab.probes import level_set_counts
 from tracelab.sl2 import lang_weil_check, spectrum_probe
 from tracelab.trace import trace_poly
 from tracelab.tripoly import TriPoly
 from tracelab.words import parse
 
-from _oracles import cube_level_counts, naive_level_counts, tripoly_from_terms
+from _oracles import cube_level_counts, horner_u_slices, naive_level_counts, tripoly_from_terms
 
 U = TriPoly.var("u", None)
 S = TriPoly.var("s", None)
@@ -94,6 +95,50 @@ class TestOrbitCounts:
         _assert_matches_references(tripoly_from_terms(terms, _factor_prime_power(q)[0]), q)
 
 
+SLICE_QS = [2, 3, 4, 5, 7, 8, 9, 25, 27, 49, 121, 125, 127, 128]
+# the sign-rule cases, then u-degrees 0 and 1 and a single parity of u-powers
+SLICE_CASES = {
+    **RULE_CASES,
+    "u-free": S**2 * T + S + T.scale(2),
+    "u-linear": U * S.scale(3) + T**2 + S,
+    "even-u": U**4 * S + (U**2 * T).scale(2) + S * T,
+    "odd-u": U**5 + U**3 * S * T + (U * T**2).scale(4),
+    "xxyXY-word": trace_poly(parse("xxyXY")).f,
+}
+
+
+def _assert_slices_match_reference(f, q, whole=True):
+    """Every u exactly once, on the orbit representatives and, if whole, on the whole grid."""
+    F = field(q)
+    s_maps, _, t_mirror, _ = probes._symmetries(F, *probes._parities(f))
+    grids = [probes._representatives(s_maps, t_mirror)[0]] + whole * [(np.arange(q), np.arange(q))]
+    for select in grids:
+        got = sorted(probes._u_slices(f, F, select), key=lambda pair: pair[0])
+        assert [u for u, _ in got] == list(range(q))
+        assert np.array_equal(np.stack([val for _, val in got]), np.stack(list(horner_u_slices(f, F, select))))
+
+
+class TestUSlices:
+    @pytest.mark.parametrize("q", SLICE_QS)
+    def test_matches_the_per_u_horner_loop(self, q):
+        # the sign-rule cases on the whole grid at q <= 49 only, to bound the time
+        p = _factor_prime_power(q)[0]
+        for case, f in SLICE_CASES.items():
+            _assert_slices_match_reference(f.reduce_mod(p), q, q <= 49 or case not in RULE_CASES)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 4), st.integers(0, 5), st.integers(0, 4)),
+            st.integers(-9, 9),
+            max_size=6,
+        ),
+        st.sampled_from([q for q in SLICE_QS if q <= 27]),
+    )
+    def test_random_polynomials_match_the_per_u_horner_loop(self, terms, q):
+        _assert_slices_match_reference(tripoly_from_terms(terms, _factor_prime_power(q)[0]), q)
+
+
 class TestPointsVisited:
     @staticmethod
     def _visited(monkeypatch, f, q):
@@ -101,9 +146,9 @@ class TestPointsVisited:
         u_slices = probes._u_slices
 
         def recording(f, F, *args):
-            for val in u_slices(f, F, *args):
+            for u, val in u_slices(f, F, *args):
                 sizes.append(val.size)
-                yield val
+                yield u, val
 
         monkeypatch.setattr(probes, "_u_slices", recording)
         probes._cube_counts.cache_clear()

@@ -292,10 +292,13 @@ class TestFiberDistribution:
             # the whole grid, then the orbit representatives the fiber pass visits
             s_maps, _, t_mirror, _ = probes._symmetries(F, *probes._parities(f))
             for select in ((np.arange(q), np.arange(q)), probes._representatives(s_maps, t_mirror)[0]):
-                traced = sl2._u_slices(f, F, select)
-                got_slices = sl2._word_slices(w, table, select)
-                for got, want in zip(got_slices, traced, strict=True):
-                    assert np.array_equal(got, want), str(w)
+                traced = list(sl2._u_slices(f, F, select))
+                got_slices = list(sl2._word_slices(w, table, select))
+                for pairs in (traced, got_slices):
+                    assert sorted(u for u, _ in pairs) == list(range(q)), str(w)
+                want = dict(traced)
+                for u, got in got_slices:
+                    assert np.array_equal(got, want[u]), str(w)
 
     @pytest.mark.parametrize("q", [25, 32])
     def test_matches_direct_evaluation_on_and_off_the_locus(self, q):
@@ -348,9 +351,9 @@ class TestFiberOrbits:
         u_slices = sl2._u_slices
 
         def recording(f, F, *args):
-            for val in u_slices(f, F, *args):
+            for u, val in u_slices(f, F, *args):
                 sizes.append(val.size)
-                yield val
+                yield u, val
 
         monkeypatch.setattr(sl2, "_u_slices", recording)
         fiber_distribution(parse("xyXY"), q)
@@ -717,6 +720,14 @@ class TestImageAnalysis:
                 image_analysis(parse("xy"), 7, sl_report=other)
 
 
+# 5 s^3 t^2 + u t + s: degree 5 over Q, u t + s of degree 2 mod 5
+_TOP_VANISHES_MOD_5 = (
+    (TriPoly.var("s", None) ** 3 * TriPoly.var("t", None) ** 2).scale(5)
+    + TriPoly.var("u", None) * TriPoly.var("t", None)
+    + TriPoly.var("s", None)
+)
+
+
 class TestLangWeil:
     def test_uniform_polynomial_passes(self):
         rep = lang_weil_check(TriPoly.var("u", 5), 5)
@@ -742,6 +753,16 @@ class TestLangWeil:
         jlo = trace_poly(parse("xxxxyXXYxxyXXY")).f
         assert lang_weil_check(jlo, 25).est01_applicable
         assert not lang_weil_check(jlo, 13).est01_applicable  # q <= 16
+
+    def test_degree_and_gate_read_from_f_mod_p(self):
+        rep = lang_weil_check(_TOP_VANISHES_MOD_5, 25)
+        assert rep.degree == 2
+        assert not rep.est01_applicable
+        assert rep == lang_weil_check(_TOP_VANISHES_MOD_5.reduce_mod(5), 25)
+
+    def test_polynomial_constant_mod_p_rejected(self):
+        with pytest.raises(ValueError, match="nonconstant mod p"):
+            lang_weil_check(TriPoly.var("u", None).scale(7), 7)
 
 
 class TestSpectrumProbe:
@@ -773,3 +794,10 @@ class TestSpectrumProbe:
     def test_threshold_is_recorded(self):
         pr = spectrum_probe(TriPoly.var("u", 3), 3, [1])
         assert "2*|N_z - q^2| >= q^2" in pr.threshold
+
+    def test_degree_read_from_f_mod_p(self):
+        assert spectrum_probe(_TOP_VANISHES_MOD_5, 5, [1, 2]).degree == 2
+
+    def test_polynomial_constant_mod_p_rejected(self):
+        with pytest.raises(ValueError, match="nonconstant mod p"):
+            spectrum_probe(TriPoly.var("u", None).scale(7), 7, [1])
