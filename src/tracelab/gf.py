@@ -10,7 +10,11 @@ the prime field sits at 0..p-1.
 Addition and multiplication tables are q-by-q int64 arrays (2 * 8 * q^2
 bytes), all built at once from the base-p digit vectors of the elements,
 so that bulk work (enumerating SL(2, q), evaluating polynomials on grids)
-can run as fancy indexing instead of per-element Python calls.
+can run as fancy indexing instead of per-element Python calls.  A third
+table, q times the product (``GF.scaled_mul_table``), is built on its first
+read and kept: a product read from it is already scaled for the next flat
+index q x + y of a q-by-q table, so the matrix products of ``sl2`` scale
+each entry of the left factor once rather than each product.
 
 The module also owns the integer arithmetic under them, in time
 polynomial in the digits: primality (``is_prime``), exact integer roots
@@ -20,7 +24,7 @@ and the factorization of a prime power q = p^n.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -141,6 +145,13 @@ class GF:
         # row 0 of mul holds no 1, which leaves the sentinel inv_table[0] = 0
         self.inv_table = np.argmax(mul == 1, axis=1)
         self.squares = frozenset(mul.diagonal().tolist())
+
+    @cached_property
+    def scaled_mul_table(self) -> np.ndarray:
+        """q * mul_table, read-only, built on first use and kept with the field."""
+        table = self.mul_table * self.q
+        table.flags.writeable = False
+        return table
 
     # scalar ops -------------------------------------------------------------
 

@@ -69,8 +69,9 @@ def _u_blocks_on_grid(f: TriPoly, F: GF, select: Select) -> list[np.ndarray]:
     q, add, mul = F.q, F.add_table.ravel(), F.mul_table.ravel()
     s_vals, t_vals = select
     blocks = f.u_coefficients()
+    top = max(f.deg("s"), f.deg("t"))
     pows = [np.full(q, F.one), np.arange(q)]  # pows[i][x] = x^i
-    while len(pows) <= max(max(blk.deg("s"), blk.deg("t")) for blk in blocks):
+    while len(pows) <= top:
         pows.append(mul.take(pows[-1] * q + pows[1]))
     out = []
     for blk in blocks:
@@ -96,6 +97,8 @@ def _u_slices(f: TriPoly, F: GF, select: Select) -> Iterator[tuple[int, np.ndarr
     Horner pass in u.  A slice may be shared with another one or with the
     block grids, so callers only read it.
     """
+    # built per call, not read from GF.scaled_mul_table: each level-set field
+    # (q up to 128) would keep 8 q^2 bytes more, for no measured gain here
     q, add, scaled = F.q, F.add_table.ravel(), F.mul_table * F.q
 
     def horner(row, grids):  # sum_j x^j grids[j], row = q * mul_table[x]

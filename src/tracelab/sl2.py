@@ -34,13 +34,19 @@ is one free PGL(2,q)-orbit; on it, on the pairs of each class
 representative x_c of trace s with the y of tr y = t and tr x_c y = u, at
 about q pairs per point, solved from one conic for every noncentral x_c
 (each is in companion form (0, b, -1/b, s)), or one y per class when x_c
-is central.  No pass over the group is made: a word too long to trace
-reads f_w from one pair per point, since tr w(x, y) = f_w(pi(x, y)) on
-every pair.  Counts accumulate in a fixed class order, so results are
-deterministic.
+is central.  Both kinds of pairs form one stream, and the word is
+evaluated once per batch of at most _LOCUS_BATCH pairs of it, so once per
+report at q <= 32 (_pm2_totals).  No pass over the group is made: a word
+too long to trace reads f_w from one pair per point, since
+tr w(x, y) = f_w(pi(x, y)) on every pair.  Counts accumulate in a fixed
+class order, so results are deterministic.
 
 The class table of each q, which holds the conic root table, is built on
-first use and looked up after, as the field is (build_class_table).
+first use and looked up after, as the field is (build_class_table).  What
+a report reads that no word changes is kept the same way, built on a q's
+first report: the orbit representatives, their weights and the pi-fiber
+kinds on them (_orbit_frame), and the class relabellings of each parity
+of the exponent sums (_relabellings).
 """
 
 from __future__ import annotations
@@ -101,15 +107,20 @@ _IDENTITY: Matrix = (1, 0, 0, 1)
 
 
 def _mat_mul(F: GF, M, N):
-    """M N, reading the GF tables through flat 1-D takes."""
-    a, b, c, d = M
+    """M N, reading the GF tables through flat 1-D takes.
+
+    An entry x0 y0 + x1 y1 of M N is read from the add table at
+    q (x0 y0) + x1 y1, with q (x0 y0) from the field's q-scaled product
+    table.  Each entry of M is scaled by q once for its two products, one
+    row of M at a time.
+    """
+    q, add, mul, scaled = F.q, F.add_table.ravel(), F.mul_table.ravel(), F.scaled_mul_table.ravel()
     e, f, g, h = N
-    q, add, mul = F.q, F.add_table.ravel(), F.mul_table.ravel()
-
-    def dot(x0, y0, x1, y1):  # x0 y0 + x1 y1
-        return add.take(mul.take(x0 * q + y0) * q + mul.take(x1 * q + y1))
-
-    return dot(a, e, b, g), dot(a, f, b, h), dot(c, e, d, g), dot(c, f, d, h)
+    out = []
+    for x0, x1 in (M[:2], M[2:]):
+        x0, x1 = x0 * q, x1 * q
+        out += (add.take(scaled.take(x0 + y0) + mul.take(x1 + y1)) for y0, y1 in ((e, g), (f, h)))
+    return tuple(out)
 
 
 def _mat_pow(F: GF, M, e: int):
@@ -123,16 +134,19 @@ def _mat_pow(F: GF, M, e: int):
 def _eval_word(F: GF, w: Word, X, Y):
     """w(X, Y) for matrices of codes or of equal-length code arrays.
 
-    Each distinct block's power is computed once.  Entries keep the shapes
-    of their operands: a block that only touches code matrices stays scalar.
+    Each distinct block's power is computed once and dropped after its
+    last use.  Entries keep the shapes of their operands: a block that only
+    touches code matrices stays scalar.
     """
+    last = {block: i for i, block in enumerate(w.blocks)}
     powers: dict = {}
     acc = None
-    for block in w.blocks:
+    for i, block in enumerate(w.blocks):
         if block not in powers:
             gen, exp = block
             powers[block] = _mat_pow(F, X if gen == _GEN_X else Y, exp)
-        acc = powers[block] if acc is None else _mat_mul(F, acc, powers[block])
+        power = powers.pop(block) if last[block] == i else powers[block]
+        acc = power if acc is None else _mat_mul(F, acc, power)
     return _IDENTITY if acc is None else acc
 
 
@@ -392,29 +406,28 @@ def _word_slices(
         yield u, F.add_table[a, d].reshape(shape)
 
 
-def _word_classes(w: Word, table: ClassTable, x, y, z, where: str) -> np.ndarray:
+def _word_classes(w: Word, table: ClassTable, x, y, z) -> np.ndarray:
     """The class of w(x, y) on each pair, once its trace is checked against z = f_w."""
     F = table.field
     vals = [np.broadcast_to(v, z.shape) for v in _eval_word(F, w, x, y)]
     if not np.array_equal(F.add_table[vals[0], vals[3]], z):
-        raise RuntimeError(f"the word's trace differs from f_w at a {where}")
+        raise RuntimeError("the word's trace differs from f_w at a pair over a +-2 point")
     return table.classify_array(*vals)
 
 
-def _off_locus_totals(w: Word, table: ClassTable, points, z, wcls, nw) -> np.ndarray:
-    """Pairs per class over the flat [s, u, t] points off the locus where f_w = z = +-2.
+def _off_locus_totals(table: ClassTable, idx, z, wcls, nw) -> np.ndarray:
+    """Pairs per class over points off the locus where f_w = z = +-2.
 
-    The pi-fiber of such a point is one free PGL(2,q)-orbit, and the class
-    of w is conjugation-invariant there, so one pair decides the point: if
-    w is central there, the central class of trace z gets all q^3 - q pairs;
-    if not, they split evenly over the unipotent classes of trace z (two
-    when q is odd, one when q is even), which conjugation by PGL(2,q) swaps.
-    Returns nw rows of totals, indexed [weight class, class], each point
-    counted in row wcls[point].
+    idx is the class of w on one representative pair per point
+    (_point_pairs).  The pi-fiber of such a point is one free
+    PGL(2,q)-orbit, and the class of w is conjugation-invariant there, so
+    one pair decides the point: if w is central there, the central class of
+    trace z gets all q^3 - q pairs; if not, they split evenly over the
+    unipotent classes of trace z (two when q is odd, one when q is even),
+    which conjugation by PGL(2,q) swaps.  Returns nw rows of totals,
+    indexed [weight class, class], each point counted in row wcls[point].
     """
     q = table.q
-    x, y = _point_pairs(table, points // (q * q), points // q % q, points % q)
-    idx = _word_classes(w, table, x, y, z, "representative pair")
     central = idx == table.trace_class.take(z)
     unipotent = table._index[z[~central], 1:]
     row, col = np.nonzero(unipotent >= 0)
@@ -477,64 +490,130 @@ def _locus_pairs(table: ClassTable, points):
     return xc, weight, k, tuple(y)
 
 
-# pairs per word evaluation on the locus; bounds the memory of the batch
+# pairs per batch of the +-2 pass, which evaluates the word once per batch:
+# the locus pairs of _LOCUS_BATCH // (4q + 3) locus points, as many as that
+# many points can carry, then one pair for each off-locus point that still
+# fits; bounds the memory of that evaluation
 _LOCUS_BATCH = 2**18
 
 
-def _locus_totals(
-    w: Word, table: ClassTable, points, z, wcls, nw, expected: int
-) -> np.ndarray:
-    """Pairs per class over the flat [s, u, t] points on the locus where f_w = z = +-2.
+def _pair_batch(table: ClassTable, on_points, off_points, lo: int):
+    """(weight, k, x, y): the pairs of one batch of _pm2_totals.
 
-    The word is evaluated on every pair of _locus_pairs, about q per class
-    representative and point, in batches of at most _LOCUS_BATCH pairs: a
-    point carries at most 4q + 3 of them.  The pairs must stand for
-    `expected` pairs of the group, the sum of N over the points, and the
-    trace of each value must be f_w at its point.  Returns the totals
-    indexed [weight class, class], as _off_locus_totals does.
+    The locus pairs of on_points come first, as _locus_pairs gives them,
+    then the representative pair of each point of off_points from lo on,
+    up to _LOCUS_BATCH pairs in all; x and y hold the concatenated code
+    arrays, and the parts they were built from are freed on return.
     """
-    ncls = len(table.classes)
-    nbins = nw * ncls * ncls
+    q = table.q
+    xc, weight, k, y = _locus_pairs(table, on_points)
+    points = off_points[lo : lo + max(0, _LOCUS_BATCH - xc.size)]
+    x_off, y_off = _point_pairs(table, points // (q * q), points // q % q, points % q)
+    x = [np.concatenate((col.take(xc), v)) for col, v in zip(table._reps, x_off)]
+    return weight, k, x, [np.concatenate(pair) for pair in zip(y, y_off)]
+
+
+def _pm2_totals(w: Word, table: ClassTable, off, on, nw: int, expected: int) -> np.ndarray:
+    """Pairs per class over the points where f_w = z = +-2, indexed [weight class, class].
+
+    off and on are (flat [s, u, t] points, z, weight classes) for the
+    points off the locus kappa = 0 and on it.  Their pairs form one stream:
+    one representative pair per point off the locus (_point_pairs), and on
+    it the pairs of _locus_pairs, about q per class representative and
+    point and at most 4q + 3 per point.  Each batch holds the locus pairs
+    of a run of locus points, then off-locus points up to _LOCUS_BATCH
+    pairs by the pairs actually made, and the word is evaluated once per
+    batch (_word_classes); at q <= 32 every report fits one batch.  The
+    off-locus part is binned by _off_locus_totals, and each locus pair
+    counts the size of the class it stands for: the locus pairs must stand
+    for `expected` pairs of the group, the sum of N over the locus points.
+    """
+    q, ncls = table.q, len(table.classes)
+    (off_points, off_z, off_wcls), (on_points, on_z, on_wcls) = off, on
     # [weight class of the point, class the pair stands for, class of w]
-    counts = np.zeros(nbins, dtype=np.int64)
-    step = max(1, _LOCUS_BATCH // (4 * table.q + 3))
-    for start in range(0, points.size, step):
-        xc, weight, k, y = _locus_pairs(table, points[start : start + step])
-        x = tuple(col.take(xc) for col in table._reps)
-        idx = _word_classes(w, table, x, y, z[start : start + step].take(k), "locus pair")
-        cell = wcls[start : start + step].take(k) * ncls + weight
-        counts += np.bincount(cell * ncls + idx, minlength=nbins)
-    totals = table.sizes @ counts.reshape(nw, ncls, ncls)
-    if int(totals.sum()) != expected:
+    counts = np.zeros(nw * ncls * ncls, dtype=np.int64)
+    totals = np.zeros((nw, ncls), dtype=np.int64)
+    step = max(1, _LOCUS_BATCH // (4 * q + 3))
+    start = lo = 0
+    while start < on_points.size or lo < off_points.size:
+        batch = slice(start, start + step)
+        weight, k, x, y = _pair_batch(table, on_points[batch], off_points, lo)
+        hi = lo + x[0].size - k.size
+        z = np.concatenate((on_z[batch].take(k), off_z[lo:hi]))
+        idx = _word_classes(w, table, x, y, z)
+        cell = on_wcls[batch].take(k) * ncls + weight
+        counts += np.bincount(cell * ncls + idx[: k.size], minlength=counts.size)
+        totals += _off_locus_totals(table, idx[k.size :], off_z[lo:hi], off_wcls[lo:hi], nw)
+        start, lo = start + step, hi
+    on_totals = table.sizes @ counts.reshape(nw, ncls, ncls)
+    if int(on_totals.sum()) != expected:
         raise RuntimeError("the locus pairs do not account for every pi-fiber")
-    return totals
+    return totals + on_totals
+
+
+@lru_cache(maxsize=None)
+def _orbit_frame(q: int) -> tuple[Select, np.ndarray, np.ndarray, np.ndarray]:
+    """(select, weights, wcls, kinds): the orbit representatives every report at q visits.
+
+    A word's exponent sums A and B are always defined, so both sign rules
+    hold for every word and _symmetries moves s and t alike at every
+    parity: select, weights and wcls are those of _representatives, and
+    kinds the pi-fiber kinds on select (_pi_fiber_kinds), indexed
+    [s rep, u, t rep].  Memoized per q and built on the first report at q;
+    the arrays are shared, so read-only.  Memory is bounded: over every
+    prime power q <= MAX_FIBER_Q the kinds come to 4.2 MB of int8, and the
+    frames' other arrays to 0.4 MB.
+    """
+    table = build_class_table(q)
+    s_maps, _, t_mirror, _ = _symmetries(table.field, 0, 0)
+    select, weights, wcls = _representatives(s_maps, t_mirror)
+    frame = (select, weights, wcls, _pi_fiber_kinds(table, select))
+    for array in (*select, *frame[1:]):
+        array.flags.writeable = False
+    return frame
+
+
+@lru_cache(maxsize=None)
+def _relabellings(q: int, parities: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The class maps of the sign and Frobenius relabellings and of the mirror.
+
+    parities = (A % 2, B % 2) for a word's exponent sums A and B, which fix
+    how the relabellings move traces (_symmetries).  Characteristic 2 has
+    no sign rules, so reports at even q ask for (0, 0) only.  Memoized per
+    (q, parities); the arrays are shared, so read-only.
+    """
+    table = build_class_table(q)
+    _, z_maps, _, z_mirror = _symmetries(table.field, *parities)
+    maps = _class_maps(table, z_maps), _class_maps(table, z_mirror)
+    for array in maps:
+        array.flags.writeable = False
+    return maps
 
 
 def _fiber_totals(w: Word, table: ClassTable) -> np.ndarray:
     """#{(x, y) : w(x, y) in C} per class C, through f_w and the pi-fiber weights.
 
     The points visited are the orbit representatives of the module
-    docstring, each line (s, t) weighted by its orbit's size.  A trace z
-    other than +-2 fixes the class and gets the weighted sum of N over the
-    points where f_w = z, one bincount over (weight class, f_w, kind of N).
-    The points where f_w = +-2 are split by the word itself, binned by
-    weight class: off the locus through one representative pair each, on
-    it through the pairs of each class representative with the y of those
-    traces.  The weighted class totals are then summed over every
-    relabelling (_class_maps) and divided by 2|G| (probes._orbit_sum).
-    f_w is traced for a word of at most _MAX_TRACED_LENGTH letters and
-    read from the word on one pair per point for a longer one.
+    docstring (_orbit_frame), each line (s, t) weighted by its orbit's
+    size.  A trace z other than +-2 fixes the class and gets the weighted
+    sum of N over the points where f_w = z, one bincount over (weight
+    class, f_w, kind of N).  The points where f_w = +-2 are split by the
+    word itself, evaluated once per batch of pairs (_pm2_totals): off the
+    locus on one representative pair each, on it on the pairs of each
+    class representative with the y of those traces.  The weighted class
+    totals are then summed over every relabelling (_relabellings) and
+    divided by 2|G| (probes._orbit_sum).  f_w is traced for a word of at
+    most _MAX_TRACED_LENGTH letters and read from the word on one pair per
+    point for a longer one.
     """
     F, q = table.field, table.q
     A, B, _, _ = _exponent_sums(w.blocks)
-    s_maps, z_maps, t_mirror, z_mirror = _symmetries(F, A % 2, B % 2)
-    select, weights, wcls = _representatives(s_maps, t_mirror)
+    select, weights, wcls, kinds = _orbit_frame(q)  # kinds indexed [s rep, u, t rep]
     if w.length > _MAX_TRACED_LENGTH:
         slices = _word_slices(w, table, select)
     else:
         slices = _u_slices(trace_poly(w).f.reduce_mod(F.p), F, select)
-    kinds = _pi_fiber_kinds(table, select)  # [s rep, u, t rep]
-    fw = np.empty(kinds.shape, dtype=np.intp)
+    fw = np.empty(kinds.shape, dtype=np.min_scalar_type(q - 1))  # codes, one byte each at q <= 256
     for u, val in slices:
         fw[:, u] = val
     values, nw = _pi_fiber_values(q), len(weights)
@@ -553,10 +632,10 @@ def _fiber_totals(w: Word, table: ClassTable) -> np.ndarray:
         points = (select[0].take(i) * q + u) * q + select[1].take(j)
         return points, fw.ravel().take(flat), wcls[i, j]
 
-    off = _off_locus_totals(w, table, *located(off_locus), nw)
-    on = _locus_totals(w, table, *located(on_locus), nw, expected)
-    weighted += weights @ (off + on)
-    return _orbit_sum(weighted, _class_maps(table, z_maps), _class_maps(table, z_mirror))
+    off, on = located(off_locus), located(on_locus)
+    del fw, pm2  # freed before the +-2 pass, which reads its points only
+    weighted += weights @ _pm2_totals(w, table, off, on, nw, expected)
+    return _orbit_sum(weighted, *_relabellings(q, (A % 2, B % 2) if q % 2 else (0, 0)))
 
 
 def _fiber_report(w: Word, q: int, group: str, order: int, rows) -> FiberReport:
@@ -893,14 +972,18 @@ def lang_weil_check(
     irrational bound is compared exactly by isolating the q^{3/2} term and
     squaring.  When d > 4 and q > 16 the sharper residual form
     |N_z - q^2| < 50 d^4 q is evaluated as well.  A polynomial constant
-    mod p is refused with ValueError.
+    mod p is refused with ValueError, as is an exclusion that is not a
+    level 0..q-1 of F_q.
     """
+    excluded = tuple(sorted(set(spectrum_exclusions)))
+    outside = [z for z in excluded if z not in range(q)]
+    if outside:
+        raise ValueError(f"spectrum exclusions outside the levels 0..{q - 1} of F_{q}: {outside}")
     fq = _over_prime_field(f, field(q))
     if fq.is_constant:
         raise ValueError("level-set screen requires a polynomial nonconstant mod p")
     counts = level_set_counts(fq, q)
     d = fq.total_degree()
-    excluded = tuple(sorted(set(spectrum_exclusions)))
     c1 = (d - 1) * (d - 2)
     c2 = 12 * (d + 3) ** 4
     rows = []
@@ -952,10 +1035,14 @@ def spectrum_probe(f: TriPoly, p: int, n_list: Sequence[int]) -> SpectrumProbe:
     within the point-count bound at these desk-scale q.  Candidates are
     restricted to the prime field, where the embedding into every probed
     extension is canonical.  The spectrum bound reads the degree of f mod p,
-    and a polynomial constant mod p is refused with ValueError.
+    and a polynomial constant mod p is refused with ValueError, as is a
+    degree n in n_list that is not an int >= 1.
     """
     if not n_list:
         raise ValueError("n_list must be nonempty")
+    for n in n_list:
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"field degree must be an int >= 1: {n!r}")
     fq = f.reduce_mod(p) if f.p is None else f
     if fq.p != p:
         raise ValueError(f"polynomial is over F_{fq.p}, probe requested p = {p}")

@@ -72,6 +72,19 @@ class TestEnumerateGroup:
         assert all(k0 < k1 for k0, k1 in zip(keys, keys[1:]))
 
 
+def _random_sl2(F, rng, n):
+    """n random elements of SL(2,q): (a, b, c, (1 + bc)/a) for a != 0, else (0, b, -1/b, d)."""
+    mats = []
+    for _ in range(n):
+        a, b, c = (rng.randrange(F.q) for _ in range(3))
+        if a:
+            mats.append((a, b, c, F.mul(F.inv(a), F.add(F.one, F.mul(b, c)))))
+        else:
+            b = b or F.one
+            mats.append((0, b, F.neg(F.inv(b)), c))
+    return mats
+
+
 class TestWordValue:
     def test_hand_product(self):
         F = field(3)
@@ -108,6 +121,25 @@ class TestWordValue:
         F = field(5)
         with pytest.raises(ValueError):
             word_value(parse("xy"), (2, 0, 0, 1), (1, 0, 0, 1), F)
+
+    @pytest.mark.parametrize("q", [16, 25, 27, 32, 127, 128])
+    def test_products_on_code_arrays_match_the_letter_oracle(self, q):
+        # the fiber tests compare with direct_fiber_totals, which runs this same
+        # evaluator, so its q-scaled products are checked here letter by letter
+        F = field(q)
+        rng = random.Random(q)
+        X, Y = (_random_sl2(F, rng, 48) for _ in range(2))
+        Xa, Ya = (tuple(np.array(col) for col in zip(*mats)) for mats in (X, Y))
+        got = list(zip(*(v.tolist() for v in sl2._mat_mul(F, Xa, Ya))))
+        assert got == [mat_mul(F, m, n) for m, n in zip(X, Y)]
+        for text in ("xyXY", "xxxxyXXYxxyXXY", "XXXyyXXXyy", "xYxxy", "YYYYYYYxxxxx"):
+            w = parse(text)
+            got = list(zip(*(v.tolist() for v in sl2._eval_word(F, w, Xa, Ya))))
+            assert got == [word_eval_string(F, text, m, n) for m, n in zip(X, Y)], text
+            # a code matrix against code arrays, as direct_fiber_totals runs it
+            vals = sl2._eval_word(F, w, X[0], Ya)
+            got = list(zip(*(np.broadcast_to(v, (len(Y),)).tolist() for v in vals)))
+            assert got == [word_eval_string(F, text, X[0], n) for n in Y], text
 
     @pytest.mark.parametrize("q", [2, 7, 9])
     def test_matrix_powers_match_repeated_products(self, q):
@@ -368,6 +400,73 @@ class TestFiberOrbits:
             tracemalloc.stop()
         assert peak <= 16 * 2**20, f"budget exceeded: {peak / 2**20:.1f} MB > 16 MB"
         assert sum(r.class_size * r.fiber_per_element for r in rep.rows) == rep.order**2
+
+    def test_pm2_pass_at_the_top_odd_q_within_memory_budget(self):
+        # about as many off-locus +-2 points as locus pairs, so one batch holds
+        # twice the pairs of either part; the report before the batches were
+        # merged peaked at 10.0 MB
+        w = parse("x^4yX^2Yx^2yX^2Y")
+        fiber_distribution(w, 127)  # builds the orbit frame and traces w
+        tracemalloc.start()
+        try:
+            rep = fiber_distribution(w, 127)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11 * 2**20, f"budget exceeded: {peak / 2**20:.1f} MB > 11 MB"
+        assert sum(r.class_size * r.fiber_per_element for r in rep.rows) == rep.order**2
+
+
+class TestFiberPass:
+    def test_one_word_evaluation_per_report(self, monkeypatch):
+        # at q <= 32 the off-locus and locus pairs fit one batch
+        calls = []
+        word_classes = sl2._word_classes
+        monkeypatch.setattr(sl2, "_word_classes", lambda *args: calls.append(1) or word_classes(*args))
+        w = parse("xyXY")
+        rep = fiber_distribution(w, 25)
+        assert len(calls) == 1
+        assert [r.class_size * r.fiber_per_element for r in rep.rows] == direct_fiber_totals(w, 25)
+
+    def test_batches_cut_by_the_pairs_they_hold(self, monkeypatch):
+        # a small batch splits the pass; the totals must not move
+        w = parse("x^4yX^2Yx^2yX^2Y")
+        want = fiber_distribution(w, 25).rows
+        sizes = []
+        word_classes = sl2._word_classes
+        monkeypatch.setattr(sl2, "_LOCUS_BATCH", 512)
+        def recording(w, table, x, y, z):
+            sizes.append(z.size)
+            return word_classes(w, table, x, y, z)
+
+        monkeypatch.setattr(sl2, "_word_classes", recording)
+        assert fiber_distribution(w, 25).rows == want
+        assert len(sizes) > 2 and max(sizes) <= 512
+
+    def test_frames_built_once_per_q_and_read_only(self, monkeypatch):
+        sl2._orbit_frame.cache_clear()
+        sl2._relabellings.cache_clear()
+        built = []
+        kinds = sl2._pi_fiber_kinds
+        monkeypatch.setattr(sl2, "_pi_fiber_kinds", lambda table, select: built.append(table.q) or kinds(table, select))
+        for q in (25, 32):
+            for wtext in ("xyXY", "xxy", "xyy", "xy", "xyXYxyXY"):  # every parity of (A, B)
+                fiber_distribution(parse(wtext), q)
+        assert built == [25, 32]
+        # four parities at odd q, one in characteristic 2
+        assert sl2._relabellings.cache_info().currsize == 5
+        for q in (25, 32):
+            select, *arrays = sl2._orbit_frame(q)
+            for array in (*select, *arrays, *sl2._relabellings(q, (0, 0))):
+                assert not array.flags.writeable
+
+    def test_report_after_clearing_the_field_cache_is_unchanged(self):
+        words = [parse(t) for t in ("xyXY", "xxy", "x^4yX^2Yx^2yX^2Y", "xy" * 17)]
+        before = [fiber_distribution(w, q) for q in (16, 25) for w in words]
+        field.cache_clear()
+        assert [fiber_distribution(w, q) for q in (16, 25) for w in words] == before
+        build_class_table.cache_clear()
+        assert [fiber_distribution(w, q) for q in (16, 25) for w in words] == before
 
 
 EXPONENTS = st.sampled_from([-2, -1, 1, 2])
@@ -764,6 +863,16 @@ class TestLangWeil:
         with pytest.raises(ValueError, match="nonconstant mod p"):
             lang_weil_check(TriPoly.var("u", None).scale(7), 7)
 
+    @pytest.mark.parametrize("exclusions", [(7, -1), (5,), (0, 4, 5), (-1,)])
+    def test_exclusion_outside_the_field_rejected(self, exclusions):
+        with pytest.raises(ValueError, match="outside the levels 0..4 of F_5"):
+            lang_weil_check(TriPoly.var("u", 5), 5, spectrum_exclusions=exclusions)
+
+    def test_rows_and_exclusions_partition_the_levels(self):
+        rep = lang_weil_check(TriPoly.var("u", 5), 5, spectrum_exclusions=(0, 4, 4))
+        assert rep.excluded == (0, 4)
+        assert sorted(r.z for r in rep.rows) + list(rep.excluded) == [1, 2, 3, 0, 4]
+
 
 class TestSpectrumProbe:
     def test_uniform_polynomial_flags_nothing(self):
@@ -801,3 +910,8 @@ class TestSpectrumProbe:
     def test_polynomial_constant_mod_p_rejected(self):
         with pytest.raises(ValueError, match="nonconstant mod p"):
             spectrum_probe(TriPoly.var("u", None).scale(7), 7, [1])
+
+    @pytest.mark.parametrize("n_list, bad", [([-1], "-1"), ([1.5], r"1\.5"), ([0], "0"), ([1, "2"], "'2'")])
+    def test_bad_field_degree_rejected_by_name(self, n_list, bad):
+        with pytest.raises(ValueError, match=f"field degree must be an int >= 1: {bad}$"):
+            spectrum_probe(TriPoly.var("u", 5), 5, n_list)
