@@ -972,10 +972,15 @@ def lang_weil_check(
     irrational bound is compared exactly by isolating the q^{3/2} term and
     squaring.  When d > 4 and q > 16 the sharper residual form
     |N_z - q^2| < 50 d^4 q is evaluated as well.  A polynomial constant
-    mod p is refused with ValueError, as is an exclusion that is not a
+    mod p is refused with ValueError, as is an exclusion that is not an int
     level 0..q-1 of F_q.
     """
-    excluded = tuple(sorted(set(spectrum_exclusions)))
+    levels = set()
+    for z in spectrum_exclusions:
+        if isinstance(z, bool) or not isinstance(z, (int, np.integer)):
+            raise ValueError(f"spectrum exclusion must be an int level: {z!r}")
+        levels.add(int(z))
+    excluded = tuple(sorted(levels))
     outside = [z for z in excluded if z not in range(q)]
     if outside:
         raise ValueError(f"spectrum exclusions outside the levels 0..{q - 1} of F_{q}: {outside}")
@@ -986,31 +991,28 @@ def lang_weil_check(
     d = fq.total_degree()
     c1 = (d - 1) * (d - 2)
     c2 = 12 * (d + 3) ** 4
-    rows = []
-    max_res = 0.0
+    kept = np.ones(q, dtype=bool)
+    kept[list(excluded)] = False
+    zs = np.flatnonzero(kept)
+    level_counts = counts.take(zs)
+    diff = np.abs(level_counts - q * q)
+    # diff < q^3, so a c2 q clamped to q^3 passes the same levels and keeps head in int64
+    head = diff - min(c2 * q, q**3)
+    passed = head <= 0
+    for i in np.flatnonzero(~passed).tolist():  # head^2 can pass 2^63: square in Python ints
+        passed[i] = int(head[i]) ** 2 <= c1 * c1 * q**3
     est01_applicable = d > 4 and q > 16
-    est01_ok = True if est01_applicable else None
-    all_pass = True
-    for z in range(q):
-        if z in excluded:
-            continue
-        diff = abs(int(counts[z]) - q * q)
-        head = diff - c2 * q
-        ok = head <= 0 or head * head <= c1 * c1 * q**3
-        all_pass = all_pass and ok
-        max_res = max(max_res, diff / q**1.5)
-        if est01_applicable and not diff < 50 * d**4 * q:
-            est01_ok = False
-        rows.append(LevelSetRow(z=z, count=int(counts[z]), passed=ok))
+    top = int(diff.max(initial=0))  # x -> x / q^1.5 rounds monotonically: the largest residual
+    rows = tuple(map(LevelSetRow, zs.tolist(), level_counts.tolist(), passed.tolist()))
     return LangWeilReport(
         q=q,
         degree=d,
         excluded=excluded,
-        rows=tuple(rows),
-        all_pass=all_pass,
-        max_residual=max_res,
+        rows=rows,
+        all_pass=bool(passed.all()),
+        max_residual=top / q**1.5,
         est01_applicable=est01_applicable,
-        est01_ok=est01_ok,
+        est01_ok=top < 50 * d**4 * q if est01_applicable else None,
     )
 
 

@@ -855,6 +855,30 @@ def naive_level_counts(f, q):
     return counts
 
 
+def lang_weil_by_level(counts, q, d, excluded):
+    """The fields of `sl2.lang_weil_check`'s report from its counts, one level at a time.
+
+    The per-level loop the screen ran before it was vectorized, on Python
+    ints: returns the kwargs of a LangWeilReport past q, degree and excluded,
+    with each row as a (z, count, passed) triple.
+    """
+    c1, c2 = (d - 1) * (d - 2), 12 * (d + 3) ** 4
+    rows, max_res, all_pass = [], 0.0, True
+    est01_ok = True if d > 4 and q > 16 else None
+    for z in range(q):
+        if z in excluded:
+            continue
+        diff = abs(int(counts[z]) - q * q)
+        head = diff - c2 * q
+        ok = head <= 0 or head * head <= c1 * c1 * q**3
+        all_pass = all_pass and ok
+        max_res = max(max_res, diff / q**1.5)
+        if est01_ok is not None and not diff < 50 * d**4 * q:
+            est01_ok = False
+        rows.append((z, int(counts[z]), ok))
+    return dict(rows=rows, all_pass=all_pass, max_residual=max_res, est01_ok=est01_ok)
+
+
 # ---------------------------------------------------------------------------
 # Dickson reference via the functional equation on exact rationals
 

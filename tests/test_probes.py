@@ -139,30 +139,115 @@ class TestUSlices:
         _assert_slices_match_reference(tripoly_from_terms(terms, _factor_prime_power(q)[0]), q)
 
 
+# one polynomial for each kind of line of a quadratic a u^2 + b u + c
+QUADRATIC_CASES = {
+    "u^2": U**2,
+    "s u^2 + t u": S * U**2 + T * U,
+    "u^2 + s u + t": U**2 + S * U + T,
+    "(s^2 - 4) u^2 + u": (S**2 - TriPoly.const(4, None)) * U**2 + U,
+    "s u + t": S * U + T,
+}
+
+
+def _whole_grid_tally(f, F):
+    """The tally of each u-slice of the whole grid, every line of weight 1, by the per-u loop."""
+    grid = (np.arange(F.q), np.arange(F.q))
+    return sum(np.bincount(val.ravel(), minlength=F.q) for val in horner_u_slices(f, F, grid))
+
+
+class TestQuadraticTally:
+    @pytest.mark.parametrize("q", ORBIT_QS)
+    @pytest.mark.parametrize("case", QUADRATIC_CASES)
+    def test_every_line_kind_matches_the_references(self, case, q):
+        f = QUADRATIC_CASES[case].reduce_mod(_factor_prime_power(q)[0])
+        _assert_matches_references(f, q)
+        F = field(q)
+        grid = (np.arange(q), np.arange(q))
+        blocks = probes._u_blocks_on_grid(f, F, grid)
+        tally = probes._quadratic_tally(blocks, F, np.ones(q * q, dtype=np.int64))
+        assert np.array_equal(tally, _whole_grid_tally(f, F))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 4), st.integers(0, 2), st.integers(0, 4)),
+            st.integers(-9, 9),
+            max_size=6,
+        ),
+        st.sampled_from(ORBIT_QS),
+    )
+    def test_random_quadratics_match_the_references(self, terms, q):
+        _assert_matches_references(tripoly_from_terms(terms, _factor_prime_power(q)[0]), q)
+
+    @pytest.mark.parametrize("q", [q for q in ORBIT_QS if q % 2 == 0])
+    def test_absolute_trace_is_the_sum_of_the_conjugates(self, q):
+        F = field(q)
+        want = []
+        for x in range(q):
+            total, power = 0, x
+            for _ in range(F.n):
+                total, power = F.add(total, power), F.mul(power, power)
+            want.append(total)
+        got = probes._absolute_trace(F)
+        assert got.tolist() == want
+        assert np.bincount(got, minlength=2).tolist() == [q // 2, q // 2]
+
+    @pytest.mark.parametrize("q", [q for q in ORBIT_QS if q % 2])
+    def test_quadratic_character_is_eulers_criterion(self, q):
+        F = field(q)
+        want = []
+        for x in range(q):
+            power = 1
+            for _ in range((q - 1) // 2):
+                power = F.mul(power, x)
+            want.append({0: 0, 1: 1}.get(power, -1))
+        assert probes._quadratic_character(F).tolist() == want
+
+
 class TestPointsVisited:
     @staticmethod
     def _visited(monkeypatch, f, q):
-        sizes = []
-        u_slices = probes._u_slices
+        """(points of the u-slices, lines of the closed-form tally) that counting f at q reads."""
+        sizes, lines = [], []
+        u_slices, quadratic_tally = probes._u_slices, probes._quadratic_tally
 
         def recording(f, F, *args):
             for u, val in u_slices(f, F, *args):
                 sizes.append(val.size)
                 yield u, val
 
+        def tallying(blocks, F, line):
+            lines.append(line.size)
+            return quadratic_tally(blocks, F, line)
+
         monkeypatch.setattr(probes, "_u_slices", recording)
+        monkeypatch.setattr(probes, "_quadratic_tally", tallying)
         probes._cube_counts.cache_clear()
         level_set_counts(f, q)
-        return sum(sizes)
+        return sum(sizes), sum(lines)
+
+    @pytest.mark.parametrize("q,share", [(101, 3), (125, 5), (128, 5)])
+    def test_cubic_word_visits_orbit_representatives(self, monkeypatch, q, share):
+        f = trace_poly(parse("xyXYxy")).f
+        points, lines = self._visited(monkeypatch, f, q)
+        assert 0 < points <= q**3 / share
+        assert lines == 0
 
     @pytest.mark.parametrize("q,share", [(101, 3), (125, 5), (128, 5)])
     def test_commutator_visits_orbit_representatives(self, monkeypatch, q, share):
+        # u-degree 2: no u-slice, one closed-form count per representative line
         f = trace_poly(parse("xyXY")).f
-        assert self._visited(monkeypatch, f, q) <= q**3 / share
+        points, lines = self._visited(monkeypatch, f, q)
+        assert points == 0
+        assert 0 < lines <= q**2 / share
 
     def test_no_symmetry_visits_the_whole_cube(self, monkeypatch):
+        f = S + T + U**3 * T
+        assert self._visited(monkeypatch, f, 101) == (101**3, 0)
+
+    def test_no_symmetry_quadratic_reads_every_line(self, monkeypatch):
         f = RULE_CASES["neither"]
-        assert self._visited(monkeypatch, f, 101) == 101**3
+        assert self._visited(monkeypatch, f, 101) == (0, 101**2)
 
 
 class TestMemo:
@@ -182,17 +267,25 @@ class TestMemo:
         assert at_p2 == naive_level_counts(f, p * p)
         assert list(level_set_counts(f, p)) == at_p
 
-    def test_probe_then_screen_counts_once(self, monkeypatch):
+    @staticmethod
+    def _passes(monkeypatch, name, word):
+        """The fields that a probe then a screen of word mod 11 ran probes.<name> on."""
         passes = []
-        u_slices = probes._u_slices
+        counter = getattr(probes, name)
 
-        def counting(f, F, *args):
-            passes.append(F.q)
-            return u_slices(f, F, *args)
+        def counting(*args):
+            passes.append(args[1].q)
+            return counter(*args)
 
-        monkeypatch.setattr(probes, "_u_slices", counting)
+        monkeypatch.setattr(probes, name, counting)
         probes._cube_counts.cache_clear()
-        fp = trace_poly(parse("xyXY")).f.reduce_mod(11)
+        fp = trace_poly(parse(word)).f.reduce_mod(11)
         probe = spectrum_probe(fp, 11, [1])
         lang_weil_check(fp, 11, spectrum_exclusions=probe.flagged)
-        assert passes == [11]
+        return passes
+
+    def test_probe_then_screen_counts_once(self, monkeypatch):
+        assert self._passes(monkeypatch, "_u_slices", "xyXYxy") == [11]
+
+    def test_probe_then_screen_tallies_the_quadratic_once(self, monkeypatch):
+        assert self._passes(monkeypatch, "_quadratic_tally", "xyXY") == [11]

@@ -42,6 +42,7 @@ from _oracles import (
     group_elements,
     group_pi_table,
     kappa_zero,
+    lang_weil_by_level,
     mat_inv,
     mat_mul,
     mat_neg,
@@ -872,6 +873,46 @@ class TestLangWeil:
         rep = lang_weil_check(TriPoly.var("u", 5), 5, spectrum_exclusions=(0, 4, 4))
         assert rep.excluded == (0, 4)
         assert sorted(r.z for r in rep.rows) + list(rep.excluded) == [1, 2, 3, 0, 4]
+
+    @pytest.mark.parametrize("exclusion", [1.0, True, np.True_, "1"])
+    def test_non_int_exclusion_rejected(self, exclusion):
+        with pytest.raises(ValueError, match="must be an int level"):
+            lang_weil_check(TriPoly.var("u", 5), 5, spectrum_exclusions=[exclusion])
+
+    def test_numpy_int_exclusion_stored_as_int(self):
+        rep = lang_weil_check(TriPoly.var("u", 5), 5, spectrum_exclusions=[np.int64(2), 4])
+        assert rep.excluded == (2, 4)
+        assert [type(z) for z in rep.excluded] == [int, int]
+
+    @pytest.mark.parametrize(
+        "word,q",
+        [("xyXY", 5), ("xyXY", 128), ("xxyXY", 121), ("xxxxyXXYxxyXXY", 101), ("xxxxyXXYxxyXXY", 25)],
+    )
+    def test_screen_matches_the_per_level_loop(self, monkeypatch, word, q):
+        # counts just past q^2 + 12 (d+3)^4 q, where the squared test decides, then random up to q^3
+        f = trace_poly(parse(word)).f
+        d = f.reduce_mod(field(q).p).total_degree()
+        edge = q * q + 12 * (d + 3) ** 4 * q + np.array([-1, 0, 1, 2, 3000, 3001])
+        rng = np.random.default_rng(q)
+        counts = np.concatenate([edge, [0, q * q, q**3], rng.integers(0, q**3 + 1, q)])[:q]
+        counts = counts.clip(0, q**3)
+        monkeypatch.setattr(sl2, "level_set_counts", lambda fq, q: counts.copy())
+        excluded = (1, 3, q - 1)
+        rep = lang_weil_check(f, q, spectrum_exclusions=excluded)
+        want = lang_weil_by_level(counts, q, d, excluded)
+        want["rows"] = tuple(sl2.LevelSetRow(*row) for row in want["rows"])
+        assert repr(rep) == repr(
+            sl2.LangWeilReport(q=q, degree=d, excluded=excluded, est01_applicable=d > 4 and q > 16, **want)
+        )
+
+    @pytest.mark.parametrize("past,ok", [(-1, True), (0, False)])
+    def test_residual_bound_is_strict(self, monkeypatch, past, ok):
+        # degree 5 at q = 181, where |N_z - q^2| <= q^3 - q^2 can reach 50 d^4 q
+        q = 181
+        counts = np.full(q, q * q)
+        counts[3] += 50 * 5**4 * q + past
+        monkeypatch.setattr(sl2, "level_set_counts", lambda fq, q: counts.copy())
+        assert lang_weil_check(trace_poly(parse("xxxyXY")).f, q).est01_ok is ok
 
 
 class TestSpectrumProbe:
