@@ -71,6 +71,10 @@ has leading coefficient +-1, so u^r survives mod p, and at p not
 dividing r the exponents' gcd is prime to p: f_w mod p has no Frobenius
 layer there and no strip runs.  A prime that does not divide r or c and
 leaves no outer degree dividing g is NoncompositeP without reducing f_w.
+So is a prime p | r that leaves none, where a term of f_w whose
+coefficient p does not divide has exponents with a gcd prime to p
+(``tripoly._layer_free``): f_w mod p then has no layer, and f_w is reduced
+mod p only when a layer or a search needs the core.
 Where gcd(gcd(A, B), r) = 1 no outer degree is listed at all, so the word
 is NoncompositeQ, and NoncompositeP at every p not dividing r, with no f_w
 built: the entry builds f_w on its first read (``trace._WordEntry``).
@@ -134,7 +138,7 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from .gf import is_prime, primes_in
-from .tripoly import TriPoly, _div, _norm_coeff, _nth_roots, frobenius_strip
+from .tripoly import TriPoly, _div, _layer_free, _norm_coeff, _nth_roots, frobenius_strip
 from .trace import TraceEngine, _WordEntry, _checked_entry, trace_poly
 from .unipoly import UniPoly, dickson, dickson_apply
 from .words import (
@@ -455,8 +459,9 @@ def _decide(entry: _WordEntry, p: Optional[int]):
     NoncompositeP at a p not dividing k, has every verdict read off v's:
     the witness is D_k with inner +-f_v (mod p), and no outer above k
     exists (module docstring), so nothing is searched.  Otherwise f_w is
-    read only for a search, a strip at p | r or a top-face content, and
-    the entry builds it on that first read (``trace._WordEntry``): a word
+    read only for a search, a strip at p | r (or the term that shows a
+    strip would find no layer) or a top-face content, and the entry
+    builds it on that first read (``trace._WordEntry``): a word
     with gcd(gcd(A, B), r) = 1 lists no outer degree, so its rational
     verdict and its verdict at every p not dividing r build no f_w.
     """
@@ -483,6 +488,8 @@ def _decide(entry: _WordEntry, p: Optional[int]):
             g = _degree_gcd(f)[0]
         outers = [n for n in outers if g % n == 0]
     strip = p is not None and r % p == 0
+    if strip and f is None and not outers and _layer_free(entry.f, p):
+        strip = False  # k = 0 and nothing to search: no core to reduce
     if f is None and (outers or strip):
         f = entry.f if p is None else entry.f.reduce_mod(p)
     j = 0

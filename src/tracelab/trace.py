@@ -23,52 +23,52 @@ product and in the block's exponent.
 When f_w's coefficients provably fit in 64 bits, the product runs on
 integers (Kronecker substitution; Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", J. Symbolic
-Comput. 44, 2009).  A key with x letters on X and r syllables packs
-s^i u^j t^k into the W-bit slot i + j*S + k*S*U, S = x + 1 and
-U = r + 1, t the major axis; that is, a component becomes its value at
-s = 2^W, u = 2^(WS), t = 2^(WSU), a ring homomorphism Z[s, u, t] -> Z.
-Each component is then one Python int, a table entry (source, monomial,
-c) one ``o += c * (v << shift)``, and only f_w is decoded.  Decoding is
-exact although the components may leave the box: f_w has degree at most
-x in s and r in u, so its support lies in the box, and its coefficients
-lie in (-2^(W-1), 2^(W-1)), which makes the balanced base-2^W digits
-unique.
+Comput. 44, 2009), graded so that each component fills a quarter of the
+plain (x+1)(r+1)(y+1) slot box.  The relations are invariant under
+x -> -x, which sends s, u, X to -s, -u, -X and a prefix of exponent sum
+A' on x to (-1)^A' times itself, so every s^i u^j t^k of a, b, c, d has
+i + j = A' + (0, 1, 0, 1) mod 2; y -> -y gives j + k = B' + (0, 0, 1, 1).
+With s, u, X and XY of weight 1 and t, Y of weight 0, a basis element
+times X or X^-1 has weight at most its own plus 1 (XY * X = uX + Y - t)
+and times Y or Y^-1 at most its own, so a prefix with x' letters on x
+has i + j <= x' in every component and f_w has i + j <= x; weights on t,
+u, Y and XY give j + k <= y (Horowitz's filtration).  So a key with x
+and y letters on x and y and r syllables puts s^i u^j t^k of a component
+of parities alpha, beta in the W-bit slot m + j*S + n*S*U, m = (i + j -
+alpha)/2, n = (k + j - beta)/2, S = x//2 + 1 and U = r + 1, and f_w's
+support lies in the S x U x (y//2 + 1) box.  Each component is one
+Python int, and a table entry (source, s^a u^b t^c, c) one
+``o += c * (v << shift)``, by (alpha + a + b)//2 slots in m, b in j and
+(beta + b + c)//2 in n, alpha and beta the source's (``_graded``): the
+entries are graded as the relations are, so each step commutes with the
+slot map.  Only f_w is decoded, exactly although a component's slots may
+overlap: f_w's support lies in the box and its coefficients in
+(-2^(W-1), 2^(W-1)), so its balanced base-2^W digits are unique.
 
-The bound is carried per component.  For a block's table let N[i][j] be
-the sum of |c| over the entries from source j to target i.  A target
-coefficient is a sum, over the table's entries, of c times one source
-coefficient, so if every coefficient of component j is at most B_j in
-absolute value before the block, every coefficient of component i is at
-most (N B)_i after it.  Starting from 1 = (1, 0, 0, 0), B <- N B at
-each block bounds a, b, c, d, and a coefficient of 2a + sb + tc + ud is
-at most 2 B_a + B_b + B_c + B_d.  Since (N B)_i <= growth * max(B), with
-growth the largest row sum of N, this bound is never above the scalar
-bound 5 * prod growth(block), so every key that bound packs is packed;
-on 926 random words of up to 24 letters it is 2 to 14 bits below that
-bound.  The slot width W is the fewest whole bytes with the bound below
-2^(W-1), W = 8 * (bound.bit_length() // 8 + 1), so narrow coefficients
-make short ints.  A key with the bound below 2^63 takes the packed path,
-at W <= 64; every other key, such as x^100 y, whose V_100 has
-coefficients far past 64 bits, takes the product over packed-key dicts,
-where a shift copies only the terms there are.  Both paths share one
-table per block.
+The bound is carried per component.  With N[i][j] the sum of |c| over a
+block's entries from source j to target i, coefficients of component j
+at most B_j in absolute value before the block give coefficients of
+component i at most (N B)_i after it.  So B <- N B from 1 = (1, 0, 0, 0)
+bounds a, b, c, d, and 2 B_a + B_b + B_c + B_d bounds f_w, never above
+the scalar bound 5 * prod growth(block), growth N's largest row sum.
+The slot width W is the fewest whole bytes with the bound below
+2^(W-1), W = 8 * (bound.bit_length() // 8 + 1).  A key with the bound
+below 2^63 takes the packed path, at W <= 64; every other key, such as
+x^100 y, takes the product over packed-key dicts, where a shift copies
+only the terms there are.  Both paths share one table per block.
 
-Whole words are memoized in a bounded memo, keyed on a normal form
-invariant under cyclic rotation and inversion, both of which preserve the
-trace, and a proper power v^k, cut at its least period as in
-``proper_power_root``, is traced as D_k(f_v), its entry linked to v's.
-Each word entry holds f_w, its u-degree, the gcd of its exponent sums and
-a row of the verdicts ``decompose`` reads off them (the rational witness
-and one verdict per prime asked), all invariant under the same moves; the
-row is evicted with f_w.  The entry builds f_w on the first read, not
-when it is made, and checks its u-degree against the key's syllable count
-before any reader gets it (``_WordEntry``), so a verdict that reads no f_w
-costs no product.  A word whose a-priori size bound is past
-``MAX_TRACE_SIZE`` is refused with ValueError before any work, and so is
-a product whose work bound is past ``MAX_TRACE_WORK``: for a proper power,
-the root's product and then the D_k recurrence on f_v.  The test suite's
-oracles evaluate the word on explicit matrices and run the classical
-Fricke recursion; f_w must agree with both, on either path.
+Whole words are memoized on a normal form invariant under rotation and
+inversion, which keep the trace; a proper power v^k, cut at its least
+period as in ``proper_power_root``, is traced as D_k(f_v), its entry
+linked to v's.  An entry holds f_w, its u-degree, gcd(A, B) and the row
+of verdicts ``decompose`` reads off them, evicted with f_w, and builds
+f_w on its first read (``_WordEntry``), so a verdict that reads no f_w
+costs no product.  A word past the a-priori size bound
+``MAX_TRACE_SIZE``, or a product past the work bound ``MAX_TRACE_WORK``
+(for a proper power, the root's product and then the D_k recurrence), is
+refused with ValueError before that work.  The test suite's oracles
+evaluate the word on explicit matrices and run the classical Fricke
+recursion; f_w must agree with both, on either path.
 
 Writing a canonical word as x^a1 y^b1 ... x^ar y^br, the expansion
 f_w = sum_k u^k G_k(s, t) stops exactly at k = r, and the single-syllable
@@ -87,7 +87,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .tripoly import _MASK, _SH_S, _SH_U, TriPoly
+from .tripoly import _SH_S, _SH_U, TriPoly, _unpack
 from .unipoly import _chebyshev_terms, dickson_apply
 from .words import Block, Word, X, Y, _cyclic_reduce, _exponent_sums, _invert, _period, canonicalize
 
@@ -102,6 +102,7 @@ _KS, _KU, _KT = 1 << _SH_S, 1 << _SH_U, 1
 # degree below the packed keys' 32767: x^32768 alone has size 32769 * 513.
 MAX_TRACE_WORK = 4 * 10**8
 MAX_TRACE_SIZE = 10**7
+_SIZE, _WORK = "f_w may take {:.1e} machine words", "its product may take {:.1e} machine-word operations"
 
 # Entries the word memo keeps.  The classify stream of 1500 requests
 # traces about 940 distinct words, so it evicts nothing.
@@ -111,22 +112,13 @@ _MEMO_BOUND = 2048
 # whose slots are at most 64 bits wide (see ``_decode_slots``)
 _SLOT_BOUND = 1 << 63
 
-# a + bX + cY + dXY, each coefficient a packed-key dict over Z[s, u, t]
-_ONE_VEC = ({0: 1}, {}, {}, {})
-
 
 def _canonical_cyclic(blocks: Tuple[Block, ...]) -> Tuple[Block, ...]:
     """Least rotation of a cyclically reduced block sequence or its inverse.
 
-    Only the rotations that start on an x-block are compared.  A cyclically
-    reduced core of two or more blocks has adjacent blocks on different
-    generators, its last and first blocks included, so its generators
-    alternate around the cycle, and so do its inverse's.  Blocks compare
-    as (gen, exp) tuples and X = 0 < Y = 1, so every rotation that starts
-    on an x-block is smaller than every rotation that starts on a y-block,
-    and the least rotation starts on an x-block: at the even indices when
-    the sequence starts on one, at the odd indices otherwise.  A core of
-    one block keeps its single rotation.
+    A core of two or more blocks alternates generators around the cycle,
+    and so does its inverse; blocks compare as (gen, exp) with X = 0 < Y =
+    1, so only the rotations that start on an x-block are compared.
     """
     best = None
     for seq in (blocks, _invert(blocks)):
@@ -206,25 +198,51 @@ def _norms(table) -> tuple:
     return tuple(norms)
 
 
+# the parities that a, b, c, d add to the prefix's A' in i + j and to its B' in j + k
+_ODD_S, _ODD_T = (0, 1, 0, 1), (0, 0, 1, 1)
+
+
+def _graded(table) -> tuple:
+    """The table's (source, m-step, j-step, n-step, c) rows after a prefix of parities pa, pb, at index 2 * pa + pb.
+
+    A source of parities alpha, beta moves (alpha + a + b)//2 slots in m,
+    b in j and (beta + b + c)//2 in n under s^a u^b t^c (module docstring).
+    """
+    out = []
+    for pa, pb in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        rows = tuple([] for _ in table)
+        for row, parts in zip(rows, table):
+            for source, key, c in parts:
+                a, b, k = _unpack(key)
+                alpha, beta = pa ^ _ODD_S[source], pb ^ _ODD_T[source]
+                row.append((source, (alpha + a + b) >> 1, b, (beta + b + k) >> 1, c))
+        out.append(rows)
+    return tuple(out)
+
+
+# f_w = 2a + sb + tc + ud, as a table of one target
+_TRACE = (((0, 0, 2), (1, _KS, 1), (2, _KT, 1), (3, _KU, 1)),)
+_TRACE_GRADED = _graded(_TRACE)
+
+
 @lru_cache(maxsize=64)
 def _small_block(g: int, e: int):
-    """The table and norms of a small exponent, which every word reuses."""
+    """The table, norms and graded rows of a small exponent, which every word reuses."""
     table = _block_table(g, e)
-    return table, _norms(table)
+    return table, _norms(table), _graded(table)
 
 
 def _product(key: Tuple[Block, ...]) -> TriPoly:
     """f_w of a key, packed in slots of the bound's width when it is below 2^63 and by dicts otherwise.
 
-    Each block's table is built once and serves the bound and the path.
-    The bound (Ba, Bb, Bc, Bd) <- N (Ba, Bb, Bc, Bd) is unrolled into 16
-    products a block (module docstring).
+    Each block's table is built once for the bound, whose update B <- N B
+    is unrolled (module docstring), and the path.
     """
     tables = []
     Ba, Bb, Bc, Bd = 1, 0, 0, 0
     for g, e in key:
         if abs(e) <= 8:
-            table, norms = _small_block(g, e)
+            table, norms, _ = _small_block(g, e)
         else:
             table = _block_table(g, e)
             norms = _norms(table)
@@ -243,70 +261,75 @@ def _product(key: Tuple[Block, ...]) -> TriPoly:
 
 
 def _dict_trace(tables) -> TriPoly:
-    """f_w from the blocks' tables, each component a packed-key dict."""
-    vec = _ONE_VEC
+    """f_w from the blocks' tables, each component of a + bX + cY + dXY a packed-key dict."""
+    vec = ({0: 1}, {}, {}, {})
     for table in tables:
         vec = tuple(_combine(vec, parts) for parts in table)
-    return TriPoly._normal(_combine(vec, ((0, 0, 2), (1, _KS, 1), (2, _KT, 1), (3, _KU, 1))), None)
+    return TriPoly._normal(_combine(vec, _TRACE[0]), None)
 
 
 def _packed_trace(key: Tuple[Block, ...], tables, width: int) -> TriPoly:
-    """f_w from the blocks' tables, each component one int of slots ``width`` bits wide.
+    """f_w from the blocks' tables, each component one int of graded slots ``width`` bits wide (module docstring).
 
-    Only for a key whose coefficient bound is below 2^(width - 1) (module docstring).
+    Only for a key whose coefficient bound is below 2^(width - 1).  Each block,
+    and then the trace, runs its rows at the prefix's parities (``_graded``).
     """
-    x = sum(abs(e) for g, e in key if g == X)
-    y = sum(abs(e) for _, e in key) - x
-    su, u = x + 1, len(key) // 2 + 1
+    pa = pb = x = 0
+    steps = []
+    for (g, e), table in zip(key, tables):
+        steps.append((_small_block(g, e)[2] if abs(e) <= 8 else _graded(table))[2 * pa + pb])
+        if g == X:
+            x += abs(e)
+            pa ^= e & 1
+        else:
+            pb ^= e & 1
+    steps.append(_TRACE_GRADED[2 * pa + pb])
+    su, u = x // 2 + 1, len(key) // 2 + 1
     suw, sutw = su * width, su * u * width
     vec = (1, 0, 0, 0)
-    for table in tables:
+    for table in steps:
         out = []
         for parts in table:
             o = 0
-            for source, mono, c in parts:
+            for source, dm, dj, dn, c in parts:
                 v = vec[source]
                 if v:
-                    shift = width * (mono >> _SH_S) + suw * ((mono >> _SH_U) & _MASK) + sutw * (mono & _MASK)
-                    if c == 1:  # most entries: no product by c to allocate
-                        o += v << shift
+                    v <<= width * dm + suw * dj + sutw * dn
+                    if c == 1:  # most entries: no product by c to allocate, and no copy into a zero o
+                        o = o + v if o else v
                     elif c == -1:
-                        o -= v << shift
+                        o -= v
                     else:
-                        o += c * (v << shift)
+                        o = o + c * v if o else c * v
             out.append(o)
         vec = out
-    a, b, c, d = vec
-    f = 2 * a + (b << width) + (d << suw) + (c << sutw)
-    return _decode_slots(f, width, su, u, y + 1)
+    return _decode_slots(vec[0], width, su, u, pa, pb)
 
 
-def _decode_slots(f: int, width: int, su: int, u: int, t: int) -> TriPoly:
-    """The polynomial whose ``width``-bit slots, each in (-2^(width-1), 2^(width-1)), sum to f.
+def _decode_slots(f: int, width: int, su: int, u: int, pa: int, pb: int) -> TriPoly:
+    """The polynomial of parities pa, pb whose ``width``-bit graded slots, each below 2^(width-1) in size, sum to f.
 
-    The width is a multiple of 8 up to 64.  Adding 2^(width-1) to every
-    slot makes each one a digit of f in base 2^width, which ``to_bytes``
-    writes out.  Each digit's bytes are copied to the top of a 64-bit word,
-    which is then the digit times 2^(64-width); XOR with 2^63 makes it the
-    slot times 2^(64-width) in two's complement, and an arithmetic shift
-    right by 64 - width reads the slot back, at width 64 too, where the
-    shift is 0.  Since every slot is below 2^(width-1) in absolute value,
-    the slots under the top nonzero one sum to less than half its weight
-    2^(width*n), so f.bit_length() // width is n.  Slot i + j*su + k*su*u
-    of the su x u x t box is s^i u^j t^k, whose packed key (``tripoly``)
-    is (i, j, k) raveled into fields of 2^(_SH_S-_SH_U) and 2^_SH_U; only
-    the nonzero slots are mapped.
+    The width is a multiple of 8 up to 64.  Adding 2^(width-1) to every slot
+    makes it a digit of f in base 2^width, which ``to_bytes`` writes out; in
+    the low bytes of a 64-bit word, less 2^(width-1) mod 2^64, a digit is
+    its slot in two's complement.  The slots under the top one sum to less
+    than half its weight, so f has at most f.bit_length() // width + 1.
+    Slot m + j*su + n*su*u is s^i u^j t^k, i = 2m + pa - j, k = 2n + pb - j,
+    whose packed key (``tripoly``) is linear in m, j and n, and so in the
+    slot, q = slot // su and n = q // u.
     """
     nbytes = width // 8
     n = f.bit_length() // width + 1
     bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
     digits = np.frombuffer((f + bias).to_bytes(nbytes * n, "little"), np.uint8).reshape(n, nbytes)
     words = np.zeros((n, 8), np.uint8)
-    words[:, 8 - nbytes :] = digits
-    coeffs = (words.view("<u8").ravel() ^ np.uint64(_SLOT_BOUND)).view(np.int64) >> (64 - width)
+    words[:, :nbytes] = digits
+    coeffs = (words.view("<u8").ravel() - np.uint64(1 << (width - 1))).view(np.int64)
     slots = np.flatnonzero(coeffs)
-    k, j, i = np.unravel_index(slots, (t, u, su))
-    keys = np.ravel_multi_index((i, j, k), (su, 1 << (_SH_S - _SH_U), 1 << _SH_U))
+    # the key (2m + pa - j) << _SH_S | j << _SH_U | (2n + pb - j) is km*m + kj*j + 2n + its parities
+    km, kj = 2 << _SH_S, (1 << _SH_U) - (1 << _SH_S) - 1
+    q = slots // su
+    keys = km * slots + (kj - km * su) * q + (2 - kj * u) * (q // u) + ((pa << _SH_S) + pb)
     return TriPoly._normal(dict(zip(keys.tolist(), coeffs[slots].tolist())), None)
 
 
@@ -315,24 +338,20 @@ def _coefficient_words(letters: int) -> int:
     return 1 + letters // 64
 
 
-def _size_bound(core: Tuple[Block, ...]) -> int:
-    """A bound on the machine words of f_w, the same for every rotation and the inverse.
+def _size_bound(x: int, r: int, y: int) -> int:
+    """A bound on the machine words of f_w, for x and y letters on each generator and r syllables.
 
-    f_w has degree at most x, r and y in s, u and t, x and y the letters on
-    each generator and r the syllables, so at most (x+1)(r+1)(y+1) terms.
+    f_w has degree at most x, r and y in s, u and t, so at most
+    (x+1)(r+1)(y+1) terms; rotation and inversion keep the bound.
     """
-    letters = sum(abs(e) for _, e in core)
-    x = sum(abs(e) for g, e in core if g == X)
-    r = len(core) // 2
-    return (x + 1) * (r + 1) * (letters - x + 1) * _coefficient_words(letters)
+    return (x + 1) * (r + 1) * (y + 1) * _coefficient_words(x + y)
 
 
 def _work_bound(key: Tuple[Block, ...]) -> int:
     """A bound on the product's machine-word operations over key's blocks.
 
-    Before a block, the running product has at most (x+1)(r+1)(y+1) terms
-    in each coefficient, counting what precedes the block as in
-    ``_size_bound``, and the block's table has about |e| entries.
+    Before a block the running product has at most (x+1)(r+1)(y+1) terms a
+    component, as in ``_size_bound``, and the block's table about |e| entries.
     """
     x = y = r = 0
     updates = 0
@@ -357,23 +376,10 @@ def _dickson_work(f: TriPoly, k: int, letters: int) -> int:
     return len(f) * terms * _coefficient_words(letters)
 
 
-def _check_size(blocks: Tuple[Block, ...]) -> None:
-    """ValueError past the size bound on these blocks."""
-    size = _size_bound(blocks)
-    if size > MAX_TRACE_SIZE:
-        raise ValueError(
-            f"word too large to trace: f_w may take {size:.1e} machine words, "
-            f"at most {MAX_TRACE_SIZE:.0e}"
-        )
-
-
-def _check_work(ops: int) -> None:
-    """ValueError past the work bound."""
-    if ops > MAX_TRACE_WORK:
-        raise ValueError(
-            f"word too large to trace: its product may take {ops:.1e} "
-            f"machine-word operations, at most {MAX_TRACE_WORK:.0e}"
-        )
+def _check(bound: int, limit: int, says: str) -> None:
+    """ValueError when an a-priori bound is past its limit, with ``says`` (``_SIZE`` or ``_WORK``) filled in."""
+    if bound > limit:
+        raise ValueError(f"word too large to trace: {says.format(bound)}, at most {limit:.0e}")
 
 
 class _LRU(OrderedDict):
@@ -399,29 +405,24 @@ _BUILT_LOCK = threading.Lock()
 class _WordEntry:
     """A word memo entry: f_w, its u-degree, gcd(A, B), the row of verdicts read off them, and a proper power's root.
 
-    ``sums_gcd`` is gcd(A, B) of the exponent sums on x and on y, 0 exactly
-    when A = B = 0, and like f_w a function of the key: rotation keeps A
-    and B, inversion negates both, and v^k's sums are k times v's.
-    ``verdicts`` maps a prime p, or None for the rationals, to what
-    ``decompose`` decided there, and its readers fill it.  Every value is a
-    function of the entry's key, as f_w is, so a thread that finds a value
-    missing and stores its own stores an equal one.  The entry of a proper
-    power v^k holds v's entry as ``root``, whose row ``decompose`` reads,
-    and k as ``k``; it keeps v's entry alive after the memo drops it, so a
-    power holds at most one entry more.  Otherwise ``root`` is None and
-    ``k`` is 1.
+    ``sums_gcd`` is gcd(A, B), 0 exactly when A = B = 0, a function of the
+    key as f_w is: rotation keeps A and B, inversion negates both, and
+    v^k's sums are k times v's.  ``verdicts`` maps a prime p, or None for
+    the rationals, to what ``decompose`` decided there; every value is a
+    function of the key, so a thread that stores a missing one stores an
+    equal one.  A proper power v^k holds v's entry as ``root`` and k as
+    ``k``, keeping v's entry alive past the memo, so a power holds at most
+    one entry more; otherwise ``root`` is None and ``k`` is 1.
 
     An entry made from a key builds f_w on the first read of ``f``, by the
-    product over the key or as D_k(f_v), and ``u_degree`` is then the key's
-    syllable count r.  A built f_w is checked to have u-degree r before any
-    reader gets it, with the RuntimeError of ``_checked_entry``; one that
-    fails is not kept, so every read raises again.  Threads racing on the
-    first read may build f_w twice, but the entry keeps the first one
-    stored and every read returns it.  An entry made from an f (the tests
-    plant some) takes its u-degree from f.  ``top_sign``, the leading
-    coefficient of f's top u-block, and ``faces``, the gcd of f's degrees
-    and the product of its top faces' contents (``decompose._degree_gcd``),
-    are None until ``decompose`` first reads them.
+    product over the key or as D_k(f_v), with ``u_degree`` the key's
+    syllable count r, and checks that f_w has u-degree r before any reader
+    gets it (the RuntimeError of ``_checked_entry``); one that fails is not
+    kept.  Racing first reads may build f_w twice, but the first one stored
+    is kept and returned.  An entry made from an f (the tests plant some)
+    takes its u-degree from f.  ``top_sign``, the leading coefficient of
+    f's top u-block, and ``faces``, f's degree gcd and top-face content
+    (``decompose._degree_gcd``), are None until ``decompose`` reads them.
     """
 
     __slots__ = ("_f", "_key", "u_degree", "sums_gcd", "top_sign", "faces", "verdicts", "root", "k")
@@ -461,19 +462,15 @@ class _WordEntry:
 class TraceEngine:
     """The 4-basis product behind a bounded memo, on ``words``' block rules.
 
-    A word is cyclically reduced, and one past ``MAX_TRACE_SIZE`` or
-    ``MAX_TRACE_WORK`` is refused with ValueError before that work.  Whole
-    words are memoized on the least rotation of the blocks or of their
-    inverse, each entry with its row of verdicts (``_WordEntry``).  A
-    proper power v^k is traced as D_k(f_v) and its entry links to v's, so
-    a power keeps at most one entry alive past the memo's bound.  The memo
-    is an LRU map of ``_MEMO_BOUND`` entries.  It may be shared between
-    threads: the lock guards it, an entry once kept is never replaced, and
-    since every entry is a pure function of its key, racing recomputation
-    is harmless; so is a race on the first read of an entry's f_w, which
-    keeps one f_w.  The bounds are checked when an entry is made, with a
-    proper power's root built for the D_k work bound; every other product
-    waits for its first read.
+    A word is cyclically reduced and memoized on ``_canonical_cyclic``'s
+    key, in an LRU map of ``_MEMO_BOUND`` entries (``_WordEntry``).  It may
+    be shared between threads: the lock guards it, an entry once kept is
+    never replaced, and every entry is a pure function of its key, so
+    racing recomputation is harmless.  The bounds are checked when an entry
+    is made, from one pass over the key's exponent sums, and the exact work
+    bound only when the size bound times (letters + blocks) is past
+    ``MAX_TRACE_WORK``; a proper power's root is built for the D_k work
+    bound, and every other product waits for its first read.
     """
 
     def __init__(self):
@@ -485,8 +482,9 @@ class TraceEngine:
         core = _cyclic_reduce(w.blocks)[0]
         if not core:
             raise ValueError(f"{w!r} reduces cyclically to the empty word")
-        if len(core) > 64:
-            _check_size(core)  # before a key quadratic in the blocks
+        if len(core) > 64:  # before a key quadratic in the blocks
+            _, _, x, y = _exponent_sums(core)
+            _check(_size_bound(x, len(core) // 2, y), MAX_TRACE_SIZE, _SIZE)
         return self._trace(_canonical_cyclic(core))
 
     def _trace(self, key: Tuple[Block, ...]) -> _WordEntry:
@@ -495,15 +493,17 @@ class TraceEngine:
             entry = self._words.recall(key)
         if entry is not None:
             return entry
-        _check_size(key)
+        A, B, x, y = _exponent_sums(key)
+        size = _size_bound(x, len(key) // 2, y)
+        _check(size, MAX_TRACE_SIZE, _SIZE)
         m = _period(key)
         if m < len(key):
             root, k = self._trace(key[:m]), len(key) // m
-            _check_work(_dickson_work(root.f, k, sum(abs(e) for _, e in key)))
+            _check(_dickson_work(root.f, k, x + y), MAX_TRACE_WORK, _WORK)
             entry = _WordEntry(None, k * root.sums_gcd, root, k, key)
         else:
-            _check_work(_work_bound(key))
-            A, B, _, _ = _exponent_sums(key)
+            if size * (x + y + len(key)) > MAX_TRACE_WORK:  # at or above _work_bound, block by block
+                _check(_work_bound(key), MAX_TRACE_WORK, _WORK)
             entry = _WordEntry(None, math.gcd(A, B), key=key)
         with self._lock:
             kept = self._words.recall(key)

@@ -513,3 +513,15 @@ def frobenius_strip(f: TriPoly) -> Tuple[TriPoly, int]:
         i, j, kk = _unpack(key)
         core[_pack(i // q, j // q, kk // q)] = c  # c^{p^k} = c over F_p
     return TriPoly._normal(core, p), k_max
+
+
+def _layer_free(f: TriPoly, p: int) -> bool:
+    """True when frobenius_strip(f mod p) finds no layer (k = 0), read off the integer f without reducing it.
+
+    A term whose coefficient p does not divide stays in f mod p, so when
+    its exponents' gcd is prime to p, so is the gcd that
+    ``frobenius_strip`` takes, which divides it.  When every such term has
+    its gcd divisible by p, so has their gcd: f mod p is constant or has a
+    layer, and this returns False for the strip to decide.
+    """
+    return any(key and c % p and math.gcd(*_unpack(key)) % p for key, c in f._c.items())

@@ -38,7 +38,7 @@ from tracelab.decompose import (
 )
 from tracelab.gf import primes_in
 from tracelab.trace import TraceEngine, _WordEntry, trace_poly
-from tracelab.tripoly import TriPoly, _div, frobenius_strip
+from tracelab.tripoly import TriPoly, _div, _layer_free, frobenius_strip
 from tracelab.unipoly import UniPoly, dickson, dickson_apply
 from tracelab.words import (
     DegenerateWordError,
@@ -559,7 +559,8 @@ class TestVerdictMemo:
         assert searches == []
 
     def test_fresh_engine_recomputes(self, searches):
-        w = parse("xxyXYYxyXy")
+        # outer degree 2 is searched over QQ and at every p <= 13 but 2
+        w = parse("x^-1yx^-1y^3")
         first = classify_global(w, 13, engine=TraceEngine())
         count = len(searches)
         assert count > 0
@@ -739,6 +740,44 @@ class TestPrimeShortcut:
         got = [_decide(e, 3) for e in entries]
         assert all(v is got[0] for v in got)
         assert (got[0].verdict, got[0].witness, got[0].frobenius_k) == (NONCOMPOSITE_P, None, 0)
+
+    def test_no_layer_at_p_dividing_r_reduces_nothing(self, monkeypatch):
+        # r = 4, gcd(A, B) = 1: no outer degree, and f_w's term s has gcd 1
+        f = trace_poly(parse("xxyXYYxyXy")).f
+        reduced = []
+        real = TriPoly.reduce_mod
+        monkeypatch.setattr(TriPoly, "reduce_mod", lambda self, p: reduced.append(p) or real(self, p))
+        got = _decide(_WordEntry(f, 1), 2)
+        assert (got.verdict, got.witness, got.frobenius_k) == (NONCOMPOSITE_P, None, 0)
+        assert reduced == []
+        # xyxy: f_w = u^2 - 2 is u^2 mod 2, a layer, so the strip reduces f_w once
+        got = _decide(_WordEntry(trace_poly(parse("xyxy")).f, 2), 2)
+        assert (got.verdict, got.frobenius_k) == (SPECIAL_P, 1)
+        assert reduced == [2]
+
+    @given(
+        st.sampled_from((2, 3, 5)).flatmap(
+            lambda p: st.tuples(
+                st.just(p),
+                st.dictionaries(
+                    st.tuples(*[st.integers(0, 3).map(lambda e: e * p) | st.integers(0, 4)] * 3),
+                    st.integers(-2, 2).filter(bool).map(lambda c: c * p) | st.integers(-5, 5).filter(bool),
+                    max_size=6,
+                ),
+            )
+        )
+    )
+    @settings(max_examples=100)
+    def test_layer_free_is_the_strip_finding_no_layer(self, case):
+        p, terms = case
+        f = tripoly_from_terms(terms)
+        fp = f.reduce_mod(p)
+        if fp.is_constant:
+            assert not _layer_free(f, p)
+            with pytest.raises(ValueError, match="constant input"):
+                frobenius_strip(fp)
+        else:
+            assert _layer_free(f, p) == (frobenius_strip(fp)[1] == 0), (p, terms)
 
     @given(syllable_words(max_r=6))
     @settings(max_examples=30)

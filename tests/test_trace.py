@@ -11,14 +11,17 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tracelab import trace
+from tracelab.experiments import genericity_scan
 from tracelab.gf import field
 from tracelab.trace import TraceEngine, syllable_polys, trace_poly
 from tracelab.tripoly import TriPoly
 from tracelab.unipoly import chebyshev_v, dickson_apply
 from tracelab.words import (
     X,
+    Y,
     Word,
     _cyclic_reduce,
+    _exponent_sums,
     _period,
     canonicalize,
     enumerate_words,
@@ -177,6 +180,49 @@ class TestSignRule:
             monos = [m for m, _c in f.terms()]
             assert {(i + j) % 2 for i, j, _k in monos} == {st_.A % 2}, w
             assert {(j + k) % 2 for _i, j, k in monos} == {st_.B % 2}, w
+
+
+class TestGrading:
+    """The parity and weight rules that the packed product's graded slots rest on."""
+
+    @given(
+        syllable_words(max_r=3, hi=12),
+        st.integers(1, 3),
+        st.sampled_from((lambda w: w, lambda w: w.inverse())),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_fricke_support_lies_in_the_quarter_box(self, w, power, flip):
+        # negative exponents, |e| > 8 and powers, on the trace identities alone
+        assume(len(w.blocks) * power <= 12)
+        w = flip(w) ** power
+        A, B, x, y = _exponent_sums(_cyclic_reduce(w.blocks)[0])
+        monos = [m for m, _c in fricke_trace(w).terms()]
+        assert monos
+        for i, j, k in monos:
+            assert (i + j - A) % 2 == 0 and (j + k - B) % 2 == 0, (w, (i, j, k))
+            assert i + j <= x and j + k <= y, (w, (i, j, k))
+
+    def test_every_table_is_graded_and_filtered(self):
+        # at every prefix parity, an entry (target, source, s^a u^b t^c) of g^e
+        # maps the source's parities to the target's, and raises the weight
+        # i + j (g = x) or j + k (g = y) by at most |e| plus the source's basis
+        # weight less the target's: so by induction every product obeys both rules
+        odd_s, odd_t = trace._ODD_S, trace._ODD_T
+        for g in (X, Y):
+            for e in (e for e in range(-12, 13) if e):
+                table = trace._block_table(g, e)
+                da, db = (abs(e), 0) if g == X else (0, abs(e))
+                for target, parts in enumerate(table):
+                    for source, key, c in parts:
+                        a, b, k = key >> 32, (key >> 16) & 0xFFFF, key & 0xFFFF
+                        assert (a + b + odd_s[source] - odd_s[target] - e * (g == X)) % 2 == 0, (g, e)
+                        assert (b + k + odd_t[source] - odd_t[target] - e * (g == Y)) % 2 == 0, (g, e)
+                        assert a + b <= da + odd_s[source] - odd_s[target], (g, e, target, source)
+                        assert b + k <= db + odd_t[source] - odd_t[target], (g, e, target, source)
+                graded = trace._graded(table)
+                assert [[len(row) for row in rows] for rows in graded] == [[len(row) for row in table]] * 4
+                if abs(e) <= 8:
+                    assert trace._small_block(g, e)[2] == graded
 
 
 class TestOracleAgreement:
@@ -442,15 +488,16 @@ class TestPackedProduct:
 
     def test_top_slot_below_zero(self):
         for width in WIDTHS:
-            # slots 0, 1, 5 and 6 of a 1 x 1 x 7 box: s-degree and u-degree 0,
-            # the slots at the bound and the top one negative
+            # slots 0, 1, 5 and 6 of a 1 x 1 x 7 graded box, where m = j = 0, hold
+            # s^pa t^(2n + pb); the slot at the bound and the top one negative
             low = (1 << (width - 1)) - 1
             top = -low
             f = low + (-1 << width) + (3 << 5 * width) + (top << 6 * width)
             assert f < 0
-            want = TriPoly.const(low) - T + C(3) * T**5 + C(top) * T**6
-            assert trace._decode_slots(f, width, 1, 1, 7) == want, width
-        # xyxY = -u^2 + stu - t^2 + 2: the slot of t^2 is the top one
+            for pa, pb in itertools.product((0, 1), repeat=2):
+                want = (TriPoly.const(low) - T**2 + C(3) * T**10 + C(top) * T**12) * S**pa * T**pb
+                assert trace._decode_slots(f, width, 1, 1, pa, pb) == want, (width, pa, pb)
+        # xyxY = -u^2 + stu - t^2 + 2: the slot of -u^2, m = n = 1 and j = 2, is the top one
         assert trace_poly(parse("xyxY"), engine=TraceEngine()).f == CLOSED_FORMS["xyxY"]
 
     def test_paths_taken(self, monkeypatch):
@@ -520,6 +567,24 @@ class TestBounds:
             trace_poly(w, engine=eng)
         assert time.monotonic() - start <= 1
         assert not eng._words
+
+    def test_the_exact_work_bound_runs_only_past_the_sufficient_one(self, monkeypatch):
+        calls = []
+        real = trace._work_bound
+        monkeypatch.setattr(trace, "_work_bound", lambda key: calls.append(key) or real(key))
+        genericity_scan(7)
+        assert calls == []
+        with pytest.raises(ValueError, match="its product may take"):
+            trace_poly(parse("x^200y^200x^200y^-200"), engine=TraceEngine())
+        assert len(calls) == 1
+
+    @given(syllable_words(max_r=8, hi=60))
+    @settings(max_examples=40)
+    def test_the_sufficient_work_bound_is_above_the_exact_one(self, w):
+        # each block's term of _work_bound is at most the size bound's cells times |e| + 1
+        key = trace._canonical_cyclic(_cyclic_reduce(w.blocks)[0])
+        _, _, x, y = _exponent_sums(key)
+        assert trace._work_bound(key) <= trace._size_bound(x, len(key) // 2, y) * (x + y + len(key))
 
     def test_a_power_is_bounded_by_its_root_and_the_recurrence(self):
         # the work bound on the whole key read 4.1e8 for (xy)^100, past MAX_TRACE_WORK
