@@ -70,6 +70,48 @@ levelsets stream 81 of 252 requests have u-degree <= 2 (63 commutators and
 18 random words); their counts took about a quarter of _cube_counts' time
 on the slices, 160-210 ms in all, and take 31-41 ms in closed form.
 
+An f of u-degree 3 is counted on the same lines without slices when p != 3,
+from its blocks a = G_3, b = G_2, c = G_1, d = G_0 and the normal forms of
+cubics (same reference).  A line with a = 0 is a quadratic and takes the
+closed forms above.  For a != 0, with g = a u^3 + b u^2 + c u + d:
+
+- depress: put beta = b / (3a), which is b / a in characteristic 2; then
+  u = v - beta gives a v^3 + c' v + d' with c' = c - b beta and d' =
+  g(-beta);
+- scale: put lam = c' / a; v = alpha w with alpha^2 = lam / kappa gives
+  a alpha^3 (w^3 + kappa w) + d', where kappa = 1 when lam is a nonzero
+  square (every nonzero lam in characteristic 2), kappa = nu, one fixed
+  nonsquare, when lam is a nonsquare, and kappa = 0 with alpha = 1 when
+  lam = 0;
+- read: u -> w is a bijection of F_q, so the line has H_kappa[(z - d') m]
+  points at level z, with m = 1 / (a alpha^3) and H_kappa[y] = #{w : w^3 +
+  kappa w = y}, one bincount of length q per kappa.  w^3 + kappa w is odd,
+  so H_kappa(-y) = H_kappa(y), and -alpha serves as well as alpha: of each
+  pair +-m the smaller code is taken, which halves the m in use at odd q.
+
+With K_kappa[m, e] the weight of the lines with that kappa, that m and
+e = d' m, and Circ_kappa[e, y] = H_kappa[y - e], the weighted tally is
+
+    T[z] = sum_kappa sum_(m != 0) C_kappa[m, z m],  C_kappa = K_kappa Circ_kappa.
+
+The product runs in float64 through numpy's BLAS, on the m that some line
+holds, _M_BLOCK rows of K at a time, and each row of C is gathered at
+z -> z m.  Every entry of K, Circ and C and every partial sum of an entry
+of C is a nonnegative integer of at most 3 sum w = 3 q^2 (a cubic has at
+most 3 roots, and the line weights sum to q^2), below 2^53 at every q <=
+2048, so every order of summation gives the exact sum, at any thread count;
+the gathered sums are at most q^3 < 2^53.  int64 would need no such
+argument, but numpy runs an int64 matmul in its own loop: q x 2q x q took
+4.5-5 ms at q = 128 on a 2-vCPU host, more than a whole count on the
+slices, against 0.1 ms in float64.  The work is q^2 multiply-adds per row
+of K, in BLAS, in place of the slices' 5 array operations a point at odd q
+(3 deg_u f at even q), and the memory is O(q^2): besides the block grids,
+one q x q float64 circulant at a time (128 KB at q = 128, 32 MB at q =
+2048) and O(_M_BLOCK q) for the rest.  Characteristic 3, where 3a = 0, and
+u-degree >= 4 keep the slices.
+On the seed-1 levelsets stream 108 of 252 requests are cubic; _cube_counts
+took 2.2-2.4 ms on each of them on the slices and takes 0.9-1.1 ms.
+
 The counts of the last four (f, field) pairs, q ints each, are memoized and
 handed out as copies: a screen run after a probe of the same f over the
 same field does not count again.
@@ -87,6 +129,9 @@ from .tripoly import TriPoly, _power
 
 # values of s and of t, each an array of element codes
 Select = tuple[np.ndarray, np.ndarray]
+
+# rows m of the cubic tally's product per block: its temporaries stay O(_M_BLOCK q)
+_M_BLOCK = 16
 
 
 def _u_blocks_on_grid(f: TriPoly, F: GF, select: Select) -> list[np.ndarray]:
@@ -268,8 +313,90 @@ def _quadratic_tally(blocks: list[np.ndarray], F: GF, line: np.ndarray) -> np.nd
     support = np.flatnonzero(heights)
     # kernel[z, i] at the i-th key of the support, an int8 q x len(support) table
     kernel = char.take(table.take(np.arange(q)[:, None] * q + column.take(support)))
-    # an int64 product: numpy runs it in its own loop, not in a multithreaded BLAS
+    # an int64 matrix-vector product, O(q^2): numpy's own loop costs little at that
+    # size and is exact with no bound to argue, unlike _cubic_tally's O(q^3) matmul
     return tally + kernel @ heights.take(support).astype(np.int64)
+
+
+def _normal_cubic_counts(F: GF, kappa: int) -> np.ndarray:
+    """H[y] = #{w in F : w^3 + kappa w = y} for every y, as int64."""
+    q, add, mul, w = F.q, F.add_table.ravel(), F.mul_table.ravel(), np.arange(F.q)
+    return np.bincount(add.take(mul.take(mul.take(w * q + w) * q + w) * q + F.mul_table[kappa]), minlength=q)
+
+
+def _cubic_normal_form(F: GF, a, b, c, d):
+    """(kappas, kind, m, e) with #{u : a u^3 + b u^2 + c u + d = z} = H[z m - e] for every z.
+
+    Elementwise over arrays of codes with a != 0, p != 3; H counts the
+    levels of w^3 + kappa w for kappa = kappas[kind] (_normal_cubic_counts),
+    m != 0 is one of each pair +-m, and the derivation is in the module
+    docstring.
+    """
+    q, add, mul = F.q, F.add_table.ravel(), F.mul_table.ravel()
+    inv, neg = F.inv_table, F.neg_table
+    # u = v + x with x = -beta = -b / (3a): a v^3 + c' v + d' with c' = c + b x, d' = g(x)
+    inv_a = inv.take(a)
+    x = neg.take(mul.take(b * q + F.mul_table[inv[F.embed_int(3)]].take(inv_a)))
+    lam = mul.take(add.take(mul.take(b * q + x) * q + c) * q + inv_a)  # c' / a
+    shift = a
+    for coef in (b, c, d):
+        shift = add.take(mul.take(shift * q + x) * q + coef)
+    # kappa = 0 where lam = 0, 1 where lam is a nonzero square, nu (the least nonsquare) where not
+    square = np.zeros(q, dtype=np.intp)
+    square[F.mul_table.diagonal()] = 1
+    kappas = [0, 1] + [int(np.argmin(square))] * (F.p > 2)
+    kind = np.where(lam == 0, 0, 2 - square.take(lam))
+    # v = alpha w with alpha^2 = lam / kappa, alpha = 1 where kappa = 0; m = 1 / (a alpha^3)
+    root = np.ones(q, dtype=np.intp)  # root[0] = 1 serves kappa = 0
+    root[F.mul_table.diagonal()[1:]] = np.arange(1, q)
+    alpha = root.take(mul.take(lam * q + inv.take(kappas).take(kind)))
+    m = inv.take(mul.take(mul.take(mul.take(alpha * q + alpha) * q + alpha) * q + a))
+    m = np.minimum(m, neg.take(m))  # -alpha serves as well as alpha, since H(-y) = H(y)
+    return kappas, kind, m, mul.take(shift * q + m)
+
+
+def _cubic_tally(blocks: list[np.ndarray], F: GF, line: np.ndarray) -> np.ndarray:
+    """T[z] = sum of line[i] * #{u : a u^3 + b u^2 + c u + d = z} over the lines i, for p != 3.
+
+    blocks = [G_0, G_1, G_2, G_3] = [d, c, b, a] of an f of u-degree 3 on
+    the lines; line holds each line's int64 weight.  Lines with a = 0 go to
+    _quadratic_tally, every other line through its normal form
+    (_cubic_normal_form) to one float64 product per kappa; why that is
+    exact is in the module docstring.
+    """
+    q = F.q
+    d, c, b, a = (blk.ravel() for blk in blocks)
+    tally = np.zeros(q, dtype=np.int64)
+    flat = a == 0
+    if flat.any():
+        tally += _quadratic_tally([d[flat], c[flat], b[flat]], F, line[flat])
+        d, c, b, a, line = (arr[~flat] for arr in (d, c, b, a, line))
+    kappas, kind, m, e = _cubic_normal_form(F, a, b, c, d)
+    # lines in order of (kappa, m); the distinct (kappa, m), ranked, are the rows of K
+    key = kind * q + m
+    order = np.argsort(key.astype(np.int16), kind="stable")  # a radix sort: key < 3 q <= 6144
+    key, weight = key.take(order), line.take(order).astype(np.float64)
+    col = F.neg_table.take(e.take(order))  # circulant row -e reads H(-e + y) = H(y - e)
+    new = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    rank, heads = np.cumsum(new) - 1, key[new]
+    firsts = np.append(np.flatnonzero(new), len(key)).tolist()  # rank r holds lines firsts[r]:firsts[r + 1]
+    segments = np.searchsorted(heads, np.arange(len(kappas) + 1) * q).tolist()
+    offsets = np.arange(0, _M_BLOCK * q, q)[:, None]
+    total, circ = np.zeros(q), np.empty((q, q))
+    for k, kappa in enumerate(kappas):
+        if segments[k] == segments[k + 1]:
+            continue
+        np.take(_normal_cubic_counts(F, kappa).astype(np.float64), F.add_table, out=circ)  # H(e' + y)
+        for r0 in range(segments[k], segments[k + 1], _M_BLOCK):
+            r1 = min(r0 + _M_BLOCK, segments[k + 1])
+            lo, hi = firsts[r0], firsts[r1]
+            block = np.bincount((rank[lo:hi] - r0) * q + col[lo:hi], weights=weight[lo:hi],
+                                minlength=(r1 - r0) * q).reshape(r1 - r0, q)
+            # C[m, y] = sum_e K[m, e] H(y - e), and level z of the lines at m reads C[m, z m]
+            at = F.mul_table.take(heads[r0:r1] - k * q, axis=0) + offsets[: r1 - r0]
+            total += (block @ circ).ravel().take(at).sum(axis=0)
+    return tally + total.astype(np.int64)
 
 
 @lru_cache(maxsize=4)
@@ -278,9 +405,11 @@ def _cube_counts(f: TriPoly, F: GF) -> np.ndarray:
 
     The orbit-representative lines carry their weights.  For f of u-degree
     <= 2 each line's counts over u are read off its blocks a = G_2, b =
-    G_1, c = G_0 in closed form (_quadratic_tally); otherwise each slice of
+    G_1, c = G_0 in closed form (_quadratic_tally); for u-degree 3 and p !=
+    3, off its blocks G_3..G_0 through the normal form w^3 + kappa w and one
+    float64 product per kappa (_cubic_tally); otherwise each slice of
     _u_slices is binned by f's value with its line's weight as a float64.
-    Both are exact, see the module docstring.  The weighted counts are
+    All three are exact, see the module docstring.  The weighted counts are
     relabelled by _orbit_sum, and the result must partition the q^3 points.
     """
     q = F.q
@@ -288,6 +417,8 @@ def _cube_counts(f: TriPoly, F: GF) -> np.ndarray:
     select, weights, cls = _representatives(s_maps, t_mirror)
     if f.deg("u") <= 2:
         tally = _quadratic_tally(_u_blocks_on_grid(f, F, select), F, weights.take(cls).ravel())
+    elif f.deg("u") == 3 and F.p != 3:
+        tally = _cubic_tally(_u_blocks_on_grid(f, F, select), F, weights.take(cls).ravel())
     else:
         line = weights.take(cls).ravel().astype(np.float64)
         slices = _u_slices(f, F, select)

@@ -974,6 +974,14 @@ def lang_weil_check(
     |N_z - q^2| < 50 d^4 q is evaluated as well.  A polynomial constant
     mod p is refused with ValueError, as is an exclusion that is not an int
     level 0..q-1 of F_q.
+
+    Neither verdict can fail at a q the library builds (q <= 2048): f - z
+    has degree d, so N_z <= d q^2 (Schwartz-Zippel) and |N_z - q^2| <=
+    (d - 1) q^2, which is at most 12 (d + 3)^4 q while (d - 1) q <=
+    12 (d + 3)^4, true for every d >= 2 at q <= 7500, and below 50 d^4 q
+    while (d - 1) q < 50 d^4, true for every d > 4 at q < 7812.  So
+    all_pass and est01_ok are True for every accepted input; the screen
+    reports the counts, and spectrum_probe is what flags a level.
     """
     levels = set()
     for z in spectrum_exclusions:

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracelab import probes
-from tracelab.gf import _factor_prime_power, field
+from tracelab.gf import GF, _factor_prime_power, field
 from tracelab.probes import level_set_counts
 from tracelab.sl2 import lang_weil_check, spectrum_probe
 from tracelab.trace import trace_poly
@@ -204,12 +206,153 @@ class TestQuadraticTally:
         assert probes._quadratic_character(F).tolist() == want
 
 
+CUBIC_QS = [q for q in ORBIT_QS if q % 3]
+# one polynomial for each kind of line of a cubic a u^3 + b u^2 + c u + d
+CUBIC_CASES = {
+    # lam = 0 on every line: kappa = 0
+    "u^3 + s": U**3 + S,
+    # and N_z != N_-z, so a tally that reads level z for -z fails
+    "u^3 + s^2 + 1": U**3 + S**2 + TriPoly.const(1, None),
+    # a = 0 at s = 0; lam = t / s takes every value on the other lines
+    "s u^3 + t u": S * U**3 + T * U,
+    # b != 0, so the depressing shift moves d
+    "u^3 + s u^2 + t u + s t": U**3 + S * U**2 + T * U + S * T,
+    "(s^2 - 2) u^3 + t u^2 + u + s": (S**2 - TriPoly.const(2, None)) * U**3 + T * U**2 + U + S,
+    "xyXYxy-word": trace_poly(parse("xyXYxy")).f,
+}
+
+
+def _line_kinds(f, F):
+    """The kinds among the lines (s, t) of the whole grid: 'flat' (a = 0), and 0, 'square' or 'nonsquare' lam.
+
+    Scalar arithmetic on the block grids, lam = (c - b^2 / (3a)) / a.
+    """
+    d, c, b, a = (blk.ravel().tolist() for blk in probes._u_blocks_on_grid(f, F, (np.arange(F.q), np.arange(F.q))))
+    three = F.embed_int(3)
+    kinds = set()
+    for ai, bi, ci in zip(a, b, c):
+        if ai == 0:
+            kinds.add("flat")
+            continue
+        shift = F.mul(F.mul(bi, bi), F.inv(F.mul(three, ai)))
+        lam = F.mul(F.add(ci, F.neg(shift)), F.inv(ai))
+        kinds.add(0 if lam == 0 else "square" if lam in F.squares else "nonsquare")
+    return kinds
+
+
+def _brute_cubic_counts(F, kappa):
+    """#{w : w^3 + kappa w = y} for every y, one scalar evaluation per w."""
+    counts = [0] * F.q
+    for w in range(F.q):
+        counts[F.add(F.mul(F.mul(w, w), w), F.mul(kappa, w))] += 1
+    return counts
+
+
+class TestCubicTally:
+    @pytest.mark.parametrize("q", CUBIC_QS)
+    @pytest.mark.parametrize("case", CUBIC_CASES)
+    def test_every_line_kind_matches_the_references(self, case, q):
+        f = CUBIC_CASES[case].reduce_mod(_factor_prime_power(q)[0])
+        _assert_matches_references(f, q)
+        F = field(q)
+        blocks = probes._u_blocks_on_grid(f, F, (np.arange(q), np.arange(q)))
+        tally = probes._cubic_tally(blocks, F, np.ones(q * q, dtype=np.int64))
+        assert np.array_equal(tally, _whole_grid_tally(f, F))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.dictionaries(st.integers(0, 4), st.integers(-9, 9), max_size=3),
+        st.dictionaries(st.integers(0, 4), st.integers(-9, 9), max_size=3),
+        st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(-9, 9), max_size=4),
+        st.integers(1, 9),
+        st.sampled_from([q for q in CUBIC_QS if q <= 49]),
+    )
+    def test_random_cubics_meet_every_line_kind(self, b_terms, c_terms, d_terms, lead, q):
+        # f = lead s u^3 + s B(s) u^2 + (t + C(s)) u + D(s, t): a = 0 on s = 0, and on
+        # any other s, lam = (t + C(s) - s B(s)^2 lead / 3) / (lead s) is affine in t
+        p = _factor_prime_power(q)[0]
+        if lead % p == 0:
+            lead = 1
+        B = tripoly_from_terms({(i, 0, 0): c for i, c in b_terms.items()}, p)
+        C = tripoly_from_terms({(i, 0, 0): c for i, c in c_terms.items()}, p)
+        D = tripoly_from_terms({(i, 0, k): c for (i, k), c in d_terms.items()}, p)
+        Sp, Up, Tp = (TriPoly.var(v, p) for v in "sut")
+        f = (Sp * Up**3).scale(lead) + Sp * B * Up**2 + (Tp + C) * Up + D
+        assert _line_kinds(f, field(q)) >= {"flat", 0, "square"} | ({"nonsquare"} if q % 2 else set())
+        _assert_matches_references(f, q)
+
+    @pytest.mark.parametrize("q", [4, 7, 8, 11])
+    def test_normal_form_counts_every_line(self, q):
+        # every (a != 0, b, c, d): #{u : g(u) = z} = H_kappa[z m - e] at every level z
+        F = field(q)
+        a, b, c, d = (col.ravel() for col in np.meshgrid(np.arange(1, q), *[np.arange(q)] * 3, indexing="ij"))
+        kappas, kind, m, e = probes._cubic_normal_form(F, a, b, c, d)
+        assert kappas[:2] == [0, 1] and len(kappas) == 2 + q % 2
+        if q % 2:
+            assert kappas[2] not in F.squares
+        assert (m != 0).all()
+        values = []
+        for u in range(q):
+            val = a
+            for coef in (b, c, d):
+                val = F.add_table[F.mul_table[val, u], coef]
+            values.append(val)
+        got = np.zeros((len(a), q), dtype=np.int64)
+        for val in values:
+            got[np.arange(len(a)), val] += 1
+        heights = np.array([_brute_cubic_counts(F, kappa) for kappa in kappas])
+        levels = F.add_table[F.mul_table[np.arange(q)[None, :], m[:, None]], F.neg_table[e][:, None]]
+        assert np.array_equal(got, heights[kind[:, None], levels])
+
+    @pytest.mark.parametrize("q", CUBIC_QS)
+    def test_normal_cubic_counts_are_even_and_sum_to_q(self, q):
+        F = field(q)
+        for kappa in range(q):
+            heights = probes._normal_cubic_counts(F, kappa)
+            assert heights.tolist() == _brute_cubic_counts(F, kappa)
+            assert heights.sum() == q and heights.max() <= 3
+            assert np.array_equal(heights.take(F.neg_table), heights)
+
+    @pytest.mark.parametrize("q", [3, 9, 27])
+    @pytest.mark.parametrize("case", CUBIC_CASES)
+    def test_characteristic_three_counts_on_the_slices(self, monkeypatch, case, q):
+        def refused(*args):
+            raise AssertionError("the cubic tally ran in characteristic 3")
+
+        monkeypatch.setattr(probes, "_cubic_tally", refused)
+        probes._cube_counts.cache_clear()
+        f = CUBIC_CASES[case].reduce_mod(3)
+        assert f.deg("u") == 3
+        _assert_matches_references(f, q)
+
+    @pytest.mark.parametrize("q", [127, 128])
+    def test_count_within_memory_budget(self, q):
+        # the slices peaked at 0.35-0.75 MB here, the tally at 0.56-0.72 MB
+        F = field(q)
+        f = trace_poly(parse("xyXYxy")).f.reduce_mod(F.p)
+        probes._cube_counts.cache_clear()
+        tracemalloc.start()
+        try:
+            counts = probes._cube_counts(f, F)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, f"budget exceeded: {peak / 2**20:.2f} MB > 1 MB"
+        assert counts.sum() == q**3
+
+    @pytest.mark.parametrize("q", [127, 128])
+    def test_count_leaves_the_scaled_table_unbuilt(self, q):
+        F = GF(q)
+        probes._cube_counts(trace_poly(parse("xyXYxy")).f.reduce_mod(F.p), F)
+        assert "scaled_mul_table" not in vars(F)
+
+
 class TestPointsVisited:
     @staticmethod
-    def _visited(monkeypatch, f, q):
-        """(points of the u-slices, lines of the closed-form tally) that counting f at q reads."""
+    def _visited(monkeypatch, f, q, tally="_quadratic_tally"):
+        """(points of the u-slices, lines of the closed-form tally named tally) that counting f at q reads."""
         sizes, lines = [], []
-        u_slices, quadratic_tally = probes._u_slices, probes._quadratic_tally
+        u_slices, closed_form = probes._u_slices, getattr(probes, tally)
 
         def recording(f, F, *args):
             for u, val in u_slices(f, F, *args):
@@ -218,20 +361,29 @@ class TestPointsVisited:
 
         def tallying(blocks, F, line):
             lines.append(line.size)
-            return quadratic_tally(blocks, F, line)
+            return closed_form(blocks, F, line)
 
         monkeypatch.setattr(probes, "_u_slices", recording)
-        monkeypatch.setattr(probes, "_quadratic_tally", tallying)
+        monkeypatch.setattr(probes, tally, tallying)
         probes._cube_counts.cache_clear()
         level_set_counts(f, q)
         return sum(sizes), sum(lines)
 
     @pytest.mark.parametrize("q,share", [(101, 3), (125, 5), (128, 5)])
     def test_cubic_word_visits_orbit_representatives(self, monkeypatch, q, share):
-        f = trace_poly(parse("xyXYxy")).f
+        # u-degree 4, so u-slices; a cubic such as xyXYxy is tallied in closed form below
+        f = trace_poly(parse("xyXYXyxy")).f
         points, lines = self._visited(monkeypatch, f, q)
         assert 0 < points <= q**3 / share
         assert lines == 0
+
+    @pytest.mark.parametrize("q,share", [(101, 3), (125, 5), (128, 5)])
+    def test_cubic_word_tallies_orbit_representatives(self, monkeypatch, q, share):
+        # u-degree 3 and p != 3: no u-slice, one normal form per representative line
+        f = trace_poly(parse("xyXYxy")).f
+        points, lines = self._visited(monkeypatch, f, q, "_cubic_tally")
+        assert points == 0
+        assert 0 < lines <= q**2 / share
 
     @pytest.mark.parametrize("q,share", [(101, 3), (125, 5), (128, 5)])
     def test_commutator_visits_orbit_representatives(self, monkeypatch, q, share):
@@ -242,7 +394,7 @@ class TestPointsVisited:
         assert 0 < lines <= q**2 / share
 
     def test_no_symmetry_visits_the_whole_cube(self, monkeypatch):
-        f = S + T + U**3 * T
+        f = S + T + U**4 * T
         assert self._visited(monkeypatch, f, 101) == (101**3, 0)
 
     def test_no_symmetry_quadratic_reads_every_line(self, monkeypatch):
@@ -285,7 +437,10 @@ class TestMemo:
         return passes
 
     def test_probe_then_screen_counts_once(self, monkeypatch):
-        assert self._passes(monkeypatch, "_u_slices", "xyXYxy") == [11]
+        assert self._passes(monkeypatch, "_u_slices", "xyXYXyxy") == [11]
+
+    def test_probe_then_screen_tallies_the_cubic_once(self, monkeypatch):
+        assert self._passes(monkeypatch, "_cubic_tally", "xyXYxy") == [11]
 
     def test_probe_then_screen_tallies_the_quadratic_once(self, monkeypatch):
         assert self._passes(monkeypatch, "_quadratic_tally", "xyXY") == [11]

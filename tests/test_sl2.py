@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tracelab import probes, sl2
-from tracelab.gf import field
+from tracelab.gf import _MAX_Q, field
 from tracelab.sl2 import (
     MAX_FIBER_Q,
     build_class_table,
@@ -904,6 +904,17 @@ class TestLangWeil:
         assert repr(rep) == repr(
             sl2.LangWeilReport(q=q, degree=d, excluded=excluded, est01_applicable=d > 4 and q > 16, **want)
         )
+
+    def test_no_level_can_fail_at_a_built_field(self):
+        # the docstring's argument: N_z <= d q^2, so |N_z - q^2| <= (d - 1) q^2, within
+        # 12 (d + 3)^4 q and, for d > 4, below 50 d^4 q; both left sides grow with q, and
+        # (d + 3)^4 / (d - 1) and d^4 / (d - 1) grow with d from d = 3 on
+        d, q = np.arange(2, 10**4)[:, None], np.arange(2, _MAX_Q + 1)
+        assert ((d[:100] - 1) * q <= 12 * (d[:100] + 3) ** 4).all()
+        assert ((d - 1) * _MAX_Q <= 12 * (d + 3) ** 4).all()
+        assert ((d - 1) * _MAX_Q < 50 * d**4)[d > 4].all()
+        # d = 2 is the tightest case: its bound holds up to q = 7500
+        assert 7500 <= 12 * 5**4 < 7501
 
     @pytest.mark.parametrize("past,ok", [(-1, True), (0, False)])
     def test_residual_bound_is_strict(self, monkeypatch, past, ok):
